@@ -16,12 +16,13 @@ from .crystal import (
     Polygon,
     builtin_crystal,
     cyclic_from_exponents,
-    derived_crystal,
+    direct_sum_crystal,
     dual_crystal,
     end_crystal,
     hodge_data,
     new_crystal,
     newton_polygon,
+    tensor_crystal,
 )
 from .deviation import deviations, df_reduce, torsion_upper_from_tuple
 from .plinalg import (

@@ -6,7 +6,6 @@ error, 3 precision exhausted, 4 inconclusive (randomized regime).
 
 import argparse
 import json
-import os
 import sys
 
 from .bounds import (
@@ -16,9 +15,14 @@ from .bounds import (
 )
 from .crystal import PolarizedCrystal, hodge_data, newton_polygon
 from .deviation import deviations, df_reduce
-from .errors import CrystalError, PrecisionExhausted, SearchSpaceTooLarge
+from .errors import (
+    CrystalError,
+    ExtensionCapExceeded,
+    PrecisionExhausted,
+    SearchSpaceTooLarge,
+)
 from .files import read_crystal
-from .semilinear import DEFAULT_DMAX, hom_module, isom_search
+from .semilinear import hom_module, isom_search
 from .stairs import build_stairs_datum, stairs_run
 from .truncation import i_number_probe
 
@@ -173,11 +177,14 @@ def cmd_stairs(args):
         g = Matrix.identity(ring, C.rank) + delta
     try:
         if datum is None:
-            datum = build_stairs_datum(C, args.dmax)
-        cert = stairs_run(C, g, datum, args.dmax)
-    except CrystalError as exc:
+            datum = build_stairs_datum(C)
+        cert = stairs_run(C, g, datum)
+    except (PrecisionExhausted, ExtensionCapExceeded) as exc:
         _err(str(exc))
         return 3
+    except CrystalError as exc:
+        _err(str(exc))
+        return 2
     ok = cert.reverify()
     from .files import matrix_to_entries
     _out({
@@ -193,8 +200,7 @@ def cmd_stairs(args):
 def cmd_probe(args):
     obj = _load(args.file)
     C = obj.base if isinstance(obj, PolarizedCrystal) else obj
-    rep = i_number_probe(C, trials=args.trials, seed=args.seed,
-                         dmax=args.dmax)
+    rep = i_number_probe(C, trials=args.trials, seed=args.seed)
     _out(rep)
     return 0
 
@@ -218,7 +224,6 @@ def build_parser():
         description="exact computations with F-crystals at finite precision",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    dmax_default = int(os.environ.get("CRYSTAL_DMAX", str(DEFAULT_DMAX)))
 
     p = sub.add_parser("polygon", help="hodge/newton slopes of a crystal file")
     p.add_argument("file")
@@ -261,14 +266,12 @@ def build_parser():
     p.add_argument("--twist-file")
     p.add_argument("--twist-level", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dmax", type=int, default=dmax_default)
     p.set_defaults(func=cmd_stairs)
 
     p = sub.add_parser("probe", help="i-number upper witness and evidence")
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dmax", type=int, default=dmax_default)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")

@@ -42,24 +42,6 @@ class FCrystal:
         self.B = B
         self.shift = shift
 
-    def phi(self, vec_matrix):
-        """Apply phi to a column-vector matrix (rank x k); shift must be 0."""
-        if self.shift:
-            raise BadShape("phi only acts integrally when shift = 0")
-        return self.B @ vec_matrix.sigma()
-
-    def conj(self, X: Matrix) -> Matrix:
-        """phi o X o phi^{-1} for X in End(M), computed via B sigma(X) B^{-1}.
-
-        Exact only up to the denominator exponent of B; prefer structured
-        conjugation (stairs datum arrows) inside iterations.
-        """
-        C, e = inverse_with_shift(self.B)
-        Y = self.B @ X.sigma() @ C
-        if not Y.is_zero() and Y.min_valuation() < e:
-            raise PrecisionExhausted("conjugate is not integral")
-        return Y.divide_exact(e)
-
     def twist(self, g: Matrix) -> "FCrystal":
         """The crystal with phi replaced by g o phi."""
         return FCrystal(self.ring, g @ self.B, self.shift)
@@ -187,26 +169,12 @@ def _lower_hull(pts):
     return hull
 
 
-def derived_crystal(kind, *args) -> FCrystal:
-    """dual / end / tensor / direct_sum of crystals.
+def dual_crystal(C: FCrystal) -> FCrystal:
+    """The dual crystal, phi* = p^shift (B^{-1})^T.
 
-    dual and end clear denominators of B^{-1}; the result lives at the
-    reduced precision n - e when e > 0 (PrecisionExhausted at zero).
+    Clearing the denominator p^e of B^{-1} costs precision: the result
+    lives at n - e (PrecisionExhausted at zero).
     """
-    if kind == "direct_sum":
-        return _direct_sum(*args)
-    if kind == "tensor":
-        return _tensor(*args)
-    if kind == "dual":
-        return _dual(args[0])
-    if kind == "end":
-        C = args[0]
-        D = _dual(C)
-        return _tensor(C.reduce_to(D.ring), D)
-    raise BadParams(f"unknown construction {kind!r}")
-
-
-def _dual(C: FCrystal) -> FCrystal:
     Cmat, e = inverse_with_shift(C.B)
     new_n = C.ring.n - e
     if new_n < 1:
@@ -219,15 +187,14 @@ def _dual(C: FCrystal) -> FCrystal:
     return FCrystal(ring, Bstar.scale(ring.p ** (C.shift - e)), 0)
 
 
-def dual_crystal(C: FCrystal) -> FCrystal:
-    return derived_crystal("dual", C)
-
-
 def end_crystal(C: FCrystal) -> FCrystal:
-    return derived_crystal("end", C)
+    """End(C) = C tensor its dual, at the dual's precision."""
+    D = dual_crystal(C)
+    return tensor_crystal(C.reduce_to(D.ring), D)
 
 
-def _tensor(C1: FCrystal, C2: FCrystal) -> FCrystal:
+def tensor_crystal(C1: FCrystal, C2: FCrystal) -> FCrystal:
+    """Tensor product, at the smaller of the two precisions."""
     if C1.ring != C2.ring:
         n = min(C1.ring.n, C2.ring.n)
         C1 = C1.reduce_to(C1.ring.reduce_to(n))
@@ -235,7 +202,8 @@ def _tensor(C1: FCrystal, C2: FCrystal) -> FCrystal:
     return FCrystal(C1.ring, C1.B.kron(C2.B), C1.shift + C2.shift)
 
 
-def _direct_sum(C1: FCrystal, C2: FCrystal) -> FCrystal:
+def direct_sum_crystal(C1: FCrystal, C2: FCrystal) -> FCrystal:
+    """Direct sum, at the smaller of the two precisions."""
     if C1.ring != C2.ring:
         n = min(C1.ring.n, C2.ring.n)
         C1 = C1.reduce_to(C1.ring.reduce_to(n))
@@ -321,7 +289,7 @@ def builtin_crystal(ring, name, **params):
             raise BadParams("need d >= 1")
         C = cyclic_from_exponents(ring, [0, 1])
         for _ in range(d - 1):
-            C = _direct_sum(C, cyclic_from_exponents(ring, [0, 1]))
+            C = direct_sum_crystal(C, cyclic_from_exponents(ring, [0, 1]))
         return C
     if name == "ordinary":
         r, d = params["r"], params["d"]

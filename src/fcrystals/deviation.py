@@ -10,14 +10,6 @@ max(a_i) bounded by the sign deviation.
 from dataclasses import dataclass
 
 
-def _cyclic_windows(tau):
-    """All cyclic windows (t, u) with length <= l, as index lists."""
-    l = len(tau)
-    for t in range(l):
-        for length in range(1, l + 1):
-            yield [(t + k) % l for k in range(length)]
-
-
 def _one_sided_sign_deviation(tau, side):
     """side=+1: windows whose suffix sums are all <= 0, value = -sum.
 

@@ -7,6 +7,7 @@ exponentials.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import OutsideExpDomain, SingularAtPrecision
 from .witt import INFINITY, WittElem, make_witt_ring
@@ -415,6 +416,16 @@ def howell_pivots(basis, p, n):
     return out
 
 
+def howell_coefficients(basis, p, n):
+    """Every coefficient vector of a Howell basis, first row outermost.
+
+    Coefficient i runs over [0, p^(n - v_i)) with v_i the valuation of
+    row i's pivot, so each element of the span appears exactly once.
+    """
+    return product(*[range(p ** (n - v))
+                      for (_, v) in howell_pivots(basis, p, n)])
+
+
 @dataclass
 class SolutionModule:
     """Canonical description of {x : A x = b} over Z/p^n."""
@@ -429,22 +440,12 @@ class SolutionModule:
         if not self.has_solution:
             return
         pn = self.p ** self.n
-        piv = howell_pivots(self.basis, self.p, self.n)
-        ranges = [self.p ** (self.n - v) for (_, v) in piv]
-        m = len(self.particular)
-
-        def rec(i, acc):
-            if i == len(self.basis):
-                yield acc[:]
-                return
-            row = self.basis[i]
-            for c in range(ranges[i]):
+        for coeffs in howell_coefficients(self.basis, self.p, self.n):
+            acc = list(self.particular)
+            for c, row in zip(coeffs, self.basis):
                 if c:
-                    cur = [(a + c * row[t]) % pn for t, a in enumerate(acc)]
-                else:
-                    cur = acc
-                yield from rec(i + 1, cur)
-        yield from rec(0, list(self.particular) if m else [0] * 0)
+                    acc = [(a + c * x) % pn for a, x in zip(acc, row)]
+            yield acc
 
     def size_log(self):
         """log_p of the number of solutions (kernel size)."""
@@ -585,6 +586,56 @@ def reduce_against_howell(x, basis, p, n):
 
 def in_howell_span(x, basis, p, n):
     return not any(reduce_against_howell(x, basis, p, n))
+
+
+def w_span_rows(mats, ring):
+    """Z/p^n rows spanning the W-span of the matrices: each times 1..t^(q-1)."""
+    t = ring.gen()
+    rows = []
+    for e in mats:
+        rows.append(e.flatten_ints())
+        for _ in range(1, ring.q):
+            e = e.scale(t)
+            rows.append(e.flatten_ints())
+    return rows
+
+
+# -- linear algebra over F_p -------------------------------------------------
+
+
+def fp_row_reduce(rows, p):
+    """(Reduced row echelon form over F_p, its pivot columns)."""
+    work = [[c % p for c in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = pow(work[r][c], -1, p)
+        work[r] = [(inv * x) % p for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work[:len(pivots)], pivots
+
+
+def fp_kernel(rows, p):
+    """F_p basis of {x : rows x = 0}, one vector per free column."""
+    red, pivots = fp_row_reduce(rows, p)
+    ncols = len(rows[0])
+    kern = []
+    for c in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[c] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = (-row[c]) % p
+        kern.append(vec)
+    return kern
 
 
 # -- truncated exponential ---------------------------------------------------

@@ -5,8 +5,8 @@ of intertwiners, fixed lattices, and circular residue systems all reduce
 to exact linear algebra over Z/p^m.
 """
 
-import os
 from dataclasses import dataclass, field
+from itertools import count
 
 from .errors import (
     BadShape,
@@ -19,13 +19,16 @@ from .errors import (
 from .plinalg import (
     IntSolver,
     Matrix,
+    fp_kernel,
+    fp_row_reduce,
     howell_form,
     howell_pivots,
+    in_howell_span,
     smith_normal_form,
+    w_span_rows,
 )
 from .witt import make_witt_ring
 
-DEFAULT_DMAX = int(os.environ.get("CRYSTAL_DMAX", "6"))
 EXHAUSTIVE_CAP = 1 << 20
 
 
@@ -101,29 +104,29 @@ class HomModule:
     def rank_free(self):
         return sum(1 for v in self.profile if v == 0)
 
+    @classmethod
+    def from_system(cls, ring, shape, rows):
+        """The module of solutions of the integer system `rows` over `ring`."""
+        p, m = ring.p, ring.n
+        kern = howell_form(IntSolver(rows, p, m).kernel_generators(), p, m)
+        basis = [Matrix.from_flat_ints(ring, shape[0], shape[1], v)
+                 for v in kern]
+        profile = [v for (_, v) in howell_pivots(kern, p, m)]
+        return cls(ring, shape, m, basis, profile, kern)
+
     def mod_p_spanning_subset(self):
         """Basis elements whose residues form an F_p-basis of the mod-p image.
 
         Row's residues can be nonzero even when its pivot valuation is
-        positive, so all rows participate; a greedy elimination keeps an
-        independent subset (to allow lifting hits back into the module).
+        positive, so all rows participate; the first independent ones (the
+        pivot columns of the residue matrix) are kept, to allow lifting
+        hits back into the module.
         """
-        p = self.ring.p
-        chosen = []
-        echelon = []  # reduced rows over F_p, with pivot bookkeeping
-        pivots = []
-        for b in self.basis:
-            vec = [c % p for c in b.flatten_ints()]
-            for row, piv in zip(echelon, pivots):
-                if vec[piv] % p:
-                    f = (vec[piv] * pow(row[piv], -1, p)) % p
-                    vec = [(x - f * y) % p for x, y in zip(vec, row)]
-            piv = next((i for i, c in enumerate(vec) if c % p), None)
-            if piv is not None:
-                chosen.append(b)
-                echelon.append(vec)
-                pivots.append(piv)
-        return chosen
+        if not self.basis:
+            return []
+        cols = [b.flatten_ints() for b in self.basis]
+        _, pivots = fp_row_reduce(list(zip(*cols)), self.ring.p)
+        return [self.basis[c] for c in pivots]
 
     def element(self, coeffs):
         acc = Matrix.zero(self.ring, self.shape[0], self.shape[1])
@@ -137,9 +140,8 @@ class HomModule:
         return sum(n - v for v in self.profile)
 
     def contains(self, g: Matrix) -> bool:
-        flat = g.flatten_ints()
-        from .plinalg import in_howell_span
-        return in_howell_span(flat, self._howell, self.ring.p, self.precision)
+        return in_howell_span(g.flatten_ints(), self._howell, self.ring.p,
+                              self.precision)
 
 
 def hom_module(C1, C2, precision=None) -> HomModule:
@@ -153,14 +155,8 @@ def hom_module(C1, C2, precision=None) -> HomModule:
     if m > ring.n:
         raise BadShape("precision exceeds the ring's")
     rm = make_witt_ring(ring.p, ring.q, m)
-    B1 = C1.B.reduce_to(rm)
-    B2 = C2.B.reduce_to(rm)
-    rows = _intertwiner_system(B1, B2, rm)
-    solver = IntSolver(rows, rm.p, m)
-    kern = howell_form(solver.kernel_generators(), rm.p, m)
-    basis = [Matrix.from_flat_ints(rm, C2.rank, C1.rank, v) for v in kern]
-    profile = [v for (_, v) in howell_pivots(kern, rm.p, m)]
-    return HomModule(rm, (C2.rank, C1.rank), m, basis, profile, kern)
+    rows = _intertwiner_system(C1.B.reduce_to(rm), C2.B.reduce_to(rm), rm)
+    return HomModule.from_system(rm, (C2.rank, C1.rank), rows)
 
 
 def fixed_lattice(C, precision=None):
@@ -173,14 +169,7 @@ def fixed_lattice(C, precision=None):
     H = hom_module(C, C, precision)
     rm = H.ring
     m = H.precision
-    span_rows = []
-    t = rm.gen()
-    for b in H.basis:
-        scaled = b
-        for _ in range(rm.q):
-            span_rows.append(scaled.flatten_ints())
-            scaled = scaled.scale(t)
-    hw = howell_form(span_rows, rm.p, m)
+    hw = howell_form(w_span_rows(H.basis, rm), rm.p, m)
     piv = howell_pivots(hw, rm.p, m)
     ncoords = C.rank * C.rank * rm.q
     if len(piv) < ncoords:
@@ -348,7 +337,10 @@ def unit_search(H: HomModule, cap=EXHAUSTIVE_CAP, randomized_trials=20000,
     ]
     total = p ** k
     if total <= cap:
-        idx = _scan_units(rf, packed, r, k, p, jobs)
+        if jobs > 1:
+            idx = _scan_units_parallel(rf, packed, r, k, p, jobs)
+        else:
+            idx = _scan_range(rf, packed, r, k, p, 0, total)
         if idx is None:
             return IsomResult(None, "exhaustive", 0)
         coeffs = [(idx // p ** i) % p for i in range(k)]
@@ -374,8 +366,10 @@ def _lift_combination(free, coeffs, H):
     return acc
 
 
-def _combine(rf, packed, coeffs, r):
-    mat = [[0] * r for _ in range(r)]
+def _combine(rf, packed, coeffs, r, base=None):
+    if base is None:
+        base = [[0] * r for _ in range(r)]
+    mat = [row[:] for row in base]
     for c, B in zip(coeffs, packed):
         if c:
             for i in range(r):
@@ -386,18 +380,14 @@ def _combine(rf, packed, coeffs, r):
     return mat
 
 
-def _scan_units(rf, packed, r, k, p, jobs=1):
-    """Smallest base-p digit vector whose combination is a unit."""
-    total = p ** k
-    if jobs > 1:
-        return _scan_units_parallel(rf, packed, r, k, p, jobs)
-    return _scan_range(rf, packed, r, k, p, 0, total)
+def _scan_range(rf, packed, r, k, p, lo, hi, base=None):
+    """First index in [lo, hi) whose combination (plus base) is a unit.
 
-
-def _scan_range(rf, packed, r, k, p, lo, hi):
-    """Incremental odometer scan of indices [lo, hi)."""
+    Index digits are base-p coefficients, digit 0 (packed[0]) fastest;
+    the scan is an incremental odometer.
+    """
     digits = [(lo // p ** i) % p for i in range(k)]
-    mat = _combine(rf, packed, digits, r)
+    mat = _combine(rf, packed, digits, r, base)
     idx = lo
     while True:
         if rf.det(mat, r):
@@ -477,16 +467,15 @@ class CircularSolution:
     extension: int       # D with the solution field F_{p^(Q*D)}
 
 
-def solve_circular(sys: CircularSystem, case: int,
-                   dmax=DEFAULT_DMAX) -> CircularSolution:
+def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
     """Solve the cyclic residue system; case +1 may need a field extension.
 
     case -1 (all d_j units, some b_j zero): back-substitution with p-th
     roots; unique solution in the base field.  case +1 (all b_j units):
     elimination to a single additive equation x = u + v * x^(p^L),
     solved by F_p-linear algebra over F_{p^(Q*D)} for the smallest D
-    that works (the equation is etale, so some D <= dmax exists unless
-    the cap is hit).
+    that works (the equation is etale, so some D works; the built-in
+    field table bounds the search).
     """
     ring = sys.ring
     if ring.n != 1:
@@ -533,7 +522,7 @@ def solve_circular(sys: CircularSystem, case: int,
         binv = sys.b[jj].unit_inverse()
         A = (sys.d[jj] * _frob(A) - sys.c[jj]) * binv
         V = sys.d[jj] * _frob(V) * binv
-    for D in range(1, dmax + 1):
+    for D in count(1):
         try:
             big = make_witt_ring(ring.p, ring.q * D, 1)
         except UnknownField:
@@ -559,7 +548,6 @@ def solve_circular(sys: CircularSystem, case: int,
             # store x_j at position j, position 0 holding x_0 = x_L
             _check_circular(bigsys, xs)
             return CircularSolution(xs, big, D)
-    raise ExtensionCapExceeded(f"no root found up to extension degree {dmax}")
 
 
 def _frob(a):
@@ -592,57 +580,29 @@ def _solve_additive(big, A, V, L):
         img = basis - V * basis.frobenius(L % q)
         cols.append(img.coeffs)
     # matrix over F_p of size q x q: entry [i][j] = cols[j][i]
-    aug = [[cols[j][i] % p for j in range(q)] + [A.coeffs[i] % p]
-           for i in range(q)]
-    sol = _fp_solve(aug, p, q)
-    if sol is None:
-        return None
-    return big.element(tuple(sol))
+    aug = [[cols[j][i] for j in range(q)] + [A.coeffs[i]] for i in range(q)]
+    red, pivots = fp_row_reduce(aug, p)
+    if q in pivots:
+        return None  # a pivot in the augmented column: inconsistent
+    sol = [0] * q
+    for row, c in zip(red, pivots):
+        sol[c] = row[q]
+    return big.element(sol)
 
 
-def _fp_solve(aug, p, ncols):
-    rows = len(aug)
-    r = 0
-    wherepiv = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, rows):
-            if aug[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(inv * x) % p for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        wherepiv.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][ncols] % p:
-            return None
-    sol = [0] * ncols
-    for i, c in enumerate(wherepiv):
-        sol[c] = aug[i][ncols]
-    return sol
-
-
-def sigma_conjugacy_trivialize(gbar: Matrix, dmax=DEFAULT_DMAX,
-                               cap=EXHAUSTIVE_CAP):
-    """x with x * gbar * sigma(x)^{-1} = 1 over some F_{p^(Q*D)}, D <= dmax.
+def sigma_conjugacy_trivialize(gbar: Matrix, cap=EXHAUSTIVE_CAP):
+    """x with x * gbar * sigma(x)^{-1} = 1 over the first F_{p^(Q*D)} with one.
 
     Equivalent to sigma(x) = x * gbar, an F_p-linear condition; the
     solution space is scanned for an invertible element (such x exist
-    over the algebraic closure, so some D works).
+    over the algebraic closure, so some D works; the built-in field
+    table bounds the search).
     """
     ring = gbar.ring
     if ring.n != 1:
         raise BadShape("Lang trivialization happens over the residue field")
     r = gbar.rows
-    for D in range(1, dmax + 1):
+    for D in count(1):
         try:
             big = make_witt_ring(ring.p, ring.q * D, 1)
         except UnknownField:
@@ -653,87 +613,36 @@ def sigma_conjugacy_trivialize(gbar: Matrix, dmax=DEFAULT_DMAX,
         x = _lang_search(big, g, r, cap)
         if x is not None:
             return x, big, D
-    raise ExtensionCapExceeded(f"no trivializer up to extension {dmax}")
 
 
 def _lang_search(big, g, r, cap):
+    """First invertible solution x of sigma(x) = x g, in coefficient order
+    over the kernel basis (first coefficient outermost), or None."""
     p, q = big.p, big.q
     nv = r * r * q
-
-    def make_x(coeffs):
-        ents = []
-        k = 0
-        for i in range(r):
-            row = []
-            for j in range(r):
-                row.append(big.element(tuple(coeffs[k:k + q])))
-                k += q
-            ents.append(row)
-        return Matrix(big, ents)
-
     images = []
     for k in range(nv):
-        coeffs = [0] * nv
-        coeffs[k] = 1
-        X = make_x(coeffs)
-        img = X.sigma() - X @ g
-        images.append(img.flatten_ints())
-    mat = [[images[k][t] % p for k in range(nv)] for t in range(nv)]
-    kern = _fp_kernel(mat, p, nv)
+        X = Matrix.from_flat_ints(big, r, r, [int(t == k) for t in range(nv)])
+        images.append((X.sigma() - X @ g).flatten_ints())
+    kern = fp_kernel([list(col) for col in zip(*images)], p)
     if not kern:
         return None
-    if p ** len(kern) > cap:
-        raise SearchSpaceTooLarge(
-            f"Lang solution space has p^{len(kern)} elements")
+    k = len(kern)
+    if p ** k > cap:
+        raise SearchSpaceTooLarge(f"Lang solution space has p^{k} elements")
     rf = _ResidueField(big)
-    from itertools import product
-    for coeffs in product(range(p), repeat=len(kern)):
-        if not any(coeffs):
-            continue
-        vec = [0] * nv
-        for c, kv in zip(coeffs, kern):
-            if c:
-                for t in range(nv):
-                    vec[t] = (vec[t] + c * kv[t]) % p
-        X = make_x(vec)
-        packed = [[rf.pack(e.residue()) for e in row] for row in X.entries]
-        if rf.det(packed, r):
-            return X
-    return None
-
-
-def _fp_kernel(mat, p, nv):
-    rows = len(mat)
-    work = [row[:] for row in mat]
-    pivots = {}
-    r = 0
-    for c in range(nv):
-        piv = None
-        for i in range(r, rows):
-            if work[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [(inv * x) % p for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] % p:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots[c] = r
-        r += 1
-    kern = []
-    for c in range(nv):
-        if c in pivots:
-            continue
-        vec = [0] * nv
-        vec[c] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-work[pr][c]) % p
-        kern.append(vec)
-    return kern
+    # the odometer turns digit 0 fastest, so the last kernel vector goes
+    # first; index 0 (the zero combination) is never a unit
+    packed = [[[rf.pack(kv[(i * r + j) * q:(i * r + j + 1) * q])
+                for j in range(r)] for i in range(r)] for kv in kern[::-1]]
+    idx = _scan_range(rf, packed, r, k, p, 1, p ** k)
+    if idx is None:
+        return None
+    vec = [0] * nv
+    for d, kv in enumerate(kern[::-1]):
+        c = (idx // p ** d) % p
+        vec = [(a + c * b) % p for a, b in zip(vec, kv)]
+    return Matrix.from_flat_ints(big, r, r, vec)
 
 
 # -- restriction images and descent ------------------------------------------

@@ -10,6 +10,7 @@ moves there (within the built-in field table).
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 
 from .bounds import epsilon_p
 from .deviation import df_reduce
@@ -25,20 +26,26 @@ from .plinalg import (
     IntSolver,
     Matrix,
     exp_trunc,
+    fp_kernel,
+    fp_row_reduce,
     howell_form,
     howell_pivots,
+    in_howell_span,
     unit_inverse_matrix,
+    w_span_rows,
 )
 from .semilinear import (
-    DEFAULT_DMAX,
     CircularSystem,
-    _fp_kernel,
     _mult_matrix,
+    fixed_lattice,
     solve_circular,
 )
 from .witt import INFINITY, make_witt_ring
 
-MAX_FIELD_DEGREE = 12
+# residue-field extensions the fixed-lattice search tries by default: its
+# stagnation test compares Howell row counts, which can keep growing with
+# the field degree while the free rank stays put, so it needs a bound
+FIXED_LATTICE_MAX_EXTENSION = 6
 
 
 @dataclass
@@ -101,11 +108,6 @@ class StairsDatum:
                 acc = acc + e.scale(y)
         return acc
 
-    def conj_arrow(self, l, x):
-        """(pi(l), p^(n_l) * sigma(x)): the image of x * e_l under conj."""
-        ring = self.crystal.ring
-        return self.perm[l], x.frobenius() * ring.p ** self.exponents[l]
-
     def base_change(self, ring):
         C2 = self.crystal.base_change(ring)
         return StairsDatum(
@@ -152,14 +154,7 @@ class StairsDatum:
         if not full_end:
             return True
         # p^m End inside the span
-        rows = []
-        t = ring.gen()
-        for e in self.basis:
-            scaled = e
-            for _ in range(ring.q):
-                rows.append(scaled.flatten_ints())
-                scaled = scaled.scale(t)
-        hw = howell_form(rows, ring.p, ring.n)
+        hw = howell_form(w_span_rows(self.basis, ring), ring.p, ring.n)
         piv = howell_pivots(hw, ring.p, ring.n)
         ncoords = C.rank * C.rank * ring.q
         if len(piv) < ncoords or max(v for _, v in piv) > self.torsion:
@@ -189,14 +184,22 @@ class StairsCertificate:
 # -- datum construction -------------------------------------------------------
 
 
-def build_stairs_datum(C, dmax=DEFAULT_DMAX) -> StairsDatum:
+def build_stairs_datum(C) -> StairsDatum:
     """Monomial matrix-unit datum, else fixed-lattice datum, else error."""
     if C.shift != 0:
         raise BadShape("stairs needs shift 0")
-    mono = _monomial_shape(C)
-    if mono is not None:
-        return _monomial_datum(C, mono)
-    datum = _fixed_datum(C, dmax)
+    hits = _monomial_shape(C.B, C.ring)
+    if hits is not None:
+        r = C.rank
+        # matrix units E_(i,j), index l = i*r + j
+        fields, _, rescale = _matrix_unit_arrows(
+            C.ring, r, hits, [(i, j) for i in range(r) for j in range(r)])
+        mult = _is_multiplicative(rescale, r)
+        unital = all(rescale[i * r + i] == 0 for i in range(r))
+        datum = StairsDatum(C, *fields, mult, unital, False, "monomial")
+        datum.verify()
+        return datum
+    datum = _fixed_datum(C)
     if datum is not None:
         return datum
     raise UnsupportedShape(
@@ -204,21 +207,18 @@ def build_stairs_datum(C, dmax=DEFAULT_DMAX) -> StairsDatum:
     )
 
 
-def _monomial_shape(C):
-    """(row, val, unit) per column when B is monomial with unit twists 1."""
-    ring = C.ring
-    r = C.rank
+def _monomial_shape(B, ring):
+    """(row, val) per column when B is monomial with unit twists 1."""
+    r = B.rows
     hits = []
     rows_seen = set()
     for j in range(r):
-        nz = [(i, C.B[i, j]) for i in range(r) if not C.B[i, j].is_zero()]
+        nz = [(i, B[i, j]) for i in range(r) if not B[i, j].is_zero()]
         if len(nz) != 1:
             return None
         i, e = nz[0]
         v = e.valuation()
-        if v == INFINITY:
-            return None
-        if e != ring.one() * ring.p ** int(v):
+        if v == INFINITY or e != ring.one() * ring.p ** int(v):
             return None  # unit twists are out of scope here
         if i in rows_seen:
             return None
@@ -227,48 +227,40 @@ def _monomial_shape(C):
     return hits
 
 
-def _monomial_datum(C, hits):
-    ring = C.ring
-    r = C.rank
-    rho = [hits[j][0] for j in range(r)]      # phi(e_j) = p^(n_j) e_(rho(j))
-    vals = [hits[j][1] for j in range(r)]
-    # matrix units E_(i,j), index l = i*r + j; conj permutes them by rho
-    perm = [0] * (r * r)
-    exps = [0] * (r * r)
-    for i in range(r):
-        for j in range(r):
-            l = i * r + j
-            perm[l] = rho[i] * r + rho[j]
-            exps[l] = vals[i] - vals[j]
+def _matrix_unit_arrows(ring, r, hits, idx):
+    """Rescaled matrix units p^(a_l) E_(i,j), (i, j) = idx[l], with their
+    arrows under phi(e_j) = p^(n_j) e_(rho(j)), hits[j] = (rho(j), n_j).
+
+    Conjugation permutes the units; each cycle's exponent tuple is reduced
+    to uniform sign by df_reduce (all-zero cycles count as positive).
+    Returns ((basis, perm, exponents, torsion, cycles, signs), cycle
+    tuples, rescale).
+    """
+    pos = {ij: l for l, ij in enumerate(idx)}
+    perm = [pos[(hits[i][0], hits[j][0])] for (i, j) in idx]
+    exps = [hits[i][1] - hits[j][1] for (i, j) in idx]
     cycles = _cycles_of(perm)
-    rescale = [0] * (r * r)
+    rescale = [0] * len(idx)
     new_exps = list(exps)
     m = 0
+    tuples = []
     for cyc in cycles:
         tau = [exps[l] for l in cyc]
+        tuples.append(tau)
         red = df_reduce(tau)
-        for pos, l in enumerate(cyc):
-            rescale[l] = red.rescale[pos]
-            new_exps[l] = red.new_exponents[pos]
+        for k, l in enumerate(cyc):
+            rescale[l] = red.rescale[k]
+            new_exps[l] = red.new_exponents[k]
         m = max(m, max(red.rescale))
-    basis = []
     z = ring.zero()
-    for i in range(r):
-        for j in range(r):
-            ents = [[z] * r for _ in range(r)]
-            ents[i][j] = ring.from_int(ring.p ** rescale[i * r + j])
-            basis.append(Matrix(ring, ents))
-    # all-zero cycles count as positive
-    signs = []
-    for cyc in cycles:
-        exps_c = [new_exps[l] for l in cyc]
-        signs.append(+1 if all(e >= 0 for e in exps_c) else -1)
-    mult = _is_multiplicative(rescale, r)
-    unital = all(rescale[i * r + i] == 0 for i in range(r))
-    datum = StairsDatum(C, basis, perm, new_exps, m, cycles, signs,
-                        mult, unital, False, "monomial")
-    datum.verify()
-    return datum
+    basis = []
+    for l, (i, j) in enumerate(idx):
+        ents = [[z] * r for _ in range(r)]
+        ents[i][j] = ring.from_int(ring.p ** rescale[l])
+        basis.append(Matrix(ring, ents))
+    signs = [+1 if all(new_exps[l] >= 0 for l in cyc) else -1
+             for cyc in cycles]
+    return (basis, perm, new_exps, m, cycles, signs), tuples, rescale
 
 
 def _is_multiplicative(rescale, r):
@@ -298,20 +290,21 @@ def _cycles_of(perm):
     return cycles
 
 
-def _fixed_datum(C, dmax):
+def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
     """Fixed-lattice datum for crystals whose End has all slopes zero.
 
-    Extends the residue field while the fixed rank keeps growing; a
-    stagnating deficient rank means End is not isoclinic of slope zero.
+    Extends the residue field, up to degree max_extension over C's and
+    within the built-in field table, while the fixed rank keeps growing;
+    a stagnating deficient rank means End is not isoclinic of slope zero.
     """
-    from .semilinear import fixed_lattice
     ring = C.ring
     r = C.rank
     prev_rank = -1
-    for D in range(1, dmax + 1):
-        if ring.q * D > MAX_FIELD_DEGREE:
-            break
-        big = make_witt_ring(ring.p, ring.q * D, ring.n)
+    for D in range(1, max_extension + 1):
+        try:
+            big = make_witt_ring(ring.p, ring.q * D, ring.n)
+        except UnknownField:
+            return None
         CD = C.base_change(big) if D > 1 else C
         H, expo = fixed_lattice(CD)
         rank = len(H.basis)
@@ -326,9 +319,11 @@ def _fixed_datum(C, dmax):
                 return None
             prev_rank = rank
             continue
-        basis, m = sel
-        mult = _span_multiplicative(basis, big)
-        unital = _in_w_span(Matrix.identity(big, r), basis, big)
+        basis, m, hw = sel
+        mult = all(in_howell_span((a @ b).flatten_ints(), hw, big.p, big.n)
+                   for a in basis for b in basis)
+        unital = in_howell_span(Matrix.identity(big, r).flatten_ints(), hw,
+                                big.p, big.n)
         datum = StairsDatum(
             CD, basis, list(range(len(basis))), [0] * len(basis),
             m, [[l] for l in range(len(basis))], [+1] * len(basis),
@@ -340,24 +335,18 @@ def _fixed_datum(C, dmax):
 
 
 def _select_w_basis(H, C):
-    """r^2 fixed elements whose W-span has finite lattice exponent."""
+    """r^2 fixed elements whose W-span has finite lattice exponent.
+
+    Returns (elements, lattice exponent, Howell basis of their W-span).
+    """
     ring = H.ring
     r = C.rank
-    t = ring.gen()
     chosen = []
     span_rows = []
-
-    def span_with(extra_rows):
-        return howell_form(span_rows + extra_rows, ring.p, ring.n)
-
     current = []
     for b in H.basis:
-        rows_b = []
-        scaled = b
-        for _ in range(ring.q):
-            rows_b.append(scaled.flatten_ints())
-            scaled = scaled.scale(t)
-        new = span_with(rows_b)
+        rows_b = w_span_rows([b], ring)
+        new = howell_form(span_rows + rows_b, ring.p, ring.n)
         if new != current:
             chosen.append(b)
             span_rows.extend(rows_b)
@@ -372,47 +361,16 @@ def _select_w_basis(H, C):
     m = max(v for _, v in piv)
     if m >= ring.n:
         return None
-    return chosen, m
-
-
-def _in_w_span(X, basis, ring):
-    rows = []
-    t = ring.gen()
-    for e in basis:
-        scaled = e
-        for _ in range(ring.q):
-            rows.append(scaled.flatten_ints())
-            scaled = scaled.scale(t)
-    hw = howell_form(rows, ring.p, ring.n)
-    from .plinalg import in_howell_span
-    return in_howell_span(X.flatten_ints(), hw, ring.p, ring.n)
-
-
-def _span_multiplicative(basis, ring):
-    rows = []
-    t = ring.gen()
-    for e in basis:
-        scaled = e
-        for _ in range(ring.q):
-            rows.append(scaled.flatten_ints())
-            scaled = scaled.scale(t)
-    hw = howell_form(rows, ring.p, ring.n)
-    from .plinalg import in_howell_span
-    for a in basis:
-        for b in basis:
-            prod = a @ b
-            if not in_howell_span(prod.flatten_ints(), hw, ring.p, ring.n):
-                return False
-    return True
+    return chosen, m, current
 
 
 # -- the engine ---------------------------------------------------------------
 
 
-def stairs_run(C, g, datum=None, dmax=DEFAULT_DMAX) -> StairsCertificate:
+def stairs_run(C, g, datum=None) -> StairsCertificate:
     """Conjugate (M, g phi) back to (M, phi); g = 1 mod p^(2m + eps_p)."""
     if datum is None:
-        datum = build_stairs_datum(C, dmax)
+        datum = build_stairs_datum(C)
     ring = datum.crystal.ring
     p, n = ring.p, ring.n
     eps = epsilon_p(p)
@@ -423,14 +381,13 @@ def stairs_run(C, g, datum=None, dmax=DEFAULT_DMAX) -> StairsCertificate:
         raise PreconditionTooWeak(
             f"need g = 1 mod p^{2 * datum.torsion + eps}, have {lvl}"
         )
-    return _engine(datum, g, dmax, algebra_mode=False)
+    return _engine(datum, g, algebra_mode=False)
 
 
-def stairs_algebra_run(C, g, datum=None, dmax=DEFAULT_DMAX) \
-        -> StairsCertificate:
+def stairs_algebra_run(C, g, datum=None) -> StairsCertificate:
     """Multiplicative-lattice variant: g in 1 + p^j E, iterates inside E."""
     if datum is None:
-        datum = build_stairs_datum(C, dmax)
+        datum = build_stairs_datum(C)
     if not (datum.multiplicative or datum.square_zero):
         raise NotMultiplicative("datum span is not closed under products")
     ring = datum.crystal.ring
@@ -450,10 +407,10 @@ def stairs_algebra_run(C, g, datum=None, dmax=DEFAULT_DMAX) \
         raise PreconditionTooWeak(
             "p = 2 with j = 1 needs the identity inside the span"
         )
-    return _engine(datum, g, dmax, algebra_mode=True)
+    return _engine(datum, g, algebra_mode=True)
 
 
-def _engine(datum, g, dmax, algebra_mode) -> StairsCertificate:
+def _engine(datum, g, algebra_mode) -> StairsCertificate:
     base_q = datum.crystal.ring.q
     g0 = g
     total = Matrix.identity(datum.crystal.ring, datum.crystal.rank)
@@ -514,7 +471,7 @@ def _engine(datum, g, dmax, algebra_mode) -> StairsCertificate:
             sysm = CircularSystem(fld, L, b, c, d)
             case = datum.signs[ci]
             try:
-                sol = solve_circular(sysm, case, dmax=dmax)
+                sol = solve_circular(sysm, case)
             except ExtensionCapExceeded:
                 sol = None
             if sol is None:
@@ -525,14 +482,10 @@ def _engine(datum, g, dmax, algebra_mode) -> StairsCertificate:
         if solutions is None:
             break  # cannot solve within the field table: report progress
         if ext_needed > 1:
-            new_q = ring.q * ext_needed
-            if new_q > MAX_FIELD_DEGREE:
-                # cannot extend further: report what was achieved
-                break
             try:
-                big = make_witt_ring(ring.p, new_q, ring.n)
+                big = make_witt_ring(ring.p, ring.q * ext_needed, ring.n)
             except UnknownField:
-                break
+                break  # cannot extend further: report what was achieved
             datum = datum.base_change(big)
             total = total.embed(big)
             defect = defect.embed(big)
@@ -615,12 +568,12 @@ def _lcm(a, b):
 # -- slope-zero shortcut ------------------------------------------------------
 
 
-def lang_run(C, g, datum=None, dmax=DEFAULT_DMAX) -> StairsCertificate:
+def lang_run(C, g, datum=None) -> StairsCertificate:
     """First kill the residue digit by a twisted-conjugacy search in the
     abstract unit group of the fixed lattice, then finish with the
     multiplicative stairs; witnesses i-number <= m1 at the sampled g."""
     if datum is None:
-        datum = _fixed_datum(C, dmax)
+        datum = _fixed_datum(C)
         if datum is None:
             raise UnsupportedShape(
                 "no full-rank fixed lattice found (End not of slope zero, "
@@ -641,7 +594,7 @@ def lang_run(C, g, datum=None, dmax=DEFAULT_DMAX) -> StairsCertificate:
         raise BadShape("g - 1 is not in the lattice span")
     one_coords = datum.coords(ident)
     gco = [a + b for a, b in zip(one_coords, ys)]
-    xt, datum, g = _abstract_lang(datum, g, gco, dmax)
+    xt, datum, g = _abstract_lang(datum, g, gco)
     ring = datum.crystal.ring
     ident = Matrix.identity(ring, datum.crystal.rank)
     # g1 = xt g Psi(xt^{-1}); Psi on the span is sigma on coordinates
@@ -655,7 +608,7 @@ def lang_run(C, g, datum=None, dmax=DEFAULT_DMAX) -> StairsCertificate:
     j = min((y.valuation() for y in y1 if not y.is_zero()), default=INFINITY)
     if j != INFINITY and j < 1:
         raise AssertionError("Lang step failed to clear the residue digit")
-    sub = stairs_algebra_run(datum.crystal, g1, datum, dmax)
+    sub = stairs_algebra_run(datum.crystal, g1, datum)
     total = sub.witness @ xt.embed(sub.ring)
     cert = StairsCertificate(
         witness=total,
@@ -670,33 +623,35 @@ def lang_run(C, g, datum=None, dmax=DEFAULT_DMAX) -> StairsCertificate:
     return cert
 
 
-def _abstract_lang(datum, g, gco, dmax):
+def _abstract_lang(datum, g, gco):
     """Trivialize the residue class of g in the abstract unit group H(k).
 
     Works in coordinates with the span's structure constants (the
-    matrix-level reduction loses the p-divisible basis directions).
-    Returns (lift of the trivializer, possibly base-changed datum, g).
+    matrix-level reduction loses the p-divisible basis directions) over
+    the first residue extension, within the field table, that has a
+    trivializer.  Returns (lift of the trivializer, possibly base-changed
+    datum, g).
     """
-    v = len(datum.basis)
     ring = datum.crystal.ring
     struct = _structure_constants(datum)
-    for D in range(1, dmax + 1):
-        if ring.q * D > MAX_FIELD_DEGREE:
-            break
+    for D in count(1):
+        try:
+            fld = make_witt_ring(ring.p, ring.q * D, 1)
+        except UnknownField:
+            raise ExtensionCapExceeded(
+                "no Lang trivializer within the field table") from None
         if D > 1:
             big = make_witt_ring(ring.p, ring.q * D, ring.n)
             datum2 = datum.base_change(big)
             g2 = g.embed(big)
         else:
             datum2, g2 = datum, g
-        fld = make_witt_ring(ring.p, ring.q * D, 1)
         gbar = [ring2_reduce(c, fld) for c in
                 (gco if D == 1 else [c.embed(datum2.crystal.ring)
                                      for c in gco])]
         x = _abstract_lang_search(datum2, struct, gbar, fld)
         if x is not None:
             return x, datum2, g2
-    raise ExtensionCapExceeded("no Lang trivializer within the field table")
 
 
 def ring2_reduce(c, fld):
@@ -719,28 +674,33 @@ def _structure_constants(datum):
     return out
 
 
+def _mul_coords(xc, yc, struct, fld):
+    """Product in the abstract algebra, coordinates over fld (struct is
+    already reduced to fld)."""
+    v = len(xc)
+    out = [fld.zero()] * v
+    for a in range(v):
+        if xc[a].is_zero():
+            continue
+        for b in range(v):
+            if yc[b].is_zero():
+                continue
+            coef = xc[a] * yc[b]
+            for cidx in range(v):
+                gab = struct[a][b][cidx]
+                if not gab.is_zero():
+                    out[cidx] = out[cidx] + coef * gab
+    return out
+
+
 def _abstract_lang_search(datum, struct, gbar, fld):
     """x-bar with sigma(x) = x * g in the abstract algebra over fld."""
     p = fld.p
     v = len(datum.basis)
     q = fld.q
     nv = v * q
-
-    def mul_coords(xc, yc):
-        # product in the abstract algebra: coords over fld
-        out = [fld.zero()] * v
-        for a in range(v):
-            if xc[a].is_zero():
-                continue
-            for b in range(v):
-                if yc[b].is_zero():
-                    continue
-                coef = xc[a] * yc[b]
-                for cidx in range(v):
-                    gab = ring2_reduce(struct[a][b][cidx], fld)
-                    if not gab.is_zero():
-                        out[cidx] = out[cidx] + coef * gab
-        return out
+    struct = [[[ring2_reduce(c, fld) for c in co] for co in row]
+              for row in struct]
 
     def unpack(vec):
         return [fld.element(vec[a * q:(a + 1) * q]) for a in range(v)]
@@ -751,14 +711,13 @@ def _abstract_lang_search(datum, struct, gbar, fld):
         vec[k] = 1
         xc = unpack(vec)
         sx = [c.frobenius() for c in xc]
-        xg = mul_coords(xc, gbar)
+        xg = _mul_coords(xc, gbar, struct, fld)
         diff = [a - b for a, b in zip(sx, xg)]
         flat = []
         for c in diff:
             flat.extend(c.coeffs)
         images.append(flat)
-    mat = [[images[k][t] % p for k in range(nv)] for t in range(nv)]
-    kern = _fp_kernel(mat, p, nv)
+    kern = fp_kernel([list(col) for col in zip(*images)], p)
     if not kern:
         return None
     import random as _random
@@ -788,44 +747,19 @@ def _abstract_lang_search(datum, struct, gbar, fld):
 
 def _abstract_unit(xc, struct, fld, v):
     """Left multiplication by x invertible in the abstract algebra."""
-    p, q = fld.p, fld.q
-    nv = v * q
+    q = fld.q
     cols = []
     for b in range(v):
         for t in range(q):
             yc = [fld.zero()] * v
             yc[b] = fld.element(tuple(1 if s == t else 0 for s in range(q)))
-            out = [fld.zero()] * v
-            for a in range(v):
-                if xc[a].is_zero():
-                    continue
-                coef = xc[a] * yc[b]
-                for cidx in range(v):
-                    gab = ring2_reduce(struct[a][b][cidx], fld)
-                    if not gab.is_zero():
-                        out[cidx] = out[cidx] + coef * gab
-            flat = []
-            for c in out:
-                flat.extend(c.coeffs)
-            cols.append(flat)
-    mat = [[cols[k][t] % p for k in range(nv)] for t in range(nv)]
-    kern = _fp_kernel(mat, p, nv)
-    return not kern
+            cols.append([c for e in _mul_coords(xc, yc, struct, fld)
+                         for c in e.coeffs])
+    _, pivots = fp_row_reduce(list(zip(*cols)), fld.p)
+    return len(pivots) == v * q
 
 
 # -- composite certificate for the rank-6 thirds family ------------------------
-
-
-def _block_matrix_units(ring, r, rows, cols, rescale=None):
-    z = ring.zero()
-    out = []
-    for i in rows:
-        for j in cols:
-            ents = [[z] * r for _ in range(r)]
-            k = rescale[(i, j)] if rescale else 0
-            ents[i][j] = ring.from_int(ring.p ** k)
-            out.append(Matrix(ring, ents))
-    return out
 
 
 def _unipotent_datum(C, block_rows, block_cols, base_B):
@@ -834,55 +768,14 @@ def _unipotent_datum(C, block_rows, block_cols, base_B):
     Arrows are computed from the monomial base matrix; cycle tuples are
     reduced to uniform sign.  Verified against C's own matrix (exact).
     """
-    ring = C.ring
-    r = C.rank
-    hits = _monomial_shape_from(base_B, ring, r)
+    hits = _monomial_shape(base_B, C.ring)
     if hits is None:
         raise UnsupportedShape("base matrix is not monomial")
-    rho = [hits[j][0] for j in range(r)]
-    vals = [hits[j][1] for j in range(r)]
     idx = [(i, j) for i in block_rows for j in block_cols]
-    pos = {ij: k for k, ij in enumerate(idx)}
-    perm = [pos[(rho[i], rho[j])] for (i, j) in idx]
-    exps = [vals[i] - vals[j] for (i, j) in idx]
-    cycles = _cycles_of(perm)
-    rescale = {}
-    new_exps = list(exps)
-    m = 0
-    tuples = []
-    for cyc in cycles:
-        tau = [exps[l] for l in cyc]
-        tuples.append(tau)
-        red = df_reduce(tau)
-        for k, l in enumerate(cyc):
-            rescale[idx[l]] = red.rescale[k]
-            new_exps[l] = red.new_exponents[k]
-        m = max(m, max(red.rescale))
-    basis = _block_matrix_units(ring, r, block_rows, block_cols, rescale)
-    signs = [+1 if all(new_exps[l] >= 0 for l in cyc) else -1
-             for cyc in cycles]
-    datum = StairsDatum(C, basis, perm, new_exps, m, cycles, signs,
-                        True, False, True, "unipotent")
+    fields, tuples, _ = _matrix_unit_arrows(C.ring, C.rank, hits, idx)
+    datum = StairsDatum(C, *fields, True, False, True, "unipotent")
     datum.verify(full_end=False)
     return datum, tuples
-
-
-def _monomial_shape_from(B, ring, r):
-    hits = []
-    rows_seen = set()
-    for j in range(r):
-        nz = [(i, B[i, j]) for i in range(r) if not B[i, j].is_zero()]
-        if len(nz) != 1:
-            return None
-        i, e = nz[0]
-        v = e.valuation()
-        if v == INFINITY or e != ring.one() * ring.p ** int(v):
-            return None
-        if i in rows_seen:
-            return None
-        rows_seen.add(i)
-        hits.append((i, int(v)))
-    return hits
 
 
 def _block_diag_datum(C0, split_at):
@@ -922,8 +815,7 @@ def _block_diag_datum(C0, split_at):
     return datum, (d1.torsion, d2.torsion)
 
 
-def thirds_family_certificate(ring, alpha=1, trials=2, seed=0,
-                              dmax=DEFAULT_DMAX) -> dict:
+def thirds_family_certificate(ring, alpha=1, trials=2, seed=0) -> dict:
     """Machine-verified ingredients of the level-3 determination for the
     rank-6 family with slopes 1/3 and 2/3.
 
@@ -970,17 +862,17 @@ def thirds_family_certificate(ring, alpha=1, trials=2, seed=0,
     for _ in range(trials):
         co = [ring.random_element(rng) for _ in dU1.basis]
         g = Matrix.identity(ring, 6) + dU1.combine(co)
-        cert = stairs_algebra_run(C_a, g, dU1, dmax)
+        cert = stairs_algebra_run(C_a, g, dU1)
         if cert.reverify() and cert.level >= 1:
             evidence["upper_block"] += 1
         co = [ring.random_element(rng) * p for _ in dU2.basis]
         g = Matrix.identity(ring, 6) + dU2.combine(co)
-        cert = stairs_algebra_run(C_0, g, dU2, dmax)
+        cert = stairs_algebra_run(C_0, g, dU2)
         if cert.reverify() and cert.level >= 2:
             evidence["lower_block"] += 1
         co = [ring.random_element(rng) * p for _ in dL.basis]
         g = Matrix.identity(ring, 6) + dL.combine(co)
-        cert = stairs_algebra_run(C_0, g, dL, dmax)
+        cert = stairs_algebra_run(C_0, g, dL)
         if cert.reverify() and cert.level >= 2:
             evidence["diagonal_blocks"] += 1
     out["evidence"] = evidence

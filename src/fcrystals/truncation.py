@@ -20,10 +20,8 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .plinalg import (
-    IntSolver,
     Matrix,
-    howell_form,
-    howell_pivots,
+    howell_coefficients,
     inverse_with_shift,
     reduce_against_howell,
     smith_normal_form,
@@ -34,7 +32,10 @@ from .semilinear import (
     HomModule,
     IsomResult,
     _intertwiner_system,
+    _ResidueField,
+    _scan_range,
     hom_module,
+    isom_search,
     unit_search,
 )
 from .witt import INFINITY, make_witt_ring
@@ -80,11 +81,7 @@ def d_trunc_hom_module(T1: DTruncation, T2: DTruncation) -> HomModule:
     ring = T1.ring
     rows = _intertwiner_system(T1.F, T2.F, ring)
     rows += _intertwiner_system(T1.V, T2.V, ring, sigma_power=ring.q - 1)
-    solver = IntSolver(rows, ring.p, ring.n)
-    kern = howell_form(solver.kernel_generators(), ring.p, ring.n)
-    basis = [Matrix.from_flat_ints(ring, T2.rank, T1.rank, v) for v in kern]
-    profile = [v for (_, v) in howell_pivots(kern, ring.p, ring.n)]
-    return HomModule(ring, (T2.rank, T1.rank), ring.n, basis, profile, kern)
+    return HomModule.from_system(ring, (T2.rank, T1.rank), rows)
 
 
 def d_trunc_isom_search(T1: DTruncation, T2: DTruncation,
@@ -205,7 +202,7 @@ class _DenominatorInverse:
 # -- i-number probes ----------------------------------------------------------
 
 
-def i_number_probe(C, trials=6, seed=0, dmax=6) -> dict:
+def i_number_probe(C, trials=6, seed=0) -> dict:
     """Certified upper witness for the i-number plus sampling evidence.
 
     Never claims exactness: the upper bound comes from a machine-verified
@@ -227,13 +224,13 @@ def i_number_probe(C, trials=6, seed=0, dmax=6) -> dict:
         report["upper"] = 0
         report["upper_source"] = "h0"
         report["evidence"]["reason"] = "unit matrix of phi"
-        dat = _fixed_datum(C, dmax)
+        dat = _fixed_datum(C)
         if dat is not None and dat.torsion == 0:
             report["evidence"]["fixed_lattice_exponent"] = 0
     else:
         dat = None
         try:
-            dat = _fixed_datum(C, dmax)
+            dat = _fixed_datum(C)
         except Exception:
             dat = None
         if dat is not None and dat.unital and dat.multiplicative:
@@ -242,7 +239,7 @@ def i_number_probe(C, trials=6, seed=0, dmax=6) -> dict:
             report["evidence"]["fixed_lattice_exponent"] = dat.torsion
         else:
             try:
-                datum = build_stairs_datum(C, dmax)
+                datum = build_stairs_datum(C)
             except Exception:
                 datum = None
             if datum is None:
@@ -266,7 +263,6 @@ def _floor_evidence(C, upper, trials, seed):
     """Largest j < upper with a sampled non-isomorphic twist at level j."""
     import random
     from .crystal import newton_polygon
-    from .semilinear import isom_search
     rng = random.Random(seed)
     ring = C.ring
     floor = -1
@@ -296,7 +292,7 @@ def _floor_evidence(C, upper, trials, seed):
             if not found:
                 try:
                     res = isom_search(C, Ct)
-                    if res.witness is None and res.regime == "exhaustive":
+                    if res.witness is None and res.definitive:
                         found = True
                         break
                 except Exception:
@@ -326,7 +322,6 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level, cap):
     ring = make_witt_ring(C.ring.p, C.ring.q, to_level)
     p = ring.p
     r = C.rank
-    from .semilinear import _ResidueField
     rf = _ResidueField(ring)
     # cosets of small inside big: reduce big's rows against small
     reps = []
@@ -367,19 +362,7 @@ def _coset_contains_unit(rf, base, small_packed, r, p, cap):
     k = len(small_packed)
     if p ** k > cap:
         raise SearchSpaceTooLarge("mod-p span too large to scan")
-    from itertools import product
-    for coeffs in product(range(p), repeat=k):
-        mat = [row[:] for row in base]
-        for c, B in zip(coeffs, small_packed):
-            if c:
-                for i in range(r):
-                    for j in range(r):
-                        if B[i][j]:
-                            mat[i][j] = rf.add(
-                                mat[i][j], rf.scalar_mul(c, B[i][j]))
-        if rf.det(mat, r):
-            return True
-    return False
+    return _scan_range(rf, small_packed, r, k, p, 0, p ** k, base) is not None
 
 
 def aut_image_stabilization_check(C, t, datum=None, cap=EXHAUSTIVE_CAP) -> bool:
@@ -420,12 +403,11 @@ def polarized_isom_search(P1, P2, precision=None, cap=EXHAUSTIVE_CAP):
     A definitive negative for the underlying crystals settles the
     polarized question without scanning the (much larger) module.
     """
-    from .semilinear import isom_search, unit_search
     C1, C2 = P1.base, P2.base
     if C1.ring != C2.ring:
         raise BadShape("polarized crystals must share a ring")
     plain = isom_search(C1, C2, precision, cap=cap)
-    if plain.witness is None and plain.regime == "exhaustive":
+    if plain.witness is None and plain.definitive:
         return IsomResult(None, "exhaustive", 0)
     H = hom_module(C1, C2, precision)
     ring = H.ring
@@ -442,46 +424,9 @@ def polarized_isom_search(P1, P2, precision=None, cap=EXHAUSTIVE_CAP):
     if H.size_log() > 0 and ring.p ** H.size_log() > cap:
         raise SearchSpaceTooLarge(
             f"module has p^{H.size_log()} elements")
-    best = None
-    for coeffs in _module_elements(H):
+    for coeffs in howell_coefficients(H._howell, ring.p, H.precision):
         f = H.element(coeffs)
         exps = smith_normal_form(f).exponents
-        if not exps or max(exps) != 0:
-            continue
-        if f.transpose() @ J2 @ f == J1:
-            best = f
-            break
-    if best is not None:
-        return IsomResult(best, "exhaustive", 0)
+        if exps and max(exps) == 0 and f.transpose() @ J2 @ f == J1:
+            return IsomResult(f, "exhaustive", 0)
     return IsomResult(None, "exhaustive", 0)
-
-
-def _module_elements(H: HomModule):
-    """All coefficient vectors for the Howell basis (bounded by caller)."""
-    p = H.ring.p
-    n = H.precision
-    piv = howell_pivots(H._howell, p, n)
-    ranges = [p ** (n - v) for (_, v) in piv]
-
-    def rec(i, acc):
-        if i == len(ranges):
-            yield acc
-            return
-        for c in range(ranges[i]):
-            yield from rec(i + 1, acc + [c])
-    yield from rec(0, [])
-
-
-def d_truncation_determines(C1, C2, level) -> bool:
-    """Isomorphic D-truncations at the level imply isomorphic crystals.
-
-    Decidable only in the exhaustive regime; used by desk-scale checks.
-    """
-    T1 = verschiebung(C1, level)
-    T2 = verschiebung(C2, level)
-    dres = d_trunc_isom_search(T1, T2)
-    if dres.witness is None:
-        return True  # nothing to determine
-    from .semilinear import isom_search
-    res = isom_search(C1, C2)
-    return res.witness is not None

@@ -13,6 +13,7 @@ from .bounds import d_plus_bound0, epsilon_p, truncation_level_bound
 from .crystal import (
     builtin_crystal,
     cyclic_from_exponents,
+    direct_sum_crystal,
     hodge_data,
     new_crystal,
     newton_polygon,
@@ -163,7 +164,7 @@ def check_isoclinic_lattices():
             H, expo = fixed_lattice(C)
             assert expo == 1, (r, c, p, expo)
             # per-cycle sign deviations of the conjugation tuples
-            hits = _monomial_shape(C)
+            hits = _monomial_shape(C.B, ring)
             rho = [hits[j][0] for j in range(r)]
             vals = [hits[j][1] for j in range(r)]
             perm = [0] * (r * r)
@@ -338,7 +339,6 @@ def check_i_number_uppers(seed=0):
 
 
 def check_hom_stabilization():
-    from .crystal import derived_crystal
     results = []
     # pair 1: supersingular with itself, p = 3
     ring = make_witt_ring(3, 2, 8)
@@ -381,8 +381,7 @@ def check_hom_stabilization():
 
 def _pair_torsion(C1, C2):
     """Lattice torsion of End(C1 + C2), the stabilization constant."""
-    from .crystal import derived_crystal
-    CS = derived_crystal("direct_sum", C1, C2)
+    CS = direct_sum_crystal(C1, C2)
     datum = _fixed_datum(CS, 4)
     assert datum is not None, "sum has no full fixed lattice"
     return datum.torsion
@@ -421,9 +420,7 @@ def check_descent():
         cases.append(f"isoclinic p={p}")
         # rank 4 as a sum of rank-2 pieces: summand bound lcm(2,2) = 2 | Q = 4
         ring4 = make_witt_ring(p, 4, 4)
-        from .crystal import derived_crystal
-        C4 = derived_crystal(
-            "direct_sum",
+        C4 = direct_sum_crystal(
             builtin_crystal(ring4, "supersingular", d=1),
             builtin_crystal(ring4, "ordinary", r=2, d=1))
         H4 = hom_module(C4, C4, 4)

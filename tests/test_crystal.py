@@ -7,7 +7,7 @@ from fcrystals.crystal import (
     Polygon,
     builtin_crystal,
     cyclic_from_exponents,
-    derived_crystal,
+    direct_sum_crystal,
     dual_crystal,
     end_crystal,
     hodge_data,
@@ -108,7 +108,7 @@ def test_direct_sum_union():
     W = make_witt_ring(2, 1, 12)
     A = builtin_crystal(W, "ordinary", r=2, d=1)
     B = builtin_crystal(W, "supersingular", d=1)
-    S = derived_crystal("direct_sum", A, B)
+    S = direct_sum_crystal(A, B)
     assert sorted(newton_polygon(S).slopes()) == sorted(
         newton_polygon(A).slopes() + newton_polygon(B).slopes())
 

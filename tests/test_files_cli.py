@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from fcrystals.crystal import builtin_crystal
+from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import BadShape
 from fcrystals.files import (
     crystal_to_dict,
@@ -13,6 +14,7 @@ from fcrystals.files import (
     stairs_datum_to_dict,
     write_crystal,
 )
+from fcrystals.plinalg import Matrix
 from fcrystals.stairs import build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
@@ -184,3 +186,37 @@ def test_cli_verify_fast_runs():
     lines = [json.loads(x) for x in res.stdout.strip().splitlines()]
     assert len(lines) == 12 and all(r["ok"] for r in lines)
     assert "12/12" in res.stderr
+    # every detail string is exact: compare all but the timings
+    with open(os.path.join(os.path.dirname(__file__), "golden.json")) as fh:
+        golden = json.load(fh)["verify_fast"]
+    for line in lines:
+        del line["seconds"]
+    assert lines == golden
+
+
+def test_cli_stairs_exit_codes(tmp_path):
+    # input errors exit 2: a twist below the threshold level, and a
+    # crystal (ordinary(r=2, d=1) conjugated by [[1, 1], [0, 1]]) with no
+    # lattice datum
+    iso = builtin_crystal(make_witt_ring(2, 3, 5), "isoclinic_3_3_6",
+                          r=3, c=2)
+    W = make_witt_ring(2, 1, 4)
+    dense = new_crystal(W, Matrix.from_ints(W, [[1, 1], [0, 2]]))
+    for name, C in (("iso", iso), ("dense", dense)):
+        path = tmp_path / f"{name}.json"
+        write_crystal(path, C)
+        res = _run(["stairs", str(path), "--twist-level", "1"])
+        assert res.returncode == 2, (name, res.stderr)
+        assert res.stdout == ""
+
+
+def test_cli_stairs_extends_to_the_field_table(tmp_path):
+    # at p = 7 the positive cycle needs F_{7^7}, inside the table
+    C = builtin_crystal(make_witt_ring(7, 1, 4), "ordinary", r=2, d=1)
+    path = tmp_path / "ord7.json"
+    write_crystal(path, C)
+    res = _run(["stairs", str(path), "--twist-level", "1", "--seed", "3"])
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["verified"] and out["field_degree"] == 7
+    assert out["level"] == 2

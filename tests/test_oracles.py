@@ -92,7 +92,7 @@ def test_solve_circular_matches_enumeration():
         c = [elems[rng.randrange(4)] for _ in range(L)]
         d = [fld.one() if rng.randrange(2) else fld.zero() for _ in range(L)]
         sol = solve_circular(
-            CircularSystem(fld, L, [fld.one()] * L, c, d), +1, dmax=3)
+            CircularSystem(fld, L, [fld.one()] * L, c, d), +1)
         big = sol.ring
         # every reported value solves; enumeration over the solution field
         # finds at least one solution too

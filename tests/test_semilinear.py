@@ -154,7 +154,7 @@ def test_solve_circular_extension_cap():
     assert u is not None
     with pytest.raises(ExtensionCapExceeded):
         solve_circular(CircularSystem(
-            F, 1, [F.one()], [u], [F.one()]), +1, dmax=6)
+            F, 1, [F.one()], [u], [F.one()]), +1)
 
 
 def test_sigma_conjugacy():
@@ -171,7 +171,7 @@ def test_sigma_conjugacy():
                     break
             except Exception:
                 continue
-        x, big, D = sigma_conjugacy_trivialize(g, dmax=6)
+        x, big, D = sigma_conjugacy_trivialize(g)
         gg = g.embed(big)
         assert x @ gg @ unit_inverse_matrix(x.sigma()) \
             == Matrix.identity(big, 2)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fcrystals.bounds import epsilon_p
-from fcrystals.crystal import builtin_crystal
+from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import (
     BadShape,
     PreconditionTooWeak,
@@ -46,10 +46,12 @@ def test_monomial_datum_supersingular():
 
 
 def test_unsupported_shape():
-    W = make_witt_ring(2, 3, 4)
-    F = builtin_crystal(W, "phi_alpha_4_5", alpha=1)
+    # ordinary(r=2, d=1) conjugated by [[1, 1], [0, 1]]: not monomial, and
+    # its End has nonzero slopes, so no fixed lattice spans it
+    W = make_witt_ring(2, 1, 4)
+    F = new_crystal(W, Matrix.from_ints(W, [[1, 1], [0, 2]]))
     with pytest.raises(UnsupportedShape):
-        build_stairs_datum(F, dmax=2)
+        build_stairs_datum(F)
 
 
 def test_precondition():
@@ -148,8 +150,18 @@ def test_lang_etale_any_unit():
                     break
             except Exception:
                 continue
-        cert = lang_run(ET, g, dmax=12)
+        cert = lang_run(ET, g)
         assert cert.reverify() and cert.level == 1
+
+
+def test_lang_stops_at_the_field_table():
+    # the fixed-lattice search over W_2(F_49) runs into the end of the
+    # table (no F_{7^12}) before finding a full lattice
+    W = make_witt_ring(7, 2, 2)
+    C = builtin_crystal(W, "ordinary", r=2, d=1)
+    g = Matrix.identity(W, 2) + Matrix.scalar(W, 2, 7)
+    with pytest.raises(UnsupportedShape):
+        lang_run(C, g)
 
 
 def test_stairs_agrees_with_unit_search():
