@@ -35,6 +35,17 @@ def _err(msg):
     sys.stderr.write(f"error: {msg}\n")
 
 
+def _int_at_least(low):
+    """argparse type: an int >= low (argparse names the flag and exits 2)."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's message for a non-integer
+    return parse
+
+
 def _load(path, want_datum=False):
     try:
         return read_crystal(path, want_datum=want_datum)
@@ -250,21 +261,21 @@ def build_parser():
     p = sub.add_parser("hom", help="canonical Hom module of two files")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("isom", help="isomorphism search between two files")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_isom)
 
     p = sub.add_parser("stairs", help="conjugate a twist back to phi")
     p.add_argument("file")
     p.add_argument("--twist-file")
-    p.add_argument("--twist-level", type=int, default=2)
+    p.add_argument("--twist-level", type=_int_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_stairs)
 
@@ -277,7 +288,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--suite", default="paper")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--fast", action="store_true",
                    help="reduced sample counts")
     p.set_defaults(func=cmd_verify)

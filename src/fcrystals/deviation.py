@@ -9,6 +9,8 @@ max(a_i) bounded by the sign deviation.
 
 from dataclasses import dataclass
 
+from .errors import InternalError
+
 
 def _one_sided_sign_deviation(tau, side):
     """side=+1: windows whose suffix sums are all <= 0, value = -sum.
@@ -168,10 +170,12 @@ def df_reduce(tau) -> DfReduction:
         side = +1 if s_plus <= s_minus else -1
     if side > 0:
         a, new = _reduce_nonneg_side(tau)
-        assert all(x >= 0 for x in new), (tau, a, new)
+        if any(x < 0 for x in new):
+            raise InternalError(f"rescaling {a} of {tau} left {new}")
     else:
         a, new = _reduce_nonpos_side(tau)
-        assert all(x <= 0 for x in new), (tau, a, new)
+        if any(x > 0 for x in new):
+            raise InternalError(f"rescaling {a} of {tau} left {new}")
     return DfReduction(a, new, side)
 
 

@@ -5,6 +5,10 @@ class CrystalError(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(Exception):
+    """A broken invariant of the library itself, never an input error."""
+
+
 class NotPrime(CrystalError):
     pass
 

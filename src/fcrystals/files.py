@@ -17,6 +17,11 @@ _TOP_KEYS = {"version", "p", "q", "n", "rank", "shift", "matrix",
              "gram", "gram_c", "stairs"}
 _STAIRS_KEYS = {"basis", "permutation", "exponents", "torsion", "signs",
                 "multiplicative", "unital", "square_zero", "strategy"}
+_STAIRS_OPTIONAL = {"square_zero", "strategy"}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def matrix_to_entries(M: Matrix):
@@ -61,6 +66,12 @@ def dict_to_crystal(data: dict):
     for key in ("p", "q", "n", "rank", "shift", "matrix"):
         if key not in data:
             raise BadShape(f"missing key {key!r}")
+    for key in ("p", "q", "n", "rank", "shift", "gram_c"):
+        if key in data and not _is_int(data[key]):
+            raise BadShape(f"{key!r} must be an integer")
+    for key in ("q", "n", "rank"):
+        if data[key] < 1:
+            raise BadShape(f"{key!r} must be at least 1")
     ring = make_witt_ring(data["p"], data["q"], data["n"])
     r = data["rank"]
     B = entries_to_matrix(ring, r, r, data["matrix"])
@@ -99,6 +110,9 @@ def dict_to_stairs_datum(data: dict, crystal):
     unknown = set(data) - _STAIRS_KEYS
     if unknown:
         raise BadShape(f"unknown stairs keys: {sorted(unknown)}")
+    missing = _STAIRS_KEYS - _STAIRS_OPTIONAL - set(data)
+    if missing:
+        raise BadShape(f"missing stairs keys: {sorted(missing)}")
     ring = crystal.ring
     r = crystal.rank
     basis = [entries_to_matrix(ring, r, r, e) for e in data["basis"]]

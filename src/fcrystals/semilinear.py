@@ -5,12 +5,14 @@ of intertwiners, fixed lattices, and circular residue systems all reduce
 to exact linear algebra over Z/p^m.
 """
 
+import os
 from dataclasses import dataclass, field
 from itertools import count
 
 from .errors import (
     BadShape,
     ExtensionCapExceeded,
+    InternalError,
     SearchSpaceTooLarge,
     ShiftUnsupported,
     SingularAtPrecision,
@@ -337,8 +339,9 @@ def unit_search(H: HomModule, cap=EXHAUSTIVE_CAP, randomized_trials=20000,
     ]
     total = p ** k
     if total <= cap:
-        if jobs > 1:
-            idx = _scan_units_parallel(rf, packed, r, k, p, jobs)
+        workers = min(jobs, os.cpu_count() or 1)
+        if workers > 1:
+            idx = _scan_units_parallel(rf, packed, r, k, p, workers)
         else:
             idx = _scan_range(rf, packed, r, k, p, 0, total)
         if idx is None:
@@ -383,9 +386,12 @@ def _combine(rf, packed, coeffs, r, base=None):
 def _scan_range(rf, packed, r, k, p, lo, hi, base=None):
     """First index in [lo, hi) whose combination (plus base) is a unit.
 
-    Index digits are base-p coefficients, digit 0 (packed[0]) fastest;
-    the scan is an incremental odometer.
+    Index digits are base-p coefficients, digit 0 (packed[0]) fastest.
+    At p = 2 aligned blocks of indices are evaluated at once, bit-sliced;
+    at odd p the scan is an incremental odometer.
     """
+    if p == 2:
+        return _scan_blocks_gf2(rf, packed, r, k, lo, hi, base)
     digits = [(lo // p ** i) % p for i in range(k)]
     mat = _combine(rf, packed, digits, r, base)
     idx = lo
@@ -412,17 +418,122 @@ def _scan_range(rf, packed, r, k, p, lo, hi, base=None):
             d += 1
 
 
-def _scan_units_parallel(rf, packed, r, k, p, jobs):
+# log2 of the lanes of one bit-sliced block: the indices of a block share
+# every digit from this one up
+_BLOCK_BITS = 12
+
+
+def _lane_patterns(b):
+    """Ints over 2^b lanes whose bit x is bit d of x, for d < b."""
+    width = 1 << b
+    out = []
+    for d in range(b):
+        run = 1 << d
+        pat, span = ((1 << run) - 1) << run, 2 * run
+        while span < width:
+            pat |= pat << span
+            span *= 2
+        out.append(pat)
+    return out
+
+
+def _scan_blocks_gf2(rf, packed, r, k, lo, hi, base):
+    """`_scan_range` at p = 2, one aligned block of 2^b indices per pass.
+
+    Lane x of every int stands for the index start + x; an F_{2^q} entry
+    is q bit planes.  The low b digits come from fixed lane patterns,
+    the base and the block's high digits are all-ones planes.  The first
+    set lane of the OR of the determinant planes, inside [lo, hi), is
+    the odometer's first index.
+    """
+    q = rf.q
+    b = min(_BLOCK_BITS, k)
+    width = 1 << b
+    ones = (1 << width) - 1
+    # t^q = sum of t^s over these s, modulo the Conway polynomial mod 2
+    fold = [s for s in range(q) if rf.ring.field.modulus[s] % 2]
+    low = [[[0] * q for _ in range(r)] for _ in range(r)]
+    for B, pat in zip(packed, _lane_patterns(b)):
+        for i in range(r):
+            for j in range(r):
+                v = B[i][j]
+                for t in range(q):
+                    if v >> t & 1:
+                        low[i][j][t] ^= pat
+    start = lo >> b << b
+    while start < hi:
+        const = [row[:] for row in base] if base else \
+            [[0] * r for _ in range(r)]
+        for d in range(b, k):
+            if start >> d & 1:
+                for crow, brow in zip(const, packed[d]):
+                    for j in range(r):
+                        crow[j] ^= brow[j]
+        M = [[[low[i][j][t] ^ (ones if const[i][j] >> t & 1 else 0)
+               for t in range(q)] for j in range(r)] for i in range(r)]
+        units = _det_lanes_gf2(M, r, q, fold)
+        # keep lanes in [lo, hi)
+        units &= ((1 << min(hi - start, width)) - 1) \
+            >> max(lo - start, 0) << max(lo - start, 0)
+        if units:
+            return start + (units & -units).bit_length() - 1
+        start += width
+    return None
+
+
+def _det_lanes_gf2(M, r, q, fold):
+    """Lanes where the bit-sliced r x r matrix M has a nonzero determinant.
+
+    Subset expansion D[S + {j}] += D[S] M[i][j], rows in order: in
+    characteristic 2 the determinant is the permanent, so no lane needs
+    a sign or a pivot.  Entries zero in every lane are skipped, and the
+    expansion stops once every partial sum is zero in every lane.
+    """
+    D = {1 << j: M[0][j] for j in range(r) if any(M[0][j])}
+    for i in range(1, r):
+        row = [(j, e) for j, e in enumerate(M[i]) if any(e)]
+        nxt = {}
+        for S, a in D.items():
+            for j, e in row:
+                if S >> j & 1:
+                    continue
+                acc = nxt.get(S | 1 << j)
+                if acc is None:
+                    acc = nxt[S | 1 << j] = [0] * (2 * q - 1)
+                for u, au in enumerate(a):
+                    if au:
+                        for v, ev in enumerate(e):
+                            if ev:
+                                acc[u + v] ^= au & ev
+        D = {}
+        for S, acc in nxt.items():
+            for s in range(2 * q - 2, q - 1, -1):
+                if acc[s]:
+                    for t in fold:
+                        acc[s - q + t] ^= acc[s]
+            if any(acc[:q]):
+                D[S] = acc[:q]
+        if not D:
+            return 0
+    out = 0
+    for plane in D.get((1 << r) - 1, ()):
+        out |= plane
+    return out
+
+
+def _scan_units_parallel(rf, packed, r, k, p, workers):
     from concurrent.futures import ProcessPoolExecutor
     total = p ** k
-    chunk = (total + 4 * jobs - 1) // (4 * jobs)
+    chunk = (total + 4 * workers - 1) // (4 * workers)
     ranges = [(lo, min(lo + chunk, total))
               for lo in range(0, total, chunk)]
     args = [(rf.p, rf.q, packed, r, k, lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         for res in ex.map(_scan_chunk, args):
             if res is not None:
-                return res  # chunks are scanned in index order
+                # chunks are scanned in index order; later ones are moot
+                ex.shutdown(cancel_futures=True)
+                return res
     return None
 
 
@@ -563,7 +674,8 @@ def _check_circular(sys, xs):
     L = sys.length
     for j in range(L):
         lhs = sys.b[j] * xs[j] + sys.c[j] - sys.d[j] * _frob(xs[(j - 1) % L])
-        assert lhs.is_zero(), f"circular equation {j} violated"
+        if not lhs.is_zero():
+            raise InternalError(f"circular equation {j} violated")
 
 
 def _solve_additive(big, A, V, L):

@@ -17,6 +17,7 @@ from .deviation import df_reduce
 from .errors import (
     BadShape,
     ExtensionCapExceeded,
+    InternalError,
     NotMultiplicative,
     PreconditionTooWeak,
     UnknownField,
@@ -835,7 +836,8 @@ def thirds_family_certificate(ring, alpha=1, trials=2, seed=0) -> dict:
     # against the twisted crystal itself
     dU1, tuples1 = _unipotent_datum(C_a, (0, 1, 2), (3, 4, 5), C_0.B)
     s_values = sorted(deviations(t)[0] for t in tuples1)
-    assert all(s <= 1 for s in s_values)
+    if any(s > 1 for s in s_values):
+        raise InternalError(f"upper-block cycle S-values {s_values} exceed 1")
     out["components"]["upper_block"] = {
         "square_zero": True,
         "cycle_tuples": tuples1,

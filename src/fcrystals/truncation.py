@@ -14,6 +14,7 @@ from .bounds import epsilon_p
 from .crystal import hodge_data
 from .errors import (
     BadShape,
+    InternalError,
     LiftFailed,
     NoSplitForm,
     NotDieudonne,
@@ -51,8 +52,10 @@ class DTruncation:
     def check_invariants(self):
         r = self.rank
         pid = Matrix.scalar(self.ring, r, self.ring.p)
-        assert self.F @ self.V.sigma() == pid
-        assert self.V @ self.F.sigma(self.ring.q - 1) == pid
+        if self.F @ self.V.sigma() != pid:
+            raise InternalError("F sigma(V) != p")
+        if self.V @ self.F.sigma(self.ring.q - 1) != pid:
+            raise InternalError("V sigma^-1(F) != p")
         return True
 
 

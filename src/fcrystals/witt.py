@@ -12,7 +12,7 @@ Elements are coefficient tuples of length q with entries in [0, p^n).
 import math
 
 from .conway import conway_polynomial
-from .errors import NoEmbedding, NotAUnit, RingMismatch
+from .errors import InternalError, NoEmbedding, NotAUnit, RingMismatch
 
 INFINITY = math.inf
 
@@ -433,7 +433,8 @@ class WittElem:
             for c in reversed(R.modulus_lift):
                 acc = S._mul(acc, u)
                 acc = S._add(acc, tuple([c] + [0] * (S.q - 1)))
-            assert not any(acc), "embedding image is not a modulus root"
+            if any(acc):
+                raise InternalError("embedding image is not a modulus root")
             R._embed_cache[(S.p, S.q, S.n)] = u
         res = S._zero
         upow = S._one

@@ -5,16 +5,19 @@ import sys
 
 import pytest
 
+from fcrystals.cli import main
 from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import BadShape
 from fcrystals.files import (
     crystal_to_dict,
     dict_to_crystal,
+    dict_to_stairs_datum,
     read_crystal,
     stairs_datum_to_dict,
     write_crystal,
 )
 from fcrystals.plinalg import Matrix
+from fcrystals.semilinear import _ResidueField, _scan_range, hom_module
 from fcrystals.stairs import build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
@@ -150,14 +153,97 @@ def test_cli_verify_unknown_suite():
 
 
 def test_cli_jobs_deterministic(tmp_path):
-    ring = make_witt_ring(2, 2, 3)
-    C = builtin_crystal(ring, "supersingular", d=1)
-    path = tmp_path / "ss.json"
-    write_crystal(path, C)
-    r1 = _run(["isom", str(path), str(path), "--jobs", "1"])
-    r2 = _run(["isom", str(path), str(path), "--jobs", "2"])
-    assert r1.returncode == r2.returncode == 0
-    assert json.loads(r1.stdout)["witness"] == json.loads(r2.stdout)["witness"]
+    ss = builtin_crystal(make_witt_ring(2, 2, 3), "supersingular", d=1)
+    ordinary = builtin_crystal(make_witt_ring(2, 1, 3), "ordinary", r=3, d=1)
+    # ordinary: 2^5 indices, first unit 22; 2 jobs cut them into chunks
+    # of 4, so the hit lies inside a chunk that starts and ends inside
+    # one 32-lane block
+    H = hom_module(ordinary, ordinary)
+    free = H.mod_p_spanning_subset()
+    rf = _ResidueField(H.ring)
+    packed = [[[rf.pack(e.residue()) for e in row] for row in b.entries]
+              for b in free]
+    assert len(free) == 5
+    assert _scan_range(rf, packed, 3, 5, 2, 0, 32) == 22
+    for name, C in (("ss", ss), ("ordinary", ordinary)):
+        path = tmp_path / f"{name}.json"
+        write_crystal(path, C)
+        r1 = _run(["isom", str(path), str(path), "--jobs", "1"])
+        r2 = _run(["isom", str(path), str(path), "--jobs", "2"])
+        assert r1.returncode == r2.returncode == 0, r2.stderr
+        assert r1.stdout == r2.stdout
+
+
+def _main_exit(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hom", "a.json", "b.json", "--prec", "0"], "--prec"),
+    (["hom", "a.json", "b.json", "--prec", "-1"], "--prec"),
+    (["isom", "a.json", "b.json", "--prec", "0"], "--prec"),
+    (["isom", "a.json", "b.json", "--jobs", "0"], "--jobs"),
+    (["verify", "--fast", "--jobs", "-2"], "--jobs"),
+    (["stairs", "a.json", "--twist-level", "-1"], "--twist-level"),
+])
+def test_cli_integer_flags_are_input_errors(tmp_path, capsys, argv, flag):
+    C = builtin_crystal(make_witt_ring(2, 1, 3), "ordinary", r=2, d=1)
+    for name in ("a.json", "b.json"):
+        write_crystal(tmp_path / name, C)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert _main_exit(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}:" in out.err
+
+
+def _ordinary_dict():
+    return crystal_to_dict(
+        builtin_crystal(make_witt_ring(2, 1, 3), "ordinary", r=2, d=1))
+
+
+def _bad_p(d):
+    d["p"] = "2"
+
+
+def _bad_n(d):
+    d["n"] = [3]
+
+
+def _bad_shift(d):
+    d["shift"] = "0"
+
+
+def _rank_zero(d):
+    d["rank"], d["matrix"] = 0, []
+
+
+@pytest.mark.parametrize("corrupt", [_bad_p, _bad_n, _bad_shift, _rank_zero])
+def test_malformed_crystal_file_is_an_input_error(tmp_path, capsys, corrupt):
+    data = _ordinary_dict()
+    corrupt(data)
+    with pytest.raises(BadShape):
+        dict_to_crystal(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert _main_exit(["probe", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_stairs_block_without_permutation_is_an_input_error(tmp_path,
+                                                            capsys):
+    C = builtin_crystal(make_witt_ring(3, 1, 4), "ordinary", r=2, d=1)
+    data = crystal_to_dict(C)
+    data["stairs"] = stairs_datum_to_dict(build_stairs_datum(C))
+    del data["stairs"]["permutation"]
+    with pytest.raises(BadShape):
+        dict_to_stairs_datum(data["stairs"], C)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert _main_exit(["stairs", str(path), "--twist-level", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_suite_fault_injection(monkeypatch):

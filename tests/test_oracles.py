@@ -4,10 +4,16 @@ routes against raw brute force."""
 import itertools
 import random
 
+import pytest
+
+from fcrystals import semilinear
 from fcrystals.crystal import new_crystal
 from fcrystals.plinalg import Matrix, det_valuation
 from fcrystals.semilinear import (
     CircularSystem,
+    _combine,
+    _ResidueField,
+    _scan_range,
     hom_module,
     isom_search,
     solve_circular,
@@ -144,3 +150,97 @@ def test_fixed_lattice_matches_enumeration():
         module = {tuple(g.flatten_ints()) for g in _all_matrices(ring, 2)
                   if H.contains(g)}
         assert brute == module
+
+
+def _first_unit_by_index(rf, packed, r, k, lo, hi, base):
+    """The unit scan's contract at p = 2, one determinant per index."""
+    for idx in range(lo, hi):
+        coeffs = [(idx >> d) & 1 for d in range(k)]
+        if rf.det(_combine(rf, packed, coeffs, r, base), r):
+            return idx
+    return None
+
+
+def _random_scan_case(rng, q, r, k, with_base):
+    """Packed matrices over F_{2^q}; a row that the low digits leave zero
+    pushes the first unit past them, so hits land deep in the range."""
+    dens = rng.choice([0.3, 0.7, 1.0])
+    zero_row = rng.randrange(r)
+    late = rng.randint(0, k)
+
+    def entry():
+        return rng.randrange(1 << q) if rng.random() < dens else 0
+
+    packed = []
+    for d in range(k):
+        B = [[entry() for _ in range(r)] for _ in range(r)]
+        if d < late:
+            B[zero_row] = [0] * r
+        packed.append(B)
+    base = None
+    if with_base:
+        base = [[entry() for _ in range(r)] for _ in range(r)]
+        if rng.random() < 0.5:
+            base[zero_row] = [0] * r
+    return packed, base
+
+
+@pytest.mark.parametrize("block_bits", [2, 3])
+def test_scan_range_gf2_matches_index_order(monkeypatch, block_bits):
+    # narrow blocks, so that ranges start, cross and stop at block edges
+    monkeypatch.setattr(semilinear, "_BLOCK_BITS", block_bits)
+    rng = random.Random(40 + block_bits)
+    outcomes = {"hit": 0, "none": 0, "crossing": 0}
+    width = 1 << block_bits
+    for case in range(120):
+        q = (1, 2, 3, 4, 6, 12)[case % 6]
+        r = rng.randint(1, 6)
+        k = rng.randint(0, 8)
+        rf = _ResidueField(make_witt_ring(2, q, 1))
+        packed, base = _random_scan_case(rng, q, r, k, case % 2 == 1)
+        total = 1 << k
+        kind = case % 3
+        if kind == 0:
+            lo, hi = 0, total
+        elif kind == 1:
+            lo, hi = min(1, total - 1), total   # as in _lang_search
+        else:
+            lo = rng.randrange(total)
+            hi = rng.randint(lo + 1, total)
+        got = _scan_range(rf, packed, r, k, 2, lo, hi, base)
+        want = _first_unit_by_index(rf, packed, r, k, lo, hi, base)
+        assert got == want, (q, r, k, lo, hi)
+        outcomes["none" if want is None else "hit"] += 1
+        if want is not None and want > lo:
+            # a range that stops just short of the hit is empty
+            assert _scan_range(rf, packed, r, k, 2, lo, want, base) is None
+        if lo // width != (hi - 1) // width:
+            outcomes["crossing"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_scan_range_gf2_full_blocks():
+    # the shipped block width: first units past one block of 2^12, a
+    # sub-range stopping short of the block edge, and an empty span
+    rng = random.Random(12)
+    for q in (1, 3, 6):
+        rf = _ResidueField(make_witt_ring(2, q, 1))
+        # digits below 12 never touch row 1; digit 12 makes it a unit
+        packed = [[[rng.randrange(1 << q), rng.randrange(1 << q)], [0, 0]]
+                  for _ in range(12)]
+        packed.append([[0, 0], [0, 1]])
+        base = [[0, 1], [0, 0]]   # index 4096 itself is singular
+        for lo, hi in ((0, 1 << 13), (1, 1 << 13), (4000, 4200),
+                       (4097, 8000), (100, 4000)):
+            got = _scan_range(rf, packed, 2, 13, 2, lo, hi, base)
+            assert got == _first_unit_by_index(rf, packed, 2, 13, lo, hi,
+                                               base), (q, lo, hi)
+        hit = _scan_range(rf, packed, 2, 13, 2, 0, 1 << 13, base)
+        assert hit > 4096
+        assert _scan_range(rf, packed, 2, 13, 2, 4000, hit, base) is None
+        assert _scan_range(rf, packed, 2, 13, 2, 100, 4000, base) is None
+        # two equal rows: singular at every index, an empty span
+        flat = [[[B[0][0], B[0][1]], [B[0][0], B[0][1]]] for B in packed]
+        assert _scan_range(rf, flat, 2, 13, 2, 0, 1 << 13) is None
+        assert _first_unit_by_index(rf, flat, 2, 13, 0, 1 << 13,
+                                    None) is None

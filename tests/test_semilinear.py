@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 
 import pytest
@@ -86,6 +88,41 @@ def test_isom_search_self_and_inner():
     w = res2.witness
     assert (w @ C.B) == (C2.B @ w.sigma())
     assert det_valuation(w) == 0
+
+
+def test_unit_search_clamps_workers_to_cores(monkeypatch):
+    sizes = []
+
+    class InlineExecutor:
+        """Runs the chunks in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlineExecutor)
+    W = make_witt_ring(2, 1, 3)
+    C = builtin_crystal(W, "ordinary", r=3, d=1)
+    serial = isom_search(C, C).witness
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert isom_search(C, C, jobs=64).witness == serial
+    assert sizes == [2]
+    # one core (or an unknown count): no pool at all
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert isom_search(C, C, jobs=8).witness == serial
+    assert sizes == [2]
 
 
 def test_isom_search_distinguishes_newton():
