@@ -1,7 +1,8 @@
 """Command-line front end: JSON lines on stdout, diagnostics on stderr.
 
 Exit codes: 0 success / witness found, 1 definitive negative, 2 input
-error, 3 precision exhausted, 4 inconclusive (randomized regime).
+error, 3 precision exhausted, 4 inconclusive (randomized regime), 5
+internal error (a bug, never a result).
 """
 
 import argparse
@@ -306,14 +307,16 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         code = args.func(args)
-    except SystemExit as exc:
-        raise
     except PrecisionExhausted as exc:
         _err(str(exc))
         code = 3
     except CrystalError as exc:
         _err(str(exc))
         code = 2
+    except Exception as exc:  # noqa: BLE001 - a bug must not read as a result
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {detail}\n")
+        code = 5
     raise SystemExit(code)
 
 

@@ -9,6 +9,10 @@ class InternalError(Exception):
     """A broken invariant of the library itself, never an input error."""
 
 
+class CheckFailed(Exception):
+    """A verification check saw a wrong result."""
+
+
 class NotPrime(CrystalError):
     pass
 

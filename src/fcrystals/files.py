@@ -28,9 +28,16 @@ def matrix_to_entries(M: Matrix):
     return [[list(e.coeffs) for e in row] for row in M.entries]
 
 
+def _is_int_list(value):
+    return isinstance(value, list) and all(_is_int(x) for x in value)
+
+
 def entries_to_matrix(ring, rows, cols, entries):
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if not isinstance(entries, list) or len(entries) != rows or any(
+            not isinstance(r, list) or len(r) != cols for r in entries):
         raise BadShape("matrix entry shape mismatch")
+    if not all(_is_int_list(e) for r in entries for e in r):
+        raise BadShape("matrix entries must be lists of integers")
     return Matrix(ring, [[ring.element(e) for e in row] for row in entries])
 
 
@@ -113,13 +120,33 @@ def dict_to_stairs_datum(data: dict, crystal):
     missing = _STAIRS_KEYS - _STAIRS_OPTIONAL - set(data)
     if missing:
         raise BadShape(f"missing stairs keys: {sorted(missing)}")
+    if not isinstance(data["basis"], list):
+        raise BadShape("stairs 'basis' must be a list of matrices")
+    size = len(data["basis"])
+    perm = data["permutation"]
+    if not _is_int_list(perm) or sorted(perm) != list(range(size)):
+        raise BadShape(f"stairs 'permutation' must permute range({size})")
+    if not _is_int_list(data["exponents"]) or len(data["exponents"]) != size:
+        raise BadShape(f"stairs 'exponents' must be {size} integers")
+    if not _is_int(data["torsion"]):
+        raise BadShape("stairs 'torsion' must be an integer")
+    cycles = _cycles_of(perm)
+    signs = data["signs"]
+    if not _is_int_list(signs) or len(signs) != len(cycles) or any(
+            s not in (1, -1) for s in signs):
+        raise BadShape(f"stairs 'signs' must be {len(cycles)} values, "
+                       "each 1 or -1")
+    for key in ("multiplicative", "unital", "square_zero"):
+        if not isinstance(data.get(key, False), bool):
+            raise BadShape(f"stairs {key!r} must be true or false")
+    if not isinstance(data.get("strategy", "file"), str):
+        raise BadShape("stairs 'strategy' must be a string")
     ring = crystal.ring
     r = crystal.rank
     basis = [entries_to_matrix(ring, r, r, e) for e in data["basis"]]
     datum = StairsDatum(
-        crystal, basis, list(data["permutation"]),
-        list(data["exponents"]), data["torsion"],
-        _cycles_of(list(data["permutation"])), list(data["signs"]),
+        crystal, basis, list(perm), list(data["exponents"]),
+        data["torsion"], cycles, list(signs),
         data["multiplicative"], data["unital"],
         data.get("square_zero", False), data.get("strategy", "file"),
     )

@@ -8,6 +8,7 @@ exponentials.
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 
 from .errors import OutsideExpDomain, SingularAtPrecision
 from .witt import INFINITY, WittElem, make_witt_ring
@@ -454,96 +455,111 @@ class SolutionModule:
 
 
 class IntSolver:
-    """SNF-factored integer matrix mod p^n, reusable for many solves."""
+    """Smith-form elimination of an integer matrix mod p^n, reusable for
+    many solves.
+
+    The pivot is the first entry of minimal valuation in row-major order.
+    The row operations are not multiplied into a left transform: each
+    pivot's row swap, unit inverse and (row, multiplier) lists are logged
+    and replayed on b by `solve`.  The right transform R is kept
+    transposed (`_rt[j]` is column j of R), so its column operations are
+    row updates.
+    """
 
     def __init__(self, a_rows, p, n):
         self.p = p
         self.n = n
-        self.pn = p ** n
-        pn = self.pn
+        self.pn = pn = p ** n
         A = [[int(c) % pn for c in row] for row in a_rows]
-        self.rows = len(A)
-        self.cols = len(A[0]) if A else 0
-        L = [[1 if i == j else 0 for j in range(self.rows)]
-             for i in range(self.rows)]
-        R = [[1 if i == j else 0 for j in range(self.cols)]
-             for i in range(self.cols)]
-        dim = min(self.rows, self.cols)
+        rows = self.rows = len(A)
+        cols = self.cols = len(A[0]) if A else 0
+        RT = [[0] * cols for _ in range(cols)]
+        for j in range(cols):
+            RT[j][j] = 1
         exps = []
-        k = 0
-        while k < dim:
-            best, bi, bj = n, -1, -1
-            for i in range(k, self.rows):
-                Ai = A[i]
-                for j in range(k, self.cols):
-                    if Ai[j]:
-                        v = _ival(Ai[j], p, n)
-                        if v < best:
-                            best, bi, bj = v, i, j
-                            if v == 0:
-                                break
-                if best == 0:
-                    break
+        log = []   # per pivot: (swapped row, unit inverse, rows, multipliers)
+        # rows >= k vanish left of column k, so the gcd of a row with p^n
+        # is p^(its minimal valuation); 0 marks a row changed since
+        row_gcd = [0] * rows
+        dim = min(rows, cols)
+        for k in range(dim):
+            best, bi = pn, -1
+            for i in range(k, rows):
+                g = row_gcd[i] = row_gcd[i] or gcd(pn, *A[i])
+                if g < best:
+                    best, bi = g, i
+                    if g == 1:
+                        break
             if bi < 0:
                 exps.extend([n] * (dim - k))
                 break
-            if bi != k:
-                A[k], A[bi] = A[bi], A[k]
-                L[k], L[bi] = L[bi], L[k]
+            pv = best
+            v = _ival(pv, p, n)
+            Ak = A[bi]
+            bj = next(j for j in range(k, cols) if Ak[j] % (pv * p))
+            A[k], A[bi] = Ak, A[k]
+            row_gcd[bi] = row_gcd[k]
             if bj != k:
-                for row in A:
+                for row in A[k:]:
                     row[k], row[bj] = row[bj], row[k]
-                for row in R:
-                    row[k], row[bj] = row[bj], row[k]
-            v = best
-            u = A[k][k] // p ** v
-            ui = pow(u, -1, pn)
-            A[k] = [(ui * c) % pn for c in A[k]]
-            L[k] = [(ui * c) % pn for c in L[k]]
-            pv = p ** v
-            for i in range(self.rows):
-                if i == k or not A[i][k]:
-                    continue
-                c = A[i][k] // pv
-                Ak, Ai = A[k], A[i]
-                Lk, Li = L[k], L[i]
-                for t in range(self.cols):
-                    Ai[t] = (Ai[t] - c * Ak[t]) % pn
-                for t in range(self.rows):
-                    Li[t] = (Li[t] - c * Lk[t]) % pn
-            for j in range(self.cols):
-                if j == k or not A[k][j]:
-                    continue
-                c = A[k][j] // pv
-                for i in range(self.rows):
-                    A[i][j] = (A[i][j] - c * A[i][k]) % pn
-                for i in range(self.cols):
-                    R[i][j] = (R[i][j] - c * R[i][k]) % pn
+                RT[k], RT[bj] = RT[bj], RT[k]
+            ui = pow(Ak[k] // pv, -1, pn)
+            # the pivot row after scaling by ui, beyond column k
+            tail = [(t, ui * Ak[t] % pn) for t in range(k + 1, cols) if Ak[t]]
+            idx, mults = [], []
+            for i in range(k + 1, rows):
+                Ai = A[i]
+                e = Ai[k]
+                if e:
+                    c = e // pv
+                    Ai[k] = row_gcd[i] = 0
+                    for t, a in tail:
+                        Ai[t] = (Ai[t] - c * a) % pn
+                    idx.append(i)
+                    mults.append(c)
+            log.append((bi, ui, idx, mults))
+            # column k is now p^v e_k, so the column operations only
+            # clear the pivot row; R follows them at the support of column k
+            Rk = [(j, y) for j, y in enumerate(RT[k]) if y]
+            for t, a in tail:
+                c = a // pv
+                Rt = RT[t]
+                for j, y in Rk:
+                    Rt[j] = (Rt[j] - c * y) % pn
+                Ak[t] = 0
+            Ak[k] = pv
             exps.append(v)
-            k += 1
         self.exps = exps
-        self.L = L
-        self.R = R
+        self._log = log
+        self._rt = RT
 
     def solve(self, b):
         """One solution of A x = b, or None."""
         p, n, pn = self.p, self.n, self.pn
-        Lb = [sum(c * x for c, x in zip(row, b)) % pn for row in self.L]
-        y = [0] * self.cols
+        Lb = [int(c) % pn for c in b[:self.rows]]
+        for k, (bi, ui, idx, mults) in enumerate(self._log):
+            Lb[k], Lb[bi] = Lb[bi], Lb[k]
+            c = Lb[k] = ui * Lb[k] % pn
+            if c:
+                for i, m in zip(idx, mults):
+                    Lb[i] = (Lb[i] - m * c) % pn
+        x = [0] * self.cols
         for i in range(self.rows):
             if i < len(self.exps):
                 e = self.exps[i]
                 if e >= n:
-                    if Lb[i] % pn:
+                    if Lb[i]:
                         return None
                     continue
                 pe = p ** e
                 if Lb[i] % pe:
                     return None
-                y[i] = Lb[i] // pe
-            elif Lb[i] % pn:
+                y = Lb[i] // pe
+                if y:
+                    x = [a + y * r for a, r in zip(x, self._rt[i])]
+            elif Lb[i]:
                 return None
-        return [sum(rr * yy for rr, yy in zip(row, y)) % pn for row in self.R]
+        return [a % pn for a in x]
 
     def kernel_generators(self):
         p, n, pn = self.p, self.n, self.pn
@@ -553,7 +569,7 @@ class IntSolver:
             if e == 0:
                 continue
             c = p ** (n - e)
-            g = [(c * self.R[t][i]) % pn for t in range(self.cols)]
+            g = [c * r % pn for r in self._rt[i]]
             if any(g):
                 gens.append(g)
         return gens

@@ -423,7 +423,7 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
         p, n = ring.p, ring.n
         rounds += 1
         if rounds > 3 * n + 6:
-            raise AssertionError("stairs failed to converge (internal bug)")
+            raise InternalError("stairs failed to converge (internal bug)")
         ident = Matrix.identity(ring, datum.crystal.rank)
         dm = defect - ident
         if dm.is_zero():
@@ -435,7 +435,7 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
         # progress lives in coordinate valuations: the matrix congruence
         # level can stall while p-content basis elements catch up
         if umin <= prev_umin:
-            raise AssertionError(
+            raise InternalError(
                 f"stairs made no progress: {prev_umin} -> {umin}")
         # per-cycle shifts
         if algebra_mode:
@@ -558,7 +558,7 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
         twist=g0,
     )
     if not cert.reverify():
-        raise AssertionError("stairs certificate failed re-verification")
+        raise InternalError("stairs certificate failed re-verification")
     return cert
 
 
@@ -608,7 +608,7 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
     y1 = datum.coords(g1 - ident)
     j = min((y.valuation() for y in y1 if not y.is_zero()), default=INFINITY)
     if j != INFINITY and j < 1:
-        raise AssertionError("Lang step failed to clear the residue digit")
+        raise InternalError("Lang step failed to clear the residue digit")
     sub = stairs_algebra_run(datum.crystal, g1, datum)
     total = sub.witness @ xt.embed(sub.ring)
     cert = StairsCertificate(
@@ -620,7 +620,7 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
         twist=g.embed(sub.ring),
     )
     if not cert.reverify():
-        raise AssertionError("lang certificate failed re-verification")
+        raise InternalError("lang certificate failed re-verification")
     return cert
 
 

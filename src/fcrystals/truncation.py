@@ -14,6 +14,7 @@ from .bounds import epsilon_p
 from .crystal import hodge_data
 from .errors import (
     BadShape,
+    CrystalError,
     InternalError,
     LiftFailed,
     NoSplitForm,
@@ -234,7 +235,7 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
         dat = None
         try:
             dat = _fixed_datum(C)
-        except Exception:
+        except CrystalError:
             dat = None
         if dat is not None and dat.unital and dat.multiplicative:
             report["upper"] = dat.torsion
@@ -243,7 +244,7 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
         else:
             try:
                 datum = build_stairs_datum(C)
-            except Exception:
+            except CrystalError:
                 datum = None
             if datum is None:
                 report["upper_source"] = "none"
@@ -271,7 +272,7 @@ def _floor_evidence(C, upper, trials, seed):
     floor = -1
     try:
         base_np = newton_polygon(C)
-    except Exception:
+    except CrystalError:
         base_np = None
     top = 3 if upper is None else min(upper, 3)
     for j in range(top - 1, -1, -1):
@@ -283,14 +284,14 @@ def _floor_evidence(C, upper, trials, seed):
             g = Matrix.identity(ring, C.rank) + delta
             try:
                 Ct = C.twist(g)
-            except Exception:
+            except CrystalError:
                 continue
             if base_np is not None:
                 try:
                     if newton_polygon(Ct).points != base_np.points:
                         found = True
                         break
-                except Exception:
+                except CrystalError:
                     pass
             if not found:
                 try:
@@ -298,7 +299,7 @@ def _floor_evidence(C, upper, trials, seed):
                     if res.witness is None and res.definitive:
                         found = True
                         break
-                except Exception:
+                except CrystalError:
                     pass
         if found:
             floor = j
@@ -409,10 +410,12 @@ def polarized_isom_search(P1, P2, precision=None, cap=EXHAUSTIVE_CAP):
     C1, C2 = P1.base, P2.base
     if C1.ring != C2.ring:
         raise BadShape("polarized crystals must share a ring")
-    plain = isom_search(C1, C2, precision, cap=cap)
-    if plain.witness is None and plain.definitive:
+    if C1.rank != C2.rank:
         return IsomResult(None, "exhaustive", 0)
     H = hom_module(C1, C2, precision)
+    plain = unit_search(H, cap=cap)
+    if plain.witness is None and plain.definitive:
+        return IsomResult(None, "exhaustive", 0)
     ring = H.ring
     r = C1.rank
     J1 = P1.J.reduce_to(ring)

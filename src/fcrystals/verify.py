@@ -19,7 +19,7 @@ from .crystal import (
     newton_polygon,
 )
 from .deviation import deviations, df_reduce
-from .errors import ExtensionCapExceeded
+from .errors import CheckFailed, CrystalError, ExtensionCapExceeded
 from .plinalg import (
     Matrix,
     det_valuation,
@@ -46,12 +46,18 @@ from .truncation import i_number_probe, verschiebung
 from .witt import make_witt_ring
 
 
+def _require(ok, detail=""):
+    """A check that `python -O` keeps: raise CheckFailed(detail) unless ok."""
+    if not ok:
+        raise CheckFailed(detail)
+
+
 def _check(name, fn):
     t0 = time.time()
     try:
         detail = fn()
         ok = True
-    except AssertionError as exc:
+    except CheckFailed as exc:
         detail = f"FAILED: {exc}"
         ok = False
     except Exception as exc:  # noqa: BLE001 - suite must report, not die
@@ -69,9 +75,9 @@ def _check(name, fn):
 
 
 def check_deviation_samples():
-    assert deviations([-1, 1, -1, -1, 1, 1, 0, -1]) == (2, 3)
-    assert deviations([1, 1, -2, 1, 3]) == (2, 2)
-    assert deviations([-1, 1, -1]) == (1, 1)
+    _require(deviations([-1, 1, -1, -1, 1, 1, 0, -1]) == (2, 3))
+    _require(deviations([1, 1, -2, 1, 3]) == (2, 2))
+    _require(deviations([-1, 1, -1]) == (1, 1))
     return "three sample tuples match"
 
 
@@ -111,17 +117,17 @@ def check_tuple_properties(count=1000, seed=0):
         l = rng.randrange(1, 9)
         tau = [rng.randrange(-3, 4) for _ in range(l)]
         s, w = deviations(tau)
-        assert s == _oracle_sign_deviation(tau), tau
-        assert s <= w <= sum(abs(x) for x in tau), tau
+        _require(s == _oracle_sign_deviation(tau), tau)
+        _require(s <= w <= sum(abs(x) for x in tau), tau)
         red = df_reduce(tau)
-        assert max(red.rescale) <= s and min(red.rescale) >= 0, tau
+        _require(max(red.rescale) <= s and min(red.rescale) >= 0, tau)
         if red.sign > 0:
-            assert all(x >= 0 for x in red.new_exponents), tau
+            _require(all(x >= 0 for x in red.new_exponents), tau)
         else:
-            assert all(x <= 0 for x in red.new_exponents), tau
+            _require(all(x <= 0 for x in red.new_exponents), tau)
         for i in range(l):
-            assert red.new_exponents[i] == \
-                tau[i] + red.rescale[i] - red.rescale[(i + 1) % l]
+            _require(red.new_exponents[i]
+                     == tau[i] + red.rescale[i] - red.rescale[(i + 1) % l])
     return f"{count} random tuples: oracle match, bounds, uniform signs"
 
 
@@ -136,17 +142,17 @@ def check_example_family():
             ring = make_witt_ring(p, 1, 2 * r + 3)
             C = builtin_crystal(ring, "example_2_3_2", r=r)
             np_ = newton_polygon(C)
-            assert np_.points == ((Fraction(r - 2, r), r),), (r, p, np_)
+            _require(np_.points == ((Fraction(r - 2, r), r),), (r, p, np_))
             resc = cyclic_from_exponents(ring, red.new_exponents)
             pol, s, h = hodge_data(resc)
-            assert s == 0 and pol.slopes() == [0, 0] + [1] * (r - 2), (r, p)
+            _require(s == 0 and pol.slopes() == [0, 0] + [1] * (r - 2), (r, p))
             # the inclusion of the rescaled lattice has cokernel length 1
             f = Matrix.from_ints(ring, [
                 [p ** red.rescale[i] if i == j else 0 for j in range(r)]
                 for i in range(r)])
             scaled_resc = new_crystal(ring, resc.B.scale(p), 0)
             scaled_orig = new_crystal(ring, C.B, 0)
-            assert cokernel_length(f, scaled_resc, scaled_orig) == 1
+            _require(cokernel_length(f, scaled_resc, scaled_orig) == 1)
     return "r in {3,4,5}, p in {2,3}: hodge, newton, cokernel all match"
 
 
@@ -162,7 +168,7 @@ def check_isoclinic_lattices():
             ring = make_witt_ring(p, r, 4)
             C = builtin_crystal(ring, "isoclinic_3_3_6", r=r, c=c)
             H, expo = fixed_lattice(C)
-            assert expo == 1, (r, c, p, expo)
+            _require(expo == 1, (r, c, p, expo))
             # per-cycle sign deviations of the conjugation tuples
             hits = _monomial_shape(C.B, ring)
             rho = [hits[j][0] for j in range(r)]
@@ -176,8 +182,8 @@ def check_isoclinic_lattices():
             s_values = []
             for cyc in _cycles_of(perm):
                 s_values.append(deviations([exps[l] for l in cyc])[0])
-            assert max(s_values) == 1, (r, c, p, s_values)
-            assert all(s <= 1 for s in s_values)
+            _require(max(s_values) == 1, (r, c, p, s_values))
+            _require(all(s <= 1 for s in s_values))
             out.append(f"({r},{c},p={p}): exponent 1, S-values ok")
     return "; ".join(out[:2]) + f"; {len(out)} cases total"
 
@@ -190,15 +196,15 @@ def check_thirds_family():
     for alpha in (ring.from_int(0), ring.from_int(1), ring.gen()):
         C = builtin_crystal(ring, "phi_alpha_4_5", alpha=alpha)
         np_ = newton_polygon(C)
-        assert np_.points == ((Fraction(1, 3), 3), (Fraction(2, 3), 3)), np_
+        _require(np_.points == ((Fraction(1, 3), 3), (Fraction(2, 3), 3)), np_)
     small = make_witt_ring(3, 3, 4)
     cert = thirds_family_certificate(small, alpha=1, trials=1)
-    assert cert["components"]["upper_block"]["s_values"] == [0, 0, 1]
+    _require(cert["components"]["upper_block"]["s_values"] == [0, 0, 1])
     C4 = builtin_crystal(small, "phi_alpha_4_5", alpha=1)
     T = verschiebung(C4)
     T.check_invariants()
     P = builtin_crystal(small, "polarized_4_5_4", alpha=1)
-    assert P.c == 1
+    _require(P.c == 1)
     return "newton {1/3 x3, 2/3 x3}; S-values [0,0,1]; V and Gram checks pass"
 
 
@@ -211,15 +217,15 @@ def check_nonisomorphic_pair(jobs=1):
     C1 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.from_int(1))
     C2 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.gen())
     res = isom_search(C1, C2, cap=1 << 21, jobs=jobs)
-    assert res.witness is None and res.regime == "exhaustive"
+    _require(res.witness is None and res.regime == "exhaustive")
     # control: equal parameters are isomorphic via the identity
     ctrl = isom_search(C1, C1, cap=1 << 21)
-    assert ctrl.witness is not None
+    _require(ctrl.witness is not None)
     # the polarized variant inherits the definitive negative
     P1 = builtin_crystal(ring, "polarized_4_5_4", alpha=ring.from_int(1))
     P2 = builtin_crystal(ring, "polarized_4_5_4", alpha=ring.gen())
     pres = polarized_isom_search(P1, P2, precision=4, cap=1 << 21)
-    assert pres.witness is None and pres.regime == "exhaustive"
+    _require(pres.witness is None and pres.regime == "exhaustive")
     return ("definitive None over the mod-p Hom span (dim 18), control "
             "found, polarized variant also None")
 
@@ -267,22 +273,22 @@ def check_stairs_soundness(total=200, seed=0, fast=False):
             C = builtin_crystal(ring, "isoclinic_3_3_6", r=3, c=2)
         datum = build_stairs_datum(C)
         n0 = 2 * datum.torsion + epsilon_p(p)
-        assert n > n0 or kind == "lattice", (family, p)
+        _require(n > n0 or kind == "lattice", (family, p))
         for k in range(per):
             if kind == "general":
                 g = _random_general_twist(ring, C.rank, n0, rng)
             else:
                 g = _random_lattice_twist(datum, n0, rng)
             cert = stairs_run(C, g, datum)
-            assert cert.reverify(), (family, p, k)
-            assert cert.level > n0 or cert.level >= ring.n, \
-                (family, p, cert.level)
+            _require(cert.reverify(), (family, p, k))
+            _require(cert.level > n0 or cert.level >= ring.n,
+                     (family, p, cert.level))
             done += 1
             if k % 10 == 0:
                 # cross-check against the unit search over the same field
                 res = isom_search(cert.crystal,
                                   cert.crystal.twist(cert.twist))
-                assert res.witness is not None, (family, p, k)
+                _require(res.witness is not None, (family, p, k))
                 crosses += 1
     # lang runs on the slope-zero-End families
     for p in (2, 3):
@@ -295,10 +301,10 @@ def check_stairs_soundness(total=200, seed=0, fast=False):
                 cert = lang_run(C, g)
             except ExtensionCapExceeded:
                 continue
-            assert cert.reverify(), ("lang", p)
+            _require(cert.reverify(), ("lang", p))
             okc += 1
             done += 1
-        assert okc >= 1, f"no lang witness at p={p}"
+        _require(okc >= 1, f"no lang witness at p={p}")
     return f"{done} witnesses re-verified, {crosses} isom cross-checks agree"
 
 
@@ -309,28 +315,28 @@ def check_i_number_uppers(seed=0):
     ring = make_witt_ring(3, 1, 6)
     et = i_number_probe(builtin_crystal(ring, "ordinary", r=2, d=0),
                         seed=seed)
-    assert (et["upper"], et["upper_source"]) == (0, "h0"), et
+    _require((et["upper"], et["upper_source"]) == (0, "h0"), et)
     ord_ = i_number_probe(builtin_crystal(ring, "ordinary", r=2, d=1),
                           seed=seed)
-    assert (ord_["upper"], ord_["upper_source"]) == (1, "stairs"), ord_
+    _require((ord_["upper"], ord_["upper_source"]) == (1, "stairs"), ord_)
     ss = i_number_probe(
         builtin_crystal(make_witt_ring(3, 2, 4), "supersingular", d=1),
         seed=seed)
-    assert (ss["upper"], ss["upper_source"]) == (1, "lang"), ss
+    _require((ss["upper"], ss["upper_source"]) == (1, "lang"), ss)
     # sampled certificates behind the numbers
     W2 = make_witt_ring(2, 2, 2)
     cert = lang_run(builtin_crystal(W2, "supersingular", d=1),
                     _random_general_twist(W2, 2, 1, random.Random(seed)))
-    assert cert.reverify() and cert.level == 2
+    _require(cert.reverify() and cert.level == 2)
     W3 = make_witt_ring(3, 1, 3)
     CO = builtin_crystal(W3, "ordinary", r=2, d=1)
     cert2 = stairs_algebra_run(
         CO, _random_general_twist(W3, 2, 1, random.Random(seed)))
-    assert cert2.reverify() and cert2.level == 3
+    _require(cert2.reverify() and cert2.level == 3)
     th = thirds_family_certificate(make_witt_ring(2, 3, 4), alpha=1,
                                    trials=1, seed=seed)
-    assert th["upper"] == 3
-    assert all(v >= 1 for v in th["evidence"].values()), th["evidence"]
+    _require(th["upper"] == 3)
+    _require(all(v >= 1 for v in th["evidence"].values()), th["evidence"])
     return ("etale 0 (h0), ordinary 1 (stairs, witnessed), supersingular 1 "
             "(lang, witnessed), thirds family 3 (component certificate)")
 
@@ -346,7 +352,7 @@ def check_hom_stabilization():
     m12 = _pair_torsion(C, C)
     for t in (0, 1):
         ok, levels = hom_stabilization_check(C, C, m12, 1, t)
-        assert ok, (1, t, levels)
+        _require(ok, (1, t, levels))
     results.append(f"ss/ss p=3 m12={m12}")
     # pair 2: isoclinic with itself, p = 2
     ring2 = make_witt_ring(2, 3, 8)
@@ -354,7 +360,7 @@ def check_hom_stabilization():
     m12b = _pair_torsion(C2, C2)
     for t in (0, 1):
         ok, levels = hom_stabilization_check(C2, C2, m12b, 1, t)
-        assert ok, (2, t, levels)
+        _require(ok, (2, t, levels))
     results.append(f"iso/iso p=2 m12={m12b}")
     # pair 3: supersingular with an inner twist of itself, p = 2
     ring3 = make_witt_ring(2, 2, 8)
@@ -367,14 +373,14 @@ def check_hom_stabilization():
         try:
             if det_valuation(u) == 0:
                 break
-        except Exception:
+        except CrystalError:
             continue
     C3t = new_crystal(
         ring3, u @ C3.B @ unit_inverse_matrix(u.sigma()), 0)
     m12c = _pair_torsion(C3, C3t)
     for t in (0, 1):
         ok, levels = hom_stabilization_check(C3, C3t, m12c, 1, t)
-        assert ok, (3, t, levels)
+        _require(ok, (3, t, levels))
     results.append(f"ss/twist p=2 m12={m12c}")
     return "; ".join(results)
 
@@ -383,7 +389,7 @@ def _pair_torsion(C1, C2):
     """Lattice torsion of End(C1 + C2), the stabilization constant."""
     CS = direct_sum_crystal(C1, C2)
     datum = _fixed_datum(CS, 4)
-    assert datum is not None, "sum has no full fixed lattice"
+    _require(datum is not None, "sum has no full fixed lattice")
     return datum.torsion
 
 
@@ -405,7 +411,7 @@ def check_descent():
             reduced = [b.reduce_to(red) for b in H.basis]
             from .semilinear import HomModule
             HR = HomModule(red, H.shape, 2, reduced, H.profile)
-            assert descends_to_subfield(HR, 2), (p, name)
+            _require(descends_to_subfield(HR, 2), (p, name))
             cases.append(f"{name} p={p}")
         # rank 3, r! = 6 divides Q = 6
         ring6 = make_witt_ring(p, 6, 5)
@@ -416,7 +422,7 @@ def check_descent():
         from .semilinear import HomModule
         HR = HomModule(red, H.shape, 2, [b.reduce_to(red) for b in H.basis],
                        H.profile)
-        assert descends_to_subfield(HR, 6), (p, "isoclinic")
+        _require(descends_to_subfield(HR, 6), (p, "isoclinic"))
         cases.append(f"isoclinic p={p}")
         # rank 4 as a sum of rank-2 pieces: summand bound lcm(2,2) = 2 | Q = 4
         ring4 = make_witt_ring(p, 4, 4)
@@ -427,7 +433,7 @@ def check_descent():
         red4 = make_witt_ring(p, 4, 2)
         HR4 = HomModule(red4, H4.shape, 2,
                         [b.reduce_to(red4) for b in H4.basis], H4.profile)
-        assert descends_to_subfield(HR4, 2), (p, "rank4")
+        _require(descends_to_subfield(HR4, 2), (p, "rank4"))
         cases.append(f"rank-4 sum p={p}")
     return "; ".join(cases)
 
@@ -437,27 +443,27 @@ def check_descent():
 
 def check_bounds():
     for c in range(6):
-        assert d_plus_bound0(1, c) == 0
+        _require(d_plus_bound0(1, c) == 0)
     for a in range(1, 7):
-        assert d_plus_bound0(a, 0) == 0
-    assert d_plus_bound0(2, 1) == 2
+        _require(d_plus_bound0(a, 0) == 0)
+    _require(d_plus_bound0(2, 1) == 2)
     prev = {}
     for a in range(1, 7):
         for c in range(0, 5):
             val = d_plus_bound0(a, c)
             if (a - 1, c) in prev:
-                assert val >= prev[(a - 1, c)]
+                _require(val >= prev[(a - 1, c)])
             if (a, c - 1) in prev:
-                assert val >= prev[(a, c - 1)]
+                _require(val >= prev[(a, c - 1)])
             prev[(a, c)] = val
     for p in (2, 3):
-        assert truncation_level_bound("pdiv", 3, p, d=0) == 0
-        assert truncation_level_bound("pdiv", 3, p, d=3) == 0
+        _require(truncation_level_bound("pdiv", 3, p, d=0) == 0)
+        _require(truncation_level_bound("pdiv", 3, p, d=3) == 0)
         # pdiv(r=2): rank 4, s-number 1, h-number 2
-        assert truncation_level_bound("pdiv", 2, p) == \
-            2 * (1 * 3 + d_plus_bound0(4, 2)) + epsilon_p(p)
-        assert truncation_level_bound("polarized", 1, p) == \
-            2 * (1 * 2 + d_plus_bound0(3, 2)) + epsilon_p(p)
+        _require(truncation_level_bound("pdiv", 2, p)
+                 == 2 * (1 * 3 + d_plus_bound0(4, 2)) + epsilon_p(p))
+        _require(truncation_level_bound("polarized", 1, p)
+                 == 2 * (1 * 2 + d_plus_bound0(3, 2)) + epsilon_p(p))
     return "hand values, monotone grid, degenerate levels"
 
 
@@ -473,23 +479,23 @@ def check_infrastructure(samples=500, seed=0, fast=False):
     for i in range(samples):
         ring = rings[i % len(rings)]
         a, b, c = (ring.random_element(rng) for _ in range(3))
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a and (a * b) * c == a * (b * c)
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        _require((a + b) * c == a * c + b * c)
+        _require(a * b == b * a and (a * b) * c == a * (b * c))
+        _require((a + b).frobenius() == a.frobenius() + b.frobenius())
+        _require((a * b).frobenius() == a.frobenius() * b.frobenius())
         x = a
         for _ in range(ring.q):
             x = x.frobenius()
-        assert x == a
+        _require(x == a)
         ta = ring.teichmuller(a.residue())
         tb = ring.teichmuller(b.residue())
-        assert ta * tb == ring.teichmuller((ta * tb).residue())
+        _require(ta * tb == ring.teichmuller((ta * tb).residue()))
         # precision compatibility
         m = 1 + (i % ring.n)
         low = ring.reduce_to(m)
-        assert (a * b).reduce_to(low) == a.reduce_to(low) * b.reduce_to(low)
+        _require((a * b).reduce_to(low) == a.reduce_to(low) * b.reduce_to(low))
         if a.valuation() + b.valuation() < ring.n:
-            assert (a * b).valuation() == a.valuation() + b.valuation()
+            _require((a * b).valuation() == a.valuation() + b.valuation())
     # SNF invariance under unit transforms
     ring = make_witt_ring(2, 2, 4)
     for i in range(samples):
@@ -498,7 +504,7 @@ def check_infrastructure(samples=500, seed=0, fast=False):
         exps = smith_normal_form(M).exponents
         U = _random_unit_matrix(ring, 3, rng)
         V = _random_unit_matrix(ring, 3, rng)
-        assert smith_normal_form(U @ M @ V).exponents == exps
+        _require(smith_normal_form(U @ M @ V).exponents == exps)
     # exp congruences
     for i in range(samples):
         p, q, n = [(3, 1, 5), (2, 1, 6), (5, 1, 4)][i % 3]
@@ -507,12 +513,12 @@ def check_infrastructure(samples=500, seed=0, fast=False):
         X = Matrix(ring, [[ring.random_element(rng) * p ** lv
                            for _ in range(2)] for _ in range(2)])
         E = exp_trunc(X)
-        assert E @ exp_trunc(-X) == Matrix.identity(ring, 2)
+        _require(E @ exp_trunc(-X) == Matrix.identity(ring, 2))
         if not X.is_zero():
             l = int(X.min_valuation())
             target = 2 * l if p >= 3 else 2 * l - 1
             D = E - (Matrix.identity(ring, 2) + X)
-            assert D.is_zero() or D.min_valuation() >= min(target, n)
+            _require(D.is_zero() or D.min_valuation() >= min(target, n))
     # polygon base-change invariance
     small = make_witt_ring(2, 1, 10)
     big = make_witt_ring(2, 2, 10)
@@ -526,10 +532,10 @@ def check_infrastructure(samples=500, seed=0, fast=False):
             if 1 * 2 * h + 1 > 10 or 2 * 2 * h + 1 > 10:
                 continue
             np1 = newton_polygon(C)
-        except Exception:
+        except CrystalError:
             continue
         np2 = newton_polygon(C.base_change(big))
-        assert np1.points == np2.points
+        _require(np1.points == np2.points)
         done += 1
     return f"{samples} samples per property family, all exact"
 

@@ -246,6 +246,44 @@ def test_stairs_block_without_permutation_is_an_input_error(tmp_path,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("key, value", [
+    ("permutation", 5),
+    ("exponents", "x"),
+    ("torsion", "1"),
+    ("signs", None),
+    ("multiplicative", "yes"),
+])
+def test_stairs_block_value_types_are_input_errors(tmp_path, capsys, key,
+                                                   value):
+    C = builtin_crystal(make_witt_ring(3, 1, 4), "ordinary", r=2, d=1)
+    data = crystal_to_dict(C)
+    data["stairs"] = stairs_datum_to_dict(build_stairs_datum(C))
+    data["stairs"][key] = value
+    with pytest.raises(BadShape):
+        dict_to_stairs_datum(data["stairs"], C)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert _main_exit(["stairs", str(path), "--twist-level", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):
+    import fcrystals.cli as cli_mod
+
+    def broken(C, trials, seed):
+        raise ZeroDivisionError("a bug\nspanning lines")
+
+    monkeypatch.setattr(cli_mod, "i_number_probe", broken)
+    path = tmp_path / "c.json"
+    write_crystal(path, builtin_crystal(make_witt_ring(3, 1, 4), "ordinary",
+                                        r=2, d=1))
+    assert _main_exit(["probe", str(path)]) == 5
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == \
+        "internal error: ZeroDivisionError: a bug spanning lines\n"
+
+
 def test_verify_suite_fault_injection(monkeypatch):
     """A corrupted built-in constant must fail its named check."""
     import fcrystals.crystal as crystal_mod
@@ -263,11 +301,15 @@ def test_verify_suite_fault_injection(monkeypatch):
 
     monkeypatch.setattr(crystal_mod, "_slope_thirds_family", corrupted)
     res = V._check("05 rank-6 thirds family", V.check_thirds_family)
-    assert not res["ok"]
+    assert not res["ok"] and res["detail"].startswith("FAILED: ")
 
 
 def test_cli_verify_fast_runs():
-    res = _run(["verify", "--suite", "paper", "--fast"])
+    # under -O, so no check of the suite may rest on `assert`
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "fcrystals.cli",
+         "verify", "--suite", "paper", "--fast"],
+        capture_output=True, text=True)
     assert res.returncode == 0, res.stderr[-500:]
     lines = [json.loads(x) for x in res.stdout.strip().splitlines()]
     assert len(lines) == 12 and all(r["ok"] for r in lines)

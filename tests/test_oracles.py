@@ -244,3 +244,157 @@ def test_scan_range_gf2_full_blocks():
         assert _scan_range(rf, flat, 2, 13, 2, 0, 1 << 13) is None
         assert _first_unit_by_index(rf, flat, 2, 13, 0, 1 << 13,
                                     None) is None
+
+
+class _TwoSidedSolver:
+    """The two-sided elimination that IntSolver replaced, as a reference:
+    explicit L and R with L A R = diag(p^e), same pivot rule (the first
+    entry of minimal valuation in row-major order)."""
+
+    def __init__(self, a_rows, p, n):
+        self.p, self.n, self.pn = p, n, p ** n
+        pn = self.pn
+        A = [[c % pn for c in row] for row in a_rows]
+        self.rows, self.cols = len(A), len(A[0]) if A else 0
+        L = [[int(i == j) for j in range(self.rows)]
+             for i in range(self.rows)]
+        R = [[int(i == j) for j in range(self.cols)]
+             for i in range(self.cols)]
+        self.exps = []
+        dim = min(self.rows, self.cols)
+        for k in range(dim):
+            best, bi, bj = n, -1, -1
+            for i in range(k, self.rows):
+                for j in range(k, self.cols):
+                    v = _valuation(A[i][j], p, n)
+                    if v < best:
+                        best, bi, bj = v, i, j
+            if bi < 0:
+                self.exps.extend([n] * (dim - k))
+                break
+            A[k], A[bi] = A[bi], A[k]
+            L[k], L[bi] = L[bi], L[k]
+            for M in (A, R):
+                for row in M:
+                    row[k], row[bj] = row[bj], row[k]
+            pv = p ** best
+            ui = pow(A[k][k] // pv, -1, pn)
+            A[k] = [ui * c % pn for c in A[k]]
+            L[k] = [ui * c % pn for c in L[k]]
+            for i in range(self.rows):
+                if i != k and A[i][k]:
+                    c = A[i][k] // pv
+                    A[i] = [(x - c * y) % pn for x, y in zip(A[i], A[k])]
+                    L[i] = [(x - c * y) % pn for x, y in zip(L[i], L[k])]
+            for j in range(self.cols):
+                if j != k and A[k][j]:
+                    c = A[k][j] // pv
+                    for M in (A, R):
+                        for row in M:
+                            row[j] = (row[j] - c * row[k]) % pn
+            self.exps.append(best)
+        self.L, self.R = L, R
+
+    def solve(self, b):
+        p, n, pn = self.p, self.n, self.pn
+        Lb = [sum(c * x for c, x in zip(row, b)) % pn for row in self.L]
+        y = [0] * self.cols
+        for i in range(self.rows):
+            e = self.exps[i] if i < len(self.exps) else n
+            if Lb[i] % p ** e:
+                return None
+            if e < n:
+                y[i] = Lb[i] // p ** e
+        return [sum(r * v for r, v in zip(row, y)) % pn for row in self.R]
+
+    def kernel_generators(self):
+        p, n, pn = self.p, self.n, self.pn
+        gens = []
+        for i in range(self.cols):
+            e = self.exps[i] if i < len(self.exps) else n
+            g = [p ** (n - e) * row[i] % pn for row in self.R]
+            if e and any(g):
+                gens.append(g)
+        return gens
+
+
+def _valuation(c, p, n):
+    v = 0
+    while v < n and c % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+def _apply(A, x, pn):
+    return [sum(a * v for a, v in zip(row, x)) % pn for row in A]
+
+
+def _int_systems(p, rng):
+    """Seeded systems over Z/p^n for n = 1..5: square, wide and tall, with
+    zero rows, rows of p-multiples (non-unit pivots), sparse and dense."""
+    shapes = ((1, 1), (3, 3), (5, 5), (2, 5), (3, 6), (5, 2), (6, 3))
+    for n in range(1, 6):
+        pn = p ** n
+        for rows, cols in shapes:
+            for fill in (0.3, 1.0):
+                A = []
+                for _ in range(rows):
+                    row = [rng.randrange(pn) if rng.random() < fill else 0
+                           for _ in range(cols)]
+                    kind = rng.random()
+                    if kind < 0.15:
+                        row = [0] * cols
+                    elif kind < 0.5 and n > 1:
+                        s = p ** rng.randint(1, n - 1)
+                        row = [s * c % pn for c in row]
+                    A.append(row)
+                yield n, A
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_int_solver_matches_two_sided_elimination(p):
+    from fcrystals.plinalg import IntSolver, SolutionModule, howell_form
+    rng = random.Random(500 + p)
+    seen = {"non-unit pivot": 0, "zero row": 0, "brute force": 0,
+            "unsolvable b": 0}
+    for n, A in _int_systems(p, rng):
+        pn = p ** n
+        rows, cols = len(A), len(A[0])
+        ref, new = _TwoSidedSolver(A, p, n), IntSolver(A, p, n)
+        assert new.exps == ref.exps, (n, A)
+        gens = new.kernel_generators()
+        assert gens == ref.kernel_generators(), (n, A)
+        # checks that do not share the elimination
+        for g in gens:
+            assert not any(_apply(A, g, pn)), (n, A, g)
+        exps = new.exps + [n] * (cols - len(new.exps))
+        ker_log = sum(exps[:cols])
+        span = SolutionModule(True, [0] * cols, howell_form(gens, p, n), p, n)
+        assert span.size_log() == ker_log, (n, A)
+        images = None
+        if pn ** cols <= 3 ** 8:
+            seen["brute force"] += 1
+            images, ker = set(), 0
+            for x in itertools.product(range(pn), repeat=cols):
+                ax = tuple(_apply(A, x, pn))
+                images.add(ax)
+                ker += not any(ax)
+            assert ker == p ** ker_log, (n, A)
+        bs = [_apply(A, [rng.randrange(pn) for _ in range(cols)], pn)
+              for _ in range(3)]
+        bs += [[rng.randrange(-pn, 2 * pn) for _ in range(rows)]
+               for _ in range(3)]
+        for i, b in enumerate(bs):
+            x = new.solve(b)
+            assert x == ref.solve(b), (n, A, b)
+            if x is None:
+                assert i >= 3, (n, A, b)
+                seen["unsolvable b"] += 1
+            else:
+                assert _apply(A, x, pn) == [c % pn for c in b], (n, A, b)
+            if images is not None:
+                assert (x is not None) == \
+                    (tuple(c % pn for c in b) in images), (n, A, b)
+        seen["non-unit pivot"] += any(0 < e < n for e in new.exps)
+        seen["zero row"] += any(not any(row) for row in A)
+    assert min(seen.values()) >= 5, seen

@@ -110,6 +110,24 @@ def test_i_number_probes():
     assert (ss["upper"], ss["upper_source"]) == (1, "lang")
 
 
+def test_probe_does_not_hide_a_solver_bug(monkeypatch):
+    """Only library errors count as "no evidence"; a bug propagates."""
+    import fcrystals.truncation as T
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("solver bug")
+
+    C = builtin_crystal(make_witt_ring(3, 1, 6), "ordinary", r=2, d=1)
+    monkeypatch.setattr(T, "isom_search", broken)
+    with pytest.raises(ZeroDivisionError):
+        i_number_probe(C)
+    monkeypatch.undo()
+    import fcrystals.stairs as S
+    monkeypatch.setattr(S, "build_stairs_datum", broken)
+    with pytest.raises(ZeroDivisionError):
+        i_number_probe(C)
+
+
 def test_aut_image_stabilization():
     ring = make_witt_ring(2, 2, 7)
     SS = builtin_crystal(ring, "supersingular", d=1)
@@ -126,6 +144,27 @@ def test_polarized_isom():
     P = builtin_crystal(ring, "polarized_4_5_4", alpha=1)
     res = polarized_isom_search(P, P, precision=2)
     assert res.witness is not None
+
+
+def test_polarized_isom_builds_one_hom_module(monkeypatch):
+    import fcrystals.semilinear as SL
+    import fcrystals.truncation as T
+    real, built = SL.hom_module, []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    ring = make_witt_ring(2, 3, 4)
+    P = builtin_crystal(ring, "polarized_4_5_4", alpha=1)
+    expected = polarized_isom_search(P, P, precision=2)
+    monkeypatch.setattr(SL, "hom_module", counting)
+    monkeypatch.setattr(T, "hom_module", counting)
+    res = polarized_isom_search(P, P, precision=2)
+    assert len(built) == 1
+    assert expected.witness is not None
+    assert res.witness == expected.witness
+    assert res.regime == expected.regime
 
 
 def test_polarized_search_shapes():
