@@ -15,24 +15,34 @@ def epsilon_p(p: int) -> int:
     return 2 if p == 2 else 1
 
 
+# largest rank the bounds accept: the split case is quadratic in the rank
+# (about 0.05 s at this rank), and at rank ~1,700 the values outgrow
+# Python's 4,300-digit int-to-string limit
+MAX_BOUND_RANK = 500
+
+
 @lru_cache(maxsize=None)
 def d_plus_bound0(a: int, c: int) -> int:
-    """Upper bound for the torsion of rank-a crystals with s = 0, h = c."""
+    """Upper bound for the torsion of rank-a crystals with s = 0, h = c.
+
+    Computed bottom-up over the ranks 2..a, so its depth is constant.
+    """
     if a < 1 or c < 0:
         raise BadParams("need a >= 1 and c >= 0")
-    if a == 1 or c == 0:
+    if a > MAX_BOUND_RANK:
+        raise BadParams(f"rank {a} exceeds the maximum {MAX_BOUND_RANK}")
+    if c == 0:
         return 0
-    split_case = max(
-        d_plus_bound0(a1, c) + d_plus_bound0(a - a1, c) + c * a
-        for a1 in range(1, a)
-    )
-    # simple case: c_1 = 0, c_{r+1} = c_r + d_r + r! * a * c
-    c_t = 0
-    fact = 1
-    for r in range(1, a):
-        c_t = c_t + d_plus_bound0(r, c) + fact * a * c
-        fact *= r + 1
-    return max(split_case, c_t)
+    d = [0, 0]  # d[k] = D0(k, c); d[0] is unused
+    d_sum, fact_sum, fact = 0, 0, 1  # sums over r < k of d[r] and of r!
+    for k in range(2, a + 1):
+        d_sum += d[k - 1]
+        fact_sum += fact
+        fact *= k
+        split_case = max(d[k1] + d[k - k1] for k1 in range(1, k)) + c * k
+        # simple case: c_1 = 0, c_{r+1} = c_r + d_r + r! * k * c
+        d.append(max(split_case, d_sum + fact_sum * k * c))
+    return d[a]
 
 
 def d_plus_bound(a: int, b: int, c: int) -> int:

@@ -14,9 +14,11 @@ from .bounds import (
     n_fam_bound,
     truncation_level_bound,
 )
+from .conway import is_prime
 from .crystal import PolarizedCrystal, hodge_data, newton_polygon
 from .deviation import deviations, df_reduce
 from .errors import (
+    BadParams,
     CrystalError,
     ExtensionCapExceeded,
     PrecisionExhausted,
@@ -92,6 +94,8 @@ def cmd_deviation(args):
 
 def cmd_bound(args):
     try:
+        if not is_prime(args.p):
+            raise BadParams(f"p = {args.p} is not prime")
         if args.pdiv is not None:
             r, d = args.pdiv
             val = truncation_level_bound("pdiv", r, args.p, d=d)

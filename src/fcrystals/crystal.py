@@ -222,19 +222,17 @@ def direct_sum_crystal(C1: FCrystal, C2: FCrystal) -> FCrystal:
     return FCrystal(ring, Matrix(ring, ents), e)
 
 
-def cyclic_from_exponents(ring, tau, units=None) -> FCrystal:
-    """Cyclic crystal with phi(e_i) = p^(n_i) * u_i * e_(i+1), indices cyclic."""
+def cyclic_from_exponents(ring, tau) -> FCrystal:
+    """Cyclic crystal with phi(e_i) = p^(n_i) * e_(i+1), indices cyclic."""
     tau = list(tau)
     l = len(tau)
     if l < 1:
         raise BadParams("need at least one exponent")
-    if units is None:
-        units = [ring.one()] * l
     shift = max(0, -min(tau))
     z = ring.zero()
     ents = [[z] * l for _ in range(l)]
     for i in range(l):
-        ents[(i + 1) % l][i] = units[i] * ring.p ** (tau[i] + shift)
+        ents[(i + 1) % l][i] = ring.one() * ring.p ** (tau[i] + shift)
     return FCrystal(ring, Matrix(ring, ents), shift)
 
 

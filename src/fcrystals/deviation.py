@@ -12,54 +12,50 @@ from dataclasses import dataclass
 from .errors import InternalError
 
 
-def _one_sided_sign_deviation(tau, side):
-    """side=+1: windows whose suffix sums are all <= 0, value = -sum.
+def _reflect(tau):
+    """tau -> -reverse(tau): exchanges the two sides of every definition."""
+    return [-x for x in reversed(tau)]
 
-    side=-1: windows whose suffix sums are all >= 0, value = +sum.
+
+def _sign_deviation(tau):
+    """Largest -sum over windows whose suffix sums are all <= 0.
+
+    The other side (suffix sums >= 0, value +sum) is this on _reflect(tau).
     """
     l = len(tau)
     best = 0
     for t in range(l):
         # grow the window backwards from its right end t
         s = 0
-        ok = True
         for v in range(l):
             s += tau[(t - v) % l]
-            if side > 0:
-                ok = ok and s <= 0
-            else:
-                ok = ok and s >= 0
-            if not ok:
+            if s > 0:
                 break
-            val = -s if side > 0 else s
-            if val > best:
-                best = val
+            best = max(best, -s)
     return best
 
 
-def _one_sided_value_deviation(tau, side):
-    if side > 0:
-        return -sum(x for x in tau if x <= 0)
-    return sum(x for x in tau if x >= 0)
+def _value_deviation(tau):
+    return -sum(x for x in tau if x <= 0)
 
 
 def deviations(tau):
-    """(sign deviation, value deviation) of the tuple."""
+    """(sign deviation, value deviation) of the tuple.
+
+    A positive sum takes the "+1" side, a negative sum the reflected one,
+    a zero sum the smaller of the two.
+    """
     tau = list(tau)
     if not tau:
         raise ValueError("empty tuple")
     total = sum(tau)
-    if total > 0:
-        return (_one_sided_sign_deviation(tau, +1),
-                _one_sided_value_deviation(tau, +1))
-    if total < 0:
-        return (_one_sided_sign_deviation(tau, -1),
-                _one_sided_value_deviation(tau, -1))
-    s = min(_one_sided_sign_deviation(tau, +1),
-            _one_sided_sign_deviation(tau, -1))
-    w = min(_one_sided_value_deviation(tau, +1),
-            _one_sided_value_deviation(tau, -1))
-    return (s, w)
+    sides = []
+    if total >= 0:
+        sides.append(tau)
+    if total <= 0:
+        sides.append(_reflect(tau))
+    return (min(_sign_deviation(t) for t in sides),
+            min(_value_deviation(t) for t in sides))
 
 
 @dataclass
@@ -70,7 +66,7 @@ class DfReduction:
 
 
 def _reduce_nonneg_side(tau):
-    """Rescale so every exponent becomes >= 0 (needs sum >= 0).
+    """Rescaling a making every exponent >= 0 (needs sum >= 0).
 
     Repeatedly picks the widest window, looking backwards from a position
     t, whose suffix sums are all <= 0 (leftmost t on ties, matching the
@@ -109,49 +105,20 @@ def _reduce_nonneg_side(tau):
             s += tau[i]
             a[i] = -s
             done[i] = True
-    new = [tau[i] + a[i] - a[(i + 1) % l] for i in range(l)]
-    return a, new
+    return a
 
 
 def _reduce_nonpos_side(tau):
-    """Rescale so every exponent becomes <= 0 (needs sum <= 0).
+    """Rescaling a making every exponent <= 0 (needs sum <= 0).
 
-    Mirror of the other side: widest forward window from t whose prefix
-    sums stay >= 0; positions t+1 .. t+u+1 are rescaled by those sums.
+    The reflection turns the arrow e_k -> e_(k+1) into one between the
+    positions l - k and l - 1 - k of _reflect(tau), and nonpositive
+    exponents into nonnegative ones, so position k reads the other
+    side's rescaling at (l - k) % l.
     """
     l = len(tau)
-    a = [0] * l
-    done = [False] * l
-    while True:
-        best_u, best_t = -1, None
-        for t in range(l):
-            if done[t] or tau[t] < 0:
-                continue
-            s, u = 0, -1
-            for v in range(l):
-                i = (t + v) % l
-                if done[i]:
-                    break
-                s += tau[i]
-                if s < 0:
-                    break
-                u = v
-            if u > best_u:
-                best_u, best_t = u, t
-            elif u == best_u and u >= 0:
-                if best_t is None or best_t > t:
-                    best_t = t
-        if best_t is None or best_u < 0:
-            break
-        t, u = best_t, best_u
-        s = 0
-        for v in range(u + 1):
-            i = (t + v) % l
-            s += tau[i]
-            a[(i + 1) % l] = s
-            done[i] = True
-    new = [tau[i] + a[i] - a[(i + 1) % l] for i in range(l)]
-    return a, new
+    a = _reduce_nonneg_side(_reflect(tau))
+    return [a[(l - k) % l] for k in range(l)]
 
 
 def df_reduce(tau) -> DfReduction:
@@ -160,22 +127,16 @@ def df_reduce(tau) -> DfReduction:
     if not tau:
         raise ValueError("empty tuple")
     total = sum(tau)
-    if total > 0:
-        side = +1
-    elif total < 0:
-        side = -1
+    if total == 0:
+        side = +1 if _sign_deviation(tau) <= \
+            _sign_deviation(_reflect(tau)) else -1
     else:
-        s_plus = _one_sided_sign_deviation(tau, +1)
-        s_minus = _one_sided_sign_deviation(tau, -1)
-        side = +1 if s_plus <= s_minus else -1
-    if side > 0:
-        a, new = _reduce_nonneg_side(tau)
-        if any(x < 0 for x in new):
-            raise InternalError(f"rescaling {a} of {tau} left {new}")
-    else:
-        a, new = _reduce_nonpos_side(tau)
-        if any(x > 0 for x in new):
-            raise InternalError(f"rescaling {a} of {tau} left {new}")
+        side = +1 if total > 0 else -1
+    a = _reduce_nonneg_side(tau) if side > 0 else _reduce_nonpos_side(tau)
+    l = len(tau)
+    new = [tau[i] + a[i] - a[(i + 1) % l] for i in range(l)]
+    if any(side * x < 0 for x in new):
+        raise InternalError(f"rescaling {a} of {tau} left {new}")
     return DfReduction(a, new, side)
 
 

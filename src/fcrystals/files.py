@@ -18,6 +18,10 @@ _TOP_KEYS = {"version", "p", "q", "n", "rank", "shift", "matrix",
 _STAIRS_KEYS = {"basis", "permutation", "exponents", "torsion", "signs",
                 "multiplicative", "unital", "square_zero", "strategy"}
 _STAIRS_OPTIONAL = {"square_zero", "strategy"}
+# largest precision n of a file: above the smallest nontrivial truncation
+# bound (`bound --pdiv 2 1`, 204), while `polygon` on a rank-3 crystal over
+# W_256(F_{2^12}) takes under a second (15 s at n = 1000)
+MAX_N = 256
 
 
 def _is_int(value):
@@ -68,7 +72,7 @@ def dict_to_crystal(data: dict):
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise BadShape(f"unknown keys: {sorted(unknown)}")
-    if data.get("version") != 1:
+    if not _is_int(data.get("version")) or data["version"] != 1:
         raise BadShape("unsupported or missing version (need 1)")
     for key in ("p", "q", "n", "rank", "shift", "matrix"):
         if key not in data:
@@ -79,6 +83,8 @@ def dict_to_crystal(data: dict):
     for key in ("q", "n", "rank"):
         if data[key] < 1:
             raise BadShape(f"{key!r} must be at least 1")
+    if data["n"] > MAX_N:
+        raise BadShape(f"'n' must be at most {MAX_N}")
     ring = make_witt_ring(data["p"], data["q"], data["n"])
     r = data["rank"]
     B = entries_to_matrix(ring, r, r, data["matrix"])

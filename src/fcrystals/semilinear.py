@@ -32,6 +32,8 @@ from .plinalg import (
 from .witt import make_witt_ring
 
 EXHAUSTIVE_CAP = 1 << 20
+# random candidates tried when the mod-p span exceeds EXHAUSTIVE_CAP
+RANDOMIZED_TRIALS = 20000
 
 
 def _mult_matrix(ring, a):
@@ -301,8 +303,7 @@ class IsomResult:
         return self.witness is not None or self.regime == "exhaustive"
 
 
-def isom_search(C1, C2, precision=None, cap=EXHAUSTIVE_CAP,
-                randomized_trials=20000, seed=0, jobs=1) -> IsomResult:
+def isom_search(C1, C2, precision=None, seed=0, jobs=1) -> IsomResult:
     """Search the Hom module for a unit; exhaustive below the span cap.
 
     The mod-p span of the Hom module is scanned for a unit determinant;
@@ -312,12 +313,10 @@ def isom_search(C1, C2, precision=None, cap=EXHAUSTIVE_CAP,
     if C1.rank != C2.rank:
         return IsomResult(None, "exhaustive", 0)
     H = hom_module(C1, C2, precision)
-    return unit_search(H, cap=cap, randomized_trials=randomized_trials,
-                       seed=seed, jobs=jobs)
+    return unit_search(H, seed=seed, jobs=jobs)
 
 
-def unit_search(H: HomModule, cap=EXHAUSTIVE_CAP, randomized_trials=20000,
-                seed=0, jobs=1) -> IsomResult:
+def unit_search(H: HomModule, seed=0, jobs=1) -> IsomResult:
     """Scan the mod-p span of the module for a unit-determinant element.
 
     Lexicographically smallest witness (base-p digit vectors over the
@@ -338,7 +337,7 @@ def unit_search(H: HomModule, cap=EXHAUSTIVE_CAP, randomized_trials=20000,
         for b in free
     ]
     total = p ** k
-    if total <= cap:
+    if total <= EXHAUSTIVE_CAP:
         workers = min(jobs, os.cpu_count() or 1)
         if workers > 1:
             idx = _scan_units_parallel(rf, packed, r, k, p, workers)
@@ -352,13 +351,13 @@ def unit_search(H: HomModule, cap=EXHAUSTIVE_CAP, randomized_trials=20000,
     # randomized regime
     import random
     rng = random.Random(seed)
-    for trial in range(randomized_trials):
+    for trial in range(RANDOMIZED_TRIALS):
         coeffs = [rng.randrange(p) for _ in range(k)]
         mat = _combine(rf, packed, coeffs, r)
         if rf.det(mat, r):
             g = _lift_combination(free, coeffs, H)
             return IsomResult(g, "randomized", trial + 1)
-    return IsomResult(None, "randomized", randomized_trials)
+    return IsomResult(None, "randomized", RANDOMIZED_TRIALS)
 
 
 def _lift_combination(free, coeffs, H):
@@ -702,7 +701,7 @@ def _solve_additive(big, A, V, L):
     return big.element(sol)
 
 
-def sigma_conjugacy_trivialize(gbar: Matrix, cap=EXHAUSTIVE_CAP):
+def sigma_conjugacy_trivialize(gbar: Matrix):
     """x with x * gbar * sigma(x)^{-1} = 1 over the first F_{p^(Q*D)} with one.
 
     Equivalent to sigma(x) = x * gbar, an F_p-linear condition; the
@@ -722,12 +721,12 @@ def sigma_conjugacy_trivialize(gbar: Matrix, cap=EXHAUSTIVE_CAP):
                 f"no trivializer within the built-in field table"
             ) from None
         g = gbar.embed(big)
-        x = _lang_search(big, g, r, cap)
+        x = _lang_search(big, g, r)
         if x is not None:
             return x, big, D
 
 
-def _lang_search(big, g, r, cap):
+def _lang_search(big, g, r):
     """First invertible solution x of sigma(x) = x g, in coefficient order
     over the kernel basis (first coefficient outermost), or None."""
     p, q = big.p, big.q
@@ -740,7 +739,7 @@ def _lang_search(big, g, r, cap):
     if not kern:
         return None
     k = len(kern)
-    if p ** k > cap:
+    if p ** k > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(f"Lang solution space has p^{k} elements")
     rf = _ResidueField(big)
     # the odometer turns digit 0 fastest, so the last kernel vector goes
@@ -770,7 +769,7 @@ def hom_image(C1, C2, from_prec, to_prec):
     return howell_form(rows, C1.ring.p, to_prec)
 
 
-def hom_stabilization_check(C1, C2, m12, h12, t, ring=None):
+def hom_stabilization_check(C1, C2, m12, h12, t):
     """Check the restriction-image chain stabilizes at the predicted level.
 
     With v12 = m12 + h12 and n12 = m12 + eps_p, the image of
@@ -778,7 +777,7 @@ def hom_stabilization_check(C1, C2, m12, h12, t, ring=None):
     every higher precision up to the ring's.
     """
     from .bounds import epsilon_p
-    ring = C1.ring if ring is None else ring
+    ring = C1.ring
     eps = epsilon_p(ring.p)
     n12 = m12 + eps
     v12 = m12 + h12

@@ -37,7 +37,6 @@ from .plinalg import (
 )
 from .semilinear import (
     CircularSystem,
-    _mult_matrix,
     fixed_lattice,
     solve_circular,
 )
@@ -67,28 +66,12 @@ class StairsDatum:
     _solver: object = field(default=None, repr=False)
 
     def coordinate_solver(self):
+        """Solver for X = sum y_l e_l: column (l, s) is t^s e_l flattened."""
         if self._solver is None:
             ring = self.crystal.ring
-            cols = []
-            for e in self.basis:
-                cols.append(e.flatten_ints())
-            q = ring.q
-            ncoords = len(cols[0])
-            rows = []
-            mult_blocks = []
-            for e in self.basis:
-                mult_blocks.append([
-                    _mult_matrix(ring, ent)
-                    for row in e.entries for ent in row
-                ])
-            for t in range(ncoords):
-                pos, crd = divmod(t, q)
-                row = []
-                for l in range(len(self.basis)):
-                    M = mult_blocks[l][pos]
-                    row.extend(M[crd])
-                rows.append(row)
-            self._solver = IntSolver(rows, ring.p, ring.n)
+            cols = w_span_rows(self.basis, ring)
+            self._solver = IntSolver([list(r) for r in zip(*cols)],
+                                     ring.p, ring.n)
         return self._solver
 
     def coords(self, X: Matrix):

@@ -36,6 +36,7 @@ from .semilinear import (
     _intertwiner_system,
     _ResidueField,
     _scan_range,
+    hom_image,
     hom_module,
     isom_search,
     unit_search,
@@ -88,12 +89,11 @@ def d_trunc_hom_module(T1: DTruncation, T2: DTruncation) -> HomModule:
     return HomModule.from_system(ring, (T2.rank, T1.rank), rows)
 
 
-def d_trunc_isom_search(T1: DTruncation, T2: DTruncation,
-                        cap=EXHAUSTIVE_CAP, seed=0, jobs=1) -> IsomResult:
+def d_trunc_isom_search(T1: DTruncation, T2: DTruncation) -> IsomResult:
     if (T1.rank, T1.ring) != (T2.rank, T2.ring):
         raise BadShape("mismatched truncations")
     H = d_trunc_hom_module(T1, T2)
-    return unit_search(H, cap=cap, seed=seed, jobs=jobs)
+    return unit_search(H)
 
 
 # -- split form and the congruence upgrade -----------------------------------
@@ -310,18 +310,7 @@ def _floor_evidence(C, upper, trials, seed):
 # -- Aut-image stabilization ---------------------------------------------------
 
 
-def aut_image(C, from_level, to_level):
-    """Canonical form of Im(Aut at from_level -> End at to_level).
-
-    Returned as the Howell basis of the restricted Hom module; the unit
-    subset is determined by it (units lift: determinants are units mod p
-    already).
-    """
-    from .semilinear import hom_image
-    return hom_image(C, C, from_level, to_level)
-
-
-def _span_has_unit_outside(C, big_basis, small_basis, to_level, cap):
+def _span_has_unit_outside(C, big_basis, small_basis, to_level):
     """Any unit in span(big) outside span(small), at the residue level?"""
     ring = make_witt_ring(C.ring.p, C.ring.q, to_level)
     p = ring.p
@@ -335,8 +324,11 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level, cap):
             reps.append(row)
     if not reps:
         return False
-    if p ** len(reps) > cap:
+    if p ** len(reps) > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge("too many cosets to scan")
+    k = len(small_basis)
+    if p ** k > EXHAUSTIVE_CAP:
+        raise SearchSpaceTooLarge("mod-p span too large to scan")
     small_mats = [Matrix.from_flat_ints(ring, r, r, v) for v in small_basis]
     rep_mats = [Matrix.from_flat_ints(ring, r, r, v) for v in reps]
     # scan (coset rep combo) x (mod-p span of small) for units not in small
@@ -357,19 +349,13 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level, cap):
             continue  # fell into the small span after all
         packed_base = [[rf.pack(e.residue()) for e in row]
                        for row in base.entries]
-        if _coset_contains_unit(rf, packed_base, small_packed, r, p, cap):
+        if _scan_range(rf, small_packed, r, k, p, 0, p ** k,
+                       packed_base) is not None:
             return True
     return False
 
 
-def _coset_contains_unit(rf, base, small_packed, r, p, cap):
-    k = len(small_packed)
-    if p ** k > cap:
-        raise SearchSpaceTooLarge("mod-p span too large to scan")
-    return _scan_range(rf, small_packed, r, k, p, 0, p ** k, base) is not None
-
-
-def aut_image_stabilization_check(C, t, datum=None, cap=EXHAUSTIVE_CAP) -> bool:
+def aut_image_stabilization_check(C, t, datum=None) -> bool:
     """Aut images at level n - m + t agree from level n + h + t up to full.
 
     n = 2m + eps_p with m the lattice torsion of the datum; images are
@@ -387,13 +373,14 @@ def aut_image_stabilization_check(C, t, datum=None, cap=EXHAUSTIVE_CAP) -> bool:
     hi = n + h + t
     if hi > ring.n or to_level < 1:
         raise BadShape("ring precision too small for the stabilization check")
-    ref = aut_image(C, hi, to_level)
+    # Aut images as Howell bases of End images: units mod p lift to units
+    ref = hom_image(C, C, hi, to_level)
     for N in range(hi + 1, ring.n + 1):
-        img = aut_image(C, N, to_level)
+        img = hom_image(C, C, N, to_level)
         if img == ref:
             continue
         # modules differ: compare unit sets (img is contained in ref)
-        if _span_has_unit_outside(C, ref, img, to_level, cap):
+        if _span_has_unit_outside(C, ref, img, to_level):
             return False
     return True
 
@@ -401,7 +388,7 @@ def aut_image_stabilization_check(C, t, datum=None, cap=EXHAUSTIVE_CAP) -> bool:
 # -- polarized isomorphism -----------------------------------------------------
 
 
-def polarized_isom_search(P1, P2, precision=None, cap=EXHAUSTIVE_CAP):
+def polarized_isom_search(P1, P2, precision=None):
     """Unit intertwiner preserving the forms: f^T J2 f = J1, exactly.
 
     A definitive negative for the underlying crystals settles the
@@ -413,7 +400,7 @@ def polarized_isom_search(P1, P2, precision=None, cap=EXHAUSTIVE_CAP):
     if C1.rank != C2.rank:
         return IsomResult(None, "exhaustive", 0)
     H = hom_module(C1, C2, precision)
-    plain = unit_search(H, cap=cap)
+    plain = unit_search(H)
     if plain.witness is None and plain.definitive:
         return IsomResult(None, "exhaustive", 0)
     ring = H.ring
@@ -427,7 +414,7 @@ def polarized_isom_search(P1, P2, precision=None, cap=EXHAUSTIVE_CAP):
             (C2.B.reduce_to(ring) @ f.sigma()):
         if f.transpose() @ J2 @ f == J1:
             return IsomResult(f, "exhaustive", 0)
-    if H.size_log() > 0 and ring.p ** H.size_log() > cap:
+    if H.size_log() > 0 and ring.p ** H.size_log() > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
             f"module has p^{H.size_log()} elements")
     for coeffs in howell_coefficients(H._howell, ring.p, H.precision):

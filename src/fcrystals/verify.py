@@ -216,15 +216,15 @@ def check_nonisomorphic_pair(jobs=1):
     ring = make_witt_ring(2, 6, 4)
     C1 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.from_int(1))
     C2 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.gen())
-    res = isom_search(C1, C2, cap=1 << 21, jobs=jobs)
+    res = isom_search(C1, C2, jobs=jobs)
     _require(res.witness is None and res.regime == "exhaustive")
     # control: equal parameters are isomorphic via the identity
-    ctrl = isom_search(C1, C1, cap=1 << 21)
+    ctrl = isom_search(C1, C1)
     _require(ctrl.witness is not None)
     # the polarized variant inherits the definitive negative
     P1 = builtin_crystal(ring, "polarized_4_5_4", alpha=ring.from_int(1))
     P2 = builtin_crystal(ring, "polarized_4_5_4", alpha=ring.gen())
-    pres = polarized_isom_search(P1, P2, precision=4, cap=1 << 21)
+    pres = polarized_isom_search(P1, P2, precision=4)
     _require(pres.witness is None and pres.regime == "exhaustive")
     return ("definitive None over the mod-p Hom span (dim 18), control "
             "found, polarized variant also None")

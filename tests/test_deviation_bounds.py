@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fcrystals.bounds import (
+    MAX_BOUND_RANK,
     d_plus_bound,
     d_plus_bound0,
     n_fam_bound,
@@ -80,6 +81,35 @@ def test_bound_recursion_hand_values():
     assert d_plus_bound(1, 5, 7) == 0
     with pytest.raises(BadParams):
         d_plus_bound0(0, 1)
+
+
+def _top_down_bound0(a, c, memo):
+    """The recursion as the existence proof states it, top down."""
+    if a == 1 or c == 0:
+        return 0
+    if (a, c) not in memo:
+        split = max(_top_down_bound0(a1, c, memo)
+                    + _top_down_bound0(a - a1, c, memo) + c * a
+                    for a1 in range(1, a))
+        c_t, fact = 0, 1
+        for r in range(1, a):
+            c_t += _top_down_bound0(r, c, memo) + fact * a * c
+            fact *= r + 1
+        memo[(a, c)] = max(split, c_t)
+    return memo[(a, c)]
+
+
+def test_bottom_up_bound_matches_the_recursion():
+    memo = {}
+    for a in range(1, 41):
+        for c in range(5):
+            assert d_plus_bound0(a, c) == _top_down_bound0(a, c, memo)
+    # the whole admitted range runs, far deeper than the recursion could
+    assert d_plus_bound0(MAX_BOUND_RANK, 2) > d_plus_bound0(40, 2)
+    with pytest.raises(BadParams):
+        d_plus_bound0(MAX_BOUND_RANK + 1, 2)
+    with pytest.raises(BadParams):
+        d_plus_bound(MAX_BOUND_RANK + 1, 1, 0)
 
 
 def test_bound_monotone_and_family():

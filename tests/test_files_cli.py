@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
+from fcrystals.bounds import MAX_BOUND_RANK
 from fcrystals.cli import main
 from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import BadShape
 from fcrystals.files import (
+    MAX_N,
     crystal_to_dict,
     dict_to_crystal,
     dict_to_stairs_datum,
@@ -199,6 +201,24 @@ def test_cli_integer_flags_are_input_errors(tmp_path, capsys, argv, flag):
     assert f"argument {flag}:" in out.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--pdiv", "2", "1", "--p", "1"], "p = 1 is not prime"),
+    (["bound", "--pdiv", "2", "1", "--p", "4"], "p = 4 is not prime"),
+    (["bound", "--rank", "3", "--fam", "--p", "9"], "p = 9 is not prime"),
+    (["bound", "--pdiv", "30", "1", "--p", "3"],
+     f"rank 900 exceeds the maximum {MAX_BOUND_RANK}"),
+    (["bound", "--polarized", "21", "--p", "3"],
+     f"rank 903 exceeds the maximum {MAX_BOUND_RANK}"),
+    (["bound", "--rank", "100000"],
+     f"rank 100000 exceeds the maximum {MAX_BOUND_RANK}"),
+], ids=["p1", "p4", "p9", "pdiv30", "polarized21", "rank100000"])
+def test_cli_bound_inputs_are_input_errors(capsys, argv, message):
+    assert _main_exit(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
 def _ordinary_dict():
     return crystal_to_dict(
         builtin_crystal(make_witt_ring(2, 1, 3), "ordinary", r=2, d=1))
@@ -220,7 +240,21 @@ def _rank_zero(d):
     d["rank"], d["matrix"] = 0, []
 
 
-@pytest.mark.parametrize("corrupt", [_bad_p, _bad_n, _bad_shift, _rank_zero])
+def _version_true(d):
+    d["version"] = True
+
+
+def _version_float(d):
+    d["version"] = 1.0
+
+
+def _n_above_cap(d):
+    d["n"] = MAX_N + 1
+
+
+@pytest.mark.parametrize("corrupt", [_bad_p, _bad_n, _bad_shift, _rank_zero,
+                                     _version_true, _version_float,
+                                     _n_above_cap])
 def test_malformed_crystal_file_is_an_input_error(tmp_path, capsys, corrupt):
     data = _ordinary_dict()
     corrupt(data)
@@ -229,7 +263,15 @@ def test_malformed_crystal_file_is_an_input_error(tmp_path, capsys, corrupt):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert _main_exit(["probe", str(path)]) == 2
-    assert capsys.readouterr().out == ""
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: ")
+
+
+def test_precision_cap_admits_n_at_the_cap():
+    data = _ordinary_dict()
+    data["n"] = MAX_N
+    assert dict_to_crystal(data).ring.n == MAX_N
 
 
 def test_stairs_block_without_permutation_is_an_input_error(tmp_path,

@@ -166,8 +166,8 @@ def _library_outputs():
     O = builtin_crystal(make_witt_ring(3, 2, 2), "ordinary", r=2, d=1)
     e11, e12, e21 = ([1 if k == c else 0 for k in range(8)] for c in (0, 2, 4))
     out["span_has_unit_outside"] = [
-        _span_has_unit_outside(O, [e12, e21], [e12], 2, 1 << 20),
-        _span_has_unit_outside(O, [e11, e12], [e12], 2, 1 << 20)]
+        _span_has_unit_outside(O, [e12, e21], [e12], 2),
+        _span_has_unit_outside(O, [e11, e12], [e12], 2)]
     return out
 
 

@@ -6,18 +6,20 @@ import random
 
 import pytest
 
-from fcrystals import semilinear
-from fcrystals.crystal import new_crystal
-from fcrystals.plinalg import Matrix, det_valuation
+from fcrystals import deviation, semilinear
+from fcrystals.crystal import builtin_crystal, new_crystal
+from fcrystals.plinalg import IntSolver, Matrix, det_valuation
 from fcrystals.semilinear import (
     CircularSystem,
     _combine,
+    _mult_matrix,
     _ResidueField,
     _scan_range,
     hom_module,
     isom_search,
     solve_circular,
 )
+from fcrystals.stairs import _fixed_datum, build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
 
@@ -398,3 +400,139 @@ def test_int_solver_matches_two_sided_elimination(p):
         seen["non-unit pivot"] += any(0 < e < n for e in new.exps)
         seen["zero row"] += any(not any(row) for row in A)
     assert min(seen.values()) >= 5, seen
+
+
+# -- the "-1" deviation side, against copies of its direct version -------------
+
+
+def _direct_reduce_nonpos_side(tau):
+    """The "-1" side reducer written out, as it was before the reflection:
+    widest forward window from t whose prefix sums stay >= 0; positions
+    t+1 .. t+u+1 are rescaled by those sums."""
+    l = len(tau)
+    a = [0] * l
+    done = [False] * l
+    while True:
+        best_u, best_t = -1, None
+        for t in range(l):
+            if done[t] or tau[t] < 0:
+                continue
+            s, u = 0, -1
+            for v in range(l):
+                i = (t + v) % l
+                if done[i]:
+                    break
+                s += tau[i]
+                if s < 0:
+                    break
+                u = v
+            if u > best_u:
+                best_u, best_t = u, t
+            elif u == best_u and u >= 0:
+                if best_t is None or best_t > t:
+                    best_t = t
+        if best_t is None or best_u < 0:
+            break
+        t, u = best_t, best_u
+        s = 0
+        for v in range(u + 1):
+            i = (t + v) % l
+            s += tau[i]
+            a[(i + 1) % l] = s
+            done[i] = True
+    new = [tau[i] + a[i] - a[(i + 1) % l] for i in range(l)]
+    return a, new
+
+
+def _direct_sign_deviation_minus(tau):
+    """The "-1" sign deviation written out: windows whose suffix sums are
+    all >= 0, value +sum."""
+    l = len(tau)
+    best = 0
+    for t in range(l):
+        s = 0
+        for v in range(l):
+            s += tau[(t - v) % l]
+            if s < 0:
+                break
+            best = max(best, s)
+    return best
+
+
+def _small_tuples():
+    """Every tuple of length <= 6 with entries in [-3, 3]."""
+    for l in range(1, 7):
+        for tau in itertools.product(range(-3, 4), repeat=l):
+            yield list(tau)
+
+
+def test_reflected_reducer_matches_the_direct_one():
+    checked = 0
+    for tau in _small_tuples():
+        if sum(tau) > 0:
+            continue
+        a, new = _direct_reduce_nonpos_side(tau)
+        assert deviation._reduce_nonpos_side(tau) == a, tau
+        if sum(tau) < 0:
+            red = deviation.df_reduce(tau)
+            assert (red.rescale, red.new_exponents, red.sign) == \
+                (a, new, -1), tau
+        checked += 1
+    assert checked == 74_157
+
+
+def test_reflected_deviations_match_the_direct_ones():
+    for tau in _small_tuples():
+        flip = deviation._reflect(tau)
+        assert deviation._sign_deviation(flip) == \
+            _direct_sign_deviation_minus(tau), tau
+        assert deviation._value_deviation(flip) == \
+            sum(x for x in tau if x >= 0), tau
+
+
+# -- stairs coordinates, against the system built through _mult_matrix --------
+
+
+def _mult_matrix_coordinate_rows(datum):
+    """Row (pos, crd), column (l, s): coordinate crd of entry pos of
+    t^s e_l, read off the multiplication matrix of that entry of e_l."""
+    ring = datum.crystal.ring
+    blocks = [[_mult_matrix(ring, ent) for row in e.entries for ent in row]
+              for e in datum.basis]
+    rows = []
+    for t in range(len(datum.basis[0].flatten_ints())):
+        pos, crd = divmod(t, ring.q)
+        rows.append([c for blk in blocks for c in blk[pos][crd]])
+    return rows
+
+
+def _golden_datums():
+    """The stairs datums behind tests/golden.json, and base changes of them."""
+    datums = [build_stairs_datum(builtin_crystal(make_witt_ring(p, q, n), fam,
+                                                 **kw))
+              for p, q, n, fam, kw in (
+                  (5, 1, 6, "ordinary", {"r": 3, "d": 1}),
+                  (2, 2, 5, "supersingular", {"d": 1}),
+                  (2, 3, 5, "isoclinic_3_3_6", {"r": 3, "c": 2}))]
+    for p, q in ((2, 2), (3, 2)):
+        C = builtin_crystal(make_witt_ring(p, q, 4), "supersingular", d=1)
+        datums.append(_fixed_datum(C))
+    for dat in list(datums):
+        ring = dat.crystal.ring
+        datums.append(dat.base_change(make_witt_ring(ring.p, 2 * ring.q,
+                                                     ring.n)))
+    return datums
+
+
+def test_coordinate_solver_matches_the_mult_matrix_system():
+    rng = random.Random(12)
+    for dat in _golden_datums():
+        ring = dat.crystal.ring
+        new = dat.coordinate_solver()
+        ref = IntSolver(_mult_matrix_coordinate_rows(dat), ring.p, ring.n)
+        assert (new.exps, new._log, new._rt) == \
+            (ref.exps, ref._log, ref._rt), (ring.p, ring.q)
+        for _ in range(3):
+            ys = [ring.random_element(rng) for _ in dat.basis]
+            assert dat.combine(dat.coords(dat.combine(ys))) == \
+                dat.combine(ys)

@@ -10,8 +10,10 @@ from fcrystals.errors import (
     UnsupportedShape,
 )
 from fcrystals.plinalg import Matrix, det_valuation
+from fcrystals.semilinear import fixed_lattice
 from fcrystals.stairs import (
     StairsDatum,
+    _fixed_datum,
     build_stairs_datum,
     lang_run,
     stairs_algebra_run,
@@ -52,6 +54,22 @@ def test_unsupported_shape():
     F = new_crystal(W, Matrix.from_ints(W, [[1, 1], [0, 2]]))
     with pytest.raises(UnsupportedShape):
         build_stairs_datum(F)
+
+
+def test_fixed_datum_waits_for_the_cubic_field():
+    # isoclinic_3_3_6(r=3, c=2) over W_4(F_2): the fixed points of End have
+    # free rank 1, 1, 3, 1, 1, 3 over F_(2^D), D = 1..6, so a test that
+    # stops once the free rank stops growing would give up at D = 2; the
+    # datum first exists over F_8
+    W = make_witt_ring(2, 1, 4)
+    C = builtin_crystal(W, "isoclinic_3_3_6", r=3, c=2)
+    free = [fixed_lattice(C.base_change(make_witt_ring(2, D, 4)))[0]
+            .rank_free() for D in range(1, 7)]
+    assert free == [1, 1, 3, 1, 1, 3]
+    d = _fixed_datum(C)
+    assert (d.crystal.ring.q, d.torsion, d.strategy) == (3, 1, "fixed")
+    assert len(d.basis) == 9 and d.multiplicative and d.unital
+    d.verify()
 
 
 def test_precondition():
