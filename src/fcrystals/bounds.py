@@ -64,13 +64,16 @@ def n_fam_bound(v: int, s: int, h: int, p: int) -> int:
 def truncation_level_bound(kind: str, r: int, p: int, d=None) -> int:
     """Level at which the listed objects are determined up to isomorphism.
 
-    kind="pdiv": height r, optional dimension d (0 or r short-circuits
-    to 0); kind="polarized": the symplectic variant in terms of d = r/2.
+    kind="pdiv": height r, optional dimension 0 <= d <= r (0 or r
+    short-circuits to 0); kind="polarized": the symplectic variant in
+    terms of d = r/2.
     """
     if kind == "pdiv":
         if r < 1:
             raise BadParams("need r >= 1")
-        if d is not None and d in (0, r):
+        if d is not None and not 0 <= d <= r:
+            raise BadParams(f"dimension {d} is outside [0, {r}]")
+        if d in (0, r):
             return 0
         return 2 * d_plus_bound(r * r, 1, 2) + epsilon_p(p)
     if kind == "polarized":

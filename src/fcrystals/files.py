@@ -40,8 +40,9 @@ def entries_to_matrix(ring, rows, cols, entries):
     if not isinstance(entries, list) or len(entries) != rows or any(
             not isinstance(r, list) or len(r) != cols for r in entries):
         raise BadShape("matrix entry shape mismatch")
-    if not all(_is_int_list(e) for r in entries for e in r):
-        raise BadShape("matrix entries must be lists of integers")
+    if not all(_is_int_list(e) and len(e) == ring.q
+               for r in entries for e in r):
+        raise BadShape(f"matrix entries must be lists of {ring.q} integers")
     return Matrix(ring, [[ring.element(e) for e in row] for row in entries])
 
 

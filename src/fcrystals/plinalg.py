@@ -9,6 +9,7 @@ exponentials.
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .errors import OutsideExpDomain, SingularAtPrecision
 from .witt import INFINITY, WittElem, make_witt_ring
@@ -80,21 +81,18 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        # pack each entry once; an output entry sums `cols` packed products
+        # and is reduced once, at a slot width sized for that many
         ring = self.ring
-        mul, add = ring._mul, ring._add
-        zero = ring._zero
-        ot = list(zip(*[[e.coeffs for e in row] for row in other.entries]))
-        out = []
-        for row in self.entries:
-            rc = [e.coeffs for e in row]
-            orow = []
-            for colc in ot:
-                acc = zero
-                for a, b in zip(rc, colc):
-                    acc = add(acc, mul(a, b))
-                orow.append(WittElem(ring, acc))
-            out.append(orow)
-        return Matrix(ring, out)
+        w = ring.slot_width(self.cols)
+        pack, reduce = ring._pack, ring._reduce
+        rows = [[pack(e.coeffs, w) for e in row] for row in self.entries]
+        cols = [[pack(e.coeffs, w) for e in col]
+                for col in zip(*other.entries)]
+        return Matrix(ring, [
+            [WittElem(ring, reduce(sum(map(mul, r, c)), w)) for c in cols]
+            for r in rows
+        ])
 
     def scale(self, c):
         """Multiply entrywise by an integer or a WittElem scalar."""

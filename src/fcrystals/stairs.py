@@ -63,7 +63,11 @@ class StairsDatum:
     unital: bool
     square_zero: bool
     strategy: str          # "monomial" | "fixed"
-    _solver: object = field(default=None, repr=False)
+    _solver: object = field(default=None, repr=False, compare=False)
+    # base changes by target ring, so later runs reuse their crystal,
+    # embedded basis and coordinate solver
+    _base_changes: dict = field(default_factory=dict, repr=False,
+                                compare=False)
 
     def coordinate_solver(self):
         """Solver for X = sum y_l e_l: column (l, s) is t^s e_l flattened."""
@@ -93,20 +97,22 @@ class StairsDatum:
         return acc
 
     def base_change(self, ring):
-        C2 = self.crystal.base_change(ring)
-        return StairsDatum(
-            C2,
-            [e.embed(ring) for e in self.basis],
-            list(self.perm),
-            list(self.exponents),
-            self.torsion,
-            [list(c) for c in self.cycles],
-            list(self.signs),
-            self.multiplicative,
-            self.unital,
-            self.square_zero,
-            self.strategy,
-        )
+        datum = self._base_changes.get(ring)
+        if datum is None:
+            datum = self._base_changes[ring] = StairsDatum(
+                self.crystal.base_change(ring),
+                [e.embed(ring) for e in self.basis],
+                list(self.perm),
+                list(self.exponents),
+                self.torsion,
+                [list(c) for c in self.cycles],
+                list(self.signs),
+                self.multiplicative,
+                self.unital,
+                self.square_zero,
+                self.strategy,
+            )
+        return datum
 
     def verify(self, full_end=True):
         """Re-check the defining identities; raises on failure.

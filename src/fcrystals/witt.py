@@ -10,6 +10,7 @@ Elements are coefficient tuples of length q with entries in [0, p^n).
 """
 
 import math
+from operator import mul
 
 from .conway import conway_polynomial
 from .errors import InternalError, NoEmbedding, NotAUnit, RingMismatch
@@ -146,20 +147,21 @@ class WittRing:
         self.modulus_lift = _teichmuller_modulus(p, q, n)
         self._zero = tuple([0] * q)
         self._one = tuple([1] + [0] * (q - 1))
-        # sigma(t^j) = (t^p)^j; precompute the q images
-        if q == 1:
-            self._sigma_imgs = (self._one,)
-        else:
-            tp = _poly_pow_mod(
-                tuple([0, 1] + [0] * (q - 2)), p, self.modulus_lift, self.pn
-            )
-            imgs = [self._one]
-            for _ in range(q - 1):
-                imgs.append(
-                    _poly_mul_mod(imgs[-1], tp, self.modulus_lift, self.pn)
-                )
-            self._sigma_imgs = tuple(imgs)
-        self._sigma_inv_imgs = None
+        # t^(q+i) mod f for i = 0..q-2: folding a product's slot q+i back
+        # adds its coefficient times row i
+        f, pn = self.modulus_lift, self.pn
+        row, rows = [(-c) % pn for c in f[:q]], []
+        for _ in range(q - 1):
+            rows.append(tuple(row))
+            top = row[-1]
+            row = [(x - top * c) % pn for x, c in zip([0] + row[:-1], f)]
+        self._red_coeffs = rows
+        self._red_cache = {}
+        self._w = self.slot_width(1)
+        # sigma(t^j) = (t^p)^j, packed once
+        t = self.gen().coeffs
+        self._sigma_rows = self._packed_powers(self._pow(t, p), q)
+        self._sigma_inv_rows = None
         self._embed_cache = {}
 
     # -- raw coefficient-tuple arithmetic ---------------------------------
@@ -176,10 +178,66 @@ class WittRing:
         pn = self.pn
         return tuple((-x) % pn for x in a)
 
+    def slot_width(self, k):
+        """Bits per packed coefficient when k products are summed.
+
+        A coefficient of the sum is at most k q (p^n - 1)^2 and folding
+        the high slots back adds at most (q - 1)(p^n - 1)^2.
+        """
+        q = self.q
+        return ((k * q + q - 1) * (self.pn - 1) ** 2).bit_length() or 1
+
+    def _pack(self, a, w):
+        """Kronecker substitution t -> 2^w; coefficients must be in [0, p^n)."""
+        x = 0
+        for c in reversed(a):
+            x = (x << w) | c
+        return x
+
+    def _reduce(self, x, w):
+        """Coefficients of a packed polynomial of degree < 2q - 1, mod (f, p^n)."""
+        pn, qw = self.pn, self.q * w
+        mask = (1 << w) - 1
+        acc = x & ((1 << qw) - 1)
+        x >>= qw
+        if x:
+            rows = self._red_cache.get(w)
+            if rows is None:
+                rows = [self._pack(r, w) for r in self._red_coeffs]
+                self._red_cache[w] = rows
+            for r in rows:
+                acc += ((x & mask) % pn) * r
+                x >>= w
+        return tuple([((acc >> s) & mask) % pn for s in range(0, qw, w)])
+
     def _mul(self, a, b):
         if self.q == 1:
             return ((a[0] * b[0]) % self.pn,)
-        return _poly_mul_mod(a, b, self.modulus_lift, self.pn)
+        w = self._w
+        return self._reduce(self._pack(a, w) * self._pack(b, w), w)
+
+    def _pow(self, a, e):
+        if self.q == 1:
+            return (pow(a[0], e, self.pn),)
+        result = self._one
+        while e:
+            if e & 1:
+                result = self._mul(result, a)
+            a = self._mul(a, a)
+            e >>= 1
+        return result
+
+    def _packed_powers(self, u, k):
+        """1, u, ..., u^(k-1), packed at the product width (k <= q)."""
+        rows, upow = [], self._one
+        for _ in range(k):
+            rows.append(self._pack(upow, self._w))
+            upow = self._mul(upow, u)
+        return rows
+
+    def _combine(self, a, rows):
+        """sum_j a_j rows_j for rows from _packed_powers."""
+        return self._reduce(sum(map(mul, a, rows)), self._w)
 
     def _smul(self, c, a):
         pn = self.pn
@@ -188,29 +246,18 @@ class WittRing:
     def _sigma_raw(self, a):
         if self.q == 1:
             return a
-        res = self._zero
-        for j, c in enumerate(a):
-            if c:
-                res = self._add(res, self._smul(c, self._sigma_imgs[j]))
-        return res
+        return self._combine(a, self._sigma_rows)
 
     def _sigma_inv_raw(self, a):
         if self.q == 1:
             return a
-        if self._sigma_inv_imgs is None:
+        if self._sigma_inv_rows is None:
             # sigma has order q, so sigma^{-1} = sigma^(q-1)
-            t_img = tuple([0, 1] + [0] * (self.q - 2))
+            t_img = self.gen().coeffs
             for _ in range(self.q - 1):
                 t_img = self._sigma_raw(t_img)
-            imgs = [self._one]
-            for _ in range(self.q - 1):
-                imgs.append(self._mul(imgs[-1], t_img))
-            self._sigma_inv_imgs = tuple(imgs)
-        res = self._zero
-        for j, c in enumerate(a):
-            if c:
-                res = self._add(res, self._smul(c, self._sigma_inv_imgs[j]))
-        return res
+            self._sigma_inv_rows = self._packed_powers(t_img, self.q)
+        return self._combine(a, self._sigma_inv_rows)
 
     def _val(self, a):
         v = min(_int_val(c, self.p, self.n) for c in a)
@@ -303,8 +350,7 @@ class WittRing:
             raise ValueError(f"need exactly {self.q} coefficients")
         e = self.p ** self.q
         for _ in range(self.n - 1):
-            x = _poly_pow_mod(x, e, self.modulus_lift, self.pn) if self.q > 1 \
-                else (pow(x[0], e, self.pn),)
+            x = self._pow(x, e)
         return WittElem(self, x)
 
     def reduce_to(self, m):
@@ -422,12 +468,9 @@ class WittElem:
             return self
         if R.p != S.p or R.n != S.n or S.q % R.q != 0:
             raise NoEmbedding(f"no embedding {R!r} -> {S!r}")
-        u = R._embed_cache.get((S.p, S.q, S.n))
-        if u is None:
-            e = (S.p ** S.q - 1) // (R.p ** R.q - 1)
-            gen = S.gen()
-            u = _poly_pow_mod(gen.coeffs, e, S.modulus_lift, S.pn) \
-                if S.q > 1 else (pow(gen.coeffs[0], e, S.pn),)
+        pows = R._embed_cache.get(S)
+        if pows is None:
+            u = S._pow(S.gen().coeffs, (S.p ** S.q - 1) // (R.p ** R.q - 1))
             # the image must be a root of this ring's modulus
             acc = S._zero
             for c in reversed(R.modulus_lift):
@@ -435,14 +478,8 @@ class WittElem:
                 acc = S._add(acc, tuple([c] + [0] * (S.q - 1)))
             if any(acc):
                 raise InternalError("embedding image is not a modulus root")
-            R._embed_cache[(S.p, S.q, S.n)] = u
-        res = S._zero
-        upow = S._one
-        for c in self.coeffs:
-            if c:
-                res = S._add(res, S._smul(c, upow))
-            upow = S._mul(upow, u)
-        return WittElem(S, res)
+            pows = R._embed_cache[S] = S._packed_powers(u, R.q)
+        return WittElem(S, S._combine(self.coeffs, pows))
 
     def is_zero(self):
         return not any(self.coeffs)

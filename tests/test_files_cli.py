@@ -211,7 +211,12 @@ def test_cli_integer_flags_are_input_errors(tmp_path, capsys, argv, flag):
      f"rank 903 exceeds the maximum {MAX_BOUND_RANK}"),
     (["bound", "--rank", "100000"],
      f"rank 100000 exceeds the maximum {MAX_BOUND_RANK}"),
-], ids=["p1", "p4", "p9", "pdiv30", "polarized21", "rank100000"])
+    (["bound", "--pdiv", "2", "5", "--p", "3"],
+     "dimension 5 is outside [0, 2]"),
+    (["bound", "--pdiv", "2", "-1", "--p", "3"],
+     "dimension -1 is outside [0, 2]"),
+], ids=["p1", "p4", "p9", "pdiv30", "polarized21", "rank100000",
+        "pdiv_d_above", "pdiv_d_below"])
 def test_cli_bound_inputs_are_input_errors(capsys, argv, message):
     assert _main_exit(argv) == 2
     out = capsys.readouterr()
@@ -252,9 +257,13 @@ def _n_above_cap(d):
     d["n"] = MAX_N + 1
 
 
+def _entry_too_long(d):
+    d["matrix"][0][0] = d["matrix"][0][0] + [0]
+
+
 @pytest.mark.parametrize("corrupt", [_bad_p, _bad_n, _bad_shift, _rank_zero,
                                      _version_true, _version_float,
-                                     _n_above_cap])
+                                     _n_above_cap, _entry_too_long])
 def test_malformed_crystal_file_is_an_input_error(tmp_path, capsys, corrupt):
     data = _ordinary_dict()
     corrupt(data)

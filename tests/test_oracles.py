@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fcrystals import deviation, semilinear
+from fcrystals.conway import CONWAY_TABLE
 from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.plinalg import IntSolver, Matrix, det_valuation
 from fcrystals.semilinear import (
@@ -20,7 +21,7 @@ from fcrystals.semilinear import (
     solve_circular,
 )
 from fcrystals.stairs import _fixed_datum, build_stairs_datum
-from fcrystals.witt import make_witt_ring
+from fcrystals.witt import _poly_mul_mod, _poly_pow_mod, make_witt_ring
 
 
 def _all_matrices(ring, r):
@@ -536,3 +537,95 @@ def test_coordinate_solver_matches_the_mult_matrix_system():
             ys = [ring.random_element(rng) for _ in dat.basis]
             assert dat.combine(dat.coords(dat.combine(ys))) == \
                 dat.combine(ys)
+
+
+# -- the packed Witt kernel, against schoolbook products ------------------------
+
+
+def _table_fields(min_q=1):
+    return [(p, q) for (p, q), f in sorted(CONWAY_TABLE.items())
+            if f is not None and q >= min_q]
+
+
+def _samples(ring, rng, count):
+    """Seeded random elements plus the extremes: zero, one, all p^n - 1."""
+    top = ring.pn - 1
+    out = [ring._zero, ring._one, (top,) * ring.q]
+    out += [tuple(rng.randrange(ring.pn) for _ in range(ring.q))
+            for _ in range(count)]
+    return out
+
+
+def test_packed_mul_matches_schoolbook():
+    rng = random.Random(31)
+    for p, q in _table_fields(min_q=2):
+        for n in (1, 2, 4, 8):
+            ring = make_witt_ring(p, q, n)
+            f, pn = ring.modulus_lift, ring.pn
+            xs = _samples(ring, rng, 6)
+            for a in xs:
+                for b in xs[2:5]:
+                    assert ring._mul(a, b) == _poly_mul_mod(a, b, f, pn), \
+                        (p, q, n, a, b)
+
+
+def _schoolbook_matmul(A, B):
+    ring = A.ring
+    f, pn = ring.modulus_lift, ring.pn
+    out = []
+    for row in A.entries:
+        orow = []
+        for col in zip(*B.entries):
+            acc = ring._zero
+            for a, b in zip(row, col):
+                acc = ring._add(acc, _poly_mul_mod(a.coeffs, b.coeffs, f, pn))
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+@pytest.mark.parametrize("p, q, n", [(2, 1, 5), (3, 1, 4), (2, 2, 3),
+                                     (3, 3, 3), (5, 2, 2), (2, 12, 5)])
+def test_packed_matmul_matches_schoolbook(p, q, n):
+    ring = make_witt_ring(p, q, n)
+    rng = random.Random(41 + q)
+    top = ring.element([ring.pn - 1] * q)
+    for k in range(1, 41):
+        rows, cols = 1 + k % 3, 1 + (k * 7) % 4  # non-square shapes
+        for fill in ("random", "top"):
+            def entry():
+                return ring.random_element(rng) if fill == "random" else top
+            A = Matrix(ring, [[entry() for _ in range(k)]
+                              for _ in range(rows)])
+            B = Matrix(ring, [[entry() for _ in range(cols)]
+                              for _ in range(k)])
+            got = [[e.coeffs for e in row] for row in (A @ B).entries]
+            assert got == _schoolbook_matmul(A, B), (k, fill)
+
+
+def _embed_by_powers(x, S):
+    """The per-element power loop: sum_j c_j u^j, u the image of t."""
+    R = x.ring
+    f, pn = S.modulus_lift, S.pn
+    e = (S.p ** S.q - 1) // (R.p ** R.q - 1)
+    u = _poly_pow_mod(S.gen().coeffs, e, f, pn)
+    res, upow = S._zero, S._one
+    for c in x.coeffs:
+        res = S._add(res, S._smul(c, upow))
+        upow = _poly_mul_mod(upow, u, f, pn)
+    return res
+
+
+def test_embed_matches_the_power_loop():
+    rng = random.Random(51)
+    fields = set(_table_fields())
+    for p, big in fields:
+        for small in range(1, big):
+            if big % small or (p, small) not in fields:
+                continue
+            for n in (1, 5):
+                R, S = make_witt_ring(p, small, n), make_witt_ring(p, big, n)
+                for a in _samples(R, rng, 3):
+                    x = R.element(a)
+                    assert x.embed(S).coeffs == _embed_by_powers(x, S), \
+                        (p, small, big, n, a)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -216,3 +217,45 @@ def test_datum_verify_rejects_corruption():
                       d.square_zero, d.strategy)
     with pytest.raises(BadShape):
         bad.verify()
+
+
+def _certificate_fields(cert):
+    return (cert.witness, cert.level, cert.ring, cert.extension,
+            cert.crystal, cert.twist)
+
+
+def test_base_change_is_memoized_per_ring():
+    # stairs on ordinary(r=2, d=1) over W_4(F_2) base-changes to F_4 or F_16
+    ring = make_witt_ring(2, 1, 4)
+    C = builtin_crystal(ring, "ordinary", r=2, d=1)
+    datum = build_stairs_datum(C)
+    fresh = build_stairs_datum(C)
+    g = _general_twist(ring, 2, 2 * datum.torsion + epsilon_p(2),
+                       random.Random(5))
+    first = stairs_run(C, g, datum)
+    assert first.extension > 1 and datum._base_changes
+    for big in list(datum._base_changes):
+        assert datum.base_change(big) is datum.base_change(big)
+    # a second run on the filled memo certifies exactly as the first, and
+    # as a run on a datum with an empty memo
+    again = stairs_run(C, g, datum)
+    assert _certificate_fields(again) == _certificate_fields(first)
+    assert _certificate_fields(stairs_run(C, g, fresh)) == \
+        _certificate_fields(first)
+    # the memo is a cache: it does not take part in equality
+    assert datum._base_changes and datum == build_stairs_datum(C)
+
+
+def test_memoized_base_change_equals_a_fresh_one():
+    ring = make_witt_ring(2, 1, 4)
+    datum = build_stairs_datum(builtin_crystal(ring, "ordinary", r=2, d=1))
+    for q in (2, 4):
+        big = make_witt_ring(2, q, 4)
+        memo = datum.base_change(big)
+        memo.coordinate_solver()
+        ref = replace(datum, crystal=datum.crystal.base_change(big),
+                      basis=[e.embed(big) for e in datum.basis],
+                      _solver=None, _base_changes={})
+        assert (memo.crystal, memo.basis) == (ref.crystal, ref.basis)
+        new, old = memo.coordinate_solver(), ref.coordinate_solver()
+        assert (new.exps, new._log, new._rt) == (old.exps, old._log, old._rt)
