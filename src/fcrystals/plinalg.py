@@ -353,11 +353,15 @@ def _ival(c, p, n):
 
 
 def howell_form(rows, p, n):
-    """Canonical Howell basis of the row span inside (Z/p^n)^m.
+    """Echelon basis of the row span inside (Z/p^n)^m, Howell-closed.
 
-    Rows are lists of ints; the result is the unique echelon basis with
-    pivots p^e, entries below pivots zero, entries above reduced mod the
-    pivot, and span-closure rows included.
+    Rows are lists of ints; the result has pivots p^e, entries below
+    pivots zero, and span-closure rows included.  It is not the unique
+    Howell basis: the entries above the pivots are reduced from the last
+    pivot to the first, so a later step undoes an earlier reduction and
+    an entry above a pivot p^v may lie outside [0, p^v).  The basis then
+    depends on the order of the input rows.  `hom` prints this basis, so
+    a fix changes its output.
     """
     pn = p ** n
     work = [list(int(c) % pn for c in r) for r in rows if any(c % pn for c in r)]

@@ -386,98 +386,81 @@ def _scan_range(rf, packed, r, k, p, lo, hi, base=None):
     """First index in [lo, hi) whose combination (plus base) is a unit.
 
     Index digits are base-p coefficients, digit 0 (packed[0]) fastest.
-    At p = 2 aligned blocks of indices are evaluated at once, bit-sliced;
-    at odd p the scan is an incremental odometer.
+    Aligned blocks of p^b indices are evaluated at once: lane x of every
+    int, a slot of `slot` bits, stands for the index start + x.  The
+    lowest unit lane inside [lo, hi) is the first unit in index order.
     """
-    if p == 2:
-        return _scan_blocks_gf2(rf, packed, r, k, lo, hi, base)
-    digits = [(lo // p ** i) % p for i in range(k)]
-    mat = _combine(rf, packed, digits, r, base)
-    idx = lo
-    while True:
-        if rf.det(mat, r):
-            return idx
-        idx += 1
-        if idx >= hi:
-            return None
-        # odometer increment: digit d rolls over p-1 -> 0 (subtract
-        # (p-1)*B_d, i.e. add B_d), then carry
-        d = 0
-        while True:
-            B = packed[d]
-            for i in range(r):
-                row, brow = mat[i], B[i]
-                for j in range(r):
-                    if brow[j]:
-                        row[j] = rf.add(row[j], brow[j])
-            digits[d] += 1
-            if digits[d] < p:
-                break
-            digits[d] = 0
-            d += 1
+    block = (_Gf2Lanes if p == 2 else _FpLanes)(rf, packed, r, k, base)
+    size, w = block.size, block.slot
+    start = lo - lo % size
+    while start < hi:
+        units = block.units(start)
+        # keep lanes in [lo, hi)
+        a, z = max(lo - start, 0), min(hi - start, size)
+        units &= ((1 << z * w) - 1) >> a * w << a * w
+        if units:
+            return start + ((units & -units).bit_length() - 1) // w
+        start += size
+    return None
 
 
-# log2 of the lanes of one bit-sliced block: the indices of a block share
-# every digit from this one up
+# log2 of the bits of one lane-block int: the indices of a block share
+# every digit from b up, where p^b slots fill at most this many bits
 _BLOCK_BITS = 12
 
 
-def _lane_patterns(b):
-    """Ints over 2^b lanes whose bit x is bit d of x, for d < b."""
-    width = 1 << b
+def _digit_lanes(p, b, w):
+    """Ints over p^b lanes of w bits whose lane x holds digit d of x
+    (base p), for d < b."""
+    full = (1 << p ** b * w) - 1
     out = []
     for d in range(b):
-        run = 1 << d
-        pat, span = ((1 << run) - 1) << run, 2 * run
-        while span < width:
-            pat |= pat << span
-            span *= 2
-        out.append(pat)
+        run = p ** d
+        rep = ((1 << run * w) - 1) // ((1 << w) - 1)
+        period = sum(c * rep << c * run * w for c in range(1, p))
+        out.append(period * (full // ((1 << p * run * w) - 1)))
     return out
 
 
-def _scan_blocks_gf2(rf, packed, r, k, lo, hi, base):
-    """`_scan_range` at p = 2, one aligned block of 2^b indices per pass.
+class _Gf2Lanes:
+    """Blocks of 2^b indices at p = 2, one bit per lane.
 
-    Lane x of every int stands for the index start + x; an F_{2^q} entry
-    is q bit planes.  The low b digits come from fixed lane patterns,
-    the base and the block's high digits are all-ones planes.  The first
-    set lane of the OR of the determinant planes, inside [lo, hi), is
-    the odometer's first index.
+    An F_{2^q} entry is q bit planes.  The low b digits come from fixed
+    lane patterns, the base and the block's high digits are all-ones
+    planes.
     """
-    q = rf.q
-    b = min(_BLOCK_BITS, k)
-    width = 1 << b
-    ones = (1 << width) - 1
-    # t^q = sum of t^s over these s, modulo the Conway polynomial mod 2
-    fold = [s for s in range(q) if rf.ring.field.modulus[s] % 2]
-    low = [[[0] * q for _ in range(r)] for _ in range(r)]
-    for B, pat in zip(packed, _lane_patterns(b)):
-        for i in range(r):
-            for j in range(r):
-                v = B[i][j]
-                for t in range(q):
-                    if v >> t & 1:
-                        low[i][j][t] ^= pat
-    start = lo >> b << b
-    while start < hi:
-        const = [row[:] for row in base] if base else \
+
+    slot = 1
+
+    def __init__(self, rf, packed, r, k, base):
+        q = rf.q
+        b = self.b = min(_BLOCK_BITS, k)
+        self.size = 1 << b
+        self.r, self.q, self.k, self.packed, self.base = r, q, k, packed, base
+        # t^q = sum of t^s over these s, modulo the Conway polynomial mod 2
+        self.fold = [s for s in range(q) if rf.ring.field.modulus[s] % 2]
+        low = self.low = [[[0] * q for _ in range(r)] for _ in range(r)]
+        for B, pat in zip(packed, _digit_lanes(2, b, 1)):
+            for i in range(r):
+                for j in range(r):
+                    v = B[i][j]
+                    for t in range(q):
+                        if v >> t & 1:
+                            low[i][j][t] ^= pat
+
+    def units(self, start):
+        r, q, low = self.r, self.q, self.low
+        ones = (1 << self.size) - 1
+        const = [row[:] for row in self.base] if self.base else \
             [[0] * r for _ in range(r)]
-        for d in range(b, k):
+        for d in range(self.b, self.k):
             if start >> d & 1:
-                for crow, brow in zip(const, packed[d]):
+                for crow, brow in zip(const, self.packed[d]):
                     for j in range(r):
                         crow[j] ^= brow[j]
         M = [[[low[i][j][t] ^ (ones if const[i][j] >> t & 1 else 0)
                for t in range(q)] for j in range(r)] for i in range(r)]
-        units = _det_lanes_gf2(M, r, q, fold)
-        # keep lanes in [lo, hi)
-        units &= ((1 << min(hi - start, width)) - 1) \
-            >> max(lo - start, 0) << max(lo - start, 0)
-        if units:
-            return start + (units & -units).bit_length() - 1
-        start += width
-    return None
+        return _det_lanes_gf2(M, r, q, self.fold)
 
 
 def _det_lanes_gf2(M, r, q, fold):
@@ -518,6 +501,139 @@ def _det_lanes_gf2(M, r, q, fold):
     for plane in D.get((1 << r) - 1, ()):
         out |= plane
     return out
+
+
+class _FpLanes:
+    """Blocks of p^b indices at odd p, one F_p value per lane in a slot.
+
+    An F_{p^q} entry is q ints.  The low b digits come from fixed lane
+    patterns, the base and the block's high digits are constants added
+    to every slot.  Slots add up unreduced, and a SWAR Barrett step (one
+    multiply by floor(2^shift / p), one masked conditional subtraction)
+    brings every slot of an int back below p.  The slot is wide enough
+    for the largest sum before a reduction times the Barrett multiplier.
+    """
+
+    def __init__(self, rf, packed, r, k, base):
+        p, q = self.p, self.q = rf.p, rf.q
+        self.r = r
+        # a determinant coefficient sums at most r products of q pairs,
+        # one factor below p and one at most p (a negation p - a), before
+        # q - 1 reduced high coefficients fold into it
+        bound = (r + 1) * q * p * (p - 1)
+        self.shift = bound.bit_length()
+        self.mult = (1 << self.shift) // p
+        w = self.slot = (bound * self.mult).bit_length()
+        b = 0
+        while b < k and p ** (b + 1) * w <= 1 << _BLOCK_BITS:
+            b += 1
+        self.b, self.size = b, p ** b
+        ones = self.ones = ((1 << self.size * w) - 1) // ((1 << w) - 1)
+        self.quot = ones * ((1 << w - self.shift) - 1)
+        self.half = ones * ((1 << w - 1) - p)
+        # t^(q+i) modulo the Conway polynomial mod p, as (t, coefficient)
+        top = [(-c) % p for c in rf.ring.field.modulus[:q]]
+        row, self.fold = top, []
+        for _ in range(q - 1):
+            self.fold.append([(t, c) for t, c in enumerate(row) if c])
+            row = [(a + row[-1] * c) % p for a, c in zip([0] + row, top)]
+        coeffs = [[[rf.unpack(v) for v in row] for row in B]
+                  for B in packed]
+        self.high = coeffs[b:]
+        self.base = [[rf.unpack(v) for v in row] for row in base] \
+            if base else [[(0,) * q] * r for _ in range(r)]
+        low = self.low = [[[0] * q for _ in range(r)] for _ in range(r)]
+        for B, pat in zip(coeffs, _digit_lanes(p, b, w)):
+            for i in range(r):
+                for j in range(r):
+                    for t, c in enumerate(B[i][j]):
+                        if c:
+                            low[i][j][t] = self._reduce(
+                                low[i][j][t] + c * pat)
+
+    def _lower(self, x):
+        """x with p taken off every slot in [p, 2p)."""
+        return x - ((x + self.half) >> self.slot - 1 & self.ones) * self.p
+
+    def _reduce(self, x):
+        return self._lower(
+            x - (x * self.mult >> self.shift & self.quot) * self.p)
+
+    def _reduce_poly(self, acc):
+        """acc (2q - 1 coefficients) modulo the Conway polynomial and p."""
+        q, red = self.q, self._reduce
+        out = acc[:q]
+        for h, row in zip(acc[q:], self.fold):
+            if h:
+                h = red(h)
+                for t, c in row:
+                    out[t] += h * c
+        return [red(x) if x else 0 for x in out]
+
+    def units(self, start):
+        p, ones = self.p, self.ones
+        const = [[list(c) for c in row] for row in self.base]
+        for d, B in enumerate(self.high, self.b):
+            c = start // p ** d % p
+            if c:
+                for crow, brow in zip(const, B):
+                    for ce, be in zip(crow, brow):
+                        for t, v in enumerate(be):
+                            ce[t] += c * v
+        M = [[[self._lower(x + c % p * ones) if c % p else x
+               for x, c in zip(le, ce)]
+              for le, ce in zip(lrow, crow)]
+             for lrow, crow in zip(self.low, const)]
+        return self._det(M)
+
+    def _det(self, M):
+        """Lanes where the r x r matrix M over F_{p^q} has a nonzero
+        determinant.
+
+        Signed subset expansion, rows in order:
+        D[S + {j}] += (-1)^#{s in S: s > j} D[S] M[i][j], a negative term
+        taken as (p - D[S]) M[i][j].  A lanewise product a * v is the sum
+        of a << s over the set bits s of v, each selected by a slot mask.
+        Entries zero in every lane are skipped, and the expansion stops
+        once every partial sum is zero in every lane.
+        """
+        r, q, ones = self.r, self.q, self.ones
+        p_lanes = self.p * ones
+        keep = (1 << self.p.bit_length()) - 1
+        bits = range((self.p - 1).bit_length())
+        D = {1 << j: e for j, e in enumerate(M[0]) if any(e)}
+        for i in range(1, r):
+            row = []
+            for j, e in enumerate(M[i]):
+                terms = [(v, m, s) for v, x in enumerate(e) if x
+                         for s in bits if (m := (x >> s & ones) * keep)]
+                if terms:
+                    row.append((j, terms))
+            nxt = {}
+            for S, a in D.items():
+                minus = [p_lanes - x if x else 0 for x in a]
+                for j, terms in row:
+                    if S >> j & 1:
+                        continue
+                    acc = nxt.get(S | 1 << j)
+                    if acc is None:
+                        acc = nxt[S | 1 << j] = [0] * (2 * q - 1)
+                    for u, au in enumerate(
+                            minus if (S >> j).bit_count() & 1 else a):
+                        if au:
+                            for v, m, s in terms:
+                                acc[u + v] += (au & m) << s
+            D = {}
+            for S, acc in nxt.items():
+                red = self._reduce_poly(acc)
+                if any(red):
+                    D[S] = red
+            if not D:
+                return 0
+        out = 0
+        for x in D.get((1 << r) - 1, ()):
+            out |= x
+        return out
 
 
 def _scan_units_parallel(rf, packed, r, k, p, workers):

@@ -393,7 +393,10 @@ class WittElem:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if not isinstance(other, WittElem) or other.ring != self.ring:
+        # rings come from the make_witt_ring cache, so identity almost
+        # always decides before the tuple comparison of WittRing.__eq__
+        if not isinstance(other, WittElem) or (
+                other.ring is not self.ring and other.ring != self.ring):
             raise RingMismatch(f"{self!r} vs {other!r}")
 
     def __add__(self, other):

@@ -19,7 +19,12 @@ from fcrystals.files import (
     write_crystal,
 )
 from fcrystals.plinalg import Matrix
-from fcrystals.semilinear import _ResidueField, _scan_range, hom_module
+from fcrystals.semilinear import (
+    _FpLanes,
+    _ResidueField,
+    _scan_range,
+    hom_module,
+)
 from fcrystals.stairs import build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
@@ -167,7 +172,22 @@ def test_cli_jobs_deterministic(tmp_path):
               for b in free]
     assert len(free) == 5
     assert _scan_range(rf, packed, 3, 5, 2, 0, 32) == 22
-    for name, C in (("ss", ss), ("ordinary", ordinary)):
+    # odd p: 3^5 indices, first unit 37; 2 jobs cut them into chunks of
+    # 31, so the hit lies in the second chunk, which starts inside the
+    # lane block that holds the hit
+    odd = builtin_crystal(make_witt_ring(3, 1, 3), "ordinary", r=3, d=2)
+    H = hom_module(odd, odd)
+    free = H.mod_p_spanning_subset()
+    rf = _ResidueField(H.ring)
+    packed = [[[rf.pack(e.residue()) for e in row] for row in b.entries]
+              for b in free]
+    assert len(free) == 5
+    assert _scan_range(rf, packed, 3, 5, 3, 0, 243) == 37
+    assert _scan_range(rf, packed, 3, 5, 3, 0, 31) is None
+    assert _scan_range(rf, packed, 3, 5, 3, 31, 62) == 37
+    size = _FpLanes(rf, packed, 3, 5, None).size
+    assert 37 - 37 % size < 31
+    for name, C in (("ss", ss), ("ordinary", ordinary), ("odd", odd)):
         path = tmp_path / f"{name}.json"
         write_crystal(path, C)
         r1 = _run(["isom", str(path), str(path), "--jobs", "1"])

@@ -4,8 +4,12 @@ Each example starts from a valid file and drops keys, swaps values for
 JSON values of the wrong type (bools, floats, strings, nested lists), makes
 the matrix ragged, or sets ``n`` anywhere up to 300.  The reader must
 either return a crystal or raise a ``CrystalError``; ``fcrystals polygon``
-must exit 0 or 2, print no traceback, and write either nothing or one JSON
-document to stdout.
+and ``fcrystals hom`` must exit 0 or 2, print no traceback, and write
+either nothing or one JSON document to stdout.  ``hom`` also gets valid
+files with other well-typed p, q, n, shift and entries, so that its Hom
+computation runs.  Stairs blocks get wrong keys and types, or well-typed
+values that break the datum; their reader must return a datum or raise a
+``CrystalError``.
 """
 
 import contextlib
@@ -20,8 +24,14 @@ from hypothesis import strategies as st
 from fcrystals.cli import main
 from fcrystals.crystal import PolarizedCrystal, builtin_crystal
 from fcrystals.errors import CrystalError
-from fcrystals.files import crystal_to_dict, dict_to_crystal
+from fcrystals.files import (
+    crystal_to_dict,
+    dict_to_crystal,
+    dict_to_stairs_datum,
+    stairs_datum_to_dict,
+)
 from fcrystals.plinalg import Matrix
+from fcrystals.stairs import build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None,
@@ -86,25 +96,126 @@ def test_reader_returns_or_raises_crystal_error(data):
         pass
 
 
-@FUZZ
-@given(mutated_dicts())
-def test_polygon_exits_cleanly_on_mutated_files(data):
+def _run_main(argv, data):
+    """Exit code, stdout and stderr of main(argv) with every "F" in argv
+    replaced by a file holding data."""
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(data, fh)
         out, err = io.StringIO(), io.StringIO()
+        code = None
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             try:
-                main(["polygon", path])
+                main([path if a == "F" else a for a in argv])
             except SystemExit as exc:
                 code = exc.code
     finally:
         os.remove(path)
-    assert code in (0, 2), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    text = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, text, err):
+    assert code in (0, 2), err
+    assert "Traceback" not in err
     if text:
         assert text.endswith("\n") and text.count("\n") == 1
         json.loads(text)
+
+
+@FUZZ
+@given(mutated_dicts())
+def test_polygon_exits_cleanly_on_mutated_files(data):
+    _assert_clean_exit(*_run_main(["polygon", "F"], data))
+
+
+@st.composite
+def retuned_dicts(draw):
+    """Valid files with well-typed but arbitrary p, q, n, shift and
+    matrix entries, so that most of them reach the Hom computation."""
+    data = json.loads(json.dumps(draw(st.sampled_from(VALID))))
+    if draw(st.booleans()):
+        data["p"] = draw(st.sampled_from([2, 3, 5, 7, 9, 11]))
+    if draw(st.booleans()):
+        data["n"] = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        data["shift"] = draw(st.integers(-1, 1))
+    q = data["q"] = draw(st.integers(1, 13)) if draw(st.booleans()) \
+        else data["q"]
+    for key in ("matrix", "gram"):
+        if key in data:
+            data[key] = [[(e + [0] * q)[:q] for e in row]
+                         for row in data[key]]
+    rows = data["matrix"]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        rows[i][j][draw(st.integers(0, q - 1))] = draw(st.integers(-3, 300))
+    return data
+
+
+@settings(FUZZ, max_examples=100)
+@given(retuned_dicts() | mutated_dicts())
+def test_hom_exits_cleanly_on_mutated_files(data):
+    _assert_clean_exit(*_run_main(["hom", "F", "F"], data))
+
+
+def _stairs_case():
+    C = builtin_crystal(make_witt_ring(3, 1, 4), "ordinary", r=2, d=1)
+    return C, stairs_datum_to_dict(build_stairs_datum(C))
+
+
+STAIRS_CRYSTAL, STAIRS = _stairs_case()
+STAIRS_KEYS = sorted(STAIRS) + ["extra"]
+
+
+def _set_leaf(draw, tree, values):
+    """Replace one leaf of a nested list (or, sometimes, its parent)."""
+    path, node = [], tree
+    while isinstance(node, list) and node:
+        path.append(draw(st.integers(0, len(node) - 1)))
+        node = node[path[-1]]
+    if len(path) > 1 and draw(st.booleans()):
+        path.pop()
+    for i in path[:-1]:
+        tree = tree[i]
+    tree[path[-1]] = draw(values)
+
+
+@st.composite
+def mutated_stairs(draw):
+    """Wrong keys and types, or well-typed values that break the datum."""
+    data = json.loads(json.dumps(STAIRS))
+    if draw(st.booleans()):
+        for key in draw(st.lists(st.sampled_from(STAIRS_KEYS), max_size=2)):
+            data.pop(key, None)
+        for key in draw(st.lists(st.sampled_from(STAIRS_KEYS), max_size=2)):
+            data[key] = draw(json_values)
+        for key in ("permutation", "exponents", "signs", "basis"):
+            if isinstance(data.get(key), list) and data[key] \
+                    and draw(st.booleans()):
+                _set_leaf(draw, data[key], json_values)
+        return data
+    size = len(data["basis"])
+    if draw(st.booleans()):
+        data["permutation"] = draw(st.permutations(range(size)))
+    if draw(st.booleans()):
+        data["exponents"][draw(st.integers(0, size - 1))] = \
+            draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        data["signs"] = [-s for s in data["signs"]]
+    if draw(st.booleans()):
+        data["torsion"] = draw(st.integers(-2, 9))
+    if draw(st.booleans()):
+        _set_leaf(draw, data["basis"], st.integers(-2, 90))
+    return data
+
+
+@FUZZ
+@given(mutated_stairs())
+def test_stairs_reader_returns_or_raises_crystal_error(data):
+    try:
+        dict_to_stairs_datum(data, STAIRS_CRYSTAL)
+    except CrystalError:
+        pass

@@ -156,23 +156,24 @@ def test_fixed_lattice_matches_enumeration():
 
 
 def _first_unit_by_index(rf, packed, r, k, lo, hi, base):
-    """The unit scan's contract at p = 2, one determinant per index."""
+    """The unit scan's contract, one determinant per index."""
+    p = rf.p
     for idx in range(lo, hi):
-        coeffs = [(idx >> d) & 1 for d in range(k)]
+        coeffs = [(idx // p ** d) % p for d in range(k)]
         if rf.det(_combine(rf, packed, coeffs, r, base), r):
             return idx
     return None
 
 
-def _random_scan_case(rng, q, r, k, with_base):
-    """Packed matrices over F_{2^q}; a row that the low digits leave zero
+def _random_scan_case(rng, q, r, k, with_base, p=2):
+    """Packed matrices over F_{p^q}; a row that the low digits leave zero
     pushes the first unit past them, so hits land deep in the range."""
     dens = rng.choice([0.3, 0.7, 1.0])
     zero_row = rng.randrange(r)
     late = rng.randint(0, k)
 
     def entry():
-        return rng.randrange(1 << q) if rng.random() < dens else 0
+        return rng.randrange(p ** q) if rng.random() < dens else 0
 
     packed = []
     for d in range(k):
@@ -188,20 +189,22 @@ def _random_scan_case(rng, q, r, k, with_base):
     return packed, base
 
 
-@pytest.mark.parametrize("block_bits", [2, 3])
-def test_scan_range_gf2_matches_index_order(monkeypatch, block_bits):
-    # narrow blocks, so that ranges start, cross and stop at block edges
-    monkeypatch.setattr(semilinear, "_BLOCK_BITS", block_bits)
-    rng = random.Random(40 + block_bits)
+def _scan_range_outcomes(monkeypatch, rng, p, cases, block_bits, qs, rmax,
+                         kmax, base_period):
+    """Compare _scan_range with the index-order oracle on random cases
+    (whole ranges, ranges from 1, random sub-ranges) and count the hits,
+    the empty ranges and the ranges that cross a block edge."""
     outcomes = {"hit": 0, "none": 0, "crossing": 0}
-    width = 1 << block_bits
-    for case in range(120):
-        q = (1, 2, 3, 4, 6, 12)[case % 6]
-        r = rng.randint(1, 6)
-        k = rng.randint(0, 8)
-        rf = _ResidueField(make_witt_ring(2, q, 1))
-        packed, base = _random_scan_case(rng, q, r, k, case % 2 == 1)
-        total = 1 << k
+    for case in range(cases):
+        monkeypatch.setattr(semilinear, "_BLOCK_BITS",
+                            block_bits[case % len(block_bits)])
+        q = qs[case % len(qs)]
+        r = rng.randint(1, rmax)
+        k = rng.randint(0, kmax)
+        rf = _ResidueField(make_witt_ring(p, q, 1))
+        packed, base = _random_scan_case(
+            rng, q, r, k, case % base_period >= base_period // 2, p)
+        total = p ** k
         kind = case % 3
         if kind == 0:
             lo, hi = 0, total
@@ -210,15 +213,37 @@ def test_scan_range_gf2_matches_index_order(monkeypatch, block_bits):
         else:
             lo = rng.randrange(total)
             hi = rng.randint(lo + 1, total)
-        got = _scan_range(rf, packed, r, k, 2, lo, hi, base)
+        got = _scan_range(rf, packed, r, k, p, lo, hi, base)
         want = _first_unit_by_index(rf, packed, r, k, lo, hi, base)
         assert got == want, (q, r, k, lo, hi)
         outcomes["none" if want is None else "hit"] += 1
         if want is not None and want > lo:
             # a range that stops just short of the hit is empty
-            assert _scan_range(rf, packed, r, k, 2, lo, want, base) is None
-        if lo // width != (hi - 1) // width:
+            assert _scan_range(rf, packed, r, k, p, lo, want, base) is None
+        lanes = semilinear._Gf2Lanes if p == 2 else semilinear._FpLanes
+        size = lanes(rf, packed, r, k, base).size
+        if lo // size != (hi - 1) // size:
             outcomes["crossing"] += 1
+    return outcomes
+
+
+@pytest.mark.parametrize("block_bits", [2, 3])
+def test_scan_range_gf2_matches_index_order(monkeypatch, block_bits):
+    # narrow blocks, so that ranges start, cross and stop at block edges
+    outcomes = _scan_range_outcomes(
+        monkeypatch, random.Random(40 + block_bits), 2, 120, (block_bits,),
+        (1, 2, 3, 4, 6, 12), 6, 8, 2)
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("p, block_bits", [
+    (3, (6, 7)), (5, (7, 9)), (7, (8, 10))])
+def test_scan_range_oddp_matches_index_order(monkeypatch, p, block_bits):
+    # blocks narrowed to p or p^2 lanes (the slot width grows with r and
+    # q), so that ranges start, cross and stop at block edges
+    outcomes = _scan_range_outcomes(
+        monkeypatch, random.Random(50 + p), p, 90, block_bits,
+        (1, 2, 3, 4, 6, 11), 5, {3: 5, 5: 3, 7: 3}[p], 4)
     assert min(outcomes.values()) >= 10, outcomes
 
 

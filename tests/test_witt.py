@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from fcrystals.errors import NoEmbedding, NotAUnit, NotPrime, UnknownField
-from fcrystals.witt import INFINITY, make_witt_ring
+from fcrystals.errors import (
+    NoEmbedding,
+    NotAUnit,
+    NotPrime,
+    RingMismatch,
+    UnknownField,
+)
+from fcrystals.witt import INFINITY, WittRing, make_witt_ring
 
 
 def test_small_rings_are_integers_mod_p_n():
@@ -21,6 +27,21 @@ def test_unknown_field_and_bad_prime():
         make_witt_ring(11, 1, 2)
     with pytest.raises(NotPrime):
         make_witt_ring(4, 1, 2)
+
+
+def test_ring_check_accepts_equal_rings_outside_the_cache():
+    cached = make_witt_ring(3, 2, 3)
+    fresh = WittRing(3, 2, 3)
+    assert fresh is not cached and fresh == cached
+    a, b = cached.gen(), fresh.from_int(5)
+    assert (a + b) == (b + a) and (a * b) == (b * a)
+    assert (a - b).coeffs == cached._sub(a.coeffs, b.coeffs)
+    other = make_witt_ring(3, 2, 2)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(RingMismatch):
+            op(a, other.gen())
+        with pytest.raises(RingMismatch):
+            op(fresh.gen(), other.one())
 
 
 def test_teichmuller_modulus_makes_generator_torsion():
