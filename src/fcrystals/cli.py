@@ -158,8 +158,7 @@ def cmd_isom(args):
         if isinstance(C2, PolarizedCrystal):
             C2 = C2.base
         try:
-            res = isom_search(C1, C2, args.prec, seed=args.seed,
-                              jobs=args.jobs)
+            res = isom_search(C1, C2, args.prec, seed=args.seed)
         except CrystalError as exc:
             _err(str(exc))
             return 2
@@ -226,8 +225,7 @@ def cmd_verify(args):
         _err(f"unknown suite {args.suite!r}")
         return 2
     from .verify import run_paper_suite
-    results = run_paper_suite(jobs=args.jobs, seed=args.seed,
-                              emit=_out, fast=args.fast)
+    results = run_paper_suite(seed=args.seed, emit=_out, fast=args.fast)
     failed = [r for r in results if not r["ok"]]
     sys.stderr.write(
         f"{len(results) - len(failed)}/{len(results)} checks passed\n")
@@ -263,7 +261,7 @@ def build_parser():
     p.add_argument("--p", type=int, default=2)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("hom", help="canonical Hom module of two files")
+    p = sub.add_parser("hom", help="Hom module of two files (a Howell basis)")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--prec", type=_int_at_least(1), default=None)
@@ -274,7 +272,8 @@ def build_parser():
     p.add_argument("file2")
     p.add_argument("--prec", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="accepted and ignored: the unit scan runs serially")
     p.set_defaults(func=cmd_isom)
 
     p = sub.add_parser("stairs", help="conjugate a twist back to phi")
@@ -293,7 +292,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--suite", default="paper")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="accepted and ignored: the unit scan runs serially")
     p.add_argument("--fast", action="store_true",
                    help="reduced sample counts")
     p.set_defaults(func=cmd_verify)

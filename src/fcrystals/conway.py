@@ -1,8 +1,8 @@
 """Built-in table of Conway polynomials.
 
 Coefficients are listed low degree first, so ``(1, 1)`` is ``x + 1``.  The
-table covers p in {2, 3, 5, 7} and extension degrees up to 12; anything
-outside errors.  Entries follow the standard normalization: primitive,
+table covers p in {2, 3, 5, 7} and extension degrees up to 12, except
+(7, 12), which awaits a verified value; anything outside errors.  Entries follow the standard normalization: primitive,
 norm-compatible with all subfield entries, minimal in the usual
 alternating-sign word order.
 """
@@ -60,7 +60,6 @@ CONWAY_TABLE = {
     (7, 9): (4, 6, 0, 1, 6, 0, 0, 0, 0, 1),
     (7, 10): (3, 3, 2, 1, 4, 1, 1, 0, 0, 0, 1),
     (7, 11): (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (7, 12): None,  # placeholder, filled below
 }
 
 
@@ -83,6 +82,7 @@ def conway_polynomial(p: int, q: int) -> tuple:
     if poly is None:
         raise UnknownField(
             f"no built-in Conway polynomial for (p, q) = ({p}, {q}); "
-            f"supported: p in {SUPPORTED_PRIMES}, q <= {MAX_DEGREE}"
+            f"supported: p in {SUPPORTED_PRIMES}, q <= {MAX_DEGREE}, "
+            f"except (7, 12)"
         )
     return poly

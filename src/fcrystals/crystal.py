@@ -23,20 +23,17 @@ class FCrystal:
 
     __slots__ = ("ring", "rank", "B", "shift")
 
-    def __init__(self, ring, B, shift=0, _normalized=False):
+    def __init__(self, ring, B, shift=0):
         if B.rows != B.cols:
             raise BadShape("matrix of phi must be square")
         if shift < 0:
             raise BadShape("shift must be >= 0")
-        if not _normalized:
-            while shift > 0 and (B.is_zero() or B.min_valuation() >= 1):
-                B = B.divide_exact(1)
-                shift -= 1
-            exps = smith_normal_form(B).exponents
-            if any(e >= ring.n for e in exps) or sum(exps) >= ring.n:
-                raise SingularAtPrecision(
-                    "phi is not injective at this precision"
-                )
+        while shift > 0 and (B.is_zero() or B.min_valuation() >= 1):
+            B = B.divide_exact(1)
+            shift -= 1
+        exps = smith_normal_form(B).exponents
+        if any(e >= ring.n for e in exps) or sum(exps) >= ring.n:
+            raise SingularAtPrecision("phi is not injective at this precision")
         self.ring = ring
         self.rank = B.rows
         self.B = B

@@ -5,7 +5,7 @@ of intertwiners, fixed lattices, and circular residue systems all reduce
 to exact linear algebra over Z/p^m.
 """
 
-import os
+import random
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -96,7 +96,7 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
 
 @dataclass
 class HomModule:
-    """Canonical basis of {g : g phi_1 = phi_2 g} at precision m."""
+    """Howell basis of {g : g phi_1 = phi_2 g} at precision m."""
 
     ring: object
     shape: tuple          # (rank of target, rank of source)
@@ -149,7 +149,7 @@ class HomModule:
 
 
 def hom_module(C1, C2, precision=None) -> HomModule:
-    """All g with g o phi_1 = phi_2 o g over W_precision, canonical basis."""
+    """All g with g o phi_1 = phi_2 o g over W_precision, a Howell basis."""
     if C1.shift != 0 or C2.shift != 0:
         raise ShiftUnsupported("clear denominators first")
     if C1.ring != C2.ring:
@@ -163,14 +163,14 @@ def hom_module(C1, C2, precision=None) -> HomModule:
     return HomModule.from_system(rm, (C2.rank, C1.rank), rows)
 
 
-def fixed_lattice(C, precision=None):
+def fixed_lattice(C):
     """(HomModule of End fixed points, lattice exponent of their W-span).
 
     The exponent is the smallest e with p^e * End inside the W-span of
     the fixed elements; equals the ring precision when the span is not
     full.
     """
-    H = hom_module(C, C, precision)
+    H = hom_module(C, C)
     rm = H.ring
     m = H.precision
     hw = howell_form(w_span_rows(H.basis, rm), rm.p, m)
@@ -185,111 +185,16 @@ def fixed_lattice(C, precision=None):
 
 
 def _residue_pack(p, q, res):
-    """Pack an F_{p^q} element (coefficient tuple) into an int index."""
-    if p == 2:
-        v = 0
-        for i, c in enumerate(res):
-            v |= (c & 1) << i
-        return v
+    """Pack an F_{p^q} element (coefficient tuple) into an int, base p."""
     v = 0
     for c in reversed(res):
-        v = v * p + (c % p)
+        v = v * p + c % p
     return v
 
 
-class _ResidueField:
-    """Arithmetic on packed residues of F_{p^q}; log tables when small."""
-
-    def __init__(self, ring):
-        self.p = ring.p
-        self.q = ring.q
-        self.ring = ring
-        self.size = ring.p ** ring.q
-        self._log = None
-        if 2 < self.size <= 1 << 14:
-            gen = ring.gen().residue() if ring.q > 1 else \
-                ((-ring.modulus_lift[0]) % ring.p,)
-            log = {}
-            exp = []
-            cur = tuple([1] + [0] * (ring.q - 1))
-            for k in range(self.size - 1):
-                idx = self.pack(cur)
-                exp.append(idx)
-                log[idx] = k
-                cur = ring._mul(tuple(c % ring.p for c in cur), gen)
-            self._log = log
-            self._exp = exp
-
-    def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        p, out, mul = self.p, 0, 1
-        for _ in range(self.q):
-            out += ((a % p + b % p) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
-
-    def unpack(self, a):
-        p = self.p
-        return tuple((a // p ** i) % p for i in range(self.q))
-
-    def pack(self, coeffs):
-        return _residue_pack(self.p, self.q, coeffs)
-
-    def mul(self, a, b):
-        if not a or not b:
-            return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
-        c = self.ring._mul(self.unpack(a), self.unpack(b))
-        return self.pack(c)
-
-    def inv(self, a):
-        if self._log is not None:
-            return self._exp[(-self._log[a]) % (self.size - 1)]
-        return self.pack(self.ring._inv(self.unpack(a)))
-
-    def scalar_mul(self, c, a):
-        # c in F_p
-        if self.p == 2:
-            return a if c else 0
-        p, out, mul = self.p, 0, 1
-        for _ in range(self.q):
-            out += ((a % p) * c % p) * mul
-            a //= p
-            mul *= p
-        return out
-
-    def det(self, mat, r):
-        """Determinant of an r x r packed-residue matrix (destructive)."""
-        m = [row[:] for row in mat]
-        det = self.pack(tuple([1] + [0] * (self.q - 1)))
-        for k in range(r):
-            piv = None
-            for i in range(k, r):
-                if m[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = self.scalar_mul(self.p - 1, det)
-            det = self.mul(det, m[k][k])
-            inv = self.inv(m[k][k])
-            for i in range(k + 1, r):
-                if m[i][k]:
-                    c = self.mul(m[i][k], inv)
-                    for j in range(k, r):
-                        if m[k][j]:
-                            m[i][j] = self.add(
-                                m[i][j],
-                                self.scalar_mul(self.p - 1,
-                                                self.mul(c, m[k][j])))
-            # column k cleared below
-        return det
+def _residue_unpack(p, q, a):
+    """The coefficient tuple of a packed F_{p^q} element."""
+    return tuple(a // p ** i % p for i in range(q))
 
 
 @dataclass
@@ -303,7 +208,7 @@ class IsomResult:
         return self.witness is not None or self.regime == "exhaustive"
 
 
-def isom_search(C1, C2, precision=None, seed=0, jobs=1) -> IsomResult:
+def isom_search(C1, C2, precision=None, seed=0) -> IsomResult:
     """Search the Hom module for a unit; exhaustive below the span cap.
 
     The mod-p span of the Hom module is scanned for a unit determinant;
@@ -313,14 +218,16 @@ def isom_search(C1, C2, precision=None, seed=0, jobs=1) -> IsomResult:
     if C1.rank != C2.rank:
         return IsomResult(None, "exhaustive", 0)
     H = hom_module(C1, C2, precision)
-    return unit_search(H, seed=seed, jobs=jobs)
+    return unit_search(H, seed=seed)
 
 
-def unit_search(H: HomModule, seed=0, jobs=1) -> IsomResult:
-    """Scan the mod-p span of the module for a unit-determinant element.
+def unit_search(H: HomModule, seed=0) -> IsomResult:
+    """Search the mod-p span of the module for a unit-determinant element.
 
-    Lexicographically smallest witness (base-p digit vectors over the
-    valuation-zero basis elements) regardless of job count.
+    Up to EXHAUSTIVE_CAP elements the span is scanned in index order, so
+    the witness is the lexicographically smallest unit (base-p digit
+    vectors over the spanning subset).  Beyond it, RANDOMIZED_TRIALS
+    random combinations are tried, and the first unit among them lifts.
     """
     ring = H.ring
     p = ring.p
@@ -331,33 +238,22 @@ def unit_search(H: HomModule, seed=0, jobs=1) -> IsomResult:
     k = len(free)
     if k == 0:
         return IsomResult(None, "exhaustive", 0)
-    rf = _ResidueField(ring)
     packed = [
-        [[rf.pack(e.residue()) for e in row] for row in b.entries]
+        [[_residue_pack(p, ring.q, e.residue()) for e in row]
+         for row in b.entries]
         for b in free
     ]
-    total = p ** k
-    if total <= EXHAUSTIVE_CAP:
-        workers = min(jobs, os.cpu_count() or 1)
-        if workers > 1:
-            idx = _scan_units_parallel(rf, packed, r, k, p, workers)
-        else:
-            idx = _scan_range(rf, packed, r, k, p, 0, total)
+    if p ** k <= EXHAUSTIVE_CAP:
+        idx = _scan_range(ring, packed, r, 0, p ** k)
         if idx is None:
             return IsomResult(None, "exhaustive", 0)
         coeffs = [(idx // p ** i) % p for i in range(k)]
-        g = _lift_combination(free, coeffs, H)
-        return IsomResult(g, "exhaustive", 0)
-    # randomized regime
-    import random
-    rng = random.Random(seed)
-    for trial in range(RANDOMIZED_TRIALS):
-        coeffs = [rng.randrange(p) for _ in range(k)]
-        mat = _combine(rf, packed, coeffs, r)
-        if rf.det(mat, r):
-            g = _lift_combination(free, coeffs, H)
-            return IsomResult(g, "randomized", trial + 1)
-    return IsomResult(None, "randomized", RANDOMIZED_TRIALS)
+        return IsomResult(_lift_combination(free, coeffs, H), "exhaustive")
+    hit = _first_unit_trial(ring, packed, r, random.Random(seed))
+    if hit is None:
+        return IsomResult(None, "randomized", RANDOMIZED_TRIALS)
+    trial, coeffs = hit
+    return IsomResult(_lift_combination(free, coeffs, H), "randomized", trial)
 
 
 def _lift_combination(free, coeffs, H):
@@ -368,33 +264,62 @@ def _lift_combination(free, coeffs, H):
     return acc
 
 
-def _combine(rf, packed, coeffs, r, base=None):
-    if base is None:
-        base = [[0] * r for _ in range(r)]
-    mat = [row[:] for row in base]
-    for c, B in zip(coeffs, packed):
-        if c:
-            for i in range(r):
-                for j in range(r):
-                    if B[i][j]:
-                        mat[i][j] = rf.add(
-                            mat[i][j], rf.scalar_mul(c, B[i][j]))
-    return mat
+def _first_unit_trial(ring, packed, r, rng):
+    """(number, coefficients) of the first of RANDOMIZED_TRIALS random
+    combinations that is a unit, or None.
+
+    Trials are drawn one after another, coefficients in basis order, and
+    evaluated in batches of consecutive trials: lane x of a batch is its
+    x-th trial, so the lowest unit lane is the first successful trial.
+    Batches double from one trial up to one block of lanes.
+    """
+    p, k = ring.p, len(packed)
+    Lanes, w, b = _layout(ring, r, k)
+    mats = _unpack_matrices(ring, packed)
+    zero = [[(0,) * ring.q] * r] * r
+    done, n = 0, 1
+    while done < RANDOMIZED_TRIALS:
+        n = min(n, RANDOMIZED_TRIALS - done)
+        trials = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+        coeffs = [sum(t[d] << x * w for x, t in enumerate(trials))
+                  for d in range(k)]
+        units = Lanes(ring, mats, coeffs, r, n).units(zero)
+        if units:
+            x = ((units & -units).bit_length() - 1) // w
+            return done + x + 1, trials[x]
+        done += n
+        n = min(2 * n, p ** b)
+    return None
 
 
-def _scan_range(rf, packed, r, k, p, lo, hi, base=None):
+def _scan_range(ring, packed, r, lo, hi, base=None):
     """First index in [lo, hi) whose combination (plus base) is a unit.
 
     Index digits are base-p coefficients, digit 0 (packed[0]) fastest.
     Aligned blocks of p^b indices are evaluated at once: lane x of every
-    int, a slot of `slot` bits, stands for the index start + x.  The
-    lowest unit lane inside [lo, hi) is the first unit in index order.
+    int, a slot of w bits, stands for the index start + x.  The low b
+    digits come from fixed lane patterns, the base and the block's high
+    digits are constants.  The lowest unit lane inside [lo, hi) is the
+    first unit in index order.
     """
-    block = (_Gf2Lanes if p == 2 else _FpLanes)(rf, packed, r, k, base)
-    size, w = block.size, block.slot
+    p, k = ring.p, len(packed)
+    Lanes, w, b = _layout(ring, r, k)
+    mats = _unpack_matrices(ring, packed)
+    base = _unpack_matrices(ring, [base])[0] if base else \
+        [[(0,) * ring.q] * r] * r
+    size = p ** b
+    block = Lanes(ring, mats[:b], _digit_lanes(p, b, w), r, size)
     start = lo - lo % size
     while start < hi:
-        units = block.units(start)
+        const = [[list(c) for c in row] for row in base]
+        for d in range(b, k):
+            c = start // p ** d % p
+            if c:
+                for crow, brow in zip(const, mats[d]):
+                    for ce, be in zip(crow, brow):
+                        for t, v in enumerate(be):
+                            ce[t] += c * v
+        units = block.units(const)
         # keep lanes in [lo, hi)
         a, z = max(lo - start, 0), min(hi - start, size)
         units &= ((1 << z * w) - 1) >> a * w << a * w
@@ -404,9 +329,26 @@ def _scan_range(rf, packed, r, k, p, lo, hi, base=None):
     return None
 
 
+def _unpack_matrices(ring, packed):
+    return [[[_residue_unpack(ring.p, ring.q, v) for v in row] for row in B]
+            for B in packed]
+
+
 # log2 of the bits of one lane-block int: the indices of a block share
 # every digit from b up, where p^b slots fill at most this many bits
 _BLOCK_BITS = 12
+
+
+def _layout(ring, r, k):
+    """(lane class, slot bits w, block digits b) for r x r matrices over
+    the residue field of ring, b the largest b <= k with p^b slots in at
+    most 2^_BLOCK_BITS bits."""
+    p = ring.p
+    w = 1 if p == 2 else _barrett(p, ring.q, r)[2]
+    b = 0
+    while b < k and p ** (b + 1) * w <= 1 << _BLOCK_BITS:
+        b += 1
+    return (_Gf2Lanes if p == 2 else _FpLanes), w, b
 
 
 def _digit_lanes(p, b, w):
@@ -423,44 +365,32 @@ def _digit_lanes(p, b, w):
 
 
 class _Gf2Lanes:
-    """Blocks of 2^b indices at p = 2, one bit per lane.
+    """Lanes at p = 2, one bit per lane.
 
-    An F_{2^q} entry is q bit planes.  The low b digits come from fixed
-    lane patterns, the base and the block's high digits are all-ones
-    planes.
+    An F_{2^q} entry is q bit planes: the planes of the matrices `mats`,
+    each masked by its coefficient int (one bit per lane), added up,
+    plus a constant that is the same in every lane.
     """
 
-    slot = 1
-
-    def __init__(self, rf, packed, r, k, base):
-        q = rf.q
-        b = self.b = min(_BLOCK_BITS, k)
-        self.size = 1 << b
-        self.r, self.q, self.k, self.packed, self.base = r, q, k, packed, base
+    def __init__(self, ring, mats, coeffs, r, lanes):
+        q = self.q = ring.q
+        self.r, self.ones = r, (1 << lanes) - 1
         # t^q = sum of t^s over these s, modulo the Conway polynomial mod 2
-        self.fold = [s for s in range(q) if rf.ring.field.modulus[s] % 2]
+        self.fold = [s for s in range(q) if ring.field.modulus[s] % 2]
         low = self.low = [[[0] * q for _ in range(r)] for _ in range(r)]
-        for B, pat in zip(packed, _digit_lanes(2, b, 1)):
+        for B, c in zip(mats, coeffs):
             for i in range(r):
                 for j in range(r):
-                    v = B[i][j]
-                    for t in range(q):
-                        if v >> t & 1:
-                            low[i][j][t] ^= pat
+                    for t, v in enumerate(B[i][j]):
+                        if v:
+                            low[i][j][t] ^= c
 
-    def units(self, start):
-        r, q, low = self.r, self.q, self.low
-        ones = (1 << self.size) - 1
-        const = [row[:] for row in self.base] if self.base else \
-            [[0] * r for _ in range(r)]
-        for d in range(self.b, self.k):
-            if start >> d & 1:
-                for crow, brow in zip(const, self.packed[d]):
-                    for j in range(r):
-                        crow[j] ^= brow[j]
-        M = [[[low[i][j][t] ^ (ones if const[i][j] >> t & 1 else 0)
-               for t in range(q)] for j in range(r)] for i in range(r)]
-        return _det_lanes_gf2(M, r, q, self.fold)
+    def units(self, const):
+        ones = self.ones
+        M = [[[x ^ ones if c & 1 else x for x, c in zip(le, ce)]
+              for le, ce in zip(lrow, crow)]
+             for lrow, crow in zip(self.low, const)]
+        return _det_lanes_gf2(M, self.r, self.q, self.fold)
 
 
 def _det_lanes_gf2(M, r, q, fold):
@@ -503,53 +433,51 @@ def _det_lanes_gf2(M, r, q, fold):
     return out
 
 
-class _FpLanes:
-    """Blocks of p^b indices at odd p, one F_p value per lane in a slot.
+def _barrett(p, q, r):
+    """(shift, multiplier, slot bits) of the SWAR Barrett step at odd p.
 
-    An F_{p^q} entry is q ints.  The low b digits come from fixed lane
-    patterns, the base and the block's high digits are constants added
-    to every slot.  Slots add up unreduced, and a SWAR Barrett step (one
-    multiply by floor(2^shift / p), one masked conditional subtraction)
-    brings every slot of an int back below p.  The slot is wide enough
-    for the largest sum before a reduction times the Barrett multiplier.
+    A determinant coefficient sums at most r products of q pairs, one
+    factor below p and one at most p (a negation p - a), before q - 1
+    reduced high coefficients fold into it.  The slot holds that bound
+    times the multiplier floor(2^shift / p).
+    """
+    bound = (r + 1) * q * p * (p - 1)
+    shift = bound.bit_length()
+    mult = (1 << shift) // p
+    return shift, mult, (bound * mult).bit_length()
+
+
+class _FpLanes:
+    """Lanes at odd p, one F_p value per lane in a slot.
+
+    An F_{p^q} entry is q ints: the entries of the matrices `mats`, each
+    times its coefficient int (one value below p per lane), added up,
+    plus a constant added to every slot.  Slots add up unreduced, and a
+    SWAR Barrett step (one multiply by floor(2^shift / p), one masked
+    conditional subtraction) brings every slot of an int back below p.
     """
 
-    def __init__(self, rf, packed, r, k, base):
-        p, q = self.p, self.q = rf.p, rf.q
+    def __init__(self, ring, mats, coeffs, r, lanes):
+        p, q = self.p, self.q = ring.p, ring.q
         self.r = r
-        # a determinant coefficient sums at most r products of q pairs,
-        # one factor below p and one at most p (a negation p - a), before
-        # q - 1 reduced high coefficients fold into it
-        bound = (r + 1) * q * p * (p - 1)
-        self.shift = bound.bit_length()
-        self.mult = (1 << self.shift) // p
-        w = self.slot = (bound * self.mult).bit_length()
-        b = 0
-        while b < k and p ** (b + 1) * w <= 1 << _BLOCK_BITS:
-            b += 1
-        self.b, self.size = b, p ** b
-        ones = self.ones = ((1 << self.size * w) - 1) // ((1 << w) - 1)
+        self.shift, self.mult, w = _barrett(p, q, r)
+        self.slot = w
+        ones = self.ones = ((1 << lanes * w) - 1) // ((1 << w) - 1)
         self.quot = ones * ((1 << w - self.shift) - 1)
         self.half = ones * ((1 << w - 1) - p)
         # t^(q+i) modulo the Conway polynomial mod p, as (t, coefficient)
-        top = [(-c) % p for c in rf.ring.field.modulus[:q]]
+        top = [(-c) % p for c in ring.field.modulus[:q]]
         row, self.fold = top, []
         for _ in range(q - 1):
             self.fold.append([(t, c) for t, c in enumerate(row) if c])
             row = [(a + row[-1] * c) % p for a, c in zip([0] + row, top)]
-        coeffs = [[[rf.unpack(v) for v in row] for row in B]
-                  for B in packed]
-        self.high = coeffs[b:]
-        self.base = [[rf.unpack(v) for v in row] for row in base] \
-            if base else [[(0,) * q] * r for _ in range(r)]
         low = self.low = [[[0] * q for _ in range(r)] for _ in range(r)]
-        for B, pat in zip(coeffs, _digit_lanes(p, b, w)):
+        for B, c in zip(mats, coeffs):
             for i in range(r):
                 for j in range(r):
-                    for t, c in enumerate(B[i][j]):
-                        if c:
-                            low[i][j][t] = self._reduce(
-                                low[i][j][t] + c * pat)
+                    for t, v in enumerate(B[i][j]):
+                        if v:
+                            low[i][j][t] = self._reduce(low[i][j][t] + v * c)
 
     def _lower(self, x):
         """x with p taken off every slot in [p, 2p)."""
@@ -570,17 +498,9 @@ class _FpLanes:
                     out[t] += h * c
         return [red(x) if x else 0 for x in out]
 
-    def units(self, start):
-        p, ones = self.p, self.ones
-        const = [[list(c) for c in row] for row in self.base]
-        for d, B in enumerate(self.high, self.b):
-            c = start // p ** d % p
-            if c:
-                for crow, brow in zip(const, B):
-                    for ce, be in zip(crow, brow):
-                        for t, v in enumerate(be):
-                            ce[t] += c * v
-        M = [[[self._lower(x + c % p * ones) if c % p else x
+    def units(self, const):
+        ones = self.ones
+        M = [[[self._lower(x + c % self.p * ones) if c % self.p else x
                for x, c in zip(le, ce)]
               for le, ce in zip(lrow, crow)]
              for lrow, crow in zip(self.low, const)]
@@ -634,29 +554,6 @@ class _FpLanes:
         for x in D.get((1 << r) - 1, ()):
             out |= x
         return out
-
-
-def _scan_units_parallel(rf, packed, r, k, p, workers):
-    from concurrent.futures import ProcessPoolExecutor
-    total = p ** k
-    chunk = (total + 4 * workers - 1) // (4 * workers)
-    ranges = [(lo, min(lo + chunk, total))
-              for lo in range(0, total, chunk)]
-    args = [(rf.p, rf.q, packed, r, k, lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for res in ex.map(_scan_chunk, args):
-            if res is not None:
-                # chunks are scanned in index order; later ones are moot
-                ex.shutdown(cancel_futures=True)
-                return res
-    return None
-
-
-def _scan_chunk(arg):
-    p, q, packed, r, k, lo, hi = arg
-    ring = make_witt_ring(p, q, 1)
-    rf = _ResidueField(ring)
-    return _scan_range(rf, packed, r, k, p, lo, hi)
 
 
 def cokernel_length(f: Matrix, C1, C2) -> int:
@@ -857,12 +754,11 @@ def _lang_search(big, g, r):
     k = len(kern)
     if p ** k > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(f"Lang solution space has p^{k} elements")
-    rf = _ResidueField(big)
-    # the odometer turns digit 0 fastest, so the last kernel vector goes
+    # the scan turns digit 0 fastest, so the last kernel vector goes
     # first; index 0 (the zero combination) is never a unit
-    packed = [[[rf.pack(kv[(i * r + j) * q:(i * r + j + 1) * q])
+    packed = [[[_residue_pack(p, q, kv[(i * r + j) * q:(i * r + j + 1) * q])
                 for j in range(r)] for i in range(r)] for kv in kern[::-1]]
-    idx = _scan_range(rf, packed, r, k, p, 1, p ** k)
+    idx = _scan_range(big, packed, r, 1, p ** k)
     if idx is None:
         return None
     vec = [0] * nv
@@ -876,7 +772,7 @@ def _lang_search(big, g, r):
 
 
 def hom_image(C1, C2, from_prec, to_prec):
-    """Canonical Howell basis of Im(Hom at from_prec -> Hom at to_prec)."""
+    """Howell basis of Im(Hom at from_prec -> Hom at to_prec)."""
     H = hom_module(C1, C2, from_prec)
     rows = []
     pm = C1.ring.p ** to_prec
@@ -904,7 +800,9 @@ def hom_stabilization_check(C1, C2, m12, h12, t):
     stable = hom_image(C1, C2, hi, lo)
     for N in range(hi + 1, ring.n + 1):
         img = hom_image(C1, C2, N, lo)
-        if img != stable:
+        # Howell bases are not canonical: compare the spans
+        if not all(in_howell_span(v, b, ring.p, lo)
+                   for a, b in ((img, stable), (stable, img)) for v in a):
             return False, (hi, N)
     return True, (hi, ring.n)
 

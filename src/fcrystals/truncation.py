@@ -34,7 +34,7 @@ from .semilinear import (
     HomModule,
     IsomResult,
     _intertwiner_system,
-    _ResidueField,
+    _residue_pack,
     _scan_range,
     hom_image,
     hom_module,
@@ -80,7 +80,7 @@ def verschiebung(C, level=None) -> DTruncation:
 
 
 def d_trunc_hom_module(T1: DTruncation, T2: DTruncation) -> HomModule:
-    """{f : f F1 = F2 sigma(f) and f V1 = V2 sigma^{-1}(f)}, canonical basis."""
+    """{f : f F1 = F2 sigma(f) and f V1 = V2 sigma^{-1}(f)}, a Howell basis."""
     if T1.ring != T2.ring:
         raise BadShape("truncations must share a ring")
     ring = T1.ring
@@ -315,7 +315,6 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level):
     ring = make_witt_ring(C.ring.p, C.ring.q, to_level)
     p = ring.p
     r = C.rank
-    rf = _ResidueField(ring)
     # cosets of small inside big: reduce big's rows against small
     reps = []
     for row in big_basis:
@@ -333,7 +332,8 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level):
     rep_mats = [Matrix.from_flat_ints(ring, r, r, v) for v in reps]
     # scan (coset rep combo) x (mod-p span of small) for units not in small
     small_packed = [
-        [[rf.pack(e.residue()) for e in row] for row in b.entries]
+        [[_residue_pack(p, ring.q, e.residue()) for e in row]
+         for row in b.entries]
         for b in small_mats
     ]
     from itertools import product
@@ -347,15 +347,15 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level):
         flat = base.flatten_ints()
         if not any(reduce_against_howell(flat, small_basis, p, to_level)):
             continue  # fell into the small span after all
-        packed_base = [[rf.pack(e.residue()) for e in row]
+        packed_base = [[_residue_pack(p, ring.q, e.residue()) for e in row]
                        for row in base.entries]
-        if _scan_range(rf, small_packed, r, k, p, 0, p ** k,
+        if _scan_range(ring, small_packed, r, 0, p ** k,
                        packed_base) is not None:
             return True
     return False
 
 
-def aut_image_stabilization_check(C, t, datum=None) -> bool:
+def aut_image_stabilization_check(C, t) -> bool:
     """Aut images at level n - m + t agree from level n + h + t up to full.
 
     n = 2m + eps_p with m the lattice torsion of the datum; images are
@@ -363,11 +363,9 @@ def aut_image_stabilization_check(C, t, datum=None) -> bool:
     fails only when a deeper coset still contains a unit.
     """
     from .stairs import build_stairs_datum
-    if datum is None:
-        datum = build_stairs_datum(C)
     ring = C.ring
     _, s, h = hodge_data(C)
-    m = datum.torsion
+    m = build_stairs_datum(C).torsion
     n = 2 * m + epsilon_p(ring.p)
     to_level = n - m + t
     hi = n + h + t

@@ -235,7 +235,7 @@ class WittRing:
             upow = self._mul(upow, u)
         return rows
 
-    def _combine(self, a, rows):
+    def _apply_rows(self, a, rows):
         """sum_j a_j rows_j for rows from _packed_powers."""
         return self._reduce(sum(map(mul, a, rows)), self._w)
 
@@ -246,7 +246,7 @@ class WittRing:
     def _sigma_raw(self, a):
         if self.q == 1:
             return a
-        return self._combine(a, self._sigma_rows)
+        return self._apply_rows(a, self._sigma_rows)
 
     def _sigma_inv_raw(self, a):
         if self.q == 1:
@@ -257,7 +257,7 @@ class WittRing:
             for _ in range(self.q - 1):
                 t_img = self._sigma_raw(t_img)
             self._sigma_inv_rows = self._packed_powers(t_img, self.q)
-        return self._combine(a, self._sigma_inv_rows)
+        return self._apply_rows(a, self._sigma_inv_rows)
 
     def _val(self, a):
         v = min(_int_val(c, self.p, self.n) for c in a)
@@ -482,7 +482,7 @@ class WittElem:
             if any(acc):
                 raise InternalError("embedding image is not a modulus root")
             pows = R._embed_cache[S] = S._packed_powers(u, R.q)
-        return WittElem(S, S._combine(self.coeffs, pows))
+        return WittElem(S, S._apply_rows(self.coeffs, pows))
 
     def is_zero(self):
         return not any(self.coeffs)

@@ -10,7 +10,13 @@ from itertools import product
 
 import pytest
 
-from fcrystals.conway import CONWAY_TABLE, SUPPORTED_PRIMES, conway_polynomial
+from fcrystals.conway import (
+    CONWAY_TABLE,
+    MAX_DEGREE,
+    SUPPORTED_PRIMES,
+    conway_polynomial,
+)
+from fcrystals.errors import UnknownField
 
 KNOWN = {
     (2, 1): (1, 1),
@@ -121,12 +127,17 @@ def test_known_values():
         assert conway_polynomial(*key) == val, key
 
 
-@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
-@pytest.mark.parametrize("q", range(1, 13))
+def test_table_lacks_7_12():
+    # the one gap in the table until a verified value is added
+    assert set(CONWAY_TABLE) == {(p, q) for p in SUPPORTED_PRIMES
+                                 for q in range(1, MAX_DEGREE + 1)} - {(7, 12)}
+    with pytest.raises(UnknownField, match="except"):
+        conway_polynomial(7, 12)
+
+
+@pytest.mark.parametrize("q, p", sorted((q, p) for p, q in CONWAY_TABLE))
 def test_defining_properties(p, q):
-    f = CONWAY_TABLE.get((p, q))
-    if f is None:
-        pytest.skip("entry not available")
+    f = CONWAY_TABLE[(p, q)]
     assert len(f) == q + 1 and f[q] == 1
     assert _is_irreducible(f, p, q)
     assert _is_primitive(f, p, q)

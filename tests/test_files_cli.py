@@ -20,8 +20,8 @@ from fcrystals.files import (
 )
 from fcrystals.plinalg import Matrix
 from fcrystals.semilinear import (
-    _FpLanes,
-    _ResidueField,
+    _layout,
+    _residue_pack,
     _scan_range,
     hom_module,
 )
@@ -160,32 +160,29 @@ def test_cli_verify_unknown_suite():
 
 
 def test_cli_jobs_deterministic(tmp_path):
+    # --jobs is accepted and ignored: the scan runs serially
     ss = builtin_crystal(make_witt_ring(2, 2, 3), "supersingular", d=1)
     ordinary = builtin_crystal(make_witt_ring(2, 1, 3), "ordinary", r=3, d=1)
-    # ordinary: 2^5 indices, first unit 22; 2 jobs cut them into chunks
-    # of 4, so the hit lies inside a chunk that starts and ends inside
-    # one 32-lane block
+    # ordinary: 2^5 indices, first unit 22, inside one 32-lane block
     H = hom_module(ordinary, ordinary)
     free = H.mod_p_spanning_subset()
-    rf = _ResidueField(H.ring)
-    packed = [[[rf.pack(e.residue()) for e in row] for row in b.entries]
-              for b in free]
+    packed = [[[_residue_pack(2, 1, e.residue()) for e in row]
+               for row in b.entries] for b in free]
     assert len(free) == 5
-    assert _scan_range(rf, packed, 3, 5, 2, 0, 32) == 22
-    # odd p: 3^5 indices, first unit 37; 2 jobs cut them into chunks of
-    # 31, so the hit lies in the second chunk, which starts inside the
-    # lane block that holds the hit
+    assert _scan_range(H.ring, packed, 3, 0, 32) == 22
+    assert _scan_range(H.ring, packed, 3, 20, 24) == 22
+    # odd p: 3^5 indices, first unit 37; the range [31, 62) starts inside
+    # the lane block that holds the hit
     odd = builtin_crystal(make_witt_ring(3, 1, 3), "ordinary", r=3, d=2)
     H = hom_module(odd, odd)
     free = H.mod_p_spanning_subset()
-    rf = _ResidueField(H.ring)
-    packed = [[[rf.pack(e.residue()) for e in row] for row in b.entries]
-              for b in free]
+    packed = [[[_residue_pack(3, 1, e.residue()) for e in row]
+               for row in b.entries] for b in free]
     assert len(free) == 5
-    assert _scan_range(rf, packed, 3, 5, 3, 0, 243) == 37
-    assert _scan_range(rf, packed, 3, 5, 3, 0, 31) is None
-    assert _scan_range(rf, packed, 3, 5, 3, 31, 62) == 37
-    size = _FpLanes(rf, packed, 3, 5, None).size
+    assert _scan_range(H.ring, packed, 3, 0, 243) == 37
+    assert _scan_range(H.ring, packed, 3, 0, 31) is None
+    assert _scan_range(H.ring, packed, 3, 31, 62) == 37
+    size = 3 ** _layout(H.ring, 3, 5)[2]
     assert 37 - 37 % size < 31
     for name, C in (("ss", ss), ("ordinary", ordinary), ("odd", odd)):
         path = tmp_path / f"{name}.json"

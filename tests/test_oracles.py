@@ -12,9 +12,10 @@ from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.plinalg import IntSolver, Matrix, det_valuation
 from fcrystals.semilinear import (
     CircularSystem,
-    _combine,
+    _first_unit_trial,
     _mult_matrix,
-    _ResidueField,
+    _residue_pack,
+    _residue_unpack,
     _scan_range,
     hom_module,
     isom_search,
@@ -155,13 +156,104 @@ def test_fixed_lattice_matches_enumeration():
         assert brute == module
 
 
-def _first_unit_by_index(rf, packed, r, k, lo, hi, base):
+class _ResidueField:
+    """Packed-residue arithmetic on F_{p^q} with one determinant per
+    matrix by Gaussian elimination: the per-candidate kernel that the
+    lane blocks replaced, kept as a reference."""
+
+    def __init__(self, ring):
+        self.p, self.q, self.ring = ring.p, ring.q, ring
+        self.size = ring.p ** ring.q
+        self._log = None
+        if 2 < self.size <= 1 << 14:
+            gen = ring.gen().residue() if ring.q > 1 else \
+                ((-ring.modulus_lift[0]) % ring.p,)
+            self._log, self._exp = {}, []
+            cur = tuple([1] + [0] * (ring.q - 1))
+            for k in range(self.size - 1):
+                idx = self.pack(cur)
+                self._exp.append(idx)
+                self._log[idx] = k
+                cur = ring._mul(tuple(c % ring.p for c in cur), gen)
+
+    def pack(self, coeffs):
+        return _residue_pack(self.p, self.q, coeffs)
+
+    def unpack(self, a):
+        return _residue_unpack(self.p, self.q, a)
+
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        return self.pack([x + y for x, y in zip(self.unpack(a),
+                                                 self.unpack(b))])
+
+    def scalar_mul(self, c, a):
+        if self.p == 2:
+            return a if c else 0
+        return self.pack([c * x for x in self.unpack(a)])
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        if self._log is not None:
+            return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
+        return self.pack(self.ring._mul(self.unpack(a), self.unpack(b)))
+
+    def inv(self, a):
+        if self._log is not None:
+            return self._exp[(-self._log[a]) % (self.size - 1)]
+        return self.pack(self.ring._inv(self.unpack(a)))
+
+    def det(self, mat, r):
+        m = [row[:] for row in mat]
+        det = 1
+        for k in range(r):
+            piv = next((i for i in range(k, r) if m[i][k]), None)
+            if piv is None:
+                return 0
+            if piv != k:
+                m[k], m[piv] = m[piv], m[k]
+                det = self.scalar_mul(self.p - 1, det)
+            det = self.mul(det, m[k][k])
+            inv = self.inv(m[k][k])
+            for i in range(k + 1, r):
+                if m[i][k]:
+                    c = self.scalar_mul(self.p - 1, self.mul(m[i][k], inv))
+                    for j in range(k, r):
+                        if m[k][j]:
+                            m[i][j] = self.add(m[i][j], self.mul(c, m[k][j]))
+        return det
+
+
+def _combine(rf, packed, coeffs, r, base=None):
+    mat = [row[:] for row in base] if base else [[0] * r for _ in range(r)]
+    for c, B in zip(coeffs, packed):
+        if c:
+            for i in range(r):
+                for j in range(r):
+                    if B[i][j]:
+                        mat[i][j] = rf.add(mat[i][j],
+                                           rf.scalar_mul(c, B[i][j]))
+    return mat
+
+
+def _first_unit_by_index(rf, packed, r, lo, hi, base):
     """The unit scan's contract, one determinant per index."""
-    p = rf.p
+    p, k = rf.p, len(packed)
     for idx in range(lo, hi):
         coeffs = [(idx // p ** d) % p for d in range(k)]
         if rf.det(_combine(rf, packed, coeffs, r, base), r):
             return idx
+    return None
+
+
+def _first_unit_by_trial(rf, packed, r, rng, trials):
+    """The randomized regime's contract, one determinant per trial."""
+    for t in range(trials):
+        coeffs = [rng.randrange(rf.p) for _ in packed]
+        if rf.det(_combine(rf, packed, coeffs, r), r):
+            return t + 1, coeffs
     return None
 
 
@@ -201,7 +293,8 @@ def _scan_range_outcomes(monkeypatch, rng, p, cases, block_bits, qs, rmax,
         q = qs[case % len(qs)]
         r = rng.randint(1, rmax)
         k = rng.randint(0, kmax)
-        rf = _ResidueField(make_witt_ring(p, q, 1))
+        ring = make_witt_ring(p, q, 1)
+        rf = _ResidueField(ring)
         packed, base = _random_scan_case(
             rng, q, r, k, case % base_period >= base_period // 2, p)
         total = p ** k
@@ -213,15 +306,14 @@ def _scan_range_outcomes(monkeypatch, rng, p, cases, block_bits, qs, rmax,
         else:
             lo = rng.randrange(total)
             hi = rng.randint(lo + 1, total)
-        got = _scan_range(rf, packed, r, k, p, lo, hi, base)
-        want = _first_unit_by_index(rf, packed, r, k, lo, hi, base)
+        got = _scan_range(ring, packed, r, lo, hi, base)
+        want = _first_unit_by_index(rf, packed, r, lo, hi, base)
         assert got == want, (q, r, k, lo, hi)
         outcomes["none" if want is None else "hit"] += 1
         if want is not None and want > lo:
             # a range that stops just short of the hit is empty
-            assert _scan_range(rf, packed, r, k, p, lo, want, base) is None
-        lanes = semilinear._Gf2Lanes if p == 2 else semilinear._FpLanes
-        size = lanes(rf, packed, r, k, base).size
+            assert _scan_range(ring, packed, r, lo, want, base) is None
+        size = p ** semilinear._layout(ring, r, k)[2]
         if lo // size != (hi - 1) // size:
             outcomes["crossing"] += 1
     return outcomes
@@ -252,7 +344,8 @@ def test_scan_range_gf2_full_blocks():
     # sub-range stopping short of the block edge, and an empty span
     rng = random.Random(12)
     for q in (1, 3, 6):
-        rf = _ResidueField(make_witt_ring(2, q, 1))
+        ring = make_witt_ring(2, q, 1)
+        rf = _ResidueField(ring)
         # digits below 12 never touch row 1; digit 12 makes it a unit
         packed = [[[rng.randrange(1 << q), rng.randrange(1 << q)], [0, 0]]
                   for _ in range(12)]
@@ -260,18 +353,59 @@ def test_scan_range_gf2_full_blocks():
         base = [[0, 1], [0, 0]]   # index 4096 itself is singular
         for lo, hi in ((0, 1 << 13), (1, 1 << 13), (4000, 4200),
                        (4097, 8000), (100, 4000)):
-            got = _scan_range(rf, packed, 2, 13, 2, lo, hi, base)
-            assert got == _first_unit_by_index(rf, packed, 2, 13, lo, hi,
+            got = _scan_range(ring, packed, 2, lo, hi, base)
+            assert got == _first_unit_by_index(rf, packed, 2, lo, hi,
                                                base), (q, lo, hi)
-        hit = _scan_range(rf, packed, 2, 13, 2, 0, 1 << 13, base)
+        hit = _scan_range(ring, packed, 2, 0, 1 << 13, base)
         assert hit > 4096
-        assert _scan_range(rf, packed, 2, 13, 2, 4000, hit, base) is None
-        assert _scan_range(rf, packed, 2, 13, 2, 100, 4000, base) is None
+        assert _scan_range(ring, packed, 2, 4000, hit, base) is None
+        assert _scan_range(ring, packed, 2, 100, 4000, base) is None
         # two equal rows: singular at every index, an empty span
         flat = [[[B[0][0], B[0][1]], [B[0][0], B[0][1]]] for B in packed]
-        assert _scan_range(rf, flat, 2, 13, 2, 0, 1 << 13) is None
-        assert _first_unit_by_index(rf, flat, 2, 13, 0, 1 << 13,
-                                    None) is None
+        assert _scan_range(ring, flat, 2, 0, 1 << 13) is None
+        assert _first_unit_by_index(rf, flat, 2, 0, 1 << 13, None) is None
+
+
+def _rare_unit_case(rng, p, pairs):
+    """Diagonal entries c_2s - i c_2s+1 for i = 1 .. p - 1, rows shuffled:
+    a combination is a unit iff in every pair exactly one coefficient is
+    zero, so first units land many trials deep."""
+    r = pairs * (p - 1)
+    packed = [[[0] * r for _ in range(r)] for _ in range(2 * pairs)]
+    rows = rng.sample(range(r), r)
+    for s in range(pairs):
+        for i in range(1, p):
+            x = s * (p - 1) + i - 1
+            packed[2 * s][rows[x]][x] = 1
+            packed[2 * s + 1][rows[x]][x] = p - i
+    return r, packed
+
+
+@pytest.mark.parametrize("p, block_bits", [(2, 3), (3, 6), (5, 7), (7, 8)])
+def test_trial_batches_match_trial_order(monkeypatch, p, block_bits):
+    # blocks of a few lanes and a cap of 40 trials, so that batches grow,
+    # stop at the block, and the last one is cut by the cap
+    monkeypatch.setattr(semilinear, "_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(semilinear, "RANDOMIZED_TRIALS", 40)
+    rng = random.Random(60 + p)
+    outcomes = {"first": 0, "early": 0, "past a block": 0, "none": 0}
+    for case in range(60):
+        ring = make_witt_ring(p, (1, 2, 3)[case % 3], 1)
+        if case % 2:
+            r, packed = _rare_unit_case(rng, p, {2: 4, 3: 3, 5: 2, 7: 2}[p])
+        else:
+            r = rng.randint(1, 4)
+            packed, _ = _random_scan_case(rng, ring.q, r, rng.randint(1, 6),
+                                          False, p)
+        seed = rng.randrange(1 << 30)
+        got = _first_unit_trial(ring, packed, r, random.Random(seed))
+        want = _first_unit_by_trial(_ResidueField(ring), packed, r,
+                                    random.Random(seed), 40)
+        assert got == want, (ring.q, r, len(packed), seed)
+        size = p ** semilinear._layout(ring, r, len(packed))[2]
+        outcomes["none" if want is None else "first" if want[0] == 1 else
+                 "early" if want[0] <= 2 * size else "past a block"] += 1
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 class _TwoSidedSolver:

@@ -1,13 +1,15 @@
-import concurrent.futures
-import os
+import json
 import random
 
 import pytest
 
+from fcrystals.cli import main
 from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import BadShape, ExtensionCapExceeded, ShiftUnsupported
+from fcrystals.files import write_crystal
 from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
 from fcrystals.semilinear import (
+    RANDOMIZED_TRIALS,
     CircularSystem,
     cokernel_length,
     fixed_lattice,
@@ -17,6 +19,7 @@ from fcrystals.semilinear import (
     isom_search,
     sigma_conjugacy_trivialize,
     solve_circular,
+    unit_search,
 )
 from fcrystals.witt import make_witt_ring
 
@@ -90,39 +93,45 @@ def test_isom_search_self_and_inner():
     assert det_valuation(w) == 0
 
 
-def test_unit_search_clamps_workers_to_cores(monkeypatch):
-    sizes = []
+def test_unit_search_randomized_regime():
+    # End of a rank-5 unit crystal: p^25 residues, beyond EXHAUSTIVE_CAP
+    wants = {
+        2: (2, [[0, 1, 1, 1, 0], [0, 0, 1, 0, 1], [1, 0, 1, 0, 0],
+                [0, 0, 0, 1, 0], [0, 1, 1, 0, 1]]),
+        3: (4, [[2, 1, 2, 0, 2], [1, 2, 0, 2, 2], [2, 1, 1, 0, 2],
+                [1, 1, 2, 0, 1], [0, 0, 0, 0, 2]]),
+    }
+    for p, (trials, witness) in wants.items():
+        W = make_witt_ring(p, 1, 2)
+        E5 = new_crystal(W, Matrix.identity(W, 5))
+        res = unit_search(hom_module(E5, E5), seed=0)
+        assert (res.regime, res.trials) == ("randomized", trials)
+        assert res.witness == Matrix.from_ints(W, witness)
 
-    class InlineExecutor:
-        """Runs the chunks in this process and records the pool size."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def _unit_and_twisted_rank6():
+    W = make_witt_ring(2, 1, 2)
+    return (new_crystal(W, Matrix.identity(W, 6)),
+            new_crystal(W, Matrix.from_ints(W, [
+                [2 if i == j == 5 else int(i == j) for j in range(6)]
+                for i in range(6)])))
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InlineExecutor)
-    W = make_witt_ring(2, 1, 3)
-    C = builtin_crystal(W, "ordinary", r=3, d=1)
-    serial = isom_search(C, C).witness
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert isom_search(C, C, jobs=64).witness == serial
-    assert sizes == [2]
-    # one core (or an unknown count): no pool at all
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert isom_search(C, C, jobs=8).witness == serial
-    assert sizes == [2]
+def test_randomized_regime_exhausts_its_trials(tmp_path, capsys):
+    E6, D6 = _unit_and_twisted_rank6()
+    res = isom_search(E6, D6)
+    assert (res.witness, res.regime, res.trials) == (
+        None, "randomized", RANDOMIZED_TRIALS)
+    assert RANDOMIZED_TRIALS == 20000
+    paths = []
+    for name, C in (("e6", E6), ("d6", D6)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        write_crystal(paths[-1], C)
+    with pytest.raises(SystemExit) as exc:
+        main(["isom", *paths])
+    assert exc.value.code == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "found": False, "regime": "randomized"}
 
 
 def test_isom_search_distinguishes_newton():
@@ -231,3 +240,15 @@ def test_hom_stabilization_small():
     assert ok, levels
     img = hom_image(C, C, 5, 2)
     assert img  # nonzero module
+
+
+def test_hom_stabilization_compares_spans():
+    # a conjugate whose Howell bases of one image differ by generator
+    # order: the chain is stable, though the bases compare unequal
+    W = make_witt_ring(2, 1, 6)
+    C = builtin_crystal(W, "ordinary", r=3, d=1)
+    u = Matrix.from_ints(W, [[29, 1, 25], [29, 51, 44], [45, 58, 34]])
+    Cu = new_crystal(W, u @ C.B @ unit_inverse_matrix(u.sigma()))
+    assert hom_image(Cu, Cu, 2, 2) != hom_image(Cu, Cu, 3, 2)
+    assert hom_stabilization_check(Cu, Cu, 0, 0, 0) == (True, (2, 6))
+    assert hom_stabilization_check(C, C, 0, 0, 0) == (True, (2, 6))
