@@ -119,24 +119,22 @@ class HomModule:
         return cls(ring, shape, m, basis, profile, kern)
 
     def mod_p_spanning_subset(self):
-        """Basis elements whose residues form an F_p-basis of the mod-p image.
+        """Howell rows whose residues form an F_p-basis of the mod-p image.
 
         Row's residues can be nonzero even when its pivot valuation is
         positive, so all rows participate; the first independent ones (the
         pivot columns of the residue matrix) are kept, to allow lifting
         hits back into the module.
         """
-        if not self.basis:
+        if not self._howell:
             return []
-        cols = [b.flatten_ints() for b in self.basis]
-        _, pivots = fp_row_reduce(list(zip(*cols)), self.ring.p)
-        return [self.basis[c] for c in pivots]
+        _, pivots = fp_row_reduce(list(zip(*self._howell)), self.ring.p)
+        return [self._howell[c] for c in pivots]
 
     def element(self, coeffs):
-        acc = Matrix.zero(self.ring, self.shape[0], self.shape[1])
-        for c, b in zip(coeffs, self.basis):
-            acc = acc + b.scale(c)
-        return acc
+        r, c = self.shape
+        return Matrix.from_flat_ints(self.ring, r, c, _row_combination(
+            coeffs, self._howell, r * c * self.ring.q))
 
     def size_log(self):
         """log_p of the number of module elements."""
@@ -184,17 +182,15 @@ def fixed_lattice(C):
 # -- unit search --------------------------------------------------------------
 
 
-def _residue_pack(p, q, res):
-    """Pack an F_{p^q} element (coefficient tuple) into an int, base p."""
-    v = 0
-    for c in reversed(res):
-        v = v * p + c % p
-    return v
-
-
-def _residue_unpack(p, q, a):
-    """The coefficient tuple of a packed F_{p^q} element."""
-    return tuple(a // p ** i % p for i in range(q))
+def _row_combination(coeffs, rows, width):
+    """sum of c * row over coeffs and flat coordinate rows, unreduced;
+    `width` zeros when there are no rows."""
+    acc = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for t, x in enumerate(row):
+                acc[t] += c * x
+    return acc
 
 
 @dataclass
@@ -238,52 +234,43 @@ def unit_search(H: HomModule, seed=0) -> IsomResult:
     k = len(free)
     if k == 0:
         return IsomResult(None, "exhaustive", 0)
-    packed = [
-        [[_residue_pack(p, ring.q, e.residue()) for e in row]
-         for row in b.entries]
-        for b in free
-    ]
+
+    def lift(coeffs):
+        return Matrix.from_flat_ints(ring, r, r, _row_combination(
+            coeffs, free, r * r * ring.q))
+
     if p ** k <= EXHAUSTIVE_CAP:
-        idx = _scan_range(ring, packed, r, 0, p ** k)
+        idx = _scan_range(ring, free, r)
         if idx is None:
             return IsomResult(None, "exhaustive", 0)
-        coeffs = [(idx // p ** i) % p for i in range(k)]
-        return IsomResult(_lift_combination(free, coeffs, H), "exhaustive")
-    hit = _first_unit_trial(ring, packed, r, random.Random(seed))
+        return IsomResult(lift([idx // p ** d % p for d in range(k)]),
+                          "exhaustive")
+    hit = _first_unit_trial(ring, free, r, random.Random(seed))
     if hit is None:
         return IsomResult(None, "randomized", RANDOMIZED_TRIALS)
     trial, coeffs = hit
-    return IsomResult(_lift_combination(free, coeffs, H), "randomized", trial)
+    return IsomResult(lift(coeffs), "randomized", trial)
 
 
-def _lift_combination(free, coeffs, H):
-    acc = Matrix.zero(H.ring, H.shape[0], H.shape[1])
-    for c, b in zip(coeffs, free):
-        if c:
-            acc = acc + b.scale(c)
-    return acc
-
-
-def _first_unit_trial(ring, packed, r, rng):
+def _first_unit_trial(ring, rows, r, rng):
     """(number, coefficients) of the first of RANDOMIZED_TRIALS random
-    combinations that is a unit, or None.
+    combinations of the flat coordinate rows that is a unit, or None.
 
-    Trials are drawn one after another, coefficients in basis order, and
+    Trials are drawn one after another, coefficients in row order, and
     evaluated in batches of consecutive trials: lane x of a batch is its
     x-th trial, so the lowest unit lane is the first successful trial.
     Batches double from one trial up to one block of lanes.
     """
-    p, k = ring.p, len(packed)
+    p, k = ring.p, len(rows)
     Lanes, w, b = _layout(ring, r, k)
-    mats = _unpack_matrices(ring, packed)
-    zero = [[(0,) * ring.q] * r] * r
+    zero = [0] * (r * r * ring.q)
     done, n = 0, 1
     while done < RANDOMIZED_TRIALS:
         n = min(n, RANDOMIZED_TRIALS - done)
         trials = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
         coeffs = [sum(t[d] << x * w for x, t in enumerate(trials))
                   for d in range(k)]
-        units = Lanes(ring, mats, coeffs, r, n).units(zero)
+        units = Lanes(ring, rows, coeffs, r, n).units(zero)
         if units:
             x = ((units & -units).bit_length() - 1) // w
             return done + x + 1, trials[x]
@@ -292,46 +279,30 @@ def _first_unit_trial(ring, packed, r, rng):
     return None
 
 
-def _scan_range(ring, packed, r, lo, hi, base=None):
-    """First index in [lo, hi) whose combination (plus base) is a unit.
+def _scan_range(ring, rows, r, base=None):
+    """First index in [0, p^k) whose combination of the k flat coordinate
+    rows (plus the flat row base) is a unit modulo p.
 
-    Index digits are base-p coefficients, digit 0 (packed[0]) fastest.
-    Aligned blocks of p^b indices are evaluated at once: lane x of every
-    int, a slot of w bits, stands for the index start + x.  The low b
-    digits come from fixed lane patterns, the base and the block's high
-    digits are constants.  The lowest unit lane inside [lo, hi) is the
-    first unit in index order.
+    Index digits are base-p coefficients, digit 0 (rows[0]) fastest.
+    Blocks of p^b indices are evaluated at once: lane x of every int, a
+    slot of w bits, stands for the index start + x.  The low b digits
+    come from fixed lane patterns, the base and the block's high digits
+    are constants.  The lowest unit lane is the first unit in index order.
     """
-    p, k = ring.p, len(packed)
+    p, k = ring.p, len(rows)
     Lanes, w, b = _layout(ring, r, k)
-    mats = _unpack_matrices(ring, packed)
-    base = _unpack_matrices(ring, [base])[0] if base else \
-        [[(0,) * ring.q] * r] * r
     size = p ** b
-    block = Lanes(ring, mats[:b], _digit_lanes(p, b, w), r, size)
-    start = lo - lo % size
-    while start < hi:
-        const = [[list(c) for c in row] for row in base]
+    block = Lanes(ring, rows[:b], _digit_lanes(p, b, w), r, size)
+    for start in range(0, p ** k, size):
+        const = list(base) if base else [0] * (r * r * ring.q)
         for d in range(b, k):
             c = start // p ** d % p
             if c:
-                for crow, brow in zip(const, mats[d]):
-                    for ce, be in zip(crow, brow):
-                        for t, v in enumerate(be):
-                            ce[t] += c * v
+                const = [x + c * v for x, v in zip(const, rows[d])]
         units = block.units(const)
-        # keep lanes in [lo, hi)
-        a, z = max(lo - start, 0), min(hi - start, size)
-        units &= ((1 << z * w) - 1) >> a * w << a * w
         if units:
             return start + ((units & -units).bit_length() - 1) // w
-        start += size
     return None
-
-
-def _unpack_matrices(ring, packed):
-    return [[[_residue_unpack(ring.p, ring.q, v) for v in row] for row in B]
-            for B in packed]
 
 
 # log2 of the bits of one lane-block int: the indices of a block share
@@ -364,33 +335,37 @@ def _digit_lanes(p, b, w):
     return out
 
 
+def _entries(flat, r, q):
+    """The r x r matrix of q-coordinate entries of a flat row-major list."""
+    return [[flat[(i * r + j) * q:(i * r + j + 1) * q] for j in range(r)]
+            for i in range(r)]
+
+
 class _Gf2Lanes:
     """Lanes at p = 2, one bit per lane.
 
-    An F_{2^q} entry is q bit planes: the planes of the matrices `mats`,
-    each masked by its coefficient int (one bit per lane), added up,
-    plus a constant that is the same in every lane.
+    A flat coordinate is a bit plane: the coordinates of the rows `rows`
+    taken mod 2, each masked by its coefficient int (one bit per lane),
+    added up, plus a constant coordinate (any int, taken mod 2) that is
+    the same in every lane.
     """
 
-    def __init__(self, ring, mats, coeffs, r, lanes):
+    def __init__(self, ring, rows, coeffs, r, lanes):
         q = self.q = ring.q
         self.r, self.ones = r, (1 << lanes) - 1
         # t^q = sum of t^s over these s, modulo the Conway polynomial mod 2
         self.fold = [s for s in range(q) if ring.field.modulus[s] % 2]
-        low = self.low = [[[0] * q for _ in range(r)] for _ in range(r)]
-        for B, c in zip(mats, coeffs):
-            for i in range(r):
-                for j in range(r):
-                    for t, v in enumerate(B[i][j]):
-                        if v:
-                            low[i][j][t] ^= c
+        low = self.low = [0] * (r * r * q)
+        for row, c in zip(rows, coeffs):
+            for s, v in enumerate(row):
+                if v & 1:
+                    low[s] ^= c
 
     def units(self, const):
         ones = self.ones
-        M = [[[x ^ ones if c & 1 else x for x, c in zip(le, ce)]
-              for le, ce in zip(lrow, crow)]
-             for lrow, crow in zip(self.low, const)]
-        return _det_lanes_gf2(M, self.r, self.q, self.fold)
+        flat = [x ^ ones if c & 1 else x for x, c in zip(self.low, const)]
+        return _det_lanes_gf2(_entries(flat, self.r, self.q), self.r,
+                              self.q, self.fold)
 
 
 def _det_lanes_gf2(M, r, q, fold):
@@ -450,14 +425,15 @@ def _barrett(p, q, r):
 class _FpLanes:
     """Lanes at odd p, one F_p value per lane in a slot.
 
-    An F_{p^q} entry is q ints: the entries of the matrices `mats`, each
-    times its coefficient int (one value below p per lane), added up,
-    plus a constant added to every slot.  Slots add up unreduced, and a
-    SWAR Barrett step (one multiply by floor(2^shift / p), one masked
-    conditional subtraction) brings every slot of an int back below p.
+    A flat coordinate is an int: the coordinates of the rows `rows` taken
+    mod p, each times its coefficient int (one value below p per lane),
+    added up, plus a constant coordinate (any int, taken mod p) added to
+    every slot.  Slots add up unreduced, and a SWAR Barrett step (one
+    multiply by floor(2^shift / p), one masked conditional subtraction)
+    brings every slot of an int back below p.
     """
 
-    def __init__(self, ring, mats, coeffs, r, lanes):
+    def __init__(self, ring, rows, coeffs, r, lanes):
         p, q = self.p, self.q = ring.p, ring.q
         self.r = r
         self.shift, self.mult, w = _barrett(p, q, r)
@@ -471,13 +447,11 @@ class _FpLanes:
         for _ in range(q - 1):
             self.fold.append([(t, c) for t, c in enumerate(row) if c])
             row = [(a + row[-1] * c) % p for a, c in zip([0] + row, top)]
-        low = self.low = [[[0] * q for _ in range(r)] for _ in range(r)]
-        for B, c in zip(mats, coeffs):
-            for i in range(r):
-                for j in range(r):
-                    for t, v in enumerate(B[i][j]):
-                        if v:
-                            low[i][j][t] = self._reduce(low[i][j][t] + v * c)
+        low = self.low = [0] * (r * r * q)
+        for row, c in zip(rows, coeffs):
+            for s, v in enumerate(row):
+                if v % p:
+                    low[s] = self._reduce(low[s] + v % p * c)
 
     def _lower(self, x):
         """x with p taken off every slot in [p, 2p)."""
@@ -499,12 +473,10 @@ class _FpLanes:
         return [red(x) if x else 0 for x in out]
 
     def units(self, const):
-        ones = self.ones
-        M = [[[self._lower(x + c % self.p * ones) if c % self.p else x
-               for x, c in zip(le, ce)]
-              for le, ce in zip(lrow, crow)]
-             for lrow, crow in zip(self.low, const)]
-        return self._det(M)
+        p, ones = self.p, self.ones
+        flat = [self._lower(x + c % p * ones) if c % p else x
+                for x, c in zip(self.low, const)]
+        return self._det(_entries(flat, self.r, self.q))
 
     def _det(self, M):
         """Lanes where the r x r matrix M over F_{p^q} has a nonzero
@@ -755,17 +727,13 @@ def _lang_search(big, g, r):
     if p ** k > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(f"Lang solution space has p^{k} elements")
     # the scan turns digit 0 fastest, so the last kernel vector goes
-    # first; index 0 (the zero combination) is never a unit
-    packed = [[[_residue_pack(p, q, kv[(i * r + j) * q:(i * r + j + 1) * q])
-                for j in range(r)] for i in range(r)] for kv in kern[::-1]]
-    idx = _scan_range(big, packed, r, 1, p ** k)
+    # first; index 0 (the zero matrix) is never a unit
+    rows = kern[::-1]
+    idx = _scan_range(big, rows, r)
     if idx is None:
         return None
-    vec = [0] * nv
-    for d, kv in enumerate(kern[::-1]):
-        c = (idx // p ** d) % p
-        vec = [(a + c * b) % p for a, b in zip(vec, kv)]
-    return Matrix.from_flat_ints(big, r, r, vec)
+    return Matrix.from_flat_ints(big, r, r, _row_combination(
+        [idx // p ** d % p for d in range(k)], rows, nv))
 
 
 # -- restriction images and descent ------------------------------------------
@@ -807,9 +775,9 @@ def hom_stabilization_check(C1, C2, m12, h12, t):
     return True, (hi, ring.n)
 
 
-def descends_to_subfield(H: HomModule, subfield_degree: int) -> bool:
-    """Every basis entry fixed by sigma^subfield_degree (coordinatewise)."""
-    for b in H.basis:
+def descends_to_subfield(mats, subfield_degree: int) -> bool:
+    """Every entry of the matrices fixed by sigma^subfield_degree."""
+    for b in mats:
         for row in b.entries:
             for e in row:
                 if e.frobenius(subfield_degree % e.ring.q) != e:

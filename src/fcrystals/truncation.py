@@ -34,7 +34,7 @@ from .semilinear import (
     HomModule,
     IsomResult,
     _intertwiner_system,
-    _residue_pack,
+    _row_combination,
     _scan_range,
     hom_image,
     hom_module,
@@ -62,7 +62,14 @@ class DTruncation:
 
 
 def verschiebung(C, level=None) -> DTruncation:
-    """The pair (phi, p * phi^{-1}) mod p^level for a Dieudonne module."""
+    """The pair (phi, p * phi^{-1}) mod p^level for a Dieudonne module.
+
+    V is sigma^{-1}(p^(1-e) Cm) with B Cm = p^e (inverse_with_shift).
+    B mod p^n fixes Cm only mod p^(n-e), so only levels up to n - e are
+    determined by C.  The default level n takes V of the zero lift of B:
+    when e = 1, other lifts B + p^n X can change V mod p^n, and other V's
+    pass the same invariants at level n.
+    """
     if C.shift != 0:
         raise NotDieudonne("need shift 0")
     _, s, h = hodge_data(C)
@@ -312,7 +319,7 @@ def _floor_evidence(C, upper, trials, seed):
 
 def _span_has_unit_outside(C, big_basis, small_basis, to_level):
     """Any unit in span(big) outside span(small), at the residue level?"""
-    ring = make_witt_ring(C.ring.p, C.ring.q, to_level)
+    ring = C.ring
     p = ring.p
     r = C.rank
     # cosets of small inside big: reduce big's rows against small
@@ -325,32 +332,17 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level):
         return False
     if p ** len(reps) > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge("too many cosets to scan")
-    k = len(small_basis)
-    if p ** k > EXHAUSTIVE_CAP:
+    if p ** len(small_basis) > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge("mod-p span too large to scan")
-    small_mats = [Matrix.from_flat_ints(ring, r, r, v) for v in small_basis]
-    rep_mats = [Matrix.from_flat_ints(ring, r, r, v) for v in reps]
     # scan (coset rep combo) x (mod-p span of small) for units not in small
-    small_packed = [
-        [[_residue_pack(p, ring.q, e.residue()) for e in row]
-         for row in b.entries]
-        for b in small_mats
-    ]
     from itertools import product
     for combo in product(range(p), repeat=len(reps)):
         if not any(combo):
             continue
-        base = Matrix.zero(ring, r, r)
-        for c, b in zip(combo, rep_mats):
-            if c:
-                base = base + b.scale(c)
-        flat = base.flatten_ints()
-        if not any(reduce_against_howell(flat, small_basis, p, to_level)):
+        base = _row_combination(combo, reps, r * r * ring.q)
+        if not any(reduce_against_howell(base, small_basis, p, to_level)):
             continue  # fell into the small span after all
-        packed_base = [[_residue_pack(p, ring.q, e.residue()) for e in row]
-                       for row in base.entries]
-        if _scan_range(ring, small_packed, r, 0, p ** k,
-                       packed_base) is not None:
+        if _scan_range(ring, small_basis, r, base) is not None:
             return True
     return False
 

@@ -19,12 +19,7 @@ from fcrystals.files import (
     write_crystal,
 )
 from fcrystals.plinalg import Matrix
-from fcrystals.semilinear import (
-    _layout,
-    _residue_pack,
-    _scan_range,
-    hom_module,
-)
+from fcrystals.semilinear import _scan_range, hom_module
 from fcrystals.stairs import build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
@@ -163,27 +158,17 @@ def test_cli_jobs_deterministic(tmp_path):
     # --jobs is accepted and ignored: the scan runs serially
     ss = builtin_crystal(make_witt_ring(2, 2, 3), "supersingular", d=1)
     ordinary = builtin_crystal(make_witt_ring(2, 1, 3), "ordinary", r=3, d=1)
-    # ordinary: 2^5 indices, first unit 22, inside one 32-lane block
+    # ordinary: 2^5 indices over the Howell rows, first unit 22
     H = hom_module(ordinary, ordinary)
     free = H.mod_p_spanning_subset()
-    packed = [[[_residue_pack(2, 1, e.residue()) for e in row]
-               for row in b.entries] for b in free]
     assert len(free) == 5
-    assert _scan_range(H.ring, packed, 3, 0, 32) == 22
-    assert _scan_range(H.ring, packed, 3, 20, 24) == 22
-    # odd p: 3^5 indices, first unit 37; the range [31, 62) starts inside
-    # the lane block that holds the hit
+    assert _scan_range(H.ring, free, 3) == 22
+    # odd p: 3^5 indices, first unit 37
     odd = builtin_crystal(make_witt_ring(3, 1, 3), "ordinary", r=3, d=2)
     H = hom_module(odd, odd)
     free = H.mod_p_spanning_subset()
-    packed = [[[_residue_pack(3, 1, e.residue()) for e in row]
-               for row in b.entries] for b in free]
     assert len(free) == 5
-    assert _scan_range(H.ring, packed, 3, 0, 243) == 37
-    assert _scan_range(H.ring, packed, 3, 0, 31) is None
-    assert _scan_range(H.ring, packed, 3, 31, 62) == 37
-    size = 3 ** _layout(H.ring, 3, 5)[2]
-    assert 37 - 37 % size < 31
+    assert _scan_range(H.ring, free, 3) == 37
     for name, C in (("ss", ss), ("ordinary", ordinary), ("odd", odd)):
         path = tmp_path / f"{name}.json"
         write_crystal(path, C)

@@ -5,9 +5,10 @@ JSON values of the wrong type (bools, floats, strings, nested lists), makes
 the matrix ragged, or sets ``n`` anywhere up to 300.  The reader must
 either return a crystal or raise a ``CrystalError``; ``fcrystals polygon``
 and ``fcrystals hom`` must exit 0 or 2, print no traceback, and write
-either nothing or one JSON document to stdout.  ``hom`` also gets valid
-files with other well-typed p, q, n, shift and entries, so that its Hom
-computation runs.  Stairs blocks get wrong keys and types, or well-typed
+either nothing or one JSON document to stdout.  ``hom``, ``isom`` and
+``probe`` also get valid files with other well-typed p, q, n, shift and
+entries, so that their Hom computations and unit scans run; ``isom`` and
+``probe`` may exit with any code of the CLI contract (0 to 4).  Stairs blocks get wrong keys and types, or well-typed
 values that break the datum; their reader must return a datum or raise a
 ``CrystalError``.
 """
@@ -116,8 +117,8 @@ def _run_main(argv, data):
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_clean_exit(code, text, err):
-    assert code in (0, 2), err
+def _assert_clean_exit(code, text, err, codes=(0, 2)):
+    assert code in codes, err
     assert "Traceback" not in err
     if text:
         assert text.endswith("\n") and text.count("\n") == 1
@@ -159,6 +160,20 @@ def retuned_dicts(draw):
 @given(retuned_dicts() | mutated_dicts())
 def test_hom_exits_cleanly_on_mutated_files(data):
     _assert_clean_exit(*_run_main(["hom", "F", "F"], data))
+
+
+@FUZZ
+@given(retuned_dicts() | mutated_dicts())
+def test_isom_exits_cleanly_on_mutated_files(data):
+    _assert_clean_exit(*_run_main(["isom", "F", "F"], data),
+                       codes=(0, 1, 2, 3, 4))
+
+
+@FUZZ
+@given(retuned_dicts() | mutated_dicts())
+def test_probe_exits_cleanly_on_mutated_files(data):
+    _assert_clean_exit(*_run_main(["probe", "F", "--trials", "1"], data),
+                       codes=(0, 1, 2, 3, 4))
 
 
 def _stairs_case():

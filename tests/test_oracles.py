@@ -14,8 +14,6 @@ from fcrystals.semilinear import (
     CircularSystem,
     _first_unit_trial,
     _mult_matrix,
-    _residue_pack,
-    _residue_unpack,
     _scan_range,
     hom_module,
     isom_search,
@@ -156,6 +154,19 @@ def test_fixed_lattice_matches_enumeration():
         assert brute == module
 
 
+def _residue_pack(p, q, res):
+    """Pack an F_{p^q} element (coefficient tuple) into an int, base p."""
+    v = 0
+    for c in reversed(res):
+        v = v * p + c % p
+    return v
+
+
+def _residue_unpack(p, q, a):
+    """The coefficient tuple of a packed F_{p^q} element."""
+    return tuple(a // p ** i % p for i in range(q))
+
+
 class _ResidueField:
     """Packed-residue arithmetic on F_{p^q} with one determinant per
     matrix by Gaussian elimination: the per-candidate kernel that the
@@ -238,10 +249,10 @@ def _combine(rf, packed, coeffs, r, base=None):
     return mat
 
 
-def _first_unit_by_index(rf, packed, r, lo, hi, base):
+def _first_unit_by_index(rf, packed, r, base):
     """The unit scan's contract, one determinant per index."""
     p, k = rf.p, len(packed)
-    for idx in range(lo, hi):
+    for idx in range(p ** k):
         coeffs = [(idx // p ** d) % p for d in range(k)]
         if rf.det(_combine(rf, packed, coeffs, r, base), r):
             return idx
@@ -257,9 +268,17 @@ def _first_unit_by_trial(rf, packed, r, rng, trials):
     return None
 
 
+def _flat_row(rng, rf, B, n):
+    """A row-major coordinate row mod p^n over the packed residues of B:
+    each coordinate plus a random multiple of p."""
+    p = rf.p
+    return [c + p * rng.randrange(p ** (n - 1)) for row in B for e in row
+            for c in rf.unpack(e)]
+
+
 def _random_scan_case(rng, q, r, k, with_base, p=2):
     """Packed matrices over F_{p^q}; a row that the low digits leave zero
-    pushes the first unit past them, so hits land deep in the range."""
+    pushes the first unit past them, so hits land deep in the span."""
     dens = rng.choice([0.3, 0.7, 1.0])
     zero_row = rng.randrange(r)
     late = rng.randint(0, k)
@@ -283,45 +302,35 @@ def _random_scan_case(rng, q, r, k, with_base, p=2):
 
 def _scan_range_outcomes(monkeypatch, rng, p, cases, block_bits, qs, rmax,
                          kmax, base_period):
-    """Compare _scan_range with the index-order oracle on random cases
-    (whole ranges, ranges from 1, random sub-ranges) and count the hits,
-    the empty ranges and the ranges that cross a block edge."""
-    outcomes = {"hit": 0, "none": 0, "crossing": 0}
+    """Compare _scan_range on rows mod p, p^2 and p^3 with the index-order
+    oracle on their residues, and count the hits, the empty spans, the
+    spans with a base and the spans that cross a block edge."""
+    outcomes = {"hit": 0, "none": 0, "base": 0, "crossing": 0}
     for case in range(cases):
         monkeypatch.setattr(semilinear, "_BLOCK_BITS",
                             block_bits[case % len(block_bits)])
         q = qs[case % len(qs)]
         r = rng.randint(1, rmax)
         k = rng.randint(0, kmax)
+        n = 1 + case % 3
         ring = make_witt_ring(p, q, 1)
         rf = _ResidueField(ring)
         packed, base = _random_scan_case(
             rng, q, r, k, case % base_period >= base_period // 2, p)
-        total = p ** k
-        kind = case % 3
-        if kind == 0:
-            lo, hi = 0, total
-        elif kind == 1:
-            lo, hi = min(1, total - 1), total   # as in _lang_search
-        else:
-            lo = rng.randrange(total)
-            hi = rng.randint(lo + 1, total)
-        got = _scan_range(ring, packed, r, lo, hi, base)
-        want = _first_unit_by_index(rf, packed, r, lo, hi, base)
-        assert got == want, (q, r, k, lo, hi)
+        rows = [_flat_row(rng, rf, B, n) for B in packed]
+        flat_base = base and _flat_row(rng, rf, base, n)
+        got = _scan_range(ring, rows, r, flat_base)
+        want = _first_unit_by_index(rf, packed, r, base)
+        assert got == want, (q, r, k, n)
         outcomes["none" if want is None else "hit"] += 1
-        if want is not None and want > lo:
-            # a range that stops just short of the hit is empty
-            assert _scan_range(ring, packed, r, lo, want, base) is None
-        size = p ** semilinear._layout(ring, r, k)[2]
-        if lo // size != (hi - 1) // size:
-            outcomes["crossing"] += 1
+        outcomes["base"] += base is not None
+        outcomes["crossing"] += k > semilinear._layout(ring, r, k)[2]
     return outcomes
 
 
 @pytest.mark.parametrize("block_bits", [2, 3])
 def test_scan_range_gf2_matches_index_order(monkeypatch, block_bits):
-    # narrow blocks, so that ranges start, cross and stop at block edges
+    # narrow blocks, so that spans cross block edges
     outcomes = _scan_range_outcomes(
         monkeypatch, random.Random(40 + block_bits), 2, 120, (block_bits,),
         (1, 2, 3, 4, 6, 12), 6, 8, 2)
@@ -332,7 +341,7 @@ def test_scan_range_gf2_matches_index_order(monkeypatch, block_bits):
     (3, (6, 7)), (5, (7, 9)), (7, (8, 10))])
 def test_scan_range_oddp_matches_index_order(monkeypatch, p, block_bits):
     # blocks narrowed to p or p^2 lanes (the slot width grows with r and
-    # q), so that ranges start, cross and stop at block edges
+    # q), so that spans cross block edges
     outcomes = _scan_range_outcomes(
         monkeypatch, random.Random(50 + p), p, 90, block_bits,
         (1, 2, 3, 4, 6, 11), 5, {3: 5, 5: 3, 7: 3}[p], 4)
@@ -340,8 +349,8 @@ def test_scan_range_oddp_matches_index_order(monkeypatch, p, block_bits):
 
 
 def test_scan_range_gf2_full_blocks():
-    # the shipped block width: first units past one block of 2^12, a
-    # sub-range stopping short of the block edge, and an empty span
+    # the shipped block width: first units past one block of 2^12 on
+    # rows mod 8, and an empty span
     rng = random.Random(12)
     for q in (1, 3, 6):
         ring = make_witt_ring(2, q, 1)
@@ -351,19 +360,15 @@ def test_scan_range_gf2_full_blocks():
                   for _ in range(12)]
         packed.append([[0, 0], [0, 1]])
         base = [[0, 1], [0, 0]]   # index 4096 itself is singular
-        for lo, hi in ((0, 1 << 13), (1, 1 << 13), (4000, 4200),
-                       (4097, 8000), (100, 4000)):
-            got = _scan_range(ring, packed, 2, lo, hi, base)
-            assert got == _first_unit_by_index(rf, packed, 2, lo, hi,
-                                               base), (q, lo, hi)
-        hit = _scan_range(ring, packed, 2, 0, 1 << 13, base)
+        rows = [_flat_row(rng, rf, B, 3) for B in packed]
+        hit = _scan_range(ring, rows, 2, _flat_row(rng, rf, base, 3))
+        assert hit == _first_unit_by_index(rf, packed, 2, base), q
         assert hit > 4096
-        assert _scan_range(ring, packed, 2, 4000, hit, base) is None
-        assert _scan_range(ring, packed, 2, 100, 4000, base) is None
         # two equal rows: singular at every index, an empty span
         flat = [[[B[0][0], B[0][1]], [B[0][0], B[0][1]]] for B in packed]
-        assert _scan_range(ring, flat, 2, 0, 1 << 13) is None
-        assert _first_unit_by_index(rf, flat, 2, 0, 1 << 13, None) is None
+        rows = [_flat_row(rng, rf, B, 3) for B in flat]
+        assert _scan_range(ring, rows, 2) is None
+        assert _first_unit_by_index(rf, flat, 2, None) is None
 
 
 def _rare_unit_case(rng, p, pairs):
@@ -384,23 +389,25 @@ def _rare_unit_case(rng, p, pairs):
 @pytest.mark.parametrize("p, block_bits", [(2, 3), (3, 6), (5, 7), (7, 8)])
 def test_trial_batches_match_trial_order(monkeypatch, p, block_bits):
     # blocks of a few lanes and a cap of 40 trials, so that batches grow,
-    # stop at the block, and the last one is cut by the cap
+    # stop at the block, and the last one is cut by the cap; rows mod p,
+    # p^2 and p^3
     monkeypatch.setattr(semilinear, "_BLOCK_BITS", block_bits)
     monkeypatch.setattr(semilinear, "RANDOMIZED_TRIALS", 40)
     rng = random.Random(60 + p)
     outcomes = {"first": 0, "early": 0, "past a block": 0, "none": 0}
     for case in range(60):
         ring = make_witt_ring(p, (1, 2, 3)[case % 3], 1)
+        rf = _ResidueField(ring)
         if case % 2:
             r, packed = _rare_unit_case(rng, p, {2: 4, 3: 3, 5: 2, 7: 2}[p])
         else:
             r = rng.randint(1, 4)
             packed, _ = _random_scan_case(rng, ring.q, r, rng.randint(1, 6),
                                           False, p)
+        rows = [_flat_row(rng, rf, B, 1 + case // 2 % 3) for B in packed]
         seed = rng.randrange(1 << 30)
-        got = _first_unit_trial(ring, packed, r, random.Random(seed))
-        want = _first_unit_by_trial(_ResidueField(ring), packed, r,
-                                    random.Random(seed), 40)
+        got = _first_unit_trial(ring, rows, r, random.Random(seed))
+        want = _first_unit_by_trial(rf, packed, r, random.Random(seed), 40)
         assert got == want, (ring.q, r, len(packed), seed)
         size = p ** semilinear._layout(ring, r, len(packed))[2]
         outcomes["none" if want is None else "first" if want[0] == 1 else

@@ -4,7 +4,7 @@ import pytest
 
 from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import NotDieudonne
-from fcrystals.plinalg import Matrix
+from fcrystals.plinalg import Matrix, inverse_with_shift
 from fcrystals.truncation import (
     aut_image_stabilization_check,
     congruence_upgrade,
@@ -28,6 +28,28 @@ def test_verschiebung_invariants():
     O = builtin_crystal(ring, "ordinary", r=2, d=1)
     assert verschiebung(O).V == Matrix.from_ints(
         make_witt_ring(2, 1, 4), [[2, 0], [0, 1]])
+
+
+def test_verschiebung_below_n_minus_e_agrees_across_lifts():
+    # B mod p^n fixes V mod p^(n-e) only: levels up to n - e agree for
+    # every lift B + p^n X, and some lift moves V mod p^n
+    rng = random.Random(5)
+    for p, q, n in ((3, 2, 3), (3, 1, 3), (2, 1, 4)):
+        W, big = make_witt_ring(p, q, n), make_witt_ring(p, q, n + 2)
+        for name, kw in (("supersingular", {"d": 1}),
+                         ("ordinary", {"r": 2, "d": 1})):
+            C = builtin_crystal(W, name, **kw)
+            assert inverse_with_shift(C.B)[1] == 1
+            flat = C.B.flatten_ints()
+            moved = False
+            for _ in range(4):
+                lift = new_crystal(big, Matrix.from_flat_ints(big, 2, 2, [
+                    c + p ** n * rng.randrange(p ** 2) for c in flat]))
+                for level in range(1, n):
+                    assert verschiebung(lift, level).V == \
+                        verschiebung(C, level).V, (p, q, name, level)
+                moved |= verschiebung(lift, n).V != verschiebung(C).V
+            assert moved, (p, q, name)
 
 
 def test_verschiebung_rejects_non_dieudonne():
