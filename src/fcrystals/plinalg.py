@@ -7,7 +7,7 @@ exponentials.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import gcd
 from operator import mul
 
@@ -352,60 +352,126 @@ def _ival(c, p, n):
     return v
 
 
+class SwarMod:
+    """SWAR Barrett reduction mod m of every slot (at most `bound`) of an
+    int: one multiply by floor(2^shift / m) gives each slot's quotient or
+    one less, and one masked conditional subtraction of m finishes."""
+
+    def __init__(self, m, bound, slots):
+        self.m = m
+        shift = self.shift = bound.bit_length()
+        self.mult = (1 << shift) // m
+        w = self.slot = (bound * self.mult).bit_length()
+        ones = self.ones = ((1 << slots * w) - 1) // ((1 << w) - 1)
+        self.quot = ones * ((1 << w - shift) - 1)
+        self.half = ones * ((1 << w - 1) - m)
+
+    def lower(self, x):
+        """x with m taken off every slot in [m, 2m)."""
+        return x - ((x + self.half) >> self.slot - 1 & self.ones) * self.m
+
+    def reduce(self, x):
+        return self.lower(
+            x - (x * self.mult >> self.shift & self.quot) * self.m)
+
+
+class _PackedRows:
+    """Rows over Z/p^n as ints, one w-bit slot per column.
+
+    A row update r - c * piv is r + (p^n - c) * piv, whose slots are at
+    most (p^n - 1) + (p^n - 1)^2, then one `reduce`.  At p = 2, w is the
+    bit length of that bound and `reduce` is an AND with 2^n - 1 in every
+    slot; at odd p both come from `SwarMod` with modulus p^n.
+    """
+
+    def __init__(self, p, n, cols):
+        self.p, self.n, self.cols = p, n, cols
+        pn = self.pn = p ** n
+        bound = (pn - 1) + (pn - 1) ** 2
+        if p == 2:
+            w = self.w = bound.bit_length()
+            ones = ((1 << cols * w) - 1) // ((1 << w) - 1)
+            self.reduce = (ones * (pn - 1)).__and__
+            self.planes = [ones << t for t in range(n)]
+        else:
+            swar = SwarMod(pn, bound, cols)
+            self.w, self.reduce = swar.slot, swar.reduce
+
+    def pack(self, row):
+        """One row (ints, taken mod p^n) as an int."""
+        w, b, x = self.w, self.w >> 3, 0
+        if row and not 0 <= min(row) <= max(row) < self.pn:
+            row = [int(c) % self.pn for c in row]
+        if w % 8 == 0:
+            return int.from_bytes(bytes(row) if b == 1 else b"".join(map(
+                int.to_bytes, row, repeat(b), repeat("little"))), "little")
+        for c in reversed(row):
+            x = x << w | c
+        return x
+
+    def unpack(self, x):
+        w, b, m = self.w, self.w >> 3, (1 << self.w) - 1
+        if w % 8:
+            return [x >> s & m for s in range(0, self.cols * w, w)]
+        raw = x.to_bytes(b * self.cols, "little")
+        return list(raw) if b == 1 else [int.from_bytes(raw[s:s + b], "little")
+                                         for s in range(0, len(raw), b)]
+
+    def valuation(self, x):
+        """Minimal valuation of the row's slots; n for the zero row."""
+        if self.p == 2:
+            for t, m in enumerate(self.planes):
+                if x & m:
+                    return t
+            return self.n
+        return _ival(gcd(self.pn, *self.unpack(x)), self.p, self.n)
+
+
 def howell_form(rows, p, n):
     """Echelon basis of the row span inside (Z/p^n)^m, Howell-closed.
 
     Rows are lists of ints; the result has pivots p^e, entries below
-    pivots zero, and span-closure rows included.  It is not the unique
-    Howell basis: the entries above the pivots are reduced from the last
-    pivot to the first, so a later step undoes an earlier reduction and
-    an entry above a pivot p^v may lie outside [0, p^v).  The basis then
-    depends on the order of the input rows.  `hom` prints this basis, so
-    a fix changes its output.
+    pivots zero, and span-closure rows included.  In column j the first
+    row of minimal valuation v is the pivot, scaled to p^v; it clears
+    the others, and for v > 0 p^(n - v) times it joins them.  Rows are
+    packed (`_PackedRows`).  It is not the unique Howell basis: the
+    entries above the pivots are reduced from the last pivot to the
+    first, so a later step undoes an earlier reduction and an entry
+    above a pivot p^v may lie outside [0, p^v).  The basis then depends
+    on the order of the input rows.  `hom` prints this basis, so a fix
+    changes its output.
     """
     pn = p ** n
-    work = [list(int(c) % pn for c in r) for r in rows if any(c % pn for c in r)]
-    if not work:
-        return []
-    m = len(work[0])
-    result = []
-    for j in range(m):
-        live = [r for r in work if any(r)]
-        cand = [r for r in live if r[j] % pn]
-        rest = [r for r in live if not r[j] % pn]
+    P = _PackedRows(p, n, len(rows[0]) if rows else 0)
+    red, w, low = P.reduce, P.w, (1 << P.w) - 1
+    work = [P.pack(r) for r in rows]
+    basis, at = [], []   # pivot rows, (slot shift, p^v) of each
+    for j in range(P.cols):
+        s = j * w
+        work = [(r, r >> s & low) for r in work if r]
+        cand = [(r, e) for r, e in work if e]
+        rest = [r for r, e in work if not e]
         if not cand:
-            work = live
+            work = rest
             continue
-        v, piv = None, None
-        for r in cand:
-            rv = _ival(r[j], p, n)
-            if v is None or rv < v:
-                v, piv = rv, r
-        cand.remove(piv)
-        u = piv[j] // p ** v
-        ui = pow(u, -1, pn)
-        piv = [(ui * c) % pn for c in piv]
-        for r in cand:
-            c = r[j] // p ** v
-            for t in range(m):
-                r[t] = (r[t] - c * piv[t]) % pn
-        if v > 0:
-            extra = [(p ** (n - v) * c) % pn for c in piv]
-            if any(extra):
-                cand.append(extra)
-        result.append((j, v, piv))
-        work = cand + rest
-    # reduce entries above each pivot
-    basis = [piv for (_, _, piv) in result]
-    for idx in range(len(result) - 1, -1, -1):
-        j, v, piv = result[idx]
+        v, i = min((_ival(e, p, n), i) for i, (_, e) in enumerate(cand))
+        piv, e = cand.pop(i)
         pv = p ** v
-        for r in basis[:idx]:
-            c = r[j] // pv
+        piv = red(pow(e // pv, -1, pn) * piv)
+        # p^(n - v) times the pivot joins (a zero row when v = 0)
+        work = [red(r + (pn - e // pv) * piv) for r, e in cand]
+        work += [red(p ** (n - v) * piv)] + rest
+        basis.append(piv)
+        at.append((s, pv))
+    # reduce entries above each pivot, each time by the pivot row as
+    # reduced so far
+    for idx in range(len(basis) - 1, -1, -1):
+        s, pv = at[idx]
+        for i in range(idx):
+            c = (basis[i] >> s & low) // pv
             if c:
-                for t in range(m):
-                    r[t] = (r[t] - c * piv[t]) % pn
-    return basis
+                basis[i] = red(basis[i] + (pn - c) * basis[idx])
+    return [P.unpack(r) for r in basis]
 
 
 def howell_pivots(basis, p, n):
@@ -460,80 +526,77 @@ class IntSolver:
     """Smith-form elimination of an integer matrix mod p^n, reusable for
     many solves.
 
-    The pivot is the first entry of minimal valuation in row-major order.
-    The row operations are not multiplied into a left transform: each
-    pivot's row swap, unit inverse and (row, multiplier) lists are logged
-    and replayed on b by `solve`.  The right transform R is kept
-    transposed (`_rt[j]` is column j of R), so its column operations are
-    row updates.
+    The pivot is the first row of minimal valuation, at its first column
+    of that valuation in the current column order.  Rows are packed
+    (`_PackedRows`), and a column swap swaps two entries of `perm`, the
+    slot of each elimination column.  The row operations are not
+    multiplied into a left transform: each pivot's row swap, unit inverse
+    and (row, multiplier) lists are logged and replayed on b by `solve`.
+    The right transform R is kept transposed (`_rt[j]` is column j of R),
+    so its column operations are row updates.
     """
 
     def __init__(self, a_rows, p, n):
         self.p = p
         self.n = n
         self.pn = pn = p ** n
-        A = [[int(c) % pn for c in row] for row in a_rows]
-        rows = self.rows = len(A)
-        cols = self.cols = len(A[0]) if A else 0
-        RT = [[0] * cols for _ in range(cols)]
-        for j in range(cols):
-            RT[j][j] = 1
+        rows = self.rows = len(a_rows)
+        cols = self.cols = len(a_rows[0]) if a_rows else 0
+        P = _PackedRows(p, n, cols)
+        red, w, low = P.reduce, P.w, (1 << P.w) - 1
+        A = [P.pack(row) for row in a_rows]
+        RT = [1 << j * w for j in range(cols)]
+        perm = list(range(cols))   # the slot of each elimination column
+        pos = list(range(cols))    # and its inverse
         exps = []
         log = []   # per pivot: (swapped row, unit inverse, rows, multipliers)
-        # rows >= k vanish left of column k, so the gcd of a row with p^n
-        # is p^(its minimal valuation); 0 marks a row changed since
-        row_gcd = [0] * rows
+        val = [None] * rows   # row valuations; None: changed since
         dim = min(rows, cols)
         for k in range(dim):
-            best, bi = pn, -1
+            best, bi = n, -1
             for i in range(k, rows):
-                g = row_gcd[i] = row_gcd[i] or gcd(pn, *A[i])
-                if g < best:
-                    best, bi = g, i
-                    if g == 1:
+                v = val[i]
+                if v is None:
+                    v = val[i] = P.valuation(A[i])
+                if v < best:
+                    best, bi = v, i
+                    if v == 0:
                         break
             if bi < 0:
                 exps.extend([n] * (dim - k))
                 break
-            pv = best
-            v = _ival(pv, p, n)
+            v, pv = best, p ** best
             Ak = A[bi]
-            bj = next(j for j in range(k, cols) if Ak[j] % (pv * p))
+            ak = P.unpack(Ak)
+            # the row vanishes at columns < k: its support is at k or later
+            nz = [j for j, a in enumerate(ak) if a]
+            bj = min(pos[j] for j in nz if ak[j] % (pv * p))
             A[k], A[bi] = Ak, A[k]
-            row_gcd[bi] = row_gcd[k]
-            if bj != k:
-                for row in A[k:]:
-                    row[k], row[bj] = row[bj], row[k]
-                RT[k], RT[bj] = RT[bj], RT[k]
-            ui = pow(Ak[k] // pv, -1, pn)
-            # the pivot row after scaling by ui, beyond column k
-            tail = [(t, ui * Ak[t] % pn) for t in range(k + 1, cols) if Ak[t]]
-            idx, mults = [], []
-            for i in range(k + 1, rows):
-                Ai = A[i]
-                e = Ai[k]
-                if e:
-                    c = e // pv
-                    Ai[k] = row_gcd[i] = 0
-                    for t, a in tail:
-                        Ai[t] = (Ai[t] - c * a) % pn
-                    idx.append(i)
-                    mults.append(c)
+            val[bi] = val[k]
+            sk = perm[bj]
+            perm[k], perm[bj] = sk, perm[k]
+            pos[perm[k]], pos[perm[bj]] = k, bj
+            RT[k], RT[bj] = RT[bj], RT[k]
+            ui = pow(ak[sk] // pv, -1, pn)
+            piv = red(ui * Ak)
+            s = sk * w
+            idx = [i for i in range(k + 1, rows) if A[i] >> s & low]
+            mults = [(A[i] >> s & low) // pv for i in idx]
+            for i, c in zip(idx, mults):
+                A[i] = red(A[i] + (pn - c) * piv)
+                val[i] = None
             log.append((bi, ui, idx, mults))
             # column k is now p^v e_k, so the column operations only
-            # clear the pivot row; R follows them at the support of column k
-            Rk = [(j, y) for j, y in enumerate(RT[k]) if y]
-            for t, a in tail:
-                c = a // pv
-                Rt = RT[t]
-                for j, y in Rk:
-                    Rt[j] = (Rt[j] - c * y) % pn
-                Ak[t] = 0
-            Ak[k] = pv
+            # clear the pivot row
+            Rk = RT[k]
+            for j in nz:
+                if j != sk:
+                    t = pos[j]
+                    RT[t] = red(RT[t] + (pn - ui * ak[j] % pn // pv) * Rk)
             exps.append(v)
         self.exps = exps
         self._log = log
-        self._rt = RT
+        self._rt = [P.unpack(x) for x in RT]
 
     def solve(self, b):
         """One solution of A x = b, or None."""

@@ -6,7 +6,8 @@ to exact linear algebra over Z/p^m.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
 from .plinalg import (
     IntSolver,
     Matrix,
+    SwarMod,
     fp_kernel,
     fp_row_reduce,
     howell_form,
@@ -101,9 +103,8 @@ class HomModule:
     ring: object
     shape: tuple          # (rank of target, rank of source)
     precision: int
-    basis: list           # Matrix objects over the precision-m ring
-    profile: list = field(default_factory=list)  # pivot valuations
-    _howell: list = field(default_factory=list)
+    profile: list         # pivot valuations
+    _howell: list         # the Howell rows, flat row-major coordinates
 
     def rank_free(self):
         return sum(1 for v in self.profile if v == 0)
@@ -113,10 +114,15 @@ class HomModule:
         """The module of solutions of the integer system `rows` over `ring`."""
         p, m = ring.p, ring.n
         kern = howell_form(IntSolver(rows, p, m).kernel_generators(), p, m)
-        basis = [Matrix.from_flat_ints(ring, shape[0], shape[1], v)
-                 for v in kern]
         profile = [v for (_, v) in howell_pivots(kern, p, m)]
-        return cls(ring, shape, m, basis, profile, kern)
+        return cls(ring, shape, m, profile, kern)
+
+    @cached_property
+    def basis(self):
+        """The Howell rows as Matrix objects over the precision-m ring,
+        built on first read."""
+        return [Matrix.from_flat_ints(self.ring, *self.shape, v)
+                for v in self._howell]
 
     def mod_p_spanning_subset(self):
         """Howell rows whose residues form an F_p-basis of the mod-p image.
@@ -315,7 +321,7 @@ def _layout(ring, r, k):
     the residue field of ring, b the largest b <= k with p^b slots in at
     most 2^_BLOCK_BITS bits."""
     p = ring.p
-    w = 1 if p == 2 else _barrett(p, ring.q, r)[2]
+    w = 1 if p == 2 else SwarMod(p, _det_bound(p, ring.q, r), 1).slot
     b = 0
     while b < k and p ** (b + 1) * w <= 1 << _BLOCK_BITS:
         b += 1
@@ -408,39 +414,27 @@ def _det_lanes_gf2(M, r, q, fold):
     return out
 
 
-def _barrett(p, q, r):
-    """(shift, multiplier, slot bits) of the SWAR Barrett step at odd p.
-
-    A determinant coefficient sums at most r products of q pairs, one
-    factor below p and one at most p (a negation p - a), before q - 1
-    reduced high coefficients fold into it.  The slot holds that bound
-    times the multiplier floor(2^shift / p).
-    """
-    bound = (r + 1) * q * p * (p - 1)
-    shift = bound.bit_length()
-    mult = (1 << shift) // p
-    return shift, mult, (bound * mult).bit_length()
+def _det_bound(p, q, r):
+    """Largest slot of a determinant coefficient at odd p: a sum of at
+    most r products of q pairs, one factor below p and one at most p (a
+    negation p - a), before q - 1 reduced high coefficients fold into it."""
+    return (r + 1) * q * p * (p - 1)
 
 
-class _FpLanes:
+class _FpLanes(SwarMod):
     """Lanes at odd p, one F_p value per lane in a slot.
 
     A flat coordinate is an int: the coordinates of the rows `rows` taken
     mod p, each times its coefficient int (one value below p per lane),
     added up, plus a constant coordinate (any int, taken mod p) added to
-    every slot.  Slots add up unreduced, and a SWAR Barrett step (one
-    multiply by floor(2^shift / p), one masked conditional subtraction)
-    brings every slot of an int back below p.
+    every slot.  Slots add up unreduced, and the SWAR Barrett step of
+    `SwarMod` brings every slot of an int back below p.
     """
 
     def __init__(self, ring, rows, coeffs, r, lanes):
         p, q = self.p, self.q = ring.p, ring.q
         self.r = r
-        self.shift, self.mult, w = _barrett(p, q, r)
-        self.slot = w
-        ones = self.ones = ((1 << lanes * w) - 1) // ((1 << w) - 1)
-        self.quot = ones * ((1 << w - self.shift) - 1)
-        self.half = ones * ((1 << w - 1) - p)
+        super().__init__(p, _det_bound(p, q, r), lanes)
         # t^(q+i) modulo the Conway polynomial mod p, as (t, coefficient)
         top = [(-c) % p for c in ring.field.modulus[:q]]
         row, self.fold = top, []
@@ -451,19 +445,11 @@ class _FpLanes:
         for row, c in zip(rows, coeffs):
             for s, v in enumerate(row):
                 if v % p:
-                    low[s] = self._reduce(low[s] + v % p * c)
-
-    def _lower(self, x):
-        """x with p taken off every slot in [p, 2p)."""
-        return x - ((x + self.half) >> self.slot - 1 & self.ones) * self.p
-
-    def _reduce(self, x):
-        return self._lower(
-            x - (x * self.mult >> self.shift & self.quot) * self.p)
+                    low[s] = self.reduce(low[s] + v % p * c)
 
     def _reduce_poly(self, acc):
         """acc (2q - 1 coefficients) modulo the Conway polynomial and p."""
-        q, red = self.q, self._reduce
+        q, red = self.q, self.reduce
         out = acc[:q]
         for h, row in zip(acc[q:], self.fold):
             if h:
@@ -474,7 +460,7 @@ class _FpLanes:
 
     def units(self, const):
         p, ones = self.p, self.ones
-        flat = [self._lower(x + c % p * ones) if c % p else x
+        flat = [self.lower(x + c % p * ones) if c % p else x
                 for x, c in zip(self.low, const)]
         return self._det(_entries(flat, self.r, self.q))
 
@@ -742,11 +728,7 @@ def _lang_search(big, g, r):
 def hom_image(C1, C2, from_prec, to_prec):
     """Howell basis of Im(Hom at from_prec -> Hom at to_prec)."""
     H = hom_module(C1, C2, from_prec)
-    rows = []
-    pm = C1.ring.p ** to_prec
-    for b in H.basis:
-        rows.append([c % pm for c in b.flatten_ints()])
-    return howell_form(rows, C1.ring.p, to_prec)
+    return howell_form(H._howell, C1.ring.p, to_prec)
 
 
 def hom_stabilization_check(C1, C2, m12, h12, t):

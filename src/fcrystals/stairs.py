@@ -297,7 +297,7 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
             return None
         CD = C.base_change(big) if D > 1 else C
         H, expo = fixed_lattice(CD)
-        rank = len(H.basis)
+        rank = len(H._howell)
         if expo >= big.n:
             if rank <= prev_rank:
                 return None

@@ -3,13 +3,20 @@ routes against raw brute force."""
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
 from fcrystals import deviation, semilinear
 from fcrystals.conway import CONWAY_TABLE
 from fcrystals.crystal import builtin_crystal, new_crystal
-from fcrystals.plinalg import IntSolver, Matrix, det_valuation
+from fcrystals.plinalg import (
+    IntSolver,
+    Matrix,
+    _ival,
+    det_valuation,
+    howell_form,
+)
 from fcrystals.semilinear import (
     CircularSystem,
     _first_unit_trial,
@@ -795,3 +802,263 @@ def test_embed_matches_the_power_loop():
                     x = R.element(a)
                     assert x.embed(S).coeffs == _embed_by_powers(x, S), \
                         (p, small, big, n, a)
+
+
+# -- packed-row elimination, against the list-based code it replaced ---------
+# The two copies below are the list-based IntSolver and howell_form as they
+# were before the rows were packed into ints, kept verbatim as the oracle.
+
+
+class _ListIntSolver:
+    """Smith-form elimination of an integer matrix mod p^n, reusable for
+    many solves.
+
+    The pivot is the first entry of minimal valuation in row-major order.
+    The row operations are not multiplied into a left transform: each
+    pivot's row swap, unit inverse and (row, multiplier) lists are logged
+    and replayed on b by `solve`.  The right transform R is kept
+    transposed (`_rt[j]` is column j of R), so its column operations are
+    row updates.
+    """
+
+    def __init__(self, a_rows, p, n):
+        self.p = p
+        self.n = n
+        self.pn = pn = p ** n
+        A = [[int(c) % pn for c in row] for row in a_rows]
+        rows = self.rows = len(A)
+        cols = self.cols = len(A[0]) if A else 0
+        RT = [[0] * cols for _ in range(cols)]
+        for j in range(cols):
+            RT[j][j] = 1
+        exps = []
+        log = []   # per pivot: (swapped row, unit inverse, rows, multipliers)
+        # rows >= k vanish left of column k, so the gcd of a row with p^n
+        # is p^(its minimal valuation); 0 marks a row changed since
+        row_gcd = [0] * rows
+        dim = min(rows, cols)
+        for k in range(dim):
+            best, bi = pn, -1
+            for i in range(k, rows):
+                g = row_gcd[i] = row_gcd[i] or gcd(pn, *A[i])
+                if g < best:
+                    best, bi = g, i
+                    if g == 1:
+                        break
+            if bi < 0:
+                exps.extend([n] * (dim - k))
+                break
+            pv = best
+            v = _ival(pv, p, n)
+            Ak = A[bi]
+            bj = next(j for j in range(k, cols) if Ak[j] % (pv * p))
+            A[k], A[bi] = Ak, A[k]
+            row_gcd[bi] = row_gcd[k]
+            if bj != k:
+                for row in A[k:]:
+                    row[k], row[bj] = row[bj], row[k]
+                RT[k], RT[bj] = RT[bj], RT[k]
+            ui = pow(Ak[k] // pv, -1, pn)
+            # the pivot row after scaling by ui, beyond column k
+            tail = [(t, ui * Ak[t] % pn) for t in range(k + 1, cols) if Ak[t]]
+            idx, mults = [], []
+            for i in range(k + 1, rows):
+                Ai = A[i]
+                e = Ai[k]
+                if e:
+                    c = e // pv
+                    Ai[k] = row_gcd[i] = 0
+                    for t, a in tail:
+                        Ai[t] = (Ai[t] - c * a) % pn
+                    idx.append(i)
+                    mults.append(c)
+            log.append((bi, ui, idx, mults))
+            # column k is now p^v e_k, so the column operations only
+            # clear the pivot row; R follows them at the support of column k
+            Rk = [(j, y) for j, y in enumerate(RT[k]) if y]
+            for t, a in tail:
+                c = a // pv
+                Rt = RT[t]
+                for j, y in Rk:
+                    Rt[j] = (Rt[j] - c * y) % pn
+                Ak[t] = 0
+            Ak[k] = pv
+            exps.append(v)
+        self.exps = exps
+        self._log = log
+        self._rt = RT
+
+    def solve(self, b):
+        """One solution of A x = b, or None."""
+        p, n, pn = self.p, self.n, self.pn
+        Lb = [int(c) % pn for c in b[:self.rows]]
+        for k, (bi, ui, idx, mults) in enumerate(self._log):
+            Lb[k], Lb[bi] = Lb[bi], Lb[k]
+            c = Lb[k] = ui * Lb[k] % pn
+            if c:
+                for i, m in zip(idx, mults):
+                    Lb[i] = (Lb[i] - m * c) % pn
+        x = [0] * self.cols
+        for i in range(self.rows):
+            if i < len(self.exps):
+                e = self.exps[i]
+                if e >= n:
+                    if Lb[i]:
+                        return None
+                    continue
+                pe = p ** e
+                if Lb[i] % pe:
+                    return None
+                y = Lb[i] // pe
+                if y:
+                    x = [a + y * r for a, r in zip(x, self._rt[i])]
+            elif Lb[i]:
+                return None
+        return [a % pn for a in x]
+
+    def kernel_generators(self):
+        p, n, pn = self.p, self.n, self.pn
+        gens = []
+        for i in range(self.cols):
+            e = self.exps[i] if i < len(self.exps) else n
+            if e == 0:
+                continue
+            c = p ** (n - e)
+            g = [c * r % pn for r in self._rt[i]]
+            if any(g):
+                gens.append(g)
+        return gens
+
+
+
+
+def _list_howell_form(rows, p, n):
+    """Echelon basis of the row span inside (Z/p^n)^m, Howell-closed.
+
+    Rows are lists of ints; the result has pivots p^e, entries below
+    pivots zero, and span-closure rows included.  It is not the unique
+    Howell basis: the entries above the pivots are reduced from the last
+    pivot to the first, so a later step undoes an earlier reduction and
+    an entry above a pivot p^v may lie outside [0, p^v).  The basis then
+    depends on the order of the input rows.  `hom` prints this basis, so
+    a fix changes its output.
+    """
+    pn = p ** n
+    work = [list(int(c) % pn for c in r) for r in rows if any(c % pn for c in r)]
+    if not work:
+        return []
+    m = len(work[0])
+    result = []
+    for j in range(m):
+        live = [r for r in work if any(r)]
+        cand = [r for r in live if r[j] % pn]
+        rest = [r for r in live if not r[j] % pn]
+        if not cand:
+            work = live
+            continue
+        v, piv = None, None
+        for r in cand:
+            rv = _ival(r[j], p, n)
+            if v is None or rv < v:
+                v, piv = rv, r
+        cand.remove(piv)
+        u = piv[j] // p ** v
+        ui = pow(u, -1, pn)
+        piv = [(ui * c) % pn for c in piv]
+        for r in cand:
+            c = r[j] // p ** v
+            for t in range(m):
+                r[t] = (r[t] - c * piv[t]) % pn
+        if v > 0:
+            extra = [(p ** (n - v) * c) % pn for c in piv]
+            if any(extra):
+                cand.append(extra)
+        result.append((j, v, piv))
+        work = cand + rest
+    # reduce entries above each pivot
+    basis = [piv for (_, _, piv) in result]
+    for idx in range(len(result) - 1, -1, -1):
+        j, v, piv = result[idx]
+        pv = p ** v
+        for r in basis[:idx]:
+            c = r[j] // pv
+            if c:
+                for t in range(m):
+                    r[t] = (r[t] - c * piv[t]) % pn
+    return basis
+
+
+def _packed_systems(p, rng):
+    """Seeded systems over Z/p^n for n = 1..8: square, wide and tall, with
+    zero rows, rows of p-multiples, duplicate rows and all-zero input."""
+    shapes = ((1, 1), (4, 4), (7, 7), (3, 8), (2, 9), (8, 3), (9, 2))
+    for n in range(1, 9):
+        pn = p ** n
+        yield n, [[0] * 5 for _ in range(3)]
+        for rows, cols in shapes:
+            for fill in (0.3, 1.0):
+                A = []
+                for _ in range(rows):
+                    row = [rng.randrange(pn) if rng.random() < fill else 0
+                           for _ in range(cols)]
+                    kind = rng.random()
+                    if kind < 0.15:
+                        row = [0] * cols
+                    elif kind < 0.3 and A:
+                        row = list(rng.choice(A))
+                    elif kind < 0.6 and n > 1:
+                        s = p ** rng.randint(1, n - 1)
+                        row = [s * c % pn for c in row]
+                    A.append(row)
+                yield n, A
+
+
+def _assert_same_elimination(A, p, n, bs):
+    new, ref = IntSolver(A, p, n), _ListIntSolver(A, p, n)
+    assert (new.exps, new._log, new._rt) == (ref.exps, ref._log, ref._rt)
+    gens = new.kernel_generators()
+    assert gens == ref.kernel_generators()
+    assert howell_form(gens, p, n) == _list_howell_form(gens, p, n)
+    assert howell_form(A, p, n) == _list_howell_form(A, p, n)
+    sols = [new.solve(b) for b in bs]
+    assert sols == [ref.solve(b) for b in bs]
+    return new, sols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_rows_match_the_list_elimination(p):
+    rng = random.Random(900 + p)
+    seen = {"non-unit pivot": 0, "zero row": 0, "duplicate row": 0,
+            "all zero": 0, "unsolvable b": 0, "b outside [0, p^n)": 0}
+    for n, A in _packed_systems(p, rng):
+        pn = p ** n
+        rows, cols = len(A), len(A[0])
+        bs = [_apply(A, [rng.randrange(pn) for _ in range(cols)], pn)
+              for _ in range(2)]
+        bs += [[rng.randrange(-pn, 2 * pn) for _ in range(rows)]
+               for _ in range(3)]
+        new, sols = _assert_same_elimination(A, p, n, bs)
+        seen["non-unit pivot"] += any(0 < e < n for e in new.exps)
+        seen["zero row"] += any(not any(row) for row in A)
+        seen["duplicate row"] += any(A[i] == A[j] and any(A[i])
+                                     for j in range(rows) for i in range(j))
+        seen["all zero"] += not any(map(any, A))
+        seen["unsolvable b"] += sols.count(None)
+        seen["b outside [0, p^n)"] += sum(
+            x is not None and any(not 0 <= c < pn for c in b)
+            for x, b in zip(sols, bs))
+    assert min(seen.values()) >= 5, seen
+
+
+def test_packed_rows_match_on_the_thirds_family():
+    """The 216 x 216 Hom system of the rank-6 thirds family over W_4(F_64)."""
+    ring = make_witt_ring(2, 6, 4)
+    C1 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.one())
+    C2 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.gen())
+    A = semilinear._intertwiner_system(C1.B, C2.B, ring)
+    assert (len(A), len(A[0])) == (216, 216)
+    rng = random.Random(7)
+    bs = [_apply(A, [rng.randrange(16) for _ in range(216)], 16),
+          [rng.randrange(16) for _ in range(216)]]
+    new, sols = _assert_same_elimination(A, 2, 4, bs)
+    assert any(0 < e < 4 for e in new.exps) and sols[0] is not None
