@@ -6,13 +6,13 @@ systems over Z/p^n, inverses with denominator exponents, and truncated
 exponentials.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product, repeat
-from math import gcd
 from operator import mul
 
 from .errors import OutsideExpDomain, SingularAtPrecision
-from .witt import INFINITY, WittElem, make_witt_ring
+from .witt import INFINITY, WittElem, _int_val, make_witt_ring
 
 
 class Matrix:
@@ -152,23 +152,13 @@ class Matrix:
 
     def flatten_ints(self):
         """Row-major Z/p^n coordinates (q per entry)."""
-        out = []
-        for row in self.entries:
-            for e in row:
-                out.extend(e.coeffs)
-        return out
+        return [c for row in self.entries for e in row for c in e.coeffs]
 
     @staticmethod
     def from_flat_ints(ring, rows, cols, flat):
         q = ring.q
-        ents, k = [], 0
-        for _ in range(rows):
-            row = []
-            for _ in range(cols):
-                row.append(ring.element(flat[k:k + q]))
-                k += q
-            ents.append(row)
-        return Matrix(ring, ents)
+        return Matrix(ring, [[ring.element(flat[k:k + q]) for k in range(
+            i * cols * q, (i + 1) * cols * q, q)] for i in range(rows)])
 
     def __eq__(self, other):
         return (
@@ -342,26 +332,22 @@ def unit_inverse_matrix(A: Matrix) -> Matrix:
 # -- integer linear algebra over Z/p^n ---------------------------------------
 
 
-def _ival(c, p, n):
-    if c == 0:
-        return n
-    v = 0
-    while c % p == 0 and v < n:
-        c //= p
-        v += 1
-    return v
+def swar_slot(m, bound):
+    """Slot bits `SwarMod` needs for modulus m and slots at most `bound`."""
+    return (bound * ((1 << bound.bit_length()) // m)).bit_length()
 
 
 class SwarMod:
-    """SWAR Barrett reduction mod m of every slot (at most `bound`) of an
-    int: one multiply by floor(2^shift / m) gives each slot's quotient or
-    one less, and one masked conditional subtraction of m finishes."""
+    """SWAR Barrett reduction mod m of every w-bit slot (at most `bound`)
+    of an int: one multiply by floor(2^shift / m) gives each slot's
+    quotient or one less, and one masked conditional subtraction of m
+    finishes.  Every w from `swar_slot(m, bound)` up is exact."""
 
-    def __init__(self, m, bound, slots):
+    def __init__(self, m, bound, slots, w):
         self.m = m
         shift = self.shift = bound.bit_length()
         self.mult = (1 << shift) // m
-        w = self.slot = (bound * self.mult).bit_length()
+        self.slot = w
         ones = self.ones = ((1 << slots * w) - 1) // ((1 << w) - 1)
         self.quot = ones * ((1 << w - shift) - 1)
         self.half = ones * ((1 << w - 1) - m)
@@ -381,7 +367,9 @@ class _PackedRows:
     A row update r - c * piv is r + (p^n - c) * piv, whose slots are at
     most (p^n - 1) + (p^n - 1)^2, then one `reduce`.  At p = 2, w is the
     bit length of that bound and `reduce` is an AND with 2^n - 1 in every
-    slot; at odd p both come from `SwarMod` with modulus p^n.
+    slot; at odd p both come from `SwarMod` with modulus p^n.  The slots
+    mod p^t, for valuations, are an AND or a `SwarMod` at width w too;
+    `residue` (t = 1) also serves row updates over F_p at this width.
     """
 
     def __init__(self, p, n, cols):
@@ -392,16 +380,18 @@ class _PackedRows:
             w = self.w = bound.bit_length()
             ones = ((1 << cols * w) - 1) // ((1 << w) - 1)
             self.reduce = (ones * (pn - 1)).__and__
-            self.planes = [ones << t for t in range(n)]
+            self._rems = [(ones * ((1 << t) - 1)).__and__
+                          for t in range(1, n)]
         else:
-            swar = SwarMod(pn, bound, cols)
-            self.w, self.reduce = swar.slot, swar.reduce
+            w = self.w = swar_slot(pn, bound)
+            self.reduce = SwarMod(pn, bound, cols, w).reduce
+            self._rems = [SwarMod(p ** t, pn - 1, cols, w).reduce
+                          for t in range(1, n)]
+        self.residue = self._rems[0] if n > 1 else self.reduce
 
     def pack(self, row):
-        """One row (ints, taken mod p^n) as an int."""
+        """One row of ints in [0, p^n), at most `cols` of them, as an int."""
         w, b, x = self.w, self.w >> 3, 0
-        if row and not 0 <= min(row) <= max(row) < self.pn:
-            row = [int(c) % self.pn for c in row]
         if w % 8 == 0:
             return int.from_bytes(bytes(row) if b == 1 else b"".join(map(
                 int.to_bytes, row, repeat(b), repeat("little"))), "little")
@@ -419,32 +409,37 @@ class _PackedRows:
 
     def valuation(self, x):
         """Minimal valuation of the row's slots; n for the zero row."""
-        if self.p == 2:
-            for t, m in enumerate(self.planes):
-                if x & m:
-                    return t
-            return self.n
-        return _ival(gcd(self.pn, *self.unpack(x)), self.p, self.n)
+        for t, rem in enumerate(self._rems):
+            if rem(x):
+                return t
+        return self.n - 1 if x else self.n
 
 
-def howell_form(rows, p, n):
+def pack_rows(rows, p, n):
+    """(P, the rows packed by P): the one way list rows, taken mod p^n,
+    reach `IntSolver` and `howell_form`."""
+    P, pn = _PackedRows(p, n, len(rows[0]) if rows else 0), p ** n
+    return P, [P.pack(r if not r or 0 <= min(r) <= max(r) < pn
+                      else [int(c) % pn for c in r]) for r in rows]
+
+
+def howell_form(P, rows):
     """Echelon basis of the row span inside (Z/p^n)^m, Howell-closed.
 
-    Rows are lists of ints; the result has pivots p^e, entries below
-    pivots zero, and span-closure rows included.  In column j the first
-    row of minimal valuation v is the pivot, scaled to p^v; it clears
-    the others, and for v > 0 p^(n - v) times it joins them.  Rows are
-    packed (`_PackedRows`).  It is not the unique Howell basis: the
-    entries above the pivots are reduced from the last pivot to the
-    first, so a later step undoes an earlier reduction and an entry
-    above a pivot p^v may lie outside [0, p^v).  The basis then depends
-    on the order of the input rows.  `hom` prints this basis, so a fix
-    changes its output.
+    Rows are ints packed by P (a `_PackedRows`; `pack_rows` packs lists);
+    the result is lists of ints with pivots p^e, entries below pivots
+    zero, and span-closure rows included.  In column j the first row of
+    minimal valuation v is the pivot, scaled to p^v; it clears the
+    others, and for v > 0 p^(n - v) times it joins them.  It is not the
+    unique Howell basis: the entries above the pivots are reduced from
+    the last pivot to the first, so a later step undoes an earlier
+    reduction and an entry above a pivot p^v may lie outside [0, p^v).
+    The basis then depends on the order of the input rows.  `hom` prints
+    this basis, so a fix changes its output.
     """
-    pn = p ** n
-    P = _PackedRows(p, n, len(rows[0]) if rows else 0)
+    p, n, pn = P.p, P.n, P.pn
     red, w, low = P.reduce, P.w, (1 << P.w) - 1
-    work = [P.pack(r) for r in rows]
+    work = rows
     basis, at = [], []   # pivot rows, (slot shift, p^v) of each
     for j in range(P.cols):
         s = j * w
@@ -454,7 +449,7 @@ def howell_form(rows, p, n):
         if not cand:
             work = rest
             continue
-        v, i = min((_ival(e, p, n), i) for i, (_, e) in enumerate(cand))
+        v, i = min((_int_val(e, p, n), i) for i, (_, e) in enumerate(cand))
         piv, e = cand.pop(i)
         pv = p ** v
         piv = red(pow(e // pv, -1, pn) * piv)
@@ -480,7 +475,7 @@ def howell_pivots(basis, p, n):
     for r in basis:
         for j, c in enumerate(r):
             if c:
-                out.append((j, _ival(c, p, n)))
+                out.append((j, _int_val(c, p, n)))
                 break
     return out
 
@@ -526,25 +521,25 @@ class IntSolver:
     """Smith-form elimination of an integer matrix mod p^n, reusable for
     many solves.
 
-    The pivot is the first row of minimal valuation, at its first column
-    of that valuation in the current column order.  Rows are packed
-    (`_PackedRows`), and a column swap swaps two entries of `perm`, the
-    slot of each elimination column.  The row operations are not
-    multiplied into a left transform: each pivot's row swap, unit inverse
-    and (row, multiplier) lists are logged and replayed on b by `solve`.
-    The right transform R is kept transposed (`_rt[j]` is column j of R),
-    so its column operations are row updates.
+    A's rows are ints packed by P (`pack_rows` packs lists); R's rows and
+    the kernel generators stay packed by P, for `howell_form`.  The pivot
+    is the first row of minimal valuation, at its first column of that
+    valuation in the current column order; a column swap swaps two
+    entries of `perm`, the slot of each elimination column.  The row
+    operations are not multiplied into a left transform: each pivot's row
+    swap, unit inverse and (row, multiplier) lists are logged and
+    replayed on b by `solve`.  The right transform R is kept transposed
+    (`_rt[j]` is column j of R), so its column operations are row updates.
     """
 
-    def __init__(self, a_rows, p, n):
-        self.p = p
-        self.n = n
-        self.pn = pn = p ** n
+    def __init__(self, P, a_rows):
+        p, n = self.p, self.n = P.p, P.n
+        self.pn = pn = P.pn
+        self.packing = P
         rows = self.rows = len(a_rows)
-        cols = self.cols = len(a_rows[0]) if a_rows else 0
-        P = _PackedRows(p, n, cols)
+        cols = self.cols = P.cols
         red, w, low = P.reduce, P.w, (1 << P.w) - 1
-        A = [P.pack(row) for row in a_rows]
+        A = list(a_rows)
         RT = [1 << j * w for j in range(cols)]
         perm = list(range(cols))   # the slot of each elimination column
         pos = list(range(cols))    # and its inverse
@@ -596,7 +591,7 @@ class IntSolver:
             exps.append(v)
         self.exps = exps
         self._log = log
-        self._rt = [P.unpack(x) for x in RT]
+        self._rt = RT
 
     def solve(self, b):
         """One solution of A x = b, or None."""
@@ -608,7 +603,7 @@ class IntSolver:
             if c:
                 for i, m in zip(idx, mults):
                     Lb[i] = (Lb[i] - m * c) % pn
-        x = [0] * self.cols
+        red, x = self.packing.reduce, 0
         for i in range(self.rows):
             if i < len(self.exps):
                 e = self.exps[i]
@@ -621,32 +616,26 @@ class IntSolver:
                     return None
                 y = Lb[i] // pe
                 if y:
-                    x = [a + y * r for a, r in zip(x, self._rt[i])]
+                    x = red(x + y * self._rt[i])
             elif Lb[i]:
                 return None
-        return [a % pn for a in x]
+        return self.packing.unpack(x)
 
     def kernel_generators(self):
-        p, n, pn = self.p, self.n, self.pn
-        gens = []
-        for i in range(self.cols):
-            e = self.exps[i] if i < len(self.exps) else n
-            if e == 0:
-                continue
-            c = p ** (n - e)
-            g = [c * r % pn for r in self._rt[i]]
-            if any(g):
-                gens.append(g)
-        return gens
+        """Packed p^(n - e_i) times column i of R, for each e_i > 0."""
+        p, n, red = self.p, self.n, self.packing.reduce
+        exps = self.exps + [n] * (self.cols - len(self.exps))
+        gens = [red(p ** (n - e) * x) for e, x in zip(exps, self._rt) if e]
+        return [g for g in gens if g]
 
 
 def solve_linear_module(a_rows, b, p, n) -> SolutionModule:
     """Canonical solution module of A x = b over Z/p^n."""
-    solver = IntSolver(a_rows, p, n)
+    solver = IntSolver(*pack_rows(a_rows, p, n))
     x = solver.solve(b)
     if x is None:
         return SolutionModule(False, [], [], p, n)
-    basis = howell_form(solver.kernel_generators(), p, n)
+    basis = howell_form(solver.packing, solver.kernel_generators())
     x = reduce_against_howell(x, basis, p, n)
     return SolutionModule(True, x, basis, p, n)
 
@@ -657,7 +646,7 @@ def reduce_against_howell(x, basis, p, n):
     x = [int(c) % pn for c in x]
     for row in basis:
         j = next(i for i, c in enumerate(row) if c)
-        v = _ival(row[j], p, n)
+        v = _int_val(row[j], p, n)
         c = x[j] // p ** v
         if c:
             for t in range(len(x)):
@@ -703,6 +692,25 @@ def fp_row_reduce(rows, p):
                 work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
         pivots.append(c)
     return work[:len(pivots)], pivots
+
+
+def fp_independent_rows(P, rows):
+    """Indices of the rows, packed by P, whose residues mod p are
+    independent of those of the rows before them: the pivot columns
+    `fp_row_reduce` finds on the transposed residues.  What is left of
+    each such residue joins an echelon, normalised, by leading slot."""
+    p, red, w, low = P.p, P.residue, P.w, (1 << P.w) - 1
+    ech, keep = [], []   # (slot shift, residue with leading entry 1 there)
+    for i, x in enumerate(rows):
+        x = red(x)
+        for s, e in ech:
+            if c := x >> s & low:
+                x = red(x + (p - c) * e)
+        if x:
+            s = ((x & -x).bit_length() - 1) // w * w
+            insort(ech, (s, red(pow(x >> s & low, -1, p) * x)))
+            keep.append(i)
+    return keep
 
 
 def fp_kernel(rows, p):

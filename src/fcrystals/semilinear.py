@@ -23,12 +23,16 @@ from .plinalg import (
     IntSolver,
     Matrix,
     SwarMod,
+    _PackedRows,
+    fp_independent_rows,
     fp_kernel,
     fp_row_reduce,
     howell_form,
     howell_pivots,
     in_howell_span,
+    pack_rows,
     smith_normal_form,
+    swar_slot,
     w_span_rows,
 )
 from .witt import make_witt_ring
@@ -38,62 +42,43 @@ EXHAUSTIVE_CAP = 1 << 20
 RANDOMIZED_TRIALS = 20000
 
 
-def _mult_matrix(ring, a):
-    """q x q int matrix of multiplication by a on Witt coordinates."""
-    cols = []
-    t_pow = ring._one
-    for j in range(ring.q):
-        cols.append(ring._mul(a.coeffs, t_pow))
-        if j + 1 < ring.q:
-            t_pow = ring._mul(t_pow, tuple(
-                [0, 1] + [0] * (ring.q - 2)) if ring.q > 1 else ring._one)
-    return [[cols[j][i] for j in range(ring.q)] for i in range(ring.q)]
-
-
-def _sigma_matrix(ring, power=1):
-    q = ring.q
-    cols = []
-    for j in range(q):
-        basis = tuple(1 if t == j else 0 for t in range(q))
-        img = basis
-        for _ in range(power % q):
-            img = ring._sigma_raw(img)
-        cols.append(img)
-    return [[cols[j][i] for j in range(q)] for i in range(q)]
-
-
 def _intertwiner_system(B1, B2, ring, sigma_power=1):
-    """Int rows for {g : g @ B1 = B2 @ sigma^power(g)}, coords row-major."""
-    q = ring.q
+    """(P, rows): {g : g @ B1 = B2 @ sigma^power(g)} as equations packed
+    by P, a `_PackedRows` over Z/p^n; g's coordinates are row-major.
+
+    Equation (i, j, t) is coordinate t of entry (i, j) of g B1 - B2
+    sigma^power(g): g[i,k]'s coordinate s enters with coordinate t of
+    B1[k,j] t^s, g[k,j]'s with minus that of B2[i,k] sigma^power(t^s).
+    Each entry's q products are packed once into pieces of rows, which
+    one `reduce` ends: a slot gets at most two terms below p^n.
+    """
+    q, pn, W = ring.q, ring.pn, ring._w
     r2, r1 = B2.rows, B1.cols
-    nvars = r2 * r1 * q
-    sig = _sigma_matrix(ring, sigma_power)
-    mul1 = [[_mult_matrix(ring, B1[i, j]) for j in range(B1.cols)]
-            for i in range(B1.rows)]
-    mul2 = [[_mult_matrix(ring, B2[i, j]) for j in range(B2.cols)]
-            for i in range(B2.rows)]
-    pn = ring.pn
-    rows = []
-    # equation (i, j): sum_k g[i,k] B1[k,j] - sum_k B2[i,k] sigma(g[k,j]) = 0
+    P = _PackedRows(ring.p, ring.n, r2 * r1 * q)
+    stride = r1 * q * P.w   # bits of a row of g
+    sig = [tuple(int(s == u) for u in range(q)) for s in range(q)]
+    for _ in range(sigma_power % q):
+        sig = [ring._sigma_raw(x) for x in sig]
+    sig, ts = [ring._pack(x, W) for x in sig], [1 << s * W for s in range(q)]
+
+    def block(a, cols):
+        # products a * u for packed u in cols, one after another: entry
+        # s * q + t is coordinate t of the s-th
+        pa = ring._pack(a.coeffs, W)
+        return [c for u in cols for c in ring._reduce(pa * u, W)]
+
+    left, right = [], []
+    for j in range(r1):
+        flat = [c for k in range(B1.rows) for c in block(B1[k, j], ts)]
+        left.append([P.pack(flat[t::q]) for t in range(q)])
     for i in range(r2):
-        for j in range(r1):
-            for t in range(q):  # coordinate of the equation
-                row = [0] * nvars
-                for k in range(B1.rows):
-                    M = mul1[k][j]
-                    base = (i * r1 + k) * q
-                    for s in range(q):
-                        row[base + s] = (row[base + s] + M[t][s]) % pn
-                for k in range(B2.rows):
-                    M2 = mul2[i][k]
-                    base = (k * r1 + j) * q
-                    for s in range(q):
-                        c = 0
-                        for u in range(q):
-                            c += M2[t][u] * sig[u][s]
-                        row[base + s] = (row[base + s] - c) % pn
-                rows.append(row)
-    return rows
+        negs = [[(pn - c) % pn for c in block(B2[i, k], sig)]
+                for k in range(B2.rows)]
+        right.append([sum(P.pack(neg[t::q]) << k * stride
+                          for k, neg in enumerate(negs)) for t in range(q)])
+    return P, [P.reduce((left[j][t] << i * stride)
+                        + (right[i][t] << j * q * P.w))
+               for i in range(r2) for j in range(r1) for t in range(q)]
 
 
 @dataclass
@@ -110,12 +95,12 @@ class HomModule:
         return sum(1 for v in self.profile if v == 0)
 
     @classmethod
-    def from_system(cls, ring, shape, rows):
-        """The module of solutions of the integer system `rows` over `ring`."""
-        p, m = ring.p, ring.n
-        kern = howell_form(IntSolver(rows, p, m).kernel_generators(), p, m)
-        profile = [v for (_, v) in howell_pivots(kern, p, m)]
-        return cls(ring, shape, m, profile, kern)
+    def from_system(cls, ring, shape, P, rows):
+        """The module of solutions over `ring` of the system `rows`, packed
+        by P."""
+        kern = howell_form(P, IntSolver(P, rows).kernel_generators())
+        profile = [v for (_, v) in howell_pivots(kern, ring.p, ring.n)]
+        return cls(ring, shape, ring.n, profile, kern)
 
     @cached_property
     def basis(self):
@@ -127,15 +112,15 @@ class HomModule:
     def mod_p_spanning_subset(self):
         """Howell rows whose residues form an F_p-basis of the mod-p image.
 
-        Row's residues can be nonzero even when its pivot valuation is
-        positive, so all rows participate; the first independent ones (the
-        pivot columns of the residue matrix) are kept, to allow lifting
-        hits back into the module.
+        A row's residue can be nonzero when its pivot valuation is
+        positive, so all rows take part; each row whose residue is
+        independent of the earlier ones is kept (`fp_independent_rows`),
+        to allow lifting hits back into the module.
         """
-        if not self._howell:
-            return []
-        _, pivots = fp_row_reduce(list(zip(*self._howell)), self.ring.p)
-        return [self._howell[c] for c in pivots]
+        r, c = self.shape
+        P = _PackedRows(self.ring.p, self.precision, r * c * self.ring.q)
+        return [self._howell[i] for i in fp_independent_rows(
+            P, list(map(P.pack, self._howell)))]
 
     def element(self, coeffs):
         r, c = self.shape
@@ -163,8 +148,8 @@ def hom_module(C1, C2, precision=None) -> HomModule:
     if m > ring.n:
         raise BadShape("precision exceeds the ring's")
     rm = make_witt_ring(ring.p, ring.q, m)
-    rows = _intertwiner_system(C1.B.reduce_to(rm), C2.B.reduce_to(rm), rm)
-    return HomModule.from_system(rm, (C2.rank, C1.rank), rows)
+    return HomModule.from_system(rm, (C2.rank, C1.rank), *_intertwiner_system(
+        C1.B.reduce_to(rm), C2.B.reduce_to(rm), rm))
 
 
 def fixed_lattice(C):
@@ -177,7 +162,7 @@ def fixed_lattice(C):
     H = hom_module(C, C)
     rm = H.ring
     m = H.precision
-    hw = howell_form(w_span_rows(H.basis, rm), rm.p, m)
+    hw = howell_form(*pack_rows(w_span_rows(H.basis, rm), rm.p, m))
     piv = howell_pivots(hw, rm.p, m)
     ncoords = C.rank * C.rank * rm.q
     if len(piv) < ncoords:
@@ -321,7 +306,7 @@ def _layout(ring, r, k):
     the residue field of ring, b the largest b <= k with p^b slots in at
     most 2^_BLOCK_BITS bits."""
     p = ring.p
-    w = 1 if p == 2 else SwarMod(p, _det_bound(p, ring.q, r), 1).slot
+    w = 1 if p == 2 else swar_slot(p, _det_bound(p, ring.q, r))
     b = 0
     while b < k and p ** (b + 1) * w <= 1 << _BLOCK_BITS:
         b += 1
@@ -434,7 +419,8 @@ class _FpLanes(SwarMod):
     def __init__(self, ring, rows, coeffs, r, lanes):
         p, q = self.p, self.q = ring.p, ring.q
         self.r = r
-        super().__init__(p, _det_bound(p, q, r), lanes)
+        bound = _det_bound(p, q, r)
+        super().__init__(p, bound, lanes, swar_slot(p, bound))
         # t^(q+i) modulo the Conway polynomial mod p, as (t, coefficient)
         top = [(-c) % p for c in ring.field.modulus[:q]]
         row, self.fold = top, []
@@ -728,7 +714,7 @@ def _lang_search(big, g, r):
 def hom_image(C1, C2, from_prec, to_prec):
     """Howell basis of Im(Hom at from_prec -> Hom at to_prec)."""
     H = hom_module(C1, C2, from_prec)
-    return howell_form(H._howell, C1.ring.p, to_prec)
+    return howell_form(*pack_rows(H._howell, C1.ring.p, to_prec))
 
 
 def hom_stabilization_check(C1, C2, m12, h12, t):

@@ -32,6 +32,7 @@ from .plinalg import (
     howell_form,
     howell_pivots,
     in_howell_span,
+    pack_rows,
     unit_inverse_matrix,
     w_span_rows,
 )
@@ -74,8 +75,8 @@ class StairsDatum:
         if self._solver is None:
             ring = self.crystal.ring
             cols = w_span_rows(self.basis, ring)
-            self._solver = IntSolver([list(r) for r in zip(*cols)],
-                                     ring.p, ring.n)
+            self._solver = IntSolver(*pack_rows(list(zip(*cols)),
+                                                ring.p, ring.n))
         return self._solver
 
     def coords(self, X: Matrix):
@@ -144,7 +145,8 @@ class StairsDatum:
         if not full_end:
             return True
         # p^m End inside the span
-        hw = howell_form(w_span_rows(self.basis, ring), ring.p, ring.n)
+        hw = howell_form(*pack_rows(w_span_rows(self.basis, ring), ring.p,
+                                    ring.n))
         piv = howell_pivots(hw, ring.p, ring.n)
         ncoords = C.rank * C.rank * ring.q
         if len(piv) < ncoords or max(v for _, v in piv) > self.torsion:
@@ -336,7 +338,7 @@ def _select_w_basis(H, C):
     current = []
     for b in H.basis:
         rows_b = w_span_rows([b], ring)
-        new = howell_form(span_rows + rows_b, ring.p, ring.n)
+        new = howell_form(*pack_rows(span_rows + rows_b, ring.p, ring.n))
         if new != current:
             chosen.append(b)
             span_rows.extend(rows_b)

@@ -91,9 +91,9 @@ def d_trunc_hom_module(T1: DTruncation, T2: DTruncation) -> HomModule:
     if T1.ring != T2.ring:
         raise BadShape("truncations must share a ring")
     ring = T1.ring
-    rows = _intertwiner_system(T1.F, T2.F, ring)
-    rows += _intertwiner_system(T1.V, T2.V, ring, sigma_power=ring.q - 1)
-    return HomModule.from_system(ring, (T2.rank, T1.rank), rows)
+    P, rows = _intertwiner_system(T1.F, T2.F, ring)
+    _, more = _intertwiner_system(T1.V, T2.V, ring, sigma_power=ring.q - 1)
+    return HomModule.from_system(ring, (T2.rank, T1.rank), P, rows + more)
 
 
 def d_trunc_isom_search(T1: DTruncation, T2: DTruncation) -> IsomResult:

@@ -13,20 +13,23 @@ from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.plinalg import (
     IntSolver,
     Matrix,
-    _ival,
+    _PackedRows,
     det_valuation,
+    fp_independent_rows,
+    fp_row_reduce,
     howell_form,
+    pack_rows,
 )
 from fcrystals.semilinear import (
     CircularSystem,
     _first_unit_trial,
-    _mult_matrix,
     _scan_range,
     hom_module,
     isom_search,
     solve_circular,
 )
 from fcrystals.stairs import _fixed_datum, build_stairs_datum
+from fcrystals.witt import _int_val as _ival
 from fcrystals.witt import _poly_mul_mod, _poly_pow_mod, make_witt_ring
 
 
@@ -529,23 +532,25 @@ def _int_systems(p, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_int_solver_matches_two_sided_elimination(p):
-    from fcrystals.plinalg import IntSolver, SolutionModule, howell_form
+    from fcrystals.plinalg import SolutionModule
     rng = random.Random(500 + p)
     seen = {"non-unit pivot": 0, "zero row": 0, "brute force": 0,
             "unsolvable b": 0}
     for n, A in _int_systems(p, rng):
         pn = p ** n
         rows, cols = len(A), len(A[0])
-        ref, new = _TwoSidedSolver(A, p, n), IntSolver(A, p, n)
+        ref, new = _TwoSidedSolver(A, p, n), IntSolver(*pack_rows(A, p, n))
         assert new.exps == ref.exps, (n, A)
-        gens = new.kernel_generators()
+        packed = new.kernel_generators()
+        gens = [new.packing.unpack(g) for g in packed]
         assert gens == ref.kernel_generators(), (n, A)
         # checks that do not share the elimination
         for g in gens:
             assert not any(_apply(A, g, pn)), (n, A, g)
         exps = new.exps + [n] * (cols - len(new.exps))
         ker_log = sum(exps[:cols])
-        span = SolutionModule(True, [0] * cols, howell_form(gens, p, n), p, n)
+        span = SolutionModule(True, [0] * cols,
+                              howell_form(new.packing, packed), p, n)
         assert span.size_log() == ker_log, (n, A)
         images = None
         if pn ** cols <= 3 ** 8:
@@ -703,7 +708,8 @@ def test_coordinate_solver_matches_the_mult_matrix_system():
     for dat in _golden_datums():
         ring = dat.crystal.ring
         new = dat.coordinate_solver()
-        ref = IntSolver(_mult_matrix_coordinate_rows(dat), ring.p, ring.n)
+        ref = IntSolver(*pack_rows(_mult_matrix_coordinate_rows(dat),
+                                   ring.p, ring.n))
         assert (new.exps, new._log, new._rt) == \
             (ref.exps, ref._log, ref._rt), (ring.p, ring.q)
         for _ in range(3):
@@ -1014,12 +1020,15 @@ def _packed_systems(p, rng):
 
 
 def _assert_same_elimination(A, p, n, bs):
-    new, ref = IntSolver(A, p, n), _ListIntSolver(A, p, n)
-    assert (new.exps, new._log, new._rt) == (ref.exps, ref._log, ref._rt)
-    gens = new.kernel_generators()
+    new, ref = IntSolver(*pack_rows(A, p, n)), _ListIntSolver(A, p, n)
+    P = new.packing
+    assert (new.exps, new._log, [P.unpack(x) for x in new._rt]) == \
+        (ref.exps, ref._log, ref._rt)
+    packed = new.kernel_generators()
+    gens = [P.unpack(g) for g in packed]
     assert gens == ref.kernel_generators()
-    assert howell_form(gens, p, n) == _list_howell_form(gens, p, n)
-    assert howell_form(A, p, n) == _list_howell_form(A, p, n)
+    assert howell_form(P, packed) == _list_howell_form(gens, p, n)
+    assert howell_form(*pack_rows(A, p, n)) == _list_howell_form(A, p, n)
     sols = [new.solve(b) for b in bs]
     assert sols == [ref.solve(b) for b in bs]
     return new, sols
@@ -1055,10 +1064,208 @@ def test_packed_rows_match_on_the_thirds_family():
     ring = make_witt_ring(2, 6, 4)
     C1 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.one())
     C2 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.gen())
-    A = semilinear._intertwiner_system(C1.B, C2.B, ring)
+    A = _list_intertwiner_system(C1.B, C2.B, ring)
     assert (len(A), len(A[0])) == (216, 216)
+    P, packed = semilinear._intertwiner_system(C1.B, C2.B, ring)
+    assert packed == [P.pack(row) for row in A]
     rng = random.Random(7)
     bs = [_apply(A, [rng.randrange(16) for _ in range(216)], 16),
           [rng.randrange(16) for _ in range(216)]]
     new, sols = _assert_same_elimination(A, 2, 4, bs)
     assert any(0 < e < 4 for e in new.exps) and sols[0] is not None
+
+
+# -- the packed intertwiner system, against the list builder it replaced -----
+# The three functions below build the system as lists, as it was built
+# before its rows were packed; kept verbatim (the builder renamed) as the
+# oracle.  _mult_matrix also builds the stairs-coordinate oracle above.
+
+
+def _mult_matrix(ring, a):
+    """q x q int matrix of multiplication by a on Witt coordinates."""
+    cols = []
+    t_pow = ring._one
+    for j in range(ring.q):
+        cols.append(ring._mul(a.coeffs, t_pow))
+        if j + 1 < ring.q:
+            t_pow = ring._mul(t_pow, tuple(
+                [0, 1] + [0] * (ring.q - 2)) if ring.q > 1 else ring._one)
+    return [[cols[j][i] for j in range(ring.q)] for i in range(ring.q)]
+
+
+def _sigma_matrix(ring, power=1):
+    q = ring.q
+    cols = []
+    for j in range(q):
+        basis = tuple(1 if t == j else 0 for t in range(q))
+        img = basis
+        for _ in range(power % q):
+            img = ring._sigma_raw(img)
+        cols.append(img)
+    return [[cols[j][i] for j in range(q)] for i in range(q)]
+
+
+def _list_intertwiner_system(B1, B2, ring, sigma_power=1):
+    """Int rows for {g : g @ B1 = B2 @ sigma^power(g)}, coords row-major."""
+    q = ring.q
+    r2, r1 = B2.rows, B1.cols
+    nvars = r2 * r1 * q
+    sig = _sigma_matrix(ring, sigma_power)
+    mul1 = [[_mult_matrix(ring, B1[i, j]) for j in range(B1.cols)]
+            for i in range(B1.rows)]
+    mul2 = [[_mult_matrix(ring, B2[i, j]) for j in range(B2.cols)]
+            for i in range(B2.rows)]
+    pn = ring.pn
+    rows = []
+    # equation (i, j): sum_k g[i,k] B1[k,j] - sum_k B2[i,k] sigma(g[k,j]) = 0
+    for i in range(r2):
+        for j in range(r1):
+            for t in range(q):  # coordinate of the equation
+                row = [0] * nvars
+                for k in range(B1.rows):
+                    M = mul1[k][j]
+                    base = (i * r1 + k) * q
+                    for s in range(q):
+                        row[base + s] = (row[base + s] + M[t][s]) % pn
+                for k in range(B2.rows):
+                    M2 = mul2[i][k]
+                    base = (k * r1 + j) * q
+                    for s in range(q):
+                        c = 0
+                        for u in range(q):
+                            c += M2[t][u] * sig[u][s]
+                        row[base + s] = (row[base + s] - c) % pn
+                rows.append(row)
+    return rows
+
+
+
+def _sparse_matrix(ring, rng, rows, cols):
+    """Entries drawn as zero, as p times an element, or as any element."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return ring.zero()
+        x = ring.random_element(rng)
+        return x * ring.from_int(ring.p) if kind < 0.6 else x
+    return Matrix(ring, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_intertwiner_system_matches_the_list_builder(p):
+    rng = random.Random(1200 + p)
+    seen = {"zero entry": 0, "p-multiple entry": 0, "r1 != r2": 0,
+            "sigma^(q-1)": 0, "two terms in a slot": 0}
+    for q in (1, 2, 3, 6):
+        for n in range(1, 7):
+            ring = make_witt_ring(p, q, n)
+            for r2, r1 in ((1, 1), (2, 3), (3, 2), (2, 2)):
+                B1 = _sparse_matrix(ring, rng, r1, r1)
+                B2 = _sparse_matrix(ring, rng, r2, r2)
+                for power in sorted({1, q - 1}):
+                    P, packed = semilinear._intertwiner_system(
+                        B1, B2, ring, sigma_power=power)
+                    ref = _list_intertwiner_system(B1, B2, ring,
+                                                   sigma_power=power)
+                    assert P.cols == r1 * r2 * q, (p, q, n, r1, r2)
+                    assert packed == [P.pack(row) for row in ref], \
+                        (p, q, n, r1, r2, power)
+                    seen["sigma^(q-1)"] += power == q - 1 > 1
+                    # g[i, i] meets both B1[i, i] and B2[i, i]
+                    seen["two terms in a slot"] += any(
+                        not B1[i, i].is_zero() and not B2[i, i].is_zero()
+                        for i in range(min(r1, r2)))
+                entries = [e for B in (B1, B2) for row in B.entries
+                           for e in row]
+                seen["zero entry"] += any(e.is_zero() for e in entries)
+                seen["p-multiple entry"] += n > 1 and any(
+                    not e.is_zero() and all(c % p == 0 for c in e.coeffs)
+                    for e in entries)
+                seen["r1 != r2"] += r1 != r2
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_d_truncation_hom_module_matches_the_list_route(p):
+    """The F system and the sigma^(q-1) V system, concatenated, solved by
+    the list elimination."""
+    from fcrystals.truncation import DTruncation, d_trunc_hom_module
+    rng = random.Random(1300 + p)
+    for q in (1, 2, 3):
+        for n in (1, 2, 3):
+            ring = make_witt_ring(p, q, n)
+            for r2, r1 in ((2, 2), (1, 2), (2, 1)):
+                T1 = DTruncation(ring, r1, _sparse_matrix(ring, rng, r1, r1),
+                                 _sparse_matrix(ring, rng, r1, r1))
+                T2 = DTruncation(ring, r2, _sparse_matrix(ring, rng, r2, r2),
+                                 _sparse_matrix(ring, rng, r2, r2))
+                rows = _list_intertwiner_system(T1.F, T2.F, ring)
+                rows += _list_intertwiner_system(T1.V, T2.V, ring,
+                                                 sigma_power=q - 1)
+                ref = _list_howell_form(
+                    _ListIntSolver(rows, p, n).kernel_generators(), p, n)
+                assert d_trunc_hom_module(T1, T2)._howell == ref, \
+                    (p, q, n, r1, r2)
+
+
+def _fp_systems(p, rng):
+    """Seeded (n, row list) over Z/p^n, n = 1..3: zero rows, duplicates,
+    rows of p-multiples, entries outside [0, p^n), no rows."""
+    yield 1, []
+    for _ in range(75):
+        n = rng.randint(1, 3)
+        pn = p ** n
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        A = []
+        for _ in range(rows):
+            kind = rng.random()
+            if kind < 0.15:
+                row = [0] * cols
+            elif kind < 0.3 and A:
+                row = list(rng.choice(A))
+            elif kind < 0.5:
+                row = [p * rng.randrange(pn) for _ in range(cols)]
+            elif kind < 0.6:
+                row = [rng.randrange(-pn, pn) for _ in range(cols)]
+            else:
+                row = [rng.randrange(pn) if rng.random() < 0.6 else 0
+                       for _ in range(cols)]
+            A.append(row)
+        yield n, A
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fp_independent_rows_match_the_transposed_row_reduction(p):
+    rng = random.Random(1400 + p)
+    dependent = 0
+    for n, A in _fp_systems(p, rng):
+        keep = fp_independent_rows(*pack_rows(A, p, n))
+        assert keep == fp_row_reduce(list(zip(*A)), p)[1], A
+        dependent += len(keep) < len(A)
+    assert dependent >= 20
+
+
+def test_mod_p_spanning_subset_matches_the_transposed_row_reduction():
+    """Howell rows of Hom modules, whose residues are often dependent."""
+    for p, q, n, fam, kw in ((2, 2, 3, "supersingular", {"d": 1}),
+                             (3, 2, 3, "ordinary", {"r": 3, "d": 1}),
+                             (5, 1, 4, "ordinary", {"r": 2, "d": 1}),
+                             (7, 3, 2, "supersingular", {"d": 1})):
+        C = builtin_crystal(make_witt_ring(p, q, n), fam, **kw)
+        H = hom_module(C, C)
+        _, pivots = fp_row_reduce(list(zip(*H._howell)), p)
+        assert H.mod_p_spanning_subset() == [H._howell[c] for c in pivots]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_valuation_matches_the_gcd(p):
+    rng = random.Random(1500 + p)
+    for n in range(1, 9):
+        pn = p ** n
+        P = _PackedRows(p, n, 6)
+        for _ in range(40):
+            s = p ** rng.randint(0, n)
+            row = [s * rng.randrange(pn) % pn if rng.random() < 0.7 else 0
+                   for _ in range(6)]
+            assert P.valuation(P.pack(row)) == _ival(gcd(pn, *row), p, n), \
+                (n, row)

@@ -14,6 +14,7 @@ from fcrystals.plinalg import (
     howell_form,
     in_howell_span,
     inverse_with_shift,
+    pack_rows,
     smith_normal_form,
     solve_linear_module,
 )
@@ -103,12 +104,12 @@ def test_solve_linear_module():
 
 def test_howell_canonical():
     # span of (2,1) inside (Z/4)^2: howell adds the closure row (0,2)
-    basis = howell_form([[2, 1]], 2, 2)
+    basis = howell_form(*pack_rows([[2, 1]], 2, 2))
     assert in_howell_span([2, 1], basis, 2, 2)
     assert in_howell_span([0, 2], basis, 2, 2)
     assert not in_howell_span([1, 0], basis, 2, 2)
     # canonical regardless of generator presentation
-    b2 = howell_form([[2, 3], [0, 2]], 2, 2)
+    b2 = howell_form(*pack_rows([[2, 3], [0, 2]], 2, 2))
     assert basis == b2
 
 
@@ -209,14 +210,14 @@ def test_int_solver_matches_module():
     rng = random.Random(6)
     for _ in range(15):
         rows = [[rng.randrange(27) for _ in range(3)] for _ in range(3)]
-        solver = IntSolver(rows, 3, 3)
+        solver = IntSolver(*pack_rows(rows, 3, 3))
         b = [rng.randrange(27) for _ in range(3)]
         x = solver.solve(b)
         if x is None:
             continue
         for i in range(3):
             assert sum(rows[i][j] * x[j] for j in range(3)) % 27 == b[i] % 27
-        for g in solver.kernel_generators():
+        for g in map(solver.packing.unpack, solver.kernel_generators()):
             for i in range(3):
                 assert sum(rows[i][j] * g[j] for j in range(3)) % 27 == 0
 
