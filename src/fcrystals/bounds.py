@@ -19,6 +19,10 @@ def epsilon_p(p: int) -> int:
 # (about 0.05 s at this rank), and at rank ~1,700 the values outgrow
 # Python's 4,300-digit int-to-string limit
 MAX_BOUND_RANK = 500
+# largest s- and h-number they accept: D0 is linear in h and D0(500, 1)
+# has 1,135 digits, so every accepted bound has at most 2,140 digits and
+# prints inside that limit
+MAX_BOUND_NUMBER = 10 ** 1000
 
 
 @lru_cache(maxsize=None)
@@ -31,6 +35,8 @@ def d_plus_bound0(a: int, c: int) -> int:
         raise BadParams("need a >= 1 and c >= 0")
     if a > MAX_BOUND_RANK:
         raise BadParams(f"rank {a} exceeds the maximum {MAX_BOUND_RANK}")
+    if c > MAX_BOUND_NUMBER:
+        raise BadParams("h-number exceeds the maximum 10^1000")
     if c == 0:
         return 0
     d = [0, 0]  # d[k] = D0(k, c); d[0] is unused
@@ -49,8 +55,8 @@ def d_plus_bound(a: int, b: int, c: int) -> int:
     """Upper bound for the torsion of rank-a crystals, s-number b, h-number c."""
     if a < 1 or b < 0 or c < 0:
         raise BadParams("need a >= 1, b >= 0, c >= 0")
-    if a == 1:
-        return 0
+    if b > MAX_BOUND_NUMBER:
+        raise BadParams("s-number exceeds the maximum 10^1000")
     return b * (a - 1) + d_plus_bound0(a, c)
 
 
@@ -75,10 +81,14 @@ def truncation_level_bound(kind: str, r: int, p: int, d=None) -> int:
             raise BadParams(f"dimension {d} is outside [0, {r}]")
         if d in (0, r):
             return 0
-        return 2 * d_plus_bound(r * r, 1, 2) + epsilon_p(p)
-    if kind == "polarized":
+        dim = r * r
+    elif kind == "polarized":
         if r < 1:
             raise BadParams("need d >= 1")
         dim = 2 * r * r + r
-        return 2 * d_plus_bound(dim, 1, 2) + epsilon_p(p)
-    raise BadParams(f"unknown bound kind {kind!r}")
+    else:
+        raise BadParams(f"unknown bound kind {kind!r}")
+    # so that the rank, r^2 or 2r^2 + r, prints in a rank error
+    if r > MAX_BOUND_NUMBER:
+        raise BadParams(f"{kind} size exceeds the maximum 10^1000")
+    return 2 * d_plus_bound(dim, 1, 2) + epsilon_p(p)

@@ -14,11 +14,10 @@ from .bounds import (
     n_fam_bound,
     truncation_level_bound,
 )
-from .conway import is_prime
+from .conway import require_prime
 from .crystal import PolarizedCrystal, hodge_data, newton_polygon
 from .deviation import deviations, df_reduce
 from .errors import (
-    BadParams,
     CrystalError,
     ExtensionCapExceeded,
     PrecisionExhausted,
@@ -94,8 +93,7 @@ def cmd_deviation(args):
 
 def cmd_bound(args):
     try:
-        if not is_prime(args.p):
-            raise BadParams(f"p = {args.p} is not prime")
+        require_prime(args.p)
         if args.pdiv is not None:
             r, d = args.pdiv
             val = truncation_level_bound("pdiv", r, args.p, d=d)
@@ -252,13 +250,16 @@ def build_parser():
 
     p = sub.add_parser("bound", help="effective torsion/truncation bounds")
     p.add_argument("--rank", type=int)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--h-number", type=int, default=0)
+    p.add_argument("--s", type=int, default=0,
+                   help="s-number, at most 10^1000")
+    p.add_argument("--h-number", type=int, default=0,
+                   help="h-number, at most 10^1000")
     p.add_argument("--fam", action="store_true",
                    help="report the family bound 2d+eps instead of d")
     p.add_argument("--pdiv", nargs=2, type=int, metavar=("R", "D"))
     p.add_argument("--polarized", type=int, metavar="D")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, default=2,
+                   help="a prime, at most 2^32")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("hom", help="Hom module of two files (a Howell basis)")

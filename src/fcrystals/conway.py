@@ -7,6 +7,8 @@ norm-compatible with all subfield entries, minimal in the usual
 alternating-sign word order.
 """
 
+from math import isqrt
+
 from .errors import NotPrime, UnknownField
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
@@ -63,21 +65,21 @@ CONWAY_TABLE = {
 }
 
 
-def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+# largest p that `require_prime` accepts: trial division then takes at
+# most 2^16 steps, and no larger p has a table entry
+MAX_PRIME = 2 ** 32
+
+
+def require_prime(p):
+    if p > MAX_PRIME:
+        raise NotPrime("p exceeds the maximum 2^32")
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise NotPrime(f"p = {p} is not prime")
 
 
 def conway_polynomial(p: int, q: int) -> tuple:
     """Return the Conway polynomial for F_{p^q}, coefficients mod p."""
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
+    require_prime(p)
     poly = CONWAY_TABLE.get((p, q))
     if poly is None:
         raise UnknownField(

@@ -127,7 +127,7 @@ def newton_polygon(C: FCrystal) -> Polygon:
     """Exact Newton slopes, certified by the precision gate n > q*r*h."""
     ring = C.ring
     q, r = ring.q, C.rank
-    _, s, h = hodge_data(C)
+    _, _, h = hodge_data(C)
     if ring.n < q * r * h + 1:
         raise PrecisionExhausted(
             f"newton polygon needs precision >= {q * r * h + 1}, "

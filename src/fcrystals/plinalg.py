@@ -430,12 +430,12 @@ def howell_form(P, rows):
     the result is lists of ints with pivots p^e, entries below pivots
     zero, and span-closure rows included.  In column j the first row of
     minimal valuation v is the pivot, scaled to p^v; it clears the
-    others, and for v > 0 p^(n - v) times it joins them.  It is not the
-    unique Howell basis: the entries above the pivots are reduced from
-    the last pivot to the first, so a later step undoes an earlier
-    reduction and an entry above a pivot p^v may lie outside [0, p^v).
-    The basis then depends on the order of the input rows.  `hom` prints
-    this basis, so a fix changes its output.
+    others, and for v > 0 p^(n - v) times it joins them.  The entries
+    above the pivots are then reduced from the first pivot to the last:
+    a later pivot row is zero in every earlier pivot column, so each
+    entry above a pivot p^v ends in [0, p^v).  This is the unique Howell
+    basis of the span (Howell 1986; Storjohann & Mulders 1998): it does
+    not depend on the order of the rows or on how they were produced.
     """
     p, n, pn = P.p, P.n, P.pn
     red, w, low = P.reduce, P.w, (1 << P.w) - 1
@@ -458,9 +458,8 @@ def howell_form(P, rows):
         work += [red(p ** (n - v) * piv)] + rest
         basis.append(piv)
         at.append((s, pv))
-    # reduce entries above each pivot, each time by the pivot row as
-    # reduced so far
-    for idx in range(len(basis) - 1, -1, -1):
+    # reduce entries above each pivot into [0, p^v)
+    for idx in range(len(basis)):
         s, pv = at[idx]
         for i in range(idx):
             c = (basis[i] >> s & low) // pv

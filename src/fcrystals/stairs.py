@@ -364,7 +364,7 @@ def stairs_run(C, g, datum=None) -> StairsCertificate:
     if datum is None:
         datum = build_stairs_datum(C)
     ring = datum.crystal.ring
-    p, n = ring.p, ring.n
+    p = ring.p
     eps = epsilon_p(p)
     if g.ring != ring:
         g = g.embed(ring)
@@ -438,7 +438,6 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
                 vals = [ys[l].valuation() for l in cyc]
                 u_list.append(min(vals))
         # solve each cycle's residue system
-        xbars = [None] * len(datum.basis)
         ext_needed = 1
         solutions = []
         fld = make_witt_ring(ring.p, ring.q, 1)
@@ -485,7 +484,6 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
             continue
         # all cycles solved over the current field: build the update
         step_factors = []
-        conj_factors = []
         for ci, cyc in enumerate(datum.cycles):
             sol = solutions[ci]
             if sol is None:
@@ -655,9 +653,9 @@ def ring2_reduce(c, fld):
 def _structure_constants(datum):
     """gamma[a][b] = coordinates of e_a e_b in the basis (WittElems)."""
     out = []
-    for a, ea in enumerate(datum.basis):
+    for ea in datum.basis:
         row = []
-        for b, eb in enumerate(datum.basis):
+        for eb in datum.basis:
             co = datum.coords(ea @ eb)
             if co is None:
                 raise NotMultiplicative("products leave the span")

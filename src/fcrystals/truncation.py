@@ -163,8 +163,9 @@ def congruence_upgrade(C, g, f_trunc: Matrix, level: int,
     if not exps or max(exps) != 0:
         raise LiftFailed("truncation isomorphism does not lift to a unit")
     # after conjugating by the lift, the twist is congruent to 1 mod p^(level-?)
-    g1 = f_lift @ g @ C.B @ unit_inverse_matrix(f_lift.sigma()) \
-        @ _clear_inverse(C.B, ring)
+    Cm, e = inverse_with_shift(C.B)
+    g1 = _times_inverse(
+        f_lift @ g @ C.B @ unit_inverse_matrix(f_lift.sigma()), Cm, e)
     # sigma_0 = B0 as a sigma-linear map; g_0 = sigma_0^{-1} g1 sigma_0
     B0_inv = unit_inverse_matrix(split.B0)
     g0 = (B0_inv @ g1 @ split.B0).sigma(ring.q - 1)
@@ -183,31 +184,16 @@ def congruence_upgrade(C, g, f_trunc: Matrix, level: int,
     g_prime = gtilde @ f_lift
     # g_q phi = g' (g phi) g'^{-1}
     num = g_prime @ g @ C.B @ unit_inverse_matrix(g_prime.sigma())
-    g_q = num @ _clear_inverse(C.B, ring)
+    g_q = _times_inverse(num, Cm, e)
     lvl = g_q.congruence_level()
     if lvl != INFINITY and lvl < level:
         raise LiftFailed(f"upgrade reached level {lvl} < {level}")
     return g_prime, g_q
 
 
-def _clear_inverse(B, ring):
-    Cm, e = inverse_with_shift(B)
-    if e == 0:
-        return Cm
-    # B^{-1} with denominator: fold into the caller's product exactly
-    return _DenominatorInverse(Cm, e)
-
-
-class _DenominatorInverse:
-    """Right-multiplication by p^(-e) Cm, with exact divisibility checks."""
-
-    def __init__(self, Cm, e):
-        self.Cm = Cm
-        self.e = e
-
-    def __rmatmul__(self, other):
-        prod = other @ self.Cm
-        return prod.divide_exact(self.e)
+def _times_inverse(M, Cm, e):
+    """M B^{-1} for B Cm = p^e: the product M Cm divided by p^e exactly."""
+    return (M @ Cm).divide_exact(e)
 
 
 # -- i-number probes ----------------------------------------------------------
@@ -223,7 +209,7 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
     """
     from .stairs import build_stairs_datum, _fixed_datum
     ring = C.ring
-    _, s, h = hodge_data(C)
+    _, _, h = hodge_data(C)
     report = {
         "upper": None,
         "upper_source": None,
@@ -356,7 +342,7 @@ def aut_image_stabilization_check(C, t) -> bool:
     """
     from .stairs import build_stairs_datum
     ring = C.ring
-    _, s, h = hodge_data(C)
+    _, _, h = hodge_data(C)
     m = build_stairs_datum(C).torsion
     n = 2 * m + epsilon_p(ring.p)
     to_level = n - m + t

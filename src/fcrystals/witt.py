@@ -267,7 +267,7 @@ class WittRing:
         # inverse mod p by extended Euclid, then Hensel/Newton lift
         if self._val(a) != 0:
             raise NotAUnit(f"{a} has positive valuation")
-        p, q, pn = self.p, self.q, self.pn
+        p = self.p
         abar = tuple(c % p for c in a)
         y = self._invert_mod_p(abar)
         y = tuple(y)

@@ -116,3 +116,44 @@ def test_every_default_is_set_by_some_call():
                          or (at is not None and npos > at)
                          for npos, kws in calls.get(callee, []))]
     assert unset == []
+
+
+def _scope_nodes(fn):
+    """The nodes of a function's own scope: nested functions, lambdas and
+    classes are cut off, comprehensions are kept."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_local_is_stored_and_never_read():
+    """A local name (not starting with "_") that is assigned, unpacked or
+    bound by a loop but read nowhere in its function, nested functions
+    included, is dead."""
+    dead = []
+    for path, tree in _sources():
+        if not path.startswith(PACKAGE):
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            outer = {n for node in _scope_nodes(fn)
+                     if isinstance(node, (ast.Global, ast.Nonlocal))
+                     for n in node.names}
+            stored = {}
+            for node in _scope_nodes(fn):
+                if isinstance(node, ast.Name) and isinstance(
+                        node.ctx, ast.Store) and node.id not in outer:
+                    stored.setdefault(node.id, node.lineno)
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name)
+                    and not isinstance(node.ctx, ast.Store)}
+            rel = os.path.relpath(path, ROOT)
+            dead += [f"{rel}:{line} {fn.name}: {name}"
+                     for name, line in stored.items()
+                     if not name.startswith("_") and name not in read]
+    assert dead == [], dead

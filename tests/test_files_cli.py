@@ -217,8 +217,17 @@ def test_cli_integer_flags_are_input_errors(tmp_path, capsys, argv, flag):
      "dimension 5 is outside [0, 2]"),
     (["bound", "--pdiv", "2", "-1", "--p", "3"],
      "dimension -1 is outside [0, 2]"),
+    (["bound", "--rank", "500", "--h-number", "9" * 4000],
+     "h-number exceeds the maximum 10^1000"),
+    (["bound", "--rank", "2", "--s", "1" + "0" * 1000 + "1"],
+     "s-number exceeds the maximum 10^1000"),
+    (["bound", "--pdiv", "9" * 2151, "1"],
+     "pdiv size exceeds the maximum 10^1000"),
+    (["bound", "--rank", "2", "--p", "2305843009213693951"],
+     "p exceeds the maximum 2^32"),
 ], ids=["p1", "p4", "p9", "pdiv30", "polarized21", "rank100000",
-        "pdiv_d_above", "pdiv_d_below"])
+        "pdiv_d_above", "pdiv_d_below", "h_4000_digits", "s_above_cap",
+        "pdiv_2151_digits", "p_mersenne_61"])
 def test_cli_bound_inputs_are_input_errors(capsys, argv, message):
     assert _main_exit(argv) == 2
     out = capsys.readouterr()

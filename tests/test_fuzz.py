@@ -10,7 +10,10 @@ either nothing or one JSON document to stdout.  ``hom``, ``isom`` and
 entries, so that their Hom computations and unit scans run; ``isom`` and
 ``probe`` may exit with any code of the CLI contract (0 to 4).  Stairs blocks get wrong keys and types, or well-typed
 values that break the datum; their reader must return a datum or raise a
-``CrystalError``.
+``CrystalError``, and ``fcrystals stairs`` on them, or on mutated crystal
+files, must exit with a code of the contract.  ``fcrystals deviation``
+gets tuples and stray text, and ``fcrystals bound`` any mix of its flags
+with small, large and over-long numbers; both must exit 0 or 2.
 """
 
 import contextlib
@@ -19,7 +22,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcrystals.cli import main
@@ -234,3 +237,55 @@ def test_stairs_reader_returns_or_raises_crystal_error(data):
         dict_to_stairs_datum(data, STAIRS_CRYSTAL)
     except CrystalError:
         pass
+
+
+@st.composite
+def stairs_files(draw):
+    """The stairs crystal with its stairs block or a mutated one, or a
+    valid, retuned or mutated crystal file without one, so that `stairs`
+    builds the datum."""
+    kind = draw(st.sampled_from(["datum", "mutated datum", "file"]))
+    if kind == "file":
+        return draw(st.sampled_from(VALID) | retuned_dicts()
+                    | mutated_dicts())
+    data = crystal_to_dict(STAIRS_CRYSTAL)
+    data["stairs"] = STAIRS if kind == "datum" else draw(mutated_stairs())
+    return data
+
+
+@settings(FUZZ, max_examples=100)
+@given(stairs_files(), st.integers(-1, 5), st.integers(0, 3))
+def test_stairs_exits_cleanly_on_mutated_files(data, level, seed):
+    argv = ["stairs", "F", "--twist-level", str(level), "--seed", str(seed)]
+    _assert_clean_exit(*_run_main(argv, data), codes=(0, 1, 2, 3, 4))
+
+
+@FUZZ
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8).map(
+    lambda tau: ",".join(map(str, tau)))
+    | st.text(alphabet="0123456789-, x", max_size=12))
+def test_deviation_exits_cleanly(text):
+    _assert_clean_exit(*_run_main(["deviation", text], None))
+
+
+NUMBERS = (st.integers(-3, 600) | st.integers(0, 10 ** 12)).map(str) \
+    | st.integers(1, 4500).map(lambda k: "9" * k)
+
+
+@st.composite
+def bound_argvs(draw):
+    argv = ["bound"]
+    for flag, count in (("--rank", 1), ("--s", 1), ("--h-number", 1),
+                        ("--pdiv", 2), ("--polarized", 1), ("--p", 1)):
+        if draw(st.booleans()):
+            argv += [flag] + [draw(NUMBERS) for _ in range(count)]
+    if draw(st.booleans()):
+        argv.append("--fam")
+    return argv
+
+
+@FUZZ
+@example(["bound", "--rank", "500", "--h-number", "9" * 4000])
+@given(bound_argvs())
+def test_bound_exits_cleanly(argv):
+    _assert_clean_exit(*_run_main(argv, None))

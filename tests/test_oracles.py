@@ -18,6 +18,8 @@ from fcrystals.plinalg import (
     fp_independent_rows,
     fp_row_reduce,
     howell_form,
+    howell_pivots,
+    in_howell_span,
     pack_rows,
 )
 from fcrystals.semilinear import (
@@ -942,12 +944,9 @@ def _list_howell_form(rows, p, n):
     """Echelon basis of the row span inside (Z/p^n)^m, Howell-closed.
 
     Rows are lists of ints; the result has pivots p^e, entries below
-    pivots zero, and span-closure rows included.  It is not the unique
-    Howell basis: the entries above the pivots are reduced from the last
-    pivot to the first, so a later step undoes an earlier reduction and
-    an entry above a pivot p^v may lie outside [0, p^v).  The basis then
-    depends on the order of the input rows.  `hom` prints this basis, so
-    a fix changes its output.
+    pivots zero, and span-closure rows included.  The entries above the
+    pivots are reduced from the first pivot to the last, into [0, p^v),
+    which makes the basis the unique Howell basis of the span.
     """
     pn = p ** n
     work = [list(int(c) % pn for c in r) for r in rows if any(c % pn for c in r)]
@@ -983,7 +982,7 @@ def _list_howell_form(rows, p, n):
         work = cand + rest
     # reduce entries above each pivot
     basis = [piv for (_, _, piv) in result]
-    for idx in range(len(result) - 1, -1, -1):
+    for idx in range(len(result)):
         j, v, piv = result[idx]
         pv = p ** v
         for r in basis[:idx]:
@@ -1073,6 +1072,80 @@ def test_packed_rows_match_on_the_thirds_family():
           [rng.randrange(16) for _ in range(216)]]
     new, sols = _assert_same_elimination(A, 2, 4, bs)
     assert any(0 < e < 4 for e in new.exps) and sols[0] is not None
+
+
+# -- canonical Howell bases: one basis per span -------------------------------
+
+
+def _random_generators(rng, p, n):
+    """A few rows over Z/p^n: sparse or dense, some zero or p-multiples."""
+    pn, m = p ** n, rng.randint(1, 6)
+    fill = rng.choice([0.3, 0.7, 1.0])
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        row = [rng.randrange(pn) if rng.random() < fill else 0
+               for _ in range(m)]
+        if n > 1 and rng.random() < 0.4:
+            s = p ** rng.randint(1, n - 1)
+            row = [s * c % pn for c in row]
+        gens.append(row)
+    return gens
+
+
+def _recombined(rng, gens, p, n):
+    """The same span from other generators: unimodular row mixes, unit
+    scalings, added multiples of combinations and zero rows, shuffled."""
+    pn, m = p ** n, len(gens[0])
+    rows = [list(r) for r in gens]
+    for _ in range(rng.randint(0, 2 * len(rows))):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i == j:
+            u = rng.choice([c for c in range(1, min(pn, 50)) if c % p])
+            rows[i] = [u * c % pn for c in rows[i]]
+        else:
+            c = rng.randrange(pn)
+            rows[i] = [(a + c * b) % pn for a, b in zip(rows[i], rows[j])]
+    for _ in range(rng.randint(0, 2)):
+        coeffs = [rng.randrange(pn) for _ in rows]
+        rows.append([sum(c * r[t] for c, r in zip(coeffs, rows)) % pn
+                     for t in range(m)])
+    rows += [[0] * m] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_howell_form_is_canonical(p):
+    rng = random.Random(1400 + p)
+    outcomes = {"non-unit pivot": 0, "reduced above a non-unit pivot": 0,
+                "closure row": 0, "zero span": 0}
+    for case in range(150):
+        n = 1 + case % 5
+        pn = p ** n
+        gens = _random_generators(rng, p, n)
+        basis = howell_form(*pack_rows(gens, p, n))
+        for _ in range(4):
+            assert howell_form(*pack_rows(
+                _recombined(rng, gens, p, n), p, n)) == basis, (n, gens)
+        pivots = howell_pivots(basis, p, n)
+        assert [j for j, _ in pivots] == sorted({j for j, _ in pivots})
+        for idx, (j, v) in enumerate(pivots):
+            assert basis[idx][j] == p ** v
+            assert all(0 <= row[j] < p ** v for row in basis[:idx])
+            assert not any(row[j] for row in basis[idx + 1:])
+        # each spans the other: the generators reduce to zero against the
+        # basis, and every basis row solves x G = row
+        assert all(in_howell_span(g, basis, p, n) for g in gens)
+        transposed = IntSolver(*pack_rows(
+            [list(col) for col in zip(*gens)], p, n))
+        assert all(transposed.solve(row) is not None for row in basis)
+        outcomes["non-unit pivot"] += any(v for _, v in pivots)
+        outcomes["reduced above a non-unit pivot"] += any(
+            row[j] for idx, (j, v) in enumerate(pivots) if v
+            for row in basis[:idx])
+        outcomes["closure row"] += len(basis) > len(gens)
+        outcomes["zero span"] += not basis
+    assert min(outcomes.values()) >= 3, outcomes
 
 
 # -- the packed intertwiner system, against the list builder it replaced -----

@@ -243,12 +243,12 @@ def test_hom_stabilization_small():
 
 
 def test_hom_stabilization_compares_spans():
-    # a conjugate whose Howell bases of one image differ by generator
-    # order: the chain is stable, though the bases compare unequal
+    # a conjugate whose images reach howell_form with their generators
+    # in different orders: the bases are canonical, so they compare equal
     W = make_witt_ring(2, 1, 6)
     C = builtin_crystal(W, "ordinary", r=3, d=1)
     u = Matrix.from_ints(W, [[29, 1, 25], [29, 51, 44], [45, 58, 34]])
     Cu = new_crystal(W, u @ C.B @ unit_inverse_matrix(u.sigma()))
-    assert hom_image(Cu, Cu, 2, 2) != hom_image(Cu, Cu, 3, 2)
+    assert hom_image(Cu, Cu, 2, 2) == hom_image(Cu, Cu, 3, 2)
     assert hom_stabilization_check(Cu, Cu, 0, 0, 0) == (True, (2, 6))
     assert hom_stabilization_check(C, C, 0, 0, 0) == (True, (2, 6))

@@ -29,6 +29,14 @@ def test_unknown_field_and_bad_prime():
         make_witt_ring(4, 1, 2)
 
 
+def test_primes_above_the_cap_are_rejected_without_trial_division():
+    # 2^61 - 1 is prime: trial division would take 1.5 * 10^9 steps
+    with pytest.raises(NotPrime, match="exceeds the maximum 2\\^32"):
+        make_witt_ring(2 ** 61 - 1, 1, 2)
+    with pytest.raises(UnknownField):
+        make_witt_ring(4294967291, 1, 2)   # the largest prime below 2^32
+
+
 def test_ring_check_accepts_equal_rings_outside_the_cache():
     cached = make_witt_ring(3, 2, 3)
     fresh = WittRing(3, 2, 3)
