@@ -1,21 +1,24 @@
 """Command-line front end: JSON lines on stdout, diagnostics on stderr.
 
 Exit codes: 0 success / witness found, 1 definitive negative, 2 input
-error, 3 precision exhausted, 4 inconclusive (randomized regime), 5
-internal error (a bug, never a result).
+error, 3 precision exhausted, 4 inconclusive (randomized regime, or a
+search space too large), 5 internal error (a bug, never a result).
+Library errors reach their code through EXIT_CODES alone.
 """
 
 import argparse
 import json
+import random
 import sys
 
 from .bounds import (
+    MAX_BOUND_RANK,
     d_plus_bound,
     n_fam_bound,
     truncation_level_bound,
 )
 from .conway import require_prime
-from .crystal import PolarizedCrystal, hodge_data, newton_polygon
+from .crystal import PolarizedCrystal, hodge_data, newton_polygon, random_twist
 from .deviation import deviations, df_reduce
 from .errors import (
     CrystalError,
@@ -23,10 +26,15 @@ from .errors import (
     PrecisionExhausted,
     SearchSpaceTooLarge,
 )
-from .files import read_crystal
+from .files import matrix_to_entries, read_crystal
 from .semilinear import hom_module, isom_search
 from .stairs import build_stairs_datum, stairs_run
-from .truncation import i_number_probe
+from .truncation import i_number_probe, polarized_isom_search
+
+# The one map from library errors to exit codes: main takes the first
+# entry the raised error is an instance of, so subclasses come first.
+EXIT_CODES = ((PrecisionExhausted, 3), (ExtensionCapExceeded, 3),
+              (SearchSpaceTooLarge, 4), (CrystalError, 2))
 
 
 def _out(obj):
@@ -56,18 +64,15 @@ def _load(path, want_datum=False):
         raise SystemExit(2)
 
 
+def _base(obj):
+    """The crystal of a file, without its polarization."""
+    return obj.base if isinstance(obj, PolarizedCrystal) else obj
+
+
 def cmd_polygon(args):
-    obj = _load(args.file)
-    C = obj.base if isinstance(obj, PolarizedCrystal) else obj
-    try:
-        hodge, s, h = hodge_data(C)
-        if args.newton:
-            poly = newton_polygon(C)
-        else:
-            poly = hodge
-    except PrecisionExhausted as exc:
-        _err(str(exc))
-        return 3
+    C = _base(_load(args.file))
+    hodge, s, h = hodge_data(C)
+    poly = newton_polygon(C) if args.newton else hodge
     _out({
         "slopes": [[x.numerator, x.denominator, m] for x, m in poly.points],
         "s": s,
@@ -81,6 +86,11 @@ def cmd_deviation(args):
         tau = [int(x) for x in args.tuple.split(",") if x.strip() != ""]
         if not tau:
             raise ValueError("empty tuple")
+        # a tuple of length l is a rank-l cyclic crystal, and the
+        # reductions are quadratic in l
+        if len(tau) > MAX_BOUND_RANK:
+            raise ValueError(f"{len(tau)} entries exceed the maximum "
+                             f"{MAX_BOUND_RANK}")
     except ValueError as exc:
         _err(f"bad tuple: {exc}")
         return 2
@@ -92,45 +102,31 @@ def cmd_deviation(args):
 
 
 def cmd_bound(args):
-    try:
-        require_prime(args.p)
-        if args.pdiv is not None:
-            r, d = args.pdiv
-            val = truncation_level_bound("pdiv", r, args.p, d=d)
-            formula = "2*d(r^2,1,2)+eps_p" if d not in (0, r) else "0"
-        elif args.polarized is not None:
-            val = truncation_level_bound("polarized", args.polarized, args.p)
-            formula = "2*d(2d^2+d,1,2)+eps_p"
-        elif args.rank is not None:
-            if args.fam:
-                val = n_fam_bound(args.rank, args.s, args.h_number, args.p)
-                formula = "2*d(v,s,h)+eps_p"
-            else:
-                val = d_plus_bound(args.rank, args.s, args.h_number)
-                formula = "b*(a-1)+D0(a,c)"
+    require_prime(args.p)
+    if args.pdiv is not None:
+        r, d = args.pdiv
+        val = truncation_level_bound("pdiv", r, args.p, d=d)
+        formula = "2*d(r^2,1,2)+eps_p" if d not in (0, r) else "0"
+    elif args.polarized is not None:
+        val = truncation_level_bound("polarized", args.polarized, args.p)
+        formula = "2*d(2d^2+d,1,2)+eps_p"
+    elif args.rank is not None:
+        if args.fam:
+            val = n_fam_bound(args.rank, args.s, args.h_number, args.p)
+            formula = "2*d(v,s,h)+eps_p"
         else:
-            _err("need --rank, --pdiv, or --polarized")
-            return 2
-    except CrystalError as exc:
-        _err(str(exc))
+            val = d_plus_bound(args.rank, args.s, args.h_number)
+            formula = "b*(a-1)+D0(a,c)"
+    else:
+        _err("need --rank, --pdiv, or --polarized")
         return 2
     _out({"bound": str(val), "formula": formula})
     return 0
 
 
 def cmd_hom(args):
-    C1 = _load(args.file1)
-    C2 = _load(args.file2)
-    if isinstance(C1, PolarizedCrystal):
-        C1 = C1.base
-    if isinstance(C2, PolarizedCrystal):
-        C2 = C2.base
-    try:
-        H = hom_module(C1, C2, args.prec)
-    except CrystalError as exc:
-        _err(str(exc))
-        return 2
-    from .files import matrix_to_entries
+    H = hom_module(_base(_load(args.file1)), _base(_load(args.file2)),
+                   args.prec)
     _out({
         "precision": H.precision,
         "exponents": H.profile,
@@ -144,26 +140,12 @@ def cmd_isom(args):
     C1 = _load(args.file1)
     C2 = _load(args.file2)
     if isinstance(C1, PolarizedCrystal) and isinstance(C2, PolarizedCrystal):
-        from .truncation import polarized_isom_search
-        try:
-            res = polarized_isom_search(C1, C2, args.prec)
-        except SearchSpaceTooLarge as exc:
-            _err(str(exc))
-            return 4
+        res = polarized_isom_search(C1, C2, args.prec)
     else:
-        if isinstance(C1, PolarizedCrystal):
-            C1 = C1.base
-        if isinstance(C2, PolarizedCrystal):
-            C2 = C2.base
-        try:
-            res = isom_search(C1, C2, args.prec, seed=args.seed)
-        except CrystalError as exc:
-            _err(str(exc))
-            return 2
+        res = isom_search(_base(C1), _base(C2), args.prec, seed=args.seed)
     found = res.witness is not None
     out = {"found": found, "regime": res.regime}
     if found:
-        from .files import matrix_to_entries
         out["witness"] = matrix_to_entries(res.witness)
     _out(out)
     if found:
@@ -172,34 +154,17 @@ def cmd_isom(args):
 
 
 def cmd_stairs(args):
-    loaded = _load(args.file, want_datum=True)
-    obj, datum = loaded
-    C = obj.base if isinstance(obj, PolarizedCrystal) else obj
-    import random
-    from .plinalg import Matrix
+    obj, datum = _load(args.file, want_datum=True)
+    C = _base(obj)
     if args.twist_file:
-        tw = _load(args.twist_file)
-        g = (tw.base if isinstance(tw, PolarizedCrystal) else tw).B
+        g = _base(_load(args.twist_file)).B
     else:
-        rng = random.Random(args.seed)
-        ring = C.ring
-        level = args.twist_level
-        delta = Matrix(ring, [
-            [ring.random_element(rng) * ring.p ** level
-             for _ in range(C.rank)] for _ in range(C.rank)])
-        g = Matrix.identity(ring, C.rank) + delta
-    try:
-        if datum is None:
-            datum = build_stairs_datum(C)
-        cert = stairs_run(C, g, datum)
-    except (PrecisionExhausted, ExtensionCapExceeded) as exc:
-        _err(str(exc))
-        return 3
-    except CrystalError as exc:
-        _err(str(exc))
-        return 2
+        g = random_twist(C.ring, C.rank, args.twist_level,
+                         random.Random(args.seed))
+    if datum is None:
+        datum = build_stairs_datum(C)
+    cert = stairs_run(C, g, datum)
     ok = cert.reverify()
-    from .files import matrix_to_entries
     _out({
         "verified": ok,
         "level": cert.level,
@@ -211,10 +176,8 @@ def cmd_stairs(args):
 
 
 def cmd_probe(args):
-    obj = _load(args.file)
-    C = obj.base if isinstance(obj, PolarizedCrystal) else obj
-    rep = i_number_probe(C, trials=args.trials, seed=args.seed)
-    _out(rep)
+    C = _base(_load(args.file))
+    _out(i_number_probe(C, trials=args.trials, seed=args.seed))
     return 0
 
 
@@ -245,7 +208,8 @@ def build_parser():
     p.set_defaults(func=cmd_polygon)
 
     p = sub.add_parser("deviation", help="sign/value deviation of a tuple")
-    p.add_argument("tuple", help="comma-separated integers")
+    p.add_argument("tuple", help="comma-separated integers, at most "
+                   f"{MAX_BOUND_RANK} of them")
     p.set_defaults(func=cmd_deviation)
 
     p = sub.add_parser("bound", help="effective torsion/truncation bounds")
@@ -312,12 +276,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         code = args.func(args)
-    except PrecisionExhausted as exc:
-        _err(str(exc))
-        code = 3
     except CrystalError as exc:
         _err(str(exc))
-        code = 2
+        code = next(c for cls, c in EXIT_CODES if isinstance(exc, cls))
     except Exception as exc:  # noqa: BLE001 - a bug must not read as a result
         detail = " ".join(str(exc).split())
         sys.stderr.write(f"internal error: {type(exc).__name__}: {detail}\n")

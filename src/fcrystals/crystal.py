@@ -233,6 +233,16 @@ def cyclic_from_exponents(ring, tau) -> FCrystal:
     return FCrystal(ring, Matrix(ring, ents), shift)
 
 
+def random_twist(ring, r, level, rng) -> Matrix:
+    """1 + p^level X with the r x r entries of X drawn row-major by
+    ring.random_element(rng).  The power is p^min(level, n): from level n
+    on, p^level is 0 mod p^n, and a huge level must not cost a huge int."""
+    pk = ring.p ** min(level, ring.n)
+    delta = Matrix(ring, [[ring.random_element(rng) * pk for _ in range(r)]
+                          for _ in range(r)])
+    return Matrix.identity(ring, r) + delta
+
+
 class PolarizedCrystal:
     """Crystal with a perfect alternating form scaled by p^c under phi."""
 

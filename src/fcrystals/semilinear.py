@@ -8,7 +8,6 @@ to exact linear algebra over Z/p^m.
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 
 from .errors import (
     BadShape,
@@ -17,7 +16,6 @@ from .errors import (
     SearchSpaceTooLarge,
     ShiftUnsupported,
     SingularAtPrecision,
-    UnknownField,
 )
 from .plinalg import (
     IntSolver,
@@ -35,7 +33,7 @@ from .plinalg import (
     swar_slot,
     w_span_rows,
 )
-from .witt import make_witt_ring
+from .witt import field_walk, make_witt_ring
 
 EXHAUSTIVE_CAP = 1 << 20
 # random candidates tried when the mod-p span exceeds EXHAUSTIVE_CAP
@@ -589,14 +587,7 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
         binv = sys.b[jj].unit_inverse()
         A = (sys.d[jj] * _frob(A) - sys.c[jj]) * binv
         V = sys.d[jj] * _frob(V) * binv
-    for D in count(1):
-        try:
-            big = make_witt_ring(ring.p, ring.q * D, 1)
-        except UnknownField:
-            raise ExtensionCapExceeded(
-                f"no root within the built-in field table (degree "
-                f"{ring.q * D} needed)"
-            ) from None
+    for D, big in field_walk(ring.p, ring.q, 1):
         x0 = _solve_additive(big, A.embed(big), V.embed(big), L)
         if x0 is not None:
             xs = [None] * L
@@ -615,6 +606,7 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
             # store x_j at position j, position 0 holding x_0 = x_L
             _check_circular(bigsys, xs)
             return CircularSolution(xs, big, D)
+    raise ExtensionCapExceeded("no root within the built-in field table")
 
 
 def _frob(a):
@@ -670,17 +662,12 @@ def sigma_conjugacy_trivialize(gbar: Matrix):
     if ring.n != 1:
         raise BadShape("Lang trivialization happens over the residue field")
     r = gbar.rows
-    for D in count(1):
-        try:
-            big = make_witt_ring(ring.p, ring.q * D, 1)
-        except UnknownField:
-            raise ExtensionCapExceeded(
-                f"no trivializer within the built-in field table"
-            ) from None
-        g = gbar.embed(big)
-        x = _lang_search(big, g, r)
+    for D, big in field_walk(ring.p, ring.q, 1):
+        x = _lang_search(big, gbar.embed(big), r)
         if x is not None:
             return x, big, D
+    raise ExtensionCapExceeded(
+        "no trivializer within the built-in field table")
 
 
 def _lang_search(big, g, r):

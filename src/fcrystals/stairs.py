@@ -10,7 +10,7 @@ moves there (within the built-in field table).
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import islice
 
 from .bounds import epsilon_p
 from .deviation import df_reduce
@@ -41,7 +41,7 @@ from .semilinear import (
     fixed_lattice,
     solve_circular,
 )
-from .witt import INFINITY, make_witt_ring
+from .witt import INFINITY, field_walk, make_witt_ring
 
 # residue-field extensions the fixed-lattice search tries by default: its
 # stagnation test compares Howell row counts, which can keep growing with
@@ -292,21 +292,12 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
     ring = C.ring
     r = C.rank
     prev_rank = -1
-    for D in range(1, max_extension + 1):
-        try:
-            big = make_witt_ring(ring.p, ring.q * D, ring.n)
-        except UnknownField:
-            return None
+    for D, big in islice(field_walk(ring.p, ring.q, ring.n), max_extension):
         CD = C.base_change(big) if D > 1 else C
         H, expo = fixed_lattice(CD)
-        rank = len(H._howell)
-        if expo >= big.n:
-            if rank <= prev_rank:
-                return None
-            prev_rank = rank
-            continue
-        sel = _select_w_basis(H, CD)
+        sel = _select_w_basis(H, CD) if expo < big.n else None
         if sel is None:
+            rank = len(H._howell)
             if rank <= prev_rank:
                 return None
             prev_rank = rank
@@ -624,12 +615,7 @@ def _abstract_lang(datum, g, gco):
     """
     ring = datum.crystal.ring
     struct = _structure_constants(datum)
-    for D in count(1):
-        try:
-            fld = make_witt_ring(ring.p, ring.q * D, 1)
-        except UnknownField:
-            raise ExtensionCapExceeded(
-                "no Lang trivializer within the field table") from None
+    for D, fld in field_walk(ring.p, ring.q, 1):
         if D > 1:
             big = make_witt_ring(ring.p, ring.q * D, ring.n)
             datum2 = datum.base_change(big)
@@ -642,6 +628,7 @@ def _abstract_lang(datum, g, gco):
         x = _abstract_lang_search(datum2, struct, gbar, fld)
         if x is not None:
             return x, datum2, g2
+    raise ExtensionCapExceeded("no Lang trivializer within the field table")
 
 
 def ring2_reduce(c, fld):

@@ -11,7 +11,7 @@ Hodge filtration is available.
 from dataclasses import dataclass
 
 from .bounds import epsilon_p
-from .crystal import hodge_data
+from .crystal import hodge_data, random_twist
 from .errors import (
     BadShape,
     CrystalError,
@@ -271,12 +271,8 @@ def _floor_evidence(C, upper, trials, seed):
     for j in range(top - 1, -1, -1):
         found = False
         for _ in range(trials):
-            delta = Matrix(ring, [
-                [ring.random_element(rng) * ring.p ** j
-                 for _ in range(C.rank)] for _ in range(C.rank)])
-            g = Matrix.identity(ring, C.rank) + delta
             try:
-                Ct = C.twist(g)
+                Ct = C.twist(random_twist(ring, C.rank, j, rng))
             except CrystalError:
                 continue
             if base_np is not None:

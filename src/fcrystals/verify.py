@@ -17,6 +17,7 @@ from .crystal import (
     hodge_data,
     new_crystal,
     newton_polygon,
+    random_twist,
 )
 from .deviation import deviations, df_reduce
 from .errors import CheckFailed, CrystalError, ExtensionCapExceeded
@@ -233,13 +234,6 @@ def check_nonisomorphic_pair():
 # -- 7: stairs soundness ---------------------------------------------------------
 
 
-def _random_general_twist(ring, r, level, rng):
-    delta = Matrix(ring, [
-        [ring.random_element(rng) * ring.p ** level for _ in range(r)]
-        for _ in range(r)])
-    return Matrix.identity(ring, r) + delta
-
-
 def _random_lattice_twist(datum, level, rng):
     ring = datum.crystal.ring
     co = [ring.random_element(rng) * ring.p ** level for _ in datum.basis]
@@ -276,7 +270,7 @@ def check_stairs_soundness(total=200, seed=0, fast=False):
         _require(n > n0 or kind == "lattice", (family, p))
         for k in range(per):
             if kind == "general":
-                g = _random_general_twist(ring, C.rank, n0, rng)
+                g = random_twist(ring, C.rank, n0, rng)
             else:
                 g = _random_lattice_twist(datum, n0, rng)
             cert = stairs_run(C, g, datum)
@@ -296,7 +290,7 @@ def check_stairs_soundness(total=200, seed=0, fast=False):
         C = builtin_crystal(ring, "supersingular", d=1)
         okc = 0
         for _ in range(3):
-            g = _random_general_twist(ring, 2, 1, rng)
+            g = random_twist(ring, 2, 1, rng)
             try:
                 cert = lang_run(C, g)
             except ExtensionCapExceeded:
@@ -326,12 +320,12 @@ def check_i_number_uppers(seed=0):
     # sampled certificates behind the numbers
     W2 = make_witt_ring(2, 2, 2)
     cert = lang_run(builtin_crystal(W2, "supersingular", d=1),
-                    _random_general_twist(W2, 2, 1, random.Random(seed)))
+                    random_twist(W2, 2, 1, random.Random(seed)))
     _require(cert.reverify() and cert.level == 2)
     W3 = make_witt_ring(3, 1, 3)
     CO = builtin_crystal(W3, "ordinary", r=2, d=1)
     cert2 = stairs_algebra_run(
-        CO, _random_general_twist(W3, 2, 1, random.Random(seed)))
+        CO, random_twist(W3, 2, 1, random.Random(seed)))
     _require(cert2.reverify() and cert2.level == 3)
     th = thirds_family_certificate(make_witt_ring(2, 3, 4), alpha=1,
                                    trials=1, seed=seed)

@@ -10,10 +10,17 @@ Elements are coefficient tuples of length q with entries in [0, p^n).
 """
 
 import math
+from itertools import count
 from operator import mul
 
 from .conway import conway_polynomial
-from .errors import InternalError, NoEmbedding, NotAUnit, RingMismatch
+from .errors import (
+    InternalError,
+    NoEmbedding,
+    NotAUnit,
+    RingMismatch,
+    UnknownField,
+)
 
 INFINITY = math.inf
 
@@ -32,6 +39,17 @@ def make_witt_ring(p: int, q: int, n: int) -> "WittRing":
         ring = WittRing(p, q, n)
         _ring_cache[key] = ring
     return ring
+
+
+def field_walk(p, q, n):
+    """Yield (D, W_n(F_{p^(qD)})) for D = 1, 2, ... while the built-in
+    Conway table has the field."""
+    for D in count(1):
+        try:
+            ring = make_witt_ring(p, q * D, n)
+        except UnknownField:
+            return
+        yield D, ring
 
 
 class FieldCtx:

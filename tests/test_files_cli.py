@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,9 +7,16 @@ import sys
 import pytest
 
 from fcrystals.bounds import MAX_BOUND_RANK
+import fcrystals.cli as cli_mod
 from fcrystals.cli import main
-from fcrystals.crystal import builtin_crystal, new_crystal
-from fcrystals.errors import BadShape
+from fcrystals.crystal import PolarizedCrystal, builtin_crystal, new_crystal
+from fcrystals.errors import (
+    BadShape,
+    CrystalError,
+    ExtensionCapExceeded,
+    PrecisionExhausted,
+    SearchSpaceTooLarge,
+)
 from fcrystals.files import (
     MAX_N,
     crystal_to_dict,
@@ -86,6 +94,18 @@ def test_cli_deviation():
     assert out["S"] == 2 and out["W"] == 3
     bad = _run(["deviation", "1,x"])
     assert bad.returncode == 2
+
+
+def test_cli_deviation_caps_the_tuple_length(capsys):
+    # the reductions are quadratic in the length: 3,000 entries took 8 s
+    assert _main_exit(["deviation", ",".join(["1", "-1"] * 1500)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"error: bad tuple: 3000 entries exceed the maximum "
+        f"{MAX_BOUND_RANK}\n")
+    at_cap = ",".join(["1", "-1"] * (MAX_BOUND_RANK // 2))
+    assert _main_exit(["deviation", at_cap]) == 0
+    assert json.loads(capsys.readouterr().out)["W"] == MAX_BOUND_RANK // 2
 
 
 def test_cli_polygon(tmp_path):
@@ -410,3 +430,89 @@ def test_cli_stairs_extends_to_the_field_table(tmp_path):
     out = json.loads(res.stdout)
     assert out["verified"] and out["field_degree"] == 7
     assert out["level"] == 2
+
+
+def test_cli_stairs_twist_level_beyond_n(tmp_path, capsys):
+    # from level n on the twist is 1 mod p^n: a huge level gives the
+    # level-n output, without building p^level
+    path = tmp_path / "ord.json"
+    write_crystal(path, builtin_crystal(make_witt_ring(2, 1, 4), "ordinary",
+                                        r=2, d=1))
+    outs = []
+    for level in ("4", str(10 ** 8)):
+        assert _main_exit(["stairs", str(path), "--twist-level", level]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["level"] == 4
+
+
+# each command with the library call it makes ("F" is a crystal file,
+# "P" a polarized one)
+COMMAND_CALLS = [
+    (["polygon", "F"], "fcrystals.cli.hodge_data"),
+    (["deviation", "1,-1"], "fcrystals.cli.deviations"),
+    (["bound", "--rank", "2"], "fcrystals.cli.d_plus_bound"),
+    (["hom", "F", "F"], "fcrystals.cli.hom_module"),
+    (["isom", "F", "F"], "fcrystals.cli.isom_search"),
+    (["isom", "P", "P"], "fcrystals.cli.polarized_isom_search"),
+    (["stairs", "F", "--twist-level", "1"], "fcrystals.cli.stairs_run"),
+    (["probe", "F"], "fcrystals.cli.i_number_probe"),
+    (["verify", "--fast"], "fcrystals.verify.run_paper_suite"),
+]
+
+
+@pytest.mark.parametrize("argv, call", COMMAND_CALLS,
+                         ids=[c.split(".")[-1] for _, c in COMMAND_CALLS])
+@pytest.mark.parametrize("exc, code", [
+    (PrecisionExhausted, 3),
+    (ExtensionCapExceeded, 3),
+    (SearchSpaceTooLarge, 4),
+    (BadShape, 2),
+    (RuntimeError, 5),
+], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_library_errors_map_to_one_exit_code_table(tmp_path, capsys,
+                                                   monkeypatch, argv, call,
+                                                   exc, code):
+    W = make_witt_ring(2, 1, 3)
+    C = builtin_crystal(W, "ordinary", r=2, d=1)
+    J = Matrix.from_ints(W, [[0, 1], [W.pn - 1, 0]])
+    write_crystal(tmp_path / "F", C)
+    write_crystal(tmp_path / "P", PolarizedCrystal(C, J, 1))
+
+    def raiser(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(call, raiser)
+    argv = [str(tmp_path / a) if a in ("F", "P") else a for a in argv]
+    assert _main_exit(argv) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    prefix = "internal error: " if code == 5 else "error: "
+    assert len(out.err.splitlines()) == 1 and out.err.startswith(prefix)
+
+
+def test_no_command_catches_a_crystal_error():
+    """Library errors reach their exit code through cli.EXIT_CODES alone:
+    no cmd_* function has an except clause that would catch a
+    CrystalError (bare, naming CrystalError, a subclass or a base)."""
+    with open(cli_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    catching = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                catching.append(f"{fn.name}:{node.lineno} bare except")
+                continue
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            for t in types:
+                cls = eval(ast.unparse(t), vars(cli_mod))
+                if issubclass(cls, CrystalError) or issubclass(
+                        CrystalError, cls):
+                    catching.append(f"{fn.name}:{node.lineno} {cls.__name__}")
+    assert catching == []

@@ -12,7 +12,7 @@ entries, so that their Hom computations and unit scans run; ``isom`` and
 values that break the datum; their reader must return a datum or raise a
 ``CrystalError``, and ``fcrystals stairs`` on them, or on mutated crystal
 files, must exit with a code of the contract.  ``fcrystals deviation``
-gets tuples and stray text, and ``fcrystals bound`` any mix of its flags
+gets tuples (one above the 500-entry cap) and stray text, and ``fcrystals bound`` any mix of its flags
 with small, large and over-long numbers; both must exit 0 or 2.
 """
 
@@ -261,6 +261,7 @@ def test_stairs_exits_cleanly_on_mutated_files(data, level, seed):
 
 
 @FUZZ
+@example(",".join(["1", "-1"] * 1500))
 @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8).map(
     lambda tau: ",".join(map(str, tau)))
     | st.text(alphabet="0123456789-, x", max_size=12))
