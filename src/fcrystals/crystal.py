@@ -209,14 +209,7 @@ def direct_sum_crystal(C1: FCrystal, C2: FCrystal) -> FCrystal:
     e = max(C1.shift, C2.shift)
     B1 = C1.B.scale(ring.p ** (e - C1.shift))
     B2 = C2.B.scale(ring.p ** (e - C2.shift))
-    r1, r2 = C1.rank, C2.rank
-    z = ring.zero()
-    ents = []
-    for i in range(r1):
-        ents.append(list(B1.entries[i]) + [z] * r2)
-    for i in range(r2):
-        ents.append([z] * r1 + list(B2.entries[i]))
-    return FCrystal(ring, Matrix(ring, ents), e)
+    return FCrystal(ring, Matrix.block_diag(B1, B2), e)
 
 
 def cyclic_from_exponents(ring, tau) -> FCrystal:

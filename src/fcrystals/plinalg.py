@@ -6,131 +6,207 @@ systems over Z/p^n, inverses with denominator exponents, and truncated
 exponentials.
 """
 
+import math
 from bisect import insort
 from dataclasses import dataclass
-from itertools import product, repeat
-from operator import mul
+from itertools import count, product, repeat, takewhile
+from operator import add, mul, sub
 
-from .errors import OutsideExpDomain, SingularAtPrecision
+from .errors import OutsideExpDomain, RingMismatch, SingularAtPrecision
 from .witt import INFINITY, WittElem, _int_val, make_witt_ring
 
 
 class Matrix:
-    """Immutable matrix with WittElem entries, all sharing one ring."""
+    """Immutable rows x cols matrix over a WittRing.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    `flat` holds the row-major Z/p^n coordinates, q per entry, each in
+    [0, p^n): the format `IntSolver`, `howell_form` and the unit scan
+    read.  Arithmetic runs on the coordinates; a WittElem is made only by
+    `M[i, j]`, the `entries` view and the grid constructor.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "flat")
 
     def __init__(self, ring, entries):
-        self.ring = ring
-        self.entries = tuple(tuple(row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
+        """The matrix of a grid (rows of WittElems over ring)."""
+        m = Matrix._of_rows(ring, [[e.coeffs for e in row] for row in entries])
+        self.ring, self.rows, self.cols, self.flat = (ring, m.rows, m.cols,
+                                                       m.flat)
+
+    @staticmethod
+    def _make(ring, rows, cols, flat):
+        """A matrix of coordinates already reduced, as a tuple."""
+        m = object.__new__(Matrix)
+        m.ring, m.rows, m.cols, m.flat = ring, rows, cols, flat
+        return m
+
+    @staticmethod
+    def _of_rows(ring, rows):
+        """A matrix of rows of reduced entry coordinate tuples."""
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged rows")
+        return Matrix._make(ring, len(rows), cols, tuple([
+            c for row in rows for e in row for c in e]))
+
+    def _cells(self):
+        """The coordinate tuple of each entry, row-major."""
+        f, q = self.flat, self.ring.q
+        return [f[k:k + q] for k in range(0, len(f), q)]
+
+    def _rows(self):
+        """Rows of entry coordinate tuples, as lists."""
+        cells, c = self._cells(), self.cols
+        return [cells[i * c:i * c + c] for i in range(self.rows)]
+
+    def _like(self, flat):
+        return Matrix._make(self.ring, self.rows, self.cols, flat)
+
+    def _map_cells(self, fn, ring=None):
+        """fn on every nonzero entry's coordinate tuple; zeros stay zero."""
+        ring = ring or self.ring
+        zero, out = ring._zero, []
+        for e in self._cells():
+            out.extend(fn(e) if any(e) else zero)
+        return Matrix._make(ring, self.rows, self.cols, tuple(out))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(ring, r):
-        z, o = ring.zero(), ring.one()
-        return Matrix(ring, [[o if i == j else z for j in range(r)]
-                             for i in range(r)])
+        one, zero = ring._one, ring._zero
+        return Matrix._of_rows(ring, [[one if i == j else zero
+                                       for j in range(r)] for i in range(r)])
 
     @staticmethod
     def zero(ring, rows, cols=None):
-        z = ring.zero()
         cols = rows if cols is None else cols
-        return Matrix(ring, [[z] * cols for _ in range(rows)])
+        return Matrix._make(ring, rows, cols, (0,) * (rows * cols * ring.q))
 
     @staticmethod
     def from_ints(ring, int_rows):
-        return Matrix(ring, [[ring.from_int(c) for c in row]
-                             for row in int_rows])
+        pad = (0,) * (ring.q - 1)
+        return Matrix._of_rows(ring, [[(int(x) % ring.pn, *pad) for x in row]
+                                      for row in int_rows])
+
+    @staticmethod
+    def from_flat_ints(ring, rows, cols, flat):
+        """The matrix of row-major coordinates, taken mod p^n."""
+        pn = ring.pn
+        flat = tuple([int(c) % pn for c in flat])
+        if len(flat) != rows * cols * ring.q:
+            raise ValueError(f"need {rows * cols * ring.q} coordinates")
+        return Matrix._make(ring, rows, cols, flat)
 
     @staticmethod
     def scalar(ring, r, c):
-        m = Matrix.zero(ring, r, r).mutable()
-        e = ring.from_int(c) if isinstance(c, int) else c
-        for i in range(r):
-            m[i][i] = e
-        return Matrix(ring, m)
+        return Matrix.identity(ring, r).scale(c)
 
-    def mutable(self):
-        return [list(row) for row in self.entries]
+    @staticmethod
+    def block_diag(A, B):
+        """The block-diagonal matrix with blocks A and B."""
+        zero = A.ring._zero
+        return Matrix._of_rows(A.ring, [
+            row + [zero] * B.cols for row in A._rows()] + [
+            [zero] * A.cols + row for row in B._rows()])
 
     # -- arithmetic --------------------------------------------------------
 
+    def _pointwise(self, op, other):
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        pn = self.ring.pn
+        return self._like(tuple([x % pn for x in map(op, self.flat,
+                                                      other.flat)]))
+
     def __add__(self, other):
-        return Matrix(self.ring, [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        return self._pointwise(add, other)
 
     def __sub__(self, other):
-        return Matrix(self.ring, [
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        return self._pointwise(sub, other)
 
     def __neg__(self):
-        return Matrix(self.ring, [[-a for a in row] for row in self.entries])
+        pn = self.ring.pn
+        return self._like(tuple([(-a) % pn for a in self.flat]))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # pack each entry once; an output entry sums `cols` packed products
-        # and is reduced once, at a slot width sized for that many
-        ring = self.ring
-        w = ring.slot_width(self.cols)
-        pack, reduce = ring._pack, ring._reduce
-        rows = [[pack(e.coeffs, w) for e in row] for row in self.entries]
-        cols = [[pack(e.coeffs, w) for e in col]
-                for col in zip(*other.entries)]
-        return Matrix(ring, [
-            [WittElem(ring, reduce(sum(map(mul, r, c)), w)) for c in cols]
-            for r in rows
-        ])
+        ring, k, m = self.ring, self.cols, other.cols
+        if ring.q == 1:
+            pn, a, b = ring.pn, self.flat, other.flat
+            cols = [b[j::m] for j in range(m)]
+            flat = [sum(map(mul, a[i * k:i * k + k], c)) % pn
+                    for i in range(self.rows) for c in cols]
+        else:
+            # pack each entry once; an output entry sums k packed products
+            # and is reduced once, at a slot width sized for that many
+            w = ring.slot_width(k)
+            pack, reduce = ring._pack, ring._reduce
+            a = [pack(e, w) for e in self._cells()]
+            b = [pack(e, w) for e in other._cells()]
+            cols = [b[j::m] for j in range(m)]
+            flat = [c for i in range(self.rows) for col in cols
+                    for c in reduce(sum(map(mul, a[i * k:i * k + k], col)), w)]
+        return Matrix._make(ring, self.rows, m, tuple(flat))
 
     def scale(self, c):
         """Multiply entrywise by an integer or a WittElem scalar."""
-        return Matrix(self.ring,
-                      [[e * c for e in row] for row in self.entries])
+        ring = self.ring
+        if isinstance(c, WittElem):
+            if c.ring is not ring and c.ring != ring:
+                raise RingMismatch(f"{ring!r} vs {c.ring!r}")
+            if ring.q > 1:
+                w, pack, reduce = ring._w, ring._pack, ring._reduce
+                pc = pack(c.coeffs, w)
+                return self._map_cells(lambda e: reduce(pack(e, w) * pc, w))
+            c = c.coeffs[0]
+        pn = ring.pn
+        return self._like(tuple([c * x % pn for x in self.flat]))
 
     def transpose(self):
-        return Matrix(self.ring, list(zip(*self.entries)))
+        return Matrix._of_rows(self.ring, list(zip(*self._rows())))
 
     def sigma(self, power=1):
         """Apply Frobenius entrywise."""
-        return Matrix(self.ring, [[e.frobenius(power) for e in row]
-                                  for row in self.entries])
+        ring = self.ring
+        power %= ring.q
+        if not power:
+            return self
+        apply, rows = ring._apply_rows, ring._frobenius_rows(power)
+        return self._map_cells(lambda e: apply(e, rows))
 
     def kron(self, other):
-        out = []
-        for r1 in self.entries:
-            for r2 in other.entries:
-                out.append([a * b for a in r1 for b in r2])
-        return Matrix(self.ring, out)
+        prod, zero = self.ring._mul, self.ring._zero
+        return Matrix._of_rows(self.ring, [
+            [prod(e, f) if any(e) and any(f) else zero for e in r1 for f in r2]
+            for r1 in self._rows() for r2 in other._rows()])
 
     # -- queries -----------------------------------------------------------
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
+        q = self.ring.q
+        k = (ij[0] * self.cols + ij[1]) * q
+        return WittElem(self.ring, self.flat[k:k + q])
+
+    @property
+    def entries(self):
+        """The rows of WittElems (a read-only view, built on each read)."""
+        return tuple(tuple(WittElem(self.ring, e) for e in row)
+                     for row in self._rows())
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.flat)
 
     def min_valuation(self):
-        v = INFINITY
-        for row in self.entries:
-            for e in row:
-                ev = e.valuation()
-                if ev < v:
-                    v = ev
-        return v
+        """Smallest entry valuation, INFINITY at zero: gcd(p^n, flat) = p^v."""
+        ring = self.ring
+        v = ring._pow_val[math.gcd(ring.pn, *self.flat)]
+        return INFINITY if v == ring.n else v
 
     def congruence_level(self, other=None):
         """Valuation of (self - other); other defaults to the identity."""
@@ -139,36 +215,35 @@ class Matrix:
         return (self - other).min_valuation()
 
     def divide_exact(self, k):
-        return Matrix(self.ring, [[e.divide_exact(k) for e in row]
-                                  for row in self.entries])
+        pk = self.ring.p ** k
+        if any(c % pk for c in self.flat):
+            raise ValueError(f"not divisible by p^{k}")
+        return self._like(tuple([c // pk for c in self.flat]))
 
     def reduce_to(self, ring):
-        return Matrix(ring, [[e.reduce_to(ring) for e in row]
-                             for row in self.entries])
+        R = self.ring
+        if ring.p != R.p or ring.q != R.q or ring.n > R.n:
+            raise RingMismatch("reduce_to needs same (p, q), lower n")
+        pm = ring.pn
+        return Matrix._make(ring, self.rows, self.cols,
+                            tuple([c % pm for c in self.flat]))
 
     def embed(self, ring):
-        return Matrix(ring, [[e.embed(ring) for e in row]
-                             for row in self.entries])
-
-    def flatten_ints(self):
-        """Row-major Z/p^n coordinates (q per entry)."""
-        return [c for row in self.entries for e in row for c in e.coeffs]
-
-    @staticmethod
-    def from_flat_ints(ring, rows, cols, flat):
-        q = ring.q
-        return Matrix(ring, [[ring.element(flat[k:k + q]) for k in range(
-            i * cols * q, (i + 1) * cols * q, q)] for i in range(rows)])
+        if ring == self.ring:
+            return self
+        apply, rows = ring._apply_rows, self.ring._embed_rows(ring)
+        return self._map_cells(lambda e: apply(e, rows), ring)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.ring == other.ring
-            and self.entries == other.entries
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.flat == other.flat
         )
 
     def __hash__(self):
-        return hash((self.ring, self.entries))
+        return hash((self.ring, self.rows, self.cols, self.flat))
 
     def __repr__(self):
         return f"Matrix({[[list(e.coeffs) for e in r] for r in self.entries]})"
@@ -180,42 +255,25 @@ class Matrix:
         ring, r = self.ring, self.rows
         if r != self.cols:
             raise ValueError("charpoly needs a square matrix")
-        one, zero = ring.one(), ring.zero()
-        p_cur = [one]  # char poly of the empty matrix
-        for k in range(1, r + 1):
-            a = self.entries[k - 1][k - 1]
-            # p_new = (x - a) * p_cur - sum_j (R M^j S) q_j(x)
-            p_new = [zero] * (k + 1)
+        E = self.entries
+        p_cur = [ring.one()]  # char poly of the empty matrix
+        for k in range(r):
+            # A the leading k x k block, R and S the row and column beside
+            # it: p_new = (x - E[k][k]) p_cur - sum_j (R A^j S) q_j(x)
+            A = Matrix(ring, [row[:k] for row in E[:k]])
+            S = Matrix(ring, [[row[k]] for row in E[:k]])
+            w = Matrix(ring, [E[k][:k]])   # R A^j
+            p_new = [ring.zero()] + p_cur
             for i, c in enumerate(p_cur):
-                p_new[i + 1] = p_new[i + 1] + c
-                p_new[i] = p_new[i] - a * c
-            if k >= 2:
-                R = [self.entries[k - 1][j] for j in range(k - 1)]
-                S = [self.entries[i][k - 1] for i in range(k - 1)]
-                w = R
-                for j in range(k - 1):
-                    dot = zero
-                    for x, y in zip(w, S):
-                        dot = dot + x * y
-                    if not dot.is_zero():
-                        # q_j(x) = sum_{i >= j+1} p_cur[i] x^(i-j-1)
-                        for i in range(j + 1, k):
-                            p_new[i - j - 1] = p_new[i - j - 1] - dot * p_cur[i]
-                    if j < k - 2:
-                        w = [
-                            _dot(ring, w, [self.entries[t][col]
-                                           for t in range(k - 1)])
-                            for col in range(k - 1)
-                        ]
+                p_new[i] = p_new[i] - E[k][k] * c
+            for j in range(k):
+                # q_j(x) = sum_{i >= j+1} p_cur[i] x^(i-j-1)
+                dot = (w @ S)[0, 0]
+                for i in range(j + 1, k + 1):
+                    p_new[i - j - 1] = p_new[i - j - 1] - dot * p_cur[i]
+                w = w @ A
             p_cur = p_new
         return p_cur
-
-
-def _dot(ring, xs, ys):
-    acc = ring.zero()
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -235,61 +293,52 @@ def smith_normal_form(A: Matrix) -> SnfResult:
     Pivots are minimal-valuation entries with (row, col) tie-break; the
     transforms are invertible over the ring and the diagonal entries are
     exact powers of p.  Exponent n stands for "zero at this precision".
+    The work is on grids of entry coordinate tuples.
     """
     ring = A.ring
     n = ring.n
-    M = A.mutable()
+    rmul, rsub, val = ring._mul, ring._sub, ring._val
+
+    def axpy(xs, c, ys):
+        """xs - c * ys, entrywise."""
+        return [rsub(x, rmul(c, y)) if any(y) else x for x, y in zip(xs, ys)]
+
     rows, cols = A.rows, A.cols
-    L = Matrix.identity(ring, rows).mutable()
-    R = Matrix.identity(ring, cols).mutable()
-    k = 0
+    M = A._rows()
+    L = Matrix.identity(ring, rows)._rows()
+    R = Matrix.identity(ring, cols)._rows()
     exps = []
     dim = min(rows, cols)
-    while k < dim:
-        best, bi, bj = INFINITY, -1, -1
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = M[i][j].valuation()
-                if v < best:
-                    best, bi, bj = v, i, j
-        if best == INFINITY:
+    for k in range(dim):
+        v, bi, bj = min((val(M[i][j]), i, j) for i in range(k, rows)
+                        for j in range(k, cols))
+        if v == INFINITY:
             exps.extend([n] * (dim - k))
             break
-        if bi != k:
-            M[k], M[bi] = M[bi], M[k]
-            L[k], L[bi] = L[bi], L[k]
-        if bj != k:
-            for row in M:
-                row[k], row[bj] = row[bj], row[k]
-            for row in R:
-                row[k], row[bj] = row[bj], row[k]
-        v = int(best)
-        u_inv = M[k][k].divide_exact(v).unit_inverse()
-        M[k] = [u_inv * e for e in M[k]]
-        L[k] = [u_inv * e for e in L[k]]
+        M[k], M[bi], L[k], L[bi] = M[bi], M[k], L[bi], L[k]
+        for row in M + R:
+            row[k], row[bj] = row[bj], row[k]
+        pv = ring.p ** v
+        u_inv = ring._inv(tuple([c // pv for c in M[k][k]]))
+        M[k] = [rmul(u_inv, e) if any(e) else e for e in M[k]]
+        L[k] = [rmul(u_inv, e) if any(e) else e for e in L[k]]
         for i in range(rows):
-            if i == k:
-                continue
             e = M[i][k]
-            if e.is_zero():
+            if i == k or not any(e):
                 continue
-            c = e.divide_exact(v)
-            M[i] = [x - c * y for x, y in zip(M[i], M[k])]
-            L[i] = [x - c * y for x, y in zip(L[i], L[k])]
+            c = tuple([x // pv for x in e])
+            M[i] = axpy(M[i], c, M[k])
+            L[i] = axpy(L[i], c, L[k])
         for j in range(cols):
-            if j == k:
-                continue
             e = M[k][j]
-            if e.is_zero():
+            if j == k or not any(e):
                 continue
-            c = e.divide_exact(v)
-            for i in range(rows):
-                M[i][j] = M[i][j] - c * M[i][k]
-            for i in range(cols):
-                R[i][j] = R[i][j] - c * R[i][k]
+            c = tuple([x // pv for x in e])
+            for row in M + R:
+                if any(row[k]):
+                    row[j] = rsub(row[j], rmul(c, row[k]))
         exps.append(v)
-        k += 1
-    return SnfResult(exps, Matrix(ring, L), Matrix(ring, R), Matrix(ring, M))
+    return SnfResult(exps, *[Matrix._of_rows(ring, X) for X in (L, R, M)])
 
 
 def det_valuation(A: Matrix):
@@ -311,13 +360,14 @@ def inverse_with_shift(A: Matrix):
             sum(snf.exponents) >= ring.n:
         raise SingularAtPrecision("determinant valuation >= precision")
     e = max(snf.exponents) if snf.exponents else 0
-    # A^{-1} = right @ diag(p^{-exp}) @ left
-    mid = snf.right.mutable()
-    for j, x in enumerate(snf.exponents):
-        c = ring.p ** (e - x)
-        for i in range(len(mid)):
-            mid[i][j] = mid[i][j] * c
-    C = Matrix(ring, mid) @ snf.left
+    # A^{-1} = right @ diag(p^{-exp}) @ left: column j of right times
+    # p^(e - exp_j)
+    q, pn, R = ring.q, ring.pn, snf.right
+    scales = [ring.p ** (e - x) for x in snf.exponents]
+    scales += [1] * (R.cols - len(scales))
+    mid = R._like(tuple([c * scales[k // q % R.cols] % pn
+                         for k, c in enumerate(R.flat)]))
+    C = mid @ snf.left
     return C, e
 
 
@@ -423,12 +473,13 @@ def pack_rows(rows, p, n):
                       else [int(c) % pn for c in r]) for r in rows]
 
 
-def howell_form(P, rows):
+def howell_form(P, rows, packed=False):
     """Echelon basis of the row span inside (Z/p^n)^m, Howell-closed.
 
     Rows are ints packed by P (a `_PackedRows`; `pack_rows` packs lists);
-    the result is lists of ints with pivots p^e, entries below pivots
-    zero, and span-closure rows included.  In column j the first row of
+    the result is lists of ints (ints packed by P with `packed`) with
+    pivots p^e, entries below pivots zero, and span-closure rows
+    included.  In column j the first row of
     minimal valuation v is the pivot, scaled to p^v; it clears the
     others, and for v > 0 p^(n - v) times it joins them.  The entries
     above the pivots are then reduced from the first pivot to the last:
@@ -465,7 +516,7 @@ def howell_form(P, rows):
             c = (basis[i] >> s & low) // pv
             if c:
                 basis[i] = red(basis[i] + (pn - c) * basis[idx])
-    return [P.unpack(r) for r in basis]
+    return basis if packed else [P.unpack(r) for r in basis]
 
 
 def howell_pivots(basis, p, n):
@@ -662,10 +713,10 @@ def w_span_rows(mats, ring):
     t = ring.gen()
     rows = []
     for e in mats:
-        rows.append(e.flatten_ints())
+        rows.append(e.flat)
         for _ in range(1, ring.q):
             e = e.scale(t)
-            rows.append(e.flatten_ints())
+            rows.append(e.flat)
     return rows
 
 
@@ -749,50 +800,37 @@ def exp_trunc(X: Matrix) -> Matrix:
     if X.is_zero():
         return Matrix.identity(ring, X.rows)
     l = X.min_valuation()
-    if p >= 3:
-        if l < 1:
-            raise OutsideExpDomain("need X in p*End for p >= 3")
-    else:
-        if l < 1:
-            raise OutsideExpDomain("need X in 2*End")
-        if l == 1:
-            if not (X @ X).is_zero():
-                raise OutsideExpDomain(
-                    "p = 2 with valuation 1 needs a square-zero argument"
-                )
-            return Matrix.identity(ring, X.rows) + X
-    l = int(l)
+    if l < 1:
+        raise OutsideExpDomain("need X in p*End for p >= 3" if p >= 3
+                               else "need X in 2*End")
+    if p == 2 and l == 1:
+        if not (X @ X).is_zero():
+            raise OutsideExpDomain(
+                "p = 2 with valuation 1 needs a square-zero argument")
+        return Matrix.identity(ring, X.rows) + X
     # indices with a chance to contribute below p^n, via the crude bound
     # val(X^i / i!) >= i*l - (i-1)/(p-1)
-    idxs = []
-    i = 1
-    while True:
-        if i * l - (i - 1) // (p - 1) < n + 1:
-            idxs.append(i)
-            i += 1
-        else:
-            break
-    extra = max(_vp_factorial(i, p) for i in idxs)
-    big = make_witt_ring(p, ring.q, n + extra)
-    XL = Matrix.from_flat_ints(big, X.rows, X.cols, X.flatten_ints())
-    acc = Matrix.identity(big, X.rows)
-    term = Matrix.identity(big, X.rows)
+    idxs = list(takewhile(lambda i: i * l - (i - 1) // (p - 1) < n + 1,
+                          count(1)))
+    big = make_witt_ring(p, ring.q, n + _vp_factorial(idxs[-1], p))
+    XL = Matrix._make(big, X.rows, X.cols, X.flat)
+    acc = term = Matrix.identity(big, X.rows)
     fact_unit, fact_val = 1, 0
     for i in idxs:
         term = term @ XL
-        fact_val += _vp_factorial(i, p) - _vp_factorial(i - 1, p)
-        f = i
-        while f % p == 0:
-            f //= p
-        fact_unit = (fact_unit * f) % big.pn
-        contrib = term.divide_exact(fact_val).scale(pow(fact_unit, -1, big.pn))
-        acc = acc + contrib
+        if term.is_zero():   # so is every later power
+            break
+        v = _vp_factorial(i, p) - _vp_factorial(i - 1, p)   # v_p(i)
+        fact_val += v
+        fact_unit = fact_unit * (i // p ** v) % big.pn
+        acc = acc + term.divide_exact(fact_val).scale(
+            pow(fact_unit, -1, big.pn))
     return acc.reduce_to(ring)
 
 
 def extract_congruence_digit(g: Matrix, l: int) -> Matrix:
     """z with g = 1 + p^l z exactly, for unit g congruent to 1 mod p^l."""
     diff = g - Matrix.identity(g.ring, g.rows)
-    if not diff.is_zero() and diff.min_valuation() < l:
+    if diff.min_valuation() < l:
         raise ValueError(f"matrix is not congruent to 1 mod p^{l}")
     return diff.divide_exact(l)

@@ -6,8 +6,9 @@ to exact linear algebra over Z/p^m.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     BadShape,
@@ -54,10 +55,8 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
     r2, r1 = B2.rows, B1.cols
     P = _PackedRows(ring.p, ring.n, r2 * r1 * q)
     stride = r1 * q * P.w   # bits of a row of g
-    sig = [tuple(int(s == u) for u in range(q)) for s in range(q)]
-    for _ in range(sigma_power % q):
-        sig = [ring._sigma_raw(x) for x in sig]
-    sig, ts = [ring._pack(x, W) for x in sig], [1 << s * W for s in range(q)]
+    sig = ring._frobenius_rows(sigma_power % q)   # packed sigma^power(t^s)
+    ts = [1 << s * W for s in range(q)]
 
     def block(a, cols):
         # products a * u for packed u in cols, one after another: entry
@@ -88,6 +87,8 @@ class HomModule:
     precision: int
     profile: list         # pivot valuations
     _howell: list         # the Howell rows, flat row-major coordinates
+    # (P, the Howell rows as P packs them), for the mod-p subset
+    _packed: tuple = field(repr=False, compare=False)
 
     def rank_free(self):
         return sum(1 for v in self.profile if v == 0)
@@ -96,9 +97,11 @@ class HomModule:
     def from_system(cls, ring, shape, P, rows):
         """The module of solutions over `ring` of the system `rows`, packed
         by P."""
-        kern = howell_form(P, IntSolver(P, rows).kernel_generators())
+        packed = howell_form(P, IntSolver(P, rows).kernel_generators(),
+                             packed=True)
+        kern = [P.unpack(r) for r in packed]
         profile = [v for (_, v) in howell_pivots(kern, ring.p, ring.n)]
-        return cls(ring, shape, ring.n, profile, kern)
+        return cls(ring, shape, ring.n, profile, kern, (P, packed))
 
     @cached_property
     def basis(self):
@@ -115,10 +118,7 @@ class HomModule:
         independent of the earlier ones is kept (`fp_independent_rows`),
         to allow lifting hits back into the module.
         """
-        r, c = self.shape
-        P = _PackedRows(self.ring.p, self.precision, r * c * self.ring.q)
-        return [self._howell[i] for i in fp_independent_rows(
-            P, list(map(P.pack, self._howell)))]
+        return [self._howell[i] for i in fp_independent_rows(*self._packed)]
 
     def element(self, coeffs):
         r, c = self.shape
@@ -131,7 +131,7 @@ class HomModule:
         return sum(n - v for v in self.profile)
 
     def contains(self, g: Matrix) -> bool:
-        return in_howell_span(g.flatten_ints(), self._howell, self.ring.p,
+        return in_howell_span(g.flat, self._howell, self.ring.p,
                               self.precision)
 
 
@@ -566,7 +566,7 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
                 val = sys.c[j]
             else:
                 val = sys.b[j] * x[j] + sys.c[j]
-            x[prev] = _pth_root(val * sys.d[j].unit_inverse())
+            x[prev] = (val * sys.d[j].unit_inverse()).frobenius(-1)
             j = prev
         _check_circular(sys, x)
         return CircularSolution(x, ring, 1)
@@ -575,23 +575,20 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
     for b in sys.b:
         if b.valuation() != 0:
             raise BadShape("case +1 needs unit b_j")
-    # eliminate: x_j = (d_j x_{j-1}^p - c_j) / b_j; go around the cycle
-    # starting from x_0 symbolic: x_j = A_j + V_j * x_0^(p^j) with
-    # A, V in increasing extensions... done over the base ring directly:
-    # A_j, V_j live in the base field.
-    A = ring.zero()
-    V = ring.one()
-    # after the full loop: x_0 = A + V * x_0^(p^L)
+    # eliminate x_j = (d_j x_{j-1}^p - c_j) / b_j around the cycle from a
+    # symbolic x_0: x_j = A_j + V_j x_0^(p^j), A_j and V_j in the base
+    # field, and after the full loop x_0 = A + V x_0^(p^L)
+    A, V = ring.zero(), ring.one()
     for j in range(1, L + 1):
         jj = j % L
         binv = sys.b[jj].unit_inverse()
-        A = (sys.d[jj] * _frob(A) - sys.c[jj]) * binv
-        V = sys.d[jj] * _frob(V) * binv
+        A = (sys.d[jj] * A.frobenius() - sys.c[jj]) * binv
+        V = sys.d[jj] * V.frobenius() * binv
     for D, big in field_walk(ring.p, ring.q, 1):
         x0 = _solve_additive(big, A.embed(big), V.embed(big), L)
         if x0 is not None:
-            xs = [None] * L
-            xs[0] = x0
+            # x_j at position j; position 0 holds x_0 = x_L
+            xs = [x0] + [None] * (L - 1)
             bigsys = CircularSystem(
                 big, L,
                 [b.embed(big) for b in sys.b],
@@ -600,28 +597,18 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
             )
             for j in range(1, L):
                 prev = xs[j - 1]
-                xs[j] = (bigsys.d[j] * _frob(prev) - bigsys.c[j]) \
+                xs[j] = (bigsys.d[j] * prev.frobenius() - bigsys.c[j]) \
                     * bigsys.b[j].unit_inverse()
-            # cyclic indexing: values are x_1..x_L with x_0 = x_L; we
-            # store x_j at position j, position 0 holding x_0 = x_L
             _check_circular(bigsys, xs)
             return CircularSolution(xs, big, D)
     raise ExtensionCapExceeded("no root within the built-in field table")
 
 
-def _frob(a):
-    return a.frobenius()
-
-
-def _pth_root(a):
-    """Inverse Frobenius on a residue field element."""
-    return a.frobenius_inv() if a.ring.q > 1 else a
-
-
 def _check_circular(sys, xs):
     L = sys.length
     for j in range(L):
-        lhs = sys.b[j] * xs[j] + sys.c[j] - sys.d[j] * _frob(xs[(j - 1) % L])
+        prev = xs[(j - 1) % L].frobenius()
+        lhs = sys.b[j] * xs[j] + sys.c[j] - sys.d[j] * prev
         if not lhs.is_zero():
             raise InternalError(f"circular equation {j} violated")
 
@@ -630,23 +617,32 @@ def _solve_additive(big, A, V, L):
     """Solve x = A + V * x^(p^(q0*L)) in the field `big`, or None.
 
     sigma on `big` has order big.q; x^(p^k) is sigma^k.  The map
-    x - V*sigma^L(x) is F_p-linear on the F_p-vector space of dimension
-    big.q; solve by row reduction.
+    M: x -> x - V*sigma^L(x) is F_p-linear on the F_p-vector space of
+    dimension big.q, and depends only on V and L mod q.  [M | I] is row
+    reduced once per (V, L mod q), kept on the ring: with T its right
+    half, T M is the reduced echelon form of M, so A is in the image iff
+    the rows of T A at or past the rank are zero, and the rows before it
+    are the solution's pivot coordinates (the free ones are zero).
     """
     p, q = big.p, big.q
-    cols = []
-    for j in range(q):
-        basis = big.element(tuple(1 if t == j else 0 for t in range(q)))
-        img = basis - V * basis.frobenius(L % q)
-        cols.append(img.coeffs)
-    # matrix over F_p of size q x q: entry [i][j] = cols[j][i]
-    aug = [[cols[j][i] for j in range(q)] + [A.coeffs[i]] for i in range(q)]
-    red, pivots = fp_row_reduce(aug, p)
-    if q in pivots:
-        return None  # a pivot in the augmented column: inconsistent
+    key = (V.coeffs, L % q)
+    memo = big._additive_cache.get(key)
+    if memo is None:
+        units = [big.element([int(t == j) for t in range(q)])
+                 for j in range(q)]
+        cols = [(e - V * e.frobenius(L)).coeffs for e in units]
+        # row i of [M | I]: coordinate i of each column, then e_i
+        red, pivots = fp_row_reduce([row + units[i].coeffs for i, row
+                                     in enumerate(zip(*cols))], p)
+        pivots = [c for c in pivots if c < q]
+        memo = big._additive_cache[key] = (pivots, [row[q:] for row in red])
+    pivots, T = memo
+    TA = [sum(map(mul, row, A.coeffs)) % p for row in T]
+    if any(TA[len(pivots):]):
+        return None
     sol = [0] * q
-    for row, c in zip(red, pivots):
-        sol[c] = row[q]
+    for c, x in zip(pivots, TA):
+        sol[c] = x
     return big.element(sol)
 
 
@@ -678,7 +674,7 @@ def _lang_search(big, g, r):
     images = []
     for k in range(nv):
         X = Matrix.from_flat_ints(big, r, r, [int(t == k) for t in range(nv)])
-        images.append((X.sigma() - X @ g).flatten_ints())
+        images.append((X.sigma() - X @ g).flat)
     kern = fp_kernel([list(col) for col in zip(*images)], p)
     if not kern:
         return None
@@ -729,9 +725,4 @@ def hom_stabilization_check(C1, C2, m12, h12, t):
 
 def descends_to_subfield(mats, subfield_degree: int) -> bool:
     """Every entry of the matrices fixed by sigma^subfield_degree."""
-    for b in mats:
-        for row in b.entries:
-            for e in row:
-                if e.frobenius(subfield_degree % e.ring.q) != e:
-                    return False
-    return True
+    return all(b.sigma(subfield_degree) == b for b in mats)

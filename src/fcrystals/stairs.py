@@ -81,7 +81,7 @@ class StairsDatum:
 
     def coords(self, X: Matrix):
         """WittElem coefficients y with X = sum y_l e_l, or None."""
-        sol = self.coordinate_solver().solve(X.flatten_ints())
+        sol = self.coordinate_solver().solve(X.flat)
         if sol is None:
             return None
         ring = self.crystal.ring
@@ -90,8 +90,7 @@ class StairsDatum:
                 for l in range(len(self.basis))]
 
     def combine(self, ys):
-        acc = Matrix.zero(self.crystal.ring, self.crystal.rank,
-                          self.crystal.rank)
+        acc = Matrix.zero(self.crystal.ring, self.crystal.rank)
         for y, e in zip(ys, self.basis):
             if not y.is_zero():
                 acc = acc + e.scale(y)
@@ -244,12 +243,11 @@ def _matrix_unit_arrows(ring, r, hits, idx):
             rescale[l] = red.rescale[k]
             new_exps[l] = red.new_exponents[k]
         m = max(m, max(red.rescale))
-    z = ring.zero()
     basis = []
     for l, (i, j) in enumerate(idx):
-        ents = [[z] * r for _ in range(r)]
-        ents[i][j] = ring.from_int(ring.p ** rescale[l])
-        basis.append(Matrix(ring, ents))
+        flat = [0] * (r * r * ring.q)
+        flat[(i * r + j) * ring.q] = ring.p ** rescale[l]
+        basis.append(Matrix.from_flat_ints(ring, r, r, flat))
     signs = [+1 if all(new_exps[l] >= 0 for l in cyc) else -1
              for cyc in cycles]
     return (basis, perm, new_exps, m, cycles, signs), tuples, rescale
@@ -303,9 +301,9 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
             prev_rank = rank
             continue
         basis, m, hw = sel
-        mult = all(in_howell_span((a @ b).flatten_ints(), hw, big.p, big.n)
+        mult = all(in_howell_span((a @ b).flat, hw, big.p, big.n)
                    for a in basis for b in basis)
-        unital = in_howell_span(Matrix.identity(big, r).flatten_ints(), hw,
+        unital = in_howell_span(Matrix.identity(big, r).flat, hw,
                                 big.p, big.n)
         datum = StairsDatum(
             CD, basis, list(range(len(basis))), [0] * len(basis),
@@ -496,9 +494,7 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
             # assembled from the arrow formula on the ORIGINAL factors
             # (the truncated inverse would lose digits that conjugation
             # divides back below the precision)
-            acc = Matrix.zero(ring, datum.crystal.rank, datum.crystal.rank)
-            conj_acc = Matrix.zero(ring, datum.crystal.rank,
-                                   datum.crystal.rank)
+            acc = conj_acc = Matrix.zero(ring, datum.crystal.rank)
             for l, x, u_c, q_l in step_factors:
                 acc = acc + datum.basis[l].scale(x * p ** (u_c + q_l))
                 shift = u_c + q_l + datum.exponents[l]
@@ -760,29 +756,17 @@ def _block_diag_datum(C0, split_at):
     ring = C0.ring
     r = C0.rank
     r1 = split_at
-    ents1 = [[C0.B[i, j] for j in range(r1)] for i in range(r1)]
-    ents2 = [[C0.B[i, j] for j in range(r1, r)] for i in range(r1, r)]
+    E = C0.B.entries
     from .crystal import FCrystal
-    C1 = FCrystal(ring, Matrix(ring, ents1), 0)
-    C2 = FCrystal(ring, Matrix(ring, ents2), 0)
+    C1 = FCrystal(ring, Matrix(ring, [row[:r1] for row in E[:r1]]), 0)
+    C2 = FCrystal(ring, Matrix(ring, [row[r1:] for row in E[r1:]]), 0)
     d1 = _fixed_datum(C1, 1)
     d2 = _fixed_datum(C2, 1)
     if d1 is None or d2 is None:
         raise UnsupportedShape("block crystals have no full fixed lattice")
-    z = ring.zero()
-    basis = []
-    for e in d1.basis:
-        ents = [[z] * r for _ in range(r)]
-        for i in range(r1):
-            for j in range(r1):
-                ents[i][j] = e[i, j]
-        basis.append(Matrix(ring, ents))
-    for e in d2.basis:
-        ents = [[z] * r for _ in range(r)]
-        for i in range(r - r1):
-            for j in range(r - r1):
-                ents[i + r1][j + r1] = e[i, j]
-        basis.append(Matrix(ring, ents))
+    Z1, Z2 = Matrix.zero(ring, r1), Matrix.zero(ring, r - r1)
+    basis = [Matrix.block_diag(e, Z2) for e in d1.basis] + [
+        Matrix.block_diag(Z1, e) for e in d2.basis]
     v = len(basis)
     datum = StairsDatum(C0, basis, list(range(v)), [0] * v,
                         max(d1.torsion, d2.torsion),

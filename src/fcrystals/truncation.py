@@ -157,8 +157,7 @@ def congruence_upgrade(C, g, f_trunc: Matrix, level: int,
     if split is None:
         split = detect_split_form(C)
     # lift f to a unit at working precision
-    f_lift = Matrix.from_flat_ints(
-        ring, r, r, [c % ring.pn for c in f_trunc.flatten_ints()])
+    f_lift = Matrix.from_flat_ints(ring, r, r, f_trunc.flat)
     exps = smith_normal_form(f_lift).exponents
     if not exps or max(exps) != 0:
         raise LiftFailed("truncation isomorphism does not lift to a unit")

@@ -176,11 +176,12 @@ class WittRing:
         self._red_coeffs = rows
         self._red_cache = {}
         self._w = self.slot_width(1)
-        # sigma(t^j) = (t^p)^j, packed once
-        t = self.gen().coeffs
-        self._sigma_rows = self._packed_powers(self._pow(t, p), q)
-        self._sigma_inv_rows = None
+        # the valuation of each p^v dividing p^n: a gcd with p^n is one
+        self._pow_val = {p ** v: v for v in range(n + 1)}
+        self._frobenius_cache = {}
         self._embed_cache = {}
+        # semilinear._solve_additive's reductions, by (V, L mod q)
+        self._additive_cache = {}
 
     # -- raw coefficient-tuple arithmetic ---------------------------------
 
@@ -261,25 +262,36 @@ class WittRing:
         pn = self.pn
         return tuple((c * x) % pn for x in a)
 
-    def _sigma_raw(self, a):
-        if self.q == 1:
-            return a
-        return self._apply_rows(a, self._sigma_rows)
+    def _frobenius_rows(self, power):
+        """sigma^power(t^j) = (t^(p^power))^j for j < q, packed; cached."""
+        rows = self._frobenius_cache.get(power)
+        if rows is None:
+            rows = self._frobenius_cache[power] = self._packed_powers(
+                self._pow(self.gen().coeffs, self.p ** power), self.q)
+        return rows
 
-    def _sigma_inv_raw(self, a):
-        if self.q == 1:
-            return a
-        if self._sigma_inv_rows is None:
-            # sigma has order q, so sigma^{-1} = sigma^(q-1)
-            t_img = self.gen().coeffs
-            for _ in range(self.q - 1):
-                t_img = self._sigma_raw(t_img)
-            self._sigma_inv_rows = self._packed_powers(t_img, self.q)
-        return self._apply_rows(a, self._sigma_inv_rows)
+    def _embed_rows(self, S):
+        """Images in S of 1, t, ..., t^(q-1) under the Frobenius-equivariant
+        embedding of this ring into S, packed for `_apply_rows`; cached."""
+        pows = self._embed_cache.get(S)
+        if pows is None:
+            if self.p != S.p or self.n != S.n or S.q % self.q != 0:
+                raise NoEmbedding(f"no embedding {self!r} -> {S!r}")
+            u = S._pow(S.gen().coeffs,
+                       (S.p ** S.q - 1) // (self.p ** self.q - 1))
+            # the image must be a root of this ring's modulus
+            acc = S._zero
+            for c in reversed(self.modulus_lift):
+                acc = S._mul(acc, u)
+                acc = S._add(acc, tuple([c] + [0] * (S.q - 1)))
+            if any(acc):
+                raise InternalError("embedding image is not a modulus root")
+            pows = self._embed_cache[S] = S._packed_powers(u, self.q)
+        return pows
 
     def _val(self, a):
-        v = min(_int_val(c, self.p, self.n) for c in a)
-        return INFINITY if v >= self.n else v
+        v = self._pow_val[math.gcd(self.pn, *a)]
+        return INFINITY if v == self.n else v
 
     def _inv(self, a):
         # inverse mod p by extended Euclid, then Hensel/Newton lift
@@ -444,16 +456,12 @@ class WittElem:
 
     def frobenius(self, power=1):
         """sigma^power; sigma is the lift of x -> x^p, of order q."""
-        power %= self.ring.q
-        c = self.coeffs
-        if power == self.ring.q - 1 and power > 1:
-            return WittElem(self.ring, self.ring._sigma_inv_raw(c))
-        for _ in range(power):
-            c = self.ring._sigma_raw(c)
-        return WittElem(self.ring, c)
-
-    def frobenius_inv(self):
-        return WittElem(self.ring, self.ring._sigma_inv_raw(self.coeffs))
+        ring = self.ring
+        power %= ring.q
+        if not power:
+            return self
+        return WittElem(ring, ring._apply_rows(
+            self.coeffs, ring._frobenius_rows(power)))
 
     def valuation(self):
         """Largest v < n with self in p^v * ring; INFINITY when zero."""
@@ -487,20 +495,7 @@ class WittElem:
         R, S = self.ring, target
         if R == S:
             return self
-        if R.p != S.p or R.n != S.n or S.q % R.q != 0:
-            raise NoEmbedding(f"no embedding {R!r} -> {S!r}")
-        pows = R._embed_cache.get(S)
-        if pows is None:
-            u = S._pow(S.gen().coeffs, (S.p ** S.q - 1) // (R.p ** R.q - 1))
-            # the image must be a root of this ring's modulus
-            acc = S._zero
-            for c in reversed(R.modulus_lift):
-                acc = S._mul(acc, u)
-                acc = S._add(acc, tuple([c] + [0] * (S.q - 1)))
-            if any(acc):
-                raise InternalError("embedding image is not a modulus root")
-            pows = R._embed_cache[S] = S._packed_powers(u, R.q)
-        return WittElem(S, S._apply_rows(self.coeffs, pows))
+        return WittElem(S, S._apply_rows(self.coeffs, R._embed_rows(S)))
 
     def is_zero(self):
         return not any(self.coeffs)

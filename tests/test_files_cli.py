@@ -375,7 +375,7 @@ def test_verify_suite_fault_injection(monkeypatch):
 
     def corrupted(ring, alpha):
         C = real(ring, alpha)
-        ents = C.B.mutable()
+        ents = [list(row) for row in C.B.entries]
         ents[0][0] = ents[0][0] + ring.one()
         from fcrystals.plinalg import Matrix
         from fcrystals.crystal import FCrystal

@@ -40,7 +40,7 @@ def test_verschiebung_below_n_minus_e_agrees_across_lifts():
                          ("ordinary", {"r": 2, "d": 1})):
             C = builtin_crystal(W, name, **kw)
             assert inverse_with_shift(C.B)[1] == 1
-            flat = C.B.flatten_ints()
+            flat = C.B.flat
             moved = False
             for _ in range(4):
                 lift = new_crystal(big, Matrix.from_flat_ints(big, 2, 2, [
@@ -115,7 +115,7 @@ def test_upgrade_from_found_truncation_isom():
     res = d_trunc_isom_search(T1, T2)
     assert res.witness is not None
     f = Matrix.from_flat_ints(
-        ring, 2, 2, [c % ring.pn for c in res.witness.flatten_ints()])
+        ring, 2, 2, [c % ring.pn for c in res.witness.flat])
     gp, gq = congruence_upgrade(SS, g, f, 1, split)
     assert gq.congruence_level() >= 1
 
@@ -227,7 +227,7 @@ def test_truncation_determines_pipeline():
         if res.witness is None:
             continue
         f = Matrix.from_flat_ints(
-            ring, 2, 2, [c % ring.pn for c in res.witness.flatten_ints()])
+            ring, 2, 2, [c % ring.pn for c in res.witness.flat])
         try:
             gp, gq = congruence_upgrade(C, g, f, 1, split)
         except Exception:
