@@ -137,21 +137,15 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ring, k, m = self.ring, self.cols, other.cols
-        if ring.q == 1:
-            pn, a, b = ring.pn, self.flat, other.flat
-            cols = [b[j::m] for j in range(m)]
-            flat = [sum(map(mul, a[i * k:i * k + k], c)) % pn
-                    for i in range(self.rows) for c in cols]
-        else:
-            # pack each entry once; an output entry sums k packed products
-            # and is reduced once, at a slot width sized for that many
-            w = ring.slot_width(k)
-            pack, reduce = ring._pack, ring._reduce
-            a = [pack(e, w) for e in self._cells()]
-            b = [pack(e, w) for e in other._cells()]
-            cols = [b[j::m] for j in range(m)]
-            flat = [c for i in range(self.rows) for col in cols
-                    for c in reduce(sum(map(mul, a[i * k:i * k + k], col)), w)]
+        # pack each entry once; an output entry sums k packed products
+        # and is reduced once, at a slot width sized for that many
+        w = ring.slot_width(k)
+        pack, reduce = ring._pack, ring._reduce
+        a = [pack(e, w) for e in self._cells()]
+        b = [pack(e, w) for e in other._cells()]
+        cols = [b[j::m] for j in range(m)]
+        flat = [c for i in range(self.rows) for col in cols
+                for c in reduce(sum(map(mul, a[i * k:i * k + k], col)), w)]
         return Matrix._make(ring, self.rows, m, tuple(flat))
 
     def scale(self, c):
@@ -161,9 +155,7 @@ class Matrix:
             if c.ring is not ring and c.ring != ring:
                 raise RingMismatch(f"{ring!r} vs {c.ring!r}")
             if ring.q > 1:
-                w, pack, reduce = ring._w, ring._pack, ring._reduce
-                pc = pack(c.coeffs, w)
-                return self._map_cells(lambda e: reduce(pack(e, w) * pc, w))
+                return self._map_cells(lambda e: ring._mul(e, c.coeffs))
             c = c.coeffs[0]
         pn = ring.pn
         return self._like(tuple([c * x % pn for x in self.flat]))

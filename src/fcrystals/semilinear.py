@@ -619,10 +619,12 @@ def _solve_additive(big, A, V, L):
     sigma on `big` has order big.q; x^(p^k) is sigma^k.  The map
     M: x -> x - V*sigma^L(x) is F_p-linear on the F_p-vector space of
     dimension big.q, and depends only on V and L mod q.  [M | I] is row
-    reduced once per (V, L mod q), kept on the ring: with T its right
-    half, T M is the reduced echelon form of M, so A is in the image iff
-    the rows of T A at or past the rank are zero, and the rows before it
-    are the solution's pivot coordinates (the free ones are zero).
+    reduced once per (V, L mod q): with T its right half, T M is the
+    reduced echelon form of M, so A is in the image iff the rows of T A
+    at or past the rank are zero, and the rows before it are the
+    solution's pivot coordinates (the free ones are zero).  The stairs
+    engine passes V in {0, 1}; only those reductions are kept on the
+    ring, so it holds at most 2 big.q of them.
     """
     p, q = big.p, big.q
     key = (V.coeffs, L % q)
@@ -635,7 +637,9 @@ def _solve_additive(big, A, V, L):
         red, pivots = fp_row_reduce([row + units[i].coeffs for i, row
                                      in enumerate(zip(*cols))], p)
         pivots = [c for c in pivots if c < q]
-        memo = big._additive_cache[key] = (pivots, [row[q:] for row in red])
+        memo = (pivots, [row[q:] for row in red])
+        if V.coeffs in (big._zero, big._one):
+            big._additive_cache[key] = memo
     pivots, T = memo
     TA = [sum(map(mul, row, A.coeffs)) % p for row in T]
     if any(TA[len(pivots):]):

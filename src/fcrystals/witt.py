@@ -180,7 +180,7 @@ class WittRing:
         self._pow_val = {p ** v: v for v in range(n + 1)}
         self._frobenius_cache = {}
         self._embed_cache = {}
-        # semilinear._solve_additive's reductions, by (V, L mod q)
+        # semilinear._solve_additive's reductions for V in {0, 1}
         self._additive_cache = {}
 
     # -- raw coefficient-tuple arithmetic ---------------------------------

@@ -1863,7 +1863,8 @@ def test_memoized_additive_solve_matches_the_per_call_reduction():
             keys = set()
             for V in (big.zero(), big.one(), big.random_element(rng)):
                 for L in range(1, 7):
-                    keys.add((V.coeffs, L % q))
+                    if V.coeffs in (big._zero, big._one):
+                        keys.add((V.coeffs, L % q))
                     for inside in (True, False) * 3:
                         A = big.random_element(rng)
                         if inside:   # A = x - V sigma^L(x) for x = A
@@ -1872,6 +1873,6 @@ def test_memoized_additive_solve_matches_the_per_call_reduction():
                         assert semilinear._solve_additive(big, A, V, L) \
                             == ref, (p, q, V, L, A)
                         unsolvable += ref is None
-            # one reduction per (V, L mod q)
+            # one reduction per (V, L mod q), kept for V in {0, 1} only
             assert set(big._additive_cache) == keys, (p, q)
     assert unsolvable >= 100, unsolvable
