@@ -806,9 +806,9 @@ def exp_trunc(X: Matrix) -> Matrix:
                           count(1)))
     big = make_witt_ring(p, ring.q, n + _vp_factorial(idxs[-1], p))
     XL = Matrix._make(big, X.rows, X.cols, X.flat)
-    acc = term = Matrix.identity(big, X.rows)
+    acc, term = Matrix.identity(big, X.rows) + XL, XL
     fact_unit, fact_val = 1, 0
-    for i in idxs:
+    for i in idxs[1:]:
         term = term @ XL
         if term.is_zero():   # so is every later power
             break

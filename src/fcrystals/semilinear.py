@@ -8,12 +8,14 @@ to exact linear algebra over Z/p^m.
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from operator import mul
 
 from .errors import (
     BadShape,
     ExtensionCapExceeded,
     InternalError,
+    RingMismatch,
     SearchSpaceTooLarge,
     ShiftUnsupported,
     SingularAtPrecision,
@@ -34,7 +36,7 @@ from .plinalg import (
     swar_slot,
     w_span_rows,
 )
-from .witt import field_walk, make_witt_ring
+from .witt import WittElem, field_walk, make_witt_ring
 
 EXHAUSTIVE_CAP = 1 << 20
 # random candidates tried when the mod-p span exceeds EXHAUSTIVE_CAP
@@ -540,114 +542,177 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
     elimination to a single additive equation x = u + v * x^(p^L),
     solved by F_p-linear algebra over F_{p^(Q*D)} for the smallest D
     that works (the equation is etale, so some D works; the built-in
-    field table bounds the search).
+    field table bounds the search).  Both run as F_p-linear maps of c
+    (`_CircularMap`); the maps for b_j, d_j in {0, 1}, all the stairs
+    engine passes, are kept on the ring.
     """
     ring = sys.ring
     if ring.n != 1:
         raise BadShape("circular systems live over residue fields")
-    L = sys.length
+    if any(e.ring is not ring and e.ring != ring
+           for e in (*sys.b, *sys.c, *sys.d)):
+        raise RingMismatch("circular coefficients must lie in the ring")
     if case == -1:
-        for d in sys.d:
-            if d.valuation() != 0:
-                raise BadShape("case -1 needs unit d_j")
-        j0 = None
-        for j in range(L):
-            if sys.b[j].is_zero():
-                j0 = j
-                break
-        if j0 is None:
+        if any(d.valuation() != 0 for d in sys.d):
+            raise BadShape("case -1 needs unit d_j")
+        if not any(b.is_zero() for b in sys.b):
             raise BadShape("case -1 needs some b_j = 0")
-        x = [None] * L
-        # equation j gives x_{j-1} = ((b_j x_j + c_j) / d_j)^(1/p)
-        j = j0
-        for _ in range(L):
-            prev = (j - 1) % L
-            if sys.b[j].is_zero() or x[j] is None:
-                val = sys.c[j]
-            else:
-                val = sys.b[j] * x[j] + sys.c[j]
-            x[prev] = (val * sys.d[j].unit_inverse()).frobenius(-1)
-            j = prev
-        _check_circular(sys, x)
-        return CircularSolution(x, ring, 1)
-    if case != 1:
+    elif case != 1:
         raise BadShape("case must be +1 or -1")
-    for b in sys.b:
-        if b.valuation() != 0:
-            raise BadShape("case +1 needs unit b_j")
-    # eliminate x_j = (d_j x_{j-1}^p - c_j) / b_j around the cycle from a
-    # symbolic x_0: x_j = A_j + V_j x_0^(p^j), A_j and V_j in the base
-    # field, and after the full loop x_0 = A + V x_0^(p^L)
-    A, V = ring.zero(), ring.one()
-    for j in range(1, L + 1):
-        jj = j % L
-        binv = sys.b[jj].unit_inverse()
-        A = (sys.d[jj] * A.frobenius() - sys.c[jj]) * binv
-        V = sys.d[jj] * V.frobenius() * binv
-    for D, big in field_walk(ring.p, ring.q, 1):
-        x0 = _solve_additive(big, A.embed(big), V.embed(big), L)
-        if x0 is not None:
-            # x_j at position j; position 0 holds x_0 = x_L
-            xs = [x0] + [None] * (L - 1)
-            bigsys = CircularSystem(
-                big, L,
-                [b.embed(big) for b in sys.b],
-                [c.embed(big) for c in sys.c],
-                [d.embed(big) for d in sys.d],
-            )
-            for j in range(1, L):
-                prev = xs[j - 1]
-                xs[j] = (bigsys.d[j] * prev.frobenius() - bigsys.c[j]) \
-                    * bigsys.b[j].unit_inverse()
-            _check_circular(bigsys, xs)
-            return CircularSolution(xs, big, D)
-    raise ExtensionCapExceeded("no root within the built-in field table")
+    elif any(b.valuation() != 0 for b in sys.b):
+        raise BadShape("case +1 needs unit b_j")
+    key = (case, tuple([b.coeffs for b in sys.b]),
+           tuple([d.coeffs for d in sys.d]))
+    cmap = ring._circular_cache.get(key)
+    if cmap is None:
+        cmap = _CircularMap(ring, case, sys.b, sys.d)
+        if set(key[1] + key[2]) <= {ring._zero, ring._one}:
+            ring._circular_cache[key] = cmap
+    return cmap.solve([c.coeffs for c in sys.c])
 
 
-def _check_circular(sys, xs):
-    L = sys.length
-    for j in range(L):
-        prev = xs[(j - 1) % L].frobenius()
-        lhs = sys.b[j] * xs[j] + sys.c[j] - sys.d[j] * prev
-        if not lhs.is_zero():
-            raise InternalError(f"circular equation {j} violated")
+class _CircularMap:
+    """The circular systems over `ring` with a fixed case, b and d, solved
+    as F_p-linear maps of c.
 
-
-def _solve_additive(big, A, V, L):
-    """Solve x = A + V * x^(p^(q0*L)) in the field `big`, or None.
-
-    sigma on `big` has order big.q; x^(p^k) is sigma^k.  The map
-    M: x -> x - V*sigma^L(x) is F_p-linear on the F_p-vector space of
-    dimension big.q, and depends only on V and L mod q.  [M | I] is row
-    reduced once per (V, L mod q): with T its right half, T M is the
-    reduced echelon form of M, so A is in the image iff the rows of T A
-    at or past the rank are zero, and the rows before it are the
-    solution's pivot coordinates (the free ones are zero).  The stairs
-    engine passes V in {0, 1}; only those reductions are kept on the
-    ring, so it holds at most 2 big.q of them.
+    Over a fixed solution field F_(p^(qD)), the image test of case +1 and
+    the solution x_0 ... x_(L-1) are F_p-linear in the Lq coordinates of
+    c.  The map for D is built on first use by the per-call formulas,
+    applied to each unit vector of c: column k holds the test rows (the
+    rows of T A past the rank, zero iff x = A + V sigma^L(x) has a root
+    over F_(p^(qD))), then the coordinates of every x_j.  A column is one
+    int with a slot per output, wide enough for a sum of Lq products of
+    two residues, so a call is one multiply-add per coordinate of c and
+    one reduction mod p per slot.  Case -1 has one map, D = 1, without
+    test rows.
     """
-    p, q = big.p, big.q
-    key = (V.coeffs, L % q)
-    memo = big._additive_cache.get(key)
-    if memo is None:
-        units = [big.element([int(t == j) for t in range(q)])
-                 for j in range(q)]
+
+    def __init__(self, ring, case, b, d):
+        q, L = ring.q, len(b)
+        self.ring, self.b, self.d = ring, b, d
+        self.w = (L * q * (ring.p - 1) ** 2).bit_length()
+        # c for each unit vector: coordinate t of c_j is 1 at k = j q + t
+        self.units = [[ring.element([int(j * q + t == k) for t in range(q)])
+                       for j in range(L)] for k in range(L * q)]
+        if case == -1:
+            self._walk = iter([(1, ring)])
+            self._build = self._back_substitution
+        else:
+            self._walk = field_walk(ring.p, q, 1)
+            self._build = self._additive
+            self.binv = [x.unit_inverse() for x in b]
+            # x_j = A_j + V_j x_0^(p^j) around the cycle from a symbolic
+            # x_0, so after the full loop x_0 = A + V x_0^(p^L); A for
+            # each unit vector of c, V for all of them
+            self.A, self.V = [], ring.one()
+            for j in range(1, L + 1):
+                jj = j % L
+                self.V = d[jj] * self.V.frobenius() * self.binv[jj]
+            for c in self.units:
+                A = ring.zero()
+                for j in range(1, L + 1):
+                    jj = j % L
+                    A = (d[jj] * A.frobenius() - c[jj]) * self.binv[jj]
+                self.A.append(A)
+        # per D: (D, big, number of test rows, columns, b and d over big)
+        self.degrees = []
+
+    def solve(self, c):
+        ring, w = self.ring, self.w
+        p, L = ring.p, len(c)
+        cs = [x for e in c for x in e]
+        mask = (1 << w) - 1
+        for k in count():
+            if k == len(self.degrees):
+                nxt = next(self._walk, None)
+                if nxt is None:
+                    raise ExtensionCapExceeded(
+                        "no root within the built-in field table")
+                D, big = nxt
+                self.degrees.append((D, big, *self._build(D, big),
+                                     [e.embed(big).coeffs for e in self.b],
+                                     [e.embed(big).coeffs for e in self.d]))
+            D, big, ntest, cols, b, d = self.degrees[k]
+            acc = sum(map(mul, cs, cols))
+            if not any((acc >> s & mask) % p for s in range(0, ntest * w, w)):
+                break
+        acc >>= ntest * w
+        Q = big.q
+        out = [(acc >> s & mask) % p for s in range(0, L * Q * w, w)]
+        xs = [tuple(out[j * Q:j * Q + Q]) for j in range(L)]
+        if D > 1:
+            rows = ring._embed_rows(big)
+            c = [big._apply_rows(e, rows) for e in c]
+        _check_circular(big, b, c, d, xs)
+        return CircularSolution([WittElem(big, x) for x in xs], big, D)
+
+    def _pack(self, cols):
+        w = self.w
+        return [sum(v << o * w for o, v in enumerate(col)) for col in cols]
+
+    def _back_substitution(self, D, ring):
+        """(0, columns) of case -1: equation j gives x_(j-1) = ((b_j x_j +
+        c_j) / d_j)^(1/p), walked back from the first j with b_j = 0."""
+        b, L = self.b, len(self.b)
+        dinv = [x.unit_inverse() for x in self.d]
+        j0 = next(j for j in range(L) if b[j].is_zero())
+        cols = []
+        for c in self.units:
+            x = [None] * L
+            j = j0
+            for _ in range(L):
+                val = c[j] if x[j] is None else b[j] * x[j] + c[j]
+                x[(j - 1) % L] = (val * dinv[j]).frobenius(-1)
+                j = (j - 1) % L
+            cols.append([t for e in x for t in e.coeffs])
+        return 0, self._pack(cols)
+
+    def _additive(self, D, big):
+        """(number of test rows, columns) of case +1 over big.
+
+        The map M: x -> x - V sigma^L(x) is F_p-linear on the big.q
+        coordinates.  With T the right half of the reduced [M | I], T M is
+        the reduced echelon form of M, so A is in the image iff the rows
+        of T A past the rank are zero, and the rows before it are the
+        pivot coordinates of x_0 (the free ones are zero).  Each x_j,
+        j >= 1, is (d_j sigma(x_(j-1)) - c_j) / b_j.
+        """
+        p, Q, L = big.p, big.q, len(self.b)
+        V = self.V.embed(big)
+        units = [big.element([int(t == j) for t in range(Q)])
+                 for j in range(Q)]
         cols = [(e - V * e.frobenius(L)).coeffs for e in units]
         # row i of [M | I]: coordinate i of each column, then e_i
         red, pivots = fp_row_reduce([row + units[i].coeffs for i, row
                                      in enumerate(zip(*cols))], p)
-        pivots = [c for c in pivots if c < q]
-        memo = (pivots, [row[q:] for row in red])
-        if V.coeffs in (big._zero, big._one):
-            big._additive_cache[key] = memo
-    pivots, T = memo
-    TA = [sum(map(mul, row, A.coeffs)) % p for row in T]
-    if any(TA[len(pivots):]):
-        return None
-    sol = [0] * q
-    for c, x in zip(pivots, TA):
-        sol[c] = x
-    return big.element(sol)
+        pivots = [c for c in pivots if c < Q]
+        T = [row[Q:] for row in red]
+        d = [x.embed(big) for x in self.d]
+        binv = [x.embed(big) for x in self.binv]
+        out = []
+        for A, c in zip(self.A, self.units):
+            TA = [sum(map(mul, row, A.embed(big).coeffs)) % p for row in T]
+            sol = [0] * Q
+            for col, x in zip(pivots, TA):
+                sol[col] = x
+            xs = [big.element(sol)]
+            for j in range(1, L):
+                xs.append((d[j] * xs[-1].frobenius() - c[j].embed(big))
+                          * binv[j])
+            out.append(TA[len(pivots):] + [t for e in xs for t in e.coeffs])
+        return Q - len(pivots), self._pack(out)
+
+
+def _check_circular(big, b, c, d, xs):
+    """Raise unless b_j x_j + c_j = d_j sigma(x_(j-1)) for every j, on
+    coordinate tuples over the field `big`."""
+    frob = big._frobenius_rows(1) if big.q > 1 else None
+    for j in range(len(xs)):
+        prev = xs[j - 1]
+        if frob:
+            prev = big._apply_rows(prev, frob)
+        if big._add(big._mul(b[j], xs[j]), c[j]) != big._mul(d[j], prev):
+            raise InternalError(f"circular equation {j} violated")
 
 
 def sigma_conjugacy_trivialize(gbar: Matrix):

@@ -20,6 +20,7 @@ from .errors import (
     InternalError,
     NotMultiplicative,
     PreconditionTooWeak,
+    SingularAtPrecision,
     UnknownField,
     UnsupportedShape,
 )
@@ -33,6 +34,7 @@ from .plinalg import (
     howell_pivots,
     in_howell_span,
     pack_rows,
+    smith_normal_form,
     unit_inverse_matrix,
     w_span_rows,
 )
@@ -163,12 +165,19 @@ class StairsCertificate:
     twist: Matrix         # the (possibly base-changed) g
 
     def reverify(self) -> bool:
-        """Independent re-check of the conjugation identity."""
-        B = self.crystal.B
-        g = self.twist
-        w = self.witness
-        lhs = w @ g @ B @ unit_inverse_matrix(w.sigma())
-        diff = lhs - B
+        """Independent re-check of the conjugation identity
+        w g B sigma(w)^(-1) = B mod p^level.
+
+        Raises SingularAtPrecision unless w is a unit, which its residue
+        decides.  For a unit w the difference has the valuation of
+        w g B - B sigma(w), so no inverse is formed.
+        """
+        B, w = self.crystal.B, self.witness
+        R = w.ring
+        if any(smith_normal_form(
+                w.reduce_to(make_witt_ring(R.p, R.q, 1))).exponents):
+            raise SingularAtPrecision("witness is not a unit")
+        diff = w @ self.twist @ B - B @ w.sigma()
         return diff.is_zero() or diff.min_valuation() >= self.level
 
 
@@ -503,16 +512,19 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
             step = ident + acc
             psi_inv = unit_inverse_matrix(ident + conj_acc)
         else:
+            # an argument zero at the precision has exp 1: skip it
             for l, x, u_c, q_l in step_factors:
                 arg = datum.basis[l].scale(x * p ** (u_c + q_l))
-                step = step @ exp_trunc(arg)
+                if not arg.is_zero():
+                    step = step @ exp_trunc(arg)
             psi_inv = ident
             for l, x, u_c, q_l in reversed(step_factors):
                 lp = datum.perm[l]
                 shift = u_c + q_l + datum.exponents[l]
                 arg = datum.basis[lp].scale(
                     -(x.frobenius() * p ** shift))
-                psi_inv = psi_inv @ exp_trunc(arg)
+                if not arg.is_zero():
+                    psi_inv = psi_inv @ exp_trunc(arg)
         defect = step @ defect @ psi_inv
         total = step @ total
         prev_umin = int(umin)

@@ -180,8 +180,8 @@ class WittRing:
         self._pow_val = {p ** v: v for v in range(n + 1)}
         self._frobenius_cache = {}
         self._embed_cache = {}
-        # semilinear._solve_additive's reductions for V in {0, 1}
-        self._additive_cache = {}
+        # semilinear.solve_circular's maps for b_j, d_j in {0, 1}
+        self._circular_cache = {}
 
     # -- raw coefficient-tuple arithmetic ---------------------------------
 

@@ -14,7 +14,13 @@ import os
 import random
 
 import fcrystals.cli
-from fcrystals.crystal import PolarizedCrystal, builtin_crystal, new_crystal
+from fcrystals.bounds import epsilon_p
+from fcrystals.crystal import (
+    PolarizedCrystal,
+    builtin_crystal,
+    new_crystal,
+    random_twist,
+)
 from fcrystals.files import matrix_to_entries, stairs_datum_to_dict, \
     write_crystal
 from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
@@ -23,6 +29,8 @@ from fcrystals.stairs import (
     _fixed_datum,
     build_stairs_datum,
     lang_run,
+    stairs_algebra_run,
+    stairs_run,
     thirds_family_certificate,
 )
 from fcrystals.truncation import (
@@ -171,15 +179,61 @@ def _library_outputs():
     return out
 
 
+def _engine_outputs():
+    """Certificates of the stairs engine on the stairs-witness families:
+    a -1 cycle (ordinary, p = 2), solution fields of degree D = 2 and
+    D = 3, and the W_3(F_5) algebra runs whose circular systems reach the
+    end of the field table."""
+    out = {}
+    for family, kw, (p, q, n), kind in (
+            ("ordinary", {"r": 2, "d": 1}, (2, 1, 4), "general"),
+            ("ordinary", {"r": 2, "d": 1}, (3, 1, 2), "general"),
+            ("supersingular", {"d": 1}, (2, 2, 5), "general"),
+            ("supersingular", {"d": 1}, (3, 2, 4), "lattice"),
+            ("isoclinic_3_3_6", {"r": 3, "c": 2}, (2, 3, 5), "general"),
+            ("isoclinic_3_3_6", {"r": 3, "c": 2}, (3, 3, 4), "lattice")):
+        ring = make_witt_ring(p, q, n)
+        C = builtin_crystal(ring, family, **kw)
+        datum = build_stairs_datum(C)
+        level = 2 * datum.torsion + epsilon_p(p)
+        for seed in range(2):
+            rng = random.Random(seed)
+            if kind == "general":
+                g = random_twist(ring, C.rank, level, rng)
+            else:
+                g = Matrix.identity(ring, C.rank) + datum.combine([
+                    ring.element([rng.randrange(ring.pn) * p ** level
+                                  for _ in range(q)])
+                    for _ in datum.basis])
+            out[f"stairs_run {family} {p} {q} {n} #{seed}"] = \
+                _certificate(stairs_run(C, g, datum))
+    for p, q, n, j in ((3, 1, 3, 1), (5, 1, 3, 1)):
+        ring = make_witt_ring(p, q, n)
+        C = builtin_crystal(ring, "ordinary", r=2, d=1)
+        datum = build_stairs_datum(C)
+        for seed in range(2):
+            g = random_twist(ring, C.rank, j, random.Random(seed))
+            out[f"stairs_algebra_run ordinary {p} {q} {n} #{seed}"] = \
+                _certificate(stairs_algebra_run(C, g, datum))
+    return out
+
+
+def _certificate(cert):
+    R = cert.ring
+    return {"witness": matrix_to_entries(cert.witness), "level": cert.level,
+            "ring": [R.p, R.q, R.n], "extension": cert.extension}
+
+
 def current_outputs(d):
-    return {"cli": _cli_outputs(d), "library": _library_outputs()}
+    return {"cli": _cli_outputs(d), "library": _library_outputs(),
+            "engine": _engine_outputs()}
 
 
 def test_outputs_match_golden(tmp_path):
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     got = json.loads(json.dumps(current_outputs(str(tmp_path))))
-    for part in ("cli", "library"):
+    for part in ("cli", "library", "engine"):
         assert sorted(got[part]) == sorted(golden[part])
         for key in golden[part]:
             assert got[part][key] == golden[part][key], key

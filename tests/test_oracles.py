@@ -11,7 +11,13 @@ import pytest
 from fcrystals import deviation, semilinear
 from fcrystals.conway import CONWAY_TABLE
 from fcrystals.crystal import builtin_crystal, new_crystal
-from fcrystals.errors import OutsideExpDomain, SingularAtPrecision
+from fcrystals.errors import (
+    BadShape,
+    ExtensionCapExceeded,
+    InternalError,
+    OutsideExpDomain,
+    SingularAtPrecision,
+)
 from fcrystals.plinalg import (
     IntSolver,
     Matrix,
@@ -30,6 +36,7 @@ from fcrystals.plinalg import (
     smith_normal_form,
 )
 from fcrystals.semilinear import (
+    CircularSolution,
     CircularSystem,
     _first_unit_trial,
     _scan_range,
@@ -1824,9 +1831,93 @@ def test_flat_matrix_equality_compares_shapes():
         assert Matrix.zero(ring, 2, 3) != Matrix.zero(ring.reduce_to(1), 2, 3)
 
 
-# -- the memoized additive solve, against the per-call reduction -------------
+# -- the circular maps, against the per-call solver ---------------------------
+# `_per_call_solve_circular` and `_per_call_check_circular` are
+# semilinear.solve_circular and _check_circular as they were before the
+# systems were solved through precomputed F_p-linear maps, and
 # `_per_call_solve_additive` is semilinear._solve_additive as it was before
-# its reduction was kept per (V, L mod q), kept verbatim (renamed).
+# its reduction was kept per (V, L mod q); all kept verbatim (renamed).
+
+
+def _per_call_solve_circular(sys, case):
+    """Solve the cyclic residue system; case +1 may need a field extension.
+
+    case -1 (all d_j units, some b_j zero): back-substitution with p-th
+    roots; unique solution in the base field.  case +1 (all b_j units):
+    elimination to a single additive equation x = u + v * x^(p^L),
+    solved by F_p-linear algebra over F_{p^(Q*D)} for the smallest D
+    that works (the equation is etale, so some D works; the built-in
+    field table bounds the search).
+    """
+    ring = sys.ring
+    if ring.n != 1:
+        raise BadShape("circular systems live over residue fields")
+    L = sys.length
+    if case == -1:
+        for d in sys.d:
+            if d.valuation() != 0:
+                raise BadShape("case -1 needs unit d_j")
+        j0 = None
+        for j in range(L):
+            if sys.b[j].is_zero():
+                j0 = j
+                break
+        if j0 is None:
+            raise BadShape("case -1 needs some b_j = 0")
+        x = [None] * L
+        # equation j gives x_{j-1} = ((b_j x_j + c_j) / d_j)^(1/p)
+        j = j0
+        for _ in range(L):
+            prev = (j - 1) % L
+            if sys.b[j].is_zero() or x[j] is None:
+                val = sys.c[j]
+            else:
+                val = sys.b[j] * x[j] + sys.c[j]
+            x[prev] = (val * sys.d[j].unit_inverse()).frobenius(-1)
+            j = prev
+        _per_call_check_circular(sys, x)
+        return CircularSolution(x, ring, 1)
+    if case != 1:
+        raise BadShape("case must be +1 or -1")
+    for b in sys.b:
+        if b.valuation() != 0:
+            raise BadShape("case +1 needs unit b_j")
+    # eliminate x_j = (d_j x_{j-1}^p - c_j) / b_j around the cycle from a
+    # symbolic x_0: x_j = A_j + V_j x_0^(p^j), A_j and V_j in the base
+    # field, and after the full loop x_0 = A + V x_0^(p^L)
+    A, V = ring.zero(), ring.one()
+    for j in range(1, L + 1):
+        jj = j % L
+        binv = sys.b[jj].unit_inverse()
+        A = (sys.d[jj] * A.frobenius() - sys.c[jj]) * binv
+        V = sys.d[jj] * V.frobenius() * binv
+    for D, big in field_walk(ring.p, ring.q, 1):
+        x0 = _per_call_solve_additive(big, A.embed(big), V.embed(big), L)
+        if x0 is not None:
+            # x_j at position j; position 0 holds x_0 = x_L
+            xs = [x0] + [None] * (L - 1)
+            bigsys = CircularSystem(
+                big, L,
+                [b.embed(big) for b in sys.b],
+                [c.embed(big) for c in sys.c],
+                [d.embed(big) for d in sys.d],
+            )
+            for j in range(1, L):
+                prev = xs[j - 1]
+                xs[j] = (bigsys.d[j] * prev.frobenius() - bigsys.c[j]) \
+                    * bigsys.b[j].unit_inverse()
+            _per_call_check_circular(bigsys, xs)
+            return CircularSolution(xs, big, D)
+    raise ExtensionCapExceeded("no root within the built-in field table")
+
+
+def _per_call_check_circular(sys, xs):
+    L = sys.length
+    for j in range(L):
+        prev = xs[(j - 1) % L].frobenius()
+        lhs = sys.b[j] * xs[j] + sys.c[j] - sys.d[j] * prev
+        if not lhs.is_zero():
+            raise InternalError(f"circular equation {j} violated")
 
 
 def _per_call_solve_additive(big, A, V, L):
@@ -1853,26 +1944,66 @@ def _per_call_solve_additive(big, A, V, L):
     return big.element(sol)
 
 
-def test_memoized_additive_solve_matches_the_per_call_reduction():
-    rng = random.Random(1700)
-    unsolvable = 0
+def _outcome(solve, sysm, case):
+    """(values, (p, q), D) of a solve, or the name of the error raised."""
+    try:
+        sol = solve(sysm, case)
+    except ExtensionCapExceeded as exc:
+        return type(exc).__name__
+    return ([x.coeffs for x in sol.values], (sol.ring.p, sol.ring.q),
+            sol.extension)
+
+
+def test_circular_maps_match_the_per_call_solver():
+    """Every value, solution field, D and ExtensionCapExceeded matches the
+    per-call solver: b_j, d_j in {0, 1} (the maps kept on the ring, with
+    c at the largest residues and at random) and random unit b_j or d_j
+    with random other coefficients (the maps built for one call)."""
+    rng = random.Random(1600)
+    extended = capped = 0
     for p in (2, 3, 5, 7):
         for q in (1, 2, 3, 4, 6):
-            big = make_witt_ring(p, q, 1)
-            big._additive_cache.clear()
+            fld = make_witt_ring(p, q, 1)
+            fld._circular_cache.clear()
             keys = set()
-            for V in (big.zero(), big.one(), big.random_element(rng)):
-                for L in range(1, 7):
-                    if V.coeffs in (big._zero, big._one):
-                        keys.add((V.coeffs, L % q))
-                    for inside in (True, False) * 3:
-                        A = big.random_element(rng)
-                        if inside:   # A = x - V sigma^L(x) for x = A
-                            A = A - V * A.frobenius(L)
-                        ref = _per_call_solve_additive(big, A, V, L)
-                        assert semilinear._solve_additive(big, A, V, L) \
-                            == ref, (p, q, V, L, A)
-                        unsolvable += ref is None
-            # one reduction per (V, L mod q), kept for V in {0, 1} only
-            assert set(big._additive_cache) == keys, (p, q)
-    assert unsolvable >= 100, unsolvable
+            zero, one, top = fld.zero(), fld.one(), fld.element([p - 1] * q)
+
+            def unit():
+                return fld.random_unit(rng)
+
+            for L in range(1, 4):
+                for case in (1, -1):
+                    for kind in ("memo", "memo", "memo", "random"):
+                        if case == 1:
+                            b = [one if kind == "memo" else unit()
+                                 for _ in range(L)]
+                            d = [rng.choice([zero, one]) if kind == "memo"
+                                 else fld.random_element(rng)
+                                 for _ in range(L)]
+                        else:
+                            d = [one if kind == "memo" else unit()
+                                 for _ in range(L)]
+                            b = [rng.choice([zero, one]) if kind == "memo"
+                                 else fld.random_element(rng)
+                                 for _ in range(L)]
+                            b[rng.randrange(L)] = zero
+                        if kind == "memo":
+                            keys.add((case, tuple(x.coeffs for x in b),
+                                      tuple(x.coeffs for x in d)))
+                        for cs in ([top] * L, [fld.random_element(rng)
+                                               for _ in range(L)]):
+                            sysm = CircularSystem(fld, L, b, cs, d)
+                            ref = _outcome(_per_call_solve_circular, sysm,
+                                           case)
+                            got = _outcome(solve_circular, sysm, case)
+                            assert got == ref, (p, q, L, case, b, cs, d)
+                            capped += ref == "ExtensionCapExceeded"
+                            extended += ref != "ExtensionCapExceeded" \
+                                and ref[2] > 1
+            # maps are kept for b_j, d_j in {0, 1} only (at p = 2, q = 1
+            # the random ones are such too)
+            kept = set(fld._circular_cache)
+            assert keys <= kept, (p, q)
+            assert all(set(b + d) <= {fld._zero, fld._one}
+                       for _, b, d in kept), (p, q)
+    assert extended >= 50 and capped >= 20, (extended, capped)

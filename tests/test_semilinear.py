@@ -5,7 +5,12 @@ import pytest
 
 from fcrystals.cli import main
 from fcrystals.crystal import builtin_crystal, new_crystal
-from fcrystals.errors import BadShape, ExtensionCapExceeded, ShiftUnsupported
+from fcrystals.errors import (
+    BadShape,
+    ExtensionCapExceeded,
+    RingMismatch,
+    ShiftUnsupported,
+)
 from fcrystals.files import write_crystal
 from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
 from fcrystals.semilinear import (
@@ -201,6 +206,14 @@ def test_solve_circular_extension_cap():
     with pytest.raises(ExtensionCapExceeded):
         solve_circular(CircularSystem(
             F, 1, [F.one()], [u], [F.one()]), +1)
+
+
+def test_solve_circular_rejects_coefficients_from_another_ring():
+    F, G = make_witt_ring(3, 1, 1), make_witt_ring(3, 2, 1)
+    for case, b in ((1, [F.one()]), (-1, [F.zero()])):
+        with pytest.raises(RingMismatch):
+            solve_circular(CircularSystem(F, 1, b, [G.one()], [F.one()]),
+                           case)
 
 
 def test_sigma_conjugacy():

@@ -8,9 +8,10 @@ from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import (
     BadShape,
     PreconditionTooWeak,
+    SingularAtPrecision,
     UnsupportedShape,
 )
-from fcrystals.plinalg import Matrix, det_valuation
+from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
 from fcrystals.semilinear import fixed_lattice
 from fcrystals.stairs import (
     StairsDatum,
@@ -81,6 +82,45 @@ def test_precondition():
     weak = _general_twist(W, 2, 1, rng)  # below 2m + eps_2 = 4
     with pytest.raises(PreconditionTooWeak):
         stairs_run(SS, weak, d)
+
+
+def _inverse_reverify(cert):
+    """The conjugation identity through the exact inverse of sigma(w)."""
+    w, B = cert.witness, cert.crystal.B
+    diff = w @ cert.twist @ B @ unit_inverse_matrix(w.sigma()) - B
+    return diff.is_zero() or diff.min_valuation() >= cert.level
+
+
+def test_reverify_is_sharp_at_the_level():
+    """A witness moved by p^level X still conjugates g phi to phi mod
+    p^level, one moved by p^(level - 1) X does not; a corrupted witness
+    fails and a non-unit one raises, as through the exact inverse."""
+    rng = random.Random(16)
+    for (p, q, n), fam, kw in (((2, 1, 4), "ordinary", {"r": 2, "d": 1}),
+                               ((2, 2, 5), "supersingular", {"d": 1})):
+        ring = make_witt_ring(p, q, n)
+        C = builtin_crystal(ring, fam, **kw)
+        datum = build_stairs_datum(C)
+        g = _general_twist(ring, 2, 2 * datum.torsion + epsilon_p(p), rng)
+        cert = stairs_run(C, g, datum)
+        big, w = cert.ring, cert.witness
+        assert cert.level == n and cert.reverify()
+        X = Matrix(big, [[big.random_element(rng) for _ in range(2)]
+                         for _ in range(2)])
+        for level in range(2, n + 1):
+            for k, ok in ((level, True), (level - 1, False)):
+                moved = replace(cert, level=level,
+                                witness=w + X.scale(p ** k))
+                assert moved.reverify() is ok, (p, level, k)
+                assert _inverse_reverify(moved) is ok
+        shear = Matrix.from_ints(big, [[1, 1], [0, 1]])
+        corrupt = replace(cert, witness=w @ shear)
+        assert corrupt.reverify() is False
+        assert _inverse_reverify(corrupt) is False
+        singular = replace(cert, witness=w.scale(p))
+        for check in (singular.reverify, lambda: _inverse_reverify(singular)):
+            with pytest.raises(SingularAtPrecision):
+                check()
 
 
 def test_identity_twist():
