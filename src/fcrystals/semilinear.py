@@ -16,7 +16,6 @@ from .errors import (
     ExtensionCapExceeded,
     InternalError,
     RingMismatch,
-    SearchSpaceTooLarge,
     ShiftUnsupported,
     SingularAtPrecision,
 )
@@ -718,10 +717,12 @@ def _check_circular(big, b, c, d, xs):
 def sigma_conjugacy_trivialize(gbar: Matrix):
     """x with x * gbar * sigma(x)^{-1} = 1 over the first F_{p^(Q*D)} with one.
 
-    Equivalent to sigma(x) = x * gbar, an F_p-linear condition; the
-    solution space is scanned for an invertible element (such x exist
-    over the algebraic closure, so some D works; the built-in field
-    table bounds the search).
+    Equivalent to sigma(x) = x * gbar, an F_p-linear condition on x.  By
+    `lang_unit`, a field holds such a unit x exactly when the solution
+    space there has F_p-dimension r^2; the first field that passes is
+    scanned, and x is its first unit in index order (the first kernel
+    coefficient outermost).  Some D always works, so only the end of the
+    built-in field table stops the search.
     """
     ring = gbar.ring
     if ring.n != 1:
@@ -736,28 +737,49 @@ def sigma_conjugacy_trivialize(gbar: Matrix):
 
 
 def _lang_search(big, g, r):
-    """First invertible solution x of sigma(x) = x g, in coefficient order
-    over the kernel basis (first coefficient outermost), or None."""
-    p, q = big.p, big.q
-    nv = r * r * q
+    """First invertible solution x of sigma(x) = x g over the field big
+    (see `lang_unit`), or None."""
+    nv = r * r * big.q
+    basis = [[int(t == k) for t in range(nv)] for k in range(nv)]
     images = []
-    for k in range(nv):
-        X = Matrix.from_flat_ints(big, r, r, [int(t == k) for t in range(nv)])
+    for e in basis:
+        X = Matrix.from_flat_ints(big, r, r, e)
         images.append((X.sigma() - X @ g).flat)
+    x = lang_unit(big, images, basis, r)
+    return None if x is None else Matrix.from_flat_ints(big, r, r, x)
+
+
+def lang_unit(fld, images, mats, r):
+    """First unit x with sigma(x) = x g in an algebra A over the field fld
+    (n = 1), as flat F_p coordinates over an F_p basis of A, or None.
+
+    `images[i]` holds the coordinates of sigma(b_i) - b_i g for the i-th
+    basis element b_i, and `mats[i]` the flat r x r matrix of b_i in a
+    faithful representation of A, so x is a unit exactly when its matrix
+    is.  A must have a basis over fld whose structure constants lie in
+    F_p and on whose coordinates sigma acts.  Its unit group is
+    connected, so by Lang's theorem the solutions over the algebraic
+    closure are A_0(F_p) x_0 for a unit x_0, where A_0 is that F_p form:
+    an F_p-space of dimension dim A.  The kernel over fld therefore holds
+    a unit exactly when its F_p-dimension is dim A (len(images) / q);
+    below that the answer is None with no scan.  A full kernel is
+    scanned with `_scan_range`, index digit 0 on the last kernel vector
+    (the first kernel coefficient outermost), and its first unit is
+    returned.
+    """
+    p = fld.p
     kern = fp_kernel([list(col) for col in zip(*images)], p)
-    if not kern:
+    if len(kern) < len(images) // fld.q:
         return None
-    k = len(kern)
-    if p ** k > EXHAUSTIVE_CAP:
-        raise SearchSpaceTooLarge(f"Lang solution space has p^{k} elements")
-    # the scan turns digit 0 fastest, so the last kernel vector goes
-    # first; index 0 (the zero matrix) is never a unit
     rows = kern[::-1]
-    idx = _scan_range(big, rows, r)
+    cols = list(zip(*mats))
+    scan = [[sum(a * b for a, b in zip(k, col)) % p for col in cols]
+            for k in rows]
+    idx = _scan_range(fld, scan, r)
     if idx is None:
-        return None
-    return Matrix.from_flat_ints(big, r, r, _row_combination(
-        [idx // p ** d % p for d in range(k)], rows, nv))
+        raise InternalError("a full Lang kernel holds no unit")
+    return [c % p for c in _row_combination(
+        [idx // p ** d % p for d in range(len(rows))], rows, len(images))]
 
 
 # -- restriction images and descent ------------------------------------------

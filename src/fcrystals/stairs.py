@@ -28,8 +28,6 @@ from .plinalg import (
     IntSolver,
     Matrix,
     exp_trunc,
-    fp_kernel,
-    fp_row_reduce,
     howell_form,
     howell_pivots,
     in_howell_span,
@@ -41,6 +39,7 @@ from .plinalg import (
 from .semilinear import (
     CircularSystem,
     fixed_lattice,
+    lang_unit,
     solve_circular,
 )
 from .witt import INFINITY, field_walk, make_witt_ring
@@ -616,26 +615,30 @@ def _abstract_lang(datum, g, gco):
     """Trivialize the residue class of g in the abstract unit group H(k).
 
     Works in coordinates with the span's structure constants (the
-    matrix-level reduction loses the p-divisible basis directions) over
+    matrix-level reduction loses the p-divisible basis directions), over
     the first residue extension, within the field table, that has a
-    trivializer.  Returns (lift of the trivializer, possibly base-changed
-    datum, g).
+    trivializer.  The structure constants are reduced once; their
+    residues lie in F_p, so `lang_unit` decides each field exactly: a
+    trivializer exists over F_(p^(qD)) exactly when the kernel of
+    x -> sigma(x) - x g has F_p-dimension v = len(datum.basis), and the
+    trivializer is its first unit in index order (the first kernel
+    coefficient outermost).  Returns (lift of the trivializer, possibly
+    base-changed datum, g).
     """
     ring = datum.crystal.ring
-    struct = _structure_constants(datum)
+    gamma = _structure_constants(datum)
     for D, fld in field_walk(ring.p, ring.q, 1):
+        x = _abstract_lang_search(
+            gamma, [ring2_reduce(c, fld) for c in gco], fld)
+        if x is None:
+            continue
         if D > 1:
             big = make_witt_ring(ring.p, ring.q * D, ring.n)
-            datum2 = datum.base_change(big)
-            g2 = g.embed(big)
-        else:
-            datum2, g2 = datum, g
-        gbar = [ring2_reduce(c, fld) for c in
-                (gco if D == 1 else [c.embed(datum2.crystal.ring)
-                                     for c in gco])]
-        x = _abstract_lang_search(datum2, struct, gbar, fld)
-        if x is not None:
-            return x, datum2, g2
+            datum, g = datum.base_change(big), g.embed(big)
+        lift = datum.crystal.ring.element
+        q = fld.q
+        return datum.combine([lift(x[a * q:(a + 1) * q])
+                              for a in range(len(gamma))]), datum, g
     raise ExtensionCapExceeded("no Lang trivializer within the field table")
 
 
@@ -646,7 +649,10 @@ def ring2_reduce(c, fld):
 
 
 def _structure_constants(datum):
-    """gamma[a][b] = coordinates of e_a e_b in the basis (WittElems)."""
+    """gamma[a][b][c] in [0, p): the residue of the c-th coordinate of
+    e_a e_b.  Raises InternalError when a residue lies outside F_p, since
+    sigma then does not act on coordinates as an algebra automorphism."""
+    p = datum.crystal.ring.p
     out = []
     for ea in datum.basis:
         row = []
@@ -654,94 +660,37 @@ def _structure_constants(datum):
             co = datum.coords(ea @ eb)
             if co is None:
                 raise NotMultiplicative("products leave the span")
-            row.append(co)
+            if any(t % p for y in co for t in y.coeffs[1:]):
+                raise InternalError("structure constant outside F_p")
+            row.append([y.coeffs[0] % p for y in co])
         out.append(row)
     return out
 
 
-def _mul_coords(xc, yc, struct, fld):
-    """Product in the abstract algebra, coordinates over fld (struct is
-    already reduced to fld)."""
-    v = len(xc)
-    out = [fld.zero()] * v
+def _abstract_lang_search(gamma, gbar, fld):
+    """Flat F_p coordinates of the first unit x with sigma(x) = x g in the
+    algebra of the structure constants gamma over fld, or None.
+
+    The unital algebra embeds in M_v by left multiplication: x = sum x_a e_a
+    acts as sum x_a Gamma_a with Gamma_a[c][b] = gamma_ab^c, and x g is
+    R_g x with R_g[c][a] = sum_b gamma_ab^c g_b.
+    """
+    q = fld.q
+    v = len(gamma)
+    g = [y.coeffs for y in gbar]
+    Rg = Matrix.from_flat_ints(fld, v, v, [
+        sum(gamma[a][b][c] * g[b][t] for b in range(v))
+        for c in range(v) for a in range(v) for t in range(q)])
+    images, mats = [], []
     for a in range(v):
-        if xc[a].is_zero():
-            continue
-        for b in range(v):
-            if yc[b].is_zero():
-                continue
-            coef = xc[a] * yc[b]
-            for cidx in range(v):
-                gab = struct[a][b][cidx]
-                if not gab.is_zero():
-                    out[cidx] = out[cidx] + coef * gab
-    return out
-
-
-def _abstract_lang_search(datum, struct, gbar, fld):
-    """x-bar with sigma(x) = x * g in the abstract algebra over fld."""
-    p = fld.p
-    v = len(datum.basis)
-    q = fld.q
-    nv = v * q
-    struct = [[[ring2_reduce(c, fld) for c in co] for co in row]
-              for row in struct]
-
-    def unpack(vec):
-        return [fld.element(vec[a * q:(a + 1) * q]) for a in range(v)]
-
-    images = []
-    for k in range(nv):
-        vec = [0] * nv
-        vec[k] = 1
-        xc = unpack(vec)
-        sx = [c.frobenius() for c in xc]
-        xg = _mul_coords(xc, gbar, struct, fld)
-        diff = [a - b for a, b in zip(sx, xg)]
-        flat = []
-        for c in diff:
-            flat.extend(c.coeffs)
-        images.append(flat)
-    kern = fp_kernel([list(col) for col in zip(*images)], p)
-    if not kern:
-        return None
-    import random as _random
-    rng = _random.Random(0)
-    dim = len(kern)
-    tries = min(p ** dim - 1, 512)
-    seen = set()
-    for _ in range(tries):
-        coeffs = tuple(rng.randrange(p) for _ in range(dim))
-        if not any(coeffs) or coeffs in seen:
-            continue
-        seen.add(coeffs)
-        vec = [0] * nv
-        for cf, kv in zip(coeffs, kern):
-            if cf:
-                for t in range(nv):
-                    vec[t] = (vec[t] + cf * kv[t]) % p
-        xc = unpack(vec)
-        if _abstract_unit(xc, struct, fld, v):
-            # lift coordinates and assemble the matrix
-            ring = datum.crystal.ring
-            lifted = [ring.element([cc % ring.pn for cc in c.coeffs])
-                      for c in xc]
-            return datum.combine(lifted)
-    return None
-
-
-def _abstract_unit(xc, struct, fld, v):
-    """Left multiplication by x invertible in the abstract algebra."""
-    q = fld.q
-    cols = []
-    for b in range(v):
         for t in range(q):
-            yc = [fld.zero()] * v
-            yc[b] = fld.element(tuple(1 if s == t else 0 for s in range(q)))
-            cols.append([c for e in _mul_coords(xc, yc, struct, fld)
-                         for c in e.coeffs])
-    _, pivots = fp_row_reduce(list(zip(*cols)), fld.p)
-    return len(pivots) == v * q
+            X = Matrix.from_flat_ints(fld, v, 1, [
+                int(k == a * q + t) for k in range(v * q)])
+            images.append((X.sigma() - Rg @ X).flat)
+            mats.append([gamma[a][b][c] if s == t else 0
+                         for c in range(v) for b in range(v)
+                         for s in range(q)])
+    return lang_unit(fld, images, mats, v)
 
 
 # -- composite certificate for the rank-6 thirds family ------------------------

@@ -88,10 +88,7 @@ def test_newton_invariance_and_dominance():
     for _ in range(5):
         g = Matrix(W, [[W.random_element(rng) for _ in range(2)]
                        for _ in range(2)])
-        try:
-            if det_valuation(g) != 0:
-                continue
-        except Exception:
+        if det_valuation(g) != 0:
             continue
         B2 = g @ C.B @ unit_inverse_matrix(g.sigma())
         assert newton_polygon(new_crystal(W, B2)).points == npC.points

@@ -1,5 +1,6 @@
-"""Every function and method of the package is used somewhere, and every
-defaulted parameter is set by some call.
+"""Every function and method of the package is used somewhere, every
+defaulted parameter is set by some call, and every top-level import of a
+module is read in it.
 
 A name counts as used when it is referenced (as a name, an attribute, or
 a dotted string such as a benchmark entry point) anywhere in src/,
@@ -157,3 +158,27 @@ def test_no_local_is_stored_and_never_read():
                      for name, line in stored.items()
                      if not name.startswith("_") and name not in read]
     assert dead == [], dead
+
+
+def test_no_module_import_is_unused():
+    """A name that a module of the package (not __init__, which
+    re-exports) imports at its top level is read somewhere in that
+    module."""
+    unused = []
+    for path, tree in _sources():
+        if not path.startswith(PACKAGE) or path.endswith("__init__.py"):
+            continue
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        rel = os.path.relpath(path, ROOT)
+        unused += [f"{rel}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == [], unused

@@ -27,6 +27,7 @@ from fcrystals.plinalg import (
     det_valuation,
     exp_trunc,
     fp_independent_rows,
+    fp_kernel,
     fp_row_reduce,
     howell_form,
     howell_pivots,
@@ -34,17 +35,25 @@ from fcrystals.plinalg import (
     inverse_with_shift,
     pack_rows,
     smith_normal_form,
+    unit_inverse_matrix,
 )
 from fcrystals.semilinear import (
     CircularSolution,
     CircularSystem,
     _first_unit_trial,
+    _lang_search,
     _scan_range,
     hom_module,
     isom_search,
     solve_circular,
 )
-from fcrystals.stairs import _fixed_datum, build_stairs_datum
+from fcrystals.stairs import (
+    _abstract_lang_search,
+    _fixed_datum,
+    _structure_constants,
+    build_stairs_datum,
+    ring2_reduce,
+)
 from fcrystals.witt import INFINITY, WittElem, field_walk, make_witt_ring
 from fcrystals.witt import _int_val as _ival
 from fcrystals.witt import _poly_mul_mod, _poly_pow_mod
@@ -69,7 +78,7 @@ def test_hom_module_matches_brute_force():
         try:
             C1 = new_crystal(ring, B1)
             C2 = new_crystal(ring, B2)
-        except Exception:
+        except SingularAtPrecision:
             continue
         tried += 1
         H = hom_module(C1, C2)
@@ -97,7 +106,7 @@ def test_isom_search_matches_brute_force():
         try:
             C1 = new_crystal(ring, B1)
             C2 = new_crystal(ring, B2)
-        except Exception:
+        except SingularAtPrecision:
             continue
         tried += 1
         res = isom_search(C1, C2)
@@ -105,12 +114,9 @@ def test_isom_search_matches_brute_force():
         for g in _all_matrices(ring, 2):
             if (g @ C1.B) != (C2.B @ g.sigma()):
                 continue
-            try:
-                if det_valuation(g) == 0:
-                    brute_found = True
-                    break
-            except Exception:
-                continue
+            if det_valuation(g) == 0:
+                brute_found = True
+                break
         assert (res.witness is not None) == brute_found
         if res.witness is not None:
             w = res.witness
@@ -170,7 +176,7 @@ def test_fixed_lattice_matches_enumeration():
                                     for _ in range(2)])
         try:
             C = new_crystal(ring, B)
-        except Exception:
+        except SingularAtPrecision:
             continue
         tried += 1
         H, expo = fixed_lattice(C)
@@ -2007,3 +2013,186 @@ def test_circular_maps_match_the_per_call_solver():
             assert all(set(b + d) <= {fld._zero, fld._one}
                        for _, b, d in kept), (p, q)
     assert extended >= 50 and capped >= 20, (extended, capped)
+
+
+# -- the Lang searches, against brute force over the kernel ------------------
+# `_mul_coords` and `_abstract_unit` are stairs._mul_coords and
+# _abstract_unit as they were before the abstract Lang search ran on the
+# unit scan, kept verbatim as the unit oracle: the product in coordinates,
+# and the rank of left multiplication.
+
+
+def _mul_coords(xc, yc, struct, fld):
+    """Product in the abstract algebra, coordinates over fld (struct is
+    already reduced to fld)."""
+    v = len(xc)
+    out = [fld.zero()] * v
+    for a in range(v):
+        if xc[a].is_zero():
+            continue
+        for b in range(v):
+            if yc[b].is_zero():
+                continue
+            coef = xc[a] * yc[b]
+            for cidx in range(v):
+                gab = struct[a][b][cidx]
+                if not gab.is_zero():
+                    out[cidx] = out[cidx] + coef * gab
+    return out
+
+
+def _abstract_unit(xc, struct, fld, v):
+    """Left multiplication by x invertible in the abstract algebra."""
+    q = fld.q
+    cols = []
+    for b in range(v):
+        for t in range(q):
+            yc = [fld.zero()] * v
+            yc[b] = fld.element(tuple(1 if s == t else 0 for s in range(q)))
+            cols.append([c for e in _mul_coords(xc, yc, struct, fld)
+                         for c in e.coeffs])
+    _, pivots = fp_row_reduce(list(zip(*cols)), fld.p)
+    return len(pivots) == v * q
+
+
+def _first_kernel_unit(images, p, is_unit):
+    """The first vector of the F_p kernel of the image columns, in index
+    order (digit d of the index on kernel vector k - 1 - d), that is_unit
+    accepts, trying every combination; None if none is."""
+    kern = fp_kernel([list(col) for col in zip(*images)], p)
+    k = len(kern)
+    for idx in range(p ** k):
+        vec = [0] * len(images)
+        for d, kv in enumerate(kern[::-1]):
+            c = idx // p ** d % p
+            vec = [(x + c * y) % p for x, y in zip(vec, kv)]
+        if is_unit(vec):
+            return vec
+    return None
+
+
+def _abstract_twist(xc, struct, fld, v):
+    """g with x g = sigma(x) for a unit x of the abstract algebra: the
+    kernel of [L_x | -sigma(x)] is spanned by (g, 1)."""
+    q = fld.q
+    cols = []
+    for b in range(v):
+        for t in range(q):
+            yc = [fld.zero()] * v
+            yc[b] = fld.element(tuple(1 if s == t else 0 for s in range(q)))
+            cols.append([c for e in _mul_coords(xc, yc, struct, fld)
+                         for c in e.coeffs])
+    cols.append([-c % fld.p for x in xc for c in x.frobenius().coeffs])
+    (vec,) = fp_kernel([list(row) for row in zip(*cols)], fld.p)
+    return [fld.element(vec[a * q:(a + 1) * q]) for a in range(v)]
+
+
+def _lang_algebras():
+    """(p, residue degree, structure constants, structure constants over a
+    field) of the fixed data of four crystals, and of two algebras over
+    F_p whose Lang kernels can have dimension v - 1: the upper triangular
+    2 x 2 matrices (basis e11, e12, e22) and F_p[e]/(e^2) (basis 1, e)."""
+    for p, q, n, fam, kw in ((2, 2, 2, "supersingular", {"d": 1}),
+                             (3, 2, 2, "supersingular", {"d": 1}),
+                             (3, 1, 1, "ordinary", {"r": 2, "d": 0}),
+                             (2, 3, 5, "isoclinic_3_3_6", {"r": 3, "c": 2})):
+        datum = _fixed_datum(builtin_crystal(make_witt_ring(p, q, n), fam,
+                                             **kw))
+        yield p, datum.crystal.ring.q, _structure_constants(datum), (
+            lambda fld, datum=datum: [[[
+                ring2_reduce(c, fld) for c in datum.coords(ea @ eb)]
+                for eb in datum.basis] for ea in datum.basis])
+    tri = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, c in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        tri[a][b][c] = 1
+    dual = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    for p in (2, 3):
+        for gamma in (tri, dual):
+            yield p, 1, gamma, (lambda fld, gamma=gamma: [[[
+                fld.element([c] + [0] * (fld.q - 1)) for c in co]
+                for co in row] for row in gamma])
+
+
+def test_abstract_lang_search_matches_brute_force():
+    """Over each algebra's residue field and its quadratic extension, with
+    random residue twists and twists x^(-1) sigma(x): None exactly when no
+    kernel combination is a unit (by the oracle), and otherwise the first
+    unit in index order."""
+    rng = random.Random(1700)
+    found = none = short = 0
+    for p, q, gamma, reduce_to in _lang_algebras():
+        v = len(gamma)
+        for fld in (make_witt_ring(p, q, 1), make_witt_ring(p, 2 * q, 1)):
+            Q = fld.q
+            struct = reduce_to(fld)
+
+            def unpack(vec):
+                return [fld.element(vec[a * Q:(a + 1) * Q])
+                        for a in range(v)]
+
+            def unit(vec):
+                return _abstract_unit(unpack(vec), struct, fld, v)
+
+            twists = []
+            for _ in range(3 if v < 9 else 1):
+                twists.append([fld.random_element(rng) for _ in range(v)])
+                while True:
+                    xc = [rng.randrange(p) for _ in range(v * Q)]
+                    if unit(xc):
+                        break
+                twists.append(_abstract_twist(unpack(xc), struct, fld, v))
+            for gbar in twists:
+                images = []
+                for k in range(v * Q):
+                    xc = unpack([int(t == k) for t in range(v * Q)])
+                    xg = _mul_coords(xc, gbar, struct, fld)
+                    images.append([c for x, y in zip(xc, xg)
+                                   for c in (x.frobenius() - y).coeffs])
+                want = _first_kernel_unit(images, p, unit)
+                got = _abstract_lang_search(gamma, gbar, fld)
+                assert got == want, (p, gamma, Q, gbar)
+                found += want is not None
+                none += want is None
+                short += len(fp_kernel([list(col) for col in zip(*images)],
+                                       p)) == v - 1
+    assert found >= 20 and none >= 10 and short >= 2, (found, none, short)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matrix_lang_search_matches_brute_force(p):
+    """sigma(x) = x g over one field, for random residue matrices g
+    (singular ones included) and for g = x^(-1) sigma(x): None exactly
+    when no kernel combination has a unit determinant, and otherwise the
+    first unit in index order."""
+    rng = random.Random(1710 + p)
+    found = none = 0
+    for q, r in ((1, 2), (2, 2), (3 if p == 2 else 1, 2 if p == 3 else 3)):
+        fld = make_witt_ring(p, q, 1)
+        nv = r * r * q
+        twists = []
+        for _ in range(4):
+            twists.append(Matrix(fld, [[fld.random_element(rng)
+                                        for _ in range(r)]
+                                       for _ in range(r)]))
+            while True:
+                x = Matrix(fld, [[fld.random_element(rng) for _ in range(r)]
+                                 for _ in range(r)])
+                if det_valuation(x) == 0:
+                    break
+            twists.append(unit_inverse_matrix(x) @ x.sigma())
+        for g in twists:
+            images = []
+            for k in range(nv):
+                X = Matrix.from_flat_ints(fld, r, r,
+                                          [int(t == k) for t in range(nv)])
+                images.append([c for i in range(r) for j in range(r)
+                               for c in (X[i, j].frobenius() - sum(
+                                   (X[i, t] * g[t, j] for t in range(r)),
+                                   fld.zero())).coeffs])
+            want = _first_kernel_unit(images, p, lambda vec: det_valuation(
+                Matrix.from_flat_ints(fld, r, r, vec)) == 0)
+            got = _lang_search(fld, g, r)
+            assert (got if got is None else list(got.flat)) == want, (q, g)
+            found += want is not None
+            none += want is None
+    assert found >= 12 and none >= 4, (found, none)

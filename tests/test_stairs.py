@@ -7,6 +7,7 @@ from fcrystals.bounds import epsilon_p
 from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import (
     BadShape,
+    ExtensionCapExceeded,
     PreconditionTooWeak,
     SingularAtPrecision,
     UnsupportedShape,
@@ -178,7 +179,7 @@ def test_algebra_stairs_ordinary(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_lang_supersingular(p):
     # p = 3 runs can exhaust the field table (the residue trivializer and
-    # the follow-up digit both extend); at least one witness must land
+    # the follow-up digit both extend); at least half the witnesses land
     ring = make_witt_ring(p, 2, 2)
     SS = builtin_crystal(ring, "supersingular", d=1)
     rng = random.Random(4)
@@ -187,11 +188,11 @@ def test_lang_supersingular(p):
         g = _general_twist(ring, 2, 1, rng)
         try:
             cert = lang_run(SS, g)
-        except Exception:
+        except ExtensionCapExceeded:
             continue
         assert cert.reverify()
         ok += 1
-    assert ok >= (3 if p == 2 else 1)
+    assert ok >= 3
 
 
 def test_lang_etale_any_unit():
@@ -204,11 +205,8 @@ def test_lang_etale_any_unit():
         while True:
             g = Matrix(ring, [[ring.random_element(rng) for _ in range(2)]
                               for _ in range(2)])
-            try:
-                if det_valuation(g) == 0:
-                    break
-            except Exception:
-                continue
+            if det_valuation(g) == 0:
+                break
         cert = lang_run(ET, g)
         assert cert.reverify() and cert.level == 1
 
