@@ -30,6 +30,7 @@ from .files import matrix_to_entries, read_crystal
 from .semilinear import hom_module, isom_search
 from .stairs import build_stairs_datum, stairs_run
 from .truncation import i_number_probe, polarized_isom_search
+from .verify import run_paper_suite
 
 # The one map from library errors to exit codes: main takes the first
 # entry the raised error is an instance of, so subclasses come first.
@@ -185,7 +186,6 @@ def cmd_verify(args):
     if args.suite != "paper":
         _err(f"unknown suite {args.suite!r}")
         return 2
-    from .verify import run_paper_suite
     results = run_paper_suite(seed=args.seed, emit=_out, fast=args.fast)
     failed = [r for r in results if not r["ok"]]
     sys.stderr.write(

@@ -7,6 +7,7 @@ integral; after normalization either shift = 0 or B has a unit entry.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     BadParams,
@@ -315,7 +316,6 @@ def builtin_crystal(ring, name, **params):
 
 def _isoclinic_cyclic(ring, r, c):
     """Basis e_0..e_{r-1}; phi(e_i) = e_{i+d} for i < c, else p*e_{i+d}."""
-    from math import gcd
     if not (1 <= c <= r - 1):
         raise BadParams("need 1 <= c <= r-1")
     d = r - c

@@ -11,6 +11,7 @@ import json
 from .crystal import FCrystal, PolarizedCrystal
 from .errors import BadShape
 from .plinalg import Matrix
+from .stairs import StairsDatum, _cycles_of
 from .witt import make_witt_ring
 
 _TOP_KEYS = {"version", "p", "q", "n", "rank", "shift", "matrix",
@@ -120,7 +121,6 @@ def stairs_datum_to_dict(datum) -> dict:
 
 
 def dict_to_stairs_datum(data: dict, crystal):
-    from .stairs import StairsDatum, _cycles_of
     unknown = set(data) - _STAIRS_KEYS
     if unknown:
         raise BadShape(f"unknown stairs keys: {sorted(unknown)}")

@@ -678,26 +678,17 @@ def solve_linear_module(a_rows, b, p, n) -> SolutionModule:
     if x is None:
         return SolutionModule(False, [], [], p, n)
     basis = howell_form(solver.packing, solver.kernel_generators())
-    x = reduce_against_howell(x, basis, p, n)
+    # the coset representative: the Howell row of [1 | x] over [0 | basis]
+    x = howell_form(*pack_rows([[1] + x] + [[0] + r for r in basis],
+                               p, n))[0][1:]
     return SolutionModule(True, x, basis, p, n)
 
 
-def reduce_against_howell(x, basis, p, n):
-    """Canonical coset representative of x modulo a Howell-spanned module."""
-    pn = p ** n
-    x = [int(c) % pn for c in x]
-    for row in basis:
-        j = next(i for i, c in enumerate(row) if c)
-        v = _int_val(row[j], p, n)
-        c = x[j] // p ** v
-        if c:
-            for t in range(len(x)):
-                x[t] = (x[t] - c * row[t]) % pn
-    return x
-
-
-def in_howell_span(x, basis, p, n):
-    return not any(reduce_against_howell(x, basis, p, n))
+def howell_contains(basis, rows, p, n):
+    """Whether every row lies in the span of `basis`, a `howell_form`
+    output at the same p and n: the Howell basis is unique, so adding
+    rows of the span leaves it as it is."""
+    return howell_form(*pack_rows(basis + rows, p, n)) == basis
 
 
 def w_span_rows(mats, ring):

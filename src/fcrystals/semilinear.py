@@ -11,6 +11,7 @@ from functools import cached_property
 from itertools import count
 from operator import mul
 
+from .bounds import epsilon_p
 from .errors import (
     BadShape,
     ExtensionCapExceeded,
@@ -27,9 +28,9 @@ from .plinalg import (
     fp_independent_rows,
     fp_kernel,
     fp_row_reduce,
+    howell_contains,
     howell_form,
     howell_pivots,
-    in_howell_span,
     pack_rows,
     smith_normal_form,
     swar_slot,
@@ -132,8 +133,8 @@ class HomModule:
         return sum(n - v for v in self.profile)
 
     def contains(self, g: Matrix) -> bool:
-        return in_howell_span(g.flat, self._howell, self.ring.p,
-                              self.precision)
+        return howell_contains(self._howell, [g.flat], self.ring.p,
+                               self.precision)
 
 
 def hom_module(C1, C2, precision=None) -> HomModule:
@@ -798,7 +799,6 @@ def hom_stabilization_check(C1, C2, m12, h12, t):
     Hom(n12 + v12 + t) inside Hom(n12 + t) must equal the image from
     every higher precision up to the ring's.
     """
-    from .bounds import epsilon_p
     ring = C1.ring
     eps = epsilon_p(ring.p)
     n12 = m12 + eps

@@ -9,11 +9,13 @@ moves there (within the built-in field table).
 """
 
 import math
+import random
 from dataclasses import dataclass, field
 from itertools import islice
 
 from .bounds import epsilon_p
-from .deviation import df_reduce
+from .crystal import FCrystal, builtin_crystal
+from .deviation import deviations, df_reduce
 from .errors import (
     BadShape,
     ExtensionCapExceeded,
@@ -28,9 +30,9 @@ from .plinalg import (
     IntSolver,
     Matrix,
     exp_trunc,
+    howell_contains,
     howell_form,
     howell_pivots,
-    in_howell_span,
     pack_rows,
     smith_normal_form,
     unit_inverse_matrix,
@@ -309,10 +311,10 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
             prev_rank = rank
             continue
         basis, m, hw = sel
-        mult = all(in_howell_span((a @ b).flat, hw, big.p, big.n)
-                   for a in basis for b in basis)
-        unital = in_howell_span(Matrix.identity(big, r).flat, hw,
-                                big.p, big.n)
+        mult = howell_contains(hw, [(a @ b).flat for a in basis
+                                    for b in basis], big.p, big.n)
+        unital = howell_contains(hw, [Matrix.identity(big, r).flat],
+                                 big.p, big.n)
         datum = StairsDatum(
             CD, basis, list(range(len(basis))), [0] * len(basis),
             m, [[l] for l in range(len(basis))], [+1] * len(basis),
@@ -331,14 +333,12 @@ def _select_w_basis(H, C):
     ring = H.ring
     r = C.rank
     chosen = []
-    span_rows = []
     current = []
     for b in H.basis:
-        rows_b = w_span_rows([b], ring)
-        new = howell_form(*pack_rows(span_rows + rows_b, ring.p, ring.n))
+        new = howell_form(*pack_rows(current + w_span_rows([b], ring),
+                                     ring.p, ring.n))
         if new != current:
             chosen.append(b)
-            span_rows.extend(rows_b)
             current = new
             if len(chosen) == r * r:
                 break
@@ -347,10 +347,7 @@ def _select_w_basis(H, C):
     piv = howell_pivots(current, ring.p, ring.n)
     if len(piv) < r * r * ring.q:
         return None
-    m = max(v for _, v in piv)
-    if m >= ring.n:
-        return None
-    return chosen, m, current
+    return chosen, max(v for _, v in piv), current
 
 
 # -- the engine ---------------------------------------------------------------
@@ -718,7 +715,6 @@ def _block_diag_datum(C0, split_at):
     r = C0.rank
     r1 = split_at
     E = C0.B.entries
-    from .crystal import FCrystal
     C1 = FCrystal(ring, Matrix(ring, [row[:r1] for row in E[:r1]]), 0)
     C2 = FCrystal(ring, Matrix(ring, [row[r1:] for row in E[r1:]]), 0)
     d1 = _fixed_datum(C1, 1)
@@ -747,9 +743,6 @@ def thirds_family_certificate(ring, alpha=1, trials=2, seed=0) -> dict:
     torsion exactly 1; sampled twists supported on each lattice
     trivialize through the matching stairs variant.
     """
-    import random
-    from .crystal import builtin_crystal
-    from .deviation import deviations
     C_a = builtin_crystal(ring, "phi_alpha_4_5", alpha=alpha)
     C_0 = builtin_crystal(ring, "phi_alpha_4_5", alpha=0)
     out = {"upper": 3, "upper_source": "stairs", "components": {}}

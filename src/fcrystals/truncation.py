@@ -8,10 +8,12 @@ congruence of the semilinear maps themselves when a splitting of the
 Hodge filtration is available.
 """
 
+import random
 from dataclasses import dataclass
+from itertools import product
 
 from .bounds import epsilon_p
-from .crystal import hodge_data, random_twist
+from .crystal import hodge_data, newton_polygon, random_twist
 from .errors import (
     BadShape,
     CrystalError,
@@ -24,8 +26,8 @@ from .errors import (
 from .plinalg import (
     Matrix,
     howell_coefficients,
+    howell_contains,
     inverse_with_shift,
-    reduce_against_howell,
     smith_normal_form,
     unit_inverse_matrix,
 )
@@ -41,6 +43,7 @@ from .semilinear import (
     isom_search,
     unit_search,
 )
+from .stairs import _fixed_datum, build_stairs_datum
 from .witt import INFINITY, make_witt_ring
 
 
@@ -206,7 +209,6 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
     the largest congruence level at which some sampled twist was shown
     non-isomorphic (Newton separation or exhaustive search).
     """
-    from .stairs import build_stairs_datum, _fixed_datum
     ring = C.ring
     _, _, h = hodge_data(C)
     report = {
@@ -257,8 +259,6 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
 
 def _floor_evidence(C, upper, trials, seed):
     """Largest j < upper with a sampled non-isomorphic twist at level j."""
-    import random
-    from .crystal import newton_polygon
     rng = random.Random(seed)
     ring = C.ring
     floor = -1
@@ -303,12 +303,9 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level):
     ring = C.ring
     p = ring.p
     r = C.rank
-    # cosets of small inside big: reduce big's rows against small
-    reps = []
-    for row in big_basis:
-        red = reduce_against_howell(row, small_basis, p, to_level)
-        if any(red):
-            reps.append(row)
+    # cosets of small inside big: big's rows outside span(small)
+    reps = [row for row in big_basis
+            if not howell_contains(small_basis, [row], p, to_level)]
     if not reps:
         return False
     if p ** len(reps) > EXHAUSTIVE_CAP:
@@ -316,12 +313,11 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level):
     if p ** len(small_basis) > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge("mod-p span too large to scan")
     # scan (coset rep combo) x (mod-p span of small) for units not in small
-    from itertools import product
     for combo in product(range(p), repeat=len(reps)):
         if not any(combo):
             continue
         base = _row_combination(combo, reps, r * r * ring.q)
-        if not any(reduce_against_howell(base, small_basis, p, to_level)):
+        if howell_contains(small_basis, [base], p, to_level):
             continue  # fell into the small span after all
         if _scan_range(ring, small_basis, r, base) is not None:
             return True
@@ -335,7 +331,6 @@ def aut_image_stabilization_check(C, t) -> bool:
     compared as unit sets: the module chain is decreasing, so equality
     fails only when a deeper coset still contains a unit.
     """
-    from .stairs import build_stairs_datum
     ring = C.ring
     _, _, h = hodge_data(C)
     m = build_stairs_datum(C).torsion

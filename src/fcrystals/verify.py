@@ -30,20 +30,23 @@ from .plinalg import (
 )
 from .semilinear import (
     descends_to_subfield,
+    fixed_lattice,
     hom_module,
     hom_stabilization_check,
     isom_search,
     cokernel_length,
 )
 from .stairs import (
+    _cycles_of,
     _fixed_datum,
+    _monomial_shape,
     build_stairs_datum,
     lang_run,
     stairs_algebra_run,
     stairs_run,
     thirds_family_certificate,
 )
-from .truncation import i_number_probe, verschiebung
+from .truncation import i_number_probe, polarized_isom_search, verschiebung
 from .witt import make_witt_ring
 
 
@@ -161,8 +164,6 @@ def check_example_family():
 
 
 def check_isoclinic_lattices():
-    from .semilinear import fixed_lattice
-    from .stairs import _monomial_shape, _cycles_of
     out = []
     for (r, c) in ((3, 2), (5, 3), (5, 2)):
         for p in (2, 3):
@@ -213,7 +214,6 @@ def check_thirds_family():
 
 
 def check_nonisomorphic_pair():
-    from .truncation import polarized_isom_search
     ring = make_witt_ring(2, 6, 4)
     C1 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.from_int(1))
     C2 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.gen())

@@ -1,6 +1,6 @@
 """Every function and method of the package is used somewhere, every
-defaulted parameter is set by some call, and every top-level import of a
-module is read in it.
+defaulted parameter is set by some call, every top-level import of a
+module is read in it, and no import hides inside a function.
 
 A name counts as used when it is referenced (as a name, an attribute, or
 a dotted string such as a benchmark entry point) anywhere in src/,
@@ -182,3 +182,19 @@ def test_no_module_import_is_unused():
         unused += [f"{rel}:{line} {name}" for name, line in imported.items()
                    if name not in read]
     assert unused == [], unused
+
+
+def test_no_import_inside_a_function():
+    """Modules of the package import at their top level only: the
+    intra-package import graph has no cycle, so no import has to wait for
+    a call, and a function-local import only hides a dependency."""
+    local = set()
+    for path, tree in _sources():
+        if not path.startswith(PACKAGE):
+            continue
+        rel = os.path.relpath(path, ROOT)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local |= {f"{rel}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(local) == [], sorted(local)

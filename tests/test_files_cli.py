@@ -457,7 +457,7 @@ COMMAND_CALLS = [
     (["isom", "P", "P"], "fcrystals.cli.polarized_isom_search"),
     (["stairs", "F", "--twist-level", "1"], "fcrystals.cli.stairs_run"),
     (["probe", "F"], "fcrystals.cli.i_number_probe"),
-    (["verify", "--fast"], "fcrystals.verify.run_paper_suite"),
+    (["verify", "--fast"], "fcrystals.cli.run_paper_suite"),
 ]
 
 

@@ -8,9 +8,9 @@ from operator import mul
 
 import pytest
 
-from fcrystals import deviation, semilinear
+from fcrystals import deviation, semilinear, stairs
 from fcrystals.conway import CONWAY_TABLE
-from fcrystals.crystal import builtin_crystal, new_crystal
+from fcrystals.crystal import builtin_crystal, direct_sum_crystal, new_crystal
 from fcrystals.errors import (
     BadShape,
     ExtensionCapExceeded,
@@ -29,13 +29,15 @@ from fcrystals.plinalg import (
     fp_independent_rows,
     fp_kernel,
     fp_row_reduce,
+    howell_contains,
     howell_form,
     howell_pivots,
-    in_howell_span,
     inverse_with_shift,
     pack_rows,
     smith_normal_form,
+    solve_linear_module,
     unit_inverse_matrix,
+    w_span_rows,
 )
 from fcrystals.semilinear import (
     CircularSolution,
@@ -43,6 +45,7 @@ from fcrystals.semilinear import (
     _first_unit_trial,
     _lang_search,
     _scan_range,
+    fixed_lattice,
     hom_module,
     isom_search,
     solve_circular,
@@ -50,6 +53,7 @@ from fcrystals.semilinear import (
 from fcrystals.stairs import (
     _abstract_lang_search,
     _fixed_datum,
+    _select_w_basis,
     _structure_constants,
     build_stairs_datum,
     ring2_reduce,
@@ -2196,3 +2200,187 @@ def test_matrix_lang_search_matches_brute_force(p):
             found += want is not None
             none += want is None
     assert found >= 12 and none >= 4, (found, none)
+
+
+# -- span membership by one Howell comparison, against the list reduction ----
+# `reduce_against_howell` and `in_howell_span` are the plinalg functions, and
+# `_span_rows_select_w_basis` is stairs._select_w_basis, as they were before
+# span membership went through `howell_contains`; kept verbatim (renamed,
+# `_int_val` as this file imports it) as the oracle.
+
+
+def reduce_against_howell(x, basis, p, n):
+    """Canonical coset representative of x modulo a Howell-spanned module."""
+    pn = p ** n
+    x = [int(c) % pn for c in x]
+    for row in basis:
+        j = next(i for i, c in enumerate(row) if c)
+        v = _ival(row[j], p, n)
+        c = x[j] // p ** v
+        if c:
+            for t in range(len(x)):
+                x[t] = (x[t] - c * row[t]) % pn
+    return x
+
+
+def in_howell_span(x, basis, p, n):
+    return not any(reduce_against_howell(x, basis, p, n))
+
+
+def _span_rows_select_w_basis(H, C):
+    """r^2 fixed elements whose W-span has finite lattice exponent.
+
+    Returns (elements, lattice exponent, Howell basis of their W-span).
+    """
+    ring = H.ring
+    r = C.rank
+    chosen = []
+    span_rows = []
+    current = []
+    for b in H.basis:
+        rows_b = w_span_rows([b], ring)
+        new = howell_form(*pack_rows(span_rows + rows_b, ring.p, ring.n))
+        if new != current:
+            chosen.append(b)
+            span_rows.extend(rows_b)
+            current = new
+            if len(chosen) == r * r:
+                break
+    if len(chosen) < r * r:
+        return None
+    piv = howell_pivots(current, ring.p, ring.n)
+    if len(piv) < r * r * ring.q:
+        return None
+    m = max(v for _, v in piv)
+    if m >= ring.n:
+        return None
+    return chosen, m, current
+
+
+def _contains_row_by_row(basis, rows, p, n):
+    return all(in_howell_span(row, basis, p, n) for row in rows)
+
+
+def _combination(rng, basis, p, n, m):
+    pn = p ** n
+    coeffs = [rng.randrange(pn) for _ in basis]
+    return [sum(c * row[t] for c, row in zip(coeffs, basis)) % pn
+            for t in range(m)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_howell_contains_matches_the_row_by_row_oracle(p):
+    """Batches of span members (combinations, closure rows p^(n - v) b of
+    the basis rows b with pivot p^v, zero rows) and random rows, over
+    random spans and the zero span."""
+    rng = random.Random(1800 + p)
+    seen = {"zero span": 0, "closure row": 0, "member batch": 0,
+            "mixed batch": 0, "zero rows only": 0}
+    for case in range(160):
+        n = 1 + case % 4
+        pn = p ** n
+        gens = _random_generators(rng, p, n)
+        m = len(gens[0])
+        basis = [] if case % 8 == 0 else howell_form(*pack_rows(gens, p, n))
+        members = [_combination(rng, basis, p, n, m)
+                   for _ in range(rng.randint(0, 3))]
+        closure = [[p ** (n - v) * c % pn for c in row] for row, (_, v)
+                   in zip(basis, howell_pivots(basis, p, n)) if v]
+        members += [row for row in closure if any(row)]
+        members += [[0] * m] * rng.randint(0, 1)
+        others = [[rng.randrange(pn) for _ in range(m)]
+                  for _ in range(rng.randint(1, 3))]
+        batches = [members, others[:1], members + others]
+        batches += [[row] for row in members + others]
+        for batch in batches:
+            rng.shuffle(batch)
+            got = howell_contains(basis, batch, p, n)
+            assert got == _contains_row_by_row(basis, batch, p, n), (
+                n, basis, batch)
+        assert howell_contains(basis, members, p, n), (n, basis, members)
+        outside = not _contains_row_by_row(basis, others, p, n)
+        seen["zero span"] += not basis and outside
+        seen["closure row"] += any(any(row) for row in closure)
+        seen["member batch"] += any(map(any, members))
+        seen["mixed batch"] += any(map(any, members)) and outside
+        seen["zero rows only"] += bool(members) and not any(map(any, members))
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solve_linear_module_representative_matches_the_list_reduction(p):
+    """The particular solution is the oracle's coset representative of the
+    solver's solution, and of that solution plus any kernel element."""
+    rng = random.Random(1900 + p)
+    moved = 0
+    for n, A in _int_systems(p, rng):
+        pn, cols = p ** n, len(A[0])
+        solver = IntSolver(*pack_rows(A, p, n))
+        for _ in range(2):
+            b = _apply(A, [rng.randrange(pn) for _ in range(cols)], pn)
+            sol = solve_linear_module(A, b, p, n)
+            x = solver.solve(b)
+            assert sol.particular == reduce_against_howell(
+                x, sol.basis, p, n), (n, A, b)
+            y = [(a + c) % pn for a, c in zip(
+                x, _combination(rng, sol.basis, p, n, cols))]
+            assert sol.particular == reduce_against_howell(
+                y, sol.basis, p, n), (n, A, b, y)
+            moved += sol.particular != x
+    assert moved >= 10
+
+
+def _fixed_datum_cases():
+    """(crystal, max_extension): the fixed data reached by checks 04
+    (isoclinic fixed lattices), 08 (i-number probes) and 09 (direct sums,
+    at most degree 4), and isoclinic_3_3_6(r=3, c=2) over W_2(F_9) and
+    W_2(F_25), whose fixed data are not multiplicative."""
+    for r, c in ((3, 2), (5, 3), (5, 2)):
+        for p in (2, 3):
+            yield builtin_crystal(make_witt_ring(p, r, 4), "isoclinic_3_3_6",
+                                  r=r, c=c), 6
+    W36 = make_witt_ring(3, 1, 6)
+    yield builtin_crystal(W36, "ordinary", r=2, d=0), 6
+    yield builtin_crystal(W36, "ordinary", r=2, d=1), 6
+    yield builtin_crystal(make_witt_ring(3, 2, 4), "supersingular", d=1), 6
+    ss = builtin_crystal(make_witt_ring(3, 2, 8), "supersingular", d=1)
+    iso = builtin_crystal(make_witt_ring(2, 3, 8), "isoclinic_3_3_6", r=3,
+                          c=2)
+    W4 = make_witt_ring(2, 2, 8)
+    ss4 = builtin_crystal(W4, "supersingular", d=1)
+    rng = random.Random(5)
+    # a unit, being 1 mod 2: check 09's first draw
+    u = Matrix.identity(W4, 2) + Matrix(
+        W4, [[W4.random_element(rng) * 2 for _ in range(2)]
+             for _ in range(2)])
+    twist = new_crystal(W4, u @ ss4.B @ unit_inverse_matrix(u.sigma()), 0)
+    for C1, C2 in ((ss, ss), (iso, iso), (ss4, twist)):
+        yield direct_sum_crystal(C1, C2), 4
+    for p in (3, 5):
+        yield builtin_crystal(make_witt_ring(p, 2, 2), "isoclinic_3_3_6",
+                              r=3, c=2), 6
+
+
+def test_fixed_datum_matches_the_list_route(monkeypatch):
+    """The datum, `multiplicative` and `unital` of `_fixed_datum`, and the
+    W-basis selection on its final field, against the route through
+    `in_howell_span` and the accumulated `span_rows`."""
+    outcomes = set()
+    for C, ext in _fixed_datum_cases():
+        new = _fixed_datum(C, ext)
+        with monkeypatch.context() as patch:
+            patch.setattr(stairs, "howell_contains", _contains_row_by_row)
+            patch.setattr(stairs, "_select_w_basis",
+                          _span_rows_select_w_basis)
+            ref = _fixed_datum(C, ext)
+        assert (new is None) == (ref is None)
+        if new is None:
+            continue
+        assert new.crystal.ring == ref.crystal.ring
+        assert (new.basis, new.torsion, new.multiplicative, new.unital) == \
+            (ref.basis, ref.torsion, ref.multiplicative, ref.unital)
+        H, _ = fixed_lattice(new.crystal)
+        assert _select_w_basis(H, new.crystal) == \
+            _span_rows_select_w_basis(H, new.crystal)
+        outcomes.add((new.multiplicative, new.unital))
+    assert {(True, True), (False, True)} <= outcomes, outcomes
