@@ -250,7 +250,7 @@ def build_parser():
 
     p = sub.add_parser("probe", help="i-number upper witness and evidence")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=6)
+    p.add_argument("--trials", type=_int_at_least(0), default=6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_probe)
 

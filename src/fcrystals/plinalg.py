@@ -706,31 +706,10 @@ def w_span_rows(mats, ring):
 # -- linear algebra over F_p -------------------------------------------------
 
 
-def fp_row_reduce(rows, p):
-    """(Reduced row echelon form over F_p, its pivot columns)."""
-    work = [[c % p for c in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [(inv * x) % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-    return work[:len(pivots)], pivots
-
-
 def fp_independent_rows(P, rows):
     """Indices of the rows, packed by P, whose residues mod p are
-    independent of those of the rows before them: the pivot columns
-    `fp_row_reduce` finds on the transposed residues.  What is left of
+    independent of those of the rows before them: the pivot columns of
+    the reduced echelon form of the transposed residues.  What is left of
     each such residue joins an echelon, normalised, by leading slot."""
     p, red, w, low = P.p, P.residue, P.w, (1 << P.w) - 1
     ech, keep = [], []   # (slot shift, residue with leading entry 1 there)
@@ -746,13 +725,15 @@ def fp_independent_rows(P, rows):
     return keep
 
 
-def fp_kernel(rows, p):
-    """F_p basis of {x : rows x = 0}, one vector per free column."""
-    red, pivots = fp_row_reduce(rows, p)
-    ncols = len(rows[0])
+def fp_kernel(P, rows):
+    """F_p basis of {x : rows x = 0}, rows packed by P at n = 1: one vector
+    per free column of `howell_form`, which at n = 1 is the reduced
+    echelon form."""
+    p, red = P.p, howell_form(P, rows)
+    pivots = [c for c, _ in howell_pivots(red, p, 1)]
     kern = []
-    for c in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
+    for c in sorted(set(range(P.cols)) - set(pivots)):
+        vec = [0] * P.cols
         vec[c] = 1
         for row, pc in zip(red, pivots):
             vec[pc] = (-row[c]) % p

@@ -27,7 +27,6 @@ from .plinalg import (
     _PackedRows,
     fp_independent_rows,
     fp_kernel,
-    fp_row_reduce,
     howell_contains,
     howell_form,
     howell_pivots,
@@ -671,21 +670,22 @@ class _CircularMap:
         """(number of test rows, columns) of case +1 over big.
 
         The map M: x -> x - V sigma^L(x) is F_p-linear on the big.q
-        coordinates.  With T the right half of the reduced [M | I], T M is
-        the reduced echelon form of M, so A is in the image iff the rows
-        of T A past the rank are zero, and the rows before it are the
-        pivot coordinates of x_0 (the free ones are zero).  Each x_j,
+        coordinates, and its rows are the `_intertwiner_system` of 1 x 1
+        matrices.  With T the right half of the `howell_form` of [M | I]
+        (at n = 1 the reduced echelon form), T M is the reduced echelon
+        form of M, so A is in the image iff the rows of T A past the rank
+        are zero, and the rows before it are the pivot coordinates of x_0
+        (the free ones are zero).  Each x_j,
         j >= 1, is (d_j sigma(x_(j-1)) - c_j) / b_j.
         """
         p, Q, L = big.p, big.q, len(self.b)
-        V = self.V.embed(big)
-        units = [big.element([int(t == j) for t in range(Q)])
-                 for j in range(Q)]
-        cols = [(e - V * e.frobenius(L)).coeffs for e in units]
-        # row i of [M | I]: coordinate i of each column, then e_i
-        red, pivots = fp_row_reduce([row + units[i].coeffs for i, row
-                                     in enumerate(zip(*cols))], p)
-        pivots = [c for c in pivots if c < Q]
+        _, rows = _intertwiner_system(Matrix.identity(big, 1), Matrix(
+            big, [[self.V.embed(big)]]), big, sigma_power=L)
+        # row i of [M | I]: row i of M, then e_i
+        P = _PackedRows(p, 1, 2 * Q)
+        red = howell_form(P, [r | 1 << (Q + i) * P.w
+                              for i, r in enumerate(rows)])
+        pivots = [c for c, _ in howell_pivots(red, p, 1) if c < Q]
         T = [row[Q:] for row in red]
         d = [x.embed(big) for x in self.d]
         binv = [x.embed(big) for x in self.binv]
@@ -742,35 +742,35 @@ def _lang_search(big, g, r):
     (see `lang_unit`), or None."""
     nv = r * r * big.q
     basis = [[int(t == k) for t in range(nv)] for k in range(nv)]
-    images = []
-    for e in basis:
-        X = Matrix.from_flat_ints(big, r, r, e)
-        images.append((X.sigma() - X @ g).flat)
-    x = lang_unit(big, images, basis, r)
+    # the equations of x g - sigma(x) = 0
+    x = lang_unit(big, _intertwiner_system(g, Matrix.identity(big, r), big),
+                  basis, r)
     return None if x is None else Matrix.from_flat_ints(big, r, r, x)
 
 
-def lang_unit(fld, images, mats, r):
+def lang_unit(fld, system, mats, r):
     """First unit x with sigma(x) = x g in an algebra A over the field fld
     (n = 1), as flat F_p coordinates over an F_p basis of A, or None.
 
-    `images[i]` holds the coordinates of sigma(b_i) - b_i g for the i-th
-    basis element b_i, and `mats[i]` the flat r x r matrix of b_i in a
-    faithful representation of A, so x is a unit exactly when its matrix
-    is.  A must have a basis over fld whose structure constants lie in
-    F_p and on whose coordinates sigma acts.  Its unit group is
+    `system` is (P, rows), the equations of sigma(x) = x g in those
+    coordinates packed by P (as `_intertwiner_system` returns them), so
+    A has dimension P.cols / q over fld; `mats[i]` is the flat r x r
+    matrix of the i-th basis element in a faithful representation of A,
+    so x is a unit exactly when its matrix is.  A must have a basis over
+    fld whose structure constants lie in F_p and on whose coordinates
+    sigma acts.  Its unit group is
     connected, so by Lang's theorem the solutions over the algebraic
     closure are A_0(F_p) x_0 for a unit x_0, where A_0 is that F_p form:
     an F_p-space of dimension dim A.  The kernel over fld therefore holds
-    a unit exactly when its F_p-dimension is dim A (len(images) / q);
+    a unit exactly when its F_p-dimension is dim A;
     below that the answer is None with no scan.  A full kernel is
     scanned with `_scan_range`, index digit 0 on the last kernel vector
     (the first kernel coefficient outermost), and its first unit is
     returned.
     """
-    p = fld.p
-    kern = fp_kernel([list(col) for col in zip(*images)], p)
-    if len(kern) < len(images) // fld.q:
+    P, p = system[0], fld.p
+    kern = fp_kernel(*system)
+    if len(kern) < P.cols // fld.q:
         return None
     rows = kern[::-1]
     cols = list(zip(*mats))
@@ -780,7 +780,7 @@ def lang_unit(fld, images, mats, r):
     if idx is None:
         raise InternalError("a full Lang kernel holds no unit")
     return [c % p for c in _row_combination(
-        [idx // p ** d % p for d in range(len(rows))], rows, len(images))]
+        [idx // p ** d % p for d in range(len(rows))], rows, P.cols)]
 
 
 # -- restriction images and descent ------------------------------------------

@@ -40,6 +40,7 @@ from .plinalg import (
 )
 from .semilinear import (
     CircularSystem,
+    _intertwiner_system,
     fixed_lattice,
     lang_unit,
     solve_circular,
@@ -424,8 +425,7 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
                 f"stairs made no progress: {prev_umin} -> {umin}")
         # per-cycle shifts
         if algebra_mode:
-            t = int(min(y.valuation() for y in ys if not y.is_zero()))
-            u_list = [t] * len(datum.cycles)
+            u_list = [umin] * len(datum.cycles)
         else:
             u_list = []
             for cyc in datum.cycles:
@@ -446,11 +446,8 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
             for pos in range(L):
                 l = cyc[pos]
                 lprev = cyc[(pos - 1) % L]
-                q_l = max(0, -datum.exponents[l])
-                q_prev = max(0, -datum.exponents[lprev])
-                b.append(fld.from_int(p ** q_l if q_l == 0 else 0))
-                d.append(fld.from_int(
-                    1 if q_prev + datum.exponents[lprev] == 0 else 0))
+                b.append(fld.from_int(int(datum.exponents[l] >= 0)))
+                d.append(fld.from_int(int(datum.exponents[lprev] <= 0)))
                 cc = ys[l].divide_exact(u_c).reduce_to(fld)
                 c.append(cc)
             sysm = CircularSystem(fld, L, b, c, d)
@@ -670,24 +667,21 @@ def _abstract_lang_search(gamma, gbar, fld):
 
     The unital algebra embeds in M_v by left multiplication: x = sum x_a e_a
     acts as sum x_a Gamma_a with Gamma_a[c][b] = gamma_ab^c, and x g is
-    R_g x with R_g[c][a] = sum_b gamma_ab^c g_b.
+    R_g x with R_g[c][a] = sum_b gamma_ab^c g_b.  As a row vector x^T
+    solves x^T R_g^T = sigma(x^T), an `_intertwiner_system` with 1 x 1
+    identity on the right.
     """
     q = fld.q
     v = len(gamma)
     g = [y.coeffs for y in gbar]
-    Rg = Matrix.from_flat_ints(fld, v, v, [
+    RgT = Matrix.from_flat_ints(fld, v, v, [
         sum(gamma[a][b][c] * g[b][t] for b in range(v))
-        for c in range(v) for a in range(v) for t in range(q)])
-    images, mats = [], []
-    for a in range(v):
-        for t in range(q):
-            X = Matrix.from_flat_ints(fld, v, 1, [
-                int(k == a * q + t) for k in range(v * q)])
-            images.append((X.sigma() - Rg @ X).flat)
-            mats.append([gamma[a][b][c] if s == t else 0
-                         for c in range(v) for b in range(v)
-                         for s in range(q)])
-    return lang_unit(fld, images, mats, v)
+        for a in range(v) for c in range(v) for t in range(q)])
+    mats = [[gamma[a][b][c] if s == t else 0
+             for c in range(v) for b in range(v) for s in range(q)]
+            for a in range(v) for t in range(q)]
+    return lang_unit(fld, _intertwiner_system(RgT, Matrix.identity(fld, 1),
+                                              fld), mats, v)
 
 
 # -- composite certificate for the rank-6 thirds family ------------------------

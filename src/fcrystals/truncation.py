@@ -218,40 +218,37 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
         "regime": "exhaustive",
         "evidence": {},
     }
+    try:
+        dat = _fixed_datum(C)
+    except CrystalError:
+        dat = None
     if h == 0:
         report["upper"] = 0
         report["upper_source"] = "h0"
         report["evidence"]["reason"] = "unit matrix of phi"
-        dat = _fixed_datum(C)
         if dat is not None and dat.torsion == 0:
             report["evidence"]["fixed_lattice_exponent"] = 0
+    elif dat is not None and dat.unital and dat.multiplicative:
+        report["upper"] = dat.torsion
+        report["upper_source"] = "lang"
+        report["evidence"]["fixed_lattice_exponent"] = dat.torsion
     else:
-        dat = None
         try:
-            dat = _fixed_datum(C)
+            datum = build_stairs_datum(C)
         except CrystalError:
-            dat = None
-        if dat is not None and dat.unital and dat.multiplicative:
-            report["upper"] = dat.torsion
-            report["upper_source"] = "lang"
-            report["evidence"]["fixed_lattice_exponent"] = dat.torsion
+            datum = None
+        if datum is None:
+            report["upper_source"] = "none"
+            report["evidence"]["reason"] = "no lattice datum available"
+        elif datum.multiplicative and datum.unital and datum.torsion == 0:
+            # the span is all of End: units form the full group
+            report["upper"] = 1
+            report["upper_source"] = "stairs"
+            report["evidence"]["lattice"] = "End itself, torsion 0"
         else:
-            try:
-                datum = build_stairs_datum(C)
-            except CrystalError:
-                datum = None
-            if datum is None:
-                report["upper_source"] = "none"
-                report["evidence"]["reason"] = "no lattice datum available"
-            elif datum.multiplicative and datum.unital and datum.torsion == 0:
-                # the span is all of End: units form the full group
-                report["upper"] = 1
-                report["upper_source"] = "stairs"
-                report["evidence"]["lattice"] = "End itself, torsion 0"
-            else:
-                report["upper"] = 2 * datum.torsion + epsilon_p(ring.p)
-                report["upper_source"] = "stairs"
-                report["evidence"]["lattice_torsion"] = datum.torsion
+            report["upper"] = 2 * datum.torsion + epsilon_p(ring.p)
+            report["upper_source"] = "stairs"
+            report["evidence"]["lattice_torsion"] = datum.torsion
     report["floor_evidence"] = _floor_evidence(C, report["upper"],
                                                trials, seed)
     return report

@@ -211,6 +211,7 @@ def _main_exit(argv):
     (["isom", "a.json", "b.json", "--jobs", "0"], "--jobs"),
     (["verify", "--fast", "--jobs", "-2"], "--jobs"),
     (["stairs", "a.json", "--twist-level", "-1"], "--twist-level"),
+    (["probe", "a.json", "--trials", "-1"], "--trials"),
 ])
 def test_cli_integer_flags_are_input_errors(tmp_path, capsys, argv, flag):
     C = builtin_crystal(make_witt_ring(2, 1, 3), "ordinary", r=2, d=1)
@@ -221,6 +222,17 @@ def test_cli_integer_flags_are_input_errors(tmp_path, capsys, argv, flag):
     out = capsys.readouterr()
     assert out.out == ""
     assert f"argument {flag}:" in out.err
+
+
+def test_cli_probe_reports_a_shifted_unit_crystal(tmp_path, capsys):
+    """h = 0 with shift 1: the fixed lattice datum rejects the shift, and
+    that must not stop the h0 report."""
+    ring = make_witt_ring(3, 1, 4)
+    path = tmp_path / "shifted.json"
+    write_crystal(path, new_crystal(ring, Matrix.identity(ring, 2), 1))
+    assert _main_exit(["probe", str(path), "--trials", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["upper"], rep["upper_source"]) == (0, "h0")
 
 
 @pytest.mark.parametrize("argv, message", [

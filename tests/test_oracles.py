@@ -28,7 +28,6 @@ from fcrystals.plinalg import (
     exp_trunc,
     fp_independent_rows,
     fp_kernel,
-    fp_row_reduce,
     howell_contains,
     howell_form,
     howell_pivots,
@@ -1306,6 +1305,87 @@ def test_d_truncation_hom_module_matches_the_list_route(p):
                     (p, q, n, r1, r2)
 
 
+# -- the list F_p eliminator, against howell_form at n = 1 -------------------
+# `fp_row_reduce` and `_list_fp_kernel` (plinalg.fp_kernel on list rows)
+# are the list eliminator that howell_form replaced at n = 1, verbatim.
+
+
+def fp_row_reduce(rows, p):
+    """(Reduced row echelon form over F_p, its pivot columns)."""
+    work = [[c % p for c in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = pow(work[r][c], -1, p)
+        work[r] = [(inv * x) % p for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work[:len(pivots)], pivots
+
+
+def _list_fp_kernel(rows, p):
+    """F_p basis of {x : rows x = 0}, one vector per free column."""
+    red, pivots = fp_row_reduce(rows, p)
+    ncols = len(rows[0])
+    kern = []
+    for c in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[c] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = (-row[c]) % p
+        kern.append(vec)
+    return kern
+
+
+def _fp_matrices(p, rng):
+    """Seeded matrices over F_p: no rows, all zero, wide, tall, of rank
+    below both sides (a product through a narrower middle), with zero and
+    repeated rows, some entries outside [0, p)."""
+    yield []
+    yield [[0] * 4 for _ in range(3)]
+    for case in range(80):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if case % 3 == 0 and min(rows, cols) > 1:
+            k = rng.randint(1, min(rows, cols) - 1)
+            left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randrange(p) for _ in range(cols)]
+                     for _ in range(k)]
+            A = [[sum(map(mul, row, col)) for col in zip(*right)]
+                 for row in left]
+        else:
+            fill = rng.choice([0.3, 1.0])
+            A = [[rng.randrange(-p, 2 * p) if rng.random() < fill else 0
+                  for _ in range(cols)] for _ in range(rows)]
+        for _ in range(rng.randint(0, 2)):
+            A.insert(rng.randrange(len(A) + 1), rng.choice(
+                [[0] * cols, list(rng.choice(A))]))
+        yield A
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_howell_form_at_n1_is_the_reduced_echelon_form(p):
+    rng = random.Random(1800 + p)
+    deficient = 0
+    for A in _fp_matrices(p, rng):
+        red, pivots = fp_row_reduce(A, p)
+        P, rows = pack_rows(A, p, 1)
+        basis = howell_form(P, rows)
+        assert basis == red, A
+        assert [j for j, _ in howell_pivots(basis, p, 1)] == pivots, A
+        if A:
+            assert fp_kernel(P, rows) == _list_fp_kernel(A, p), A
+            deficient += len(pivots) < min(len(A), len(A[0]))
+    assert deficient >= 30, deficient
+
+
 def _fp_systems(p, rng):
     """Seeded (n, row list) over Z/p^n, n = 1..3: zero rows, duplicates,
     rows of p-multiples, entries outside [0, p^n), no rows."""
@@ -2063,7 +2143,7 @@ def _first_kernel_unit(images, p, is_unit):
     """The first vector of the F_p kernel of the image columns, in index
     order (digit d of the index on kernel vector k - 1 - d), that is_unit
     accepts, trying every combination; None if none is."""
-    kern = fp_kernel([list(col) for col in zip(*images)], p)
+    kern = _list_fp_kernel([list(col) for col in zip(*images)], p)
     k = len(kern)
     for idx in range(p ** k):
         vec = [0] * len(images)
@@ -2087,7 +2167,7 @@ def _abstract_twist(xc, struct, fld, v):
             cols.append([c for e in _mul_coords(xc, yc, struct, fld)
                          for c in e.coeffs])
     cols.append([-c % fld.p for x in xc for c in x.frobenius().coeffs])
-    (vec,) = fp_kernel([list(row) for row in zip(*cols)], fld.p)
+    (vec,) = _list_fp_kernel([list(row) for row in zip(*cols)], fld.p)
     return [fld.element(vec[a * q:(a + 1) * q]) for a in range(v)]
 
 
@@ -2157,8 +2237,8 @@ def test_abstract_lang_search_matches_brute_force():
                 assert got == want, (p, gamma, Q, gbar)
                 found += want is not None
                 none += want is None
-                short += len(fp_kernel([list(col) for col in zip(*images)],
-                                       p)) == v - 1
+                short += len(_list_fp_kernel(
+                    [list(col) for col in zip(*images)], p)) == v - 1
     assert found >= 20 and none >= 10 and short >= 2, (found, none, short)
 
 
