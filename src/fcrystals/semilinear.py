@@ -536,12 +536,12 @@ class CircularSolution:
 def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
     """Solve the cyclic residue system; case +1 may need a field extension.
 
-    case -1 (all d_j units, some b_j zero): back-substitution with p-th
-    roots; unique solution in the base field.  case +1 (all b_j units):
-    elimination to a single additive equation x = u + v * x^(p^L),
-    solved by F_p-linear algebra over F_{p^(Q*D)} for the smallest D
-    that works (the equation is etale, so some D works; the built-in
-    field table bounds the search).  Both run as F_p-linear maps of c
+    case -1 (all d_j units, some b_j zero): the solution is unique and
+    lies in the base field.  case +1 (all b_j units): the root over
+    F_{p^(Q*D)} for the smallest D that has one (the system is etale, so
+    some D works; the built-in field table bounds the search), the one
+    whose x_0 has zero free coordinates.  Both cases read one reduced
+    echelon form of the whole cycle per field, as F_p-linear maps of c
     (`_CircularMap`); the maps for b_j, d_j in {0, 1}, all the stairs
     engine passes, are kept on the ring.
     """
@@ -564,55 +564,41 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
            tuple([d.coeffs for d in sys.d]))
     cmap = ring._circular_cache.get(key)
     if cmap is None:
-        cmap = _CircularMap(ring, case, sys.b, sys.d)
+        cmap = _CircularMap(ring, sys.b, sys.d)
         if set(key[1] + key[2]) <= {ring._zero, ring._one}:
             ring._circular_cache[key] = cmap
     return cmap.solve([c.coeffs for c in sys.c])
 
 
 class _CircularMap:
-    """The circular systems over `ring` with a fixed case, b and d, solved
-    as F_p-linear maps of c.
+    """The circular systems over `ring` with fixed b and d, solved as
+    F_p-linear maps of c.
 
-    Over a fixed solution field F_(p^(qD)), the image test of case +1 and
-    the solution x_0 ... x_(L-1) are F_p-linear in the Lq coordinates of
-    c.  The map for D is built on first use by the per-call formulas,
-    applied to each unit vector of c: column k holds the test rows (the
-    rows of T A past the rank, zero iff x = A + V sigma^L(x) has a root
-    over F_(p^(qD))), then the coordinates of every x_j.  A column is one
-    int with a slot per output, wide enough for a sum of Lq products of
-    two residues, so a call is one multiply-add per coordinate of c and
-    one reduction mod p per slot.  Case -1 has one map, D = 1, without
-    test rows.
+    Over a solution field big = F_(p^(qD)) the whole cycle is one F_p
+    system E x = -c: for g = diag(x_0, ..., x_(L-1)) and the cyclic
+    matrices B1, B2 with b_j, d_j at (j, j-1), entry (j, j-1) of
+    g B1 - B2 sigma(g) is b_j x_j - d_j sigma(x_(j-1)), so E is those rows
+    of `_intertwiner_system(B1, B2, big)` on the diagonal columns.  With T
+    the right half of the `howell_form` of [E | I] (at n = 1 the reduced
+    echelon form), -c has a root over big iff the rows of T(-c) past the
+    rank are zero, and the rows before it are the pivot coordinates of
+    the root (the free ones are zero).  The columns run x_1, ...,
+    x_(L-1), x_0, so every free column is x_0's: a nonzero kernel vector
+    has x_0 != 0 when the b_j are units (case +1), and E is invertible
+    when the d_j are units and some b_j is zero (case -1, root at D = 1).
+
+    The map for D is built on first use.  Column k, for coordinate
+    t = k mod q of c_(k div q), holds the test rows, then the
+    coordinates of every x_j.  A column is one int with a slot per
+    output, wide enough for a sum of Lq products of two residues, so a
+    call is one multiply-add per coordinate of c and one reduction mod p
+    per slot.
     """
 
-    def __init__(self, ring, case, b, d):
-        q, L = ring.q, len(b)
+    def __init__(self, ring, b, d):
         self.ring, self.b, self.d = ring, b, d
-        self.w = (L * q * (ring.p - 1) ** 2).bit_length()
-        # c for each unit vector: coordinate t of c_j is 1 at k = j q + t
-        self.units = [[ring.element([int(j * q + t == k) for t in range(q)])
-                       for j in range(L)] for k in range(L * q)]
-        if case == -1:
-            self._walk = iter([(1, ring)])
-            self._build = self._back_substitution
-        else:
-            self._walk = field_walk(ring.p, q, 1)
-            self._build = self._additive
-            self.binv = [x.unit_inverse() for x in b]
-            # x_j = A_j + V_j x_0^(p^j) around the cycle from a symbolic
-            # x_0, so after the full loop x_0 = A + V x_0^(p^L); A for
-            # each unit vector of c, V for all of them
-            self.A, self.V = [], ring.one()
-            for j in range(1, L + 1):
-                jj = j % L
-                self.V = d[jj] * self.V.frobenius() * self.binv[jj]
-            for c in self.units:
-                A = ring.zero()
-                for j in range(1, L + 1):
-                    jj = j % L
-                    A = (d[jj] * A.frobenius() - c[jj]) * self.binv[jj]
-                self.A.append(A)
+        self.w = (len(b) * ring.q * (ring.p - 1) ** 2).bit_length()
+        self._walk = field_walk(ring.p, ring.q, 1)
         # per D: (D, big, number of test rows, columns, b and d over big)
         self.degrees = []
 
@@ -628,9 +614,9 @@ class _CircularMap:
                     raise ExtensionCapExceeded(
                         "no root within the built-in field table")
                 D, big = nxt
-                self.degrees.append((D, big, *self._build(D, big),
-                                     [e.embed(big).coeffs for e in self.b],
-                                     [e.embed(big).coeffs for e in self.d]))
+                b = [e.embed(big).coeffs for e in self.b]
+                d = [e.embed(big).coeffs for e in self.d]
+                self.degrees.append((D, big, *self._build(big, b, d), b, d))
             D, big, ntest, cols, b, d = self.degrees[k]
             acc = sum(map(mul, cs, cols))
             if not any((acc >> s & mask) % p for s in range(0, ntest * w, w)):
@@ -645,62 +631,43 @@ class _CircularMap:
         _check_circular(big, b, c, d, xs)
         return CircularSolution([WittElem(big, x) for x in xs], big, D)
 
-    def _pack(self, cols):
-        w = self.w
-        return [sum(v << o * w for o, v in enumerate(col)) for col in cols]
+    def _build(self, big, b, d):
+        """(number of test rows, columns) of the map over big, for b and d
+        as coordinate tuples over big."""
+        p, Q, L, w = big.p, big.q, len(b), self.w
+        N = L * Q
 
-    def _back_substitution(self, D, ring):
-        """(0, columns) of case -1: equation j gives x_(j-1) = ((b_j x_j +
-        c_j) / d_j)^(1/p), walked back from the first j with b_j = 0."""
-        b, L = self.b, len(self.b)
-        dinv = [x.unit_inverse() for x in self.d]
-        j0 = next(j for j in range(L) if b[j].is_zero())
+        def cyclic(xs):
+            return Matrix._of_rows(big, [[xs[j] if k == (j - 1) % L
+                                          else big._zero for k in range(L)]
+                                         for j in range(L)])
+
+        P, rows = _intertwiner_system(cyclic(b), cyclic(d), big)
+        # coordinate s of x_i is column (i (L + 1)) Q + s of g; x_0 last
+        order = [i % L * (L + 1) * Q + s for i in range(1, L + 1)
+                 for s in range(Q)]
+        eqs = [P.unpack(rows[(j * L + (j - 1) % L) * Q + t])
+               for j in range(L) for t in range(Q)]
+        # row i of [E | I]: equation i on the diagonal columns, then e_i
+        PE = _PackedRows(p, 1, 2 * N)
+        red = howell_form(PE, [PE.pack([e[k] for k in order])
+                               | 1 << (N + i) * PE.w for i, e in enumerate(eqs)])
+        at = {c: i for i, (c, _) in enumerate(howell_pivots(red, p, 1))
+              if c < N}
+        rank = len(at)
+        # the row of T(-c) holding coordinate s of x_j, in the natural order
+        slots = [at.get((j - 1) % L * Q + s) for j in range(L)
+                 for s in range(Q)]
+        # the coordinates over big of the images of 1, t, ..., t^(q-1)
+        emb = [big._reduce(r, big._w) for r in self.ring._embed_rows(big)]
         cols = []
-        for c in self.units:
-            x = [None] * L
-            j = j0
-            for _ in range(L):
-                val = c[j] if x[j] is None else b[j] * x[j] + c[j]
-                x[(j - 1) % L] = (val * dinv[j]).frobenius(-1)
-                j = (j - 1) % L
-            cols.append([t for e in x for t in e.coeffs])
-        return 0, self._pack(cols)
-
-    def _additive(self, D, big):
-        """(number of test rows, columns) of case +1 over big.
-
-        The map M: x -> x - V sigma^L(x) is F_p-linear on the big.q
-        coordinates, and its rows are the `_intertwiner_system` of 1 x 1
-        matrices.  With T the right half of the `howell_form` of [M | I]
-        (at n = 1 the reduced echelon form), T M is the reduced echelon
-        form of M, so A is in the image iff the rows of T A past the rank
-        are zero, and the rows before it are the pivot coordinates of x_0
-        (the free ones are zero).  Each x_j,
-        j >= 1, is (d_j sigma(x_(j-1)) - c_j) / b_j.
-        """
-        p, Q, L = big.p, big.q, len(self.b)
-        _, rows = _intertwiner_system(Matrix.identity(big, 1), Matrix(
-            big, [[self.V.embed(big)]]), big, sigma_power=L)
-        # row i of [M | I]: row i of M, then e_i
-        P = _PackedRows(p, 1, 2 * Q)
-        red = howell_form(P, [r | 1 << (Q + i) * P.w
-                              for i, r in enumerate(rows)])
-        pivots = [c for c, _ in howell_pivots(red, p, 1) if c < Q]
-        T = [row[Q:] for row in red]
-        d = [x.embed(big) for x in self.d]
-        binv = [x.embed(big) for x in self.binv]
-        out = []
-        for A, c in zip(self.A, self.units):
-            TA = [sum(map(mul, row, A.embed(big).coeffs)) % p for row in T]
-            sol = [0] * Q
-            for col, x in zip(pivots, TA):
-                sol[col] = x
-            xs = [big.element(sol)]
-            for j in range(1, L):
-                xs.append((d[j] * xs[-1].frobenius() - c[j].embed(big))
-                          * binv[j])
-            out.append(TA[len(pivots):] + [t for e in xs for t in e.coeffs])
-        return Q - len(pivots), self._pack(out)
+        for j in range(L):
+            for e in emb:
+                Ty = [-sum(map(mul, row[N + j * Q:N + j * Q + Q], e)) % p
+                      for row in red]
+                out = Ty[rank:] + [0 if i is None else Ty[i] for i in slots]
+                cols.append(sum(v << o * w for o, v in enumerate(out)))
+        return N - rank, cols
 
 
 def _check_circular(big, b, c, d, xs):

@@ -188,25 +188,31 @@ class StairsCertificate:
 
 def build_stairs_datum(C) -> StairsDatum:
     """Monomial matrix-unit datum, else fixed-lattice datum, else error."""
-    if C.shift != 0:
-        raise BadShape("stairs needs shift 0")
-    hits = _monomial_shape(C.B, C.ring)
-    if hits is not None:
-        r = C.rank
-        # matrix units E_(i,j), index l = i*r + j
-        fields, _, rescale = _matrix_unit_arrows(
-            C.ring, r, hits, [(i, j) for i in range(r) for j in range(r)])
-        mult = _is_multiplicative(rescale, r)
-        unital = all(rescale[i * r + i] == 0 for i in range(r))
-        datum = StairsDatum(C, *fields, mult, unital, False, "monomial")
-        datum.verify()
-        return datum
-    datum = _fixed_datum(C)
+    datum = _monomial_datum(C) or _fixed_datum(C)
     if datum is not None:
         return datum
     raise UnsupportedShape(
         "no lattice basis construction applies; load a datum from file"
     )
+
+
+def _monomial_datum(C):
+    """The matrix-unit datum when B is monomial with unit twists 1, else
+    None."""
+    if C.shift != 0:
+        raise BadShape("stairs needs shift 0")
+    hits = _monomial_shape(C.B, C.ring)
+    if hits is None:
+        return None
+    r = C.rank
+    # matrix units E_(i,j), index l = i*r + j
+    fields, _, rescale = _matrix_unit_arrows(
+        C.ring, r, hits, [(i, j) for i in range(r) for j in range(r)])
+    mult = _is_multiplicative(rescale, r)
+    unital = all(rescale[i * r + i] == 0 for i in range(r))
+    datum = StairsDatum(C, *fields, mult, unital, False, "monomial")
+    datum.verify()
+    return datum
 
 
 def _monomial_shape(B, ring):

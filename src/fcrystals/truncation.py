@@ -43,7 +43,7 @@ from .semilinear import (
     isom_search,
     unit_search,
 )
-from .stairs import _fixed_datum, build_stairs_datum
+from .stairs import _fixed_datum, _monomial_datum, build_stairs_datum
 from .witt import INFINITY, make_witt_ring
 
 
@@ -234,7 +234,7 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
         report["evidence"]["fixed_lattice_exponent"] = dat.torsion
     else:
         try:
-            datum = build_stairs_datum(C)
+            datum = _monomial_datum(C) or dat
         except CrystalError:
             datum = None
         if datum is None:
@@ -309,6 +309,14 @@ def _span_has_unit_outside(C, big_basis, small_basis, to_level):
         raise SearchSpaceTooLarge("too many cosets to scan")
     if p ** len(small_basis) > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge("mod-p span too large to scan")
+    if not howell_contains(small_basis, [[p * x for x in row]
+                                         for row in big_basis], p, to_level):
+        # some p y lies outside small, and x + p y keeps x's residue: every
+        # unit of big has one outside small
+        if p ** len(big_basis) > EXHAUSTIVE_CAP:
+            raise SearchSpaceTooLarge("mod-p span too large to scan")
+        return _scan_range(ring, big_basis, r) is not None
+    # p kills big / small, so the cosets are the digit combinations of reps:
     # scan (coset rep combo) x (mod-p span of small) for units not in small
     for combo in product(range(p), repeat=len(reps)):
         if not any(combo):

@@ -50,6 +50,19 @@ def test_monomial_datum_supersingular():
     d.verify()
 
 
+def test_datum_falls_back_to_the_fixed_lattice():
+    # supersingular(d=1) conjugated by u = [[1, 1], [0, 1]] is not monomial,
+    # but its End has slope 0, so the fixed points give the datum
+    W = make_witt_ring(3, 2, 4)
+    SS = builtin_crystal(W, "supersingular", d=1)
+    u = Matrix.from_ints(W, [[1, 1], [0, 1]])
+    d = build_stairs_datum(new_crystal(
+        W, u @ SS.B @ unit_inverse_matrix(u.sigma())))
+    assert (d.strategy, d.torsion) == ("fixed", 1)
+    assert d.unital and d.multiplicative
+    d.verify()
+
+
 def test_unsupported_shape():
     # ordinary(r=2, d=1) conjugated by [[1, 1], [0, 1]]: not monomial, and
     # its End has nonzero slopes, so no fixed lattice spans it

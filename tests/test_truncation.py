@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from fcrystals.crystal import builtin_crystal, new_crystal
+from fcrystals.crystal import builtin_crystal, direct_sum_crystal, new_crystal
 from fcrystals.errors import LiftFailed, NotDieudonne
-from fcrystals.plinalg import Matrix, inverse_with_shift
+from fcrystals.plinalg import (
+    Matrix,
+    howell_coefficients,
+    howell_form,
+    inverse_with_shift,
+    pack_rows,
+)
 from fcrystals.truncation import (
+    _span_has_unit_outside,
     aut_image_stabilization_check,
     congruence_upgrade,
     d_trunc_isom_search,
@@ -144,9 +151,43 @@ def test_probe_does_not_hide_a_solver_bug(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         i_number_probe(C)
     monkeypatch.undo()
-    monkeypatch.setattr(T, "build_stairs_datum", broken)
+    monkeypatch.setattr(T, "_monomial_datum", broken)
     with pytest.raises(ZeroDivisionError):
         i_number_probe(C)
+
+
+def test_probe_builds_the_fixed_datum_once(monkeypatch):
+    """A non-monomial crystal with no datum: one `_fixed_datum` call."""
+    import fcrystals.stairs as S
+    import fcrystals.truncation as T
+
+    calls, fixed = [], S._fixed_datum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fixed(*args, **kwargs)
+
+    # the probe's own call, and any through build_stairs_datum
+    monkeypatch.setattr(T, "_fixed_datum", counting)
+    monkeypatch.setattr(S, "_fixed_datum", counting)
+    W = make_witt_ring(2, 1, 4)
+    dense = new_crystal(W, Matrix.from_ints(W, [[1, 1], [0, 2]]))
+    report = i_number_probe(dense)
+    assert (report["upper"], report["upper_source"]) == (None, "none")
+    assert len(calls) == 1
+
+
+def test_probe_upper_from_the_lattice_torsion():
+    # supersingular(d=1) + ordinary(r=1, d=0): no unital multiplicative
+    # fixed datum, and the monomial datum has torsion m = 1, so the bound
+    # is 2m + eps_p
+    for p, upper in ((3, 3), (2, 4)):
+        W = make_witt_ring(p, 1, 6)
+        C = direct_sum_crystal(builtin_crystal(W, "supersingular", d=1),
+                               builtin_crystal(W, "ordinary", r=1, d=0))
+        report = i_number_probe(C)
+        assert (report["upper"], report["upper_source"]) == (upper, "stairs")
+        assert report["evidence"]["lattice_torsion"] == 1
 
 
 def test_aut_image_stabilization():
@@ -158,6 +199,51 @@ def test_aut_image_stabilization():
     assert aut_image_stabilization_check(O, 1)
     ET = builtin_crystal(ring2, "ordinary", r=1, d=0)
     assert aut_image_stabilization_check(ET, 0)
+
+
+def _howell(rows, p, n):
+    return howell_form(*pack_rows(rows, p, n))
+
+
+def _brute_unit_outside(big, small, p, n):
+    """Any 2 x 2 matrix over Z/p^n (q = 1) in span(big) \\ span(small)
+    with unit determinant, by enumerating both spans."""
+    def span(basis):
+        out = set()
+        for coeffs in howell_coefficients(basis, p, n):
+            acc = [0] * 4
+            for c, row in zip(coeffs, basis):
+                acc = [a + c * x for a, x in zip(acc, row)]
+            out.add(tuple(a % p ** n for a in acc))
+        return out
+    inner = span(small)
+    return any((a * d - b * c) % p and (a, b, c, d) not in inner
+               for a, b, c, d in span(big))
+
+
+def test_span_has_unit_outside_sees_cosets_below_the_residues():
+    # diag(3, 1) = I + 2 E11 lies in span(I, E11) \ span(I) and is a unit,
+    # though its coset has no representative with digits below p
+    C = builtin_crystal(make_witt_ring(2, 1, 2), "ordinary", r=2, d=1)
+    eye, e11 = [1, 0, 0, 1], [1, 0, 0, 0]
+    assert _span_has_unit_outside(C, _howell([eye, e11], 2, 2),
+                                  _howell([eye], 2, 2), 2)
+
+
+def test_span_has_unit_outside_matches_brute_force():
+    rng = random.Random(20)
+    n = 2
+    for p in (2, 3):
+        C = builtin_crystal(make_witt_ring(p, 1, n), "ordinary", r=2, d=1)
+        for _ in range(150):
+            # small inside big; multiples of p make the cosets that no
+            # digit combination of big's rows reaches
+            gens = [[rng.randrange(p ** n) * rng.choice((1, p))
+                     for _ in range(4)] for _ in range(rng.randint(1, 3))]
+            small = _howell(gens[:rng.randint(0, len(gens) - 1)], p, n)
+            big = _howell(gens, p, n)
+            assert _span_has_unit_outside(C, big, small, n) == \
+                _brute_unit_outside(big, small, p, n), (p, gens)
 
 
 def test_polarized_isom():
