@@ -7,6 +7,7 @@ Library errors reach their code through EXIT_CODES alone.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -193,7 +194,11 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first call and shared after it: parse_args
+    makes a new namespace per call, and the handlers it names look their
+    callees up when they run."""
     ap = argparse.ArgumentParser(
         prog="fcrystals",
         description="exact computations with F-crystals at finite precision",

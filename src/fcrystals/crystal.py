@@ -22,7 +22,8 @@ from .plinalg import Matrix, inverse_with_shift, smith_normal_form
 class FCrystal:
     """A latticed F-isocrystal with chosen basis, at finite precision."""
 
-    __slots__ = ("ring", "rank", "B", "shift")
+    # exponents: the Smith exponents of B, kept from the injectivity check
+    __slots__ = ("ring", "rank", "B", "shift", "exponents")
 
     def __init__(self, ring, B, shift=0):
         if B.rows != B.cols:
@@ -39,6 +40,7 @@ class FCrystal:
         self.rank = B.rows
         self.B = B
         self.shift = shift
+        self.exponents = exps
 
     def twist(self, g: Matrix) -> "FCrystal":
         """The crystal with phi replaced by g o phi."""
@@ -110,16 +112,14 @@ class Polygon:
 
 
 def hodge_data(C: FCrystal):
-    """(hodge polygon of p^s phi, s-number, h-number)."""
-    ring = C.ring
-    snf = smith_normal_form(C.B)
-    if any(e >= ring.n for e in snf.exponents):
-        raise PrecisionExhausted(
-            "a Hodge exponent is not determined at this precision"
-        )
+    """(hodge polygon of p^s phi, s-number, h-number).
+
+    Read off the Smith exponents kept by FCrystal, each below n.
+    """
+    exps = C.exponents
     e = C.shift
-    s = max(0, e - min(snf.exponents)) if snf.exponents else 0
-    slopes = sorted(x + s - e for x in snf.exponents)
+    s = max(0, e - min(exps)) if exps else 0
+    slopes = sorted(x + s - e for x in exps)
     h = slopes[-1] if slopes else 0
     return Polygon.from_slopes(slopes), s, h
 
@@ -134,16 +134,7 @@ def newton_polygon(C: FCrystal) -> Polygon:
             f"newton polygon needs precision >= {q * r * h + 1}, "
             f"have {ring.n}"
         )
-    L = C.B
-    for k in range(1, q):
-        L = L @ C.B.sigma(k)
-    coeffs = L.charpoly()  # c[0..r], det(xI - L) = sum c[i] x^i
-    pts = [(0, 0)]
-    for i in range(1, r + 1):
-        v = coeffs[r - i].valuation()
-        if v < ring.n:
-            pts.append((i, int(v)))
-    hull = _lower_hull(pts)
+    hull = _lower_hull(_exact_newton_points(C))
     if hull[-1][0] != r:
         raise PrecisionExhausted("constant coefficient vanishes at precision")
     slopes = []
@@ -151,6 +142,37 @@ def newton_polygon(C: FCrystal) -> Polygon:
         lam = Fraction(y1 - y0, x1 - x0) / q - C.shift
         slopes.extend([lam] * (x1 - x0))
     return Polygon.from_slopes(slopes)
+
+
+def _exact_newton_points(C):
+    """The points (i, v) of the Newton polygon of L = B sigma(B) ...
+    sigma^(q-1)(B) that B mod p^n determines: (0, 0), and (i, v) for each
+    coefficient of x^(r-i) in det(xI - L) whose valuation v is below n."""
+    ring, r = C.ring, C.rank
+    L = C.B
+    for k in range(1, ring.q):
+        L = L @ C.B.sigma(k)
+    coeffs = L.charpoly()  # c[0..r], det(xI - L) = sum c[i] x^i
+    pts = [(0, 0)]
+    for i in range(1, r + 1):
+        v = coeffs[r - i].valuation()
+        if v < ring.n:
+            pts.append((i, int(v)))
+    return pts
+
+
+def certified_not_isoclinic(C: FCrystal) -> bool:
+    """True when an exact Newton point lies strictly below the chord.
+
+    The polygon of L ends at (r, q * sum of the Smith exponents), exactly
+    at any precision, and passes on or below every exact point.  A point
+    strictly below the chord from (0, 0) to that end proves the polygon
+    is not a line, so C is not isoclinic and End(C) has a nonzero slope.
+    False proves nothing.
+    """
+    r = C.rank
+    end = C.ring.q * sum(C.exponents)
+    return any(v * r < i * end for i, v in _exact_newton_points(C))
 
 
 def _lower_hull(pts):

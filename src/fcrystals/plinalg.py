@@ -74,9 +74,15 @@ class Matrix:
 
     @staticmethod
     def identity(ring, r):
-        one, zero = ring._one, ring._zero
-        return Matrix._of_rows(ring, [[one if i == j else zero
-                                       for j in range(r)] for i in range(r)])
+        """The r x r identity, built once per ring and size and shared:
+        a Matrix is immutable."""
+        m = ring._identities.get(r)
+        if m is None:
+            one, zero = ring._one, ring._zero
+            m = ring._identities[r] = Matrix._of_rows(ring, [
+                [one if i == j else zero for j in range(r)]
+                for i in range(r)])
+        return m
 
     @staticmethod
     def zero(ring, rows, cols=None):

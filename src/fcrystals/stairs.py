@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .bounds import epsilon_p
-from .crystal import FCrystal, builtin_crystal
+from .crystal import FCrystal, builtin_crystal, certified_not_isoclinic
 from .deviation import deviations, df_reduce
 from .errors import (
     BadShape,
@@ -300,10 +300,16 @@ def _cycles_of(perm):
 def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
     """Fixed-lattice datum for crystals whose End has all slopes zero.
 
-    Extends the residue field, up to degree max_extension over C's and
-    within the built-in field table, while the fixed rank keeps growing;
-    a stagnating deficient rank means End is not isoclinic of slope zero.
+    None at once when an exact Newton point proves C not isoclinic (then
+    End has a nonzero slope and no full fixed lattice); shifted crystals
+    skip that proof and raise ShiftUnsupported from the walk.  Otherwise
+    extends the residue field, up to degree max_extension over C's and
+    within the built-in field table, while the Howell row count of the
+    fixed lattice keeps growing.  That stop is a bounded heuristic, not a
+    proof: the counts of different degrees are not comparable.
     """
+    if C.shift == 0 and certified_not_isoclinic(C):
+        return None
     ring = C.ring
     r = C.rank
     prev_rank = -1

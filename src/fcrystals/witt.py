@@ -182,6 +182,8 @@ class WittRing:
         self._embed_cache = {}
         # semilinear.solve_circular's maps for b_j, d_j in {0, 1}
         self._circular_cache = {}
+        # Matrix.identity's matrices, by size
+        self._identities = {}
 
     # -- raw coefficient-tuple arithmetic ---------------------------------
 

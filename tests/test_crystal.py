@@ -20,7 +20,12 @@ from fcrystals.errors import (
     SingularAtPrecision,
     UnknownCorpusName,
 )
-from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
+from fcrystals.plinalg import (
+    Matrix,
+    det_valuation,
+    smith_normal_form,
+    unit_inverse_matrix,
+)
 from fcrystals.witt import make_witt_ring
 
 
@@ -31,6 +36,21 @@ def test_constructor_normalization():
     with pytest.raises(SingularAtPrecision):
         new_crystal(make_witt_ring(2, 1, 1), Matrix.scalar(
             make_witt_ring(2, 1, 1), 2, 2), 0)
+
+
+def test_exponents_are_those_of_the_normalized_matrix():
+    """The Smith exponents a crystal keeps belong to its own B, after the
+    shift normalization and for every crystal built from another."""
+    W = make_witt_ring(2, 2, 6)
+    g = Matrix.identity(W, 2) + Matrix.from_ints(W, [[2, 4], [0, 6]])
+    C = new_crystal(W, Matrix.from_ints(W, [[4, 0], [0, 8]]), 3)
+    assert (C.shift, C.exponents) == (1, [0, 1])
+    SS = builtin_crystal(W, "supersingular", d=1)
+    made = [C, SS, SS.twist(g), SS.twist(g).reduce_to(make_witt_ring(2, 2, 3)),
+            SS.base_change(make_witt_ring(2, 4, 6)), dual_crystal(SS),
+            dual_crystal(C)]
+    for D in made:
+        assert D.exponents == smith_normal_form(D.B).exponents, D
 
 
 def test_hodge_data():

@@ -224,6 +224,55 @@ def test_cli_integer_flags_are_input_errors(tmp_path, capsys, argv, flag):
     assert f"argument {flag}:" in out.err
 
 
+def test_parser_is_built_once_per_process():
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    """The shared parser keeps no value of one call for the next: a
+    default comes back after an explicit flag, and a bad flag after a good
+    call is still one usage error."""
+    path = str(tmp_path / "F.json")
+    write_crystal(path, builtin_crystal(make_witt_ring(2, 1, 4), "ordinary",
+                                        r=2, d=1))
+    precisions = []
+    for extra in (["--prec", "2"], []):
+        assert _main_exit(["hom", path, path, *extra]) == 0
+        precisions.append(json.loads(capsys.readouterr().out)["precision"])
+    assert precisions == [2, 4]
+    assert _main_exit(["hom", path, path, "--prec", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert [line for line in out.err.splitlines()
+            if "error:" in line] == [
+        "fcrystals hom: error: argument --prec: need >= 1, got 0"]
+
+
+def test_polygon_newton_runs_one_smith_form(tmp_path, capsys, monkeypatch):
+    """The Smith form of the crystal's constructor serves hodge_data and
+    newton_polygon's precision gate."""
+    from fcrystals import plinalg
+
+    calls = []
+    real = plinalg.smith_normal_form
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fcrystals.") and \
+                getattr(mod, "smith_normal_form", None) is real:
+            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    path = str(tmp_path / "ss.json")
+    write_crystal(path, builtin_crystal(make_witt_ring(2, 1, 12),
+                                        "supersingular", d=1))
+    calls.clear()
+    assert _main_exit(["polygon", "--newton", path]) == 0
+    assert json.loads(capsys.readouterr().out)["slopes"] == [[1, 2, 2]]
+    assert len(calls) == 1
+
+
 def test_cli_probe_reports_a_shifted_unit_crystal(tmp_path, capsys):
     """h = 0 with shift 1: the fixed lattice datum rejects the shift, and
     that must not stop the h0 report."""

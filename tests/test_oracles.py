@@ -1,6 +1,7 @@
 """Enumerative oracles on tiny rings, cross-checking the linear-algebra
 routes against raw brute force."""
 
+import hashlib
 import itertools
 import random
 from math import gcd
@@ -10,12 +11,20 @@ import pytest
 
 from fcrystals import deviation, semilinear, stairs
 from fcrystals.conway import CONWAY_TABLE
-from fcrystals.crystal import builtin_crystal, direct_sum_crystal, new_crystal
+from fcrystals.crystal import (
+    builtin_crystal,
+    certified_not_isoclinic,
+    direct_sum_crystal,
+    new_crystal,
+    newton_polygon,
+)
 from fcrystals.errors import (
     BadShape,
     ExtensionCapExceeded,
     InternalError,
     OutsideExpDomain,
+    PrecisionExhausted,
+    ShiftUnsupported,
     SingularAtPrecision,
 )
 from fcrystals.plinalg import (
@@ -2464,3 +2473,257 @@ def test_fixed_datum_matches_the_list_route(monkeypatch):
             _span_rows_select_w_basis(H, new.crystal)
         outcomes.add((new.multiplicative, new.unital))
     assert {(True, True), (False, True)} <= outcomes, outcomes
+
+
+# -- the Newton certificate in front of the fixed-datum walk ------------------
+
+_CERTIFICATE_FAMILIES = [
+    ("example_2_3_2", {"r": 3}),           # shift 1
+    ("isoclinic_3_3_6", {"r": 3, "c": 1}),
+    ("isoclinic_3_3_6", {"r": 3, "c": 2}),
+    ("phi_alpha_4_5", {"alpha": 0}),
+    ("phi_alpha_4_5", {"alpha": 1}),
+    ("supersingular", {"d": 1}),
+    ("supersingular", {"d": 2}),
+    ("ordinary", {"r": 2, "d": 0}),
+    ("ordinary", {"r": 2, "d": 1}),
+    ("ordinary", {"r": 3, "d": 1}),
+]
+
+SHIFTED = "ShiftUnsupported"
+
+# `_fixed_datum` of each family of _CERTIFICATE_FAMILIES over W_n(F_(p^q)),
+# as built and conjugated by _certificate_conjugate's unit, computed by the
+# walk alone (before the certificate existed): None for no datum, or
+# (torsion, strategy, field degree, first 16 hex digits of the sha256 of
+# the repr of the basis flats).  A family singular at n has no entry.
+FIXED_DATUM_PINS = {
+    (2, 1, 4): [
+        None,
+        ((1, 'fixed', 3, '8f5cfb9b1c669509'),
+         (1, 'fixed', 3, '90f13296c42a6b75')),
+        ((1, 'fixed', 3, '06f726f5a8e5d68c'),
+         (1, 'fixed', 3, '4d2c1821f4801efc')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 2, 'c21553ed82ad89d2'),
+         (1, 'fixed', 2, '219e8395dd1b6c42')),
+        ((1, 'fixed', 2, '4e73c7fd5f592601'),
+         (1, 'fixed', 2, '5767b1fe8a5883d6')),
+        ((0, 'fixed', 1, '352267926da2feba'),
+         (0, 'fixed', 1, '352267926da2feba')),
+        (None, None),
+        (None, None),
+    ],
+    (2, 2, 6): [
+        (SHIFTED, SHIFTED),
+        ((1, 'fixed', 6, 'd769e7e433e747bb'),
+         (1, 'fixed', 6, 'e90c0a0ef507b0d1')),
+        ((1, 'fixed', 6, '1da25bd51da6b3e4'),
+         (1, 'fixed', 6, 'c5e993f25bf0c325')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 2, 'd9d1bda4c476854a'),
+         (1, 'fixed', 2, 'dd202126217ba579')),
+        ((1, 'fixed', 2, '6575c5bbd732038a'),
+         (1, 'fixed', 2, '21b37fbc839ddefc')),
+        ((0, 'fixed', 2, '91f56416b2ffb321'),
+         (0, 'fixed', 2, '2ea8101eba745973')),
+        (None, None),
+        (None, None),
+    ],
+    (2, 3, 4): [
+        None,
+        ((1, 'fixed', 3, '8f5cfb9b1c669509'),
+         (1, 'fixed', 3, '8c53ec6383b35cc2')),
+        ((1, 'fixed', 3, '06f726f5a8e5d68c'),
+         (1, 'fixed', 3, '492c9a6fbf2b3b57')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 6, '2d85f006f12ad3a6'),
+         (1, 'fixed', 6, '179b048d0f2ea94b')),
+        ((1, 'fixed', 6, 'd58f4b1d5bc07270'),
+         (1, 'fixed', 6, '8ebbc8758cc72ba0')),
+        ((0, 'fixed', 3, '10fc7160c33b0809'),
+         (0, 'fixed', 3, '5ac38a5e91afbc6f')),
+        (None, None),
+        (None, None),
+    ],
+    (3, 1, 6): [
+        (SHIFTED, SHIFTED),
+        ((1, 'fixed', 3, '9d5df5a7cfab258c'),
+         (1, 'fixed', 3, 'cf5d340b41c23f3d')),
+        ((1, 'fixed', 3, '2ccd003a4f222c57'),
+         (1, 'fixed', 3, 'c29b75c736f08aa2')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 2, '8ea9ea067e10baf0'),
+         (1, 'fixed', 2, 'cf3eddffbac56c82')),
+        ((1, 'fixed', 2, '663bd8134728174b'),
+         (1, 'fixed', 2, 'cfba9c9372c1f12d')),
+        ((0, 'fixed', 1, '352267926da2feba'),
+         (0, 'fixed', 1, '352267926da2feba')),
+        (None, None),
+        (None, None),
+    ],
+    (3, 2, 4): [
+        None,
+        ((1, 'fixed', 6, 'd1cdd9004d793307'),
+         (1, 'fixed', 6, 'b17b9fd9fd4bf72a')),
+        ((1, 'fixed', 6, '7a30b10300f3974c'),
+         (1, 'fixed', 6, 'e616e1143e319add')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 2, '7d5c7f4d3eccd734'),
+         (1, 'fixed', 2, '1084bc7e7307ba9e')),
+        ((1, 'fixed', 2, '50c92e3a87ef1a65'),
+         (1, 'fixed', 2, '445f2686c53bc1ef')),
+        ((0, 'fixed', 2, '91f56416b2ffb321'),
+         (0, 'fixed', 2, '9863a22317aff1d7')),
+        (None, None),
+        (None, None),
+    ],
+    (3, 3, 6): [
+        (SHIFTED, SHIFTED),
+        ((1, 'fixed', 3, '9d5df5a7cfab258c'),
+         (1, 'fixed', 3, 'ebe53be9bf5571b4')),
+        ((1, 'fixed', 3, '2ccd003a4f222c57'),
+         (1, 'fixed', 3, '0625fa3ab132707d')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 6, '96610caab09e5ae0'),
+         (1, 'fixed', 6, 'df660d2583c1ab71')),
+        ((1, 'fixed', 6, 'd4efa7fe9104a4a7'),
+         (1, 'fixed', 6, 'd279f5915e05ddf7')),
+        ((0, 'fixed', 3, '10fc7160c33b0809'),
+         (0, 'fixed', 3, '13d7de6e81e47b70')),
+        (None, None),
+        (None, None),
+    ],
+    (5, 1, 4): [
+        None,
+        ((1, 'fixed', 3, '76714f61d83fc0a2'),
+         (1, 'fixed', 3, '6d1cd11a306fe6af')),
+        ((1, 'fixed', 3, '0d55a670dbba5f73'),
+         (1, 'fixed', 3, 'c8fd77591ddf746b')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 2, 'eb7fb6b0e4f5f305'),
+         (1, 'fixed', 2, '3d873ddb59a13b73')),
+        ((1, 'fixed', 2, '49fbd7d9b8173702'),
+         (1, 'fixed', 2, 'a4490b2050c767c6')),
+        ((0, 'fixed', 1, '352267926da2feba'),
+         (0, 'fixed', 1, '352267926da2feba')),
+        (None, None),
+        (None, None),
+    ],
+    (5, 2, 6): [
+        (SHIFTED, SHIFTED),
+        ((1, 'fixed', 6, '8421f2121b47711d'),
+         (1, 'fixed', 6, '92c89d292c18d8a4')),
+        ((1, 'fixed', 6, 'da68302fb2127f6c'),
+         (1, 'fixed', 6, '1baf1a94f44567a7')),
+        (None, None),
+        (None, None),
+        ((1, 'fixed', 2, '0d1226222521425c'),
+         (1, 'fixed', 2, '3a22c366c7951936')),
+        ((1, 'fixed', 2, '184e78dd541c7d96'),
+         (1, 'fixed', 2, '2aa525cd21d46bba')),
+        ((0, 'fixed', 2, '91f56416b2ffb321'),
+         (0, 'fixed', 2, 'aaa531eeba6923fb')),
+        (None, None),
+        (None, None),
+    ],
+}
+
+
+def _datum_summary(datum):
+    if datum is None:
+        return None
+    digest = hashlib.sha256(
+        repr([b.flat for b in datum.basis]).encode()).hexdigest()
+    return (datum.torsion, datum.strategy, datum.crystal.ring.q, digest[:16])
+
+
+def _certificate_conjugate(C, seed):
+    """u B sigma(u)^-1 for a unit u drawn from random.Random(seed)."""
+    ring, r = C.ring, C.rank
+    rng = random.Random(seed)
+    while True:
+        u = Matrix(ring, [[ring.random_element(rng) for _ in range(r)]
+                          for _ in range(r)])
+        if det_valuation(u) == 0:
+            return new_crystal(ring, u @ C.B @ unit_inverse_matrix(u.sigma()),
+                               C.shift)
+
+
+def _fixed_datum_or_error(C):
+    try:
+        return _datum_summary(_fixed_datum(C))
+    except ShiftUnsupported:
+        return SHIFTED
+
+
+def test_fixed_datum_is_pinned_and_the_certificate_decides_none():
+    """On the corpus, `_fixed_datum` gives the walk's pinned result, and
+    the certificate fires on a shift-0 crystal exactly where that result
+    is None: the walk never found a datum for a crystal the certificate
+    proves not isoclinic, and every None of the corpus is now proved."""
+    seen = {"none": 0, "datum": 0, "shifted": 0}
+    for (p, q, n), pins in FIXED_DATUM_PINS.items():
+        ring = make_witt_ring(p, q, n)
+        for k, ((family, params), pin) in enumerate(
+                zip(_CERTIFICATE_FAMILIES, pins)):
+            if pin is None:
+                with pytest.raises(SingularAtPrecision):
+                    builtin_crystal(ring, family, **params)
+                continue
+            C = builtin_crystal(ring, family, **params)
+            D = _certificate_conjugate(C, 1000 * p + 100 * q + 10 * n + k)
+            for crystal, want in zip((C, D), pin):
+                ctx = (p, q, n, family, params, crystal is D)
+                assert _fixed_datum_or_error(crystal) == want, ctx
+                if want == SHIFTED:
+                    seen["shifted"] += 1
+                    continue
+                assert certified_not_isoclinic(crystal) == (want is None), ctx
+                seen["none" if want is None else "datum"] += 1
+    assert seen == {"none": 64, "datum": 80, "shifted": 8}, seen
+
+
+def test_certificate_below_the_newton_gate(monkeypatch):
+    """phi_alpha_4_5 over W_4(F_8) lies below newton_polygon's gate, yet
+    the certificate proves it not isoclinic and no Hom module is built."""
+    C = builtin_crystal(make_witt_ring(2, 3, 4), "phi_alpha_4_5", alpha=1)
+    with pytest.raises(PrecisionExhausted):
+        newton_polygon(C)
+    assert certified_not_isoclinic(C)
+
+    def no_walk(C):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(stairs, "fixed_lattice", no_walk)
+    assert _fixed_datum(C) is None
+
+
+@pytest.mark.parametrize("p, q, n, family, params, want", [
+    (2, 1, 4, "isoclinic_3_3_6", {"r": 3, "c": 2},
+     (1, "fixed", 3, "06f726f5a8e5d68c")),
+    # the lang_run crystal of the stairs-witness benchmark
+    (2, 2, 2, "supersingular", {"d": 1}, (1, "fixed", 2, "4c4f91215075f3fa")),
+])
+def test_certificate_spares_isoclinic_crystals(p, q, n, family, params,
+                                               want):
+    C = builtin_crystal(make_witt_ring(p, q, n), family, **params)
+    assert not certified_not_isoclinic(C)
+    assert _datum_summary(_fixed_datum(C)) == want
+
+
+def test_shifted_crystals_still_reach_the_walk():
+    """diag(1, p) with shift 1 has slopes -1 and 0, which the certificate
+    sees, but a shifted crystal must raise from the walk as before."""
+    W = make_witt_ring(3, 1, 4)
+    C = new_crystal(W, Matrix.from_ints(W, [[1, 0], [0, 3]]), 1)
+    assert C.shift == 1 and certified_not_isoclinic(C)
+    with pytest.raises(ShiftUnsupported):
+        _fixed_datum(C)
