@@ -1,8 +1,10 @@
 """Command-line front end: JSON lines on stdout, diagnostics on stderr.
 
-Exit codes: 0 success / witness found, 1 definitive negative, 2 input
-error, 3 precision exhausted, 4 inconclusive (randomized regime, or a
-search space too large), 5 internal error (a bug, never a result).
+Exit codes: 0 success / witness found, 1 definitive negative (for
+`isom`, regime "exhaustive": the span scanned or ruled out by group
+type), 2 input error, 3 precision exhausted, 4 inconclusive (randomized
+regime, or a search space too large), 5 internal error (a bug, never a
+result).
 Library errors reach their code through EXIT_CODES alone.
 """
 

@@ -22,8 +22,10 @@ from .plinalg import Matrix, inverse_with_shift, smith_normal_form
 class FCrystal:
     """A latticed F-isocrystal with chosen basis, at finite precision."""
 
-    # exponents: the Smith exponents of B, kept from the injectivity check
-    __slots__ = ("ring", "rank", "B", "shift", "exponents")
+    # exponents: the Smith exponents of B, kept from the injectivity check;
+    # end_types: the group type of End_m per precision m, filled on first
+    # use by `semilinear.end_type` (B never changes, so it cannot go stale)
+    __slots__ = ("ring", "rank", "B", "shift", "exponents", "end_types")
 
     def __init__(self, ring, B, shift=0):
         if B.rows != B.cols:
@@ -41,6 +43,7 @@ class FCrystal:
         self.B = B
         self.shift = shift
         self.exponents = exps
+        self.end_types = {}
 
     def twist(self, g: Matrix) -> "FCrystal":
         """The crystal with phi replaced by g o phi."""

@@ -676,6 +676,13 @@ class IntSolver:
         gens = [red(p ** (n - e) * x) for e, x in zip(exps, self._rt) if e]
         return [g for g in gens if g]
 
+    def kernel_type(self):
+        """The kernel's group type: the sorted exponents e of its cyclic
+        factors Z/p^e, one per e_i > 0, a column past the pivots giving
+        e = n (the factors of `kernel_generators`)."""
+        pad = [self.n] * (self.cols - len(self.exps))
+        return tuple(sorted([e for e in self.exps if e] + pad))
+
 
 def solve_linear_module(a_rows, b, p, n) -> SolutionModule:
     """Canonical solution module of A x = b over Z/p^n."""

@@ -61,17 +61,19 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
 
     def block(a, cols):
         # products a * u for packed u in cols, one after another: entry
-        # s * q + t is coordinate t of the s-th
-        pa = ring._pack(a.coeffs, W)
+        # s * q + t is coordinate t of the s-th (a is a coordinate tuple)
+        if not any(a):
+            return [0] * (q * q)
+        pa = ring._pack(a, W)
         return [c for u in cols for c in ring._reduce(pa * u, W)]
 
+    rows1, rows2 = B1._rows(), B2._rows()
     left, right = [], []
     for j in range(r1):
-        flat = [c for k in range(B1.rows) for c in block(B1[k, j], ts)]
+        flat = [c for row in rows1 for c in block(row[j], ts)]
         left.append([P.pack(flat[t::q]) for t in range(q)])
     for i in range(r2):
-        negs = [[(pn - c) % pn for c in block(B2[i, k], sig)]
-                for k in range(B2.rows)]
+        negs = [[(pn - c) % pn for c in block(a, sig)] for a in rows2[i]]
         right.append([sum(P.pack(neg[t::q]) << k * stride
                           for k, neg in enumerate(negs)) for t in range(q)])
     return P, [P.reduce((left[j][t] << i * stride)
@@ -88,6 +90,7 @@ class HomModule:
     precision: int
     profile: list         # pivot valuations
     _howell: list         # the Howell rows, flat row-major coordinates
+    group_type: tuple     # sorted e over the cyclic factors Z/p^e
     # (P, the Howell rows as P packs them), for the mod-p subset
     _packed: tuple = field(repr=False, compare=False)
 
@@ -98,11 +101,12 @@ class HomModule:
     def from_system(cls, ring, shape, P, rows):
         """The module of solutions over `ring` of the system `rows`, packed
         by P."""
-        packed = howell_form(P, IntSolver(P, rows).kernel_generators(),
-                             packed=True)
+        solver = IntSolver(P, rows)
+        packed = howell_form(P, solver.kernel_generators(), packed=True)
         kern = [P.unpack(r) for r in packed]
         profile = [v for (_, v) in howell_pivots(kern, ring.p, ring.n)]
-        return cls(ring, shape, ring.n, profile, kern, (P, packed))
+        return cls(ring, shape, ring.n, profile, kern, solver.kernel_type(),
+                   (P, packed))
 
     @cached_property
     def basis(self):
@@ -151,6 +155,17 @@ def hom_module(C1, C2, precision=None) -> HomModule:
         C1.B.reduce_to(rm), C2.B.reduce_to(rm), rm))
 
 
+def end_type(C, rm):
+    """The group type of End_m(C) over rm = W_m (as `HomModule.group_type`),
+    kept on C per m: one elimination, with no kernel basis."""
+    t = C.end_types.get(rm.n)
+    if t is None:
+        B = C.B.reduce_to(rm)
+        t = C.end_types[rm.n] = IntSolver(
+            *_intertwiner_system(B, B, rm)).kernel_type()
+    return t
+
+
 def fixed_lattice(C):
     """(HomModule of End fixed points, lattice exponent of their W-span).
 
@@ -186,7 +201,9 @@ def _row_combination(coeffs, rows, width):
 @dataclass
 class IsomResult:
     witness: object         # Matrix or None
-    regime: str             # "exhaustive" | "randomized"
+    # "exhaustive": definitive, the span scanned or ruled out by group
+    # type; "randomized": random trials above EXHAUSTIVE_CAP
+    regime: str
     trials: int = 0
 
     @property
@@ -199,21 +216,29 @@ def isom_search(C1, C2, precision=None, seed=0) -> IsomResult:
 
     The mod-p span of the Hom module is scanned for a unit determinant;
     a hit lifts to an isomorphism witness at the working precision, and
-    an exhaustive miss certifies None.
+    an exhaustive miss certifies None, as does a group type of the Hom
+    module other than End(C1)'s (see `unit_search`).
     """
     if C1.rank != C2.rank:
         return IsomResult(None, "exhaustive", 0)
     H = hom_module(C1, C2, precision)
-    return unit_search(H, seed=seed)
+    return unit_search(H, seed=seed, source=C1)
 
 
-def unit_search(H: HomModule, seed=0) -> IsomResult:
+def unit_search(H: HomModule, seed=0, source=None) -> IsomResult:
     """Search the mod-p span of the module for a unit-determinant element.
 
     Up to EXHAUSTIVE_CAP elements the span is scanned in index order, so
     the witness is the lexicographically smallest unit (base-p digit
     vectors over the spanning subset).  Beyond it, RANDOMIZED_TRIALS
     random combinations are tried, and the first unit among them lifts.
+
+    With `source` the crystal C1 of H = Hom_m(C1, C2), a unit g would
+    make f -> g f a group isomorphism End_m(C1) -> H, so H holds none
+    when the group types differ: the miss is exhaustive without the rest
+    of the scan.  The types are compared once a first lane block of the
+    scan has missed (a scan of one block costs less than End's
+    elimination), and before any trial.
     """
     ring = H.ring
     p = ring.p
@@ -229,12 +254,17 @@ def unit_search(H: HomModule, seed=0) -> IsomResult:
         return Matrix.from_flat_ints(ring, r, r, _row_combination(
             coeffs, free, r * r * ring.q))
 
+    def ruled_out():
+        return source is not None and H.group_type != end_type(source, ring)
+
     if p ** k <= EXHAUSTIVE_CAP:
-        idx = _scan_range(ring, free, r)
+        idx = _scan_range(ring, free, r, ruled_out=ruled_out)
         if idx is None:
             return IsomResult(None, "exhaustive", 0)
         return IsomResult(lift([idx // p ** d % p for d in range(k)]),
                           "exhaustive")
+    if ruled_out():
+        return IsomResult(None, "exhaustive", 0)
     hit = _first_unit_trial(ring, free, r, random.Random(seed))
     if hit is None:
         return IsomResult(None, "randomized", RANDOMIZED_TRIALS)
@@ -269,9 +299,11 @@ def _first_unit_trial(ring, rows, r, rng):
     return None
 
 
-def _scan_range(ring, rows, r, base=None):
+def _scan_range(ring, rows, r, base=None, ruled_out=None):
     """First index in [0, p^k) whose combination of the k flat coordinate
-    rows (plus the flat row base) is a unit modulo p.
+    rows (plus the flat row base) is a unit modulo p.  `ruled_out`, if
+    given, is called once the first of several blocks has missed; True
+    ends the scan with None.
 
     Index digits are base-p coefficients, digit 0 (rows[0]) fastest.
     Blocks of p^b indices are evaluated at once: lane x of every int, a
@@ -292,6 +324,8 @@ def _scan_range(ring, rows, r, base=None):
         units = block.units(const)
         if units:
             return start + ((units & -units).bit_length() - 1) // w
+        if not start and size < p ** k and ruled_out and ruled_out():
+            return None
     return None
 
 
@@ -672,13 +706,19 @@ class _CircularMap:
 
 def _check_circular(big, b, c, d, xs):
     """Raise unless b_j x_j + c_j = d_j sigma(x_(j-1)) for every j, on
-    coordinate tuples over the field `big`."""
+    coordinate tuples over the field `big`.  The stairs engine passes
+    b_j, d_j in {0, 1}, which take no product."""
     frob = big._frobenius_rows(1) if big.q > 1 else None
+    zero, one = big._zero, big._one
+
+    def times(a, x):
+        return x if a == one else zero if a == zero else big._mul(a, x)
+
     for j in range(len(xs)):
         prev = xs[j - 1]
         if frob:
             prev = big._apply_rows(prev, frob)
-        if big._add(big._mul(b[j], xs[j]), c[j]) != big._mul(d[j], prev):
+        if big._add(times(b[j], xs[j]), c[j]) != times(d[j], prev):
             raise InternalError(f"circular equation {j} violated")
 
 

@@ -371,7 +371,7 @@ def polarized_isom_search(P1, P2, precision=None):
     if C1.rank != C2.rank:
         return IsomResult(None, "exhaustive", 0)
     H = hom_module(C1, C2, precision)
-    plain = unit_search(H)
+    plain = unit_search(H, source=C1)
     if plain.witness is None and plain.definitive:
         return IsomResult(None, "exhaustive", 0)
     ring = H.ring

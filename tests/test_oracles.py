@@ -12,6 +12,7 @@ import pytest
 from fcrystals import deviation, semilinear, stairs
 from fcrystals.conway import CONWAY_TABLE
 from fcrystals.crystal import (
+    PolarizedCrystal,
     builtin_crystal,
     certified_not_isoclinic,
     direct_sum_crystal,
@@ -50,13 +51,16 @@ from fcrystals.plinalg import (
 from fcrystals.semilinear import (
     CircularSolution,
     CircularSystem,
+    IsomResult,
     _first_unit_trial,
     _lang_search,
     _scan_range,
+    end_type,
     fixed_lattice,
     hom_module,
     isom_search,
     solve_circular,
+    unit_search,
 )
 from fcrystals.stairs import (
     _abstract_lang_search,
@@ -66,6 +70,7 @@ from fcrystals.stairs import (
     build_stairs_datum,
     ring2_reduce,
 )
+from fcrystals.truncation import polarized_isom_search
 from fcrystals.witt import INFINITY, WittElem, field_walk, make_witt_ring
 from fcrystals.witt import _int_val as _ival
 from fcrystals.witt import _poly_mul_mod, _poly_pow_mod
@@ -543,6 +548,22 @@ def _apply(A, x, pn):
     return [sum(a * v for a, v in zip(row, x)) % pn for row in A]
 
 
+def _type_from_killed(killed, p):
+    """The group type (sorted e over the factors Z/p^e) of a finite
+    abelian p-group whose elements killed by p^j number killed[j]: each
+    factor with e >= j multiplies killed[j] / killed[j - 1] by p."""
+    at_least = [0]
+    for a, b in zip(killed, killed[1:]):
+        c, q = 0, b // a
+        while q > 1:
+            q //= p
+            c += 1
+        at_least.append(c)
+    at_least.append(0)
+    return tuple(e for e in range(1, len(killed))
+                 for _ in range(at_least[e] - at_least[e + 1]))
+
+
 def _int_systems(p, rng):
     """Seeded systems over Z/p^n for n = 1..5: square, wide and tall, with
     zero rows, rows of p-multiples (non-unit pivots), sparse and dense."""
@@ -591,11 +612,16 @@ def test_int_solver_matches_two_sided_elimination(p):
         if pn ** cols <= 3 ** 8:
             seen["brute force"] += 1
             images, ker = set(), 0
+            killed = [0] * (n + 1)   # kernel elements killed by p^j
             for x in itertools.product(range(pn), repeat=cols):
                 ax = tuple(_apply(A, x, pn))
                 images.add(ax)
-                ker += not any(ax)
+                if not any(ax):
+                    ker += 1
+                    killed[n - min(_valuation(v, p, n) for v in x)] += 1
             assert ker == p ** ker_log, (n, A)
+            assert new.kernel_type() == _type_from_killed(
+                list(itertools.accumulate(killed)), p), (n, A)
         bs = [_apply(A, [rng.randrange(pn) for _ in range(cols)], pn)
               for _ in range(3)]
         bs += [[rng.randrange(-pn, 2 * pn) for _ in range(rows)]
@@ -2727,3 +2753,247 @@ def test_shifted_crystals_still_reach_the_walk():
     assert C.shift == 1 and certified_not_isoclinic(C)
     with pytest.raises(ShiftUnsupported):
         _fixed_datum(C)
+
+
+# -- group types before the unit scan -----------------------------------------
+
+_TYPE_FAMILIES = [
+    ("isoclinic_3_3_6", {"r": 3, "c": 1}),
+    ("isoclinic_3_3_6", {"r": 3, "c": 2}),
+    ("phi_alpha_4_5", {"alpha": 0}),
+    ("phi_alpha_4_5", {"alpha": 1}),
+    ("supersingular", {"d": 1}),
+    ("supersingular", {"d": 2}),
+    ("ordinary", {"r": 2, "d": 0}),
+    ("ordinary", {"r": 2, "d": 1}),
+    ("ordinary", {"r": 3, "d": 1}),
+]
+
+# (q, polarized, alpha1, alpha2) over W_4(F_(2^q)): the pairs of the
+# isom-negative benchmark, the first of them check 06's
+_NEGATIVE_KINDS = [(6, False, "1", "t"), (6, True, "1", "t2"),
+                   (3, False, "0", "1"), (3, True, "0", "t")]
+
+
+def _type_pairs():
+    """(key, C1, C2, precision, conjugate): each family of _TYPE_FAMILIES
+    over W_n(F_(p^q)) against a seeded conjugate of each family of its
+    rank, at precision n and 2."""
+    for p, q, n in ((2, 1, 4), (2, 2, 4), (2, 3, 4), (3, 1, 4), (3, 2, 3),
+                    (5, 1, 3)):
+        ring = make_witt_ring(p, q, n)
+        built = []
+        for k, (family, params) in enumerate(_TYPE_FAMILIES):
+            try:
+                C = builtin_crystal(ring, family, **params)
+            except SingularAtPrecision:
+                continue
+            seed = 1000 * p + 100 * q + 10 * n + k
+            built.append((k, C, _certificate_conjugate(C, seed)))
+        for m in (n, 2):
+            for k1, C1, _ in built:
+                for k2, C2, D2 in built:
+                    if C1.rank == C2.rank:
+                        yield (p, q, n, m, k1, k2), C1, D2, m, k1 == k2
+
+
+def _negative_kind(kind):
+    """(X1, X2) of an isom-negative kind, as built."""
+    q, polarized, a1, a2 = _NEGATIVE_KINDS[kind]
+    ring = make_witt_ring(2, q, 4)
+    alpha = {"0": ring.zero(), "1": ring.one(), "t": ring.gen(),
+             "t2": ring.gen() * ring.gen()}
+    family = "polarized_4_5_4" if polarized else "phi_alpha_4_5"
+    return tuple(builtin_crystal(ring, family, alpha=alpha[a])
+                 for a in (a1, a2))
+
+
+def _permuted_conjugate(X, rng):
+    """X conjugated as in the isom-negative benchmark: by u = P (1 + 2Y)
+    for a permutation matrix P, Y integral when X is polarized (sigma
+    fixes u, so the form carries over as u^-T J u^-1)."""
+    polarized = isinstance(X, PolarizedCrystal)
+    C = X.base if polarized else X
+    ring, r = C.ring, C.rank
+    perm = rng.sample(range(r), r)
+    Y = Matrix(ring, [[ring.from_int(rng.randrange(ring.pn)) if polarized
+                       else ring.random_element(rng) for _ in range(r)]
+                      for _ in range(r)])
+    u = Matrix.from_ints(ring, [[int(perm[i] == j) for j in range(r)]
+                                for i in range(r)]) @ (
+        Matrix.identity(ring, r) + Y.scale(ring.p))
+    ui = unit_inverse_matrix(u)
+    D = new_crystal(ring, u @ C.B @ ui, 0)
+    if not polarized:
+        return D
+    return PolarizedCrystal(D, ui.transpose() @ X.J @ ui, X.c)
+
+
+def _negative_pairs():
+    """(key, X1, X2, precision): each isom-negative kind as built (kind 0
+    is check 06's pair) and with X2 conjugated, at precision 4; and a
+    polarized crystal against itself at precisions 2 and 4."""
+    rng = random.Random(22)
+    for kind in range(len(_NEGATIVE_KINDS)):
+        X1, X2 = _negative_kind(kind)
+        yield (kind, "built"), X1, X2, 4
+        yield (kind, "conjugated"), X1, _permuted_conjugate(X2, rng), 4
+    P = builtin_crystal(make_witt_ring(2, 3, 4), "polarized_4_5_4", alpha=1)
+    for m in (2, 4):
+        yield ("self", m), P, P, m
+
+
+def _isom_pin(res):
+    """An isom result as pinned: the first 16 hex digits of the sha256 of
+    the witness's flat (None for no witness) when the regime is
+    exhaustive with 0 trials, else (digits, regime, trials)."""
+    w = res.witness
+    digest = None if w is None else hashlib.sha256(
+        repr(w.flat).encode()).hexdigest()[:16]
+    if (res.regime, res.trials) == ("exhaustive", 0):
+        return digest
+    return digest, res.regime, res.trials
+
+
+def _span_type(rows, p, n):
+    """The group type of the span of flat rows over Z/p^n, read from the
+    image side: n - e over the two-sided Smith exponents e < n."""
+    return tuple(sorted(n - e for e in _TwoSidedSolver(rows, p, n).exps
+                        if e < n))
+
+
+# `isom_search` on _type_pairs, per (p, q, n, precision) in pair order, and
+# the search on _negative_pairs (`polarized_isom_search` for the polarized
+# ones), as `_isom_pin` gives them, computed before the group-type test
+# existed
+ISOM_PINS = {
+    (2, 1, 4, 4): [
+        'e6e97ac6e1e5994f', None, None, None, '6922c236ff868581', None,
+        'cec2cb9414d8cd0f', None, None, 'fbf230ab33addce9',
+        '70aa583addd4c123', None, None, '7215f02aa1f652aa', None,
+        '4d215c198c1c85f2', None, None, None, '677561b8d16fb3d2', None, None,
+        '0dde0e5c5bfe41c5'],
+    (2, 1, 4, 2): [
+        '75f6d6a82b1a0654', None, None, None, '82574ed0d285a501', None,
+        '5c4c43cf6645aaf6', None, None, '35ee3c29c7d29337',
+        '8fc40088d08f73ce', None, None, 'f71d6e26c283bf40', None,
+        '4d215c198c1c85f2', None, None, None, 'cf76bea66279a9e3', None, None,
+        'e3d0d7882efac355'],
+    (2, 2, 4, 4): [
+        'a5179e4cac9fb861', None, None, None, 'a95688c01ebafc50', None,
+        '616427f93ca385aa', None, None, 'c50d060a8508c5a6',
+        '3fa872ded879e0e0', None, None, 'cfb6513173f219e9', None,
+        'cd73012a177f2975', None, None, None, 'db72dbc84306d8d0', None, None,
+        '1a59c3e041944d0a'],
+    (2, 2, 4, 2): [
+        '4160ab1b3ef8d967', None, None, None, '50b54250ab30f6b4', None,
+        'da368b01537602ef', None, None, '2e4617eccd0cbe49',
+        '85f10129118ed358', None, None, 'ddb9e906de8c70db', None,
+        '030c9e663adffaaf', None, None, None, '013fb86e15d0490b', None, None,
+        'd111f73889a32883'],
+    (2, 3, 4, 4): [
+        '76d8704c61a445b2', None, None, None, '24310051a5d1de98', None,
+        '5df97d5b160ea9b1', None, None, '56b41ce3c65ba00c',
+        '9d94e658f65fc05d', None, None, 'c113101a0d4e80ed', None,
+        '2a7a1cb0cdaa08d1', None, None, None, '39955bcf74a59759', None, None,
+        '9a2a4dbed20bb89a'],
+    (2, 3, 4, 2): [
+        'f4a0254703806991', None, None, None, 'dba02110c5432fc5', None,
+        'adfc4ea535429812', None, None, 'b5d7725ae9027e5a',
+        '708362466fb1538b', None, None, '6e8f3a36282a694b', None,
+        'a04d7b398bfe58a5', None, None, None, 'b813d6689107cef7', None, None,
+        'f42c0bf5f4c6a8a7'],
+    (3, 1, 4, 4): [
+        '2513b65cf961a0a5', None, None, None, 'c2d0c9047e45a2da', None,
+        '3de85a49be27e836', None, None, 'ebf1368f665cf98c',
+        '47e94b3bb82fde27', None, None, '8979d6f1a3e68df9', None,
+        '4d215c198c1c85f2', None, None, None, '7f2dc41a349f7b5f', None, None,
+        'a8c808e0b885541f'],
+    (3, 1, 4, 2): [
+        '8c45c46b4fae1a43', None, None, None, 'd59deb9b1cc0fee2', None,
+        '21be1382f393e300', None, None, '2dcff6ed2162cdf0',
+        'd5c98315076a5dc3', None, None, '6fc7bf7486c2b998', None,
+        '4d215c198c1c85f2', None, None, None, '02bf57b7ebf8d798', None, None,
+        'a0750111c4318423'],
+    (3, 2, 3, 3): [
+        'afa5a3c83996e21d', None, None, None, '4877a9ac3455aac9', None,
+        '221216b7c770a5b6', None, None,
+        ('22849f77374ed54c', 'randomized', 1), None, 'e2e158340f971528',
+        None, None, None, '4fc8d5be9cd040ab', None, None, '3cc95ba029d27c3b'],
+    (3, 2, 3, 2): [
+        '0a504b1de8689b71', None, None, None, 'f98face4900a566b', None,
+        '094f117a46a8582c', None, None,
+        ('f3b4ce6c074c18c9', 'randomized', 1), None, '5cb24873dd642bb0',
+        None, None, None, '904a4779f423a19f', None, None, 'e368be0894468787'],
+    (5, 1, 3, 3): [
+        'c070beaee9c601ab', None, None, None, '36dd193beebbf908', None,
+        '54f6ea2eb0ea80c9', None, None, 'eb5d1766862263b2', None,
+        '4d215c198c1c85f2', None, None, None, 'fcd06ca002a02f6f', None, None,
+        '1127e9a37e7b9d63'],
+    (5, 1, 3, 2): [
+        '336fce5d5b817e6b', None, None, None, '6508061a1461986f', None,
+        'b1edcbb0d958ba0d', None, None, 'e460cbccf7f8aa75', None,
+        '4d215c198c1c85f2', None, None, None, 'd3bc24e6c888291b', None, None,
+        '9c7cfe3a2c9e88e4'],
+}
+NEGATIVE_PINS = {
+    (0, 'built'): None,
+    (0, 'conjugated'): None,
+    (1, 'built'): None,
+    (1, 'conjugated'): None,
+    (2, 'built'): None,
+    (2, 'conjugated'): None,
+    (3, 'built'): None,
+    (3, 'conjugated'): None,
+    ('self', 2): '79bd0ec656ec1fc7',
+    ('self', 4): '79bd0ec656ec1fc7',
+}
+
+
+def test_group_type_negatives_agree_with_the_scan():
+    """On the corpus, `isom_search` gives the pinned results.  Wherever
+    Hom(C1, C2) and End(C1) differ in group type, the bare scan (no
+    source, as before the type test) finds no unit either, and every
+    conjugate pair has equal types.  Up to 36 coordinates, each type is
+    the one of the Howell span read from the image side."""
+    got, seen = {}, {"differ": 0, "equal": 0, "conjugate": 0, "image": 0}
+    for key, C1, C2, m, conjugate in _type_pairs():
+        got.setdefault(key[:4], []).append(_isom_pin(isom_search(C1, C2, m)))
+        H = hom_module(C1, C2, m)
+        E = end_type(C1, H.ring)
+        assert sum(H.group_type) == H.size_log(), key
+        if C1.rank ** 2 * H.ring.q <= 36:
+            p = H.ring.p
+            assert _span_type(H._howell, p, m) == H.group_type, key
+            assert _span_type(hom_module(C1, C1, m)._howell, p, m) == E, key
+            seen["image"] += 1
+        if conjugate:
+            assert H.group_type == E, key
+            seen["conjugate"] += 1
+        elif H.group_type != E:
+            assert unit_search(H) == IsomResult(None, "exhaustive", 0), key
+            seen["differ"] += 1
+        else:
+            seen["equal"] += 1
+    assert got == ISOM_PINS
+    assert seen == {"differ": 146, "equal": 14, "conjugate": 100,
+                    "image": 242}, seen
+
+
+def test_isom_negative_kinds_differ_in_group_type():
+    """The isom-negative pairs, check 06's first, keep their pinned
+    results; each differs from End(C1) in group type, where the bare scan
+    finds no unit, and a polarized crystal against itself keeps its
+    witness."""
+    for key, X1, X2, m in _negative_pairs():
+        polarized = isinstance(X1, PolarizedCrystal)
+        search = polarized_isom_search if polarized else isom_search
+        assert _isom_pin(search(X1, X2, m)) == NEGATIVE_PINS[key], key
+        C1, C2 = (X1.base, X2.base) if polarized else (X1, X2)
+        H = hom_module(C1, C2, m)
+        E = end_type(C1, H.ring)
+        if key[0] == "self":
+            assert H.group_type == E
+        else:
+            assert H.group_type != E, key
+            assert unit_search(H) == IsomResult(None, "exhaustive", 0), key

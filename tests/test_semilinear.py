@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fcrystals import semilinear
 from fcrystals.cli import main
 from fcrystals.crystal import builtin_crystal, new_crystal
 from fcrystals.errors import (
@@ -16,7 +17,9 @@ from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
 from fcrystals.semilinear import (
     RANDOMIZED_TRIALS,
     CircularSystem,
+    IsomResult,
     cokernel_length,
+    end_type,
     fixed_lattice,
     hom_image,
     hom_module,
@@ -122,21 +125,106 @@ def _unit_and_twisted_rank6():
                 for i in range(6)])))
 
 
-def test_randomized_regime_exhausts_its_trials(tmp_path, capsys):
-    E6, D6 = _unit_and_twisted_rank6()
-    res = isom_search(E6, D6)
-    assert (res.witness, res.regime, res.trials) == (
-        None, "randomized", RANDOMIZED_TRIALS)
-    assert RANDOMIZED_TRIALS == 20000
+def _isom_cli(tmp_path, capsys, C1, C2):
+    """(exit code, stdout JSON) of `fcrystals isom` on the two crystals."""
     paths = []
-    for name, C in (("e6", E6), ("d6", D6)):
+    for name, C in (("c1", C1), ("c2", C2)):
         paths.append(str(tmp_path / f"{name}.json"))
         write_crystal(paths[-1], C)
     with pytest.raises(SystemExit) as exc:
         main(["isom", *paths])
-    assert exc.value.code == 4
-    assert json.loads(capsys.readouterr().out) == {
-        "found": False, "regime": "randomized"}
+    return exc.value.code, json.loads(capsys.readouterr().out)
+
+
+def test_randomized_regime_exhausts_its_trials():
+    # the bare unit search, with no group-type test: 2^30 residues
+    E6, D6 = _unit_and_twisted_rank6()
+    res = unit_search(hom_module(E6, D6))
+    assert (res.witness, res.regime, res.trials) == (
+        None, "randomized", RANDOMIZED_TRIALS)
+    assert RANDOMIZED_TRIALS == 20000
+
+
+def test_group_type_settles_a_pair_above_the_cap(tmp_path, capsys):
+    # End(E6) has type 4^36 and Hom(E6, D6) 4^30, so no unit exists
+    E6, D6 = _unit_and_twisted_rank6()
+    H = hom_module(E6, D6)
+    assert H.group_type == (2,) * 30
+    assert end_type(E6, H.ring) == (2,) * 36
+    assert isom_search(E6, D6) == IsomResult(None, "exhaustive", 0)
+    assert _isom_cli(tmp_path, capsys, E6, D6) == (
+        1, {"found": False, "regime": "exhaustive"})
+
+
+def test_equal_group_types_above_the_cap_stay_inconclusive(tmp_path,
+                                                           capsys):
+    # diag(1^3, 2^3) against diag(1^2, 2^4) over W_2(F_3): Hom has 3 * 2
+    # + 3 * 4 = 18 free entries, as End has 3^2 + 3^2, so both types are
+    # 9^18 (a pair a^2 + b^2 = a a' + b b' with a + b = a' + b' needs
+    # a = a' or a = b); no unit exists, as the eigenvalue 1 has
+    # multiplicities 3 and 2, but the type test cannot tell
+    W = make_witt_ring(3, 1, 2)
+    A, B = (new_crystal(W, Matrix.from_ints(W, [
+        [(1 if i < ones else 2) * (i == j) for j in range(6)]
+        for i in range(6)])) for ones in (3, 2))
+    H = hom_module(A, B)
+    assert H.group_type == end_type(A, H.ring) == (2,) * 18
+    assert isom_search(A, B) == IsomResult(None, "randomized",
+                                           RANDOMIZED_TRIALS)
+    assert _isom_cli(tmp_path, capsys, A, B) == (
+        4, {"found": False, "regime": "randomized"})
+
+
+def _thirds_pair():
+    """Check 06's pair: the thirds family over W_4(F_64), alpha 1 and t."""
+    W = make_witt_ring(2, 6, 4)
+    return (builtin_crystal(W, "phi_alpha_4_5", alpha=W.one()),
+            builtin_crystal(W, "phi_alpha_4_5", alpha=W.gen()))
+
+
+def test_end_type_memo_hit_equals_a_fresh_crystal(monkeypatch):
+    C1, C2 = _thirds_pair()
+    assert C1.end_types == {}
+    assert isom_search(C1, C2) == IsomResult(None, "exhaustive", 0)
+    t = C1.end_types[4]
+    assert list(C1.end_types) == [4] and C2.end_types == {}
+    fresh = new_crystal(C1.ring, C1.B, C1.shift)
+    assert fresh.end_types == {}
+    assert end_type(fresh, C1.ring) == t == hom_module(C1, C1).group_type
+
+    def no_solver(*args):
+        raise AssertionError("a memo hit eliminated again")
+
+    monkeypatch.setattr(semilinear, "IntSolver", no_solver)
+    assert end_type(C1, C1.ring) is t
+
+
+def test_new_crystals_start_with_an_empty_memo():
+    W = make_witt_ring(3, 2, 4)
+    C = builtin_crystal(W, "ordinary", r=3, d=1)
+    end_type(C, W)
+    assert list(C.end_types) == [4]
+    for D in (C.twist(Matrix.identity(W, 3)),
+              C.reduce_to(make_witt_ring(3, 2, 3)),
+              C.base_change(make_witt_ring(3, 4, 4))):
+        assert D.end_types == {}
+
+
+def test_a_lower_precision_gets_its_own_entry():
+    C1, C2 = _thirds_pair()
+    assert isom_search(C1, C2, precision=2).witness is None
+    assert list(C1.end_types) == [2]
+    assert isom_search(C1, C2).witness is None
+    assert sorted(C1.end_types) == [2, 4]
+    assert C1.end_types[2] == hom_module(C1, C1, 2).group_type
+    assert C1.end_types[2] != C1.end_types[4]
+
+
+def test_a_first_block_hit_skips_the_type_test():
+    # End's first unit lies in the first lane block of its scan
+    C1, _ = _thirds_pair()
+    assert isom_search(C1, C1).witness is not None
+    assert C1.end_types == {}
 
 
 def test_isom_search_distinguishes_newton():
