@@ -24,8 +24,10 @@ class FCrystal:
 
     # exponents: the Smith exponents of B, kept from the injectivity check;
     # end_types: the group type of End_m per precision m, filled on first
-    # use by `semilinear.end_type` (B never changes, so it cannot go stale)
-    __slots__ = ("ring", "rank", "B", "shift", "exponents", "end_types")
+    # use by `semilinear.end_type`; fixed_memo: (`stairs.fixed_datum(C)`,)
+    # once computed, () before (B never changes, so neither can go stale)
+    __slots__ = ("ring", "rank", "B", "shift", "exponents", "end_types",
+                 "fixed_memo")
 
     def __init__(self, ring, B, shift=0):
         if B.rows != B.cols:
@@ -44,6 +46,7 @@ class FCrystal:
         self.shift = shift
         self.exponents = exps
         self.end_types = {}
+        self.fixed_memo = ()
 
     def twist(self, g: Matrix) -> "FCrystal":
         """The crystal with phi replaced by g o phi."""

@@ -9,6 +9,7 @@ exponentials.
 import math
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, product, repeat, takewhile
 from operator import add, mul, sub
 
@@ -576,8 +577,13 @@ class IntSolver:
     entries of `perm`, the slot of each elimination column.  The row
     operations are not multiplied into a left transform: each pivot's row
     swap, unit inverse and (row, multiplier) lists are logged and
-    replayed on b by `solve`.  The right transform R is kept transposed
-    (`_rt[j]` is column j of R), so its column operations are row updates.
+    replayed on b by `solve`.  The right transform R is built on first
+    read (by `solve` or `kernel_generators`), from a per-pivot record of
+    the column operations, so a caller that reads only `exps` (a group
+    type) never pays for it.  R is kept transposed and by slot: its
+    column operations are row updates, and a column swap moves nothing;
+    `_rt[t]`, column t of R in elimination order, is the column of slot
+    perm[t].
     """
 
     def __init__(self, P, a_rows):
@@ -588,11 +594,12 @@ class IntSolver:
         cols = self.cols = P.cols
         red, w, low = P.reduce, P.w, (1 << P.w) - 1
         A = list(a_rows)
-        RT = [1 << j * w for j in range(cols)]
         perm = list(range(cols))   # the slot of each elimination column
         pos = list(range(cols))    # and its inverse
         exps = []
         log = []   # per pivot: (swapped row, unit inverse, rows, multipliers)
+        # per pivot, for R: (slot, unit inverse, p^v, row, nonzero slots)
+        cops = []
         val = [None] * rows   # row valuations; None: changed since
         dim = min(rows, cols)
         for k in range(dim):
@@ -619,7 +626,6 @@ class IntSolver:
             sk = perm[bj]
             perm[k], perm[bj] = sk, perm[k]
             pos[perm[k]], pos[perm[bj]] = k, bj
-            RT[k], RT[bj] = RT[bj], RT[k]
             ui = pow(ak[sk] // pv, -1, pn)
             piv = red(ui * Ak)
             s = sk * w
@@ -629,17 +635,29 @@ class IntSolver:
                 A[i] = red(A[i] + (pn - c) * piv)
                 val[i] = None
             log.append((bi, ui, idx, mults))
-            # column k is now p^v e_k, so the column operations only
-            # clear the pivot row
-            Rk = RT[k]
-            for j in nz:
-                if j != sk:
-                    t = pos[j]
-                    RT[t] = red(RT[t] + (pn - ui * ak[j] % pn // pv) * Rk)
+            cops.append((sk, ui, pv, ak, nz))
             exps.append(v)
         self.exps = exps
         self._log = log
-        self._rt = RT
+        self._perm = perm
+        self._cops = cops
+
+    @cached_property
+    def _rt(self):
+        """The columns of R in elimination order, packed by P, replayed
+        from the record of column operations (dropped afterwards)."""
+        P, pn = self.packing, self.pn
+        red, w = P.reduce, P.w
+        RS = [1 << j * w for j in range(self.cols)]   # column of each slot
+        for sk, ui, pv, ak, nz in self._cops:
+            # column sk is now p^v e_sk, so the column operations only
+            # clear the pivot row
+            Rk = RS[sk]
+            for j in nz:
+                if j != sk:
+                    RS[j] = red(RS[j] + (pn - ui * ak[j] % pn // pv) * Rk)
+        del self._cops
+        return [RS[s] for s in self._perm]
 
     def solve(self, b):
         """One solution of A x = b, or None."""

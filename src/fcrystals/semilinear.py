@@ -6,7 +6,7 @@ to exact linear algebra over Z/p^m.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from operator import mul
@@ -81,32 +81,48 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
                for i in range(r2) for j in range(r1) for t in range(q)]
 
 
-@dataclass
 class HomModule:
-    """Howell basis of {g : g phi_1 = phi_2 g} at precision m."""
+    """Howell basis of {g : g phi_1 = phi_2 g} at precision m.
 
-    ring: object
-    shape: tuple          # (rank of target, rank of source)
-    precision: int
-    profile: list         # pivot valuations
-    _howell: list         # the Howell rows, flat row-major coordinates
-    group_type: tuple     # sorted e over the cyclic factors Z/p^e
-    # (P, the Howell rows as P packs them), for the mod-p subset
-    _packed: tuple = field(repr=False, compare=False)
+    The group type comes with the system's elimination; the kernel's
+    Howell basis, its pivot valuations (`profile`) and the rows packed
+    for the mod-p subset are built on first read, so a caller that reads
+    only the type (a group-type negative) never eliminates the kernel.
+    The solver is let go once the basis exists.
+    """
+
+    def __init__(self, ring, shape, P, rows):
+        """The module of solutions over `ring` of the system `rows`, packed
+        by P."""
+        solver = IntSolver(P, rows)
+        self.ring = ring
+        self.shape = shape                    # (rank of target, of source)
+        self.precision = ring.n
+        # sorted e over the cyclic factors Z/p^e
+        self.group_type = solver.kernel_type()
+        self._solver = solver
 
     def rank_free(self):
         return sum(1 for v in self.profile if v == 0)
 
-    @classmethod
-    def from_system(cls, ring, shape, P, rows):
-        """The module of solutions over `ring` of the system `rows`, packed
-        by P."""
-        solver = IntSolver(P, rows)
-        packed = howell_form(P, solver.kernel_generators(), packed=True)
-        kern = [P.unpack(r) for r in packed]
-        profile = [v for (_, v) in howell_pivots(kern, ring.p, ring.n)]
-        return cls(ring, shape, ring.n, profile, kern, solver.kernel_type(),
-                   (P, packed))
+    @cached_property
+    def _packed(self):
+        """(P, the Howell rows as P packs them), for the mod-p subset."""
+        solver, self._solver = self._solver, None
+        P = solver.packing
+        return P, howell_form(P, solver.kernel_generators(), packed=True)
+
+    @cached_property
+    def _howell(self):
+        """The Howell rows, flat row-major coordinates."""
+        P, packed = self._packed
+        return [P.unpack(r) for r in packed]
+
+    @cached_property
+    def profile(self):
+        """The pivot valuations of the Howell rows."""
+        return [v for (_, v) in howell_pivots(self._howell, self.ring.p,
+                                              self.precision)]
 
     @cached_property
     def basis(self):
@@ -132,8 +148,7 @@ class HomModule:
 
     def size_log(self):
         """log_p of the number of module elements."""
-        n = self.precision
-        return sum(n - v for v in self.profile)
+        return sum(self.group_type)
 
     def contains(self, g: Matrix) -> bool:
         return howell_contains(self._howell, [g.flat], self.ring.p,
@@ -151,13 +166,14 @@ def hom_module(C1, C2, precision=None) -> HomModule:
     if m > ring.n:
         raise BadShape("precision exceeds the ring's")
     rm = make_witt_ring(ring.p, ring.q, m)
-    return HomModule.from_system(rm, (C2.rank, C1.rank), *_intertwiner_system(
+    return HomModule(rm, (C2.rank, C1.rank), *_intertwiner_system(
         C1.B.reduce_to(rm), C2.B.reduce_to(rm), rm))
 
 
 def end_type(C, rm):
     """The group type of End_m(C) over rm = W_m (as `HomModule.group_type`),
-    kept on C per m: one elimination, with no kernel basis."""
+    kept on C per m: one elimination, with no right transform and no
+    kernel basis."""
     t = C.end_types.get(rm.n)
     if t is None:
         B = C.B.reduce_to(rm)
@@ -236,14 +252,22 @@ def unit_search(H: HomModule, seed=0, source=None) -> IsomResult:
     With `source` the crystal C1 of H = Hom_m(C1, C2), a unit g would
     make f -> g f a group isomorphism End_m(C1) -> H, so H holds none
     when the group types differ: the miss is exhaustive without the rest
-    of the scan.  The types are compared once a first lane block of the
-    scan has missed (a scan of one block costs less than End's
-    elimination), and before any trial.
+    of the scan.  When C1 already keeps End_m's type (`end_type`), the
+    types are compared first, before H's Howell basis is built.
+    Otherwise they are compared once a first lane block of the scan has
+    missed (a scan of one block costs less than End's elimination, and a
+    unit found there needs none), and before any trial.
     """
     ring = H.ring
     p = ring.p
     r = H.shape[0]
     if H.shape[0] != H.shape[1]:
+        return IsomResult(None, "exhaustive", 0)
+
+    def ruled_out():
+        return source is not None and H.group_type != end_type(source, ring)
+
+    if source is not None and ring.n in source.end_types and ruled_out():
         return IsomResult(None, "exhaustive", 0)
     free = H.mod_p_spanning_subset()
     k = len(free)
@@ -253,9 +277,6 @@ def unit_search(H: HomModule, seed=0, source=None) -> IsomResult:
     def lift(coeffs):
         return Matrix.from_flat_ints(ring, r, r, _row_combination(
             coeffs, free, r * r * ring.q))
-
-    def ruled_out():
-        return source is not None and H.group_type != end_type(source, ring)
 
     if p ** k <= EXHAUSTIVE_CAP:
         idx = _scan_range(ring, free, r, ruled_out=ruled_out)

@@ -69,6 +69,7 @@ class StairsDatum:
     square_zero: bool
     strategy: str          # "monomial" | "fixed"
     _solver: object = field(default=None, repr=False, compare=False)
+    _gamma: object = field(default=None, repr=False, compare=False)
     # base changes by target ring, so later runs reuse their crystal,
     # embedded basis and coordinate solver
     _base_changes: dict = field(default_factory=dict, repr=False,
@@ -82,6 +83,12 @@ class StairsDatum:
             self._solver = IntSolver(*pack_rows(list(zip(*cols)),
                                                 ring.p, ring.n))
         return self._solver
+
+    def structure_constants(self):
+        """`_structure_constants` of the datum, kept like the solver."""
+        if self._gamma is None:
+            self._gamma = _structure_constants(self)
+        return self._gamma
 
     def coords(self, X: Matrix):
         """WittElem coefficients y with X = sum y_l e_l, or None."""
@@ -188,7 +195,7 @@ class StairsCertificate:
 
 def build_stairs_datum(C) -> StairsDatum:
     """Monomial matrix-unit datum, else fixed-lattice datum, else error."""
-    datum = _monomial_datum(C) or _fixed_datum(C)
+    datum = _monomial_datum(C) or fixed_datum(C)
     if datum is not None:
         return datum
     raise UnsupportedShape(
@@ -295,6 +302,14 @@ def _cycles_of(perm):
             l = perm[l]
         cycles.append(cyc)
     return cycles
+
+
+def fixed_datum(C):
+    """`_fixed_datum(C)` at the default bound, kept on C, since it depends
+    on B alone; a None is kept too, a raised error is not."""
+    if not C.fixed_memo:
+        C.fixed_memo = (_fixed_datum(C),)
+    return C.fixed_memo[0]
 
 
 def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
@@ -567,7 +582,7 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
     abstract unit group of the fixed lattice, then finish with the
     multiplicative stairs; witnesses i-number <= m1 at the sampled g."""
     if datum is None:
-        datum = _fixed_datum(C)
+        datum = fixed_datum(C)
         if datum is None:
             raise UnsupportedShape(
                 "no full-rank fixed lattice found (End not of slope zero, "
@@ -632,7 +647,7 @@ def _abstract_lang(datum, g, gco):
     base-changed datum, g).
     """
     ring = datum.crystal.ring
-    gamma = _structure_constants(datum)
+    gamma = datum.structure_constants()
     for D, fld in field_walk(ring.p, ring.q, 1):
         x = _abstract_lang_search(
             gamma, [ring2_reduce(c, fld) for c in gco], fld)

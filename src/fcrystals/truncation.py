@@ -43,7 +43,7 @@ from .semilinear import (
     isom_search,
     unit_search,
 )
-from .stairs import _fixed_datum, _monomial_datum, build_stairs_datum
+from .stairs import _monomial_datum, build_stairs_datum, fixed_datum
 from .witt import INFINITY, make_witt_ring
 
 
@@ -96,7 +96,7 @@ def d_trunc_hom_module(T1: DTruncation, T2: DTruncation) -> HomModule:
     ring = T1.ring
     P, rows = _intertwiner_system(T1.F, T2.F, ring)
     _, more = _intertwiner_system(T1.V, T2.V, ring, sigma_power=ring.q - 1)
-    return HomModule.from_system(ring, (T2.rank, T1.rank), P, rows + more)
+    return HomModule(ring, (T2.rank, T1.rank), P, rows + more)
 
 
 def d_trunc_isom_search(T1: DTruncation, T2: DTruncation) -> IsomResult:
@@ -219,7 +219,7 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
         "evidence": {},
     }
     try:
-        dat = _fixed_datum(C)
+        dat = fixed_datum(C)
     except CrystalError:
         dat = None
     if h == 0:

@@ -32,10 +32,19 @@ from fcrystals.stairs import build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
 
+def _child_env():
+    """The environment with the imported package's source directory first
+    on PYTHONPATH, so a child interpreter imports the same fcrystals."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def _run(args, **kw):
     return subprocess.run(
         [sys.executable, "-m", "fcrystals.cli", *args],
-        capture_output=True, text=True, **kw)
+        capture_output=True, text=True, env=_child_env(), **kw)
 
 
 def test_round_trip(tmp_path):
@@ -452,7 +461,7 @@ def test_cli_verify_fast_runs():
     res = subprocess.run(
         [sys.executable, "-O", "-m", "fcrystals.cli",
          "verify", "--suite", "paper", "--fast"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert res.returncode == 0, res.stderr[-500:]
     lines = [json.loads(x) for x in res.stdout.strip().splitlines()]
     assert len(lines) == 12 and all(r["ok"] for r in lines)

@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from fcrystals import deviation, semilinear, stairs
+from fcrystals import deviation, plinalg, semilinear, stairs, truncation
 from fcrystals.conway import CONWAY_TABLE
 from fcrystals.crystal import (
     PolarizedCrystal,
@@ -2997,3 +2997,71 @@ def test_isom_negative_kinds_differ_in_group_type():
         else:
             assert H.group_type != E, key
             assert unit_search(H) == IsomResult(None, "exhaustive", 0), key
+
+
+def _forbid_kernel_work(patch):
+    """Make every Howell basis and every right transform of an IntSolver
+    raise."""
+    def built(*args, **kwargs):
+        raise AssertionError("a Howell basis or a right transform was built")
+
+    for module in (plinalg, semilinear, truncation):
+        if hasattr(module, "howell_form"):
+            patch.setattr(module, "howell_form", built)
+    patch.setattr(IntSolver, "_rt", property(built))
+
+
+def test_a_kept_end_type_settles_negatives_before_the_basis(monkeypatch):
+    """With End(C1)'s type kept on C1, each isom-negative pair (check 06's
+    first, as built and conjugated) returns the exhaustive miss with no
+    Howell basis and no right transform built; a polarized crystal
+    against itself, of equal type, still finds its pinned witness."""
+    pairs = list(_negative_pairs())
+    for _, X1, _, m in pairs:
+        C1 = X1.base if isinstance(X1, PolarizedCrystal) else X1
+        end_type(C1, make_witt_ring(C1.ring.p, C1.ring.q, m))
+    with monkeypatch.context() as patch:
+        _forbid_kernel_work(patch)
+        for key, X1, X2, m in pairs:
+            if key[0] == "self":
+                continue
+            search = polarized_isom_search if isinstance(
+                X1, PolarizedCrystal) else isom_search
+            assert search(X1, X2, m) == IsomResult(None, "exhaustive", 0), \
+                key
+    for key, X1, X2, m in pairs:
+        if key[0] == "self":
+            assert _isom_pin(polarized_isom_search(X1, X2, m)) == \
+                NEGATIVE_PINS[key], key
+
+
+def _eager_hom_module(C1, C2, m):
+    """(profile, Howell rows, basis, group type) of Hom_m(C1, C2), all
+    built at once from one elimination, as HomModule built them before
+    its basis became lazy."""
+    rm = make_witt_ring(C1.ring.p, C1.ring.q, m)
+    P, rows = semilinear._intertwiner_system(C1.B.reduce_to(rm),
+                                             C2.B.reduce_to(rm), rm)
+    solver = IntSolver(P, rows)
+    packed = howell_form(P, solver.kernel_generators(), packed=True)
+    kern = [P.unpack(r) for r in packed]
+    profile = [v for (_, v) in howell_pivots(kern, rm.p, m)]
+    basis = [Matrix.from_flat_ints(rm, C2.rank, C1.rank, v) for v in kern]
+    return profile, kern, basis, solver.kernel_type()
+
+
+def test_a_lazy_hom_module_matches_the_eager_build():
+    """On the group-type corpus, `hom_module` builds no right transform and
+    no basis up front, and whichever part is read first, its profile,
+    Howell rows, basis and group type are those of the eager build; the
+    solver is let go once the basis exists."""
+    reads = [lambda H: H.profile, lambda H: H.basis,
+             lambda H: H.mod_p_spanning_subset(), lambda H: H.size_log()]
+    for k, (key, C1, C2, m, _) in enumerate(_type_pairs()):
+        H = hom_module(C1, C2, m)
+        assert "_rt" not in vars(H._solver), key
+        assert not {"_packed", "_howell", "profile"} & set(vars(H)), key
+        reads[k % len(reads)](H)
+        assert (H.profile, H._howell, H.basis, H.group_type) == \
+            _eager_hom_module(C1, C2, m), key
+        assert H._solver is None, key

@@ -222,6 +222,22 @@ def test_int_solver_matches_module():
                 assert sum(rows[i][j] * g[j] for j in range(3)) % 27 == 0
 
 
+def test_int_solver_builds_r_on_first_read():
+    # exps and the kernel type come with the elimination; R waits for the
+    # first solve or kernel generators, and is the same either way
+    rng = random.Random(23)
+    rows = [[rng.randrange(27) for _ in range(4)] for _ in range(4)]
+    first, second = (IntSolver(*pack_rows(rows, 3, 3)) for _ in range(2))
+    first.kernel_type()
+    assert "_rt" not in vars(first) and "_rt" not in vars(second)
+    b = [rng.randrange(27) for _ in range(4)]
+    x = first.solve(b)
+    gens = second.kernel_generators()
+    assert "_rt" in vars(first) and "_rt" in vars(second)
+    assert first._rt == second._rt and not hasattr(first, "_cops")
+    assert (x, gens) == (second.solve(b), first.kernel_generators())
+
+
 def test_snf_transforms_are_units():
     from fcrystals.plinalg import det_valuation
     ring = make_witt_ring(2, 2, 3)

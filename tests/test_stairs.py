@@ -14,10 +14,13 @@ from fcrystals.errors import (
 )
 from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
 from fcrystals.semilinear import fixed_lattice
+from fcrystals import stairs
 from fcrystals.stairs import (
     StairsDatum,
     _fixed_datum,
+    _structure_constants,
     build_stairs_datum,
+    fixed_datum,
     lang_run,
     stairs_algebra_run,
     stairs_run,
@@ -310,3 +313,41 @@ def test_memoized_base_change_equals_a_fresh_one():
         assert (memo.crystal, memo.basis) == (ref.crystal, ref.basis)
         new, old = memo.coordinate_solver(), ref.coordinate_solver()
         assert (new.exps, new._log, new._rt) == (old.exps, old._log, old._rt)
+
+
+def test_fixed_datum_memo_hit_equals_a_fresh_crystal(monkeypatch):
+    # the lang_run crystal of the stairs-witness benchmark, and a crystal
+    # the Newton certificate proves not isoclinic (a kept None)
+    C = builtin_crystal(make_witt_ring(2, 2, 2), "supersingular", d=1)
+    N = builtin_crystal(make_witt_ring(2, 3, 4), "phi_alpha_4_5", alpha=1)
+    assert C.fixed_memo == () and N.fixed_memo == ()
+    datum = fixed_datum(C)
+    assert C.fixed_memo == (datum,) and fixed_datum(N) is None
+    assert N.fixed_memo == (None,)
+    fresh = new_crystal(C.ring, C.B, C.shift)
+    assert fresh.fixed_memo == () and _fixed_datum(fresh) == datum
+    gamma = datum.structure_constants()
+    assert gamma == _structure_constants(_fixed_datum(fresh))
+
+    def walked(*args):
+        raise AssertionError("a memo hit computed again")
+
+    monkeypatch.setattr(stairs, "_fixed_datum", walked)
+    monkeypatch.setattr(stairs, "_structure_constants", walked)
+    assert fixed_datum(C) is datum and fixed_datum(N) is None
+    assert datum.structure_constants() is gamma
+    g = Matrix.identity(C.ring, 2) + Matrix.from_ints(C.ring,
+                                                      [[0, 2], [2, 0]])
+    assert lang_run(C, g).reverify()
+
+
+def test_derived_crystals_start_without_a_fixed_datum():
+    C = builtin_crystal(make_witt_ring(2, 2, 4), "supersingular", d=1)
+    datum = fixed_datum(C)
+    assert C.fixed_memo == (datum,) and datum is not None
+    for D in (C.twist(Matrix.identity(C.ring, 2)),
+              C.reduce_to(make_witt_ring(2, 2, 3)),
+              C.base_change(make_witt_ring(2, 4, 4))):
+        assert D.fixed_memo == ()
+    datum.structure_constants()
+    assert datum.base_change(make_witt_ring(2, 4, 4))._gamma is None

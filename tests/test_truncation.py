@@ -159,7 +159,6 @@ def test_probe_does_not_hide_a_solver_bug(monkeypatch):
 def test_probe_builds_the_fixed_datum_once(monkeypatch):
     """A non-monomial crystal with no datum: one `_fixed_datum` call."""
     import fcrystals.stairs as S
-    import fcrystals.truncation as T
 
     calls, fixed = [], S._fixed_datum
 
@@ -167,8 +166,8 @@ def test_probe_builds_the_fixed_datum_once(monkeypatch):
         calls.append(args)
         return fixed(*args, **kwargs)
 
-    # the probe's own call, and any through build_stairs_datum
-    monkeypatch.setattr(T, "_fixed_datum", counting)
+    # the probe's own call and any through build_stairs_datum: both reach
+    # the walk through stairs.fixed_datum, which keeps it on the crystal
     monkeypatch.setattr(S, "_fixed_datum", counting)
     W = make_witt_ring(2, 1, 4)
     dense = new_crystal(W, Matrix.from_ints(W, [[1, 1], [0, 2]]))
