@@ -17,6 +17,7 @@ from .errors import (
     UnknownCorpusName,
 )
 from .plinalg import Matrix, inverse_with_shift, smith_normal_form
+from .semilinear import is_unit
 
 
 class FCrystal:
@@ -37,7 +38,7 @@ class FCrystal:
         while shift > 0 and (B.is_zero() or B.min_valuation() >= 1):
             B = B.divide_exact(1)
             shift -= 1
-        exps = smith_normal_form(B).exponents
+        exps = smith_normal_form(B)
         if any(e >= ring.n for e in exps) or sum(exps) >= ring.n:
             raise SingularAtPrecision("phi is not injective at this precision")
         self.ring = ring
@@ -277,8 +278,7 @@ class PolarizedCrystal:
         r = base.rank
         if J.rows != r or J.cols != r:
             raise BadShape("Gram matrix shape mismatch")
-        j_exps = smith_normal_form(J).exponents
-        if not j_exps or max(j_exps) != 0:
+        if not is_unit(J):
             raise BadShape("Gram matrix must be perfect")
         if J.transpose() != -J or any(
                 not J[i, i].is_zero() for i in range(r)):

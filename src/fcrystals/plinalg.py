@@ -1,9 +1,9 @@
 """Matrix algebra over truncated Witt rings.
 
-Everything here is exact at the ring's precision: Smith normal form with
-unimodular transforms, canonical (Howell) solution modules for linear
-systems over Z/p^n, inverses with denominator exponents, and truncated
-exponentials.
+Everything here is exact at the ring's precision: one Smith-form
+elimination over Z/p^n (`IntSolver`) for solution modules, Smith
+exponents and inverses with denominator exponents, canonical (Howell)
+solution modules, and truncated exponentials.
 """
 
 import math
@@ -254,17 +254,18 @@ class Matrix:
         ring, r = self.ring, self.rows
         if r != self.cols:
             raise ValueError("charpoly needs a square matrix")
-        E = self.entries
+        E = self._rows()
         p_cur = [ring.one()]  # char poly of the empty matrix
         for k in range(r):
             # A the leading k x k block, R and S the row and column beside
             # it: p_new = (x - E[k][k]) p_cur - sum_j (R A^j S) q_j(x)
-            A = Matrix(ring, [row[:k] for row in E[:k]])
-            S = Matrix(ring, [[row[k]] for row in E[:k]])
-            w = Matrix(ring, [E[k][:k]])   # R A^j
+            A = Matrix._of_rows(ring, [row[:k] for row in E[:k]])
+            S = Matrix._of_rows(ring, [[row[k]] for row in E[:k]])
+            w = Matrix._of_rows(ring, [E[k][:k]])   # R A^j
+            akk = self[k, k]
             p_new = [ring.zero()] + p_cur
             for i, c in enumerate(p_cur):
-                p_new[i] = p_new[i] - E[k][k] * c
+                p_new[i] = p_new[i] - akk * c
             for j in range(k):
                 # q_j(x) = sum_{i >= j+1} p_cur[i] x^(i-j-1)
                 dot = (w @ S)[0, 0]
@@ -273,109 +274,6 @@ class Matrix:
                 w = w @ A
             p_cur = p_new
         return p_cur
-
-
-# -- Smith normal form ------------------------------------------------------
-
-
-@dataclass
-class SnfResult:
-    exponents: list  # length min(rows, cols); value n means ">= precision"
-    left: Matrix
-    right: Matrix
-    diagonal: Matrix
-
-
-def smith_normal_form(A: Matrix) -> SnfResult:
-    """Diagonalize A as left @ A @ right = diag(p^e_i), exactly.
-
-    Pivots are minimal-valuation entries with (row, col) tie-break; the
-    transforms are invertible over the ring and the diagonal entries are
-    exact powers of p.  Exponent n stands for "zero at this precision".
-    The work is on grids of entry coordinate tuples.
-    """
-    ring = A.ring
-    n = ring.n
-    rmul, rsub, val = ring._mul, ring._sub, ring._val
-
-    def axpy(xs, c, ys):
-        """xs - c * ys, entrywise."""
-        return [rsub(x, rmul(c, y)) if any(y) else x for x, y in zip(xs, ys)]
-
-    rows, cols = A.rows, A.cols
-    M = A._rows()
-    L = Matrix.identity(ring, rows)._rows()
-    R = Matrix.identity(ring, cols)._rows()
-    exps = []
-    dim = min(rows, cols)
-    for k in range(dim):
-        v, bi, bj = min((val(M[i][j]), i, j) for i in range(k, rows)
-                        for j in range(k, cols))
-        if v == INFINITY:
-            exps.extend([n] * (dim - k))
-            break
-        M[k], M[bi], L[k], L[bi] = M[bi], M[k], L[bi], L[k]
-        for row in M + R:
-            row[k], row[bj] = row[bj], row[k]
-        pv = ring.p ** v
-        u_inv = ring._inv(tuple([c // pv for c in M[k][k]]))
-        M[k] = [rmul(u_inv, e) if any(e) else e for e in M[k]]
-        L[k] = [rmul(u_inv, e) if any(e) else e for e in L[k]]
-        for i in range(rows):
-            e = M[i][k]
-            if i == k or not any(e):
-                continue
-            c = tuple([x // pv for x in e])
-            M[i] = axpy(M[i], c, M[k])
-            L[i] = axpy(L[i], c, L[k])
-        for j in range(cols):
-            e = M[k][j]
-            if j == k or not any(e):
-                continue
-            c = tuple([x // pv for x in e])
-            for row in M + R:
-                if any(row[k]):
-                    row[j] = rsub(row[j], rmul(c, row[k]))
-        exps.append(v)
-    return SnfResult(exps, *[Matrix._of_rows(ring, X) for X in (L, R, M)])
-
-
-def det_valuation(A: Matrix):
-    """Valuation of det(A); INFINITY when not determined at this precision."""
-    exps = smith_normal_form(A).exponents
-    n = A.ring.n
-    if A.rows != A.cols:
-        raise ValueError("need a square matrix")
-    if any(e >= n for e in exps):
-        return INFINITY
-    return sum(exps)
-
-
-def inverse_with_shift(A: Matrix):
-    """(C, e) with A @ C = C @ A = p^e * I exactly and e minimal."""
-    ring = A.ring
-    snf = smith_normal_form(A)
-    if any(x >= ring.n for x in snf.exponents) or \
-            sum(snf.exponents) >= ring.n:
-        raise SingularAtPrecision("determinant valuation >= precision")
-    e = max(snf.exponents) if snf.exponents else 0
-    # A^{-1} = right @ diag(p^{-exp}) @ left: column j of right times
-    # p^(e - exp_j)
-    q, pn, R = ring.q, ring.pn, snf.right
-    scales = [ring.p ** (e - x) for x in snf.exponents]
-    scales += [1] * (R.cols - len(scales))
-    mid = R._like(tuple([c * scales[k // q % R.cols] % pn
-                         for k, c in enumerate(R.flat)]))
-    C = mid @ snf.left
-    return C, e
-
-
-def unit_inverse_matrix(A: Matrix) -> Matrix:
-    """Exact inverse of a unit matrix (det a unit)."""
-    C, e = inverse_with_shift(A)
-    if e != 0:
-        raise SingularAtPrecision("matrix is not a unit")
-    return C
 
 
 # -- integer linear algebra over Z/p^n ---------------------------------------
@@ -700,6 +598,107 @@ class IntSolver:
         e = n (the factors of `kernel_generators`)."""
         pad = [self.n] * (self.cols - len(self.exps))
         return tuple(sorted([e for e in self.exps if e] + pad))
+
+
+def _intertwiner_system(B1, B2, ring, sigma_power=1):
+    """(P, rows): {g : g @ B1 = B2 @ sigma^power(g)} as equations packed
+    by P, a `_PackedRows` over Z/p^n; g's coordinates are row-major.
+
+    Equation (i, j, t) is coordinate t of entry (i, j) of g B1 - B2
+    sigma^power(g): g[i,k]'s coordinate s enters with coordinate t of
+    B1[k,j] t^s, g[k,j]'s with minus that of B2[i,k] sigma^power(t^s).
+    Each entry's q products are packed once into pieces of rows, which
+    one `reduce` ends: a slot gets at most two terms below p^n.
+    """
+    q, pn, W = ring.q, ring.pn, ring._w
+    r2, r1 = B2.rows, B1.cols
+    P = _PackedRows(ring.p, ring.n, r2 * r1 * q)
+    stride = r1 * q * P.w   # bits of a row of g
+    sig = ring._frobenius_rows(sigma_power % q)   # packed sigma^power(t^s)
+    ts = [1 << s * W for s in range(q)]
+
+    def block(a, cols):
+        # products a * u for packed u in cols, one after another: entry
+        # s * q + t is coordinate t of the s-th (a is a coordinate tuple)
+        if not any(a):
+            return [0] * (q * q)
+        pa = ring._pack(a, W)
+        return [c for u in cols for c in ring._reduce(pa * u, W)]
+
+    rows1, rows2 = B1._rows(), B2._rows()
+    left, right = [], []
+    for j in range(r1):
+        flat = [c for row in rows1 for c in block(row[j], ts)]
+        left.append([P.pack(flat[t::q]) for t in range(q)])
+    for i in range(r2):
+        negs = [[(pn - c) % pn for c in block(a, sig)] for a in rows2[i]]
+        right.append([sum(P.pack(neg[t::q]) << k * stride
+                          for k, neg in enumerate(negs)) for t in range(q)])
+    return P, [P.reduce((left[j][t] << i * stride)
+                        + (right[i][t] << j * q * P.w))
+               for i in range(r2) for j in range(r1) for t in range(q)]
+
+
+# -- Smith exponents and inverses --------------------------------------------
+
+
+def _smith_solver(A: Matrix):
+    """(`IntSolver` on the Z/p^n equations of x -> A x, the Smith
+    exponents of A, sorted).
+
+    The equations are those of the row vectors g with g A^T = 0, from
+    `_intertwiner_system`: a q r x q r matrix over Z/p^n, whose exponents
+    are A's over the unramified W, each repeated q times, so every q-th
+    of the sorted list is one.  Exponent n stands for "zero at this
+    precision".
+    """
+    ring = A.ring
+    if A.rows != A.cols:
+        raise ValueError("need a square matrix")
+    solver = IntSolver(*_intertwiner_system(
+        A.transpose(), Matrix.zero(ring, 1), ring))
+    return solver, sorted(solver.exps)[::ring.q]
+
+
+def smith_normal_form(A: Matrix) -> list:
+    """The Smith exponents of the square matrix A, sorted (see
+    `_smith_solver`)."""
+    return _smith_solver(A)[1]
+
+
+def det_valuation(A: Matrix):
+    """Valuation of det(A); INFINITY when not determined at this precision."""
+    exps = smith_normal_form(A)
+    if any(e >= A.ring.n for e in exps):
+        return INFINITY
+    return sum(exps)
+
+
+def inverse_with_shift(A: Matrix):
+    """(C, e) with A @ C = p^e * I exactly and e minimal.
+
+    Column j of C is `IntSolver.solve` on p^e e_j.  For e = 0, C is the
+    inverse and C @ A = I exactly; for e > 0, C @ A = p^e * I holds mod
+    p^(n - e), the precision to which C is unique.
+    """
+    ring = A.ring
+    solver, exps = _smith_solver(A)
+    if any(x >= ring.n for x in exps) or sum(exps) >= ring.n:
+        raise SingularAtPrecision("determinant valuation >= precision")
+    e = max(exps, default=0)
+    q, r, pe = ring.q, A.rows, ring.p ** e
+    cols = [solver.solve([pe if k == j * q else 0 for k in range(r * q)])
+            for j in range(r)]
+    return Matrix._make(ring, r, r, tuple([
+        c for i in range(r) for x in cols for c in x[i * q:i * q + q]])), e
+
+
+def unit_inverse_matrix(A: Matrix) -> Matrix:
+    """Exact inverse of a unit matrix (det a unit)."""
+    C, e = inverse_with_shift(A)
+    if e != 0:
+        raise SingularAtPrecision("matrix is not a unit")
+    return C
 
 
 def solve_linear_module(a_rows, b, p, n) -> SolutionModule:

@@ -25,6 +25,7 @@ from .plinalg import (
     Matrix,
     SwarMod,
     _PackedRows,
+    _intertwiner_system,
     fp_independent_rows,
     fp_kernel,
     howell_contains,
@@ -40,45 +41,6 @@ from .witt import WittElem, field_walk, make_witt_ring
 EXHAUSTIVE_CAP = 1 << 20
 # random candidates tried when the mod-p span exceeds EXHAUSTIVE_CAP
 RANDOMIZED_TRIALS = 20000
-
-
-def _intertwiner_system(B1, B2, ring, sigma_power=1):
-    """(P, rows): {g : g @ B1 = B2 @ sigma^power(g)} as equations packed
-    by P, a `_PackedRows` over Z/p^n; g's coordinates are row-major.
-
-    Equation (i, j, t) is coordinate t of entry (i, j) of g B1 - B2
-    sigma^power(g): g[i,k]'s coordinate s enters with coordinate t of
-    B1[k,j] t^s, g[k,j]'s with minus that of B2[i,k] sigma^power(t^s).
-    Each entry's q products are packed once into pieces of rows, which
-    one `reduce` ends: a slot gets at most two terms below p^n.
-    """
-    q, pn, W = ring.q, ring.pn, ring._w
-    r2, r1 = B2.rows, B1.cols
-    P = _PackedRows(ring.p, ring.n, r2 * r1 * q)
-    stride = r1 * q * P.w   # bits of a row of g
-    sig = ring._frobenius_rows(sigma_power % q)   # packed sigma^power(t^s)
-    ts = [1 << s * W for s in range(q)]
-
-    def block(a, cols):
-        # products a * u for packed u in cols, one after another: entry
-        # s * q + t is coordinate t of the s-th (a is a coordinate tuple)
-        if not any(a):
-            return [0] * (q * q)
-        pa = ring._pack(a, W)
-        return [c for u in cols for c in ring._reduce(pa * u, W)]
-
-    rows1, rows2 = B1._rows(), B2._rows()
-    left, right = [], []
-    for j in range(r1):
-        flat = [c for row in rows1 for c in block(row[j], ts)]
-        left.append([P.pack(flat[t::q]) for t in range(q)])
-    for i in range(r2):
-        negs = [[(pn - c) % pn for c in block(a, sig)] for a in rows2[i]]
-        right.append([sum(P.pack(neg[t::q]) << k * stride
-                          for k, neg in enumerate(negs)) for t in range(q)])
-    return P, [P.reduce((left[j][t] << i * stride)
-                        + (right[i][t] << j * q * P.w))
-               for i in range(r2) for j in range(r1) for t in range(q)]
 
 
 class HomModule:
@@ -318,6 +280,12 @@ def _first_unit_trial(ring, rows, r, rng):
         done += n
         n = min(2 * n, p ** b)
     return None
+
+
+def is_unit(M: Matrix) -> bool:
+    """Whether the square matrix M is a unit: the lane determinant of its
+    residue (`_scan_range` with no rows) is nonzero."""
+    return _scan_range(M.ring, [], M.rows, base=M.flat) is not None
 
 
 def _scan_range(ring, rows, r, base=None, ruled_out=None):
@@ -561,7 +529,7 @@ def cokernel_length(f: Matrix, C1, C2) -> int:
     if lhs != rhs:
         raise BadShape("f does not intertwine the semilinear maps")
     ring = f.ring
-    exps = smith_normal_form(f).exponents
+    exps = smith_normal_form(f)
     if any(e >= ring.n for e in exps):
         raise SingularAtPrecision("f is singular at this precision")
     return sum(exps)
@@ -801,8 +769,7 @@ def lang_unit(fld, system, mats, r):
     if len(kern) < P.cols // fld.q:
         return None
     rows = kern[::-1]
-    cols = list(zip(*mats))
-    scan = [[sum(a * b for a, b in zip(k, col)) % p for col in cols]
+    scan = [[c % p for c in _row_combination(k, mats, r * r * fld.q)]
             for k in rows]
     idx = _scan_range(fld, scan, r)
     if idx is None:

@@ -29,19 +29,19 @@ from .errors import (
 from .plinalg import (
     IntSolver,
     Matrix,
+    _intertwiner_system,
     exp_trunc,
     howell_contains,
     howell_form,
     howell_pivots,
     pack_rows,
-    smith_normal_form,
     unit_inverse_matrix,
     w_span_rows,
 )
 from .semilinear import (
     CircularSystem,
-    _intertwiner_system,
     fixed_lattice,
+    is_unit,
     lang_unit,
     solve_circular,
 )
@@ -177,14 +177,13 @@ class StairsCertificate:
         """Independent re-check of the conjugation identity
         w g B sigma(w)^(-1) = B mod p^level.
 
-        Raises SingularAtPrecision unless w is a unit, which its residue
-        decides.  For a unit w the difference has the valuation of
-        w g B - B sigma(w), so no inverse is formed.
+        Raises SingularAtPrecision unless w is a unit, which the lane
+        determinant of its residue decides (`is_unit`, no `IntSolver`).
+        For a unit w the difference has the valuation of w g B - B sigma(w),
+        so no inverse is formed.
         """
         B, w = self.crystal.B, self.witness
-        R = w.ring
-        if any(smith_normal_form(
-                w.reduce_to(make_witt_ring(R.p, R.q, 1))).exponents):
+        if not is_unit(w):
             raise SingularAtPrecision("witness is not a unit")
         diff = w @ self.twist @ B - B @ w.sigma()
         return diff.is_zero() or diff.min_valuation() >= self.level

@@ -21,25 +21,26 @@ from .errors import (
     LiftFailed,
     NoSplitForm,
     NotDieudonne,
+    PrecisionExhausted,
     SearchSpaceTooLarge,
 )
 from .plinalg import (
     Matrix,
+    _intertwiner_system,
     howell_coefficients,
     howell_contains,
     inverse_with_shift,
-    smith_normal_form,
     unit_inverse_matrix,
 )
 from .semilinear import (
     EXHAUSTIVE_CAP,
     HomModule,
     IsomResult,
-    _intertwiner_system,
     _row_combination,
     _scan_range,
     hom_image,
     hom_module,
+    is_unit,
     isom_search,
     unit_search,
 )
@@ -68,10 +69,9 @@ def verschiebung(C, level=None) -> DTruncation:
     """The pair (phi, p * phi^{-1}) mod p^level for a Dieudonne module.
 
     V is sigma^{-1}(p^(1-e) Cm) with B Cm = p^e (inverse_with_shift).
-    B mod p^n fixes Cm only mod p^(n-e), so only levels up to n - e are
-    determined by C.  The default level n takes V of the zero lift of B:
-    when e = 1, other lifts B + p^n X can change V mod p^n, and other V's
-    pass the same invariants at level n.
+    B mod p^n fixes Cm only mod p^(n-e), where Cm B = p^e too, so levels
+    up to n - e are determined by C: the default level is n - e, and a
+    higher one raises PrecisionExhausted.
     """
     if C.shift != 0:
         raise NotDieudonne("need shift 0")
@@ -79,8 +79,10 @@ def verschiebung(C, level=None) -> DTruncation:
     if s != 0 or h > 1:
         raise NotDieudonne(f"need s = 0 and h <= 1, have ({s}, {h})")
     ring = C.ring
-    level = ring.n if level is None else level
     Cm, e = inverse_with_shift(C.B)
+    level = ring.n - e if level is None else level
+    if level > ring.n - e:
+        raise PrecisionExhausted(f"V is determined only mod p^{ring.n - e}")
     # V = sigma^{-1}(p B^{-1}) = sigma^{-1}(p^(1-e) Cm), integral since e <= 1
     V = Cm.scale(ring.p ** (1 - e)).sigma(ring.q - 1)
     rm = make_witt_ring(ring.p, ring.q, level)
@@ -140,8 +142,7 @@ def detect_split_form(C) -> SplitForm:
     ents = [[C.B[i, j].divide_exact(grading[j]) for j in range(r)]
             for i in range(r)]
     B0 = Matrix(ring, ents)
-    exps = smith_normal_form(B0).exponents
-    if not exps or max(exps) != 0:
+    if not is_unit(B0):
         raise NoSplitForm("unit part of the factorization is singular")
     return SplitForm(grading, B0)
 
@@ -161,8 +162,7 @@ def congruence_upgrade(C, g, f_trunc: Matrix, level: int,
         split = detect_split_form(C)
     # lift f to a unit at working precision
     f_lift = Matrix.from_flat_ints(ring, r, r, f_trunc.flat)
-    exps = smith_normal_form(f_lift).exponents
-    if not exps or max(exps) != 0:
+    if not is_unit(f_lift):
         raise LiftFailed("truncation isomorphism does not lift to a unit")
     # after conjugating by the lift, the twist is congruent to 1 mod p^(level-?)
     Cm, e = inverse_with_shift(C.B)
@@ -390,7 +390,6 @@ def polarized_isom_search(P1, P2, precision=None):
             f"module has p^{H.size_log()} elements")
     for coeffs in howell_coefficients(H._howell, ring.p, H.precision):
         f = H.element(coeffs)
-        exps = smith_normal_form(f).exponents
-        if exps and max(exps) == 0 and f.transpose() @ J2 @ f == J1:
+        if is_unit(f) and f.transpose() @ J2 @ f == J1:
             return IsomResult(f, "exhaustive", 0)
     return IsomResult(None, "exhaustive", 0)

@@ -23,7 +23,6 @@ from .deviation import deviations, df_reduce
 from .errors import CheckFailed, CrystalError, ExtensionCapExceeded
 from .plinalg import (
     Matrix,
-    det_valuation,
     exp_trunc,
     smith_normal_form,
     unit_inverse_matrix,
@@ -360,15 +359,10 @@ def check_hom_stabilization():
     ring3 = make_witt_ring(2, 2, 8)
     C3 = builtin_crystal(ring3, "supersingular", d=1)
     rng = random.Random(5)
-    while True:
-        u = Matrix.identity(ring3, 2) + Matrix(
-            ring3, [[ring3.random_element(rng) * 2 for _ in range(2)]
-                    for _ in range(2)])
-        try:
-            if det_valuation(u) == 0:
-                break
-        except CrystalError:
-            continue
+    # u = 1 mod 2 is a unit
+    u = Matrix.identity(ring3, 2) + Matrix(
+        ring3, [[ring3.random_element(rng) * 2 for _ in range(2)]
+                for _ in range(2)])
     C3t = new_crystal(
         ring3, u @ C3.B @ unit_inverse_matrix(u.sigma()), 0)
     m12c = _pair_torsion(C3, C3t)
@@ -488,10 +482,10 @@ def check_infrastructure(samples=500, seed=0, fast=False):
     for i in range(samples):
         M = Matrix(ring, [[ring.random_element(rng) for _ in range(3)]
                           for _ in range(3)])
-        exps = smith_normal_form(M).exponents
+        exps = smith_normal_form(M)
         U = _random_unit_matrix(ring, 3, rng)
         V = _random_unit_matrix(ring, 3, rng)
-        _require(smith_normal_form(U @ M @ V).exponents == exps)
+        _require(smith_normal_form(U @ M @ V) == exps)
     # exp congruences
     for i in range(samples):
         p, q, n = [(3, 1, 5), (2, 1, 6), (5, 1, 4)][i % 3]

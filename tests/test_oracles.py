@@ -4,6 +4,7 @@ routes against raw brute force."""
 import hashlib
 import itertools
 import random
+from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -31,7 +32,6 @@ from fcrystals.errors import (
 from fcrystals.plinalg import (
     IntSolver,
     Matrix,
-    SnfResult,
     _PackedRows,
     _vp_factorial,
     det_valuation,
@@ -58,6 +58,7 @@ from fcrystals.semilinear import (
     end_type,
     fixed_lattice,
     hom_module,
+    is_unit,
     isom_search,
     solve_circular,
     unit_search,
@@ -1488,6 +1489,16 @@ def test_packed_valuation_matches_the_gcd(p):
 # The copies below are Matrix (a grid of WittElems), smith_normal_form,
 # inverse_with_shift and exp_trunc as they were before a matrix was stored
 # as one tuple of flat coordinates, kept verbatim (renamed) as the oracle.
+# The grid Smith form, with its transforms, is also the oracle of the
+# `IntSolver` Smith exponents and inverses that replaced it.
+
+
+@dataclass
+class SnfResult:
+    exponents: list  # length min(rows, cols); value n means ">= precision"
+    left: object
+    right: object
+    diagonal: object
 
 
 class _GridMatrix:
@@ -1865,17 +1876,32 @@ def _grid_cases(ring, rng):
 
 def _same_outcome(flat_call, grid_call, errors):
     """Both calls raise the same one of `errors`, or return the same
-    matrix; the (M, e) pairs of inverse_with_shift compare by parts."""
+    matrix."""
     try:
         got = flat_call()
     except errors as exc:
         with pytest.raises(type(exc)):
             grid_call()
         return True
-    ref = grid_call()
-    if isinstance(got, tuple):
-        return _same(got[0], ref[0]) and got[1] == ref[1]
-    return _same(got, ref)
+    return _same(got, grid_call())
+
+
+def _check_inverse(ring, M, G, ctx):
+    """inverse_with_shift(M) raises where the grid inverse does; else
+    M @ C = p^e exactly, and mod p^(n - e), where C is unique, C is the
+    grid inverse and C @ M = p^e (for e = 0: outright and exactly)."""
+    try:
+        C, e = inverse_with_shift(M)
+    except SingularAtPrecision:
+        with pytest.raises(SingularAtPrecision):
+            _grid_inverse_with_shift(G)
+        return
+    ref, e_ref = _grid_inverse_with_shift(G)
+    r, pe = M.rows, ring.p ** e
+    assert e == e_ref and M @ C == Matrix.scalar(ring, r, pe), ctx
+    low = ring.reduce_to(ring.n - e)
+    assert _same(C.reduce_to(low), ref.reduce_to(low)), ctx
+    assert (C @ M).reduce_to(low) == Matrix.scalar(low, r, pe), ctx
 
 
 def _check_matrix(ring, M, G, other, rng, ctx):
@@ -1908,12 +1934,11 @@ def _check_matrix(ring, M, G, other, rng, ctx):
     twin = Matrix(ring, G.entries)
     assert M == twin and hash(M) == hash(twin), ctx
     assert (M == other) == (G == OG), ctx
-    snf, ref = smith_normal_form(M), _grid_smith_normal_form(G)
-    assert snf.exponents == ref.exponents, ctx
-    assert _same(snf.left, ref.left) and _same(snf.right, ref.right) \
-        and _same(snf.diagonal, ref.diagonal), ctx
     if M.rows != M.cols:
+        with pytest.raises(ValueError):
+            smith_normal_form(M)
         return
+    assert smith_normal_form(M) == _grid_smith_normal_form(G).exponents, ctx
     assert M.charpoly() == G.charpoly(), ctx
     ident = Matrix.identity(ring, M.rows)
     for l in range(n + 1):
@@ -1921,9 +1946,7 @@ def _check_matrix(ring, M, G, other, rng, ctx):
         assert g.congruence_level() == _GridMatrix(
             ring, g.entries).congruence_level(), (ctx, l)
     assert M.congruence_level(other) == G.congruence_level(OG), ctx
-    assert _same_outcome(lambda: inverse_with_shift(M),
-                         lambda: _grid_inverse_with_shift(G),
-                         SingularAtPrecision), ctx
+    _check_inverse(ring, M, G, ctx)
     for v in (0, 1, 2):
         X = M.scale(p ** v)
         assert _same_outcome(lambda: exp_trunc(X),
@@ -1943,6 +1966,42 @@ def test_flat_matrix_matches_the_grid_matrix(p):
                 other = Matrix.from_flat_ints(ring, M.rows, M.cols, [
                     rng.randrange(ring.pn) for _ in M.flat])
                 _check_matrix(ring, M, G, other, rng, (p, q, n, name))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_unit_matches_the_grid_exponents(p):
+    """is_unit(M) exactly when every grid Smith exponent of M is 0, on
+    random, unit, zero, p-multiple and singular-residue matrices."""
+    rng = random.Random(2400 + p)
+    seen = set()
+    for q in (1, 2, 3):
+        for n in (1, 2):
+            ring = make_witt_ring(p, q, n)
+            pn = ring.pn
+            for r in range(1, 5):
+                def rand(scale=1):
+                    return [scale * rng.randrange(pn) % pn
+                            for _ in range(r * r * q)]
+                # a residue with two equal rows (r > 1), or one
+                # divisible by p (r = 1)
+                rows = rand()
+                stride = r * q
+                if r > 1:
+                    rows[:stride] = [(a + p * rng.randrange(pn)) % pn
+                                     for a in rows[stride:2 * stride]]
+                else:
+                    rows = rand(p)
+                unit = Matrix.identity(ring, r) + Matrix.from_flat_ints(
+                    ring, r, r, rand(p))
+                cases = [rand(), rand(), rand(), rand(p), [0] * (r * r * q),
+                         rows, unit.flat]
+                for flat in cases:
+                    M = Matrix.from_flat_ints(ring, r, r, flat)
+                    want = not any(_grid_smith_normal_form(_GridMatrix(
+                        ring, M.entries)).exponents)
+                    assert is_unit(M) == want, (p, q, n, r, flat)
+                    seen.add(want)
+    assert seen == {True, False}
 
 
 def test_flat_matrix_equality_compares_shapes():

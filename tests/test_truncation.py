@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fcrystals.crystal import builtin_crystal, direct_sum_crystal, new_crystal
-from fcrystals.errors import LiftFailed, NotDieudonne
+from fcrystals.errors import LiftFailed, NotDieudonne, PrecisionExhausted
 from fcrystals.plinalg import (
     Matrix,
     howell_coefficients,
@@ -33,13 +33,14 @@ def test_verschiebung_invariants():
             T.check_invariants()
     ring = make_witt_ring(2, 1, 4)
     O = builtin_crystal(ring, "ordinary", r=2, d=1)
+    # e = 1: the default level is n - e = 3
     assert verschiebung(O).V == Matrix.from_ints(
-        make_witt_ring(2, 1, 4), [[2, 0], [0, 1]])
+        make_witt_ring(2, 1, 3), [[2, 0], [0, 1]])
 
 
 def test_verschiebung_below_n_minus_e_agrees_across_lifts():
     # B mod p^n fixes V mod p^(n-e) only: levels up to n - e agree for
-    # every lift B + p^n X, and some lift moves V mod p^n
+    # every lift B + p^n X, and level n is refused
     rng = random.Random(5)
     for p, q, n in ((3, 2, 3), (3, 1, 3), (2, 1, 4)):
         W, big = make_witt_ring(p, q, n), make_witt_ring(p, q, n + 2)
@@ -48,15 +49,15 @@ def test_verschiebung_below_n_minus_e_agrees_across_lifts():
             C = builtin_crystal(W, name, **kw)
             assert inverse_with_shift(C.B)[1] == 1
             flat = C.B.flat
-            moved = False
             for _ in range(4):
                 lift = new_crystal(big, Matrix.from_flat_ints(big, 2, 2, [
                     c + p ** n * rng.randrange(p ** 2) for c in flat]))
                 for level in range(1, n):
                     assert verschiebung(lift, level).V == \
                         verschiebung(C, level).V, (p, q, name, level)
-                moved |= verschiebung(lift, n).V != verschiebung(C).V
-            assert moved, (p, q, name)
+            assert verschiebung(C).ring.n == n - 1
+            with pytest.raises(PrecisionExhausted):
+                verschiebung(C, n)
 
 
 def test_verschiebung_rejects_non_dieudonne():
