@@ -57,6 +57,6 @@ from .truncation import (
     polarized_isom_search,
     verschiebung,
 )
-from .witt import INFINITY, FieldCtx, WittElem, WittRing, make_witt_ring
+from .witt import INFINITY, WittElem, WittRing, make_witt_ring
 
 __version__ = "0.1.0"

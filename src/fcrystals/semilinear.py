@@ -366,8 +366,9 @@ class _Gf2Lanes:
     def __init__(self, ring, rows, coeffs, r, lanes):
         q = self.q = ring.q
         self.r, self.ones = r, (1 << lanes) - 1
-        # t^q = sum of t^s over these s, modulo the Conway polynomial mod 2
-        self.fold = [s for s in range(q) if ring.field.modulus[s] % 2]
+        # t^(q+i) = sum of t^s over the s in fold[i], mod (f, 2)
+        self.fold = [[s for s, c in enumerate(row) if c & 1]
+                     for row in ring._red_coeffs]
         low = self.low = [0] * (r * r * q)
         for row, c in zip(rows, coeffs):
             for s, v in enumerate(row):
@@ -407,10 +408,10 @@ def _det_lanes_gf2(M, r, q, fold):
                                 acc[u + v] ^= au & ev
         D = {}
         for S, acc in nxt.items():
-            for s in range(2 * q - 2, q - 1, -1):
-                if acc[s]:
-                    for t in fold:
-                        acc[s - q + t] ^= acc[s]
+            for h, row in zip(acc[q:], fold):
+                if h:
+                    for t in row:
+                        acc[t] ^= h
             if any(acc[:q]):
                 D[S] = acc[:q]
         if not D:
@@ -443,12 +444,9 @@ class _FpLanes(SwarMod):
         self.r = r
         bound = _det_bound(p, q, r)
         super().__init__(p, bound, lanes, swar_slot(p, bound))
-        # t^(q+i) modulo the Conway polynomial mod p, as (t, coefficient)
-        top = [(-c) % p for c in ring.field.modulus[:q]]
-        row, self.fold = top, []
-        for _ in range(q - 1):
-            self.fold.append([(t, c) for t, c in enumerate(row) if c])
-            row = [(a + row[-1] * c) % p for a, c in zip([0] + row, top)]
+        # t^(q+i) mod (f, p), as (t, coefficient)
+        self.fold = [[(t, c % p) for t, c in enumerate(row) if c % p]
+                     for row in ring._red_coeffs]
         low = self.low = [0] * (r * r * q)
         for row, c in zip(rows, coeffs):
             for s, v in enumerate(row):

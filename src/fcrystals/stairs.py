@@ -486,7 +486,7 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
                 solutions = None
                 break
             solutions.append(sol)
-            ext_needed = _lcm(ext_needed, sol.extension)
+            ext_needed = math.lcm(ext_needed, sol.extension)
         if solutions is None:
             break  # cannot solve within the field table: report progress
         if ext_needed > 1:
@@ -567,10 +567,6 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
     if not cert.reverify():
         raise InternalError("stairs certificate failed re-verification")
     return cert
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
 
 
 # -- slope-zero shortcut ------------------------------------------------------

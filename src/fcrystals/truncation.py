@@ -378,14 +378,11 @@ def polarized_isom_search(P1, P2, precision=None):
     r = C1.rank
     J1 = P1.J.reduce_to(ring)
     J2 = P2.J.reduce_to(ring)
-    ident = Matrix.identity(ring, r)
-    # quick exit: identity candidate
-    f = ident
-    if H.contains(f) and (f @ C1.B.reduce_to(ring)) == \
-            (C2.B.reduce_to(ring) @ f.sigma()):
-        if f.transpose() @ J2 @ f == J1:
-            return IsomResult(f, "exhaustive", 0)
-    if H.size_log() > 0 and ring.p ** H.size_log() > EXHAUSTIVE_CAP:
+    # quick exit: identity candidate (H is exactly the intertwiners)
+    f = Matrix.identity(ring, r)
+    if H.contains(f) and f.transpose() @ J2 @ f == J1:
+        return IsomResult(f, "exhaustive", 0)
+    if ring.p ** H.size_log() > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
             f"module has p^{H.size_log()} elements")
     for coeffs in howell_coefficients(H._howell, ring.p, H.precision):

@@ -6,6 +6,14 @@ representatives (equivalently f divides x^(p^q) - x at precision n).
 With this choice the Frobenius is the ring map t -> t^p, and Teichmuller
 lifts, base change and sigma-inverse are all exact polynomial algebra.
 
+The packed product (`_mul`, `_pow`: Kronecker substitution, then the
+high slots folded back with the rows t^(q+i) mod f) is the only
+polynomial arithmetic here.  f itself is read off it: in the ring
+presented by the Conway polynomial, the Teichmuller lift
+tau = t^(p^(q(n-1))) of t satisfies tau^q = sum_j c_j tau^j, and
+f = x^q - sum_j c_j x^j.  A unit's inverse starts from its residue's
+a^(p^q - 2) and lifts by Newton's iteration.
+
 Elements are coefficient tuples of length q with entries in [0, p^n).
 """
 
@@ -52,95 +60,6 @@ def field_walk(p, q, n):
         yield D, ring
 
 
-class FieldCtx:
-    """The residue field F_{p^q}, described by its Conway modulus."""
-
-    __slots__ = ("p", "q", "modulus")
-
-    def __init__(self, p, q):
-        self.p = p
-        self.q = q
-        self.modulus = conway_polynomial(p, q)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and (self.p, self.q) == (other.p, other.q)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
-    def __repr__(self):
-        return f"FieldCtx(p={self.p}, q={self.q})"
-
-
-def _poly_mul_mod(a, b, f, mod):
-    """(a * b) mod (f, mod) for coefficient tuples, f monic."""
-    q = len(f) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % mod
-    for i in range(len(res) - 1, q - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(q):
-                res[i - q + j] = (res[i - q + j] - c * f[j]) % mod
-    res = res[:q]
-    res.extend([0] * (q - len(res)))
-    return tuple(res)
-
-
-def _poly_pow_mod(a, e, f, mod):
-    q = len(f) - 1
-    result = tuple([1] + [0] * (q - 1))
-    base = a
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, f, mod)
-        base = _poly_mul_mod(base, base, f, mod)
-        e >>= 1
-    return result
-
-
-def _poly_deriv(f, mod):
-    return tuple((i * f[i]) % mod for i in range(1, len(f)))
-
-
-def _teichmuller_modulus(p, q, n):
-    """Hensel lift of the Conway polynomial dividing x^(p^q) - x mod p^n."""
-    f0 = conway_polynomial(p, q)
-    pn = p ** n
-    f = list(f0)
-    if q == 1:
-        # root is the Teichmuller lift of the mod-p root
-        r = (-f0[0]) % p
-        x = r
-        for _ in range(n):
-            x = pow(x, p, pn)
-        return ((-x) % pn, 1)
-    d0 = _poly_deriv(f0, p)
-    xq = tuple([0, 1] + [0] * (q - 2))
-    while True:
-        fr = tuple(f)
-        rem = _poly_pow_mod(xq, p ** q, fr, pn)
-        rem = list(rem)
-        rem[1] = (rem[1] - 1) % pn  # subtract x
-        if not any(rem):
-            break
-        k = min(_int_val(c, p, n) for c in rem if c)
-        rbar = tuple((c // p ** k) % p for c in rem)
-        # correction h = -(rem/p^k) * f0' mod (f0, p)
-        h = _poly_mul_mod(rbar, d0, f0, p)
-        pk = p ** k
-        for j in range(q):
-            f[j] = (f[j] - pk * h[j]) % pn
-    return tuple(f)
-
-
 def _int_val(c, p, n):
     if c % p ** n == 0:
         return n
@@ -157,25 +76,27 @@ class WittRing:
     def __init__(self, p, q, n):
         if n < 1 or q < 1:
             raise ValueError("need q >= 1 and n >= 1")
-        self.field = FieldCtx(p, q)
         self.p = p
         self.q = q
         self.n = n
         self.pn = p ** n
-        self.modulus_lift = _teichmuller_modulus(p, q, n)
         self._zero = tuple([0] * q)
         self._one = tuple([1] + [0] * (q - 1))
-        # t^(q+i) mod f for i = 0..q-2: folding a product's slot q+i back
-        # adds its coefficient times row i
-        f, pn = self.modulus_lift, self.pn
-        row, rows = [(-c) % pn for c in f[:q]], []
-        for _ in range(q - 1):
-            rows.append(tuple(row))
-            top = row[-1]
-            row = [(x - top * c) % pn for x, c in zip([0] + row[:-1], f)]
-        self._red_coeffs = rows
-        self._red_cache = {}
         self._w = self.slot_width(1)
+        # Any monic lift of the Conway polynomial presents the ring.  In
+        # that presentation tau^q = sum_j c_j tau^j for the Teichmuller
+        # lift tau of t, and M, whose columns are tau^0, ..., tau^(q-1),
+        # is I mod p: each round of c <- tau^q - (M - I) c fixes at least
+        # one more digit of c, and a round that changes nothing has found
+        # M c = tau^q exactly.  Then f = t^q - sum_j c_j t^j.
+        self._set_modulus(conway_polynomial(p, q))
+        tau = self.teichmuller(self.gen()).coeffs
+        powers, top = self._packed_powers(tau, q), self._pow(tau, q)
+        c, last = top, None
+        while c != last:
+            last = c
+            c = self._add(self._sub(top, self._apply_rows(c, powers)), c)
+        self._set_modulus(self._neg(c) + (1,))
         # the valuation of each p^v dividing p^n: a gcd with p^n is one
         self._pow_val = {p ** v: v for v in range(n + 1)}
         self._frobenius_cache = {}
@@ -184,6 +105,20 @@ class WittRing:
         self._circular_cache = {}
         # Matrix.identity's matrices, by size
         self._identities = {}
+
+    def _set_modulus(self, f):
+        """Present the ring as (Z/p^n)[t]/(f), f monic of degree q."""
+        pn, q = self.pn, self.q
+        self.modulus_lift = f
+        # t^(q+i) mod f for i = 0..q-2: folding a product's slot q+i back
+        # adds its coefficient times row i
+        row, rows = [(-c) % pn for c in f[:q]], []
+        for _ in range(q - 1):
+            rows.append(tuple(row))
+            top = row[-1]
+            row = [(x - top * c) % pn for x, c in zip([0] + row[:-1], f)]
+        self._red_coeffs = rows
+        self._red_cache = {}
 
     # -- raw coefficient-tuple arithmetic ---------------------------------
 
@@ -296,55 +231,19 @@ class WittRing:
         return INFINITY if v == self.n else v
 
     def _inv(self, a):
-        # inverse mod p by extended Euclid, then Hensel/Newton lift
+        # the residue's inverse by Fermat, a^(p^q - 2) in F_{p^q}, then
+        # Newton's y <- y (2 - a y), doubling the precision each round
         if self._val(a) != 0:
             raise NotAUnit(f"{a} has positive valuation")
-        p = self.p
-        abar = tuple(c % p for c in a)
-        y = self._invert_mod_p(abar)
-        y = tuple(y)
+        p, q = self.p, self.q
+        y = make_witt_ring(p, q, 1)._pow(tuple(c % p for c in a), p ** q - 2)
         prec = 1
         while prec < self.n:
-            # y <- y * (2 - a*y)
             ay = self._mul(a, y)
             two_minus = self._sub(self._smul(2, self._one), ay)
             y = self._mul(y, two_minus)
             prec *= 2
         return y
-
-    def _invert_mod_p(self, abar):
-        p, q = self.p, self.q
-        if q == 1:
-            return (pow(abar[0], -1, p),)
-        # extended Euclid in F_p[x] against the Conway modulus
-        f0 = tuple(c % p for c in self.modulus_lift)
-        r0, r1 = list(f0), list(abar) + [0]
-        s0, s1 = [0] * (q + 1), [1] + [0] * q
-
-        def deg(v):
-            for i in range(len(v) - 1, -1, -1):
-                if v[i]:
-                    return i
-            return -1
-
-        while True:
-            d1 = deg(r1)
-            if d1 <= 0:
-                break
-            d0 = deg(r0)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            c = (r0[d0] * pow(r1[d1], -1, p)) % p
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                r0[i + shift] = (r0[i + shift] - c * r1[i]) % p
-            for i in range(q + 1 - shift):
-                s0[i + shift] = (s0[i + shift] - c * s1[i]) % p
-        if deg(r1) != 0:
-            raise NotAUnit("not invertible mod p")
-        c = pow(r1[0], -1, p)
-        return tuple((c * s1[i]) % p for i in range(q))
 
     # -- public element API ------------------------------------------------
 
@@ -380,10 +279,7 @@ class WittRing:
         x = tuple(int(c) % self.p for c in a)
         if len(x) != self.q:
             raise ValueError(f"need exactly {self.q} coefficients")
-        e = self.p ** self.q
-        for _ in range(self.n - 1):
-            x = self._pow(x, e)
-        return WittElem(self, x)
+        return WittElem(self, self._pow(x, self.p ** (self.q * (self.n - 1))))
 
     def reduce_to(self, m):
         """Natural projection W_n -> W_m (m <= n)."""

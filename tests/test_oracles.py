@@ -11,7 +11,7 @@ from operator import mul
 import pytest
 
 from fcrystals import deviation, plinalg, semilinear, stairs, truncation
-from fcrystals.conway import CONWAY_TABLE
+from fcrystals.conway import CONWAY_TABLE, conway_polynomial
 from fcrystals.crystal import (
     PolarizedCrystal,
     builtin_crystal,
@@ -52,6 +52,8 @@ from fcrystals.semilinear import (
     CircularSolution,
     CircularSystem,
     IsomResult,
+    _FpLanes,
+    _Gf2Lanes,
     _first_unit_trial,
     _lang_search,
     _scan_range,
@@ -74,7 +76,6 @@ from fcrystals.stairs import (
 from fcrystals.truncation import polarized_isom_search
 from fcrystals.witt import INFINITY, WittElem, field_walk, make_witt_ring
 from fcrystals.witt import _int_val as _ival
-from fcrystals.witt import _poly_mul_mod, _poly_pow_mod
 
 
 def _all_matrices(ring, r):
@@ -783,6 +784,37 @@ def test_coordinate_solver_matches_the_mult_matrix_system():
 # -- the packed Witt kernel, against schoolbook products ------------------------
 
 
+def _poly_mul_mod(a, b, f, mod):
+    """(a * b) mod (f, mod) for coefficient tuples, f monic."""
+    q = len(f) - 1
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] = (res[i + j] + ai * bj) % mod
+    for i in range(len(res) - 1, q - 1, -1):
+        c = res[i]
+        if c:
+            res[i] = 0
+            for j in range(q):
+                res[i - q + j] = (res[i - q + j] - c * f[j]) % mod
+    res = res[:q]
+    res.extend([0] * (q - len(res)))
+    return tuple(res)
+
+
+def _poly_pow_mod(a, e, f, mod):
+    q = len(f) - 1
+    result = tuple([1] + [0] * (q - 1))
+    base = a
+    while e:
+        if e & 1:
+            result = _poly_mul_mod(result, base, f, mod)
+        base = _poly_mul_mod(base, base, f, mod)
+        e >>= 1
+    return result
+
+
 def _table_fields(min_q=1):
     return [(p, q) for (p, q), f in sorted(CONWAY_TABLE.items())
             if f is not None and q >= min_q]
@@ -808,6 +840,32 @@ def test_packed_mul_matches_schoolbook():
                 for b in xs[2:5]:
                     assert ring._mul(a, b) == _poly_mul_mod(a, b, f, pn), \
                         (p, q, n, a, b)
+
+
+def _conway_fold_rows(p, q):
+    """t^(q+i) modulo the Conway polynomial mod p, i = 0..q-2, by the
+    recurrence t^(q+i+1) = t * t^(q+i)."""
+    top = [(-c) % p for c in conway_polynomial(p, q)[:q]]
+    row, rows = top, []
+    for _ in range(q - 1):
+        rows.append(row)
+        row = [(a + row[-1] * c) % p for a, c in zip([0] + row, top)]
+    return rows
+
+
+def test_lane_folds_match_the_conway_recurrence():
+    for p, q in _table_fields():
+        rows = _conway_fold_rows(p, q)
+        for n in (1, 4):
+            ring = make_witt_ring(p, q, n)
+            if p == 2:
+                fold = _Gf2Lanes(ring, [], [], 1, 1).fold
+                assert fold == [[s for s, c in enumerate(row) if c]
+                                for row in rows], (q, n)
+            else:
+                fold = _FpLanes(ring, [], [], 1, 1).fold
+                assert fold == [[(s, c) for s, c in enumerate(row) if c]
+                                for row in rows], (p, q, n)
 
 
 def _schoolbook_matmul(A, B):

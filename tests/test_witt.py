@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fcrystals.conway import CONWAY_TABLE
 from fcrystals.errors import (
     NoEmbedding,
     NotAUnit,
@@ -27,6 +28,9 @@ def test_unknown_field_and_bad_prime():
         make_witt_ring(11, 1, 2)
     with pytest.raises(NotPrime):
         make_witt_ring(4, 1, 2)
+    # n < 1 is refused before the field table is read
+    with pytest.raises(ValueError):
+        make_witt_ring(11, 1, 0)
 
 
 def test_primes_above_the_cap_are_rejected_without_trial_division():
@@ -52,13 +56,20 @@ def test_ring_check_accepts_equal_rings_outside_the_cache():
             op(fresh.gen(), other.one())
 
 
+def _table_fields():
+    return [pq for pq, f in sorted(CONWAY_TABLE.items()) if f is not None]
+
+
 def test_teichmuller_modulus_makes_generator_torsion():
-    ring = make_witt_ring(2, 3, 4)
-    t = ring.gen()
-    x = ring.one()
-    for _ in range(7):
-        x = x * t
-    assert x == ring.one()
+    # by Hensel's lemma these three facts determine the modulus
+    for p, q in _table_fields():
+        for n in (1, 2, 3, 5, 8, 19):
+            ring = make_witt_ring(p, q, n)
+            f = ring.modulus_lift
+            assert len(f) == q + 1 and f[q] == 1, (p, q, n)
+            assert tuple(c % p for c in f) == CONWAY_TABLE[p, q], (p, q, n)
+            t = ring.gen().coeffs
+            assert ring._pow(t, p ** q) == t, (p, q, n)
 
 
 @pytest.mark.parametrize("p,q,n", [(2, 3, 4), (3, 2, 3), (5, 2, 2), (7, 1, 3)])
@@ -138,13 +149,16 @@ def test_valuation():
 def test_unit_inverse():
     ring = make_witt_ring(2, 1, 3)
     assert ring.from_int(3).unit_inverse().coeffs == (3,)
-    ring2 = make_witt_ring(3, 2, 4)
     rng = random.Random(5)
-    for _ in range(30):
-        a = ring2.random_unit(rng)
-        assert a * a.unit_inverse() == ring2.one()
-    with pytest.raises(NotAUnit):
-        ring2.from_int(3).unit_inverse()
+    for p, q in _table_fields():
+        for n in (1, 4):
+            ring = make_witt_ring(p, q, n)
+            for _ in range(5):
+                a = ring.random_unit(rng)
+                assert a * a.unit_inverse() == ring.one(), (p, q, n)
+            for x in (ring.zero(), p * a):
+                with pytest.raises(NotAUnit):
+                    x.unit_inverse()
 
 
 def test_precision_reduction_commutes():
