@@ -11,7 +11,7 @@ import json
 from .crystal import FCrystal, PolarizedCrystal
 from .errors import BadShape
 from .plinalg import Matrix
-from .stairs import StairsDatum, _cycles_of
+from .stairs import StairsDatum
 from .witt import make_witt_ring
 
 _TOP_KEYS = {"version", "p", "q", "n", "rank", "shift", "matrix",
@@ -137,12 +137,6 @@ def dict_to_stairs_datum(data: dict, crystal):
         raise BadShape(f"stairs 'exponents' must be {size} integers")
     if not _is_int(data["torsion"]):
         raise BadShape("stairs 'torsion' must be an integer")
-    cycles = _cycles_of(perm)
-    signs = data["signs"]
-    if not _is_int_list(signs) or len(signs) != len(cycles) or any(
-            s not in (1, -1) for s in signs):
-        raise BadShape(f"stairs 'signs' must be {len(cycles)} values, "
-                       "each 1 or -1")
     for key in ("multiplicative", "unital", "square_zero"):
         if not isinstance(data.get(key, False), bool):
             raise BadShape(f"stairs {key!r} must be true or false")
@@ -153,11 +147,17 @@ def dict_to_stairs_datum(data: dict, crystal):
     basis = [entries_to_matrix(ring, r, r, e) for e in data["basis"]]
     datum = StairsDatum(
         crystal, basis, list(perm), list(data["exponents"]),
-        data["torsion"], cycles, list(signs),
-        data["multiplicative"], data["unital"],
+        data["torsion"], data["multiplicative"], data["unital"],
         data.get("square_zero", False), data.get("strategy", "file"),
     )
+    # integers only: True == 1 would pass the comparison
+    if not _is_int_list(data["signs"]) or data["signs"] != datum.signs:
+        raise BadShape(f"stairs 'signs' must be {datum.signs}, the signs of "
+                       "the cycles' exponents")
     datum.verify()
+    if datum.unital and datum.coords(Matrix.identity(ring, r)) is None:
+        raise BadShape("stairs 'unital' is claimed, but the identity is "
+                       "not in the span")
     return datum
 
 

@@ -427,6 +427,16 @@ def howell_pivots(basis, p, n):
     return out
 
 
+def lattice_exponent(basis, p, n, cols):
+    """The lattice exponent of a span inside (Z/p^n)^cols, read from its
+    Howell basis: the largest pivot valuation, or INFINITY when some
+    column has no pivot (the span is not full)."""
+    piv = howell_pivots(basis, p, n)
+    if len(piv) < cols:
+        return INFINITY
+    return max(v for _, v in piv)
+
+
 def howell_coefficients(basis, p, n):
     """Every coefficient vector of a Howell basis, first row outermost.
 

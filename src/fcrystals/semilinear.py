@@ -31,6 +31,7 @@ from .plinalg import (
     howell_contains,
     howell_form,
     howell_pivots,
+    lattice_exponent,
     pack_rows,
     smith_normal_form,
     swar_slot,
@@ -133,14 +134,11 @@ def hom_module(C1, C2, precision=None) -> HomModule:
 
 
 def end_type(C, rm):
-    """The group type of End_m(C) over rm = W_m (as `HomModule.group_type`),
-    kept on C per m: one elimination, with no right transform and no
-    kernel basis."""
+    """The group type of End_m(C) over rm = W_m, as `hom_module(C, C, m)`
+    gives it, kept on C per m: one elimination, with no kernel basis."""
     t = C.end_types.get(rm.n)
     if t is None:
-        B = C.B.reduce_to(rm)
-        t = C.end_types[rm.n] = IntSolver(
-            *_intertwiner_system(B, B, rm)).kernel_type()
+        t = C.end_types[rm.n] = hom_module(C, C, rm.n).group_type
     return t
 
 
@@ -155,11 +153,7 @@ def fixed_lattice(C):
     rm = H.ring
     m = H.precision
     hw = howell_form(*pack_rows(w_span_rows(H.basis, rm), rm.p, m))
-    piv = howell_pivots(hw, rm.p, m)
-    ncoords = C.rank * C.rank * rm.q
-    if len(piv) < ncoords:
-        return H, m
-    return H, max(v for (_, v) in piv)
+    return H, min(m, lattice_exponent(hw, rm.p, m, C.rank * C.rank * rm.q))
 
 
 # -- unit search --------------------------------------------------------------

@@ -10,7 +10,7 @@ moves there (within the built-in field table).
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from .bounds import epsilon_p
@@ -33,7 +33,7 @@ from .plinalg import (
     exp_trunc,
     howell_contains,
     howell_form,
-    howell_pivots,
+    lattice_exponent,
     pack_rows,
     unit_inverse_matrix,
     w_span_rows,
@@ -62,18 +62,24 @@ class StairsDatum:
     perm: list             # pi as a list, 0-based
     exponents: list        # n_l with conj(e_l) = p^(n_l) e_(pi(l))
     torsion: int           # m: p^m End inside the span, SNF-verified
-    cycles: list           # index lists
-    signs: list            # +1 / -1 per cycle
     multiplicative: bool
     unital: bool
     square_zero: bool
     strategy: str          # "monomial" | "fixed"
+    cycles: list = field(init=False)   # index lists of pi
+    # per cycle: +1 when its exponents are all >= 0, else -1
+    signs: list = field(init=False)
     _solver: object = field(default=None, repr=False, compare=False)
     _gamma: object = field(default=None, repr=False, compare=False)
     # base changes by target ring, so later runs reuse their crystal,
     # embedded basis and coordinate solver
     _base_changes: dict = field(default_factory=dict, repr=False,
                                 compare=False)
+
+    def __post_init__(self):
+        self.cycles = _cycles_of(self.perm)
+        self.signs = [1 if all(self.exponents[l] >= 0 for l in cyc) else -1
+                      for cyc in self.cycles]
 
     def coordinate_solver(self):
         """Solver for X = sum y_l e_l: column (l, s) is t^s e_l flattened."""
@@ -107,22 +113,19 @@ class StairsDatum:
                 acc = acc + e.scale(y)
         return acc
 
+    def random_twist(self, level, rng):
+        """1 + sum y_l e_l, each y_l a random element times p^level."""
+        ring = self.crystal.ring
+        return Matrix.identity(ring, self.crystal.rank) + self.combine(
+            [ring.random_element(rng) * ring.p ** level for _ in self.basis])
+
     def base_change(self, ring):
         datum = self._base_changes.get(ring)
         if datum is None:
-            datum = self._base_changes[ring] = StairsDatum(
-                self.crystal.base_change(ring),
-                [e.embed(ring) for e in self.basis],
-                list(self.perm),
-                list(self.exponents),
-                self.torsion,
-                [list(c) for c in self.cycles],
-                list(self.signs),
-                self.multiplicative,
-                self.unital,
-                self.square_zero,
-                self.strategy,
-            )
+            datum = self._base_changes[ring] = replace(
+                self, crystal=self.crystal.base_change(ring),
+                basis=[e.embed(ring) for e in self.basis],
+                _solver=None, _gamma=None, _base_changes={})
         return datum
 
     def verify(self, full_end=True):
@@ -145,21 +148,17 @@ class StairsDatum:
                 lhs = lhs.scale(ring.p ** (-n_l))
             if lhs != rhs:
                 raise BadShape(f"basis element {l} breaks the arrow identity")
-        for cyc, sign in zip(self.cycles, self.signs):
+        for cyc in self.cycles:
             exps = [self.exponents[l] for l in cyc]
-            if sign > 0 and any(e < 0 for e in exps):
-                raise BadShape("positive cycle with a negative exponent")
-            if sign < 0 and (any(e > 0 for e in exps)
-                             or all(e == 0 for e in exps)):
-                raise BadShape("negative cycle must be nonpositive, not all 0")
+            if min(exps) < 0 < max(exps):
+                raise BadShape("a cycle mixes exponent signs")
         if not full_end:
             return True
         # p^m End inside the span
         hw = howell_form(*pack_rows(w_span_rows(self.basis, ring), ring.p,
                                     ring.n))
-        piv = howell_pivots(hw, ring.p, ring.n)
-        ncoords = C.rank * C.rank * ring.q
-        if len(piv) < ncoords or max(v for _, v in piv) > self.torsion:
+        if lattice_exponent(hw, ring.p, ring.n,
+                            C.rank * C.rank * ring.q) > self.torsion:
             raise BadShape("span does not contain p^m End")
         return True
 
@@ -168,10 +167,13 @@ class StairsDatum:
 class StairsCertificate:
     witness: Matrix
     level: int
-    ring: object
     extension: int        # Q_final / Q_initial
     crystal: object       # the (possibly base-changed) crystal
     twist: Matrix         # the (possibly base-changed) g
+
+    @property
+    def ring(self):
+        return self.crystal.ring
 
     def reverify(self) -> bool:
         """Independent re-check of the conjugation identity
@@ -187,6 +189,16 @@ class StairsCertificate:
             raise SingularAtPrecision("witness is not a unit")
         diff = w @ self.twist @ B - B @ w.sigma()
         return diff.is_zero() or diff.min_valuation() >= self.level
+
+
+def _reverified(witness, level, crystal, twist, base_q, method):
+    """The certificate of a `method` run begun over residue degree base_q,
+    re-verified; InternalError when the check fails."""
+    cert = StairsCertificate(witness, level, crystal.ring.q // base_q,
+                             crystal, twist)
+    if not cert.reverify():
+        raise InternalError(f"{method} certificate failed re-verification")
+    return cert
 
 
 # -- datum construction -------------------------------------------------------
@@ -207,18 +219,31 @@ def _monomial_datum(C):
     None."""
     if C.shift != 0:
         raise BadShape("stairs needs shift 0")
-    hits = _monomial_shape(C.B, C.ring)
+    r = C.rank
+    built = _matrix_unit_datum(
+        C, C.B, [(i, j) for i in range(r) for j in range(r)], False)
+    return built[0] if built else None
+
+
+def _matrix_unit_datum(C, base_B, idx, square_zero):
+    """(datum, cycle tuples) of the rescaled matrix units at idx, with
+    arrows from base_B, or None unless base_B is monomial with unit twists
+    1.  All r^2 units (index l = i*r + j) make a datum verified to hold
+    p^m End; a square-zero block of them, one verified on its own span.
+    """
+    hits = _monomial_shape(base_B, C.ring)
     if hits is None:
         return None
     r = C.rank
-    # matrix units E_(i,j), index l = i*r + j
-    fields, _, rescale = _matrix_unit_arrows(
-        C.ring, r, hits, [(i, j) for i in range(r) for j in range(r)])
-    mult = _is_multiplicative(rescale, r)
-    unital = all(rescale[i * r + i] == 0 for i in range(r))
-    datum = StairsDatum(C, *fields, mult, unital, False, "monomial")
-    datum.verify()
-    return datum
+    fields, tuples, rescale = _matrix_unit_arrows(C.ring, r, hits, idx)
+    if square_zero:
+        datum = StairsDatum(C, *fields, True, False, True, "unipotent")
+    else:
+        unital = all(rescale[i * r + i] == 0 for i in range(r))
+        datum = StairsDatum(C, *fields, _is_multiplicative(rescale, r),
+                            unital, False, "monomial")
+    datum.verify(full_end=not square_zero)
+    return datum, tuples
 
 
 def _monomial_shape(B, ring):
@@ -246,19 +271,17 @@ def _matrix_unit_arrows(ring, r, hits, idx):
     arrows under phi(e_j) = p^(n_j) e_(rho(j)), hits[j] = (rho(j), n_j).
 
     Conjugation permutes the units; each cycle's exponent tuple is reduced
-    to uniform sign by df_reduce (all-zero cycles count as positive).
-    Returns ((basis, perm, exponents, torsion, cycles, signs), cycle
-    tuples, rescale).
+    to uniform sign by df_reduce.  Returns ((basis, perm, exponents,
+    torsion), cycle tuples, rescale).
     """
     pos = {ij: l for l, ij in enumerate(idx)}
     perm = [pos[(hits[i][0], hits[j][0])] for (i, j) in idx]
     exps = [hits[i][1] - hits[j][1] for (i, j) in idx]
-    cycles = _cycles_of(perm)
     rescale = [0] * len(idx)
     new_exps = list(exps)
     m = 0
     tuples = []
-    for cyc in cycles:
+    for cyc in _cycles_of(perm):
         tau = [exps[l] for l in cyc]
         tuples.append(tau)
         red = df_reduce(tau)
@@ -271,9 +294,7 @@ def _matrix_unit_arrows(ring, r, hits, idx):
         flat = [0] * (r * r * ring.q)
         flat[(i * r + j) * ring.q] = ring.p ** rescale[l]
         basis.append(Matrix.from_flat_ints(ring, r, r, flat))
-    signs = [+1 if all(new_exps[l] >= 0 for l in cyc) else -1
-             for cyc in cycles]
-    return (basis, perm, new_exps, m, cycles, signs), tuples, rescale
+    return (basis, perm, new_exps, m), tuples, rescale
 
 
 def _is_multiplicative(rescale, r):
@@ -342,11 +363,9 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
                                     for b in basis], big.p, big.n)
         unital = howell_contains(hw, [Matrix.identity(big, r).flat],
                                  big.p, big.n)
-        datum = StairsDatum(
-            CD, basis, list(range(len(basis))), [0] * len(basis),
-            m, [[l] for l in range(len(basis))], [+1] * len(basis),
-            mult, unital, False, "fixed",
-        )
+        datum = StairsDatum(CD, basis, list(range(len(basis))),
+                            [0] * len(basis), m, mult, unital, False,
+                            "fixed")
         datum.verify()
         return datum
     return None
@@ -371,10 +390,8 @@ def _select_w_basis(H, C):
                 break
     if len(chosen) < r * r:
         return None
-    piv = howell_pivots(current, ring.p, ring.n)
-    if len(piv) < r * r * ring.q:
-        return None
-    return chosen, max(v for _, v in piv), current
+    m = lattice_exponent(current, ring.p, ring.n, r * r * ring.q)
+    return None if m == INFINITY else (chosen, m, current)
 
 
 # -- the engine ---------------------------------------------------------------
@@ -387,8 +404,7 @@ def stairs_run(C, g, datum=None) -> StairsCertificate:
     ring = datum.crystal.ring
     p = ring.p
     eps = epsilon_p(p)
-    if g.ring != ring:
-        g = g.embed(ring)
+    g = g.embed(ring)
     lvl = g.congruence_level()
     if lvl < 2 * datum.torsion + eps:
         raise PreconditionTooWeak(
@@ -404,8 +420,7 @@ def stairs_algebra_run(C, g, datum=None) -> StairsCertificate:
     if not (datum.multiplicative or datum.square_zero):
         raise NotMultiplicative("datum span is not closed under products")
     ring = datum.crystal.ring
-    if g.ring != ring:
-        g = g.embed(ring)
+    g = g.embed(ring)
     ys = datum.coords(g - Matrix.identity(ring, datum.crystal.rank))
     if ys is None:
         raise BadShape("g - 1 is not in the lattice span")
@@ -556,17 +571,7 @@ def _engine(datum, g, algebra_mode) -> StairsCertificate:
             f"stairs stalled at level {level} (needs a residue field "
             f"beyond the built-in table)"
         )
-    cert = StairsCertificate(
-        witness=total,
-        level=level,
-        ring=ring,
-        extension=ring.q // base_q,
-        crystal=datum.crystal,
-        twist=g0,
-    )
-    if not cert.reverify():
-        raise InternalError("stairs certificate failed re-verification")
-    return cert
+    return _reverified(total, level, datum.crystal, g0, base_q, "stairs")
 
 
 # -- slope-zero shortcut ------------------------------------------------------
@@ -586,8 +591,7 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
     if datum.strategy != "fixed" or not datum.unital:
         raise UnsupportedShape("lang shortcut needs a unital fixed lattice")
     ring = datum.crystal.ring
-    if g.ring != ring:
-        g = g.embed(ring)
+    g = g.embed(ring)
     lvl = g.congruence_level()
     if lvl < datum.torsion:
         raise PreconditionTooWeak(
@@ -613,18 +617,8 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
     if j != INFINITY and j < 1:
         raise InternalError("Lang step failed to clear the residue digit")
     sub = stairs_algebra_run(datum.crystal, g1, datum)
-    total = sub.witness @ xt.embed(sub.ring)
-    cert = StairsCertificate(
-        witness=total,
-        level=sub.level,
-        ring=sub.ring,
-        extension=sub.ring.q // C.ring.q,
-        crystal=sub.crystal,
-        twist=g.embed(sub.ring),
-    )
-    if not cert.reverify():
-        raise InternalError("lang certificate failed re-verification")
-    return cert
+    return _reverified(sub.witness @ xt.embed(sub.ring), sub.level,
+                       sub.crystal, g.embed(sub.ring), C.ring.q, "lang")
 
 
 def _abstract_lang(datum, g, gco):
@@ -643,9 +637,10 @@ def _abstract_lang(datum, g, gco):
     """
     ring = datum.crystal.ring
     gamma = datum.structure_constants()
+    res = make_witt_ring(ring.p, ring.q, 1)
+    gbar = [c.reduce_to(res) for c in gco]
     for D, fld in field_walk(ring.p, ring.q, 1):
-        x = _abstract_lang_search(
-            gamma, [ring2_reduce(c, fld) for c in gco], fld)
+        x = _abstract_lang_search(gamma, [c.embed(fld) for c in gbar], fld)
         if x is None:
             continue
         if D > 1:
@@ -656,12 +651,6 @@ def _abstract_lang(datum, g, gco):
         return datum.combine([lift(x[a * q:(a + 1) * q])
                               for a in range(len(gamma))]), datum, g
     raise ExtensionCapExceeded("no Lang trivializer within the field table")
-
-
-def ring2_reduce(c, fld):
-    if c.ring.q == fld.q:
-        return c.reduce_to(fld)
-    return c.reduce_to(make_witt_ring(c.ring.p, c.ring.q, 1)).embed(fld)
 
 
 def _structure_constants(datum):
@@ -709,22 +698,6 @@ def _abstract_lang_search(gamma, gbar, fld):
 # -- composite certificate for the rank-6 thirds family ------------------------
 
 
-def _unipotent_datum(C, block_rows, block_cols, base_B):
-    """Square-zero lattice datum on Hom(block_cols, block_rows) inside End.
-
-    Arrows are computed from the monomial base matrix; cycle tuples are
-    reduced to uniform sign.  Verified against C's own matrix (exact).
-    """
-    hits = _monomial_shape(base_B, C.ring)
-    if hits is None:
-        raise UnsupportedShape("base matrix is not monomial")
-    idx = [(i, j) for i in block_rows for j in block_cols]
-    fields, tuples, _ = _matrix_unit_arrows(C.ring, C.rank, hits, idx)
-    datum = StairsDatum(C, *fields, True, False, True, "unipotent")
-    datum.verify(full_end=False)
-    return datum, tuples
-
-
 def _block_diag_datum(C0, split_at):
     """Multiplicative lattice on End(M1) + End(M2) for a block-diagonal C0."""
     ring = C0.ring
@@ -742,9 +715,8 @@ def _block_diag_datum(C0, split_at):
         Matrix.block_diag(Z1, e) for e in d2.basis]
     v = len(basis)
     datum = StairsDatum(C0, basis, list(range(v)), [0] * v,
-                        max(d1.torsion, d2.torsion),
-                        [[l] for l in range(v)], [+1] * v,
-                        True, True, False, "block-fixed")
+                        max(d1.torsion, d2.torsion), True, True, False,
+                        "block-fixed")
     datum.verify(full_end=False)
     return datum, (d1.torsion, d2.torsion)
 
@@ -762,51 +734,44 @@ def thirds_family_certificate(ring, alpha=1, trials=2, seed=0) -> dict:
     C_a = builtin_crystal(ring, "phi_alpha_4_5", alpha=alpha)
     C_0 = builtin_crystal(ring, "phi_alpha_4_5", alpha=0)
     out = {"upper": 3, "upper_source": "stairs", "components": {}}
-    # upper-right block: arrows commute with the alpha twist, so verify
-    # against the twisted crystal itself
-    dU1, tuples1 = _unipotent_datum(C_a, (0, 1, 2), (3, 4, 5), C_0.B)
-    s_values = sorted(deviations(t)[0] for t in tuples1)
-    if any(s > 1 for s in s_values):
-        raise InternalError(f"upper-block cycle S-values {s_values} exceed 1")
-    out["components"]["upper_block"] = {
-        "square_zero": True,
-        "cycle_tuples": tuples1,
-        "s_values": s_values,
-        "rescale_torsion": dU1.torsion,
-    }
-    dU2, tuples2 = _unipotent_datum(C_0, (3, 4, 5), (0, 1, 2), C_0.B)
-    out["components"]["lower_block"] = {
-        "square_zero": True,
-        "cycle_tuples": tuples2,
-        "s_values": sorted(deviations(t)[0] for t in tuples2),
-        "rescale_torsion": dU2.torsion,
-    }
+    # (name, datum, k): sampled twists in 1 + p^k (span) reach level k + 1;
+    # the upper-right block's arrows commute with the alpha twist, so it is
+    # verified against the twisted crystal itself
+    blocks = []
+    for name, C, rows, cols, k in (
+            ("upper_block", C_a, (0, 1, 2), (3, 4, 5), 0),
+            ("lower_block", C_0, (3, 4, 5), (0, 1, 2), 1)):
+        built = _matrix_unit_datum(C, C_0.B, [(i, j) for i in rows
+                                              for j in cols], True)
+        if built is None:
+            raise UnsupportedShape("base matrix is not monomial")
+        datum, tuples = built
+        s_values = sorted(deviations(t)[0] for t in tuples)
+        if any(s > 1 for s in s_values):
+            raise InternalError(f"{name} cycle S-values {s_values} exceed 1")
+        out["components"][name] = {
+            "square_zero": True,
+            "cycle_tuples": tuples,
+            "s_values": s_values,
+            "rescale_torsion": datum.torsion,
+        }
+        blocks.append((name, datum, k))
     dL, (m1a, m1b) = _block_diag_datum(C_0, 3)
     out["components"]["diagonal_blocks"] = {
         "torsions": (m1a, m1b),
         "multiplicative": dL.multiplicative,
         "unital": dL.unital,
     }
+    blocks.append(("diagonal_blocks", dL, 1))
     # sampled trivializations of lattice-supported twists
     rng = random.Random(seed)
-    p = ring.p
-    evidence = {"upper_block": 0, "lower_block": 0, "diagonal_blocks": 0}
+    evidence = {name: 0 for name, _, _ in blocks}
     for _ in range(trials):
-        co = [ring.random_element(rng) for _ in dU1.basis]
-        g = Matrix.identity(ring, 6) + dU1.combine(co)
-        cert = stairs_algebra_run(C_a, g, dU1)
-        if cert.reverify() and cert.level >= 1:
-            evidence["upper_block"] += 1
-        co = [ring.random_element(rng) * p for _ in dU2.basis]
-        g = Matrix.identity(ring, 6) + dU2.combine(co)
-        cert = stairs_algebra_run(C_0, g, dU2)
-        if cert.reverify() and cert.level >= 2:
-            evidence["lower_block"] += 1
-        co = [ring.random_element(rng) * p for _ in dL.basis]
-        g = Matrix.identity(ring, 6) + dL.combine(co)
-        cert = stairs_algebra_run(C_0, g, dL)
-        if cert.reverify() and cert.level >= 2:
-            evidence["diagonal_blocks"] += 1
+        for name, datum, k in blocks:
+            g = datum.random_twist(k, rng)
+            cert = stairs_algebra_run(datum.crystal, g, datum)
+            if cert.reverify() and cert.level >= k + 1:
+                evidence[name] += 1
     out["evidence"] = evidence
     out["trials"] = trials
     return out

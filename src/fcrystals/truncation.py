@@ -164,7 +164,7 @@ def congruence_upgrade(C, g, f_trunc: Matrix, level: int,
     f_lift = Matrix.from_flat_ints(ring, r, r, f_trunc.flat)
     if not is_unit(f_lift):
         raise LiftFailed("truncation isomorphism does not lift to a unit")
-    # after conjugating by the lift, the twist is congruent to 1 mod p^(level-?)
+    # conjugated by the lift, the twist is congruent to 1 mod p^(level-1)
     Cm, e = inverse_with_shift(C.B)
     g1 = _times_inverse(
         f_lift @ g @ C.B @ unit_inverse_matrix(f_lift.sigma()), Cm, e)

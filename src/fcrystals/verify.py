@@ -36,8 +36,8 @@ from .semilinear import (
     cokernel_length,
 )
 from .stairs import (
-    _cycles_of,
     _fixed_datum,
+    _matrix_unit_arrows,
     _monomial_shape,
     build_stairs_datum,
     lang_run,
@@ -171,18 +171,10 @@ def check_isoclinic_lattices():
             _, expo = fixed_lattice(C)
             _require(expo == 1, (r, c, p, expo))
             # per-cycle sign deviations of the conjugation tuples
-            hits = _monomial_shape(C.B, ring)
-            rho = [hits[j][0] for j in range(r)]
-            vals = [hits[j][1] for j in range(r)]
-            perm = [0] * (r * r)
-            exps = [0] * (r * r)
-            for i in range(r):
-                for j in range(r):
-                    perm[i * r + j] = rho[i] * r + rho[j]
-                    exps[i * r + j] = vals[i] - vals[j]
-            s_values = []
-            for cyc in _cycles_of(perm):
-                s_values.append(deviations([exps[l] for l in cyc])[0])
+            _, tuples, _ = _matrix_unit_arrows(
+                ring, r, _monomial_shape(C.B, ring),
+                [(i, j) for i in range(r) for j in range(r)])
+            s_values = [deviations(t)[0] for t in tuples]
             _require(max(s_values) == 1, (r, c, p, s_values))
             _require(all(s <= 1 for s in s_values))
             out.append(f"({r},{c},p={p}): exponent 1, S-values ok")
@@ -233,37 +225,27 @@ def check_nonisomorphic_pair():
 # -- 7: stairs soundness ---------------------------------------------------------
 
 
-def _random_lattice_twist(datum, level, rng):
-    ring = datum.crystal.ring
-    co = [ring.random_element(rng) * ring.p ** level for _ in datum.basis]
-    return Matrix.identity(ring, datum.crystal.rank) + datum.combine(co)
-
-
 def check_stairs_soundness(total=200, seed=0, fast=False):
     if fast:
         total = 60
     rng = random.Random(seed)
-    plans = []
-    # (family, p, q, ring precision, twist kind); twists sit at the
-    # threshold level 2m + eps_p; lattice-supported twists are used where
-    # the p-extension tower would exceed the built-in field table
-    plans.append(("ordinary", 2, 1, 4, "general"))
-    plans.append(("ordinary", 3, 1, 2, "general"))
-    plans.append(("supersingular", 2, 2, 5, "general"))
-    plans.append(("supersingular", 3, 2, 4, "lattice"))
-    plans.append(("isoclinic", 2, 3, 5, "general"))
-    plans.append(("isoclinic", 3, 3, 4, "lattice"))
+    # (family, its parameters, p, q, ring precision, twist kind); twists
+    # sit at the threshold level 2m + eps_p; lattice-supported twists are
+    # used where the p-extension tower would exceed the built-in field table
+    plans = (
+        ("ordinary", {"r": 2, "d": 1}, 2, 1, 4, "general"),
+        ("ordinary", {"r": 2, "d": 1}, 3, 1, 2, "general"),
+        ("supersingular", {"d": 1}, 2, 2, 5, "general"),
+        ("supersingular", {"d": 1}, 3, 2, 4, "lattice"),
+        ("isoclinic_3_3_6", {"r": 3, "c": 2}, 2, 3, 5, "general"),
+        ("isoclinic_3_3_6", {"r": 3, "c": 2}, 3, 3, 4, "lattice"),
+    )
     per = max(1, total // len(plans))
     done = 0
     crosses = 0
-    for family, p, q, n, kind in plans:
+    for family, kw, p, q, n, kind in plans:
         ring = make_witt_ring(p, q, n)
-        if family == "ordinary":
-            C = builtin_crystal(ring, "ordinary", r=2, d=1)
-        elif family == "supersingular":
-            C = builtin_crystal(ring, "supersingular", d=1)
-        else:
-            C = builtin_crystal(ring, "isoclinic_3_3_6", r=3, c=2)
+        C = builtin_crystal(ring, family, **kw)
         datum = build_stairs_datum(C)
         n0 = 2 * datum.torsion + epsilon_p(p)
         _require(n > n0 or kind == "lattice", (family, p))
@@ -271,7 +253,7 @@ def check_stairs_soundness(total=200, seed=0, fast=False):
             if kind == "general":
                 g = random_twist(ring, C.rank, n0, rng)
             else:
-                g = _random_lattice_twist(datum, n0, rng)
+                g = datum.random_twist(n0, rng)
             cert = stairs_run(C, g, datum)
             _require(cert.reverify(), (family, p, k))
             _require(cert.level > n0 or cert.level >= ring.n,
@@ -306,16 +288,13 @@ def check_stairs_soundness(total=200, seed=0, fast=False):
 
 def check_i_number_uppers(seed=0):
     ring = make_witt_ring(3, 1, 6)
-    et = i_number_probe(builtin_crystal(ring, "ordinary", r=2, d=0),
-                        seed=seed)
-    _require((et["upper"], et["upper_source"]) == (0, "h0"), et)
-    ord_ = i_number_probe(builtin_crystal(ring, "ordinary", r=2, d=1),
-                          seed=seed)
-    _require((ord_["upper"], ord_["upper_source"]) == (1, "stairs"), ord_)
-    ss = i_number_probe(
-        builtin_crystal(make_witt_ring(3, 2, 4), "supersingular", d=1),
-        seed=seed)
-    _require((ss["upper"], ss["upper_source"]) == (1, "lang"), ss)
+    for C, upper in (
+            (builtin_crystal(ring, "ordinary", r=2, d=0), (0, "h0")),
+            (builtin_crystal(ring, "ordinary", r=2, d=1), (1, "stairs")),
+            (builtin_crystal(make_witt_ring(3, 2, 4), "supersingular", d=1),
+             (1, "lang"))):
+        et = i_number_probe(C, seed=seed)
+        _require((et["upper"], et["upper_source"]) == upper, et)
     # sampled certificates behind the numbers
     W2 = make_witt_ring(2, 2, 2)
     cert = lang_run(builtin_crystal(W2, "supersingular", d=1),
@@ -338,38 +317,27 @@ def check_i_number_uppers(seed=0):
 
 
 def check_hom_stabilization():
-    results = []
-    # pair 1: supersingular with itself, p = 3
-    ring = make_witt_ring(3, 2, 8)
+    ss = builtin_crystal(make_witt_ring(3, 2, 8), "supersingular", d=1)
+    iso = builtin_crystal(make_witt_ring(2, 3, 8), "isoclinic_3_3_6", r=3,
+                          c=2)
+    # supersingular with an inner twist of itself, p = 2, by a unit
+    # u = 1 mod 2
+    ring = make_witt_ring(2, 2, 8)
     C = builtin_crystal(ring, "supersingular", d=1)
-    m12 = _pair_torsion(C, C)
-    for t in (0, 1):
-        ok, levels = hom_stabilization_check(C, C, m12, 1, t)
-        _require(ok, (1, t, levels))
-    results.append(f"ss/ss p=3 m12={m12}")
-    # pair 2: isoclinic with itself, p = 2
-    ring2 = make_witt_ring(2, 3, 8)
-    C2 = builtin_crystal(ring2, "isoclinic_3_3_6", r=3, c=2)
-    m12b = _pair_torsion(C2, C2)
-    for t in (0, 1):
-        ok, levels = hom_stabilization_check(C2, C2, m12b, 1, t)
-        _require(ok, (2, t, levels))
-    results.append(f"iso/iso p=2 m12={m12b}")
-    # pair 3: supersingular with an inner twist of itself, p = 2
-    ring3 = make_witt_ring(2, 2, 8)
-    C3 = builtin_crystal(ring3, "supersingular", d=1)
     rng = random.Random(5)
-    # u = 1 mod 2 is a unit
-    u = Matrix.identity(ring3, 2) + Matrix(
-        ring3, [[ring3.random_element(rng) * 2 for _ in range(2)]
-                for _ in range(2)])
-    C3t = new_crystal(
-        ring3, u @ C3.B @ unit_inverse_matrix(u.sigma()), 0)
-    m12c = _pair_torsion(C3, C3t)
-    for t in (0, 1):
-        ok, levels = hom_stabilization_check(C3, C3t, m12c, 1, t)
-        _require(ok, (3, t, levels))
-    results.append(f"ss/twist p=2 m12={m12c}")
+    u = Matrix.identity(ring, 2) + Matrix(
+        ring, [[ring.random_element(rng) * 2 for _ in range(2)]
+               for _ in range(2)])
+    Ct = new_crystal(ring, u @ C.B @ unit_inverse_matrix(u.sigma()), 0)
+    results = []
+    for k, (label, C1, C2) in enumerate((("ss/ss p=3", ss, ss),
+                                         ("iso/iso p=2", iso, iso),
+                                         ("ss/twist p=2", C, Ct)), 1):
+        m12 = _pair_torsion(C1, C2)
+        for t in (0, 1):
+            ok, levels = hom_stabilization_check(C1, C2, m12, 1, t)
+            _require(ok, (k, t, levels))
+        results.append(f"{label} m12={m12}")
     return "; ".join(results)
 
 
@@ -385,38 +353,28 @@ def _pair_torsion(C1, C2):
 
 
 def check_descent():
-    cases = []
+    out = []
     for p in (2, 3):
-        # rank 2, r! = 2 divides Q = 2
-        ring = make_witt_ring(p, 2, 4)
-        for name, kw in (("supersingular", {"d": 1}),
-                         ("ordinary", {"r": 2, "d": 1})):
-            C = builtin_crystal(ring, name, **kw)
-            _, _, h = hodge_data(C)
-            H = hom_module(C, C, min(4, 2 * h + 2))
-            red = make_witt_ring(p, 2, 2)
-            reduced = [b.reduce_to(red) for b in H.basis]
-            _require(descends_to_subfield(reduced, 2), (p, name))
-            cases.append(f"{name} p={p}")
-        # rank 3, r! = 6 divides Q = 6
-        ring6 = make_witt_ring(p, 6, 5)
-        C = builtin_crystal(ring6, "isoclinic_3_3_6", r=3, c=2)
-        H = hom_module(C, C, 5)
-        red = make_witt_ring(p, 6, 2)
-        reduced = [b.reduce_to(red) for b in H.basis]
-        _require(descends_to_subfield(reduced, 6), (p, "isoclinic"))
-        cases.append(f"isoclinic p={p}")
-        # rank 4 as a sum of rank-2 pieces: summand bound lcm(2,2) = 2 | Q = 4
-        ring4 = make_witt_ring(p, 4, 4)
-        C4 = direct_sum_crystal(
-            builtin_crystal(ring4, "supersingular", d=1),
-            builtin_crystal(ring4, "ordinary", r=2, d=1))
-        H4 = hom_module(C4, C4, 4)
-        red4 = make_witt_ring(p, 4, 2)
-        reduced = [b.reduce_to(red4) for b in H4.basis]
-        _require(descends_to_subfield(reduced, 2), (p, "rank4"))
-        cases.append(f"rank-4 sum p={p}")
-    return "; ".join(cases)
+        ring2, ring4 = make_witt_ring(p, 2, 4), make_witt_ring(p, 4, 4)
+        # (name, crystal, d): End at the ring's precision descends to the
+        # degree-d subfield.  Rank 2: r! = 2 divides Q = 2; rank 3: r! = 6
+        # divides Q = 6; rank 4 as a sum of rank-2 pieces: the summand
+        # bound lcm(2, 2) = 2 divides Q = 4
+        cases = (
+            ("supersingular", builtin_crystal(ring2, "supersingular", d=1), 2),
+            ("ordinary", builtin_crystal(ring2, "ordinary", r=2, d=1), 2),
+            ("isoclinic", builtin_crystal(make_witt_ring(p, 6, 5),
+                                          "isoclinic_3_3_6", r=3, c=2), 6),
+            ("rank-4 sum", direct_sum_crystal(
+                builtin_crystal(ring4, "supersingular", d=1),
+                builtin_crystal(ring4, "ordinary", r=2, d=1)), 2),
+        )
+        for name, C, d in cases:
+            red = make_witt_ring(p, C.ring.q, 2)
+            reduced = [b.reduce_to(red) for b in hom_module(C, C).basis]
+            _require(descends_to_subfield(reduced, d), (p, name))
+            out.append(f"{name} p={p}")
+    return "; ".join(out)
 
 
 # -- 11: bound recursion -----------------------------------------------------------

@@ -16,19 +16,21 @@ from fcrystals.errors import (
     ExtensionCapExceeded,
     PrecisionExhausted,
     SearchSpaceTooLarge,
+    UnsupportedShape,
 )
 from fcrystals.files import (
     MAX_N,
     crystal_to_dict,
     dict_to_crystal,
     dict_to_stairs_datum,
+    matrix_to_entries,
     read_crystal,
     stairs_datum_to_dict,
     write_crystal,
 )
 from fcrystals.plinalg import Matrix
 from fcrystals.semilinear import _scan_range, hom_module
-from fcrystals.stairs import build_stairs_datum
+from fcrystals.stairs import build_stairs_datum, fixed_datum, lang_run
 from fcrystals.witt import make_witt_ring
 
 
@@ -403,6 +405,9 @@ def test_stairs_block_without_permutation_is_an_input_error(tmp_path,
     ("exponents", "x"),
     ("torsion", "1"),
     ("signs", None),
+    # the exponents [0, -1, 1, 0] give the four 1-cycles signs [1, -1, 1, 1]
+    ("signs", [1, 1, 1, 1]),
+    ("signs", [True, -1, 1, 1]),
     ("multiplicative", "yes"),
 ])
 def test_stairs_block_value_types_are_input_errors(tmp_path, capsys, key,
@@ -417,6 +422,32 @@ def test_stairs_block_value_types_are_input_errors(tmp_path, capsys, key,
     path.write_text(json.dumps(data))
     assert _main_exit(["stairs", str(path), "--twist-level", "1"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_false_unital_claim_is_an_input_error(tmp_path, capsys):
+    # p times the fixed datum of supersingular(d=1) over W_4(F_4): its span
+    # holds p^(m+1) End, but not the identity
+    C = builtin_crystal(make_witt_ring(2, 2, 4), "supersingular", d=1)
+    datum = fixed_datum(C)
+    assert datum.crystal is C and datum.unital
+    data = crystal_to_dict(C)
+    data["stairs"] = stairs_datum_to_dict(datum)
+    data["stairs"]["basis"] = [matrix_to_entries(e.scale(2))
+                               for e in datum.basis]
+    data["stairs"]["torsion"] += 1
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(BadShape, match="unital"):
+        read_crystal(path, want_datum=True)
+    assert _main_exit(["stairs", str(path), "--twist-level", "1"]) == 2
+    assert capsys.readouterr().out == ""
+    # without the claim the file reads, and lang refuses the datum
+    data["stairs"]["unital"] = False
+    path.write_text(json.dumps(data))
+    _, scaled = read_crystal(path, want_datum=True)
+    g = Matrix.identity(C.ring, 2)
+    with pytest.raises(UnsupportedShape):
+        lang_run(C, g, scaled)
 
 
 def test_internal_error_exits_5(tmp_path, capsys, monkeypatch):

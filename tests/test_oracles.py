@@ -71,7 +71,6 @@ from fcrystals.stairs import (
     _select_w_basis,
     _structure_constants,
     build_stairs_datum,
-    ring2_reduce,
 )
 from fcrystals.truncation import polarized_isom_search
 from fcrystals.witt import INFINITY, WittElem, field_walk, make_witt_ring
@@ -2336,7 +2335,8 @@ def _lang_algebras():
                                              **kw))
         yield p, datum.crystal.ring.q, _structure_constants(datum), (
             lambda fld, datum=datum: [[[
-                ring2_reduce(c, fld) for c in datum.coords(ea @ eb)]
+                c.reduce_to(make_witt_ring(c.ring.p, c.ring.q, 1)).embed(fld)
+                for c in datum.coords(ea @ eb)]
                 for eb in datum.basis] for ea in datum.basis])
     tri = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for a, b, c in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):

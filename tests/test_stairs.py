@@ -265,10 +265,11 @@ def test_datum_verify_rejects_corruption():
     W = make_witt_ring(3, 1, 4)
     C = builtin_crystal(W, "ordinary", r=2, d=1)
     d = build_stairs_datum(C)
-    bad = StairsDatum(C, d.basis, list(d.perm),
-                      [e + 1 for e in d.exponents], d.torsion,
-                      d.cycles, d.signs, d.multiplicative, d.unital,
-                      d.square_zero, d.strategy)
+    bad = StairsDatum(crystal=C, basis=d.basis, perm=list(d.perm),
+                      exponents=[e + 1 for e in d.exponents],
+                      torsion=d.torsion, multiplicative=d.multiplicative,
+                      unital=d.unital, square_zero=d.square_zero,
+                      strategy=d.strategy)
     with pytest.raises(BadShape):
         bad.verify()
 
