@@ -97,9 +97,6 @@ class Polygon:
             out.extend([s] * m)
         return out
 
-    def total_multiplicity(self):
-        return sum(m for _, m in self.points)
-
     def lies_on_or_above(self, other: "Polygon") -> bool:
         """Standard dominance: same endpoints, partial sums >= other's."""
         a, b = self.slopes(), other.slopes()

@@ -155,9 +155,6 @@ def dict_to_stairs_datum(data: dict, crystal):
         raise BadShape(f"stairs 'signs' must be {datum.signs}, the signs of "
                        "the cycles' exponents")
     datum.verify()
-    if datum.unital and datum.coords(Matrix.identity(ring, r)) is None:
-        raise BadShape("stairs 'unital' is claimed, but the identity is "
-                       "not in the span")
     return datum
 
 

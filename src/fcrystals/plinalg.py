@@ -427,16 +427,6 @@ def howell_pivots(basis, p, n):
     return out
 
 
-def lattice_exponent(basis, p, n, cols):
-    """The lattice exponent of a span inside (Z/p^n)^cols, read from its
-    Howell basis: the largest pivot valuation, or INFINITY when some
-    column has no pivot (the span is not full)."""
-    piv = howell_pivots(basis, p, n)
-    if len(piv) < cols:
-        return INFINITY
-    return max(v for _, v in piv)
-
-
 def howell_coefficients(basis, p, n):
     """Every coefficient vector of a Howell basis, first row outermost.
 
@@ -609,6 +599,13 @@ class IntSolver:
         pad = [self.n] * (self.cols - len(self.exps))
         return tuple(sorted([e for e in self.exps if e] + pad))
 
+    def cokernel_exponent(self):
+        """The least e with p^e (Z/p^n)^rows inside the span of A's
+        columns: the largest Smith exponent, or INFINITY when none below n
+        exists (an exponent n, or fewer pivots than rows)."""
+        e = max(self.exps, default=0)
+        return INFINITY if e >= self.n or len(self.exps) < self.rows else e
+
 
 def _intertwiner_system(B1, B2, ring, sigma_power=1):
     """(P, rows): {g : g @ B1 = B2 @ sigma^power(g)} as equations packed
@@ -743,6 +740,13 @@ def w_span_rows(mats, ring):
     return rows
 
 
+def w_span_solver(mats, ring):
+    """`IntSolver` for X = sum y_l mats[l] over W: column (l, s) is
+    t^s mats[l] flattened."""
+    cols = w_span_rows(mats, ring)
+    return IntSolver(*pack_rows(list(zip(*cols)), ring.p, ring.n))
+
+
 # -- linear algebra over F_p -------------------------------------------------
 
 
@@ -831,10 +835,3 @@ def exp_trunc(X: Matrix) -> Matrix:
             pow(fact_unit, -1, big.pn))
     return acc.reduce_to(ring)
 
-
-def extract_congruence_digit(g: Matrix, l: int) -> Matrix:
-    """z with g = 1 + p^l z exactly, for unit g congruent to 1 mod p^l."""
-    diff = g - Matrix.identity(g.ring, g.rows)
-    if diff.min_valuation() < l:
-        raise ValueError(f"matrix is not congruent to 1 mod p^{l}")
-    return diff.divide_exact(l)

@@ -31,11 +31,10 @@ from .plinalg import (
     howell_contains,
     howell_form,
     howell_pivots,
-    lattice_exponent,
     pack_rows,
     smith_normal_form,
     swar_slot,
-    w_span_rows,
+    w_span_solver,
 )
 from .witt import WittElem, field_walk, make_witt_ring
 
@@ -66,6 +65,10 @@ class HomModule:
         self._solver = solver
 
     def rank_free(self):
+        """The number of Howell rows whose pivot is a unit (`free_rank` of
+        `hom`); not the number of Z/p^m summands, which `group_type`
+        counts: supersingular(d=1) over W_4(F_2) at precision 2 has
+        profile [0, 1, 1], one such row, and group type (2, 2)."""
         return sum(1 for v in self.profile if v == 0)
 
     @cached_property
@@ -146,14 +149,13 @@ def fixed_lattice(C):
     """(HomModule of End fixed points, lattice exponent of their W-span).
 
     The exponent is the smallest e with p^e * End inside the W-span of
-    the fixed elements; equals the ring precision when the span is not
-    full.
+    the fixed elements, the largest Smith exponent of the span
+    (`IntSolver.cokernel_exponent`); equals the ring precision when the
+    span is not full.
     """
     H = hom_module(C, C)
-    rm = H.ring
-    m = H.precision
-    hw = howell_form(*pack_rows(w_span_rows(H.basis, rm), rm.p, m))
-    return H, min(m, lattice_exponent(hw, rm.p, m, C.rank * C.rank * rm.q))
+    return H, min(H.precision,
+                  w_span_solver(H.basis, H.ring).cokernel_exponent())
 
 
 # -- unit search --------------------------------------------------------------
@@ -207,23 +209,16 @@ def unit_search(H: HomModule, seed=0, source=None) -> IsomResult:
 
     With `source` the crystal C1 of H = Hom_m(C1, C2), a unit g would
     make f -> g f a group isomorphism End_m(C1) -> H, so H holds none
-    when the group types differ: the miss is exhaustive without the rest
-    of the scan.  When C1 already keeps End_m's type (`end_type`), the
-    types are compared first, before H's Howell basis is built.
-    Otherwise they are compared once a first lane block of the scan has
-    missed (a scan of one block costs less than End's elimination, and a
-    unit found there needs none), and before any trial.
+    when the group types differ: the miss is exhaustive without a scan.
+    The types are compared first (End_m's kept on C1 by `end_type`),
+    before H's Howell basis is built.
     """
     ring = H.ring
     p = ring.p
     r = H.shape[0]
     if H.shape[0] != H.shape[1]:
         return IsomResult(None, "exhaustive", 0)
-
-    def ruled_out():
-        return source is not None and H.group_type != end_type(source, ring)
-
-    if source is not None and ring.n in source.end_types and ruled_out():
+    if source is not None and H.group_type != end_type(source, ring):
         return IsomResult(None, "exhaustive", 0)
     free = H.mod_p_spanning_subset()
     k = len(free)
@@ -235,13 +230,11 @@ def unit_search(H: HomModule, seed=0, source=None) -> IsomResult:
             coeffs, free, r * r * ring.q))
 
     if p ** k <= EXHAUSTIVE_CAP:
-        idx = _scan_range(ring, free, r, ruled_out=ruled_out)
+        idx = _scan_range(ring, free, r)
         if idx is None:
             return IsomResult(None, "exhaustive", 0)
         return IsomResult(lift([idx // p ** d % p for d in range(k)]),
                           "exhaustive")
-    if ruled_out():
-        return IsomResult(None, "exhaustive", 0)
     hit = _first_unit_trial(ring, free, r, random.Random(seed))
     if hit is None:
         return IsomResult(None, "randomized", RANDOMIZED_TRIALS)
@@ -282,11 +275,9 @@ def is_unit(M: Matrix) -> bool:
     return _scan_range(M.ring, [], M.rows, base=M.flat) is not None
 
 
-def _scan_range(ring, rows, r, base=None, ruled_out=None):
+def _scan_range(ring, rows, r, base=None):
     """First index in [0, p^k) whose combination of the k flat coordinate
-    rows (plus the flat row base) is a unit modulo p.  `ruled_out`, if
-    given, is called once the first of several blocks has missed; True
-    ends the scan with None.
+    rows (plus the flat row base) is a unit modulo p.
 
     Index digits are base-p coefficients, digit 0 (rows[0]) fastest.
     Blocks of p^b indices are evaluated at once: lane x of every int, a
@@ -307,8 +298,6 @@ def _scan_range(ring, rows, r, base=None, ruled_out=None):
         units = block.units(const)
         if units:
             return start + ((units & -units).bit_length() - 1) // w
-        if not start and size < p ** k and ruled_out and ruled_out():
-            return None
     return None
 
 

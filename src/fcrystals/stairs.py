@@ -27,20 +27,19 @@ from .errors import (
     UnsupportedShape,
 )
 from .plinalg import (
-    IntSolver,
     Matrix,
     _intertwiner_system,
     exp_trunc,
     howell_contains,
     howell_form,
-    lattice_exponent,
     pack_rows,
     unit_inverse_matrix,
     w_span_rows,
+    w_span_solver,
 )
 from .semilinear import (
     CircularSystem,
-    fixed_lattice,
+    hom_module,
     is_unit,
     lang_unit,
     solve_circular,
@@ -61,7 +60,7 @@ class StairsDatum:
     basis: list            # matrices e_l
     perm: list             # pi as a list, 0-based
     exponents: list        # n_l with conj(e_l) = p^(n_l) e_(pi(l))
-    torsion: int           # m: p^m End inside the span, SNF-verified
+    torsion: int           # m: p^m End inside the span, Smith-verified
     multiplicative: bool
     unital: bool
     square_zero: bool
@@ -84,10 +83,7 @@ class StairsDatum:
     def coordinate_solver(self):
         """Solver for X = sum y_l e_l: column (l, s) is t^s e_l flattened."""
         if self._solver is None:
-            ring = self.crystal.ring
-            cols = w_span_rows(self.basis, ring)
-            self._solver = IntSolver(*pack_rows(list(zip(*cols)),
-                                                ring.p, ring.n))
+            self._solver = w_span_solver(self.basis, self.crystal.ring)
         return self._solver
 
     def structure_constants(self):
@@ -133,6 +129,7 @@ class StairsDatum:
 
         full_end=False skips the p^m End coverage check (for lattices
         spanning only a subalgebra of End, used by composite reductions).
+        A claimed `unital` is checked by solving for the identity.
         """
         C = self.crystal
         ring = C.ring
@@ -152,14 +149,13 @@ class StairsDatum:
             exps = [self.exponents[l] for l in cyc]
             if min(exps) < 0 < max(exps):
                 raise BadShape("a cycle mixes exponent signs")
-        if not full_end:
-            return True
-        # p^m End inside the span
-        hw = howell_form(*pack_rows(w_span_rows(self.basis, ring), ring.p,
-                                    ring.n))
-        if lattice_exponent(hw, ring.p, ring.n,
-                            C.rank * C.rank * ring.q) > self.torsion:
+        # p^m End inside the span (an empty basis spans nothing)
+        if full_end and (not self.basis or self.coordinate_solver()
+                         .cokernel_exponent() > self.torsion):
             raise BadShape("span does not contain p^m End")
+        if self.unital and self.coords(Matrix.identity(ring, C.rank)) is None:
+            raise BadShape("stairs 'unital' is claimed, but the identity is "
+                           "not in the span")
         return True
 
 
@@ -341,7 +337,9 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
     extends the residue field, up to degree max_extension over C's and
     within the built-in field table, while the Howell row count of the
     fixed lattice keeps growing.  That stop is a bounded heuristic, not a
-    proof: the counts of different degrees are not comparable.
+    proof: the counts of different degrees are not comparable.  The datum
+    keeps the solver of its selected span, so `verify` (torsion and
+    `unital`) and every later `coords` share one elimination.
     """
     if C.shift == 0 and certified_not_isoclinic(C):
         return None
@@ -350,22 +348,21 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
     prev_rank = -1
     for D, big in islice(field_walk(ring.p, ring.q, ring.n), max_extension):
         CD = C.base_change(big) if D > 1 else C
-        H, expo = fixed_lattice(CD)
-        sel = _select_w_basis(H, CD) if expo < big.n else None
+        H = hom_module(CD, CD)
+        sel = _select_w_basis(H, CD)
         if sel is None:
             rank = len(H._howell)
             if rank <= prev_rank:
                 return None
             prev_rank = rank
             continue
-        basis, m, hw = sel
+        basis, solver, hw = sel
         mult = howell_contains(hw, [(a @ b).flat for a in basis
                                     for b in basis], big.p, big.n)
-        unital = howell_contains(hw, [Matrix.identity(big, r).flat],
-                                 big.p, big.n)
+        unital = solver.solve(Matrix.identity(big, r).flat) is not None
         datum = StairsDatum(CD, basis, list(range(len(basis))),
-                            [0] * len(basis), m, mult, unital, False,
-                            "fixed")
+                            [0] * len(basis), solver.cokernel_exponent(),
+                            mult, unital, False, "fixed", _solver=solver)
         datum.verify()
         return datum
     return None
@@ -374,7 +371,8 @@ def _fixed_datum(C, max_extension=FIXED_LATTICE_MAX_EXTENSION):
 def _select_w_basis(H, C):
     """r^2 fixed elements whose W-span has finite lattice exponent.
 
-    Returns (elements, lattice exponent, Howell basis of their W-span).
+    Returns (elements, `w_span_solver` of them, Howell basis of their
+    W-span), or None when their span is not full.
     """
     ring = H.ring
     r = C.rank
@@ -390,8 +388,10 @@ def _select_w_basis(H, C):
                 break
     if len(chosen) < r * r:
         return None
-    m = lattice_exponent(current, ring.p, ring.n, r * r * ring.q)
-    return None if m == INFINITY else (chosen, m, current)
+    solver = w_span_solver(chosen, ring)
+    if solver.cokernel_exponent() == INFINITY:
+        return None
+    return chosen, solver, current
 
 
 # -- the engine ---------------------------------------------------------------

@@ -400,6 +400,31 @@ def test_stairs_block_without_permutation_is_an_input_error(tmp_path,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_a_torsion_below_the_smith_exponent_is_an_input_error(tmp_path,
+                                                              capsys, seed):
+    # the W_8(F_2) basis of `_tail_datum` in tests/test_stairs.py, whose
+    # Howell pivots reach p^2 but whose lattice exponent is 3
+    W = make_witt_ring(2, 1, 8)
+    C = new_crystal(W, Matrix.identity(W, 2))
+    data = crystal_to_dict(C)
+    data["stairs"] = {
+        "basis": [[[[2], [1]], [[0], [0]]], [[[0], [4]], [[0], [0]]],
+                  [[[0], [0]], [[1], [0]]], [[[0], [0]], [[0], [1]]]],
+        "permutation": [0, 1, 2, 3], "exponents": [0, 0, 0, 0],
+        "torsion": 2, "signs": [1, 1, 1, 1], "multiplicative": False,
+        "unital": False}
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(data))
+    argv = ["stairs", str(path), "--twist-level", "6", "--seed", str(seed)]
+    assert _main_exit(argv) == 2
+    assert capsys.readouterr().out == ""
+    data["stairs"]["torsion"] = 3
+    path.write_text(json.dumps(data))
+    argv[3] = "8"   # 2m + eps_2 at m = 3
+    assert _main_exit(argv) == 0
+
+
 @pytest.mark.parametrize("key, value", [
     ("permutation", 5),
     ("exponents", "x"),

@@ -47,6 +47,7 @@ from fcrystals.plinalg import (
     solve_linear_module,
     unit_inverse_matrix,
     w_span_rows,
+    w_span_solver,
 )
 from fcrystals.semilinear import (
     CircularSolution,
@@ -640,6 +641,37 @@ def test_int_solver_matches_two_sided_elimination(p):
                     (tuple(c % pn for c in b) in images), (n, A, b)
         seen["non-unit pivot"] += any(0 < e < n for e in new.exps)
         seen["zero row"] += any(not any(row) for row in A)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_cokernel_exponent_is_the_least_covering_power():
+    """`IntSolver.cokernel_exponent` of the system whose columns span L in
+    (Z/p^n)^m, against the least e < n with p^e e_j in L for every unit
+    vector e_j (`howell_contains`), INFINITY when there is none; random
+    generators, some entries scaled by p, so Howell rows carry tails past
+    their pivots: a pivot in every column and the largest pivot
+    valuation, read off the Howell basis, can then undercount."""
+    seen = {"full": 0, "not full": 0, "Howell undercounts": 0}
+    for p in (2, 3, 5, 7):
+        rng = random.Random(900 + p)
+        for _ in range(80):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            pn = p ** n
+            gens = [[rng.randrange(pn) * p ** rng.choice((0, 0, 1, 2)) % pn
+                     for _ in range(m)]
+                    for _ in range(rng.randint(m - 1, m + 2))]
+            basis = howell_form(*pack_rows(gens, p, n)) if gens else []
+            units = [[int(i == j) for i in range(m)] for j in range(m)]
+            want = next((e for e in range(n) if howell_contains(
+                basis, [[p ** e * c for c in u] for u in units], p, n)),
+                INFINITY)
+            solver = IntSolver(*pack_rows([[g[i] for g in gens]
+                                           for i in range(m)], p, n))
+            assert solver.cokernel_exponent() == want, (p, n, gens)
+            seen["not full" if want == INFINITY else "full"] += 1
+            piv = howell_pivots(basis, p, n)
+            if len(piv) == m and max(v for _, v in piv) < want:
+                seen["Howell undercounts"] += 1
     assert min(seen.values()) >= 5, seen
 
 
@@ -2438,7 +2470,10 @@ def test_matrix_lang_search_matches_brute_force(p):
 # `reduce_against_howell` and `in_howell_span` are the plinalg functions, and
 # `_span_rows_select_w_basis` is stairs._select_w_basis, as they were before
 # span membership went through `howell_contains`; kept verbatim (renamed,
-# `_int_val` as this file imports it) as the oracle.
+# `_int_val` as this file imports it) as the oracle, except that the span
+# is full when p^(n-1) e_j lies in it for every unit vector e_j, not when
+# every column has a Howell pivot (which holds for some spans that are not
+# full), and the exponent comes from the span's solver.
 
 
 def reduce_against_howell(x, basis, p, n):
@@ -2462,7 +2497,9 @@ def in_howell_span(x, basis, p, n):
 def _span_rows_select_w_basis(H, C):
     """r^2 fixed elements whose W-span has finite lattice exponent.
 
-    Returns (elements, lattice exponent, Howell basis of their W-span).
+    Returns (elements, `w_span_solver` of them, Howell basis of their
+    W-span); the span is full when p^(n-1) e_j lies in it for every unit
+    vector e_j.
     """
     ring = H.ring
     r = C.rank
@@ -2480,13 +2517,12 @@ def _span_rows_select_w_basis(H, C):
                 break
     if len(chosen) < r * r:
         return None
-    piv = howell_pivots(current, ring.p, ring.n)
-    if len(piv) < r * r * ring.q:
+    width, top = r * r * ring.q, ring.p ** (ring.n - 1)
+    if not all(in_howell_span([top * (i == j) for i in range(width)],
+                              current, ring.p, ring.n)
+               for j in range(width)):
         return None
-    m = max(v for _, v in piv)
-    if m >= ring.n:
-        return None
-    return chosen, m, current
+    return chosen, w_span_solver(chosen, ring), current
 
 
 def _contains_row_by_row(basis, rows, p, n):
@@ -2566,7 +2602,8 @@ def _fixed_datum_cases():
     """(crystal, max_extension): the fixed data reached by checks 04
     (isoclinic fixed lattices), 08 (i-number probes) and 09 (direct sums,
     at most degree 4), and isoclinic_3_3_6(r=3, c=2) over W_2(F_9) and
-    W_2(F_25), whose fixed data are not multiplicative."""
+    W_2(F_25), whose r^2 selected fixed elements at degree 3 have a Howell
+    pivot in every column but do not span a full lattice."""
     for r, c in ((3, 2), (5, 3), (5, 2)):
         for p in (2, 3):
             yield builtin_crystal(make_witt_ring(p, r, 4), "isoclinic_3_3_6",
@@ -2611,11 +2648,14 @@ def test_fixed_datum_matches_the_list_route(monkeypatch):
         assert new.crystal.ring == ref.crystal.ring
         assert (new.basis, new.torsion, new.multiplicative, new.unital) == \
             (ref.basis, ref.torsion, ref.multiplicative, ref.unital)
-        H, _ = fixed_lattice(new.crystal)
-        assert _select_w_basis(H, new.crystal) == \
-            _span_rows_select_w_basis(H, new.crystal)
+        H = hom_module(new.crystal, new.crystal)
+        got = _select_w_basis(H, new.crystal)
+        want = _span_rows_select_w_basis(H, new.crystal)
+        assert (got[0], got[2]) == (want[0], want[2])
         outcomes.add((new.multiplicative, new.unital))
-    assert {(True, True), (False, True)} <= outcomes, outcomes
+    # the only non-multiplicative fixed data of these cases were the two
+    # spans above that are not full, now refused
+    assert outcomes == {(True, True)}, outcomes
 
 
 # -- the Newton certificate in front of the fixed-datum walk ------------------
@@ -2842,10 +2882,10 @@ def test_certificate_below_the_newton_gate(monkeypatch):
         newton_polygon(C)
     assert certified_not_isoclinic(C)
 
-    def no_walk(C):
+    def no_walk(*args):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(stairs, "fixed_lattice", no_walk)
+    monkeypatch.setattr(stairs, "hom_module", no_walk)
     assert _fixed_datum(C) is None
 
 

@@ -10,7 +10,6 @@ from fcrystals.plinalg import (
     IntSolver,
     Matrix,
     exp_trunc,
-    extract_congruence_digit,
     howell_contains,
     howell_form,
     inverse_with_shift,
@@ -143,17 +142,6 @@ def test_exp_congruences_and_inverse():
             target = 2 * l if p >= 3 else 2 * l - 1
             D = E - (Matrix.identity(ring, 2) + X)
             assert D.is_zero() or D.min_valuation() >= min(target, n)
-
-
-def test_extract_congruence_digit():
-    ring = make_witt_ring(3, 1, 4)
-    rng = random.Random(4)
-    for l in (1, 2):
-        Z = Matrix(ring, [[ring.random_element(rng) for _ in range(2)]
-                          for _ in range(2)])
-        g = Matrix.identity(ring, 2) + Z.scale(3 ** l)
-        z = extract_congruence_digit(g, l)
-        assert Matrix.identity(ring, 2) + z.scale(3 ** l) == g
 
 
 def test_charpoly_against_permutation_expansion():

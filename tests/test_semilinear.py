@@ -220,11 +220,20 @@ def test_a_lower_precision_gets_its_own_entry():
     assert C1.end_types[2] != C1.end_types[4]
 
 
-def test_a_first_block_hit_skips_the_type_test():
-    # End's first unit lies in the first lane block of its scan
+def test_the_type_test_runs_before_the_scan(monkeypatch):
+    # End's first unit lies in the first lane block of its scan, yet a
+    # fresh C1 pays End's type before the scan starts
     C1, _ = _thirds_pair()
-    assert isom_search(C1, C1).witness is not None
+    scan, seen = semilinear._scan_range, []
+
+    def scan_after_the_type_test(*args, **kwargs):
+        seen.append(sorted(C1.end_types))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(semilinear, "_scan_range", scan_after_the_type_test)
     assert C1.end_types == {}
+    assert isom_search(C1, C1).witness is not None
+    assert seen == [[4]]
 
 
 def test_isom_search_distinguishes_newton():

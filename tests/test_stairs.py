@@ -13,11 +13,12 @@ from fcrystals.errors import (
     UnsupportedShape,
 )
 from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
-from fcrystals.semilinear import fixed_lattice
+from fcrystals.semilinear import fixed_lattice, hom_module
 from fcrystals import stairs
 from fcrystals.stairs import (
     StairsDatum,
     _fixed_datum,
+    _select_w_basis,
     _structure_constants,
     build_stairs_datum,
     fixed_datum,
@@ -272,6 +273,41 @@ def test_datum_verify_rejects_corruption():
                       strategy=d.strategy)
     with pytest.raises(BadShape):
         bad.verify()
+
+
+def _tail_datum(torsion):
+    """Over W_8(F_2) with B = 1, the basis with flat coordinates
+    (2,1,0,0), (0,4,0,0), (0,0,1,0), (0,0,0,1): its Howell pivots are 2
+    and 4, yet 4 E_11 lies outside the span (8 E_11 inside), so its
+    lattice exponent is 3."""
+    W = make_witt_ring(2, 1, 8)
+    C = new_crystal(W, Matrix.identity(W, 2))
+    basis = [Matrix.from_flat_ints(W, 2, 2, flat) for flat in
+             ([2, 1, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])]
+    return StairsDatum(C, basis, [0, 1, 2, 3], [0] * 4, torsion, False,
+                       False, False, "file")
+
+
+def test_datum_torsion_is_the_largest_smith_exponent():
+    assert _tail_datum(2).coordinate_solver().exps == [0, 0, 0, 3]
+    with pytest.raises(BadShape, match="p\\^m End"):
+        _tail_datum(2).verify()
+    assert _tail_datum(3).verify()
+    # an empty basis spans nothing, whatever the torsion
+    with pytest.raises(BadShape, match="p\\^m End"):
+        replace(_tail_datum(7), basis=[], perm=[], exponents=[]).verify()
+
+
+@pytest.mark.parametrize("p, found", [(3, None), (5, (12, 1, True))])
+def test_fixed_datum_refuses_a_span_that_is_not_full(p, found):
+    """isoclinic_3_3_6(r=3, c=2) over W_2(F_(p^2)): at degree 3 the nine
+    selected fixed elements have a Howell pivot in every column, yet their
+    W-span holds no p End (a Smith exponent 2), so the walk goes on."""
+    C = builtin_crystal(make_witt_ring(p, 2, 2), "isoclinic_3_3_6", r=3, c=2)
+    CD = C.base_change(make_witt_ring(p, 6, 2))
+    assert _select_w_basis(hom_module(CD, CD), CD) is None
+    d = _fixed_datum(C)
+    assert (d and (d.crystal.ring.q, d.torsion, d.multiplicative)) == found
 
 
 def _certificate_fields(cert):
