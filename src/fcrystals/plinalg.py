@@ -309,7 +309,9 @@ class SwarMod:
 
 
 class _PackedRows:
-    """Rows over Z/p^n as ints, one w-bit slot per column.
+    """Rows over Z/p^n as ints, one w-bit slot per column, column 0 in the
+    highest slot: column j sits at shift (cols - 1 - j) * w, so a row
+    whose first columns are zero is a short int.
 
     A row update r - c * piv is r + (p^n - c) * piv, whose slots are at
     most (p^n - 1) + (p^n - 1)^2, then one `reduce`.  At p = 2, w is the
@@ -337,21 +339,23 @@ class _PackedRows:
         self.residue = self._rems[0] if n > 1 else self.reduce
 
     def pack(self, row):
-        """One row of ints in [0, p^n), at most `cols` of them, as an int."""
+        """One row of ints in [0, p^n), at most `cols` of them, as an int;
+        a short row ends in zero slots."""
         w, b, x = self.w, self.w >> 3, 0
         if w % 8 == 0:
-            return int.from_bytes(bytes(row) if b == 1 else b"".join(map(
-                int.to_bytes, row, repeat(b), repeat("little"))), "little")
-        for c in reversed(row):
-            x = x << w | c
-        return x
+            x = int.from_bytes(bytes(row) if b == 1 else b"".join(map(
+                int.to_bytes, row, repeat(b), repeat("big"))), "big")
+        else:
+            for c in row:
+                x = x << w | c
+        return x << (self.cols - len(row)) * w
 
     def unpack(self, x):
         w, b, m = self.w, self.w >> 3, (1 << self.w) - 1
         if w % 8:
-            return [x >> s & m for s in range(0, self.cols * w, w)]
-        raw = x.to_bytes(b * self.cols, "little")
-        return list(raw) if b == 1 else [int.from_bytes(raw[s:s + b], "little")
+            return [x >> s & m for s in range((self.cols - 1) * w, -1, -w)]
+        raw = x.to_bytes(b * self.cols, "big")
+        return list(raw) if b == 1 else [int.from_bytes(raw[s:s + b], "big")
                                          for s in range(0, len(raw), b)]
 
     def valuation(self, x):
@@ -389,8 +393,7 @@ def howell_form(P, rows, packed=False):
     red, w, low = P.reduce, P.w, (1 << P.w) - 1
     work = rows
     basis, at = [], []   # pivot rows, (slot shift, p^v) of each
-    for j in range(P.cols):
-        s = j * w
+    for s in range((P.cols - 1) * w, -1, -w):   # column 0 first
         work = [(r, r >> s & low) for r in work if r]
         cand = [(r, e) for r, e in work if e]
         rest = [r for r, e in work if not e]
@@ -446,18 +449,6 @@ class SolutionModule:
     p: int
     n: int
 
-    def all_elements(self):
-        """Iterate every solution (exponential; caller caps size)."""
-        if not self.has_solution:
-            return
-        pn = self.p ** self.n
-        for coeffs in howell_coefficients(self.basis, self.p, self.n):
-            acc = list(self.particular)
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    acc = [(a + c * x) % pn for a, x in zip(acc, row)]
-            yield acc
-
     def size_log(self):
         """log_p of the number of solutions (kernel size)."""
         piv = howell_pivots(self.basis, self.p, self.n)
@@ -471,17 +462,19 @@ class IntSolver:
     A's rows are ints packed by P (`pack_rows` packs lists); R's rows and
     the kernel generators stay packed by P, for `howell_form`.  The pivot
     is the first row of minimal valuation, at its first column of that
-    valuation in the current column order; a column swap swaps two
-    entries of `perm`, the slot of each elimination column.  The row
-    operations are not multiplied into a left transform: each pivot's row
-    swap, unit inverse and (row, multiplier) lists are logged and
-    replayed on b by `solve`.  The right transform R is built on first
-    read (by `solve` or `kernel_generators`), from a per-pivot record of
-    the column operations, so a caller that reads only `exps` (a group
-    type) never pays for it.  R is kept transposed and by slot: its
-    column operations are row updates, and a column swap moves nothing;
-    `_rt[t]`, column t of R in elimination order, is the column of slot
-    perm[t].
+    valuation in the current column order, found by a scan from position
+    k; a column swap swaps two entries of `perm`, the slot of each
+    elimination column.  Column 0 sits in the highest slot, so the
+    eliminated columns leave the top of the rows and later row updates
+    run on shorter ints.  The row operations are not multiplied into a
+    left transform: each pivot's row swap, unit inverse and (row,
+    multiplier) lists are logged and replayed on b by `solve`.  The
+    right transform R is built on first read (by `solve` or
+    `kernel_generators`), from a per-pivot record of the column
+    operations, so a caller that reads only `exps` (a group type) never
+    pays for it.  R is kept transposed and by slot: its column operations
+    are row updates, and a column swap moves nothing; `_rt[t]`, column t
+    of R in elimination order, is the column of slot perm[t].
     """
 
     def __init__(self, P, a_rows):
@@ -493,11 +486,9 @@ class IntSolver:
         red, w, low = P.reduce, P.w, (1 << P.w) - 1
         A = list(a_rows)
         perm = list(range(cols))   # the slot of each elimination column
-        pos = list(range(cols))    # and its inverse
         exps = []
         log = []   # per pivot: (swapped row, unit inverse, rows, multipliers)
-        # per pivot, for R: (slot, unit inverse, p^v, row, nonzero slots)
-        cops = []
+        cops = []   # per pivot, for R: (slot, unit inverse, p^v, row)
         val = [None] * rows   # row valuations; None: changed since
         dim = min(rows, cols)
         for k in range(dim):
@@ -516,24 +507,25 @@ class IntSolver:
             v, pv = best, p ** best
             Ak = A[bi]
             ak = P.unpack(Ak)
-            # the row vanishes at columns < k: its support is at k or later
-            nz = [j for j, a in enumerate(ak) if a]
-            bj = min(pos[j] for j in nz if ak[j] % (pv * p))
+            # the row vanishes at columns < k and has no entry of valuation
+            # below v: the first column from k of valuation v is the pivot's
+            bj, pv1 = k, pv * p
+            while not ak[perm[bj]] % pv1:
+                bj += 1
             A[k], A[bi] = Ak, A[k]
             val[bi] = val[k]
             sk = perm[bj]
             perm[k], perm[bj] = sk, perm[k]
-            pos[perm[k]], pos[perm[bj]] = k, bj
             ui = pow(ak[sk] // pv, -1, pn)
             piv = red(ui * Ak)
-            s = sk * w
+            s = (cols - 1 - sk) * w
             idx = [i for i in range(k + 1, rows) if A[i] >> s & low]
             mults = [(A[i] >> s & low) // pv for i in idx]
             for i, c in zip(idx, mults):
                 A[i] = red(A[i] + (pn - c) * piv)
                 val[i] = None
             log.append((bi, ui, idx, mults))
-            cops.append((sk, ui, pv, ak, nz))
+            cops.append((sk, ui, pv, ak))
             exps.append(v)
         self.exps = exps
         self._log = log
@@ -544,16 +536,15 @@ class IntSolver:
     def _rt(self):
         """The columns of R in elimination order, packed by P, replayed
         from the record of column operations (dropped afterwards)."""
-        P, pn = self.packing, self.pn
+        P, pn, cols = self.packing, self.pn, self.cols
         red, w = P.reduce, P.w
-        RS = [1 << j * w for j in range(self.cols)]   # column of each slot
-        for sk, ui, pv, ak, nz in self._cops:
+        RS = [1 << (cols - 1 - j) * w for j in range(cols)]   # slot columns
+        for sk, ui, pv, ak in self._cops:
             # column sk is now p^v e_sk, so the column operations only
-            # clear the pivot row
+            # clear the pivot row's other nonzero slots
             Rk = RS[sk]
-            for j in nz:
-                if j != sk:
-                    RS[j] = red(RS[j] + (pn - ui * ak[j] % pn // pv) * Rk)
+            for j in [j for j, a in enumerate(ak) if a and j != sk]:
+                RS[j] = red(RS[j] + (pn - ui * ak[j] % pn // pv) * Rk)
         del self._cops
         return [RS[s] for s in self._perm]
 
@@ -639,10 +630,11 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
         left.append([P.pack(flat[t::q]) for t in range(q)])
     for i in range(r2):
         negs = [[(pn - c) % pn for c in block(a, sig)] for a in rows2[i]]
-        right.append([sum(P.pack(neg[t::q]) << k * stride
+        right.append([sum(P.pack(neg[t::q]) >> k * stride
                           for k, neg in enumerate(negs)) for t in range(q)])
-    return P, [P.reduce((left[j][t] << i * stride)
-                        + (right[i][t] << j * q * P.w))
+    # a packed short row fills the first columns: shift it right into place
+    return P, [P.reduce((left[j][t] >> i * stride)
+                        + (right[i][t] >> j * q * P.w))
                for i in range(r2) for j in range(r1) for t in range(q)]
 
 
@@ -756,15 +748,16 @@ def fp_independent_rows(P, rows):
     the reduced echelon form of the transposed residues.  What is left of
     each such residue joins an echelon, normalised, by leading slot."""
     p, red, w, low = P.p, P.residue, P.w, (1 << P.w) - 1
-    ech, keep = [], []   # (slot shift, residue with leading entry 1 there)
+    ech, keep = [], []   # (slot shift, residue led by 1 there), top first
     for i, x in enumerate(rows):
         x = red(x)
         for s, e in ech:
             if c := x >> s & low:
                 x = red(x + (p - c) * e)
         if x:
-            s = ((x & -x).bit_length() - 1) // w * w
-            insort(ech, (s, red(pow(x >> s & low, -1, p) * x)))
+            s = (x.bit_length() - 1) // w * w
+            insort(ech, (s, red(pow(x >> s & low, -1, p) * x)),
+                   key=lambda se: -se[0])
             keep.append(i)
     return keep
 

@@ -655,7 +655,8 @@ class _CircularMap:
         # row i of [E | I]: equation i on the diagonal columns, then e_i
         PE = _PackedRows(p, 1, 2 * N)
         red = howell_form(PE, [PE.pack([e[k] for k in order])
-                               | 1 << (N + i) * PE.w for i, e in enumerate(eqs)])
+                               | 1 << (N - 1 - i) * PE.w
+                               for i, e in enumerate(eqs)])
         at = {c: i for i, (c, _) in enumerate(howell_pivots(red, p, 1))
               if c < N}
         rank = len(at)

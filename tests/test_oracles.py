@@ -1223,6 +1223,22 @@ def test_packed_rows_match_on_the_thirds_family():
     assert any(0 < e < 4 for e in new.exps) and sols[0] is not None
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_an_exponent_only_reader_never_builds_r(p):
+    """`kernel_type` and `cokernel_exponent` read the exponents alone; R is
+    replayed from the kept record only when `solve` first asks, and then
+    agrees with the list elimination."""
+    rng = random.Random(1190 + p)
+    for n, A in _packed_systems(p, rng):
+        pn = p ** n
+        S, ref = IntSolver(*pack_rows(A, p, n)), _ListIntSolver(A, p, n)
+        S.kernel_type()
+        S.cokernel_exponent()
+        assert "_rt" not in vars(S) and hasattr(S, "_cops"), (n, A)
+        b = _apply(A, [rng.randrange(pn) for _ in range(len(A[0]))], pn)
+        assert S.solve(b) == ref.solve(b) is not None, (n, A)
+
+
 # -- canonical Howell bases: one basis per span -------------------------------
 
 
@@ -1572,6 +1588,26 @@ def test_packed_valuation_matches_the_gcd(p):
                    for _ in range(6)]
             assert P.valuation(P.pack(row)) == _ival(gcd(pn, *row), p, n), \
                 (n, row)
+
+
+@pytest.mark.parametrize("p, n, w", [(2, 3, 6), (2, 4, 8), (2, 8, 16),
+                                     (3, 2, None), (5, 3, None),
+                                     (7, 1, None)])
+def test_packed_layout_puts_column_0_in_the_highest_slot(p, n, w):
+    """w = 6 packs by shifts, w = 8 and 16 by bytes; every packing holds
+    column j at shift (cols - 1 - j) * w and pads a short row with zero
+    slots at its end."""
+    rng = random.Random(1580 + 10 * p + n)
+    pn, P = p ** n, _PackedRows(p, n, 7)
+    assert w is None or P.w == w
+    assert P.pack([1]) == 1 << (P.cols - 1) * P.w
+    for _ in range(30):
+        row = [rng.randrange(pn) for _ in range(7)]
+        assert P.unpack(P.pack(row)) == row
+        k = rng.randint(1, 7)
+        short = row[:7 - k]
+        assert P.pack(short) == P.pack(short + [0] * k)
+        assert P.unpack(P.pack(short)) == short + [0] * k
 
 
 # -- flat matrices, against the WittElem-grid Matrix they replaced -----------
