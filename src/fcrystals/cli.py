@@ -167,16 +167,15 @@ def cmd_stairs(args):
                          random.Random(args.seed))
     if datum is None:
         datum = build_stairs_datum(C)
-    cert = stairs_run(C, g, datum)
-    ok = cert.reverify()
+    cert = stairs_run(C, g, datum)  # re-verified, else InternalError
     _out({
-        "verified": ok,
+        "verified": True,
         "level": cert.level,
         "field_degree": cert.ring.q,
         "extension": cert.extension,
         "witness": matrix_to_entries(cert.witness),
     })
-    return 0 if ok else 1
+    return 0
 
 
 def cmd_probe(args):

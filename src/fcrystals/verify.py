@@ -36,10 +36,10 @@ from .semilinear import (
     cokernel_length,
 )
 from .stairs import (
-    _fixed_datum,
     _matrix_unit_arrows,
     _monomial_shape,
     build_stairs_datum,
+    fixed_datum,
     lang_run,
     stairs_algebra_run,
     stairs_run,
@@ -114,9 +114,9 @@ def _oracle_sign_deviation(tau):
     return min(one_sided(+1), one_sided(-1))
 
 
-def check_tuple_properties(count=1000, seed=0):
+def check_tuple_properties(seed=0):
     rng = random.Random(seed)
-    for _ in range(count):
+    for _ in range(1000):
         l = rng.randrange(1, 9)
         tau = [rng.randrange(-3, 4) for _ in range(l)]
         s, w = deviations(tau)
@@ -131,7 +131,7 @@ def check_tuple_properties(count=1000, seed=0):
         for i in range(l):
             _require(red.new_exponents[i]
                      == tau[i] + red.rescale[i] - red.rescale[(i + 1) % l])
-    return f"{count} random tuples: oracle match, bounds, uniform signs"
+    return "1000 random tuples: oracle match, bounds, uniform signs"
 
 
 # -- 3: the cyclic example family ---------------------------------------------
@@ -191,7 +191,7 @@ def check_thirds_family():
         np_ = newton_polygon(C)
         _require(np_.points == ((Fraction(1, 3), 3), (Fraction(2, 3), 3)), np_)
     small = make_witt_ring(3, 3, 4)
-    cert = thirds_family_certificate(small, alpha=1, trials=1)
+    cert = thirds_family_certificate(small, alpha=1)
     _require(cert["components"]["upper_block"]["s_values"] == [0, 0, 1])
     C4 = builtin_crystal(small, "phi_alpha_4_5", alpha=1)
     T = verschiebung(C4)
@@ -225,9 +225,8 @@ def check_nonisomorphic_pair():
 # -- 7: stairs soundness ---------------------------------------------------------
 
 
-def check_stairs_soundness(total=200, seed=0, fast=False):
-    if fast:
-        total = 60
+def check_stairs_soundness(seed=0, fast=False):
+    total = 60 if fast else 200
     rng = random.Random(seed)
     # (family, its parameters, p, q, ring precision, twist kind); twists
     # sit at the threshold level 2m + eps_p; lattice-supported twists are
@@ -306,7 +305,7 @@ def check_i_number_uppers(seed=0):
         CO, random_twist(W3, 2, 1, random.Random(seed)))
     _require(cert2.reverify() and cert2.level == 3)
     th = thirds_family_certificate(make_witt_ring(2, 3, 4), alpha=1,
-                                   trials=1, seed=seed)
+                                   seed=seed)
     _require(th["upper"] == 3)
     _require(all(v >= 1 for v in th["evidence"].values()), th["evidence"])
     return ("etale 0 (h0), ordinary 1 (stairs, witnessed), supersingular 1 "
@@ -344,7 +343,7 @@ def check_hom_stabilization():
 def _pair_torsion(C1, C2):
     """Lattice torsion of End(C1 + C2), the stabilization constant."""
     CS = direct_sum_crystal(C1, C2)
-    datum = _fixed_datum(CS, 4)
+    datum = fixed_datum(CS)
     _require(datum is not None, "sum has no full fixed lattice")
     return datum.torsion
 
@@ -409,9 +408,8 @@ def check_bounds():
 # -- 12: infrastructure properties --------------------------------------------------
 
 
-def check_infrastructure(samples=500, seed=0, fast=False):
-    if fast:
-        samples = 120
+def check_infrastructure(seed=0, fast=False):
+    samples = 120 if fast else 500
     rng = random.Random(seed)
     rings = [make_witt_ring(2, 3, 4), make_witt_ring(3, 2, 3),
              make_witt_ring(5, 1, 3), make_witt_ring(7, 2, 2)]

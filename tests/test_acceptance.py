@@ -22,7 +22,7 @@ def test_criterion_01_deviation_samples():
 
 def test_criterion_02_tuple_properties():
     _report("02 tuple property suite",
-            lambda: V.check_tuple_properties(count=1000, seed=0))
+            lambda: V.check_tuple_properties(seed=0))
 
 
 def test_criterion_03_example_family():
@@ -43,7 +43,7 @@ def test_criterion_06_nonisomorphic_pair():
 
 def test_criterion_07_stairs_soundness():
     _report("07 stairs soundness",
-            lambda: V.check_stairs_soundness(total=200, seed=0, fast=FAST))
+            lambda: V.check_stairs_soundness(seed=0, fast=FAST))
 
 
 def test_criterion_08_i_number_uppers():
@@ -64,4 +64,4 @@ def test_criterion_11_bounds():
 
 def test_criterion_12_infrastructure():
     _report("12 infrastructure properties",
-            lambda: V.check_infrastructure(samples=500, seed=0, fast=FAST))
+            lambda: V.check_infrastructure(seed=0, fast=FAST))

@@ -546,6 +546,31 @@ def test_cli_stairs_exit_codes(tmp_path):
         assert res.stdout == ""
 
 
+def test_cli_stairs_twist_of_the_wrong_size_exits_2(tmp_path, capsys):
+    """A 2 x 2 twist g = 1 mod 4 on a rank-3 crystal is an input error."""
+    W = make_witt_ring(2, 1, 4)
+    C, g = tmp_path / "C.json", tmp_path / "g.json"
+    write_crystal(C, builtin_crystal(W, "ordinary", r=3, d=1))
+    write_crystal(g, new_crystal(W, Matrix.from_ints(W, [[5, 4], [0, 1]])))
+    assert _main_exit(["stairs", str(C), "--twist-file", str(g)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: twist must be 3 x 3, not 2 x 2\n"
+
+
+def test_cli_stairs_finds_a_fixed_datum_past_equal_row_counts(tmp_path,
+                                                             capsys):
+    """B = [[1, 0], [t, 2]] over W_3(F_49) has its fixed datum over
+    F_(7^6), after two fields with equal Howell row counts."""
+    W = make_witt_ring(7, 2, 3)
+    path = tmp_path / "C.json"
+    write_crystal(path, new_crystal(W, Matrix.from_flat_ints(
+        W, 2, 2, [1, 0, 0, 0, 0, 1, 2, 0])))
+    assert _main_exit(["stairs", str(path), "--twist-level", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verified"], out["field_degree"]) == (True, 6)
+
+
 def test_cli_stairs_extends_to_the_field_table(tmp_path):
     # at p = 7 the positive cycle needs F_{7^7}, inside the table
     C = builtin_crystal(make_witt_ring(7, 1, 4), "ordinary", r=2, d=1)

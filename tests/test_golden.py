@@ -159,8 +159,7 @@ def _library_outputs():
         dat = _fixed_datum(C)
         out[f"fixed datum {p} {q} {n} {fam}"] = \
             None if dat is None else stairs_datum_to_dict(dat)
-    cert = thirds_family_certificate(make_witt_ring(2, 3, 4), alpha=1,
-                                     trials=1)
+    cert = thirds_family_certificate(make_witt_ring(2, 3, 4), alpha=1)
     out["thirds certificate"] = json.loads(json.dumps(cert))
 
     cases = [(2, 2, 7, "supersingular", {"d": 1}, 0),

@@ -2635,19 +2635,19 @@ def test_solve_linear_module_representative_matches_the_list_reduction(p):
 
 
 def _fixed_datum_cases():
-    """(crystal, max_extension): the fixed data reached by checks 04
-    (isoclinic fixed lattices), 08 (i-number probes) and 09 (direct sums,
-    at most degree 4), and isoclinic_3_3_6(r=3, c=2) over W_2(F_9) and
-    W_2(F_25), whose r^2 selected fixed elements at degree 3 have a Howell
-    pivot in every column but do not span a full lattice."""
+    """The crystals whose fixed data checks 04 (isoclinic fixed lattices),
+    08 (i-number probes) and 09 (direct sums) reach, and isoclinic_3_3_6(r=3,
+    c=2) over W_2(F_9) and W_2(F_25), whose r^2 selected fixed elements at
+    degree 3 have a Howell pivot in every column but do not span a full
+    lattice."""
     for r, c in ((3, 2), (5, 3), (5, 2)):
         for p in (2, 3):
             yield builtin_crystal(make_witt_ring(p, r, 4), "isoclinic_3_3_6",
-                                  r=r, c=c), 6
+                                  r=r, c=c)
     W36 = make_witt_ring(3, 1, 6)
-    yield builtin_crystal(W36, "ordinary", r=2, d=0), 6
-    yield builtin_crystal(W36, "ordinary", r=2, d=1), 6
-    yield builtin_crystal(make_witt_ring(3, 2, 4), "supersingular", d=1), 6
+    yield builtin_crystal(W36, "ordinary", r=2, d=0)
+    yield builtin_crystal(W36, "ordinary", r=2, d=1)
+    yield builtin_crystal(make_witt_ring(3, 2, 4), "supersingular", d=1)
     ss = builtin_crystal(make_witt_ring(3, 2, 8), "supersingular", d=1)
     iso = builtin_crystal(make_witt_ring(2, 3, 8), "isoclinic_3_3_6", r=3,
                           c=2)
@@ -2660,10 +2660,10 @@ def _fixed_datum_cases():
              for _ in range(2)])
     twist = new_crystal(W4, u @ ss4.B @ unit_inverse_matrix(u.sigma()), 0)
     for C1, C2 in ((ss, ss), (iso, iso), (ss4, twist)):
-        yield direct_sum_crystal(C1, C2), 4
+        yield direct_sum_crystal(C1, C2)
     for p in (3, 5):
         yield builtin_crystal(make_witt_ring(p, 2, 2), "isoclinic_3_3_6",
-                              r=3, c=2), 6
+                              r=3, c=2)
 
 
 def test_fixed_datum_matches_the_list_route(monkeypatch):
@@ -2671,13 +2671,13 @@ def test_fixed_datum_matches_the_list_route(monkeypatch):
     W-basis selection on its final field, against the route through
     `in_howell_span` and the accumulated `span_rows`."""
     outcomes = set()
-    for C, ext in _fixed_datum_cases():
-        new = _fixed_datum(C, ext)
+    for C in _fixed_datum_cases():
+        new = _fixed_datum(C)
         with monkeypatch.context() as patch:
             patch.setattr(stairs, "howell_contains", _contains_row_by_row)
             patch.setattr(stairs, "_select_w_basis",
                           _span_rows_select_w_basis)
-            ref = _fixed_datum(C, ext)
+            ref = _fixed_datum(C)
         assert (new is None) == (ref is None)
         if new is None:
             continue

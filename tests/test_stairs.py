@@ -92,6 +92,31 @@ def test_fixed_datum_waits_for_the_cubic_field():
     d.verify()
 
 
+def test_fixed_datum_walks_past_equal_howell_row_counts():
+    """B = [[1, 0], [t, 2]] over W_3(F_49): the fixed points of End have 2
+    Howell rows at degrees 1 and 2, and the first full selection comes at
+    degree 3, over F_(7^6), within the walk's degree bound."""
+    W = make_witt_ring(7, 2, 3)
+    C = new_crystal(W, Matrix.from_flat_ints(W, 2, 2,
+                                             [1, 0, 0, 0, 0, 1, 2, 0]))
+    d = _fixed_datum(C)
+    assert (d.crystal.ring.q, d.torsion, d.strategy) == (6, 2, "fixed")
+    assert d.verify()
+
+
+@pytest.mark.parametrize("run, family, kw, q, g", [
+    (stairs_run, "ordinary", {"r": 3, "d": 1}, 1, [[5, 4], [0, 1]]),
+    (stairs_algebra_run, "ordinary", {"r": 3, "d": 1}, 1, [[5, 4], [0, 1]]),
+    (lang_run, "supersingular", {"d": 1}, 2,
+     [[5, 4, 0], [0, 1, 0], [0, 0, 1]]),
+])
+def test_a_twist_of_the_wrong_size_is_an_input_error(run, family, kw, q, g):
+    """g = 1 mod 4 of another size than the crystal's rank."""
+    W = make_witt_ring(2, q, 4)
+    with pytest.raises(BadShape, match="twist must be"):
+        run(builtin_crystal(W, family, **kw), Matrix.from_ints(W, g))
+
+
 def test_precondition():
     W = make_witt_ring(2, 2, 5)
     SS = builtin_crystal(W, "supersingular", d=1)
@@ -253,8 +278,7 @@ def test_stairs_agrees_with_unit_search():
 
 
 def test_thirds_family_certificate():
-    cert = thirds_family_certificate(make_witt_ring(2, 3, 4), alpha=1,
-                                     trials=1)
+    cert = thirds_family_certificate(make_witt_ring(2, 3, 4), alpha=1)
     assert cert["upper"] == 3
     assert cert["components"]["upper_block"]["s_values"] == [0, 0, 1]
     assert cert["components"]["lower_block"]["square_zero"]

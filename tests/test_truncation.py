@@ -2,19 +2,27 @@ import random
 
 import pytest
 
-from fcrystals.crystal import builtin_crystal, direct_sum_crystal, new_crystal
+from fcrystals.crystal import (
+    PolarizedCrystal,
+    builtin_crystal,
+    direct_sum_crystal,
+    new_crystal,
+)
 from fcrystals.errors import LiftFailed, NotDieudonne, PrecisionExhausted
 from fcrystals.plinalg import (
     Matrix,
+    _intertwiner_system,
     howell_coefficients,
     howell_form,
     inverse_with_shift,
     pack_rows,
 )
+from fcrystals.semilinear import HomModule
 from fcrystals.truncation import (
     _span_has_unit_outside,
     aut_image_stabilization_check,
     congruence_upgrade,
+    d_trunc_hom_module,
     d_trunc_isom_search,
     detect_split_form,
     i_number_probe,
@@ -94,6 +102,22 @@ def test_d_trunc_isom():
                        for _ in range(2)])
     T3 = verschiebung(O.twist(Matrix.identity(W, 2) + delta), 1)
     assert d_trunc_isom_search(T1, T3).witness is not None
+
+
+def test_d_truncation_hom_module_needs_the_v_rows():
+    """The V rows of `d_trunc_hom_module` are not implied by its F rows mod
+    p^level, since F has a p-torsion kernel there: over W_4(F_4) at level
+    1 the module of the F rows alone is strictly larger."""
+    ring = make_witt_ring(2, 2, 4)
+    ss = verschiebung(builtin_crystal(ring, "supersingular", d=1), 1)
+    od = verschiebung(builtin_crystal(ring, "ordinary", r=2, d=1), 1)
+    for T1, T2, types in ((ss, od, ((1, 1), ())),
+                          (od, od, ((1, 1, 1), (1, 1)))):
+        f_only = HomModule(T1.ring, (T2.rank, T1.rank),
+                           *_intertwiner_system(T1.F, T2.F, T1.ring))
+        both = d_trunc_hom_module(T1, T2)
+        assert (f_only.group_type, both.group_type) == types
+        assert all(f_only.contains(f) for f in both.basis)
 
 
 def test_split_form_and_upgrade():
@@ -279,6 +303,24 @@ def test_polarized_search_shapes():
     P1 = builtin_crystal(ring, "polarized_4_5_4", alpha=1)
     res = polarized_isom_search(P1, P1, precision=2)
     assert res.witness is not None and res.regime == "exhaustive"
+
+
+@pytest.mark.parametrize("u, want", [
+    (2, None), (5, None), (4, [2, 3, 2, 2]), (7, [1, 3, 2, 1])])
+def test_polarized_isom_enumerates_the_whole_module(u, want):
+    """B = [[0, -p], [1, 0]] with J = [[0, 1], [-1, 0]] (c = 1) against
+    (B, u J) over W_2(F_3): the plain crystals are equal and the identity
+    fails the form, so the search enumerates the module.  A witness is an
+    automorphism of determinant 1/u, since f^T (u J) f = u det(f) J; for
+    u = 2, 5 there is none.  The witnesses are those of the search that
+    also tested each candidate for a unit."""
+    W = make_witt_ring(3, 1, 2)
+    C = new_crystal(W, Matrix.from_ints(W, [[0, -3], [1, 0]]))
+    J = Matrix.from_ints(W, [[0, 1], [-1, 0]])
+    res = polarized_isom_search(PolarizedCrystal(C, J, 1), PolarizedCrystal(
+        C, J.scale(W.from_int(u)), 1))
+    assert res.regime == "exhaustive"
+    assert (None if res.witness is None else list(res.witness.flat)) == want
 
 
 def test_truncation_determines_pipeline():
