@@ -97,19 +97,6 @@ class Polygon:
             out.extend([s] * m)
         return out
 
-    def lies_on_or_above(self, other: "Polygon") -> bool:
-        """Standard dominance: same endpoints, partial sums >= other's."""
-        a, b = self.slopes(), other.slopes()
-        if len(a) != len(b):
-            return False
-        pa = pb = Fraction(0)
-        for i in range(len(a)):
-            pa += a[i]
-            pb += b[i]
-            if i < len(a) - 1 and pa < pb:
-                return False
-        return pa == pb
-
     def __repr__(self):
         return "Polygon(" + ", ".join(
             f"{s}x{m}" for s, m in self.points) + ")"

@@ -489,15 +489,22 @@ class IntSolver:
         exps = []
         log = []   # per pivot: (swapped row, unit inverse, rows, multipliers)
         cops = []   # per pivot, for R: (slot, unit inverse, p^v, row)
-        val = [None] * rows   # row valuations; None: changed since
+        # lower bounds of the row valuations, exact unless stale: an update
+        # r - c * piv never lowers v(r), since v(c) >= v(r) - v(piv) and
+        # the pivot row has no entry below v(piv)
+        val = [0] * rows
+        stale = [True] * rows
         dim = min(rows, cols)
         for k in range(dim):
             best, bi = n, -1
             for i in range(k, rows):
                 v = val[i]
-                if v is None:
-                    v = val[i] = P.valuation(A[i])
-                if v < best:
+                if v < best:   # a row whose bound is >= best cannot win
+                    if stale[i]:
+                        stale[i] = False
+                        v = val[i] = P.valuation(A[i])
+                        if v >= best:
+                            continue
                     best, bi = v, i
                     if v == 0:
                         break
@@ -513,7 +520,7 @@ class IntSolver:
             while not ak[perm[bj]] % pv1:
                 bj += 1
             A[k], A[bi] = Ak, A[k]
-            val[bi] = val[k]
+            val[bi], stale[bi] = val[k], stale[k]
             sk = perm[bj]
             perm[k], perm[bj] = sk, perm[k]
             ui = pow(ak[sk] // pv, -1, pn)
@@ -523,7 +530,7 @@ class IntSolver:
             mults = [(A[i] >> s & low) // pv for i in idx]
             for i, c in zip(idx, mults):
                 A[i] = red(A[i] + (pn - c) * piv)
-                val[i] = None
+                stale[i] = True
             log.append((bi, ui, idx, mults))
             cops.append((sk, ui, pv, ak))
             exps.append(v)
@@ -663,14 +670,6 @@ def smith_normal_form(A: Matrix) -> list:
     """The Smith exponents of the square matrix A, sorted (see
     `_smith_solver`)."""
     return _smith_solver(A)[1]
-
-
-def det_valuation(A: Matrix):
-    """Valuation of det(A); INFINITY when not determined at this precision."""
-    exps = smith_normal_form(A)
-    if any(e >= A.ring.n for e in exps):
-        return INFINITY
-    return sum(exps)
 
 
 def inverse_with_shift(A: Matrix):

@@ -415,7 +415,7 @@ def stairs_run(C, g, datum=None) -> StairsCertificate:
         raise PreconditionTooWeak(
             f"need g = 1 mod p^{2 * datum.torsion + eps}, have {lvl}"
         )
-    return _engine(datum, g, algebra_mode=False)
+    return _engine(datum, g, C.ring.q, algebra_mode=False)
 
 
 def stairs_algebra_run(C, g, datum=None) -> StairsCertificate:
@@ -440,11 +440,10 @@ def stairs_algebra_run(C, g, datum=None) -> StairsCertificate:
         raise PreconditionTooWeak(
             "p = 2 with j = 1 needs the identity inside the span"
         )
-    return _engine(datum, g, algebra_mode=True)
+    return _engine(datum, g, C.ring.q, algebra_mode=True)
 
 
-def _engine(datum, g, algebra_mode) -> StairsCertificate:
-    base_q = datum.crystal.ring.q
+def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
     g0 = g
     total = Matrix.identity(datum.crystal.ring, datum.crystal.rank)
     defect = g

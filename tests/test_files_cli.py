@@ -571,6 +571,18 @@ def test_cli_stairs_finds_a_fixed_datum_past_equal_row_counts(tmp_path,
     assert (out["verified"], out["field_degree"]) == (True, 6)
 
 
+def test_cli_stairs_extension_is_against_the_file_field(tmp_path, capsys):
+    """The file lies over F_49 and the datum over F_(7^6): the extension
+    printed is 6 / 2 = 3, not the datum's own degree 1."""
+    W = make_witt_ring(7, 2, 3)
+    path = tmp_path / "C.json"
+    write_crystal(path, new_crystal(W, Matrix.from_flat_ints(
+        W, 2, 2, [1, 0, 0, 0, 0, 1, 2, 0])))
+    assert _main_exit(["stairs", str(path), "--twist-level", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["field_degree"], out["extension"]) == (6, 3)
+
+
 def test_cli_stairs_extends_to_the_field_table(tmp_path):
     # at p = 7 the positive cycle needs F_{7^7}, inside the table
     C = builtin_crystal(make_witt_ring(7, 1, 4), "ordinary", r=2, d=1)

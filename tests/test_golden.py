@@ -23,7 +23,7 @@ from fcrystals.crystal import (
 )
 from fcrystals.files import matrix_to_entries, stairs_datum_to_dict, \
     write_crystal
-from fcrystals.plinalg import Matrix, det_valuation, unit_inverse_matrix
+from fcrystals.plinalg import Matrix, smith_normal_form, unit_inverse_matrix
 from fcrystals.semilinear import sigma_conjugacy_trivialize
 from fcrystals.stairs import (
     _fixed_datum,
@@ -59,7 +59,7 @@ def _random_unit(ring, r, rng):
     while True:
         u = Matrix(ring, [[ring.random_element(rng) for _ in range(r)]
                           for _ in range(r)])
-        if det_valuation(u) == 0:
+        if not any(smith_normal_form(u)):
             return u
 
 

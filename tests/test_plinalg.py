@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from fcrystals.crystal import builtin_crystal
 from fcrystals.errors import OutsideExpDomain, SingularAtPrecision
 from fcrystals.plinalg import (
     IntSolver,
     Matrix,
+    _intertwiner_system,
     exp_trunc,
     howell_coefficients,
     howell_contains,
@@ -231,3 +233,22 @@ def test_int_solver_builds_r_on_first_read():
     assert "_rt" in vars(first) and "_rt" in vars(second)
     assert first._rt == second._rt and not hasattr(first, "_cops")
     assert (x, gens) == (second.solve(b), first.kernel_generators())
+
+
+def test_int_solver_reads_a_row_valuation_only_when_it_could_win(
+        monkeypatch):
+    """An update never lowers a row's valuation, so the pivot search keeps
+    the old one as a lower bound and re-reads a changed row only when that
+    bound is below the best found so far.  On the 216 x 216 Hom system of
+    the rank-6 thirds family over W_4(F_64) this takes 351 reads; reading
+    every changed row takes 839."""
+    ring = make_witt_ring(2, 6, 4)
+    C1 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.one())
+    C2 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.gen())
+    P, rows = _intertwiner_system(C1.B, C2.B, ring)
+    reads = []
+    monkeypatch.setattr(P, "valuation",
+                        lambda x, read=P.valuation: reads.append(x) or read(x))
+    S = IntSolver(P, rows)
+    assert len(reads) <= 400
+    assert len(S.exps) == 216 and any(0 < e < 4 for e in S.exps)
