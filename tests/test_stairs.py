@@ -1,12 +1,15 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
 from fcrystals.bounds import epsilon_p
-from fcrystals.crystal import builtin_crystal, new_crystal
+from fcrystals.crystal import builtin_crystal, new_crystal, random_twist
 from fcrystals.errors import (
     BadShape,
+    CrystalError,
     ExtensionCapExceeded,
     PreconditionTooWeak,
     SingularAtPrecision,
@@ -423,3 +426,97 @@ def test_derived_crystals_start_without_a_fixed_datum():
         assert D.fixed_memo == ()
     datum.structure_constants()
     assert datum.base_change(make_witt_ring(2, 4, 4))._gamma is None
+
+
+# sha256 of `_engine_outputs()` as the general-basis engine printed it:
+# every stairs, algebra and lang run of the corpus below keeps its
+# witness, level and extension (or its error) bit for bit
+ENGINE_DIGEST = \
+    "2eed918aa236ce06ac0fd7162e258403931b9811c67b50dd3457f0d7982399ff"
+
+
+def _engine_corpus():
+    """(label, run, C, g, datum): the stairs-witness families and r = 3
+    over W_6(F_5) and W_4(F_2), with general and lattice twists (seed 3
+    one level short of the threshold); algebra runs, with p = 2 at j = 1
+    (the plain step and its unit inverse) and j = 0 (refused), and q = 2
+    base changes; lang on the fixed datum of supersingular over W_2(F_4).
+    """
+    for fam, kw, (p, q, n), kind in (
+            ("ordinary", {"r": 2, "d": 1}, (2, 1, 4), "general"),
+            ("ordinary", {"r": 2, "d": 1}, (3, 1, 2), "general"),
+            ("supersingular", {"d": 1}, (2, 2, 5), "general"),
+            ("supersingular", {"d": 1}, (3, 2, 4), "lattice"),
+            ("isoclinic_3_3_6", {"r": 3, "c": 2}, (2, 3, 5), "general"),
+            ("isoclinic_3_3_6", {"r": 3, "c": 2}, (3, 3, 4), "lattice"),
+            ("ordinary", {"r": 3, "d": 1}, (5, 1, 6), "general"),
+            ("ordinary", {"r": 3, "d": 1}, (2, 1, 4), "general"),
+            ("ordinary", {"r": 2, "d": 1}, (3, 2, 3), "general")):
+        ring = make_witt_ring(p, q, n)
+        C = builtin_crystal(ring, fam, **kw)
+        datum = build_stairs_datum(C)
+        level = 2 * datum.torsion + epsilon_p(p)
+        for seed in range(4):
+            rng = random.Random(seed)
+            if kind == "general":
+                g = random_twist(ring, C.rank, level - (seed == 3), rng)
+            else:
+                g = Matrix.identity(ring, C.rank) + datum.combine([
+                    ring.element([rng.randrange(ring.pn) * p ** level
+                                  for _ in range(q)]) for _ in datum.basis])
+            yield f"stairs {fam} {p} {q} {n} #{seed}", stairs_run, C, g, datum
+    for fam, kw, (p, q, n), levels in (
+            ("ordinary", {"r": 2, "d": 1}, (3, 1, 3), (1, 2)),
+            ("ordinary", {"r": 2, "d": 1}, (5, 1, 3), (1,)),
+            ("ordinary", {"r": 3, "d": 1}, (5, 1, 6), (1, 3)),
+            ("ordinary", {"r": 3, "d": 1}, (2, 1, 4), (0, 1, 2)),
+            ("ordinary", {"r": 2, "d": 1}, (2, 2, 4), (1, 2))):
+        ring = make_witt_ring(p, q, n)
+        C = builtin_crystal(ring, fam, **kw)
+        datum = build_stairs_datum(C)
+        for j in levels:
+            for seed in range(3):
+                g = random_twist(ring, C.rank, j, random.Random(seed))
+                yield (f"algebra {fam} {p} {q} {n} j{j} #{seed}",
+                       stairs_algebra_run, C, g, datum)
+    ring = make_witt_ring(2, 2, 2)
+    C = builtin_crystal(ring, "supersingular", d=1)
+    for seed in range(3):
+        g = random_twist(ring, 2, 1, random.Random(seed))
+        yield f"lang supersingular 2 2 2 #{seed}", lang_run, C, g, None
+
+
+def _engine_outcome(run, C, g, datum):
+    try:
+        cert = run(C, g, datum)
+    except CrystalError as exc:
+        return type(exc).__name__
+    return [list(cert.witness.flat), cert.level, cert.extension]
+
+
+def _engine_outputs(monkeypatch):
+    out = {label: _engine_outcome(run, C, g, datum)
+           for label, run, C, g, datum in _engine_corpus()}
+    # the thirds family over W_4(F_8) and W_4(F_64): its certificate and
+    # the outcome of each algebra run inside it (square-zero blocks and
+    # the block-diagonal fixed lattice)
+    inner = []
+    real = stairs.stairs_algebra_run
+
+    def recorded(C, g, datum):
+        inner.append(_engine_outcome(real, C, g, datum))
+        return real(C, g, datum)
+
+    monkeypatch.setattr(stairs, "stairs_algebra_run", recorded)
+    for q in (3, 6):
+        cert = thirds_family_certificate(make_witt_ring(2, q, 4), alpha=1)
+        out[f"thirds 2 {q} 4"] = [cert, inner[:]]
+        inner.clear()
+    return out
+
+
+def test_engine_outputs_match_the_pinned_digest(monkeypatch):
+    out = _engine_outputs(monkeypatch)
+    assert len(out) == 67
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_DIGEST
