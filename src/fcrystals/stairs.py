@@ -21,6 +21,7 @@ from .errors import (
     ExtensionCapExceeded,
     InternalError,
     NotMultiplicative,
+    OutsideExpDomain,
     PreconditionTooWeak,
     SingularAtPrecision,
     UnknownField,
@@ -44,7 +45,7 @@ from .semilinear import (
     lang_unit,
     solve_circular,
 )
-from .witt import INFINITY, field_walk, make_witt_ring
+from .witt import INFINITY, WittElem, field_walk, make_witt_ring
 
 # residue-field degrees over C's that the fixed-lattice walk tries, its
 # only stop besides the Newton certificate and the field table: a full
@@ -71,6 +72,8 @@ class StairsDatum:
     signs: list = field(init=False)
     _solver: object = field(default=None, repr=False, compare=False)
     _gamma: object = field(default=None, repr=False, compare=False)
+    # `_unit_cells` of the basis: read once per datum, base changes too
+    _units: object = field(init=False, repr=False, compare=False)
     # base changes by target ring, so later runs reuse their crystal,
     # embedded basis and coordinate solver
     _base_changes: dict = field(default_factory=dict, repr=False,
@@ -80,6 +83,8 @@ class StairsDatum:
         self.cycles = _cycles_of(self.perm)
         self.signs = [1 if all(self.exponents[l] >= 0 for l in cyc) else -1
                       for cyc in self.cycles]
+        self._units = _unit_cells(self.basis, self.crystal.ring,
+                                  self.crystal.rank)
 
     def coordinate_solver(self):
         """Solver for X = sum y_l e_l: column (l, s) is t^s e_l flattened."""
@@ -94,14 +99,73 @@ class StairsDatum:
         return self._gamma
 
     def coords(self, X: Matrix):
-        """WittElem coefficients y with X = sum y_l e_l, or None."""
-        sol = self.coordinate_solver().solve(X.flat)
-        if sol is None:
-            return None
+        """WittElem coefficients y with X = sum y_l e_l, or None.  On
+        matrix units e_l = p^(a_l) E_ij, y_l is X's cell (i, j) over
+        p^(a_l), and every cell outside the basis must vanish."""
         ring = self.crystal.ring
         q = ring.q
-        return [ring.element(sol[l * q:(l + 1) * q])
-                for l in range(len(self.basis))]
+        if self._units is None:
+            sol = self.coordinate_solver().solve(X.flat)
+            if sol is None:
+                return None
+            return [ring.element(sol[l * q:(l + 1) * q])
+                    for l in range(len(self.basis))]
+        cells, outside = self._units
+        f = X.flat
+        if any(f[t] for t in outside):
+            return None
+        ys = []
+        for k, pa in cells:
+            e = f[k * q:k * q + q]
+            if any(c % pa for c in e):
+                return None
+            ys.append(WittElem(ring, tuple([c // pa for c in e])))
+        return ys
+
+    def apply_round(self, factors, defect, total):
+        """(F defect G, F total) for a round's factors (l, a, l', b), with
+        F = exp(a_1 e_(l_1)) ... exp(a_k e_(l_k)) and G, the inverse of
+        F's conjugate, exp(-b_k e_(l'_k)) ... exp(-b_1 e_(l'_1)); an
+        argument zero at the precision has exp 1 and is skipped.  On
+        matrix units each factor is 1 + c E_ij: row i += c row j on the
+        left, column j += c column i on the right, the same arithmetic
+        as the products."""
+        if self._units is None:
+            step = psi_inv = Matrix.identity(self.crystal.ring,
+                                             self.crystal.rank)
+            for l, a, _, _ in factors:
+                arg = self.basis[l].scale(a)
+                if not arg.is_zero():
+                    step = step @ exp_trunc(arg)
+            for _, _, lp, b in reversed(factors):
+                arg = self.basis[lp].scale(-b)
+                if not arg.is_zero():
+                    psi_inv = psi_inv @ exp_trunc(arg)
+            return step @ defect @ psi_inv, step @ total
+        r, back = self.crystal.rank, factors[::-1]
+        left = [self._unit_factor(l, a) for l, a, _, _ in back]
+        right = [self._unit_factor(lp, -b) for _, _, lp, b in back]
+        rows = [(i * r, j * r, c) for i, j, c in filter(None, left)]
+        cols = [(j, i, c) for i, j, c in filter(None, right)]
+        return (_line_ops(_line_ops(defect, rows, 1), cols, r),
+                _line_ops(total, rows, 1))
+
+    def _unit_factor(self, l, a):
+        """(i, j, c) with exp(a e_l) = 1 + c E_ij, e_l a matrix unit at
+        (i, j); None when a e_l is zero.  Off the diagonal E_ij^2 = 0, so
+        c is the cell; on it c = exp(cell) - 1, the series of [cell]."""
+        ring = self.crystal.ring
+        k, pa = self._units[0][l]
+        c = ring._smul(pa, a.coeffs)
+        if not any(c):
+            return None
+        i, j = divmod(k, self.crystal.rank)
+        if i != j:
+            if ring._val(c) < 1:
+                raise OutsideExpDomain("need X in p*End")
+            return i, j, c
+        return i, j, ring._sub(exp_trunc(Matrix._make(ring, 1, 1, c)).flat,
+                               ring._one)
 
     def combine(self, ys):
         acc = Matrix.zero(self.crystal.ring, self.crystal.rank)
@@ -303,6 +367,40 @@ def _is_multiplicative(rescale, r):
                         < rescale[i * r + k]:
                     return False
     return True
+
+
+def _unit_cells(basis, ring, r):
+    """([(k, p^(a_l))], outside) when every e_l is p^(a_l) at one cell
+    k = i r + j of its own, outside being the flat coordinates of the
+    other cells; else None."""
+    q, cells = ring.q, []
+    for e in basis:
+        nz = [t for t, c in enumerate(e.flat) if c]
+        c = e.flat[nz[0]] if len(nz) == 1 and not nz[0] % q else 0
+        if math.gcd(ring.pn, c) != c:   # not a power of p below p^n
+            return None
+        cells.append((nz[0] // q, c))
+    ks = {k for k, _ in cells}
+    if not basis or len(ks) < len(cells):
+        return None
+    return cells, [t for t in range(r * r * q) if t // q not in ks]
+
+
+def _line_ops(M, ops, stride):
+    """M after `ops` in order, each (dst, src, c): the line of r cells
+    `stride` apart from cell dst gets c times the one from src (rows for
+    stride 1, columns for stride r); c a coordinate tuple.  A cell's new
+    value x + c y is one packed product and one reduction."""
+    ring, r = M.ring, M.rows
+    pack, reduce, w = ring._pack, ring._reduce, ring.slot_width(2)
+    cells = M._cells()
+    for dst, src, c in ops:
+        pc = pack(c, w)
+        for t in range(0, r * stride, stride):
+            if any(y := cells[src + t]):
+                cells[dst + t] = reduce(pack(cells[dst + t], w)
+                                        + pc * pack(y, w), w)
+    return M._like(tuple([x for e in cells for x in e]))
 
 
 def _cycles_of(perm):
@@ -518,8 +616,9 @@ def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
             defect = defect.embed(big)
             g0 = g0.embed(big)
             continue
-        # all cycles solved over the current field: build the update
-        step_factors = []
+        # all cycles solved over the current field: the round's factors
+        # (l, x p^k, pi(l), sigma(x) p^(k + n_l)), k = u + max(0, -n_l)
+        factors, u_low = [], 2
         for ci, cyc in enumerate(datum.cycles):
             sol = solutions[ci]
             if sol is None:
@@ -530,41 +629,25 @@ def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
                 if xb.is_zero():
                     continue
                 x = ring.element([c % ring.pn for c in xb.coeffs])
-                q_l = max(0, -datum.exponents[l])
-                step_factors.append((l, x, u_c, q_l))
-        step = Matrix.identity(ring, datum.crystal.rank)
-        use_plain = (p == 2 and min(
-            (u for (_, _, u, _) in step_factors), default=2) < 2) \
-            or datum.square_zero
-        if use_plain:
+                n_l = datum.exponents[l]
+                k = u_c + max(0, -n_l)
+                factors.append((l, x * p ** k, datum.perm[l],
+                                x.frobenius() * p ** (k + n_l)))
+                u_low = min(u_low, u_c)
+        if (p == 2 and u_low < 2) or datum.square_zero:
             # step = 1 + sum of scaled basis elements; its conjugate is
             # assembled from the arrow formula on the ORIGINAL factors
             # (the truncated inverse would lose digits that conjugation
             # divides back below the precision)
             acc = conj_acc = Matrix.zero(ring, datum.crystal.rank)
-            for l, x, u_c, q_l in step_factors:
-                acc = acc + datum.basis[l].scale(x * p ** (u_c + q_l))
-                shift = u_c + q_l + datum.exponents[l]
-                conj_acc = conj_acc + datum.basis[datum.perm[l]].scale(
-                    x.frobenius() * p ** shift)
+            for l, a, lp, b in factors:
+                acc = acc + datum.basis[l].scale(a)
+                conj_acc = conj_acc + datum.basis[lp].scale(b)
             step = ident + acc
-            psi_inv = unit_inverse_matrix(ident + conj_acc)
+            defect = step @ defect @ unit_inverse_matrix(ident + conj_acc)
+            total = step @ total
         else:
-            # an argument zero at the precision has exp 1: skip it
-            for l, x, u_c, q_l in step_factors:
-                arg = datum.basis[l].scale(x * p ** (u_c + q_l))
-                if not arg.is_zero():
-                    step = step @ exp_trunc(arg)
-            psi_inv = ident
-            for l, x, u_c, q_l in reversed(step_factors):
-                lp = datum.perm[l]
-                shift = u_c + q_l + datum.exponents[l]
-                arg = datum.basis[lp].scale(
-                    -(x.frobenius() * p ** shift))
-                if not arg.is_zero():
-                    psi_inv = psi_inv @ exp_trunc(arg)
-        defect = step @ defect @ psi_inv
-        total = step @ total
+            defect, total = datum.apply_round(factors, defect, total)
         prev_umin = int(umin)
     ring = datum.crystal.ring
     final = defect.congruence_level()

@@ -10,7 +10,6 @@ Hodge filtration is available.
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .bounds import epsilon_p
 from .crystal import hodge_data, newton_polygon, random_twist
@@ -28,7 +27,6 @@ from .plinalg import (
     Matrix,
     _intertwiner_system,
     howell_coefficients,
-    howell_contains,
     inverse_with_shift,
     unit_inverse_matrix,
 )
@@ -36,15 +34,12 @@ from .semilinear import (
     EXHAUSTIVE_CAP,
     HomModule,
     IsomResult,
-    _row_combination,
-    _scan_range,
-    hom_image,
     hom_module,
     is_unit,
     isom_search,
     unit_search,
 )
-from .stairs import _monomial_datum, build_stairs_datum, fixed_datum
+from .stairs import _monomial_datum, fixed_datum
 from .witt import INFINITY, make_witt_ring
 
 
@@ -289,70 +284,6 @@ def _floor_evidence(C, upper, trials, seed):
             floor = j
             break
     return floor
-
-
-# -- Aut-image stabilization ---------------------------------------------------
-
-
-def _span_has_unit_outside(C, big_basis, small_basis, to_level):
-    """Any unit in span(big) outside span(small), at the residue level?"""
-    ring = C.ring
-    p = ring.p
-    r = C.rank
-    # cosets of small inside big: big's rows outside span(small)
-    reps = [row for row in big_basis
-            if not howell_contains(small_basis, [row], p, to_level)]
-    if not reps:
-        return False
-    if p ** len(reps) > EXHAUSTIVE_CAP:
-        raise SearchSpaceTooLarge("too many cosets to scan")
-    if p ** len(small_basis) > EXHAUSTIVE_CAP:
-        raise SearchSpaceTooLarge("mod-p span too large to scan")
-    if not howell_contains(small_basis, [[p * x for x in row]
-                                         for row in big_basis], p, to_level):
-        # some p y lies outside small, and x + p y keeps x's residue: every
-        # unit of big has one outside small
-        if p ** len(big_basis) > EXHAUSTIVE_CAP:
-            raise SearchSpaceTooLarge("mod-p span too large to scan")
-        return _scan_range(ring, big_basis, r) is not None
-    # p kills big / small, so the cosets are the digit combinations of reps:
-    # scan (coset rep combo) x (mod-p span of small) for units not in small
-    for combo in product(range(p), repeat=len(reps)):
-        if not any(combo):
-            continue
-        base = _row_combination(combo, reps, r * r * ring.q)
-        if howell_contains(small_basis, [base], p, to_level):
-            continue  # fell into the small span after all
-        if _scan_range(ring, small_basis, r, base) is not None:
-            return True
-    return False
-
-
-def aut_image_stabilization_check(C, t) -> bool:
-    """Aut images at level n - m + t agree from level n + h + t up to full.
-
-    n = 2m + eps_p with m the lattice torsion of the datum; images are
-    compared as unit sets: the module chain is decreasing, so equality
-    fails only when a deeper coset still contains a unit.
-    """
-    ring = C.ring
-    _, _, h = hodge_data(C)
-    m = build_stairs_datum(C).torsion
-    n = 2 * m + epsilon_p(ring.p)
-    to_level = n - m + t
-    hi = n + h + t
-    if hi > ring.n or to_level < 1:
-        raise BadShape("ring precision too small for the stabilization check")
-    # Aut images as Howell bases of End images: units mod p lift to units
-    ref = hom_image(C, C, hi, to_level)
-    for N in range(hi + 1, ring.n + 1):
-        img = hom_image(C, C, N, to_level)
-        if img == ref:
-            continue
-        # modules differ: compare unit sets (img is contained in ref)
-        if _span_has_unit_outside(C, ref, img, to_level):
-            return False
-    return True
 
 
 # -- polarized isomorphism -----------------------------------------------------

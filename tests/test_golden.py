@@ -33,11 +33,11 @@ from fcrystals.stairs import (
     stairs_run,
     thirds_family_certificate,
 )
-from fcrystals.truncation import (
+from fcrystals.witt import make_witt_ring
+from test_truncation import (
     _span_has_unit_outside,
     aut_image_stabilization_check,
 )
-from fcrystals.witt import make_witt_ring
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden.json")
 

@@ -15,12 +15,19 @@ from fcrystals.errors import (
     SingularAtPrecision,
     UnsupportedShape,
 )
-from fcrystals.plinalg import Matrix, smith_normal_form, unit_inverse_matrix
+from fcrystals.files import read_crystal, write_crystal
+from fcrystals.plinalg import (
+    IntSolver,
+    Matrix,
+    smith_normal_form,
+    unit_inverse_matrix,
+)
 from fcrystals.semilinear import fixed_lattice, hom_module
 from fcrystals import stairs
 from fcrystals.stairs import (
     StairsDatum,
     _fixed_datum,
+    _matrix_unit_datum,
     _select_w_basis,
     _structure_constants,
     build_stairs_datum,
@@ -520,3 +527,112 @@ def test_engine_outputs_match_the_pinned_digest(monkeypatch):
     assert len(out) == 67
     text = json.dumps(out, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_DIGEST
+
+
+def _solver_coords(datum, X):
+    """The coordinates of X read off the datum's `IntSolver`."""
+    sol = datum.coordinate_solver().solve(X.flat)
+    if sol is None:
+        return None
+    ring = datum.crystal.ring
+    q = ring.q
+    return [ring.element(sol[l * q:l * q + q])
+            for l in range(len(datum.basis))]
+
+
+def _matrix_unit_data(tmp_path):
+    """A full monomial datum with a rescaled unit, a square-zero block of
+    the thirds family (9 of 36 cells), and a datum read from a file whose
+    strategy string says nothing of its shape."""
+    SS = builtin_crystal(make_witt_ring(3, 2, 4), "supersingular", d=1)
+    full = build_stairs_datum(SS)
+    ring = make_witt_ring(2, 3, 4)
+    C0 = builtin_crystal(ring, "phi_alpha_4_5", alpha=0)
+    block, _ = _matrix_unit_datum(C0, C0.B, [(i, j) for i in (0, 1, 2)
+                                             for j in (3, 4, 5)], True)
+    I3 = builtin_crystal(make_witt_ring(3, 1, 3), "isoclinic_3_3_6",
+                         r=3, c=2)
+    path = tmp_path / "datum.json"
+    write_crystal(path, I3, datum=replace(build_stairs_datum(I3),
+                                          strategy="fixed"))
+    _, read = read_crystal(path, want_datum=True)
+    return full, block, read
+
+
+def test_matrix_unit_coords_match_the_solver(tmp_path):
+    rng = random.Random(8)
+    data = _matrix_unit_data(tmp_path)
+    assert data[0].torsion == 1 and data[2].strategy == "fixed"
+    for datum in data:
+        assert datum._units is not None
+        ring, r = datum.crystal.ring, datum.crystal.rank
+        seen = set()
+        for v in range(ring.n + 1):
+            pv = ring.p ** v
+            for _ in range(6):
+                inside = datum.combine([ring.random_element(rng) * pv
+                                        for _ in datum.basis])
+                anywhere = Matrix(ring, [[ring.random_element(rng) * pv
+                                          for _ in range(r)]
+                                         for _ in range(r)])
+                for X in (inside, anywhere, inside + anywhere):
+                    ys = datum.coords(X)
+                    assert ys == _solver_coords(datum, X)
+                    seen.add(ys is None)
+        assert seen == {True, False}
+
+
+def _counted_engine(monkeypatch):
+    """Lists of the `IntSolver.solve` calls and of the row counts of the
+    `exp_trunc` arguments made from here on."""
+    solves, sizes = [], []
+    solve, exp = IntSolver.solve, stairs.exp_trunc
+
+    def counted_solve(self, b):
+        solves.append(len(b))
+        return solve(self, b)
+
+    def counted_exp(X):
+        sizes.append(X.rows)
+        return exp(X)
+
+    monkeypatch.setattr(IntSolver, "solve", counted_solve)
+    monkeypatch.setattr(stairs, "exp_trunc", counted_exp)
+    return solves, sizes
+
+
+def test_matrix_unit_data_take_the_cell_route(monkeypatch):
+    # odd p, so every round is a product of exponentials: ordinary over
+    # W_2(F_3) (base change to F_27), and lattice twists on supersingular
+    # over W_4(F_9) and isoclinic_3_3_6(3, 2) over W_4(F_27)
+    solves, sizes = _counted_engine(monkeypatch)
+    rng = random.Random(9)
+    for fam, kw, (p, q, n) in (
+            ("ordinary", {"r": 2, "d": 1}, (3, 1, 2)),
+            ("supersingular", {"d": 1}, (3, 2, 4)),
+            ("isoclinic_3_3_6", {"r": 3, "c": 2}, (3, 3, 4))):
+        ring = make_witt_ring(p, q, n)
+        C = builtin_crystal(ring, fam, **kw)
+        datum = build_stairs_datum(C)
+        level = 2 * datum.torsion + epsilon_p(p)
+        for _ in range(3):
+            g = _general_twist(ring, C.rank, level, rng)
+            if datum.torsion:
+                g = Matrix.identity(ring, C.rank) + datum.combine([
+                    ring.random_element(rng) * p ** level
+                    for _ in datum.basis])
+            assert stairs_run(C, g, datum).reverify()
+    assert solves == [] and sizes and set(sizes) == {1}
+
+
+def test_a_fixed_datum_takes_the_general_route(monkeypatch):
+    W = make_witt_ring(3, 2, 4)
+    SS = builtin_crystal(W, "supersingular", d=1)
+    u = Matrix.from_ints(W, [[1, 1], [0, 1]])
+    C = new_crystal(W, u @ SS.B @ unit_inverse_matrix(u.sigma()))
+    datum = replace(build_stairs_datum(C), strategy="monomial")
+    assert datum._units is None
+    solves, sizes = _counted_engine(monkeypatch)
+    g = _general_twist(W, 2, 2 * datum.torsion + 1, random.Random(10))
+    assert stairs_run(C, g, datum).reverify()
+    assert solves and 2 in sizes

@@ -1,27 +1,42 @@
 import random
+from itertools import product
 
 import pytest
 
+from fcrystals.bounds import epsilon_p
 from fcrystals.crystal import (
     PolarizedCrystal,
     builtin_crystal,
     direct_sum_crystal,
+    hodge_data,
     new_crystal,
 )
-from fcrystals.errors import LiftFailed, NotDieudonne, PrecisionExhausted
+from fcrystals.errors import (
+    BadShape,
+    LiftFailed,
+    NotDieudonne,
+    PrecisionExhausted,
+    SearchSpaceTooLarge,
+)
 from fcrystals.plinalg import (
     Matrix,
     _intertwiner_system,
     howell_coefficients,
+    howell_contains,
     howell_form,
     inverse_with_shift,
     pack_rows,
     smith_normal_form,
 )
-from fcrystals.semilinear import HomModule
+from fcrystals.semilinear import (
+    EXHAUSTIVE_CAP,
+    HomModule,
+    _row_combination,
+    _scan_range,
+    hom_image,
+)
+from fcrystals.stairs import build_stairs_datum
 from fcrystals.truncation import (
-    _span_has_unit_outside,
-    aut_image_stabilization_check,
     congruence_upgrade,
     d_trunc_hom_module,
     d_trunc_isom_search,
@@ -213,6 +228,70 @@ def test_probe_upper_from_the_lattice_torsion():
         report = i_number_probe(C)
         assert (report["upper"], report["upper_source"]) == (upper, "stairs")
         assert report["evidence"]["lattice_torsion"] == 1
+
+
+# -- Aut-image stabilization, built on the library's Hom images
+
+
+def _span_has_unit_outside(C, big_basis, small_basis, to_level):
+    """Any unit in span(big) outside span(small), at the residue level?"""
+    ring = C.ring
+    p = ring.p
+    r = C.rank
+    # cosets of small inside big: big's rows outside span(small)
+    reps = [row for row in big_basis
+            if not howell_contains(small_basis, [row], p, to_level)]
+    if not reps:
+        return False
+    if p ** len(reps) > EXHAUSTIVE_CAP:
+        raise SearchSpaceTooLarge("too many cosets to scan")
+    if p ** len(small_basis) > EXHAUSTIVE_CAP:
+        raise SearchSpaceTooLarge("mod-p span too large to scan")
+    if not howell_contains(small_basis, [[p * x for x in row]
+                                         for row in big_basis], p, to_level):
+        # some p y lies outside small, and x + p y keeps x's residue: every
+        # unit of big has one outside small
+        if p ** len(big_basis) > EXHAUSTIVE_CAP:
+            raise SearchSpaceTooLarge("mod-p span too large to scan")
+        return _scan_range(ring, big_basis, r) is not None
+    # p kills big / small, so the cosets are the digit combinations of reps:
+    # scan (coset rep combo) x (mod-p span of small) for units not in small
+    for combo in product(range(p), repeat=len(reps)):
+        if not any(combo):
+            continue
+        base = _row_combination(combo, reps, r * r * ring.q)
+        if howell_contains(small_basis, [base], p, to_level):
+            continue  # fell into the small span after all
+        if _scan_range(ring, small_basis, r, base) is not None:
+            return True
+    return False
+
+
+def aut_image_stabilization_check(C, t):
+    """Aut images at level n - m + t agree from level n + h + t up to full.
+
+    n = 2m + eps_p with m the lattice torsion of the datum; images are
+    compared as unit sets: the module chain is decreasing, so equality
+    fails only when a deeper coset still contains a unit.
+    """
+    ring = C.ring
+    _, _, h = hodge_data(C)
+    m = build_stairs_datum(C).torsion
+    n = 2 * m + epsilon_p(ring.p)
+    to_level = n - m + t
+    hi = n + h + t
+    if hi > ring.n or to_level < 1:
+        raise BadShape("ring precision too small for the stabilization check")
+    # Aut images as Howell bases of End images: units mod p lift to units
+    ref = hom_image(C, C, hi, to_level)
+    for N in range(hi + 1, ring.n + 1):
+        img = hom_image(C, C, N, to_level)
+        if img == ref:
+            continue
+        # modules differ: compare unit sets (img is contained in ref)
+        if _span_has_unit_outside(C, ref, img, to_level):
+            return False
+    return True
 
 
 def test_aut_image_stabilization():
