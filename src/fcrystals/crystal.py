@@ -41,6 +41,9 @@ class FCrystal:
         exps = smith_normal_form(B)
         if any(e >= ring.n for e in exps) or sum(exps) >= ring.n:
             raise SingularAtPrecision("phi is not injective at this precision")
+        self._set(ring, B, shift, exps)
+
+    def _set(self, ring, B, shift, exps):
         self.ring = ring
         self.rank = B.rows
         self.B = B
@@ -48,6 +51,7 @@ class FCrystal:
         self.exponents = exps
         self.end_types = {}
         self.fixed_memo = ()
+        return self
 
     def twist(self, g: Matrix) -> "FCrystal":
         """The crystal with phi replaced by g o phi."""
@@ -57,7 +61,10 @@ class FCrystal:
         return FCrystal(ring, self.B.reduce_to(ring), self.shift)
 
     def base_change(self, ring) -> "FCrystal":
-        return FCrystal(ring, self.B.embed(ring), self.shift)
+        """The crystal over the unramified extension `ring`, which keeps
+        B's Smith exponents: P B Q = diag(p^e) holds there too."""
+        return object.__new__(FCrystal)._set(
+            ring, self.B.embed(ring), self.shift, self.exponents)
 
     def __eq__(self, other):
         return (

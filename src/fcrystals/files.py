@@ -30,7 +30,7 @@ def _is_int(value):
 
 
 def matrix_to_entries(M: Matrix):
-    return [[list(e.coeffs) for e in row] for row in M.entries]
+    return [[list(e) for e in row] for row in M._rows()]
 
 
 def _is_int_list(value):
@@ -44,7 +44,8 @@ def entries_to_matrix(ring, rows, cols, entries):
     if not all(_is_int_list(e) and len(e) == ring.q
                for r in entries for e in r):
         raise BadShape(f"matrix entries must be lists of {ring.q} integers")
-    return Matrix(ring, [[ring.element(e) for e in row] for row in entries])
+    return Matrix.from_flat_ints(ring, rows, cols, [
+        c for r in entries for e in r for c in e])
 
 
 def crystal_to_dict(obj) -> dict:
@@ -91,7 +92,7 @@ def dict_to_crystal(data: dict):
     r = data["rank"]
     B = entries_to_matrix(ring, r, r, data["matrix"])
     # entries must already be reduced
-    if matrix_to_entries(B) != data["matrix"]:
+    if not all(0 <= c < ring.pn for r in data["matrix"] for e in r for c in e):
         raise BadShape("matrix entries are not reduced")
     C = FCrystal(ring, B, data["shift"])
     if (C.B, C.shift) != (B, data["shift"]):

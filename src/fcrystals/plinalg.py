@@ -9,7 +9,7 @@ solution modules, and truncated exponentials.
 import math
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, product, repeat, takewhile
 from operator import add, mul, sub
 
@@ -366,10 +366,15 @@ class _PackedRows:
         return self.n - 1 if x else self.n
 
 
+# the `_PackedRows` of (p, n, cols), built on first use and shared: it
+# holds only constants
+packing = cache(_PackedRows)
+
+
 def pack_rows(rows, p, n):
     """(P, the rows packed by P): the one way list rows, taken mod p^n,
     reach `IntSolver` and `howell_form`."""
-    P, pn = _PackedRows(p, n, len(rows[0]) if rows else 0), p ** n
+    P, pn = packing(p, n, len(rows[0]) if rows else 0), p ** n
     return P, [P.pack(r if not r or 0 <= min(r) <= max(r) < pn
                       else [int(c) % pn for c in r]) for r in rows]
 
@@ -605,6 +610,17 @@ class IntSolver:
         return INFINITY if e >= self.n or len(self.exps) < self.rows else e
 
 
+def _products(ring, a, us):
+    """The products a * u for packed u in us (packed at `ring._w`), one
+    after another: entry s * q + t is coordinate t of the s-th (a is a
+    coordinate tuple)."""
+    if not any(a):
+        return [0] * (ring.q * len(us))
+    W = ring._w
+    pa = ring._pack(a, W)
+    return [c for u in us for c in ring._reduce(pa * u, W)]
+
+
 def _intertwiner_system(B1, B2, ring, sigma_power=1):
     """(P, rows): {g : g @ B1 = B2 @ sigma^power(g)} as equations packed
     by P, a `_PackedRows` over Z/p^n; g's coordinates are row-major.
@@ -615,28 +631,21 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
     Each entry's q products are packed once into pieces of rows, which
     one `reduce` ends: a slot gets at most two terms below p^n.
     """
-    q, pn, W = ring.q, ring.pn, ring._w
+    q, pn = ring.q, ring.pn
     r2, r1 = B2.rows, B1.cols
-    P = _PackedRows(ring.p, ring.n, r2 * r1 * q)
+    P = packing(ring.p, ring.n, r2 * r1 * q)
     stride = r1 * q * P.w   # bits of a row of g
     sig = ring._frobenius_rows(sigma_power % q)   # packed sigma^power(t^s)
-    ts = [1 << s * W for s in range(q)]
-
-    def block(a, cols):
-        # products a * u for packed u in cols, one after another: entry
-        # s * q + t is coordinate t of the s-th (a is a coordinate tuple)
-        if not any(a):
-            return [0] * (q * q)
-        pa = ring._pack(a, W)
-        return [c for u in cols for c in ring._reduce(pa * u, W)]
+    ts = ring._frobenius_rows(0)   # packed t^s
 
     rows1, rows2 = B1._rows(), B2._rows()
     left, right = [], []
     for j in range(r1):
-        flat = [c for row in rows1 for c in block(row[j], ts)]
+        flat = [c for row in rows1 for c in _products(ring, row[j], ts)]
         left.append([P.pack(flat[t::q]) for t in range(q)])
     for i in range(r2):
-        negs = [[(pn - c) % pn for c in block(a, sig)] for a in rows2[i]]
+        negs = [[(pn - c) % pn for c in _products(ring, a, sig)]
+                for a in rows2[i]]
         right.append([sum(P.pack(neg[t::q]) >> k * stride
                           for k, neg in enumerate(negs)) for t in range(q)])
     # a packed short row fills the first columns: shift it right into place
@@ -649,21 +658,22 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
 
 
 def _smith_solver(A: Matrix):
-    """(`IntSolver` on the Z/p^n equations of x -> A x, the Smith
+    """(`IntSolver` on the rows of x -> A x over Z/p^n, the Smith
     exponents of A, sorted).
 
-    The equations are those of the row vectors g with g A^T = 0, from
-    `_intertwiner_system`: a q r x q r matrix over Z/p^n, whose exponents
-    are A's over the unramified W, each repeated q times, so every q-th
-    of the sorted list is one.  Exponent n stands for "zero at this
-    precision".
+    Row (i, t) and column (j, s) of this q r x q r matrix hold coordinate
+    t of A[i][j] t^s.  Its exponents are A's over the unramified W, each
+    repeated q times, so every q-th of the sorted list is one.  Exponent
+    n stands for "zero at this precision".
     """
-    ring = A.ring
+    ring, q = A.ring, A.ring.q
     if A.rows != A.cols:
         raise ValueError("need a square matrix")
-    solver = IntSolver(*_intertwiner_system(
-        A.transpose(), Matrix.zero(ring, 1), ring))
-    return solver, sorted(solver.exps)[::ring.q]
+    P, ts = packing(ring.p, ring.n, A.cols * q), ring._frobenius_rows(0)
+    flats = [[c for a in row for c in _products(ring, a, ts)]
+             for row in A._rows()]
+    solver = IntSolver(P, [P.pack(f[t::q]) for f in flats for t in range(q)])
+    return solver, sorted(solver.exps)[::q]
 
 
 def smith_normal_form(A: Matrix) -> list:

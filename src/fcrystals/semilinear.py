@@ -24,7 +24,6 @@ from .plinalg import (
     IntSolver,
     Matrix,
     SwarMod,
-    _PackedRows,
     _intertwiner_system,
     fp_independent_rows,
     fp_kernel,
@@ -32,6 +31,7 @@ from .plinalg import (
     howell_form,
     howell_pivots,
     pack_rows,
+    packing,
     smith_normal_form,
     swar_slot,
     w_span_solver,
@@ -653,7 +653,7 @@ class _CircularMap:
         eqs = [P.unpack(rows[(j * L + (j - 1) % L) * Q + t])
                for j in range(L) for t in range(Q)]
         # row i of [E | I]: equation i on the diagonal columns, then e_i
-        PE = _PackedRows(p, 1, 2 * N)
+        PE = packing(p, 1, 2 * N)
         red = howell_form(PE, [PE.pack([e[k] for k in order])
                                | 1 << (N - 1 - i) * PE.w
                                for i, e in enumerate(eqs)])

@@ -53,6 +53,34 @@ def test_exponents_are_those_of_the_normalized_matrix():
         assert D.exponents == smith_normal_form(D.B), D
 
 
+
+@pytest.mark.parametrize("p, q, n", [(2, 1, 5), (2, 3, 3), (3, 2, 4),
+                                     (5, 1, 3), (7, 2, 3)])
+def test_base_change_keeps_the_smith_exponents(p, q, n):
+    """Unramified base change leaves the Smith form as it is (P B Q =
+    diag(p^e) holds over the bigger ring), so the crystal keeps its
+    exponents: they equal a fresh elimination of the embedded matrix."""
+    ring, rng = make_witt_ring(p, q, n), random.Random(p * 100 + q)
+    made = 0
+    while made < 4:
+        r = rng.randint(1, 3)
+        # a random matrix times a diagonal of 1s and ps, so that nonzero
+        # exponents occur
+        B = Matrix(ring, [[ring.random_element(rng) for _ in range(r)]
+                          for _ in range(r)])
+        D = Matrix.from_ints(ring, [[p ** rng.randint(0, 1) if i == j else 0
+                                     for j in range(r)] for i in range(r)])
+        try:
+            C = new_crystal(ring, B @ D, rng.randint(0, 1))
+        except SingularAtPrecision:
+            continue
+        made += 1
+        for d in (2, 3):
+            big = make_witt_ring(p, q * d, n)
+            assert C.base_change(big).exponents == smith_normal_form(
+                C.B.embed(big)), (C.B, d)
+
+
 def test_hodge_data():
     W = make_witt_ring(2, 1, 8)
     C = new_crystal(W, Matrix.identity(W, 2))

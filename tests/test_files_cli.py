@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from fcrystals import plinalg
 from fcrystals.bounds import MAX_BOUND_RANK
 import fcrystals.cli as cli_mod
 from fcrystals.cli import main
@@ -679,3 +680,75 @@ def test_no_command_catches_a_crystal_error():
                         CrystalError, cls):
                     catching.append(f"{fn.name}:{node.lineno} {cls.__name__}")
     assert catching == []
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ((0, 1, 0), 27, "matrix entries are not reduced"),
+    ((0, 1, 1), -1, "matrix entries are not reduced"),
+    ((1, 1, 0), True, "matrix entries must be lists of 2 integers"),
+    ((0, 0, 2), 0, "matrix entries must be lists of 2 integers"),
+], ids=["not_reduced", "negative", "bool", "q_plus_one"])
+def test_cli_refuses_a_bad_matrix_coordinate(tmp_path, capsys, where,
+                                             value, message):
+    """A file's matrix must hold q reduced integer coordinates per entry;
+    anything else is an input error, exit 2, with the file named."""
+    ring = make_witt_ring(3, 2, 3)
+    data = crystal_to_dict(builtin_crystal(ring, "ordinary", r=2, d=1))
+    i, j, t = where
+    entry = data["matrix"][i][j]
+    entry[t:t + 1] = [value]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert _main_exit(["polygon", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: cannot read {path}: {message}\n"
+
+
+def test_gram_and_stairs_basis_coordinates_are_reduced_on_reading(tmp_path):
+    """Outside the matrix of phi, a coordinate at or above p^n is taken
+    mod p^n when the file is read."""
+    ring = make_witt_ring(2, 3, 4)
+    P = builtin_crystal(ring, "polarized_4_5_4", alpha=1)
+    data = crystal_to_dict(P)
+    data["gram"][0][-1][0] += ring.pn
+    path = tmp_path / "pol.json"
+    path.write_text(json.dumps(data))
+    assert read_crystal(path).J == P.J
+    ring = make_witt_ring(3, 1, 4)
+    C = builtin_crystal(ring, "ordinary", r=2, d=1)
+    datum = build_stairs_datum(C)
+    data = crystal_to_dict(C)
+    data["stairs"] = stairs_datum_to_dict(datum)
+    data["stairs"]["basis"][0][0][0][0] += 2 * ring.pn
+    path.write_text(json.dumps(data))
+    _, back = read_crystal(path, want_datum=True)
+    assert back.basis == datum.basis
+
+
+def test_reading_a_crystal_costs_its_smith_elimination(tmp_path, monkeypatch):
+    """The Smith rows of a file's matrix are built from the matrix, not as
+    a Hom system, and their packing is built once per shape: a second file
+    of the same shape builds none."""
+    ring = make_witt_ring(7, 1, 5)
+    paths = []
+    for k in range(2):
+        B = Matrix.from_ints(ring, [[1, k, 7], [0, 49, 7 * k], [2, 0, 1]])
+        paths.append(tmp_path / f"c{k}.json")
+        write_crystal(paths[-1], new_crystal(ring, B))
+    systems, packings = [], []
+    real = plinalg._intertwiner_system
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fcrystals") and \
+                getattr(mod, "_intertwiner_system", None) is real:
+            monkeypatch.setattr(mod, "_intertwiner_system", lambda *a, **k: (
+                systems.append(a) or real(*a, **k)))
+    init = plinalg._PackedRows.__init__
+    monkeypatch.setattr(plinalg._PackedRows, "__init__", lambda self, *a: (
+        packings.append(a) or init(self, *a)))
+    plinalg.packing.cache_clear()
+    first = read_crystal(paths[0])
+    assert (systems, packings) == ([], [(7, 5, 3)])
+    second = read_crystal(paths[1])
+    assert (systems, packings) == ([], [(7, 5, 3)])
+    assert (first.exponents, second.exponents) == ([0, 0, 2], [0, 0, 1])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fcrystals import plinalg
 from fcrystals.crystal import builtin_crystal
 from fcrystals.errors import OutsideExpDomain, SingularAtPrecision
 from fcrystals.plinalg import (
@@ -252,3 +253,59 @@ def test_int_solver_reads_a_row_valuation_only_when_it_could_win(
     S = IntSolver(P, rows)
     assert len(reads) <= 400
     assert len(S.exps) == 216 and any(0 < e < 4 for e in S.exps)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_smith_rows_are_the_rows_of_x_to_a_x(p, monkeypatch):
+    """`_smith_solver` eliminates the q r x q r rows over Z/p^n of
+    x -> A x, row (i, t) and column (j, s) holding coordinate t of
+    A[i][j] tau^s: the rows `_intertwiner_system` gives for the row
+    vectors g with g A^T = 0, packed the same way."""
+    seen = []
+    real = plinalg.IntSolver
+    monkeypatch.setattr(plinalg, "IntSolver",
+                        lambda P, rows: seen.append((P, rows)) or real(P, rows))
+    rng = random.Random(p)
+    for q in (1, 2, 3, 6, 8):
+        for case in range(7):
+            ring = make_witt_ring(p, q, rng.randint(1, 4))
+            r = rng.randint(1, 4)
+            # sparse: about half the entries zero
+            A = Matrix(ring, [[ring.random_element(rng)
+                               if rng.random() < 0.5 else ring.zero()
+                               for _ in range(r)] for _ in range(r)])
+            seen.clear()
+            plinalg._smith_solver(A)
+            P, rows = seen[0]
+            want_P, want = _intertwiner_system(A.transpose(),
+                                               Matrix.zero(ring, 1), ring)
+            ctx = (p, q, case, A)
+            assert (P.p, P.n, P.cols, P.w) == (
+                want_P.p, want_P.n, want_P.cols, want_P.w), ctx
+            assert list(rows) == want, ctx
+
+
+def _state(P):
+    """P's attributes, and those of the `SwarMod` reducers it holds."""
+    out = dict(vars(P))
+    for f in [P.reduce, *P._rems]:
+        mod = getattr(f, "__self__", None)
+        if isinstance(mod, plinalg.SwarMod):
+            out[id(mod)] = dict(vars(mod))
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4), (7, 1)])
+def test_a_packing_is_shared_and_holds_only_constants(p, n):
+    """`packing` builds one `_PackedRows` per (p, n, cols) and every
+    caller shares it, so nothing that runs on it may change it."""
+    P = plinalg.packing(p, n, 5)
+    assert P is plinalg.packing(p, n, 5) and P is pack_rows([[0] * 5], p, n)[0]
+    before = _state(P)
+    rng = random.Random(p)
+    rows = [[rng.randrange(p ** n) for _ in range(5)] for _ in range(6)]
+    solver = IntSolver(*pack_rows(rows, p, n))
+    solver.solve([rng.randrange(p ** n) for _ in range(6)])
+    howell_form(P, solver.kernel_generators())
+    howell_form(*pack_rows(rows, p, n))
+    assert _state(P) == before
