@@ -53,7 +53,6 @@ def test_exponents_are_those_of_the_normalized_matrix():
         assert D.exponents == smith_normal_form(D.B), D
 
 
-
 @pytest.mark.parametrize("p, q, n", [(2, 1, 5), (2, 3, 3), (3, 2, 4),
                                      (5, 1, 3), (7, 2, 3)])
 def test_base_change_keeps_the_smith_exponents(p, q, n):

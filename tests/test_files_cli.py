@@ -741,8 +741,8 @@ def test_reading_a_crystal_costs_its_smith_elimination(tmp_path, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("fcrystals") and \
                 getattr(mod, "_intertwiner_system", None) is real:
-            monkeypatch.setattr(mod, "_intertwiner_system", lambda *a, **k: (
-                systems.append(a) or real(*a, **k)))
+            monkeypatch.setattr(mod, "_intertwiner_system", lambda *a, **kw: (
+                systems.append(a) or real(*a, **kw)))
     init = plinalg._PackedRows.__init__
     monkeypatch.setattr(plinalg._PackedRows, "__init__", lambda self, *a: (
         packings.append(a) or init(self, *a)))

@@ -263,8 +263,8 @@ def test_smith_rows_are_the_rows_of_x_to_a_x(p, monkeypatch):
     vectors g with g A^T = 0, packed the same way."""
     seen = []
     real = plinalg.IntSolver
-    monkeypatch.setattr(plinalg, "IntSolver",
-                        lambda P, rows: seen.append((P, rows)) or real(P, rows))
+    monkeypatch.setattr(plinalg, "IntSolver", lambda P, rows: (
+        seen.append((P, rows)) or real(P, rows)))
     rng = random.Random(p)
     for q in (1, 2, 3, 6, 8):
         for case in range(7):
