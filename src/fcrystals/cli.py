@@ -185,9 +185,6 @@ def cmd_probe(args):
 
 
 def cmd_verify(args):
-    if args.suite != "paper":
-        _err(f"unknown suite {args.suite!r}")
-        return 2
     results = run_paper_suite(seed=args.seed, emit=_out, fast=args.fast)
     failed = [r for r in results if not r["ok"]]
     sys.stderr.write(
@@ -208,9 +205,7 @@ def build_parser():
 
     p = sub.add_parser("polygon", help="hodge/newton slopes of a crystal file")
     p.add_argument("file")
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--hodge", action="store_true", default=True)
-    grp.add_argument("--newton", action="store_true")
+    p.add_argument("--newton", action="store_true")
     p.set_defaults(func=cmd_polygon)
 
     p = sub.add_parser("deviation", help="sign/value deviation of a tuple")
@@ -261,7 +256,7 @@ def build_parser():
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.add_argument("--suite", default="paper")
+    p.add_argument("--suite", choices=("paper",), default="paper")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="accepted and ignored: the unit scan runs serially")

@@ -138,24 +138,24 @@ def dict_to_stairs_datum(data: dict, crystal):
         raise BadShape(f"stairs 'exponents' must be {size} integers")
     if not _is_int(data["torsion"]):
         raise BadShape("stairs 'torsion' must be an integer")
-    for key in ("multiplicative", "unital", "square_zero"):
-        if not isinstance(data.get(key, False), bool):
-            raise BadShape(f"stairs {key!r} must be true or false")
     if not isinstance(data.get("strategy", "file"), str):
         raise BadShape("stairs 'strategy' must be a string")
     ring = crystal.ring
     r = crystal.rank
     basis = [entries_to_matrix(ring, r, r, e) for e in data["basis"]]
-    datum = StairsDatum(
-        crystal, basis, list(perm), list(data["exponents"]),
-        data["torsion"], data["multiplicative"], data["unital"],
-        data.get("square_zero", False), data.get("strategy", "file"),
-    )
+    datum = StairsDatum(crystal, basis, list(perm), list(data["exponents"]),
+                        data["torsion"], data.get("strategy", "file"))
     # integers only: True == 1 would pass the comparison
     if not _is_int_list(data["signs"]) or data["signs"] != datum.signs:
         raise BadShape(f"stairs 'signs' must be {datum.signs}, the signs of "
                        "the cycles' exponents")
     datum.verify()
+    for key in ("multiplicative", "unital", "square_zero"):
+        want = getattr(datum, key)
+        # identity: 1 == True would pass the comparison
+        if data.get(key, want) is not want:
+            raise BadShape(f"stairs {key!r} must be {json.dumps(want)}, "
+                           "what its basis gives")
     return datum
 
 

@@ -31,7 +31,6 @@ from .plinalg import (
     Matrix,
     _intertwiner_system,
     exp_trunc,
-    howell_contains,
     howell_form,
     pack_rows,
     unit_inverse_matrix,
@@ -56,22 +55,24 @@ FIXED_LATTICE_MAX_EXTENSION = 6
 
 @dataclass
 class StairsDatum:
-    """A permuted lattice basis of End(M) with uniform-sign cycles."""
+    """A permuted lattice basis of End(M) with uniform-sign cycles.  The
+    cycles, their signs and whether the span is `unital`, `multiplicative`
+    or `square_zero` are read off the basis, permutation and exponents;
+    `strategy` is the builder's label and decides nothing."""
 
     crystal: object
     basis: list            # matrices e_l
     perm: list             # pi as a list, 0-based
     exponents: list        # n_l with conj(e_l) = p^(n_l) e_(pi(l))
     torsion: int           # m: p^m End inside the span, Smith-verified
-    multiplicative: bool
-    unital: bool
-    square_zero: bool
-    strategy: str          # "monomial" | "fixed"
+    strategy: str
     cycles: list = field(init=False)   # index lists of pi
     # per cycle: +1 when its exponents are all >= 0, else -1
     signs: list = field(init=False)
     _solver: object = field(default=None, repr=False, compare=False)
-    _gamma: object = field(default=None, repr=False, compare=False)
+    _products: object = field(default=None, repr=False, compare=False)
+    # `_read_flags`, kept by base changes as unramified extension keeps it
+    _flags: object = field(default=None, repr=False, compare=False)
     # `_unit_cells` of the basis: read once per datum, base changes too
     _units: object = field(init=False, repr=False, compare=False)
     # base changes by target ring, so later runs reuse their crystal,
@@ -92,11 +93,32 @@ class StairsDatum:
             self._solver = w_span_solver(self.basis, self.crystal.ring)
         return self._solver
 
-    def structure_constants(self):
-        """`_structure_constants` of the datum, kept like the solver."""
-        if self._gamma is None:
-            self._gamma = _structure_constants(self)
-        return self._gamma
+    def product_coords(self):
+        """coords(e_a e_b) for every pair (a, b), a-major, kept."""
+        if self._products is None:
+            self._products = [self.coords(a @ b) for a in self.basis
+                              for b in self.basis]
+        return self._products
+
+    multiplicative = property(lambda self: self._read_flags()[0])
+    unital = property(lambda self: self._read_flags()[1])
+    square_zero = property(lambda self: self._read_flags()[2])  # e_a e_b = 0
+
+    def _read_flags(self):
+        """(multiplicative, unital, square_zero): integer checks on the
+        cells of matrix units, else coords(1) and `product_coords` (a None
+        is a product outside the span; all zero, a square-zero span)."""
+        if self._flags is None and self._units is not None:
+            self._flags = _cell_flags(self._units[0], self.crystal.rank,
+                                      self.crystal.ring.pn)
+        elif self._flags is None:
+            prods = self.product_coords()
+            one = Matrix.identity(self.crystal.ring, self.crystal.rank)
+            mult = None not in prods
+            self._flags = (mult, self.coords(one) is not None,
+                           mult and all(y.is_zero() for ys in prods
+                                        for y in ys))
+        return self._flags
 
     def coords(self, X: Matrix):
         """WittElem coefficients y with X = sum y_l e_l, or None.  On
@@ -186,7 +208,7 @@ class StairsDatum:
             datum = self._base_changes[ring] = replace(
                 self, crystal=self.crystal.base_change(ring),
                 basis=[e.embed(ring) for e in self.basis],
-                _solver=None, _gamma=None, _base_changes={})
+                _solver=None, _products=None, _base_changes={})
         return datum
 
     def verify(self, full_end=True):
@@ -194,7 +216,6 @@ class StairsDatum:
 
         full_end=False skips the p^m End coverage check (for lattices
         spanning only a subalgebra of End, used by composite reductions).
-        A claimed `unital` is checked by solving for the identity.
         """
         C = self.crystal
         ring = C.ring
@@ -218,9 +239,6 @@ class StairsDatum:
         if full_end and (not self.basis or self.coordinate_solver()
                          .cokernel_exponent() > self.torsion):
             raise BadShape("span does not contain p^m End")
-        if self.unital and self.coords(Matrix.identity(ring, C.rank)) is None:
-            raise BadShape("stairs 'unital' is claimed, but the identity is "
-                           "not in the span")
         return True
 
 
@@ -282,28 +300,23 @@ def _monomial_datum(C):
         raise BadShape("stairs needs shift 0")
     r = C.rank
     built = _matrix_unit_datum(
-        C, C.B, [(i, j) for i in range(r) for j in range(r)], False)
+        C, C.B, [(i, j) for i in range(r) for j in range(r)])
     return built[0] if built else None
 
 
-def _matrix_unit_datum(C, base_B, idx, square_zero):
+def _matrix_unit_datum(C, base_B, idx):
     """(datum, cycle tuples) of the rescaled matrix units at idx, with
     arrows from base_B, or None unless base_B is monomial with unit twists
     1.  All r^2 units (index l = i*r + j) make a datum verified to hold
-    p^m End; a square-zero block of them, one verified on its own span.
+    p^m End; a block of them, one verified on its own span.
     """
     hits = _monomial_shape(base_B, C.ring)
     if hits is None:
         return None
-    r = C.rank
-    fields, tuples, rescale = _matrix_unit_arrows(C.ring, r, hits, idx)
-    if square_zero:
-        datum = StairsDatum(C, *fields, True, False, True, "unipotent")
-    else:
-        unital = all(rescale[i * r + i] == 0 for i in range(r))
-        datum = StairsDatum(C, *fields, _is_multiplicative(rescale, r),
-                            unital, False, "monomial")
-    datum.verify(full_end=not square_zero)
+    full = len(idx) == C.rank ** 2
+    fields, tuples = _matrix_unit_arrows(C.ring, C.rank, hits, idx)
+    datum = StairsDatum(C, *fields, "monomial" if full else "unipotent")
+    datum.verify(full_end=full)
     return datum, tuples
 
 
@@ -333,7 +346,7 @@ def _matrix_unit_arrows(ring, r, hits, idx):
 
     Conjugation permutes the units; each cycle's exponent tuple is reduced
     to uniform sign by df_reduce.  Returns ((basis, perm, exponents,
-    torsion), cycle tuples, rescale).
+    torsion), cycle tuples).
     """
     pos = {ij: l for l, ij in enumerate(idx)}
     perm = [pos[(hits[i][0], hits[j][0])] for (i, j) in idx]
@@ -355,18 +368,19 @@ def _matrix_unit_arrows(ring, r, hits, idx):
         flat = [0] * (r * r * ring.q)
         flat[(i * r + j) * ring.q] = ring.p ** rescale[l]
         basis.append(Matrix.from_flat_ints(ring, r, r, flat))
-    return (basis, perm, new_exps, m), tuples, rescale
+    return (basis, perm, new_exps, m), tuples
 
 
-def _is_multiplicative(rescale, r):
-    # (p^a E_ij)(p^b E_jk) = p^(a+b) E_ik: need a_ij + b_jk >= a_ik
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if rescale[i * r + j] + rescale[j * r + k] \
-                        < rescale[i * r + k]:
-                    return False
-    return True
+def _cell_flags(cells, r, pn):
+    """(multiplicative, unital, square_zero) of the units p^a E_ij at cells
+    [(i r + j, p^a)]: (p^a E_ij)(p^b E_jk) = p^(a+b) E_ik is in the span
+    when it is zero or cell (i, k) holds p^c, c <= a + b; unital when
+    every diagonal cell holds p^0."""
+    at = dict(cells)
+    prods = [(ij - ij % r + jk % r, pa * pb) for ij, pa in cells
+             for jk, pb in cells if ij % r == jk // r and pa * pb < pn]
+    return (all(k in at and c % at[k] == 0 for k, c in prods),
+            all(at.get(i * r + i) == 1 for i in range(r)), not prods)
 
 
 def _unit_cells(basis, ring, r):
@@ -437,26 +451,22 @@ def _fixed_datum(C):
     FIXED_LATTICE_MAX_EXTENSION over C's and within the built-in field
     table, whose fixed elements give a full selection; None when none
     does within that bound.  The datum keeps the solver of its selected
-    span, so `verify` (torsion and `unital`) and every later `coords`
-    share one elimination.
+    span, so `verify` (the torsion) and every later `coords` share one
+    elimination.
     """
     if C.shift == 0 and certified_not_isoclinic(C):
         return None
     ring = C.ring
-    r = C.rank
     for D, big in islice(field_walk(ring.p, ring.q, ring.n),
                          FIXED_LATTICE_MAX_EXTENSION):
         CD = C.base_change(big) if D > 1 else C
         sel = _select_w_basis(hom_module(CD, CD), CD)
         if sel is None:
             continue
-        basis, solver, hw = sel
-        mult = howell_contains(hw, [(a @ b).flat for a in basis
-                                    for b in basis], big.p, big.n)
-        unital = solver.solve(Matrix.identity(big, r).flat) is not None
+        basis, solver, _ = sel
         datum = StairsDatum(CD, basis, list(range(len(basis))),
                             [0] * len(basis), solver.cokernel_exponent(),
-                            mult, unital, False, "fixed", _solver=solver)
+                            "fixed", _solver=solver)
         datum.verify()
         return datum
     return None
@@ -520,7 +530,7 @@ def stairs_algebra_run(C, g, datum=None) -> StairsCertificate:
     """Multiplicative-lattice variant: g in 1 + p^j E, iterates inside E."""
     if datum is None:
         datum = build_stairs_datum(C)
-    if not (datum.multiplicative or datum.square_zero):
+    if not datum.multiplicative:
         raise NotMultiplicative("datum span is not closed under products")
     ring = datum.crystal.ring
     g = _twist_over(datum, g)
@@ -530,14 +540,12 @@ def stairs_algebra_run(C, g, datum=None) -> StairsCertificate:
     j = min((y.valuation() for y in ys), default=INFINITY)
     if j == INFINITY:
         j = ring.n
-    if datum.square_zero:
-        pass  # j = 0 is fine
-    elif j < 1:
-        raise PreconditionTooWeak("need g in 1 + p E")
-    elif ring.p == 2 and j < 2 and not datum.unital:
-        raise PreconditionTooWeak(
-            "p = 2 with j = 1 needs the identity inside the span"
-        )
+    if not datum.square_zero:   # a square-zero span takes j = 0
+        if j < 1:
+            raise PreconditionTooWeak("need g in 1 + p E")
+        if ring.p == 2 and j < 2 and not datum.unital:
+            raise PreconditionTooWeak("p = 2 with j = 1 needs the identity "
+                                      "inside the span")
     return _engine(datum, g, C.ring.q, algebra_mode=True)
 
 
@@ -675,7 +683,8 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
                 "no full-rank fixed lattice found (End not of slope zero, "
                 "or the residue field is too small)"
             )
-    if datum.strategy != "fixed" or not datum.unital:
+    if datum.perm != sorted(datum.perm) or any(datum.exponents) or \
+            not datum.unital:   # a unital span of e_l the arrows fix
         raise UnsupportedShape("lang shortcut needs a unital fixed lattice")
     ring = datum.crystal.ring
     g = _twist_over(datum, g)
@@ -723,7 +732,7 @@ def _abstract_lang(datum, g, gco):
     base-changed datum, g).
     """
     ring = datum.crystal.ring
-    gamma = datum.structure_constants()
+    gamma = _structure_constants(datum)
     res = make_witt_ring(ring.p, ring.q, 1)
     gbar = [c.reduce_to(res) for c in gco]
     for D, fld in field_walk(ring.p, ring.q, 1):
@@ -742,21 +751,17 @@ def _abstract_lang(datum, g, gco):
 
 def _structure_constants(datum):
     """gamma[a][b][c] in [0, p): the residue of the c-th coordinate of
-    e_a e_b.  Raises InternalError when a residue lies outside F_p, since
-    sigma then does not act on coordinates as an algebra automorphism."""
-    p = datum.crystal.ring.p
-    out = []
-    for ea in datum.basis:
-        row = []
-        for eb in datum.basis:
-            co = datum.coords(ea @ eb)
-            if co is None:
-                raise NotMultiplicative("products leave the span")
-            if any(t % p for y in co for t in y.coeffs[1:]):
-                raise InternalError("structure constant outside F_p")
-            row.append([y.coeffs[0] % p for y in co])
-        out.append(row)
-    return out
+    e_a e_b, read off `product_coords`.  Raises InternalError when a
+    residue lies outside F_p, since sigma then does not act on coordinates
+    as an algebra automorphism."""
+    p, v = datum.crystal.ring.p, len(datum.basis)
+    prods = datum.product_coords()
+    if None in prods:
+        raise NotMultiplicative("products leave the span")
+    if any(t % p for co in prods for y in co for t in y.coeffs[1:]):
+        raise InternalError("structure constant outside F_p")
+    return [[[y.coeffs[0] % p for y in prods[a * v + b]] for b in range(v)]
+            for a in range(v)]
 
 
 def _abstract_lang_search(gamma, gbar, fld):
@@ -801,8 +806,7 @@ def _block_diag_datum(C0, split_at):
         Matrix.block_diag(Z1, e) for e in d2.basis]
     v = len(basis)
     datum = StairsDatum(C0, basis, list(range(v)), [0] * v,
-                        max(d1.torsion, d2.torsion), True, True, False,
-                        "block-fixed")
+                        max(d1.torsion, d2.torsion), "block-fixed")
     datum.verify(full_end=False)
     return datum, (d1.torsion, d2.torsion)
 
@@ -828,7 +832,7 @@ def thirds_family_certificate(ring, alpha=1, seed=0) -> dict:
             ("upper_block", C_a, (0, 1, 2), (3, 4, 5), 0),
             ("lower_block", C_0, (3, 4, 5), (0, 1, 2), 1)):
         built = _matrix_unit_datum(C, C_0.B, [(i, j) for i in rows
-                                              for j in cols], True)
+                                              for j in cols])
         if built is None:
             raise UnsupportedShape("base matrix is not monomial")
         datum, tuples = built
@@ -836,7 +840,7 @@ def thirds_family_certificate(ring, alpha=1, seed=0) -> dict:
         if any(s > 1 for s in s_values):
             raise InternalError(f"{name} cycle S-values {s_values} exceed 1")
         out["components"][name] = {
-            "square_zero": True,
+            "square_zero": datum.square_zero,
             "cycle_tuples": tuples,
             "s_values": s_values,
             "rescale_torsion": datum.torsion,

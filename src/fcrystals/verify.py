@@ -171,7 +171,7 @@ def check_isoclinic_lattices():
             _, expo = fixed_lattice(C)
             _require(expo == 1, (r, c, p, expo))
             # per-cycle sign deviations of the conjugation tuples
-            _, tuples, _ = _matrix_unit_arrows(
+            _, tuples = _matrix_unit_arrows(
                 ring, r, _monomial_shape(C.B, ring),
                 [(i, j) for i in range(r) for j in range(r)])
             s_values = [deviations(t)[0] for t in tuples]

@@ -137,6 +137,8 @@ def test_cli_polygon(tmp_path):
     assert res2.returncode == 3
     res3 = _run(["polygon", str(tmp_path / "missing.json")])
     assert res3.returncode == 2
+    # the Hodge polygon is the default; there is no --hodge flag
+    assert _main_exit(["polygon", str(path), "--hodge"]) == 2
 
 
 def test_cli_bound():
@@ -401,20 +403,25 @@ def test_stairs_block_without_permutation_is_an_input_error(tmp_path,
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_a_torsion_below_the_smith_exponent_is_an_input_error(tmp_path,
-                                                              capsys, seed):
-    # the W_8(F_2) basis of `_tail_datum` in tests/test_stairs.py, whose
-    # Howell pivots reach p^2 but whose lattice exponent is 3
+def _tail_file():
+    """B = 1 over W_8(F_2) with the stairs block of `_tail_datum` in
+    tests/test_stairs.py at torsion 2: its Howell pivots reach p^2 but its
+    lattice exponent is 3."""
     W = make_witt_ring(2, 1, 8)
-    C = new_crystal(W, Matrix.identity(W, 2))
-    data = crystal_to_dict(C)
+    data = crystal_to_dict(new_crystal(W, Matrix.identity(W, 2)))
     data["stairs"] = {
         "basis": [[[[2], [1]], [[0], [0]]], [[[0], [4]], [[0], [0]]],
                   [[[0], [0]], [[1], [0]]], [[[0], [0]], [[0], [1]]]],
         "permutation": [0, 1, 2, 3], "exponents": [0, 0, 0, 0],
         "torsion": 2, "signs": [1, 1, 1, 1], "multiplicative": False,
         "unital": False}
+    return data
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_torsion_below_the_smith_exponent_is_an_input_error(tmp_path,
+                                                              capsys, seed):
+    data = _tail_file()
     path = tmp_path / "tail.json"
     path.write_text(json.dumps(data))
     argv = ["stairs", str(path), "--twist-level", "6", "--seed", str(seed)]
@@ -435,6 +442,10 @@ def test_a_torsion_below_the_smith_exponent_is_an_input_error(tmp_path,
     ("signs", [1, 1, 1, 1]),
     ("signs", [True, -1, 1, 1]),
     ("multiplicative", "yes"),
+    # values the basis does not give; 1 == True
+    ("multiplicative", 1),
+    ("unital", False),
+    ("square_zero", True),
 ])
 def test_stairs_block_value_types_are_input_errors(tmp_path, capsys, key,
                                                    value):
@@ -448,6 +459,22 @@ def test_stairs_block_value_types_are_input_errors(tmp_path, capsys, key,
     path.write_text(json.dumps(data))
     assert _main_exit(["stairs", str(path), "--twist-level", "1"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_false_multiplicative_claim_is_an_input_error(tmp_path, capsys):
+    # at torsion 3 the tail block reads; e_1 = 2 E_11 + E_12 and e_3 = E_21
+    # give e_1 e_3 = E_11, and the span holds 8 E_11 but not 4 E_11
+    data = _tail_file()
+    data["stairs"].update(torsion=3, multiplicative=True)
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(BadShape, match="'multiplicative' must be false"):
+        read_crystal(path, want_datum=True)
+    assert _main_exit(["stairs", str(path), "--twist-level", "8"]) == 2
+    assert capsys.readouterr().out == ""
+    data["stairs"]["multiplicative"] = False
+    path.write_text(json.dumps(data))
+    assert _main_exit(["stairs", str(path), "--twist-level", "8"]) == 0
 
 
 def test_false_unital_claim_is_an_input_error(tmp_path, capsys):

@@ -22,6 +22,7 @@ from fcrystals.crystal import (
 )
 from fcrystals.errors import (
     BadShape,
+    CrystalError,
     ExtensionCapExceeded,
     InternalError,
     OutsideExpDomain,
@@ -67,7 +68,10 @@ from fcrystals.semilinear import (
 )
 from fcrystals.stairs import (
     _abstract_lang_search,
+    _block_diag_datum,
     _fixed_datum,
+    _matrix_unit_datum,
+    _monomial_datum,
     _select_w_basis,
     _structure_constants,
     build_stairs_datum,
@@ -2666,31 +2670,90 @@ def _fixed_datum_cases():
 
 
 def test_fixed_datum_matches_the_list_route(monkeypatch):
-    """The datum, `multiplicative` and `unital` of `_fixed_datum`, and the
-    W-basis selection on its final field, against the route through
-    `in_howell_span` and the accumulated `span_rows`."""
+    """The datum of `_fixed_datum`, and the W-basis selection on its final
+    field, against the route through `in_howell_span` and the accumulated
+    `span_rows`; its `multiplicative` and `unital` against membership of
+    every product and of the identity in that route's span, row by row."""
     outcomes = set()
     for C in _fixed_datum_cases():
         new = _fixed_datum(C)
         with monkeypatch.context() as patch:
-            patch.setattr(stairs, "howell_contains", _contains_row_by_row)
             patch.setattr(stairs, "_select_w_basis",
                           _span_rows_select_w_basis)
             ref = _fixed_datum(C)
         assert (new is None) == (ref is None)
         if new is None:
             continue
-        assert new.crystal.ring == ref.crystal.ring
-        assert (new.basis, new.torsion, new.multiplicative, new.unital) == \
-            (ref.basis, ref.torsion, ref.multiplicative, ref.unital)
+        ring = new.crystal.ring
+        assert ring == ref.crystal.ring
         H = hom_module(new.crystal, new.crystal)
         got = _select_w_basis(H, new.crystal)
         want = _span_rows_select_w_basis(H, new.crystal)
         assert (got[0], got[2]) == (want[0], want[2])
+        mult = _contains_row_by_row(want[2], [(a @ b).flat for a in want[0]
+                                              for b in want[0]],
+                                    ring.p, ring.n)
+        unital = _contains_row_by_row(
+            want[2], [Matrix.identity(ring, new.crystal.rank).flat],
+            ring.p, ring.n)
+        assert (new.basis, new.torsion, new.multiplicative, new.unital) == \
+            (ref.basis, ref.torsion, mult, unital)
         outcomes.add((new.multiplicative, new.unital))
     # the only non-multiplicative fixed data of these cases were the two
     # spans above that are not full, now refused
     assert outcomes == {(True, True)}, outcomes
+
+
+# (unital, multiplicative, square_zero) of every datum of
+# `_datum_flag_corpus`, as the builders stated them before a datum read
+# them off its basis; an error name where the builder raised
+_ALGEBRA = (True, True, False)
+_BLOCK = (False, True, True)
+DATUM_FLAG_PINS = {
+    "monomial": [
+        "BadShape", _ALGEBRA, _ALGEBRA, (True, False, False), None,
+        _ALGEBRA, _ALGEBRA, _ALGEBRA, _ALGEBRA, _ALGEBRA,
+        "SingularAtPrecision", _ALGEBRA, _ALGEBRA, (True, False, False), None,
+        _ALGEBRA, _ALGEBRA, _ALGEBRA, _ALGEBRA, _ALGEBRA,
+    ],
+    "fixed": [_ALGEBRA] * 7 + [None] + [_ALGEBRA] * 4 + [None, _ALGEBRA],
+    "thirds": [_BLOCK, _BLOCK, _ALGEBRA] * 2,
+}
+
+
+def _datum_flag_corpus():
+    """The monomial data of _CERTIFICATE_FAMILIES over W_6(F_2) and
+    W_4(F_9), the fixed data of `_fixed_datum_cases`, and the upper and
+    lower square-zero blocks and the block-fixed datum of the thirds
+    family over W_4(F_8) and W_4(F_27)."""
+    def flags(datum):
+        return datum and (datum.unital, datum.multiplicative,
+                          datum.square_zero)
+
+    out = {"monomial": [], "fixed": [], "thirds": []}
+    for p, q, n in ((2, 1, 6), (3, 2, 4)):
+        for fam, kw in _CERTIFICATE_FAMILIES:
+            try:
+                C = builtin_crystal(make_witt_ring(p, q, n), fam, **kw)
+                out["monomial"].append(flags(_monomial_datum(C)))
+            except CrystalError as e:
+                out["monomial"].append(type(e).__name__)
+    out["fixed"] = [flags(_fixed_datum(C)) for C in _fixed_datum_cases()]
+    for p in (2, 3):
+        ring = make_witt_ring(p, 3, 4)
+        C_a = builtin_crystal(ring, "phi_alpha_4_5", alpha=1)
+        C_0 = builtin_crystal(ring, "phi_alpha_4_5", alpha=0)
+        for C, rows, cols in ((C_a, (0, 1, 2), (3, 4, 5)),
+                              (C_0, (3, 4, 5), (0, 1, 2))):
+            block, _ = _matrix_unit_datum(
+                C, C_0.B, [(i, j) for i in rows for j in cols])
+            out["thirds"].append(flags(block))
+        out["thirds"].append(flags(_block_diag_datum(C_0, 3)[0]))
+    return out
+
+
+def test_datum_flags_match_the_pins():
+    assert _datum_flag_corpus() == DATUM_FLAG_PINS
 
 
 # -- the Newton certificate in front of the fixed-datum walk ------------------

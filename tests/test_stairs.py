@@ -26,6 +26,7 @@ from fcrystals.semilinear import fixed_lattice, hom_module
 from fcrystals import stairs
 from fcrystals.stairs import (
     StairsDatum,
+    _block_diag_datum,
     _fixed_datum,
     _matrix_unit_datum,
     _select_w_basis,
@@ -284,6 +285,31 @@ def test_lang_stops_at_the_field_table():
         lang_run(C, g)
 
 
+@pytest.mark.parametrize("p, q, n", [(3, 1, 4), (2, 2, 3), (5, 1, 3)])
+def test_lang_reads_fixedness_off_the_datum(p, q, n):
+    """The monomial datum of ordinary(r=2, d=1) labelled "fixed" is
+    refused, since its arrows scale the off-diagonal units; that of the
+    etale ordinary(r=2, d=0), whose arrows fix every unit, is taken."""
+    ring = make_witt_ring(p, q, n)
+    rng = random.Random(p * q)
+    C = builtin_crystal(ring, "ordinary", r=2, d=1)
+    datum = replace(build_stairs_datum(C), strategy="fixed")
+    for _ in range(3):
+        with pytest.raises(UnsupportedShape):
+            lang_run(C, _general_twist(ring, 2, 1, rng), datum)
+    ET = builtin_crystal(ring, "ordinary", r=2, d=0)
+    datum = build_stairs_datum(ET)
+    assert lang_run(ET, datum.random_twist(1, rng), datum).reverify()
+
+
+def test_lang_takes_the_block_fixed_datum():
+    ring = make_witt_ring(2, 3, 4)
+    C0 = builtin_crystal(ring, "phi_alpha_4_5", alpha=0)
+    datum, _ = _block_diag_datum(C0, 3)
+    g = datum.random_twist(1, random.Random(3))
+    assert lang_run(C0, g, datum).reverify()
+
+
 def test_stairs_agrees_with_unit_search():
     from fcrystals.semilinear import isom_search
     ring = make_witt_ring(3, 1, 2)
@@ -313,9 +339,7 @@ def test_datum_verify_rejects_corruption():
     d = build_stairs_datum(C)
     bad = StairsDatum(crystal=C, basis=d.basis, perm=list(d.perm),
                       exponents=[e + 1 for e in d.exponents],
-                      torsion=d.torsion, multiplicative=d.multiplicative,
-                      unital=d.unital, square_zero=d.square_zero,
-                      strategy=d.strategy)
+                      torsion=d.torsion, strategy=d.strategy)
     with pytest.raises(BadShape):
         bad.verify()
 
@@ -329,8 +353,7 @@ def _tail_datum(torsion):
     C = new_crystal(W, Matrix.identity(W, 2))
     basis = [Matrix.from_flat_ints(W, 2, 2, flat) for flat in
              ([2, 1, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])]
-    return StairsDatum(C, basis, [0, 1, 2, 3], [0] * 4, torsion, False,
-                       False, False, "file")
+    return StairsDatum(C, basis, [0, 1, 2, 3], [0] * 4, torsion, "file")
 
 
 def test_datum_torsion_is_the_largest_smith_exponent():
@@ -408,19 +431,25 @@ def test_fixed_datum_memo_hit_equals_a_fresh_crystal(monkeypatch):
     assert N.fixed_memo == (None,)
     fresh = new_crystal(C.ring, C.B, C.shift)
     assert fresh.fixed_memo == () and _fixed_datum(fresh) == datum
-    gamma = datum.structure_constants()
-    assert gamma == _structure_constants(_fixed_datum(fresh))
+    prods = datum.product_coords()
+    assert _structure_constants(datum) == _structure_constants(
+        _fixed_datum(fresh))
 
     def walked(*args):
         raise AssertionError("a memo hit computed again")
 
+    kept = []
+
+    def constants(d):
+        kept.append(d._products is prods)
+        return _structure_constants(d)
+
     monkeypatch.setattr(stairs, "_fixed_datum", walked)
-    monkeypatch.setattr(stairs, "_structure_constants", walked)
+    monkeypatch.setattr(stairs, "_structure_constants", constants)
     assert fixed_datum(C) is datum and fixed_datum(N) is None
-    assert datum.structure_constants() is gamma
     g = Matrix.identity(C.ring, 2) + Matrix.from_ints(C.ring,
                                                       [[0, 2], [2, 0]])
-    assert lang_run(C, g).reverify()
+    assert lang_run(C, g).reverify() and kept == [True]
 
 
 def test_derived_crystals_start_without_a_fixed_datum():
@@ -431,8 +460,8 @@ def test_derived_crystals_start_without_a_fixed_datum():
               C.reduce_to(make_witt_ring(2, 2, 3)),
               C.base_change(make_witt_ring(2, 4, 4))):
         assert D.fixed_memo == ()
-    datum.structure_constants()
-    assert datum.base_change(make_witt_ring(2, 4, 4))._gamma is None
+    datum.product_coords()
+    assert datum.base_change(make_witt_ring(2, 4, 4))._products is None
 
 
 # sha256 of `_engine_outputs()` as the general-basis engine printed it:
@@ -549,7 +578,7 @@ def _matrix_unit_data(tmp_path):
     ring = make_witt_ring(2, 3, 4)
     C0 = builtin_crystal(ring, "phi_alpha_4_5", alpha=0)
     block, _ = _matrix_unit_datum(C0, C0.B, [(i, j) for i in (0, 1, 2)
-                                             for j in (3, 4, 5)], True)
+                                             for j in (3, 4, 5)])
     I3 = builtin_crystal(make_witt_ring(3, 1, 3), "isoclinic_3_3_6",
                          r=3, c=2)
     path = tmp_path / "datum.json"
@@ -580,6 +609,38 @@ def test_matrix_unit_coords_match_the_solver(tmp_path):
                     assert ys == _solver_coords(datum, X)
                     seen.add(ys is None)
         assert seen == {True, False}
+
+
+def test_cell_flags_match_the_solver_route(tmp_path):
+    """`unital`, `multiplicative` and `square_zero` from integer checks on
+    the cells equal those of the same data on the solver route, on the
+    data above, on 2 E_11, E_12, E_21, E_22 over W_8(F_2) with B = 1,
+    whose diagonal holds a rescaled unit, so 1 and E_12 E_21 leave the
+    span, and on 2 E_12, 2 E_23 over W_2(F_2) with B = 1, whose product
+    4 E_13 is zero at the precision though E_13 is outside the span."""
+    W = make_witt_ring(2, 1, 8)
+    C = new_crystal(W, Matrix.identity(W, 2))
+    basis = [Matrix.from_flat_ints(W, 2, 2, flat) for flat in
+             ([2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])]
+    rescaled = StairsDatum(C, basis, [0, 1, 2, 3], [0] * 4, 1, "file")
+    assert rescaled.verify()
+    W = make_witt_ring(2, 1, 2)
+    basis = [Matrix.from_flat_ints(W, 3, 3, [2 * (t == k) for t in range(9)])
+             for k in (1, 5)]
+    vanishing = StairsDatum(new_crystal(W, Matrix.identity(W, 3)), basis,
+                            [0, 1], [0, 0], 1, "file")
+    assert vanishing.verify(full_end=False)
+    seen = set()
+    for datum in (*_matrix_unit_data(tmp_path), rescaled, vanishing):
+        general = replace(datum, _flags=None)
+        general._units = None
+        flags = (datum.unital, datum.multiplicative, datum.square_zero)
+        assert datum._units is not None
+        assert flags == (general.unital, general.multiplicative,
+                         general.square_zero)
+        seen.add(flags)
+    assert seen == {(True, True, False), (False, True, True),
+                    (False, False, False)}
 
 
 def _counted_engine(monkeypatch):
