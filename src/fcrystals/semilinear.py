@@ -34,6 +34,7 @@ from .plinalg import (
     packing,
     smith_normal_form,
     swar_slot,
+    w_span_rows,
     w_span_solver,
 )
 from .witt import WittElem, field_walk, make_witt_ring
@@ -696,68 +697,97 @@ def _check_circular(big, b, c, d, xs):
 def sigma_conjugacy_trivialize(gbar: Matrix):
     """x with x * gbar * sigma(x)^{-1} = 1 over the first F_{p^(Q*D)} with one.
 
-    Equivalent to sigma(x) = x * gbar, an F_p-linear condition on x.  By
-    `lang_unit`, a field holds such a unit x exactly when the solution
-    space there has F_p-dimension r^2; the first field that passes is
-    scanned, and x is its first unit in index order (the first kernel
-    coefficient outermost).  Some D always works, so only the end of the
-    built-in field table stops the search.
+    Equivalent to sigma(x) = x * gbar in M_r, whose basis is the matrix
+    units E_ij (index i r + j, E_ik E_kj = E_ij, coordinates row-major);
+    see `lang_trivializer`.  BadShape unless gbar is a square unit.
     """
     ring = gbar.ring
     if ring.n != 1:
         raise BadShape("Lang trivialization happens over the residue field")
     r = gbar.rows
-    for D, big in field_walk(ring.p, ring.q, 1):
-        x = _lang_search(big, gbar.embed(big), r)
+    if gbar.cols != r:
+        raise BadShape(f"twist must be square, not {r} x {gbar.cols}")
+    gamma, units = _matrix_units(ring, r)
+    x, big, D = lang_trivializer(gamma, [y for row in gbar.entries
+                                         for y in row], units)
+    return Matrix.from_flat_ints(big, r, r, x), big, D
+
+
+def _matrix_units(ring, r):
+    """(structure constants, matrices) of M_r's matrix units E_ij over
+    ring, E_ij at index i r + j: E_ik E_kj = E_ij, other products 0."""
+    v = r * r
+    gamma = [[[int(b // r == a % r and c == a - a % r + b % r)
+               for c in range(v)] for b in range(v)] for a in range(v)]
+    return gamma, [Matrix.from_flat_ints(ring, r, r, [
+        int(t == a * ring.q) for t in range(v * ring.q)]) for a in range(v)]
+
+
+def lang_trivializer(gamma, gbar, mats):
+    """(x, fld, D): `lang_unit` over F_(p^(qD)) for the first D of the
+    built-in field table where it finds a unit, gbar and mats given over
+    the residue field W_1(F_(p^q)) and embedded into each fld.
+
+    A unit x with sigma(x) = x g makes g a unit, so BadShape at once
+    unless sum g_a mats[a] is one (see `lang_unit`).  For a unit g some D
+    always works (Lang's theorem over the algebraic closure), so only the
+    end of the built-in field table stops the search.
+    """
+    res = mats[0].ring
+    if not is_unit(sum(map(Matrix.scale, mats, gbar),
+                       Matrix.zero(res, mats[0].rows))):
+        raise BadShape("the twist is not a unit")
+    for D, fld in field_walk(res.p, res.q, 1):
+        x = lang_unit(gamma, [y.embed(fld) for y in gbar],
+                      [m.embed(fld) for m in mats], fld)
         if x is not None:
-            return x, big, D
+            return x, fld, D
     raise ExtensionCapExceeded(
         "no trivializer within the built-in field table")
 
 
-def _lang_search(big, g, r):
-    """First invertible solution x of sigma(x) = x g over the field big
-    (see `lang_unit`), or None."""
-    nv = r * r * big.q
-    basis = [[int(t == k) for t in range(nv)] for k in range(nv)]
-    # the equations of x g - sigma(x) = 0
-    x = lang_unit(big, _intertwiner_system(g, Matrix.identity(big, r), big),
-                  basis, r)
-    return None if x is None else Matrix.from_flat_ints(big, r, r, x)
-
-
-def lang_unit(fld, system, mats, r):
+def lang_unit(gamma, gbar, mats, fld):
     """First unit x with sigma(x) = x g in an algebra A over the field fld
-    (n = 1), as flat F_p coordinates over an F_p basis of A, or None.
+    (n = 1), as flat F_p coordinates over the F_p basis t^s e_a of A
+    (index a q + s), or None.
 
-    `system` is (P, rows), the equations of sigma(x) = x g in those
-    coordinates packed by P (as `_intertwiner_system` returns them), so
-    A has dimension P.cols / q over fld; `mats[i]` is the flat r x r
-    matrix of the i-th basis element in a faithful representation of A,
-    so x is a unit exactly when its matrix is.  A must have a basis over
-    fld whose structure constants lie in F_p and on whose coordinates
-    sigma acts.  Its unit group is
-    connected, so by Lang's theorem the solutions over the algebraic
-    closure are A_0(F_p) x_0 for a unit x_0, where A_0 is that F_p form:
-    an F_p-space of dimension dim A.  The kernel over fld therefore holds
-    a unit exactly when its F_p-dimension is dim A;
-    below that the answer is None with no scan.  A full kernel is
-    scanned with `_scan_range`, index digit 0 on the last kernel vector
-    (the first kernel coefficient outermost), and its first unit is
+    A is unital with basis e_0, ..., e_(v-1), structure constants
+    gamma[a][b][c] in F_p (e_a e_b = sum_c gamma_ab^c e_c), so sigma acts
+    on coordinates, and gbar holds g's v coordinates.  As a row vector
+    x g is x R, R[a][c] = sum_b gamma_ab^c g_b: the equations are the
+    `_intertwiner_system` of R with the 1 x 1 identity.  The unit group
+    of A is connected, so by Lang's theorem the solutions over the
+    algebraic closure are A_0(F_p) x_0 for a unit x_0, A_0 the F_p form:
+    the kernel over fld (`fp_kernel`) holds a unit exactly when its
+    F_p-dimension is v; below that the answer is None with no scan.
+
+    mats[a] is an r x r matrix over fld for e_a such that x is a unit
+    exactly when sum x_a mats[a] is: a faithful representation, or the
+    residues of a unital W-lattice of matrices closed under products,
+    even where those are dependent (a lift of x with a unit determinant
+    has its inverse in W[x], inside the lattice, by Cayley-Hamilton, and
+    p times the lattice is nilpotent).  A full kernel is scanned on
+    those matrices with `_scan_range`, index digit 0 on the last kernel
+    vector (the first kernel coefficient outermost); its first unit is
     returned.
     """
-    P, p = system[0], fld.p
-    kern = fp_kernel(*system)
-    if len(kern) < P.cols // fld.q:
+    q, p, v = fld.q, fld.p, len(gamma)
+    g = [y.coeffs for y in gbar]
+    R = Matrix.from_flat_ints(fld, v, v, [
+        sum(gamma[a][b][c] * g[b][t] for b in range(v))
+        for a in range(v) for c in range(v) for t in range(q)])
+    kern = fp_kernel(*_intertwiner_system(R, Matrix.identity(fld, 1), fld))
+    if len(kern) < v:
         return None
     rows = kern[::-1]
-    scan = [[c % p for c in _row_combination(k, mats, r * r * fld.q)]
+    span = w_span_rows(mats, fld)
+    scan = [[c % p for c in _row_combination(k, span, len(span[0]))]
             for k in rows]
-    idx = _scan_range(fld, scan, r)
+    idx = _scan_range(fld, scan, mats[0].rows)
     if idx is None:
         raise InternalError("a full Lang kernel holds no unit")
     return [c % p for c in _row_combination(
-        [idx // p ** d % p for d in range(len(rows))], rows, P.cols)]
+        [idx // p ** d % p for d in range(len(rows))], rows, v * q)]
 
 
 # -- restriction images and descent ------------------------------------------

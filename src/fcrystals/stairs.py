@@ -29,7 +29,6 @@ from .errors import (
 )
 from .plinalg import (
     Matrix,
-    _intertwiner_system,
     exp_trunc,
     howell_form,
     pack_rows,
@@ -41,7 +40,7 @@ from .semilinear import (
     CircularSystem,
     hom_module,
     is_unit,
-    lang_unit,
+    lang_trivializer,
     solve_circular,
 )
 from .witt import INFINITY, WittElem, field_walk, make_witt_ring
@@ -81,6 +80,8 @@ class StairsDatum:
                                 compare=False)
 
     def __post_init__(self):
+        if not self.basis:   # it would span nothing and solve everything
+            raise BadShape("a stairs datum needs a nonempty basis")
         self.cycles = _cycles_of(self.perm)
         self.signs = [1 if all(self.exponents[l] >= 0 for l in cyc) else -1
                       for cyc in self.cycles]
@@ -130,7 +131,7 @@ class StairsDatum:
             sol = self.coordinate_solver().solve(X.flat)
             if sol is None:
                 return None
-            return [ring.element(sol[l * q:(l + 1) * q])
+            return [WittElem(ring, tuple(sol[l * q:(l + 1) * q]))
                     for l in range(len(self.basis))]
         cells, outside = self._units
         f = X.flat
@@ -235,9 +236,9 @@ class StairsDatum:
             exps = [self.exponents[l] for l in cyc]
             if min(exps) < 0 < max(exps):
                 raise BadShape("a cycle mixes exponent signs")
-        # p^m End inside the span (an empty basis spans nothing)
-        if full_end and (not self.basis or self.coordinate_solver()
-                         .cokernel_exponent() > self.torsion):
+        # p^m End inside the span
+        if full_end and self.coordinate_solver().cokernel_exponent() > \
+                self.torsion:
             raise BadShape("span does not contain p^m End")
         return True
 
@@ -395,7 +396,7 @@ def _unit_cells(basis, ring, r):
             return None
         cells.append((nz[0] // q, c))
     ks = {k for k, _ in cells}
-    if not basis or len(ks) < len(cells):
+    if len(ks) < len(cells):
         return None
     return cells, [t for t in range(r * r * q) if t // q not in ks]
 
@@ -696,10 +697,21 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
     ys = datum.coords(g - ident)
     if ys is None:
         raise BadShape("g - 1 is not in the lattice span")
-    one_coords = datum.coords(ident)
-    gco = [a + b for a, b in zip(one_coords, ys)]
-    xt, datum, g = _abstract_lang(datum, g, gco)
-    ring = datum.crystal.ring
+    # trivialize g's residue class in the span's unit group, in
+    # coordinates over the span's structure constants (the matrix-level
+    # reduction loses the p-divisible basis directions), over the first
+    # residue extension of the field table that has a trivializer
+    res = make_witt_ring(ring.p, ring.q, 1)
+    x, fld, D = lang_trivializer(
+        _structure_constants(datum),
+        [(a + b).reduce_to(res) for a, b in zip(datum.coords(ident), ys)],
+        [e.reduce_to(res) for e in datum.basis])
+    if D > 1:
+        big = make_witt_ring(ring.p, ring.q * D, ring.n)
+        datum, g = datum.base_change(big), g.embed(big)
+    ring, q = datum.crystal.ring, fld.q
+    xt = datum.combine([ring.element(x[a * q:(a + 1) * q])
+                        for a in range(len(datum.basis))])
     ident = Matrix.identity(ring, datum.crystal.rank)
     # g1 = xt g Psi(xt^{-1}); Psi on the span is sigma on coordinates
     xt_inv = unit_inverse_matrix(xt)
@@ -717,38 +729,6 @@ def lang_run(C, g, datum=None) -> StairsCertificate:
                        sub.crystal, g.embed(sub.ring), C.ring.q, "lang")
 
 
-def _abstract_lang(datum, g, gco):
-    """Trivialize the residue class of g in the abstract unit group H(k).
-
-    Works in coordinates with the span's structure constants (the
-    matrix-level reduction loses the p-divisible basis directions), over
-    the first residue extension, within the field table, that has a
-    trivializer.  The structure constants are reduced once; their
-    residues lie in F_p, so `lang_unit` decides each field exactly: a
-    trivializer exists over F_(p^(qD)) exactly when the kernel of
-    x -> sigma(x) - x g has F_p-dimension v = len(datum.basis), and the
-    trivializer is its first unit in index order (the first kernel
-    coefficient outermost).  Returns (lift of the trivializer, possibly
-    base-changed datum, g).
-    """
-    ring = datum.crystal.ring
-    gamma = _structure_constants(datum)
-    res = make_witt_ring(ring.p, ring.q, 1)
-    gbar = [c.reduce_to(res) for c in gco]
-    for D, fld in field_walk(ring.p, ring.q, 1):
-        x = _abstract_lang_search(gamma, [c.embed(fld) for c in gbar], fld)
-        if x is None:
-            continue
-        if D > 1:
-            big = make_witt_ring(ring.p, ring.q * D, ring.n)
-            datum, g = datum.base_change(big), g.embed(big)
-        lift = datum.crystal.ring.element
-        q = fld.q
-        return datum.combine([lift(x[a * q:(a + 1) * q])
-                              for a in range(len(gamma))]), datum, g
-    raise ExtensionCapExceeded("no Lang trivializer within the field table")
-
-
 def _structure_constants(datum):
     """gamma[a][b][c] in [0, p): the residue of the c-th coordinate of
     e_a e_b, read off `product_coords`.  Raises InternalError when a
@@ -762,29 +742,6 @@ def _structure_constants(datum):
         raise InternalError("structure constant outside F_p")
     return [[[y.coeffs[0] % p for y in prods[a * v + b]] for b in range(v)]
             for a in range(v)]
-
-
-def _abstract_lang_search(gamma, gbar, fld):
-    """Flat F_p coordinates of the first unit x with sigma(x) = x g in the
-    algebra of the structure constants gamma over fld, or None.
-
-    The unital algebra embeds in M_v by left multiplication: x = sum x_a e_a
-    acts as sum x_a Gamma_a with Gamma_a[c][b] = gamma_ab^c, and x g is
-    R_g x with R_g[c][a] = sum_b gamma_ab^c g_b.  As a row vector x^T
-    solves x^T R_g^T = sigma(x^T), an `_intertwiner_system` with 1 x 1
-    identity on the right.
-    """
-    q = fld.q
-    v = len(gamma)
-    g = [y.coeffs for y in gbar]
-    RgT = Matrix.from_flat_ints(fld, v, v, [
-        sum(gamma[a][b][c] * g[b][t] for b in range(v))
-        for a in range(v) for c in range(v) for t in range(q)])
-    mats = [[gamma[a][b][c] if s == t else 0
-             for c in range(v) for b in range(v) for s in range(q)]
-            for a in range(v) for t in range(q)]
-    return lang_unit(fld, _intertwiner_system(RgT, Matrix.identity(fld, 1),
-                                              fld), mats, v)
 
 
 # -- composite certificate for the rank-6 thirds family ------------------------

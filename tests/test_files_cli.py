@@ -461,6 +461,18 @@ def test_stairs_block_value_types_are_input_errors(tmp_path, capsys, key,
     assert capsys.readouterr().out == ""
 
 
+def test_an_empty_stairs_basis_is_an_input_error(tmp_path, capsys):
+    C = builtin_crystal(make_witt_ring(3, 1, 4), "ordinary", r=2, d=1)
+    data = crystal_to_dict(C)
+    data["stairs"] = stairs_datum_to_dict(build_stairs_datum(C))
+    data["stairs"].update(basis=[], permutation=[], exponents=[], signs=[])
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    assert _main_exit(["stairs", str(path), "--twist-level", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "nonempty basis" in out.err
+
+
 def test_false_multiplicative_claim_is_an_input_error(tmp_path, capsys):
     # at torsion 3 the tail block reads; e_1 = 2 E_11 + E_12 and e_3 = E_21
     # give e_1 e_3 = E_11, and the span holds 8 E_11 but not 4 E_11

@@ -56,18 +56,18 @@ from fcrystals.semilinear import (
     _FpLanes,
     _Gf2Lanes,
     _first_unit_trial,
-    _lang_search,
+    _matrix_units,
     _scan_range,
     end_type,
     fixed_lattice,
     hom_module,
     is_unit,
     isom_search,
+    lang_unit,
     solve_circular,
     unit_search,
 )
 from fcrystals.stairs import (
-    _abstract_lang_search,
     _block_diag_datum,
     _fixed_datum,
     _matrix_unit_datum,
@@ -2395,29 +2395,40 @@ def _abstract_twist(xc, struct, fld, v):
 
 def _lang_algebras():
     """(p, residue degree, structure constants, structure constants over a
-    field) of the fixed data of four crystals, and of two algebras over
-    F_p whose Lang kernels can have dimension v - 1: the upper triangular
-    2 x 2 matrices (basis e11, e12, e22) and F_p[e]/(e^2) (basis 1, e)."""
+    field, basis matrices over a field) of the fixed data of four
+    crystals, whose matrices are the residues of their bases, and of two
+    algebras over F_p whose Lang kernels can have dimension v - 1, with
+    their matrices of left multiplication: the upper triangular 2 x 2
+    matrices (basis e11, e12, e22) and F_p[e]/(e^2) (basis 1, e)."""
     for p, q, n, fam, kw in ((2, 2, 2, "supersingular", {"d": 1}),
                              (3, 2, 2, "supersingular", {"d": 1}),
                              (3, 1, 1, "ordinary", {"r": 2, "d": 0}),
                              (2, 3, 5, "isoclinic_3_3_6", {"r": 3, "c": 2})):
         datum = _fixed_datum(builtin_crystal(make_witt_ring(p, q, n), fam,
                                              **kw))
+        res = make_witt_ring(p, datum.crystal.ring.q, 1)
         yield p, datum.crystal.ring.q, _structure_constants(datum), (
-            lambda fld, datum=datum: [[[
-                c.reduce_to(make_witt_ring(c.ring.p, c.ring.q, 1)).embed(fld)
+            lambda fld, datum=datum, res=res: [[[
+                c.reduce_to(res).embed(fld)
                 for c in datum.coords(ea @ eb)]
-                for eb in datum.basis] for ea in datum.basis])
+                for eb in datum.basis] for ea in datum.basis]), (
+            lambda fld, datum=datum, res=res: [
+                e.reduce_to(res).embed(fld) for e in datum.basis])
     tri = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for a, b, c in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
         tri[a][b][c] = 1
     dual = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
     for p in (2, 3):
         for gamma in (tri, dual):
+            v = len(gamma)
             yield p, 1, gamma, (lambda fld, gamma=gamma: [[[
                 fld.element([c] + [0] * (fld.q - 1)) for c in co]
-                for co in row] for row in gamma])
+                for co in row] for row in gamma]), (
+                lambda fld, gamma=gamma, v=v: [Matrix.from_flat_ints(
+                    fld, v, v, [gamma[a][b][c] if s == 0 else 0
+                                for c in range(v) for b in range(v)
+                                for s in range(fld.q)])
+                    for a in range(v)])
 
 
 def test_abstract_lang_search_matches_brute_force():
@@ -2427,7 +2438,7 @@ def test_abstract_lang_search_matches_brute_force():
     unit in index order."""
     rng = random.Random(1700)
     found = none = short = 0
-    for p, q, gamma, reduce_to in _lang_algebras():
+    for p, q, gamma, reduce_to, mats in _lang_algebras():
         v = len(gamma)
         for fld in (make_witt_ring(p, q, 1), make_witt_ring(p, 2 * q, 1)):
             Q = fld.q
@@ -2456,7 +2467,7 @@ def test_abstract_lang_search_matches_brute_force():
                     images.append([c for x, y in zip(xc, xg)
                                    for c in (x.frobenius() - y).coeffs])
                 want = _first_kernel_unit(images, p, unit)
-                got = _abstract_lang_search(gamma, gbar, fld)
+                got = lang_unit(gamma, gbar, mats(fld), fld)
                 assert got == want, (p, gamma, Q, gbar)
                 found += want is not None
                 none += want is None
@@ -2498,8 +2509,10 @@ def test_matrix_lang_search_matches_brute_force(p):
                                    fld.zero())).coeffs])
             want = _first_kernel_unit(images, p, lambda vec: not any(
                 smith_normal_form(Matrix.from_flat_ints(fld, r, r, vec))))
-            got = _lang_search(fld, g, r)
-            assert (got if got is None else list(got.flat)) == want, (q, g)
+            gamma, units = _matrix_units(fld, r)
+            got = lang_unit(gamma, [g[i, j] for i in range(r)
+                                    for j in range(r)], units, fld)
+            assert got == want, (q, g)
             found += want is not None
             none += want is None
     assert found >= 12 and none >= 4, (found, none)

@@ -22,8 +22,12 @@ from fcrystals.plinalg import (
     smith_normal_form,
     unit_inverse_matrix,
 )
-from fcrystals.semilinear import fixed_lattice, hom_module
-from fcrystals import stairs
+from fcrystals.semilinear import (
+    fixed_lattice,
+    hom_module,
+    sigma_conjugacy_trivialize,
+)
+from fcrystals import semilinear, stairs
 from fcrystals.stairs import (
     StairsDatum,
     _block_diag_datum,
@@ -302,12 +306,39 @@ def test_lang_reads_fixedness_off_the_datum(p, q, n):
     assert lang_run(ET, datum.random_twist(1, rng), datum).reverify()
 
 
-def test_lang_takes_the_block_fixed_datum():
+def test_lang_takes_the_block_fixed_datum(monkeypatch):
+    """The span's units are decided on the residues of its basis: the
+    block-fixed datum has 18 elements, yet every determinant scanned,
+    the Lang search's included, is 6 x 6."""
+    scan, sizes = semilinear._scan_range, []
+
+    def recorded(ring, rows, r, base=None):
+        sizes.append(r)
+        return scan(ring, rows, r, base)
+
+    monkeypatch.setattr(semilinear, "_scan_range", recorded)
     ring = make_witt_ring(2, 3, 4)
     C0 = builtin_crystal(ring, "phi_alpha_4_5", alpha=0)
     datum, _ = _block_diag_datum(C0, 3)
     g = datum.random_twist(1, random.Random(3))
+    assert len(datum.basis) == 18
     assert lang_run(C0, g, datum).reverify()
+    assert sizes and set(sizes) == {6}
+
+
+def test_lang_refuses_a_twist_that_is_not_a_unit():
+    """x g = sigma(x) with x a unit makes g one, so a singular g is an
+    input error before any field is tried, on the span and on matrices
+    alike; so is a g that is not square."""
+    W = make_witt_ring(3, 1, 1)
+    g = Matrix.from_ints(W, [[1, 1], [1, 1]])
+    with pytest.raises(BadShape, match="not a unit"):
+        lang_run(builtin_crystal(W, "ordinary", r=2, d=0), g)
+    with pytest.raises(BadShape, match="not a unit"):
+        sigma_conjugacy_trivialize(g)
+    with pytest.raises(BadShape, match="square"):
+        sigma_conjugacy_trivialize(Matrix.from_ints(W, [[1, 0, 0],
+                                                        [0, 1, 0]]))
 
 
 def test_stairs_agrees_with_unit_search():
@@ -361,9 +392,10 @@ def test_datum_torsion_is_the_largest_smith_exponent():
     with pytest.raises(BadShape, match="p\\^m End"):
         _tail_datum(2).verify()
     assert _tail_datum(3).verify()
-    # an empty basis spans nothing, whatever the torsion
-    with pytest.raises(BadShape, match="p\\^m End"):
-        replace(_tail_datum(7), basis=[], perm=[], exponents=[]).verify()
+    # an empty basis spans nothing, whatever the torsion: refused when
+    # the datum is made
+    with pytest.raises(BadShape, match="nonempty basis"):
+        replace(_tail_datum(7), basis=[], perm=[], exponents=[])
 
 
 @pytest.mark.parametrize("p, found", [(3, None), (5, (12, 1, True))])
