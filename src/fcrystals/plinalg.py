@@ -614,6 +614,8 @@ def _products(ring, a, us):
     """The products a * u for packed u in us (packed at `ring._w`), one
     after another: entry s * q + t is coordinate t of the s-th (a is a
     coordinate tuple)."""
+    if ring.q == 1:   # a packed u is then its one coordinate
+        return [a[0] * u % ring.pn for u in us]
     if not any(a):
         return [0] * (ring.q * len(us))
     W = ring._w
@@ -798,6 +800,47 @@ def _vp_factorial(i, p):
     return v
 
 
+@cache
+def _exp_plan(ring, l):
+    """The plan of exp(X), X of valuation l over ring: None at p = 2, l = 1
+    (then exp(X) = 1 + X if X^2 = 0), else (big, [(p^v, (i! / p^v)^-1 mod
+    big.pn) for i >= 2, v = v_p(i!)]), big at precision n + v_p(i!) for the
+    last i with val(X^i / i!) >= i l - (i - 1) / (p - 1) below n + 1."""
+    p, n = ring.p, ring.n
+    if l < 1:
+        raise OutsideExpDomain("need X in p*End for p >= 3" if p >= 3
+                               else "need X in 2*End")
+    if p == 2 and l == 1:
+        return None
+    idxs = list(takewhile(lambda i: i * l - (i - 1) // (p - 1) < n + 1,
+                          count(1)))
+    big = make_witt_ring(p, ring.q, n + _vp_factorial(idxs[-1], p))
+    return big, [(pv, pow(math.factorial(i) // pv, -1, big.pn))
+                 for i in idxs[1:] for pv in [p ** _vp_factorial(i, p)]]
+
+
+def exp_series(ring, x, mul):
+    """exp(x) - 1 for a nonzero flat coordinate tuple x over ring, mul(R,
+    a, b) the product of two over R of the same p and q: the one series of
+    `exp_trunc` and of the cells of matrix-unit data (mul WittRing._mul)."""
+    plan = _exp_plan(ring, ring._val(x))
+    if plan is None:
+        if any(mul(ring, x, x)):
+            raise OutsideExpDomain(
+                "p = 2 with valuation 1 needs a square-zero argument")
+        return x
+    big, terms = plan
+    acc = term = x
+    for pk, inv in terms:
+        term = mul(big, term, x)
+        if not any(term):   # so is every later power
+            break
+        if any(t % pk for t in term):
+            raise ValueError(f"a series term is not divisible by {pk}")
+        acc = [(a + t // pk * inv) % big.pn for a, t in zip(acc, term)]
+    return tuple([a % ring.pn for a in acc])
+
+
 def exp_trunc(X: Matrix) -> Matrix:
     """Sum of X^i / i!, exact at the ring's precision.
 
@@ -805,35 +848,9 @@ def exp_trunc(X: Matrix) -> Matrix:
     with X @ X = 0 at this precision (the square-zero part of the
     nilpotent case; the series is then 1 + X exactly).
     """
-    ring = X.ring
-    p, n = ring.p, ring.n
+    ring, r = X.ring, X.rows
     if X.is_zero():
-        return Matrix.identity(ring, X.rows)
-    l = X.min_valuation()
-    if l < 1:
-        raise OutsideExpDomain("need X in p*End for p >= 3" if p >= 3
-                               else "need X in 2*End")
-    if p == 2 and l == 1:
-        if not (X @ X).is_zero():
-            raise OutsideExpDomain(
-                "p = 2 with valuation 1 needs a square-zero argument")
-        return Matrix.identity(ring, X.rows) + X
-    # indices with a chance to contribute below p^n, via the crude bound
-    # val(X^i / i!) >= i*l - (i-1)/(p-1)
-    idxs = list(takewhile(lambda i: i * l - (i - 1) // (p - 1) < n + 1,
-                          count(1)))
-    big = make_witt_ring(p, ring.q, n + _vp_factorial(idxs[-1], p))
-    XL = Matrix._make(big, X.rows, X.cols, X.flat)
-    acc, term = Matrix.identity(big, X.rows) + XL, XL
-    fact_unit, fact_val = 1, 0
-    for i in idxs[1:]:
-        term = term @ XL
-        if term.is_zero():   # so is every later power
-            break
-        v = _vp_factorial(i, p) - _vp_factorial(i - 1, p)   # v_p(i)
-        fact_val += v
-        fact_unit = fact_unit * (i // p ** v) % big.pn
-        acc = acc + term.divide_exact(fact_val).scale(
-            pow(fact_unit, -1, big.pn))
-    return acc.reduce_to(ring)
-
+        return Matrix.identity(ring, r)
+    return Matrix.identity(ring, r) + X._like(exp_series(
+        ring, X.flat, lambda R, a, b: (Matrix._make(R, r, r, a)
+                                       @ Matrix._make(R, r, r, b)).flat))

@@ -283,22 +283,23 @@ def _scan_range(ring, rows, r, base=None):
     Index digits are base-p coefficients, digit 0 (rows[0]) fastest.
     Blocks of p^b indices are evaluated at once: lane x of every int, a
     slot of w bits, stands for the index start + x.  The low b digits
-    come from fixed lane patterns, the base and the block's high digits
-    are constants.  The lowest unit lane is the first unit in index order.
+    come from fixed lane patterns; the base and the high digits make one
+    constant mod p, stepped like an odometer.  The lowest unit lane is
+    the first unit in index order.
     """
     p, k = ring.p, len(rows)
     Lanes, w, b = _layout(ring, r, k)
     size = p ** b
     block = Lanes(ring, rows[:b], _digit_lanes(p, b, w), r, size)
-    for start in range(0, p ** k, size):
-        const = list(base) if base else [0] * (r * r * ring.q)
-        for d in range(b, k):
-            c = start // p ** d % p
-            if c:
-                const = [x + c * v for x, v in zip(const, rows[d])]
+    const = [x % p for x in base] if base else [0] * (r * r * ring.q)
+    for blk in range(p ** (k - b)):
+        d = b
+        while blk and not blk % p ** (d - b):   # digit d goes up by 1 mod p
+            const = [(x + v) % p for x, v in zip(const, rows[d])]
+            d += 1
         units = block.units(const)
         if units:
-            return start + ((units & -units).bit_length() - 1) // w
+            return blk * size + ((units & -units).bit_length() - 1) // w
     return None
 
 
@@ -547,8 +548,7 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
     some D works; the built-in field table bounds the search), the one
     whose x_0 has zero free coordinates.  Both cases read one reduced
     echelon form of the whole cycle per field, as F_p-linear maps of c
-    (`_CircularMap`); the maps for b_j, d_j in {0, 1}, all the stairs
-    engine passes, are kept on the ring.
+    (`circular_map`, which the stairs engine calls on coordinates).
     """
     ring = sys.ring
     if ring.n != 1:
@@ -556,28 +556,37 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
     if any(e.ring is not ring and e.ring != ring
            for e in (*sys.b, *sys.c, *sys.d)):
         raise RingMismatch("circular coefficients must lie in the ring")
-    if case == -1:
-        if any(d.valuation() != 0 for d in sys.d):
-            raise BadShape("case -1 needs unit d_j")
-        if not any(b.is_zero() for b in sys.b):
-            raise BadShape("case -1 needs some b_j = 0")
-    elif case != 1:
-        raise BadShape("case must be +1 or -1")
-    elif any(b.valuation() != 0 for b in sys.b):
-        raise BadShape("case +1 needs unit b_j")
-    key = (case, tuple([b.coeffs for b in sys.b]),
-           tuple([d.coeffs for d in sys.d]))
-    cmap = ring._circular_cache.get(key)
+    b, d = (tuple([e.coeffs for e in v]) for v in (sys.b, sys.d))
+    xs, big, D = circular_map(ring, case, b, d).solve(
+        [c.coeffs for c in sys.c])
+    return CircularSolution([WittElem(big, x) for x in xs], big, D)
+
+
+def circular_map(fld, case, b, d):
+    """`solve_circular`'s map over the residue field fld for b and d, tuples
+    of coordinate tuples; its checks depend on the key alone and run when
+    a map is built, and the maps for b_j, d_j in {0, 1} are kept on fld."""
+    key = (case, b, d)
+    cmap = fld._circular_cache.get(key)
     if cmap is None:
-        cmap = _CircularMap(ring, sys.b, sys.d)
-        if set(key[1] + key[2]) <= {ring._zero, ring._one}:
-            ring._circular_cache[key] = cmap
-    return cmap.solve([c.coeffs for c in sys.c])
+        if case == -1:
+            if not all(map(any, d)):
+                raise BadShape("case -1 needs unit d_j")
+            if all(map(any, b)):
+                raise BadShape("case -1 needs some b_j = 0")
+        elif case != 1:
+            raise BadShape("case must be +1 or -1")
+        elif not all(map(any, b)):
+            raise BadShape("case +1 needs unit b_j")
+        cmap = _CircularMap(fld, b, d)
+        if set(b + d) <= {fld._zero, fld._one}:
+            fld._circular_cache[key] = cmap
+    return cmap
 
 
 class _CircularMap:
-    """The circular systems over `ring` with fixed b and d, solved as
-    F_p-linear maps of c.
+    """The circular systems over `ring` with fixed b and d (coordinate
+    tuples), solved as F_p-linear maps of c.
 
     Over a solution field big = F_(p^(qD)) the whole cycle is one F_p
     system E x = -c: for g = diag(x_0, ..., x_(L-1)) and the cyclic
@@ -608,6 +617,8 @@ class _CircularMap:
         self.degrees = []
 
     def solve(self, c):
+        """(xs, big, D): the root over the first field big = F_(p^(qD))
+        of the walk that has one, for the coordinate tuples c; checked."""
         ring, w = self.ring, self.w
         p, L = ring.p, len(c)
         cs = [x for e in c for x in e]
@@ -619,8 +630,9 @@ class _CircularMap:
                     raise ExtensionCapExceeded(
                         "no root within the built-in field table")
                 D, big = nxt
-                b = [e.embed(big).coeffs for e in self.b]
-                d = [e.embed(big).coeffs for e in self.d]
+                emb = ring._embed_rows(big)
+                b, d = ([big._apply_rows(e, emb) for e in v]
+                        for v in (self.b, self.d))
                 self.degrees.append((D, big, *self._build(big, b, d), b, d))
             D, big, ntest, cols, b, d = self.degrees[k]
             acc = sum(map(mul, cs, cols))
@@ -634,7 +646,7 @@ class _CircularMap:
             rows = ring._embed_rows(big)
             c = [big._apply_rows(e, rows) for e in c]
         _check_circular(big, b, c, d, xs)
-        return CircularSolution([WittElem(big, x) for x in xs], big, D)
+        return xs, big, D
 
     def _build(self, big, b, d):
         """(number of test rows, columns) of the map over big, for b and d

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .plinalg import (
     Matrix,
+    exp_series,
     exp_trunc,
     howell_form,
     pack_rows,
@@ -37,13 +38,12 @@ from .plinalg import (
     w_span_solver,
 )
 from .semilinear import (
-    CircularSystem,
+    circular_map,
     hom_module,
     is_unit,
     lang_trivializer,
-    solve_circular,
 )
-from .witt import INFINITY, WittElem, field_walk, make_witt_ring
+from .witt import INFINITY, WittElem, WittRing, field_walk, make_witt_ring
 
 # residue-field degrees over C's that the fixed-lattice walk tries, its
 # only stop besides the Newton certificate and the field table: a full
@@ -146,28 +146,28 @@ class StairsDatum:
         return ys
 
     def apply_round(self, factors, defect, total):
-        """(F defect G, F total) for a round's factors (l, a, l', b), with
-        F = exp(a_1 e_(l_1)) ... exp(a_k e_(l_k)) and G, the inverse of
-        F's conjugate, exp(-b_k e_(l'_k)) ... exp(-b_1 e_(l'_1)); an
-        argument zero at the precision has exp 1 and is skipped.  On
-        matrix units each factor is 1 + c E_ij: row i += c row j on the
-        left, column j += c column i on the right, the same arithmetic
-        as the products."""
+        """(F defect G, F total) for a round's factors (l, a, l', b), a and
+        b coordinate tuples: F = exp(a_1 e_(l_1)) ... exp(a_k e_(l_k)) and
+        G, the inverse of F's conjugate, exp(-b_k e_(l'_k)) ...
+        exp(-b_1 e_(l'_1)); an argument zero at the precision has exp 1
+        and is skipped.  On matrix units each factor is 1 + c E_ij: row
+        i += c row j on the left, column j += c column i on the right, the
+        same arithmetic as the products."""
+        ring = self.crystal.ring
         if self._units is None:
-            step = psi_inv = Matrix.identity(self.crystal.ring,
-                                             self.crystal.rank)
+            step = psi_inv = Matrix.identity(ring, self.crystal.rank)
             for l, a, _, _ in factors:
-                arg = self.basis[l].scale(a)
+                arg = self.basis[l].scale(WittElem(ring, a))
                 if not arg.is_zero():
                     step = step @ exp_trunc(arg)
             for _, _, lp, b in reversed(factors):
-                arg = self.basis[lp].scale(-b)
+                arg = self.basis[lp].scale(WittElem(ring, ring._neg(b)))
                 if not arg.is_zero():
                     psi_inv = psi_inv @ exp_trunc(arg)
             return step @ defect @ psi_inv, step @ total
         r, back = self.crystal.rank, factors[::-1]
         left = [self._unit_factor(l, a) for l, a, _, _ in back]
-        right = [self._unit_factor(lp, -b) for _, _, lp, b in back]
+        right = [self._unit_factor(lp, ring._neg(b)) for _, _, lp, b in back]
         rows = [(i * r, j * r, c) for i, j, c in filter(None, left)]
         cols = [(j, i, c) for i, j, c in filter(None, right)]
         return (_line_ops(_line_ops(defect, rows, 1), cols, r),
@@ -175,11 +175,11 @@ class StairsDatum:
 
     def _unit_factor(self, l, a):
         """(i, j, c) with exp(a e_l) = 1 + c E_ij, e_l a matrix unit at
-        (i, j); None when a e_l is zero.  Off the diagonal E_ij^2 = 0, so
-        c is the cell; on it c = exp(cell) - 1, the series of [cell]."""
+        (i, j); None when a e_l is zero (a a coordinate tuple).  Off the
+        diagonal E_ij^2 = 0, so c is the cell; on it c = exp(cell) - 1."""
         ring = self.crystal.ring
         k, pa = self._units[0][l]
-        c = ring._smul(pa, a.coeffs)
+        c = ring._smul(pa, a)
         if not any(c):
             return None
         i, j = divmod(k, self.crystal.rank)
@@ -187,8 +187,7 @@ class StairsDatum:
             if ring._val(c) < 1:
                 raise OutsideExpDomain("need X in p*End")
             return i, j, c
-        return i, j, ring._sub(exp_trunc(Matrix._make(ring, 1, 1, c)).flat,
-                               ring._one)
+        return i, j, exp_series(ring, c, WittRing._mul)
 
     def combine(self, ys):
         acc = Matrix.zero(self.crystal.ring, self.crystal.rank)
@@ -551,8 +550,8 @@ def stairs_algebra_run(C, g, datum=None) -> StairsCertificate:
 
 
 def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
-    g0 = g
-    total = Matrix.identity(datum.crystal.ring, datum.crystal.rank)
+    r = datum.crystal.rank
+    total = Matrix.identity(datum.crystal.ring, r)
     defect = g
     rounds = 0
     prev_umin = -1
@@ -562,7 +561,7 @@ def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
         rounds += 1
         if rounds > 3 * n + 6:
             raise InternalError("stairs failed to converge (internal bug)")
-        ident = Matrix.identity(ring, datum.crystal.rank)
+        ident = Matrix.identity(ring, r)
         dm = defect - ident
         if dm.is_zero():
             break
@@ -583,36 +582,32 @@ def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
             for cyc in datum.cycles:
                 vals = [ys[l].valuation() for l in cyc]
                 u_list.append(min(vals))
-        # solve each cycle's residue system
+        # solve each cycle's residue system b_j x_j + c_j = d_j x_(j-1)^p,
+        # c_j = y_l / p^u mod p, on coordinates through its kept map
         ext_needed = 1
         solutions = []
         fld = make_witt_ring(ring.p, ring.q, 1)
+        one, zero = fld._one, fld._zero
         for ci, cyc in enumerate(datum.cycles):
             u_c = u_list[ci]
             if u_c == INFINITY:
                 solutions.append(None)
                 continue
-            u_c = int(u_c)
-            L = len(cyc)
-            b, c, d = [], [], []
-            for pos in range(L):
-                l = cyc[pos]
-                lprev = cyc[(pos - 1) % L]
-                b.append(fld.from_int(int(datum.exponents[l] >= 0)))
-                d.append(fld.from_int(int(datum.exponents[lprev] <= 0)))
-                cc = ys[l].divide_exact(u_c).reduce_to(fld)
-                c.append(cc)
-            sysm = CircularSystem(fld, L, b, c, d)
-            case = datum.signs[ci]
+            pu, exps = p ** int(u_c), datum.exponents
+            if any(x % pu for l in cyc for x in ys[l].coeffs):
+                raise InternalError(f"a cycle coordinate is not divisible "
+                                    f"by p^{int(u_c)}")
+            c = [tuple([x // pu % p for x in ys[l].coeffs]) for l in cyc]
+            b = tuple([one if exps[l] >= 0 else zero for l in cyc])
+            d = tuple([one if exps[l] <= 0 else zero
+                       for l in cyc[-1:] + cyc[:-1]])
             try:
-                sol = solve_circular(sysm, case)
+                sol = circular_map(fld, datum.signs[ci], b, d).solve(c)
             except ExtensionCapExceeded:
-                sol = None
-            if sol is None:
                 solutions = None
                 break
             solutions.append(sol)
-            ext_needed = math.lcm(ext_needed, sol.extension)
+            ext_needed = math.lcm(ext_needed, sol[2])
         if solutions is None:
             break  # cannot solve within the field table: report progress
         if ext_needed > 1:
@@ -621,37 +616,38 @@ def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
             except UnknownField:
                 break  # cannot extend further: report what was achieved
             datum = datum.base_change(big)
-            total = total.embed(big)
+            # an untouched total is still the shared identity
+            total = (Matrix.identity(big, r) if total is ident
+                     else total.embed(big))
             defect = defect.embed(big)
-            g0 = g0.embed(big)
             continue
         # all cycles solved over the current field: the round's factors
         # (l, x p^k, pi(l), sigma(x) p^(k + n_l)), k = u + max(0, -n_l)
         factors, u_low = [], 2
+        frob = ring._frobenius_rows(1) if ring.q > 1 else None
         for ci, cyc in enumerate(datum.cycles):
             sol = solutions[ci]
             if sol is None:
                 continue
             u_c = int(u_list[ci])
-            for pos, l in enumerate(cyc):
-                xb = sol.values[pos]
-                if xb.is_zero():
+            for l, x in zip(cyc, sol[0]):
+                if not any(x):
                     continue
-                x = ring.element([c % ring.pn for c in xb.coeffs])
                 n_l = datum.exponents[l]
                 k = u_c + max(0, -n_l)
-                factors.append((l, x * p ** k, datum.perm[l],
-                                x.frobenius() * p ** (k + n_l)))
+                fx = ring._apply_rows(x, frob) if frob else x
+                factors.append((l, ring._smul(p ** k, x), datum.perm[l],
+                                ring._smul(p ** (k + n_l), fx)))
                 u_low = min(u_low, u_c)
         if (p == 2 and u_low < 2) or datum.square_zero:
             # step = 1 + sum of scaled basis elements; its conjugate is
             # assembled from the arrow formula on the ORIGINAL factors
             # (the truncated inverse would lose digits that conjugation
             # divides back below the precision)
-            acc = conj_acc = Matrix.zero(ring, datum.crystal.rank)
+            acc = conj_acc = Matrix.zero(ring, r)
             for l, a, lp, b in factors:
-                acc = acc + datum.basis[l].scale(a)
-                conj_acc = conj_acc + datum.basis[lp].scale(b)
+                acc = acc + datum.basis[l].scale(WittElem(ring, a))
+                conj_acc = conj_acc + datum.basis[lp].scale(WittElem(ring, b))
             step = ident + acc
             defect = step @ defect @ unit_inverse_matrix(ident + conj_acc)
             total = step @ total
@@ -661,13 +657,16 @@ def _engine(datum, g, base_q, algebra_mode) -> StairsCertificate:
     ring = datum.crystal.ring
     final = defect.congruence_level()
     level = ring.n if final == INFINITY else int(final)
-    entry = g0.congruence_level()
+    entry = g.congruence_level()   # an embedding keeps it
     if level < ring.n and (entry == INFINITY or level <= entry):
         raise ExtensionCapExceeded(
             f"stairs stalled at level {level} (needs a residue field "
             f"beyond the built-in table)"
         )
-    return _reverified(total, level, datum.crystal, g0, base_q, "stairs")
+    # g is embedded once, into the final ring: the embeddings along the
+    # walk compose to the direct one
+    return _reverified(total, level, datum.crystal, g.embed(ring), base_q,
+                       "stairs")
 
 
 # -- slope-zero shortcut ------------------------------------------------------

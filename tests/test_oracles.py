@@ -403,6 +403,35 @@ def test_scan_range_oddp_matches_index_order(monkeypatch, p, block_bits):
     assert min(outcomes.values()) >= 10, outcomes
 
 
+@pytest.mark.parametrize("q, block_bits", [(1, 6), (2, 6), (1, 7), (2, 7)])
+def test_scan_range_oddp_carries_ripple_through_high_digits(
+        monkeypatch, q, block_bits):
+    # p = 3 with b = 1 or 2 lane digits: row 1 is zero up to digit b + 3,
+    # which makes it (0, 1), and entry (0, 0) comes from the high digits
+    # b, b + 1, b + 2 alone.  Digits b..b + 2 wrap from 2 to 0 together
+    # at block 27, where (0, 0) is zero again, so the first unit is the
+    # first lane of block 28, on rows mod 9 and 27
+    monkeypatch.setattr(semilinear, "_BLOCK_BITS", block_bits)
+    p, rng = 3, random.Random(60 + 10 * q + block_bits)
+    ring = make_witt_ring(p, q, 1)
+    rf = _ResidueField(ring)
+    b = semilinear._layout(ring, 2, 6)[2]
+    assert b == block_bits - 5
+
+    def entry(nonzero=False):
+        return rng.randrange(1 if nonzero else 0, p ** q)
+
+    packed = ([[[0, entry()], [0, 0]] for _ in range(b)]
+              + [[[entry(True), entry()], [0, 0]] for _ in range(3)]
+              + [[[0, entry()], [0, rf.pack(ring._one)]]])
+    base = [[0, entry()], [0, 0]]
+    for n in (2, 3):
+        rows = [_flat_row(rng, rf, B, n) for B in packed]
+        got = _scan_range(ring, rows, 2, _flat_row(rng, rf, base, n))
+        assert got == _first_unit_by_index(rf, packed, 2, base)
+        assert got == (p ** 3 + 1) * p ** b
+
+
 def test_scan_range_gf2_full_blocks():
     # the shipped block width: first units past one block of 2^12 on
     # rows mod 8, and an empty span

@@ -12,6 +12,7 @@ from fcrystals.plinalg import (
     IntSolver,
     Matrix,
     _intertwiner_system,
+    exp_series,
     exp_trunc,
     howell_coefficients,
     howell_contains,
@@ -21,7 +22,7 @@ from fcrystals.plinalg import (
     smith_normal_form,
     solve_linear_module,
 )
-from fcrystals.witt import make_witt_ring
+from fcrystals.witt import WittRing, field_walk, make_witt_ring
 
 
 def _random_matrix(ring, r, rng):
@@ -141,6 +142,64 @@ def test_exp_hand_cases():
     # square-zero p=2 case: exp = 1 + X
     N = Matrix.from_ints(W2, [[0, 2], [0, 0]])
     assert exp_trunc(N) == Matrix.identity(W2, 2) + N
+    # and on a cell: valuation 1 at n = 2 squares to zero
+    ring = make_witt_ring(2, 3, 2)
+    c = ring._smul(2, ring.gen().coeffs)
+    assert exp_series(ring, c, WittRing._mul) == c
+
+
+@pytest.mark.parametrize("p, q, n", [
+    (2, 1, 4), (2, 3, 5), (2, 12, 5), (3, 2, 4), (3, 6, 4), (5, 1, 3),
+    (7, 1, 5)])
+def test_cell_series_is_the_one_by_one_exp_trunc(p, q, n):
+    # the cells of matrix-unit data: exp(c) - 1 on coordinates, at every
+    # valuation of the domain, units times p^v and sums of them
+    ring = make_witt_ring(p, q, n)
+    rng = random.Random(100 * p + 10 * q + n)
+    lowest = 1 if p >= 3 else 2
+    for _ in range(60):
+        v = rng.randint(lowest, n - 1)
+        c = ring._smul(p ** v, (ring.random_unit(rng) if rng.random() < 0.5
+                                else ring.random_element(rng)).coeffs)
+        if not any(c):
+            continue
+        want = ring._sub(exp_trunc(Matrix._make(ring, 1, 1, c)).flat,
+                         ring._one)
+        got = exp_series(ring, c, WittRing._mul)
+        assert got == want, (c, v)
+        # exp(c) exp(-c) = 1, and at q = 1 the rational series itself
+        inv = ring._add(exp_series(ring, ring._neg(c), WittRing._mul),
+                        ring._one)
+        assert ring._mul(ring._add(got, ring._one), inv) == ring._one
+        if q == 1:
+            s = sum(Fraction(c[0] ** i, math.factorial(i))
+                    for i in range(1, 4 * n + 4))
+            assert got == (s.numerator * pow(s.denominator, -1, ring.pn)
+                           % ring.pn,)
+    # outside the domain: a unit, and at p = 2 a valuation-1 cell whose
+    # square is not zero
+    outside = [ring._one] + ([ring._smul(2, ring._one)] if p == 2 else [])
+    for c in outside:
+        with pytest.raises(OutsideExpDomain):
+            exp_series(ring, c, WittRing._mul)
+        with pytest.raises(OutsideExpDomain):
+            exp_trunc(Matrix._make(ring, 1, 1, c))
+
+
+def test_chained_embeds_along_the_field_walk_are_the_direct_embed():
+    # F_(p^q) -> F_(p^(q D1)) -> F_(p^(q D1 D2)), as the stairs engine's
+    # base changes take it, against one embedding into the last field
+    rng = random.Random(21)
+    for p, q, n, D1, D2 in ((2, 1, 3, 2, 3), (2, 2, 2, 3, 2),
+                            (3, 1, 2, 2, 2), (3, 2, 3, 3, 2),
+                            (5, 1, 2, 2, 2), (7, 1, 2, 3, 2)):
+        ring = make_witt_ring(p, q, n)
+        mid = next(R for D, R in field_walk(p, q, n) if D == D1)
+        top = next(R for D, R in field_walk(p, q * D1, n) if D == D2)
+        for _ in range(5):
+            A = Matrix(ring, [[ring.random_element(rng) for _ in range(3)]
+                              for _ in range(3)])
+            assert A.embed(mid).embed(top) == A.embed(top), (p, q, D1, D2)
 
 
 def test_exp_congruences_and_inverse():

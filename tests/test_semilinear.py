@@ -313,6 +313,44 @@ def test_solve_circular_rejects_coefficients_from_another_ring():
                            case)
 
 
+def test_solve_circular_checks_rings_on_a_kept_key():
+    # the key (case, b, d) is kept after the first solve; c from another
+    # ring, even one with as many coordinates, and a ring that is not a
+    # field are still refused
+    F, G, W = (make_witt_ring(3, 1, 1), make_witt_ring(3, 2, 1),
+               make_witt_ring(3, 1, 2))
+    for case, b in ((1, [F.one()]), (-1, [F.zero()])):
+        solve_circular(CircularSystem(F, 1, b, [F.one()], [F.one()]), case)
+        assert (case, (b[0].coeffs,), (F._one,)) in F._circular_cache
+        for c in (G.one(), W.one()):
+            with pytest.raises(RingMismatch):
+                solve_circular(CircularSystem(F, 1, b, [c], [F.one()]),
+                               case)
+        with pytest.raises(BadShape):
+            solve_circular(CircularSystem(
+                W, 1, [W.from_int(case == 1)], [W.one()], [W.one()]), case)
+
+
+def test_solve_circular_checks_every_new_key_after_the_cache_fills():
+    # valid systems fill F's cache for these b and d; the same b and d in
+    # a case they do not fit, and an unknown case, still raise BadShape
+    F = make_witt_ring(5, 1, 1)
+    one, zero = F.one(), F.zero()
+    for case, b, d in ((1, [one, one], [one, one]),
+                       (1, [one, one], [zero, one]),
+                       (-1, [zero, one], [one, one])):
+        solve_circular(CircularSystem(F, 2, b, [one, one], d), case)
+    assert len(F._circular_cache) >= 3
+    for case, b, d in ((-1, [one, one], [one, one]),    # no b_j = 0
+                       (-1, [one, one], [zero, one]),   # and a d_j = 0
+                       (1, [zero, one], [one, one]),    # b_0 not a unit
+                       (0, [one, one], [one, one])):    # no case 0
+        with pytest.raises(BadShape):
+            solve_circular(CircularSystem(F, 2, b, [one, one], d), case)
+        assert (case, tuple([e.coeffs for e in b]),
+                tuple([e.coeffs for e in d])) not in F._circular_cache
+
+
 def test_sigma_conjugacy():
     F4 = make_witt_ring(2, 2, 1)
     rng = random.Random(9)
