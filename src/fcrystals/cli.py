@@ -263,18 +263,33 @@ def build_parser():
     p.add_argument("--fast", action="store_true",
                    help="reduced sample counts")
     p.set_defaults(func=cmd_verify)
+    ap.commands = sub.choices
     return ap
 
 
-def main(argv=None):
+def parse_args(argv):
+    """`build_parser().parse_args(argv)`, by argv[0]'s own parser when that
+    takes all the rest (the full parser hands it the same strings).  Help,
+    other first words and leftovers go to the full parser, so exit codes,
+    messages and namespaces are the same."""
     ap = build_parser()
+    sub = ap.commands.get(argv[0]) if argv else None
+    if sub is not None and not {"-h", "--help"} & set(argv):
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return ap.parse_args(argv)
+
+
+def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
     # tuples like "-1,1,0" would otherwise parse as option flags
     if argv and argv[0] == "deviation" and "--" not in argv:
         argv.insert(1, "--")
-    args = ap.parse_args(argv)
+    args = parse_args(argv)
     try:
         code = args.func(args)
     except CrystalError as exc:

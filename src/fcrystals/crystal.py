@@ -13,6 +13,7 @@ from .errors import (
     BadParams,
     BadShape,
     PrecisionExhausted,
+    RingMismatch,
     SingularAtPrecision,
     UnknownCorpusName,
 )
@@ -31,6 +32,8 @@ class FCrystal:
                  "fixed_memo")
 
     def __init__(self, ring, B, shift=0):
+        if B.ring is not ring and B.ring != ring:
+            raise RingMismatch(f"phi is over {B.ring!r}, not {ring!r}")
         if B.rows != B.cols:
             raise BadShape("matrix of phi must be square")
         if shift < 0:

@@ -13,7 +13,12 @@ from functools import cache, cached_property
 from itertools import count, product, repeat, takewhile
 from operator import add, mul, sub
 
-from .errors import OutsideExpDomain, RingMismatch, SingularAtPrecision
+from .errors import (
+    BadShape,
+    OutsideExpDomain,
+    RingMismatch,
+    SingularAtPrecision,
+)
 from .witt import INFINITY, WittElem, _int_val, make_witt_ring
 
 
@@ -63,13 +68,12 @@ class Matrix:
     def _like(self, flat):
         return Matrix._make(self.ring, self.rows, self.cols, flat)
 
-    def _map_cells(self, fn, ring=None):
+    def _map_cells(self, fn):
         """fn on every nonzero entry's coordinate tuple; zeros stay zero."""
-        ring = ring or self.ring
-        zero, out = ring._zero, []
+        zero, out = self.ring._zero, []
         for e in self._cells():
             out.extend(fn(e) if any(e) else zero)
-        return Matrix._make(ring, self.rows, self.cols, tuple(out))
+        return self._like(tuple(out))
 
     # -- constructors ------------------------------------------------------
 
@@ -119,11 +123,15 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _pointwise(self, op, other):
+    def _check_ring(self, other):
+        # cached rings: identity decides before WittRing.__eq__
         if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
+
+    def _pointwise(self, op, other):
+        self._check_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+            raise BadShape("shape mismatch")
         pn = self.ring.pn
         return self._like(tuple([x % pn for x in map(op, self.flat,
                                                       other.flat)]))
@@ -141,19 +149,18 @@ class Matrix:
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        self._check_ring(other)
         if self.cols != other.rows:
-            raise ValueError("shape mismatch")
+            raise BadShape("shape mismatch")
         ring, k, m = self.ring, self.cols, other.cols
         # pack each entry once; an output entry sums k packed products
         # and is reduced once, at a slot width sized for that many
         w = ring.slot_width(k)
-        pack, reduce = ring._pack, ring._reduce
-        a = [pack(e, w) for e in self._cells()]
-        b = [pack(e, w) for e in other._cells()]
+        a, b = ring._pack_flat(self.flat, w), ring._pack_flat(other.flat, w)
         cols = [b[j::m] for j in range(m)]
-        flat = [c for i in range(self.rows) for col in cols
-                for c in reduce(sum(map(mul, a[i * k:i * k + k], col)), w)]
-        return Matrix._make(ring, self.rows, m, tuple(flat))
+        return Matrix._make(ring, self.rows, m, tuple(ring._reduce_flat([
+            sum(map(mul, a[i * k:i * k + k], col))
+            for i in range(self.rows) for col in cols], w)))
 
     def scale(self, c):
         """Multiply entrywise by an integer or a WittElem scalar."""
@@ -230,8 +237,8 @@ class Matrix:
     def embed(self, ring):
         if ring == self.ring:
             return self
-        apply, rows = ring._apply_rows, self.ring._embed_rows(ring)
-        return self._map_cells(lambda e: apply(e, rows), ring)
+        return Matrix._make(ring, self.rows, self.cols,
+                            tuple(self.ring._embed_flat(self.flat, ring)))
 
     def __eq__(self, other):
         return (
@@ -849,6 +856,8 @@ def exp_trunc(X: Matrix) -> Matrix:
     nilpotent case; the series is then 1 + X exactly).
     """
     ring, r = X.ring, X.rows
+    if r != X.cols:
+        raise BadShape("exp_trunc needs a square matrix")
     if X.is_zero():
         return Matrix.identity(ring, r)
     return Matrix.identity(ring, r) + X._like(exp_series(

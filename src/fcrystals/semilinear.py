@@ -553,6 +553,9 @@ def solve_circular(sys: CircularSystem, case: int) -> CircularSolution:
     ring = sys.ring
     if ring.n != 1:
         raise BadShape("circular systems live over residue fields")
+    if {len(sys.b), len(sys.c), len(sys.d)} != {sys.length}:
+        raise BadShape(f"a circular system of length {sys.length} needs "
+                       f"that many b_j, c_j and d_j")
     if any(e.ring is not ring and e.ring != ring
            for e in (*sys.b, *sys.c, *sys.d)):
         raise RingMismatch("circular coefficients must lie in the ring")

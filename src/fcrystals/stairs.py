@@ -168,10 +168,9 @@ class StairsDatum:
         r, back = self.crystal.rank, factors[::-1]
         left = [self._unit_factor(l, a) for l, a, _, _ in back]
         right = [self._unit_factor(lp, ring._neg(b)) for _, _, lp, b in back]
-        rows = [(i * r, j * r, c) for i, j, c in filter(None, left)]
-        cols = [(j, i, c) for i, j, c in filter(None, right)]
-        return (_line_ops(_line_ops(defect, rows, 1), cols, r),
-                _line_ops(total, rows, 1))
+        rows = [(i * r, j * r, c, 1) for i, j, c in filter(None, left)]
+        cols = [(j, i, c, r) for i, j, c in filter(None, right)]
+        return _line_ops(defect, rows + cols), _line_ops(total, rows)
 
     def _unit_factor(self, l, a):
         """(i, j, c) with exp(a e_l) = 1 + c E_ij, e_l a matrix unit at
@@ -400,21 +399,21 @@ def _unit_cells(basis, ring, r):
     return cells, [t for t in range(r * r * q) if t // q not in ks]
 
 
-def _line_ops(M, ops, stride):
-    """M after `ops` in order, each (dst, src, c): the line of r cells
-    `stride` apart from cell dst gets c times the one from src (rows for
-    stride 1, columns for stride r); c a coordinate tuple.  A cell's new
-    value x + c y is one packed product and one reduction."""
-    ring, r = M.ring, M.rows
-    pack, reduce, w = ring._pack, ring._reduce, ring.slot_width(2)
-    cells = M._cells()
-    for dst, src, c in ops:
-        pc = pack(c, w)
+def _line_ops(M, ops):
+    """M after `ops` in order, each (dst, src, c, stride): the line of r
+    cells `stride` apart from cell dst gets c times the one from src (rows
+    for stride 1, columns for stride r); c a coordinate tuple.  Cells stay
+    packed throughout: a new value x + c y is one packed product and one
+    reduction, and the cells are unpacked once at the end."""
+    ring, r, w = M.ring, M.rows, M.ring.slot_width(2)
+    reduce = ring._reduce_packed
+    cells = ring._pack_flat(M.flat, w)
+    for dst, src, c, stride in ops:
+        pc, = ring._pack_flat(c, w)
         for t in range(0, r * stride, stride):
-            if any(y := cells[src + t]):
-                cells[dst + t] = reduce(pack(cells[dst + t], w)
-                                        + pc * pack(y, w), w)
-    return M._like(tuple([x for e in cells for x in e]))
+            if y := cells[src + t]:
+                cells[dst + t] = reduce(cells[dst + t] + pc * y, w)
+    return M._like(tuple(ring._reduce_flat(cells, w)))
 
 
 def _cycles_of(perm):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .bounds import epsilon_p
 from .crystal import hodge_data, newton_polygon, random_twist
 from .errors import (
+    BadParams,
     BadShape,
     CrystalError,
     InternalError,
@@ -204,6 +205,8 @@ def i_number_probe(C, trials=6, seed=0) -> dict:
     the largest congruence level at which some sampled twist was shown
     non-isomorphic (Newton separation or exhaustive search).
     """
+    if trials < 0:
+        raise BadParams(f"need trials >= 0, got {trials}")
     ring = C.ring
     _, _, h = hodge_data(C)
     report = {

@@ -166,6 +166,39 @@ class WittRing:
                 x >>= w
         return tuple([((acc >> s) & mask) % pn for s in range(0, qw, w)])
 
+    # -- flat level: one packed int per entry of a Matrix.flat; at q = 1
+    # that is the entry's one coordinate, and a reduction is one % p^n
+
+    def _pack_flat(self, flat, w):
+        """The entries of flat (q coordinates each), packed at width w."""
+        if self.q == 1:
+            return list(flat)
+        q, pack = self.q, self._pack
+        return [pack(flat[k:k + q], w) for k in range(0, len(flat), q)]
+
+    def _reduce_flat(self, xs, w):
+        """The flat coordinates of packed sums of products at width w."""
+        pn, reduce, zero = self.pn, self._reduce, self._zero
+        if self.q == 1:
+            return [x % pn for x in xs]
+        return [c for x in xs for c in (reduce(x, w) if x else zero)]
+
+    def _reduce_packed(self, x, w):
+        """A packed sum of products at width w, reduced and packed again."""
+        if self.q == 1:
+            return x % self.pn
+        return self._pack(self._reduce(x, w), w)
+
+    def _embed_flat(self, flat, S):
+        """flat's entries embedded into S, as S's flat coordinates; at
+        q = 1 an entry c is the constant (c, 0, ..., 0), with no product.
+        `_embed_rows` also raises `NoEmbedding` when S is no extension."""
+        rows, q, pad = self._embed_rows(S), self.q, S._zero[1:]
+        if q == 1:
+            return [y for c in flat for y in (c, *pad)]
+        return S._reduce_flat([sum(map(mul, flat[k:k + q], rows))
+                               for k in range(0, len(flat), q)], S._w)
+
     def _mul(self, a, b):
         if self.q == 1:
             return ((a[0] * b[0]) % self.pn,)
@@ -393,7 +426,7 @@ class WittElem:
         R, S = self.ring, target
         if R == S:
             return self
-        return WittElem(S, S._apply_rows(self.coeffs, R._embed_rows(S)))
+        return WittElem(S, tuple(R._embed_flat(self.coeffs, S)))
 
     def is_zero(self):
         return not any(self.coeffs)

@@ -18,6 +18,7 @@ from fcrystals.crystal import (
 from fcrystals.errors import (
     BadParams,
     PrecisionExhausted,
+    RingMismatch,
     SingularAtPrecision,
     UnknownCorpusName,
 )
@@ -36,6 +37,10 @@ def test_constructor_normalization():
     with pytest.raises(SingularAtPrecision):
         new_crystal(make_witt_ring(2, 1, 1), Matrix.scalar(
             make_witt_ring(2, 1, 1), 2, 2), 0)
+    # phi over another ring is refused, not kept with its own ring
+    for other in (make_witt_ring(2, 2, 6), make_witt_ring(2, 1, 5)):
+        with pytest.raises(RingMismatch):
+            new_crystal(W, Matrix.identity(other, 2))
 
 
 def test_exponents_are_those_of_the_normalized_matrix():

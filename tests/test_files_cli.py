@@ -242,6 +242,55 @@ def test_parser_is_built_once_per_process():
     assert cli_mod.build_parser() is cli_mod.build_parser()
 
 
+VALID_ARGV = [
+    ["polygon", "a.json"], ["polygon", "a.json", "--newton"],
+    ["deviation", "--", "-1,1,0"],
+    ["bound", "--rank", "3", "--s", "1", "--h-number", "2", "--fam"],
+    ["bound", "--pdiv", "4", "2", "--p", "3"], ["bound", "--polarized", "2"],
+    ["hom", "a.json", "b.json", "--prec", "2"],
+    ["isom", "a.json", "b.json", "--seed", "4", "--jobs", "2"],
+    ["stairs", "a.json", "--twist-file", "b.json", "--twist-l", "1"],
+    ["probe", "a.json", "--trials", "3", "--seed", "9"],
+    ["verify", "--fast", "--suite", "paper"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV + [
+    # stray arguments
+    ["polygon", "a.json", "stray"], ["hom", "a.json", "b.json", "c.json"],
+    ["probe", "a.json", "--unknown"], ["deviation", "--", "1", "2"],
+    # missing arguments
+    ["polygon"], ["hom", "a.json"], ["bound", "--pdiv", "4"],
+    ["stairs", "a.json", "--twist-file"],
+    # bad values, and abbreviations that match two flags
+    ["probe", "a.json", "--trials", "x"], ["bound", "--rank", "1.5"],
+    ["isom", "a.json", "b.json", "--prec", "0"],
+    ["verify", "--suite", "other"], ["stairs", "a.json", "--twist", "1"],
+    # help, an unknown command and no command
+    ["probe", "-h"], ["stairs", "a.json", "--help"], ["bound", "--he"],
+    ["-h"], ["polygons", "a.json"], ["--newton", "polygon", "a.json"], [],
+])
+def test_command_parser_matches_the_full_parser(argv, capsys):
+    def outcome(parse):
+        try:
+            got = 0, vars(parse(list(argv)))
+        except SystemExit as exc:
+            got = exc.code, None
+        out = capsys.readouterr()
+        return got, out.out, out.err
+
+    assert outcome(cli_mod.parse_args) == outcome(
+        cli_mod.build_parser().parse_args)
+
+
+def test_a_valid_call_takes_only_its_command_parser(monkeypatch):
+    ap = cli_mod.build_parser()
+    monkeypatch.setattr(ap, "parse_args", lambda argv: pytest.fail(
+        f"full parse of {argv}"))
+    for argv in VALID_ARGV:
+        assert cli_mod.parse_args(argv).command == argv[0]
+
+
 def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
     """The shared parser keeps no value of one call for the next: a
     default comes back after an explicit flag, and a bad flag after a good

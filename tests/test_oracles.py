@@ -79,6 +79,7 @@ from fcrystals.stairs import (
 from fcrystals.truncation import polarized_isom_search
 from fcrystals.witt import INFINITY, WittElem, field_walk, make_witt_ring
 from fcrystals.witt import _int_val as _ival
+from test_bench_entry_points import _perfbench_arith
 
 
 def _all_matrices(ring, r):
@@ -2123,6 +2124,56 @@ def test_flat_matrix_matches_the_grid_matrix(p):
                 other = Matrix.from_flat_ints(ring, M.rows, M.cols, [
                     rng.randrange(ring.pn) for _ in M.flat])
                 _check_matrix(ring, M, G, other, rng, (p, q, n, name))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_flat_level_paths_match_the_bench_arithmetic_and_the_grid(p):
+    """`@`, `embed` out of W_n(F_(p^q)) into every table field
+    F_(p^(qD)), and the stairs line operations, at q = 1 (packed entries
+    are coordinates) and q >= 2, against perfbench/arith.py and the grid
+    matrix."""
+    arith = _perfbench_arith()
+    rng = random.Random(3600 + p)
+    for q, n in ((1, 1), (1, 4), (2, 3), (3, 2)):
+        ring = make_witt_ring(p, q, n)
+        R = arith.Ring.of(ring)
+        for rows, k, cols in ((1, 1, 1), (2, 3, 2), (3, 1, 4), (4, 4, 4)):
+            A, B = (_sparse_matrix(ring, rng, rows, k),
+                    _sparse_matrix(ring, rng, k, cols))
+            assert arith.mat_of(A @ B) == arith.matmul(
+                R, arith.mat_of(A), arith.mat_of(B)), (q, n, rows, k, cols)
+            assert _same(A @ B, _GridMatrix(ring, A.entries)
+                         @ _GridMatrix(ring, B.entries)), (q, n, rows, k)
+        for D, big in field_walk(p, q, n):
+            embed = R.embedding(arith.Ring.of(big))
+            got = A.embed(big)
+            assert arith.mat_of(got) == arith.mat_map(
+                embed, arith.mat_of(A)), (q, n, D)
+            assert _same(got, _GridMatrix(ring, A.entries).embed(big))
+        # row operations row i += c row j, then column operations column
+        # j += c column i: (1 + c E_ij) M and M (1 + c E_ij)
+        r = 3
+        M = _sparse_matrix(ring, rng, r, r)
+        rows_ops, col_ops = [], []
+        left = right = arith.mat_of(Matrix.identity(ring, r))
+        for _ in range(5):
+            i, j = rng.sample(range(r), 2)
+            c = ring.random_element(rng).coeffs
+            E = [[c if (a, b) == (i, j) else (R.one if a == b else R.zero)
+                  for b in range(r)] for a in range(r)]
+            if rng.random() < 0.5:
+                rows_ops.append((i * r, j * r, c, 1))
+                left = arith.matmul(R, E, left)
+            else:
+                col_ops.append((j, i, c, r))
+                right = arith.matmul(R, right, E)
+        got = stairs._line_ops(M, rows_ops + col_ops)
+        assert arith.mat_of(got) == arith.matmul(
+            R, arith.matmul(R, left, arith.mat_of(M)), right), (q, n)
+        L, G, Rt = (_GridMatrix(ring, [[WittElem(ring, e) for e in row]
+                                       for row in m])
+                    for m in (left, arith.mat_of(M), right))
+        assert _same(got, L @ G @ Rt), (q, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

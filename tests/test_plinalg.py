@@ -7,7 +7,12 @@ import pytest
 
 from fcrystals import plinalg
 from fcrystals.crystal import builtin_crystal
-from fcrystals.errors import OutsideExpDomain, SingularAtPrecision
+from fcrystals.errors import (
+    BadShape,
+    OutsideExpDomain,
+    RingMismatch,
+    SingularAtPrecision,
+)
 from fcrystals.plinalg import (
     IntSolver,
     Matrix,
@@ -139,6 +144,8 @@ def test_exp_hand_cases():
     W2 = make_witt_ring(2, 1, 4)
     with pytest.raises(OutsideExpDomain):
         exp_trunc(Matrix.from_ints(W2, [[2, 0], [0, 2]]))
+    with pytest.raises(BadShape):   # not the 2 x 2 identity
+        exp_trunc(Matrix.zero(W, 2, 3))
     # square-zero p=2 case: exp = 1 + X
     N = Matrix.from_ints(W2, [[0, 2], [0, 0]])
     assert exp_trunc(N) == Matrix.identity(W2, 2) + N
@@ -200,6 +207,26 @@ def test_chained_embeds_along_the_field_walk_are_the_direct_embed():
             A = Matrix(ring, [[ring.random_element(rng) for _ in range(3)]
                               for _ in range(3)])
             assert A.embed(mid).embed(top) == A.embed(top), (p, q, D1, D2)
+
+
+def test_products_and_sums_check_rings_and_shapes():
+    # a product packed at one ring's q would misread the other's
+    # coordinates: A @ (t I) over W_3(F_3) and W_3(F_9) was the zero matrix
+    R, S = make_witt_ring(3, 1, 3), make_witt_ring(3, 2, 3)
+    A = Matrix.from_ints(R, [[1, 2], [3, 4]])
+    tI = Matrix.scalar(S, 2, S.gen())
+    for call in (lambda: A @ tI, lambda: tI @ A, lambda: A + tI,
+                 lambda: tI - A):
+        with pytest.raises(RingMismatch):
+            call()
+    B = Matrix.from_ints(R, [[1, 2, 3]])
+    for call in (lambda: A @ B, lambda: A + B, lambda: A - B):
+        with pytest.raises(BadShape):
+            call()
+    # an equal ring that is not the cached object is the same ring
+    twin = WittRing(3, 1, 3)
+    assert A @ Matrix.identity(twin, 2) == A == A + Matrix.zero(twin, 2)
+    assert B @ Matrix.identity(R, 3) == B
 
 
 def test_exp_congruences_and_inverse():

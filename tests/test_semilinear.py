@@ -331,6 +331,22 @@ def test_solve_circular_checks_rings_on_a_kept_key():
                 W, 1, [W.from_int(case == 1)], [W.one()], [W.one()]), case)
 
 
+def test_solve_circular_checks_the_length():
+    F = make_witt_ring(3, 1, 1)
+    one = F.one()
+    for case, b in ((1, one), (-1, F.zero())):
+        assert solve_circular(CircularSystem(
+            F, 2, [b, one], [one, one], [one, one]), case).extension >= 1
+        for length, bs, cs, ds in (
+                (2, [b, one], [one], [one, one]),       # c one short
+                (2, [b, one], [one] * 3, [one, one]),   # c one long
+                (2, [b, one], [one, one], [one]),       # d one short
+                (3, [b, one], [one, one], [one, one]),  # length one long
+                (5, [b], [one], [one])):                # once a 1-cycle
+            with pytest.raises(BadShape):
+                solve_circular(CircularSystem(F, length, bs, cs, ds), case)
+
+
 def test_solve_circular_checks_every_new_key_after_the_cache_fills():
     # valid systems fill F's cache for these b and d; the same b and d in
     # a case they do not fit, and an unknown case, still raise BadShape

@@ -12,6 +12,7 @@ from fcrystals.crystal import (
     new_crystal,
 )
 from fcrystals.errors import (
+    BadParams,
     BadShape,
     LiftFailed,
     NotDieudonne,
@@ -178,6 +179,9 @@ def test_i_number_probes():
     ss = i_number_probe(
         builtin_crystal(make_witt_ring(2, 2, 4), "supersingular", d=1))
     assert (ss["upper"], ss["upper_source"]) == (1, "lang")
+    with pytest.raises(BadParams):
+        i_number_probe(builtin_crystal(ring, "ordinary", r=2, d=1),
+                       trials=-1)
 
 
 def test_probe_does_not_hide_a_solver_bug(monkeypatch):
