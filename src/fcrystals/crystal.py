@@ -214,21 +214,24 @@ def end_crystal(C: FCrystal) -> FCrystal:
     return tensor_crystal(C.reduce_to(D.ring), D)
 
 
+def _at_common_precision(C1, C2):
+    """C1 and C2 at the smaller n; RingMismatch across residue fields."""
+    R1, R2 = C1.ring, C2.ring
+    if (R1.p, R1.q) != (R2.p, R2.q):
+        raise RingMismatch(f"{R1!r} vs {R2!r}: residue fields differ")
+    return (C1.reduce_to(R2) if R1.n > R2.n else C1,
+            C2.reduce_to(R1) if R2.n > R1.n else C2)
+
+
 def tensor_crystal(C1: FCrystal, C2: FCrystal) -> FCrystal:
     """Tensor product, at the smaller of the two precisions."""
-    if C1.ring != C2.ring:
-        n = min(C1.ring.n, C2.ring.n)
-        C1 = C1.reduce_to(C1.ring.reduce_to(n))
-        C2 = C2.reduce_to(C2.ring.reduce_to(n))
+    C1, C2 = _at_common_precision(C1, C2)
     return FCrystal(C1.ring, C1.B.kron(C2.B), C1.shift + C2.shift)
 
 
 def direct_sum_crystal(C1: FCrystal, C2: FCrystal) -> FCrystal:
     """Direct sum, at the smaller of the two precisions."""
-    if C1.ring != C2.ring:
-        n = min(C1.ring.n, C2.ring.n)
-        C1 = C1.reduce_to(C1.ring.reduce_to(n))
-        C2 = C2.reduce_to(C2.ring.reduce_to(n))
+    C1, C2 = _at_common_precision(C1, C2)
     ring = C1.ring
     e = max(C1.shift, C2.shift)
     B1 = C1.B.scale(ring.p ** (e - C1.shift))

@@ -11,7 +11,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import count, product, repeat, takewhile
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 
 from .errors import (
     BadShape,
@@ -51,7 +51,7 @@ class Matrix:
         """A matrix of rows of reduced entry coordinate tuples."""
         cols = len(rows[0]) if rows else 0
         if any(len(row) != cols for row in rows):
-            raise ValueError("ragged rows")
+            raise BadShape("ragged rows")
         return Matrix._make(ring, len(rows), cols, tuple([
             c for row in rows for e in row for c in e]))
 
@@ -106,7 +106,7 @@ class Matrix:
         pn = ring.pn
         flat = tuple([int(c) % pn for c in flat])
         if len(flat) != rows * cols * ring.q:
-            raise ValueError(f"need {rows * cols * ring.q} coordinates")
+            raise BadShape(f"need {rows * cols * ring.q} coordinates")
         return Matrix._make(ring, rows, cols, flat)
 
     @staticmethod
@@ -260,7 +260,7 @@ class Matrix:
         """Coefficients c[0..r] of det(x*I - self), low degree first."""
         ring, r = self.ring, self.rows
         if r != self.cols:
-            raise ValueError("charpoly needs a square matrix")
+            raise BadShape("charpoly needs a square matrix")
         E = self._rows()
         p_cur = [ring.one()]  # char poly of the empty matrix
         for k in range(r):
@@ -295,24 +295,26 @@ class SwarMod:
     """SWAR Barrett reduction mod m of every w-bit slot (at most `bound`)
     of an int: one multiply by floor(2^shift / m) gives each slot's
     quotient or one less, and one masked conditional subtraction of m
-    finishes.  Every w from `swar_slot(m, bound)` up is exact."""
+    finishes.  Every w from `swar_slot(m, bound)` up is exact.  `reduce`
+    and `lower` are closures over the constants: one call, no attribute
+    reads."""
 
     def __init__(self, m, bound, slots, w):
-        self.m = m
-        shift = self.shift = bound.bit_length()
-        self.mult = (1 << shift) // m
-        self.slot = w
+        shift = bound.bit_length()
+        mult = (1 << shift) // m
         ones = self.ones = ((1 << slots * w) - 1) // ((1 << w) - 1)
-        self.quot = ones * ((1 << w - shift) - 1)
-        self.half = ones * ((1 << w - 1) - m)
+        quot = ones * ((1 << w - shift) - 1)
+        half, top = ones * ((1 << w - 1) - m), w - 1
 
-    def lower(self, x):
-        """x with m taken off every slot in [m, 2m)."""
-        return x - ((x + self.half) >> self.slot - 1 & self.ones) * self.m
+        def lower(x):
+            """x with m taken off every slot in [m, 2m)."""
+            return x - ((x + half) >> top & ones) * m
 
-    def reduce(self, x):
-        return self.lower(
-            x - (x * self.mult >> self.shift & self.quot) * self.m)
+        def reduce(x):
+            x -= (x * mult >> shift & quot) * m
+            return x - ((x + half) >> top & ones) * m
+
+        self.lower, self.reduce = lower, reduce
 
 
 class _PackedRows:
@@ -617,17 +619,56 @@ class IntSolver:
         return INFINITY if e >= self.n or len(self.exps) < self.rows else e
 
 
-def _products(ring, a, us):
-    """The products a * u for packed u in us (packed at `ring._w`), one
-    after another: entry s * q + t is coordinate t of the s-th (a is a
-    coordinate tuple)."""
-    if ring.q == 1:   # a packed u is then its one coordinate
-        return [a[0] * u % ring.pn for u in us]
-    if not any(a):
-        return [0] * (ring.q * len(us))
-    W = ring._w
-    pa = ring._pack(a, W)
-    return [c for u in us for c in ring._reduce(pa * u, W)]
+def _coordinate_table(ring, k, sign):
+    """[t][c]: coordinate t of sign t^c sigma^k(t^s) in slot s < q, slot 0
+    highest, at the width of the ring's `_PackedRows`; cached on the ring.
+    Column c + 1 is t times column c: row i is row i - 1 plus r_i times
+    row q - 1, for t^q = sum_i r_i t^i, and one `reduce`."""
+    table = ring._coordinate_cache.get((k, sign))
+    if table is None:
+        q, pn, W = ring.q, ring.pn, ring._w
+        P, mask = packing(ring.p, ring.n, q), (1 << W) - 1
+        cols = [[P.pack([sign * (u >> t * W & mask) % pn
+                         for u in ring._frobenius_rows(k)]) for t in range(q)]]
+        while len(cols) < q:
+            col = cols[-1]
+            cols.append([P.reduce(a + r * col[-1]) for a, r in zip(
+                [0] + col[:-1], ring._red_coeffs[0])])
+        table = ring._coordinate_cache[k, sign] = list(zip(*cols))
+    return table
+
+
+def coordinate_rows(P, ring, k, sign, lines, gap):
+    """Rows packed by P, q per line of entries e_b over ring, given as the
+    q sequences of their c-th coordinates: row t holds coordinate t of
+    e_b u_s, u_s = sign sigma^k(t^s), at column b gap + s of the last
+    columns (gap >= q).  As coord_t(e u_s) = sum_c e_c coord_t(t^c u_s),
+    each (t, c) is one product: the ring's packed table[t][c] times the
+    c-th coordinates spread gap slots apart.  A `reduce` after each keeps
+    slots below p^n, so a slot holds at most (p^n - 1) + (p^n - 1)^2,
+    P's bound."""
+    table = _coordinate_table(ring, k, sign)
+    red, step, out = P.reduce, gap * P.w, []
+    for line in lines:
+        # the last entry in the lowest block
+        spreads = [sum(map(lshift, reversed(col), count(0, step)))
+                   for col in line]
+        for consts in table:
+            x = 0
+            for spread, const in zip(spreads, consts):
+                if spread:
+                    x = red(x + spread * const)
+            out.append(x)
+    return out
+
+
+def _coordinate_lines(M, of_rows):
+    """M's rows (or columns) as `coordinate_rows` lines, slices of flat."""
+    f, q, m = M.flat, M.ring.q, M.cols * M.ring.q
+    if of_rows:
+        return [[f[i + c:i + m:q] for c in range(q)]
+                for i in range(0, len(f), m)]
+    return [[f[j + c::m] for c in range(q)] for j in range(0, m, q)]
 
 
 def _intertwiner_system(B1, B2, ring, sigma_power=1):
@@ -637,29 +678,20 @@ def _intertwiner_system(B1, B2, ring, sigma_power=1):
     Equation (i, j, t) is coordinate t of entry (i, j) of g B1 - B2
     sigma^power(g): g[i,k]'s coordinate s enters with coordinate t of
     B1[k,j] t^s, g[k,j]'s with minus that of B2[i,k] sigma^power(t^s).
-    Each entry's q products are packed once into pieces of rows, which
-    one `reduce` ends: a slot gets at most two terms below p^n.
+    `coordinate_rows` builds the B1 terms of column j for g's last row
+    and the B2 terms of row i for g's last column, with negated
+    constants; shifted into place and added, a slot holds at most two
+    terms below p^n, and one `reduce` ends each equation.
     """
-    q, pn = ring.q, ring.pn
-    r2, r1 = B2.rows, B1.cols
+    q, r2, r1 = ring.q, B2.rows, B1.cols
     P = packing(ring.p, ring.n, r2 * r1 * q)
-    stride = r1 * q * P.w   # bits of a row of g
-    sig = ring._frobenius_rows(sigma_power % q)   # packed sigma^power(t^s)
-    ts = ring._frobenius_rows(0)   # packed t^s
-
-    rows1, rows2 = B1._rows(), B2._rows()
-    left, right = [], []
-    for j in range(r1):
-        flat = [c for row in rows1 for c in _products(ring, row[j], ts)]
-        left.append([P.pack(flat[t::q]) for t in range(q)])
-    for i in range(r2):
-        negs = [[(pn - c) % pn for c in _products(ring, a, sig)]
-                for a in rows2[i]]
-        right.append([sum(P.pack(neg[t::q]) >> k * stride
-                          for k, neg in enumerate(negs)) for t in range(q)])
-    # a packed short row fills the first columns: shift it right into place
-    return P, [P.reduce((left[j][t] >> i * stride)
-                        + (right[i][t] >> j * q * P.w))
+    w = P.w
+    stride = r1 * q * w   # bits of a row of g
+    left = coordinate_rows(P, ring, 0, 1, _coordinate_lines(B1, False), q)
+    right = coordinate_rows(P, ring, sigma_power % q, -1,
+                            _coordinate_lines(B2, True), r1 * q)
+    return P, [P.reduce((left[j * q + t] << (r2 - 1 - i) * stride)
+                        + (right[i * q + t] << (r1 - 1 - j) * q * w))
                for i in range(r2) for j in range(r1) for t in range(q)]
 
 
@@ -677,11 +709,10 @@ def _smith_solver(A: Matrix):
     """
     ring, q = A.ring, A.ring.q
     if A.rows != A.cols:
-        raise ValueError("need a square matrix")
-    P, ts = packing(ring.p, ring.n, A.cols * q), ring._frobenius_rows(0)
-    flats = [[c for a in row for c in _products(ring, a, ts)]
-             for row in A._rows()]
-    solver = IntSolver(P, [P.pack(f[t::q]) for f in flats for t in range(q)])
+        raise BadShape("need a square matrix")
+    P = packing(ring.p, ring.n, A.cols * q)
+    solver = IntSolver(P, coordinate_rows(
+        P, ring, 0, 1, _coordinate_lines(A, True), q))
     return solver, sorted(solver.exps)[::q]
 
 
@@ -752,9 +783,12 @@ def w_span_rows(mats, ring):
 
 def w_span_solver(mats, ring):
     """`IntSolver` for X = sum y_l mats[l] over W: column (l, s) is
-    t^s mats[l] flattened."""
-    cols = w_span_rows(mats, ring)
-    return IntSolver(*pack_rows(list(zip(*cols)), ring.p, ring.n))
+    t^s mats[l] flattened (`w_span_rows`, transposed)."""
+    q = ring.q
+    P = packing(ring.p, ring.n, len(mats) * q)
+    by_coord = list(zip(*[m.flat for m in mats]))   # each across mats
+    return IntSolver(P, coordinate_rows(P, ring, 0, 1, [
+        by_coord[k:k + q] for k in range(0, len(by_coord), q)], q))
 
 
 # -- linear algebra over F_p -------------------------------------------------

@@ -23,6 +23,8 @@ from operator import mul
 
 from .conway import conway_polynomial
 from .errors import (
+    BadParams,
+    BadShape,
     InternalError,
     NoEmbedding,
     NotAUnit,
@@ -75,7 +77,7 @@ class WittRing:
 
     def __init__(self, p, q, n):
         if n < 1 or q < 1:
-            raise ValueError("need q >= 1 and n >= 1")
+            raise BadParams("need q >= 1 and n >= 1")
         self.p = p
         self.q = q
         self.n = n
@@ -100,6 +102,8 @@ class WittRing:
         # the valuation of each p^v dividing p^n: a gcd with p^n is one
         self._pow_val = {p ** v: v for v in range(n + 1)}
         self._frobenius_cache = {}
+        # plinalg.coordinate_rows' tables, by (sigma-power, sign)
+        self._coordinate_cache = {}
         self._embed_cache = {}
         # semilinear.solve_circular's maps for b_j, d_j in {0, 1}
         self._circular_cache = {}
@@ -283,7 +287,7 @@ class WittRing:
     def element(self, coeffs) -> "WittElem":
         coeffs = tuple(int(c) % self.pn for c in coeffs)
         if len(coeffs) != self.q:
-            raise ValueError(f"need exactly {self.q} coefficients")
+            raise BadShape(f"need exactly {self.q} coefficients")
         return WittElem(self, coeffs)
 
     def from_int(self, c) -> "WittElem":
@@ -311,13 +315,13 @@ class WittRing:
             a = a.coeffs
         x = tuple(int(c) % self.p for c in a)
         if len(x) != self.q:
-            raise ValueError(f"need exactly {self.q} coefficients")
+            raise BadShape(f"need exactly {self.q} coefficients")
         return WittElem(self, self._pow(x, self.p ** (self.q * (self.n - 1))))
 
     def reduce_to(self, m):
         """Natural projection W_n -> W_m (m <= n)."""
         if m > self.n:
-            raise ValueError("cannot increase precision")
+            raise BadParams("cannot increase precision")
         return make_witt_ring(self.p, self.q, m)
 
     def random_element(self, rng):

@@ -14,6 +14,7 @@ from fcrystals.crystal import (
     hodge_data,
     new_crystal,
     newton_polygon,
+    tensor_crystal,
 )
 from fcrystals.errors import (
     BadParams,
@@ -168,6 +169,26 @@ def test_direct_sum_union():
     S = direct_sum_crystal(A, B)
     assert sorted(newton_polygon(S).slopes()) == sorted(
         newton_polygon(A).slopes() + newton_polygon(B).slopes())
+
+
+@pytest.mark.parametrize("combine", [tensor_crystal, direct_sum_crystal])
+def test_combining_aligns_precision_and_refuses_other_fields(combine):
+    """Only n is aligned, to the smaller one; a crystal over another p or
+    q is a ring mismatch, not coordinate tuples of two lengths mixed."""
+    fine = builtin_crystal(make_witt_ring(3, 1, 8), "ordinary", r=2, d=1)
+    coarse = builtin_crystal(make_witt_ring(3, 1, 6), "supersingular", d=1)
+    both = combine(fine, coarse)
+    assert both.ring == coarse.ring
+    assert both == combine(fine.reduce_to(coarse.ring), coarse)
+    assert combine(coarse, fine) == combine(
+        coarse, fine.reduce_to(coarse.ring))
+    for ring in (make_witt_ring(3, 2, 3), make_witt_ring(2, 1, 3)):
+        other = builtin_crystal(ring, "supersingular", d=1)
+        with pytest.raises(RingMismatch):
+            combine(builtin_crystal(make_witt_ring(3, 1, 3),
+                                    "supersingular", d=1), other)
+        with pytest.raises(RingMismatch):
+            combine(other, coarse)
 
 
 def test_cyclic_constructor():

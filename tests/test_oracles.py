@@ -1479,6 +1479,84 @@ def test_d_truncation_hom_module_matches_the_list_route(p):
                     (p, q, n, r1, r2)
 
 
+# -- the coordinate rows of the Smith and W-span systems, as lists -----------
+# `plinalg.coordinate_rows` builds every Z/p^n system from one product per
+# (coordinate t, coordinate c).  These list builders read each entry's
+# multiplication matrix instead.
+
+
+def _list_smith_rows(A):
+    """Rows (i, t) of x -> A x over Z/p^n: column (j, s) holds coordinate
+    t of A[i][j] t^s."""
+    rows = []
+    for i in range(A.rows):
+        mults = [_mult_matrix(A.ring, A[i, j]) for j in range(A.cols)]
+        rows += [[M[t][s] for M in mults for s in range(A.ring.q)]
+                 for t in range(A.ring.q)]
+    return rows
+
+
+def _list_w_span_columns(mats, ring):
+    """The rows of `w_span_solver`: `w_span_rows` transposed."""
+    return [list(col) for col in zip(*w_span_rows(mats, ring))]
+
+
+def _coordinate_cases(ring, rng, rows, cols):
+    """Name and matrix: sparse entries, every coordinate p^n - 1, and for
+    each c < q coordinate c zero in every entry."""
+    pn, q, size = ring.pn, ring.q, rows * cols * ring.q
+    yield "sparse", _sparse_matrix(ring, rng, rows, cols)
+    yield "extreme", Matrix.from_flat_ints(ring, rows, cols, [pn - 1] * size)
+    for c in range(q):
+        yield f"coordinate {c} zero", Matrix.from_flat_ints(
+            ring, rows, cols,
+            [0 if k % q == c else rng.randrange(pn) for k in range(size)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coordinate_rows_match_the_list_builders(p, monkeypatch):
+    """The intertwiner system at every sigma-power, the Smith rows and
+    the W-span columns, bit for bit, on rectangular pairs, on entries
+    whose coordinate c is zero throughout and at all-(p^n - 1) entries,
+    where each slot gets the largest products."""
+    rng = random.Random(3700 + p)
+    seen, real = [], plinalg.IntSolver   # the (P, rows) of each IntSolver
+    monkeypatch.setattr(plinalg, "IntSolver", lambda P, rows: (
+        seen.append((P, list(rows))) or real(P, rows)))
+    for q in (1, 2, 3, 4, 6):
+        for n in (1, 2, 3, 4):
+            ring = make_witt_ring(p, q, n)
+            for r2, r1 in ((1, 2), (3, 1), (2, 3), (2, 2)):
+                B1s = dict(_coordinate_cases(ring, rng, r1, r1))
+                B2s = dict(_coordinate_cases(ring, rng, r2, r2))
+                for power in range(q):
+                    zero = f"coordinate {power} zero"
+                    for k1, k2 in (("extreme", "extreme"), ("sparse", zero),
+                                   (zero, "sparse")):
+                        P, packed = semilinear._intertwiner_system(
+                            B1s[k1], B2s[k2], ring, sigma_power=power)
+                        ref = _list_intertwiner_system(
+                            B1s[k1], B2s[k2], ring, sigma_power=power)
+                        assert packed == [P.pack(row) for row in ref], (
+                            p, q, n, r2, r1, power, k1, k2)
+            for r in (1, 2, 3):
+                cases = list(_coordinate_cases(ring, rng, r, r))
+                for name, A in cases:
+                    seen.clear()
+                    plinalg._smith_solver(A)
+                    P, rows = seen[0]
+                    assert rows == [P.pack(row) for row in
+                                    _list_smith_rows(A)], (p, q, n, r, name)
+                mats = [A for _, A in cases]
+                for chosen in (mats, mats[1:2], mats[2:]):
+                    seen.clear()
+                    w_span_solver(chosen, ring)
+                    P, rows = seen[0]
+                    assert rows == [P.pack(row) for row in
+                                    _list_w_span_columns(chosen, ring)], (
+                        p, q, n, r, len(chosen))
+
+
 # -- the list F_p eliminator, against howell_form at n = 1 -------------------
 # `fp_row_reduce` and `_list_fp_kernel` (plinalg.fp_kernel on list rows)
 # are the list eliminator that howell_form replaced at n = 1, verbatim.
@@ -2093,7 +2171,7 @@ def _check_matrix(ring, M, G, other, rng, ctx):
     assert M == twin and hash(M) == hash(twin), ctx
     assert (M == other) == (G == OG), ctx
     if M.rows != M.cols:
-        with pytest.raises(ValueError):
+        with pytest.raises(BadShape):
             smith_normal_form(M)
         return
     assert smith_normal_form(M) == _grid_smith_normal_form(G).exponents, ctx

@@ -229,6 +229,22 @@ def test_products_and_sums_check_rings_and_shapes():
     assert B @ Matrix.identity(R, 3) == B
 
 
+def test_malformed_matrices_are_shape_errors():
+    """Library input errors are `CrystalError`s (`BadShape`), which the
+    CLI maps to exit 2, not `ValueError`s."""
+    R = make_witt_ring(3, 2, 2)
+    a = R.one()
+    for call in (lambda: Matrix(R, [[a, a], [a]]),
+                 lambda: Matrix.from_ints(R, [[1], [2, 3]]),
+                 lambda: Matrix.from_flat_ints(R, 1, 2, [1, 2, 3]),
+                 lambda: Matrix.from_ints(R, [[1, 2]]).charpoly(),
+                 lambda: smith_normal_form(Matrix.from_ints(R, [[1, 2]]))):
+        with pytest.raises(BadShape):
+            call()
+    M = Matrix.from_flat_ints(R, 1, 2, [1, 2, 3, 4])
+    assert M.rows == 1 and M.cols == 2 and M.flat == (1, 2, 3, 4)
+
+
 def test_exp_congruences_and_inverse():
     rng = random.Random(3)
     for p, q, n in [(3, 1, 5), (2, 1, 6), (5, 2, 3), (2, 2, 5)]:
@@ -372,12 +388,12 @@ def test_smith_rows_are_the_rows_of_x_to_a_x(p, monkeypatch):
 
 
 def _state(P):
-    """P's attributes, and those of the `SwarMod` reducers it holds."""
+    """P's attributes, and the constants its reducers hold: a `SwarMod`
+    reducer's closure cells, or the mask an AND is bound to."""
     out = dict(vars(P))
     for f in [P.reduce, *P._rems]:
-        mod = getattr(f, "__self__", None)
-        if isinstance(mod, plinalg.SwarMod):
-            out[id(mod)] = dict(vars(mod))
+        out[id(f)] = [c.cell_contents for c in f.__closure__] if hasattr(
+            f, "__closure__") else f.__self__
     return out
 
 

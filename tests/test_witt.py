@@ -4,6 +4,8 @@ import pytest
 
 from fcrystals.conway import CONWAY_TABLE
 from fcrystals.errors import (
+    BadParams,
+    BadShape,
     NoEmbedding,
     NotAUnit,
     NotPrime,
@@ -29,8 +31,17 @@ def test_unknown_field_and_bad_prime():
     with pytest.raises(NotPrime):
         make_witt_ring(4, 1, 2)
     # n < 1 is refused before the field table is read
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         make_witt_ring(11, 1, 0)
+    with pytest.raises(BadParams):
+        make_witt_ring(2, 0, 3)
+    # a wrong coefficient count is a shape error
+    R = make_witt_ring(2, 2, 3)
+    for call in (lambda: R.element([1, 0, 1]), lambda: R.teichmuller([1])):
+        with pytest.raises(BadShape):
+            call()
+    with pytest.raises(BadParams):
+        R.reduce_to(4)
 
 
 def test_primes_above_the_cap_are_rejected_without_trial_division():
