@@ -13,7 +13,9 @@ from functools import cache, cached_property
 from itertools import count, product, repeat, takewhile
 from operator import add, lshift, mul, sub
 
+from .conway import require_prime
 from .errors import (
+    BadParams,
     BadShape,
     OutsideExpDomain,
     RingMismatch,
@@ -222,8 +224,8 @@ class Matrix:
 
     def divide_exact(self, k):
         pk = self.ring.p ** k
-        if any(c % pk for c in self.flat):
-            raise ValueError(f"not divisible by p^{k}")
+        if k < 0 or any(c % pk for c in self.flat):
+            raise BadParams(f"not divisible by p^{k}")
         return self._like(tuple([c // pk for c in self.flat]))
 
     def reduce_to(self, ring):
@@ -322,12 +324,13 @@ class _PackedRows:
     highest slot: column j sits at shift (cols - 1 - j) * w, so a row
     whose first columns are zero is a short int.
 
-    A row update r - c * piv is r + (p^n - c) * piv, whose slots are at
-    most (p^n - 1) + (p^n - 1)^2, then one `reduce`.  At p = 2, w is the
-    bit length of that bound and `reduce` is an AND with 2^n - 1 in every
-    slot; at odd p both come from `SwarMod` with modulus p^n.  The slots
-    mod p^t, for valuations, are an AND or a `SwarMod` at width w too;
-    `residue` (t = 1) also serves row updates over F_p at this width.
+    A row update r - c * piv is r + (p^n - c) * piv, or r + c * (-piv)
+    with -piv reduced, whose slots are at most (p^n - 1) + (p^n - 1)^2,
+    then one `reduce`.  At p = 2, w is the bit length of that bound and
+    `reduce` is an AND with 2^n - 1 in every slot; at odd p both come from
+    `SwarMod` with modulus p^n.  The slots mod p^t, for valuations, are an
+    AND or a `SwarMod` at width w too; `residue` (t = 1) also serves row
+    updates over F_p at this width.  `masks[j]` covers column j's slot.
     """
 
     def __init__(self, p, n, cols):
@@ -346,6 +349,8 @@ class _PackedRows:
             self._rems = [SwarMod(p ** t, pn - 1, cols, w).reduce
                           for t in range(1, n)]
         self.residue = self._rems[0] if n > 1 else self.reduce
+        low = (1 << w) - 1
+        self.masks = [low << s for s in range((cols - 1) * w, -1, -w)]
 
     def pack(self, row):
         """One row of ints in [0, p^n), at most `cols` of them, as an int;
@@ -475,20 +480,23 @@ class IntSolver:
 
     A's rows are ints packed by P (`pack_rows` packs lists); R's rows and
     the kernel generators stay packed by P, for `howell_form`.  The pivot
-    is the first row of minimal valuation, at its first column of that
-    valuation in the current column order, found by a scan from position
-    k; a column swap swaps two entries of `perm`, the slot of each
-    elimination column.  Column 0 sits in the highest slot, so the
-    eliminated columns leave the top of the rows and later row updates
-    run on shorter ints.  The row operations are not multiplied into a
-    left transform: each pivot's row swap, unit inverse and (row,
-    multiplier) lists are logged and replayed on b by `solve`.  The
-    right transform R is built on first read (by `solve` or
-    `kernel_generators`), from a per-pivot record of the column
-    operations, so a caller that reads only `exps` (a group type) never
-    pays for it.  R is kept transposed and by slot: its column operations
-    are row updates, and a column swap moves nothing; `_rt[t]`, column t
-    of R in elimination order, is the column of slot perm[t].
+    is the first row of minimal valuation v, at its first column from
+    position k, in the current column order, whose slot is nonzero mod
+    p^(v + 1); a column swap swaps two entries of `perm`, the slot of each
+    elimination column.  The pivot columns are scattered over the slots
+    (on the thirds-family Hom system over W_4(F_64) the first are 6-11,
+    150-161 and 24-35), so the rows keep most of their length: a row is
+    tested and read at the pivot's slot through an AND with the slot's
+    mask, and the elimination unpacks no row.  The row operations are not
+    multiplied into a left transform: each pivot's row swap, unit inverse
+    and (row, multiplier) lists are logged and replayed on b by `solve`.
+    The right transform R is built on first read (by `solve` or
+    `kernel_generators`), from the negated scaled pivot rows that the
+    updates used, kept packed, so a caller that reads only `exps` (a
+    group type) never pays for it.  R is
+    kept transposed and by slot: its column operations are row updates,
+    and a column swap moves nothing; `_rt[t]`, column t of R in
+    elimination order, is the column of slot perm[t].
     """
 
     def __init__(self, P, a_rows):
@@ -497,12 +505,12 @@ class IntSolver:
         self.packing = P
         rows = self.rows = len(a_rows)
         cols = self.cols = P.cols
-        red, w, low = P.reduce, P.w, (1 << P.w) - 1
+        red, w, rems, masks = P.reduce, P.w, P._rems, P.masks
         A = list(a_rows)
         perm = list(range(cols))   # the slot of each elimination column
         exps = []
         log = []   # per pivot: (swapped row, unit inverse, rows, multipliers)
-        cops = []   # per pivot, for R: (slot, unit inverse, p^v, row)
+        cops = []   # per pivot, for R: (slot, p^v, minus the scaled row)
         # lower bounds of the row valuations, exact unless stale: an update
         # r - c * piv never lowers v(r), since v(c) >= v(r) - v(piv) and
         # the pivot row has no entry below v(piv)
@@ -527,26 +535,26 @@ class IntSolver:
                 break
             v, pv = best, p ** best
             Ak = A[bi]
-            ak = P.unpack(Ak)
             # the row vanishes at columns < k and has no entry of valuation
-            # below v: the first column from k of valuation v is the pivot's
-            bj, pv1 = k, pv * p
-            while not ak[perm[bj]] % pv1:
+            # below v: the first column from k whose slot is nonzero mod
+            # p^(v + 1) is the pivot's
+            res, bj = rems[v](Ak) if v < n - 1 else Ak, k
+            while not res & masks[perm[bj]]:
                 bj += 1
             A[k], A[bi] = Ak, A[k]
             val[bi], stale[bi] = val[k], stale[k]
             sk = perm[bj]
             perm[k], perm[bj] = sk, perm[k]
-            ui = pow(ak[sk] // pv, -1, pn)
-            piv = red(ui * Ak)
-            s = (cols - 1 - sk) * w
-            idx = [i for i in range(k + 1, rows) if A[i] >> s & low]
-            mults = [(A[i] >> s & low) // pv for i in idx]
+            m, s = masks[sk], (cols - 1 - sk) * w
+            ui = pow(((Ak & m) >> s) // pv, -1, pn)
+            neg = red((pn - ui) * Ak)   # minus the scaled pivot row
+            idx = [i for i in range(k + 1, rows) if A[i] & m]
+            mults = [((A[i] & m) >> s) // pv for i in idx]
             for i, c in zip(idx, mults):
-                A[i] = red(A[i] + (pn - c) * piv)
+                A[i] = red(A[i] + c * neg)
                 stale[i] = True
             log.append((bi, ui, idx, mults))
-            cops.append((sk, ui, pv, ak))
+            cops.append((sk, pv, neg))
             exps.append(v)
         self.exps = exps
         self._log = log
@@ -560,12 +568,13 @@ class IntSolver:
         P, pn, cols = self.packing, self.pn, self.cols
         red, w = P.reduce, P.w
         RS = [1 << (cols - 1 - j) * w for j in range(cols)]   # slot columns
-        for sk, ui, pv, ak in self._cops:
+        for sk, pv, neg in self._cops:
             # column sk is now p^v e_sk, so the column operations only
-            # clear the pivot row's other nonzero slots
+            # clear the scaled pivot row's other nonzero slots, p^n - neg[j]
             Rk = RS[sk]
-            for j in [j for j, a in enumerate(ak) if a and j != sk]:
-                RS[j] = red(RS[j] + (pn - ui * ak[j] % pn // pv) * Rk)
+            for j, a in enumerate(P.unpack(neg)):
+                if a and j != sk:
+                    RS[j] = red(RS[j] + (pn - (pn - a) // pv) * Rk)
         del self._cops
         return [RS[s] for s in self._perm]
 
@@ -666,8 +675,8 @@ def _coordinate_lines(M, of_rows):
     """M's rows (or columns) as `coordinate_rows` lines, slices of flat."""
     f, q, m = M.flat, M.ring.q, M.cols * M.ring.q
     if of_rows:
-        return [[f[i + c:i + m:q] for c in range(q)]
-                for i in range(0, len(f), m)]
+        return [[f[i * m + c:i * m + m:q] for c in range(q)]
+                for i in range(M.rows)]
     return [[f[j + c::m] for c in range(q)] for j in range(0, m, q)]
 
 
@@ -751,6 +760,11 @@ def unit_inverse_matrix(A: Matrix) -> Matrix:
 
 def solve_linear_module(a_rows, b, p, n) -> SolutionModule:
     """Canonical solution module of A x = b over Z/p^n."""
+    require_prime(p)
+    if n < 1:
+        raise BadParams("need n >= 1")
+    if len(b) != len(a_rows) or len({len(r) for r in a_rows}) > 1:
+        raise BadShape("need rows of one length and one b entry per row")
     solver = IntSolver(*pack_rows(a_rows, p, n))
     x = solver.solve(b)
     if x is None:
@@ -877,7 +891,7 @@ def exp_series(ring, x, mul):
         if not any(term):   # so is every later power
             break
         if any(t % pk for t in term):
-            raise ValueError(f"a series term is not divisible by {pk}")
+            raise OutsideExpDomain(f"a series term is not divisible by {pk}")
         acc = [(a + t // pk * inv) % big.pn for a, t in zip(acc, term)]
     return tuple([a % ring.pn for a in acc])
 

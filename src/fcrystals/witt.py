@@ -405,8 +405,8 @@ class WittElem:
     def divide_exact(self, k):
         """Divide by p^k; every coefficient must be divisible."""
         pk = self.ring.p ** k
-        if any(c % pk for c in self.coeffs):
-            raise ValueError(f"not divisible by p^{k}")
+        if k < 0 or any(c % pk for c in self.coeffs):
+            raise BadParams(f"not divisible by p^{k}")
         return WittElem(self.ring, tuple(c // pk for c in self.coeffs))
 
     def reduce_to(self, target_ring):

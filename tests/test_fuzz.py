@@ -1,4 +1,4 @@
-"""Fuzzing the crystal file reader and the CLI with mutated crystal files.
+"""Fuzzing the crystal file reader, the CLI and four library calls.
 
 Each example starts from a valid file and drops keys, swaps values for
 JSON values of the wrong type (bools, floats, strings, nested lists), makes
@@ -14,6 +14,9 @@ values that break the datum; their reader must return a datum or raise a
 files, must exit with a code of the contract.  ``fcrystals deviation``
 gets tuples (one above the 500-entry cap) and stray text, and ``fcrystals bound`` any mix of its flags
 with small, large and over-long numbers; both must exit 0 or 2.
+``divide_exact``, ``exp_trunc``, ``smith_normal_form`` and
+``solve_linear_module`` get out-of-range ints, wrong shapes and values
+that p^k does not divide; each must return or raise a ``CrystalError``.
 """
 
 import contextlib
@@ -34,7 +37,12 @@ from fcrystals.files import (
     dict_to_stairs_datum,
     stairs_datum_to_dict,
 )
-from fcrystals.plinalg import Matrix
+from fcrystals.plinalg import (
+    Matrix,
+    exp_trunc,
+    smith_normal_form,
+    solve_linear_module,
+)
 from fcrystals.stairs import build_stairs_datum
 from fcrystals.witt import make_witt_ring
 
@@ -290,3 +298,60 @@ def bound_argvs(draw):
 @given(bound_argvs())
 def test_bound_exits_cleanly(argv):
     _assert_clean_exit(*_run_main(argv, None))
+
+
+# -- library calls on out-of-range values and wrong shapes --------------------
+
+RINGS = [make_witt_ring(2, 1, 3), make_witt_ring(2, 2, 2),
+         make_witt_ring(3, 2, 2), make_witt_ring(5, 1, 1),
+         make_witt_ring(7, 1, 3)]
+INTS = st.integers(-50, 50) | st.integers(-10 ** 30, 10 ** 30)
+
+
+def _returns_or_raises_crystal_error(call):
+    """call() returns, or raises a `CrystalError`: any other exception
+    (ValueError, IndexError, TypeError, ...) fails the test."""
+    try:
+        call()
+    except CrystalError:
+        pass
+
+
+@st.composite
+def int_matrices(draw):
+    """(ring, rows of ints): p^e times out-of-range ints, so some rows are
+    divisible by a power of p and some not, in any shape up to 3 x 3 and
+    now and then ragged."""
+    ring = draw(st.sampled_from(RINGS))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    e, lengths = draw(st.integers(0, ring.n)), [cols, cols, cols + 1]
+    return ring, [[ring.p ** e * draw(INTS)
+                   for _ in range(draw(st.sampled_from(lengths)))]
+                  for _ in range(rows)]
+
+
+@FUZZ
+@given(int_matrices(), st.integers(-3, 8))
+def test_matrix_calls_return_or_raise_crystal_errors(case, k):
+    """`divide_exact` (by any p^k, k < 0 too), `exp_trunc` and
+    `smith_normal_form` on such matrices, and `divide_exact` on a Witt
+    element."""
+    ring, rows = case
+    for call in (
+            lambda: Matrix.from_ints(ring, rows).divide_exact(k),
+            lambda: exp_trunc(Matrix.from_ints(ring, rows)),
+            lambda: smith_normal_form(Matrix.from_ints(ring, rows))):
+        _returns_or_raises_crystal_error(call)
+    if rows and rows[0]:
+        x = rows[0][:1] * ring.q
+        _returns_or_raises_crystal_error(
+            lambda: ring.element(x).divide_exact(k))
+
+
+@FUZZ
+@given(st.lists(st.lists(INTS, max_size=3), max_size=3),
+       st.lists(INTS, max_size=4), st.integers(-2, 12), st.integers(-2, 4))
+def test_solve_linear_module_returns_or_raises_crystal_errors(rows, b, p, n):
+    """Ragged rows, a b of any length, p prime or not and any n."""
+    _returns_or_raises_crystal_error(
+        lambda: solve_linear_module(rows, b, p, n))

@@ -21,6 +21,7 @@ from fcrystals.crystal import (
     newton_polygon,
 )
 from fcrystals.errors import (
+    BadParams,
     BadShape,
     CrystalError,
     ExtensionCapExceeded,
@@ -1200,11 +1201,23 @@ def _packed_systems(p, rng):
                 yield n, A
 
 
+def _list_perm(rt):
+    """The slot of each elimination column, read off the list R: column t
+    of R is e_perm[t] plus multiples of the columns before it, whose
+    support is perm[:t], so perm[t] is the one new slot of its support."""
+    perm = []
+    for col in rt:
+        (j,) = {j for j, a in enumerate(col) if a} - set(perm)
+        perm.append(j)
+    return perm
+
+
 def _assert_same_elimination(A, p, n, bs):
     new, ref = IntSolver(*pack_rows(A, p, n)), _ListIntSolver(A, p, n)
     P = new.packing
     assert (new.exps, new._log, [P.unpack(x) for x in new._rt]) == \
         (ref.exps, ref._log, ref._rt)
+    assert new._perm == _list_perm(ref._rt)
     packed = new.kernel_generators()
     gens = [P.unpack(g) for g in packed]
     assert gens == ref.kernel_generators()
@@ -1254,6 +1267,64 @@ def test_packed_rows_match_on_the_thirds_family():
           [rng.randrange(16) for _ in range(216)]]
     new, sols = _assert_same_elimination(A, 2, 4, bs)
     assert any(0 < e < 4 for e in new.exps) and sols[0] is not None
+
+
+def _scattered_systems(p, rng):
+    """Systems whose pivots leave from scattered slots, at n = 1..4: half
+    the columns, drawn at random, hold units and the rest only
+    p-multiples (zeros at n = 1), so the first unit pivots sit in the
+    drawn columns.  Some rows are p^(n - 1) times a row (pivots of
+    valuation n - 1), some are zero or repeat a row; square, tall and
+    wide."""
+    for n in (1, 2, 3, 4):
+        pn = p ** n
+        for rows, cols in ((6, 6), (12, 12), (9, 4), (4, 9)):
+            for _ in range(3):
+                units = set(rng.sample(range(cols), cols // 2))
+                A = []
+                for _ in range(rows):
+                    row = [(rng.randrange(pn) if j in units
+                            else p * rng.randrange(pn) % pn)
+                           if rng.random() < 0.6 else 0 for j in range(cols)]
+                    kind = rng.random()
+                    if kind < 0.1:
+                        row = [0] * cols
+                    elif kind < 0.2 and A:
+                        row = list(rng.choice(A))
+                    elif kind < 0.45:
+                        row = [p ** (n - 1) * c % pn for c in row]
+                    A.append(row)
+                yield n, A
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mask_reads_match_the_list_elimination(p):
+    """`IntSolver` tests and reads each row at the pivot's slot through
+    the slot's mask, finds the pivot column by the residue mod p^(v + 1),
+    and keeps the negated pivot rows packed for R: its exponents, log,
+    column order, R, solutions and kernel generators are those of the
+    list elimination, at byte and other slot widths."""
+    rng = random.Random(1230 + p)
+    seen = {"scattered pivots": 0, "pivot of valuation n - 1 > 0": 0,
+            "zero row": 0, "tall": 0, "wide": 0, "byte width": 0,
+            "other width": 0}
+    for n, A in _scattered_systems(p, rng):
+        pn = p ** n
+        rows, cols = len(A), len(A[0])
+        bs = [_apply(A, [rng.randrange(pn) for _ in range(cols)], pn),
+              [rng.randrange(pn) for _ in range(rows)]]
+        new, _ = _assert_same_elimination(A, p, n, bs)
+        perm = new._perm
+        seen["scattered pivots"] += any(
+            perm[k] != min(perm[k:]) for k in range(len(new.exps)))
+        seen["pivot of valuation n - 1 > 0"] += n > 1 and n - 1 in new.exps
+        seen["zero row"] += any(not any(row) for row in A)
+        seen["tall"] += rows > cols
+        seen["wide"] += rows < cols
+        seen["byte width" if new.packing.w % 8 == 0 else "other width"] += 1
+    if p != 2:   # only p = 2 at n = 4 has a byte width here
+        assert seen.pop("byte width") == 0
+    assert min(seen.values()) >= 5, seen
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -2164,7 +2235,7 @@ def _check_matrix(ring, M, G, other, rng, ctx):
         assert _same(M.embed(big), G.embed(big)), ctx
     for k in range(n + 1):
         assert _same_outcome(lambda: M.divide_exact(k),
-                             lambda: G.divide_exact(k), ValueError), (ctx, k)
+                             lambda: G.divide_exact(k), BadParams), (ctx, k)
     assert M.min_valuation() == G.min_valuation(), ctx
     assert M.is_zero() == G.is_zero(), ctx
     twin = Matrix(ring, G.entries)

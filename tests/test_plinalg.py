@@ -357,6 +357,26 @@ def test_int_solver_reads_a_row_valuation_only_when_it_could_win(
     assert len(S.exps) == 216 and any(0 < e < 4 for e in S.exps)
 
 
+def test_int_solver_unpacks_a_row_only_to_build_r(monkeypatch):
+    """The elimination tests and reads the pivot slot of each row through
+    its mask and keeps the negated pivot rows packed, so on the 216 x 216
+    Hom system of the rank-6 thirds family over W_4(F_64) a reader of the
+    exponents alone unpacks no row; building R unpacks each pivot row
+    once."""
+    ring = make_witt_ring(2, 6, 4)
+    C1 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.one())
+    C2 = builtin_crystal(ring, "phi_alpha_4_5", alpha=ring.gen())
+    P, rows = _intertwiner_system(C1.B, C2.B, ring)
+    unpacked = []
+    monkeypatch.setattr(P, "unpack",
+                        lambda x, read=P.unpack: unpacked.append(x) or read(x))
+    S = IntSolver(P, rows)
+    S.kernel_type()
+    assert unpacked == [] and len(S.exps) == 216
+    S.kernel_generators()
+    assert len(unpacked) == sum(e < 4 for e in S.exps) > 0
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_smith_rows_are_the_rows_of_x_to_a_x(p, monkeypatch):
     """`_smith_solver` eliminates the q r x q r rows over Z/p^n of
