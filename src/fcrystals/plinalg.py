@@ -493,10 +493,10 @@ class IntSolver:
     The right transform R is built on first read (by `solve` or
     `kernel_generators`), from the negated scaled pivot rows that the
     updates used, kept packed, so a caller that reads only `exps` (a
-    group type) never pays for it.  R is
-    kept transposed and by slot: its column operations are row updates,
-    and a column swap moves nothing; `_rt[t]`, column t of R in
-    elimination order, is the column of slot perm[t].
+    group type) never pays for it.  R is kept transposed and by slot: its
+    column operations are row updates, and a column swap moves nothing;
+    `_rt[t]`, column t of R in elimination order, is the column of slot
+    perm[t].
     """
 
     def __init__(self, P, a_rows):
